@@ -123,18 +123,7 @@ TEST(LinearizabilityChecker, KeysAreIndependent) {
 
 // -- Replicated cluster, fault-free ------------------------------------------
 
-RepClusterOptions SmallRepOptions() {
-  RepClusterOptions options;
-  options.groups = 2;
-  options.replicas_per_group = 2;  // 4 nodes
-  options.workload.clients_per_node = 2;
-  options.workload.ops_per_client = 6;
-  options.workload.value_bytes = 32;
-  options.workload.key_space = 64;
-  options.workload.write_pct = 50;
-  options.workload.seed = 21;
-  return options;
-}
+using testutil::SmallRepOptions;
 
 TEST(ReplicatedCluster, FaultFreeRunAuditsCleanAndLinearizable) {
   ReplicatedKvCluster cluster(SmallRepOptions());

@@ -9,9 +9,9 @@
 //                      pre-boot control path can skip the later stages.
 //   * NvmeFixture    — a bare NVMe controller with one namespace and a
 //                      preloaded sentinel block (the fault-injection rig).
-//   * SmallClusterOptions — the 4-node, 2x8-op seeded KvCluster layout the
-//                      determinism regressions (result and golden-trace)
-//                      share as their oracle workload.
+//   * SmallClusterOptions / SmallRepOptions — the seeded 4-node KvCluster
+//                      and ReplicatedKvCluster layouts the determinism
+//                      regressions share as their oracle workloads.
 //
 // Everything is header-only (inline) because each test binary is its own
 // translation unit; the fixtures use CHECK for setup steps that run in
@@ -188,6 +188,21 @@ inline dpu::ClusterOptions SmallClusterOptions() {
   options.workload.ops_per_client = 8;
   options.workload.value_bytes = 64;
   options.workload.key_space = 128;
+  options.workload.write_pct = 50;
+  options.workload.seed = 21;
+  return options;
+}
+
+// The replicated counterpart: 2 groups x 2 replicas (4 nodes), each node's
+// clients issuing a seeded 50/50 put/get mix.
+inline dpu::RepClusterOptions SmallRepOptions() {
+  dpu::RepClusterOptions options;
+  options.groups = 2;
+  options.replicas_per_group = 2;
+  options.workload.clients_per_node = 2;
+  options.workload.ops_per_client = 6;
+  options.workload.value_bytes = 32;
+  options.workload.key_space = 64;
   options.workload.write_pct = 50;
   options.workload.seed = 21;
   return options;
