@@ -43,7 +43,6 @@ load::OverloadClusterOptions HockeyOptions(sim::Duration interarrival, bool admi
   load::OverloadClusterOptions options;
   options.num_clients = 3;
   options.requests_per_client = 200;
-  options.open_loop = true;
   options.interarrival = interarrival;
   options.deadline = 1 * sim::kMillisecond;
   options.policy.enabled = admission;

@@ -7,11 +7,9 @@
 
 namespace hyperion::dpu {
 
-namespace {
-
-HyperionConfig NodeConfig(const ClusterOptions& options) {
+HyperionConfig NodeConfig(const ClusterBaseOptions& options) {
   HyperionConfig config;
-  config.nvme_devices = options.nvme_devices;
+  config.nvme_devices = 1;
   config.lbas_per_device = options.lbas_per_device;
   config.dram_bytes = options.dram_bytes;
   config.hbm_bytes = options.hbm_bytes;
@@ -19,175 +17,153 @@ HyperionConfig NodeConfig(const ClusterOptions& options) {
   return config;
 }
 
-}  // namespace
-
-KvCluster::Node::Node(KvCluster* cluster, uint32_t id, uint32_t shard)
-    : id(id),
-      shard(shard),
-      fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, NodeConfig(cluster->options_)),
-      rng(cluster->options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {
-  CHECK(dpu.Boot().ok());
-  auto installed = HyperionServices::Install(&dpu, cluster->options_.backend);
-  CHECK(installed.ok());
-  services = std::move(*installed);
-  // Registering the endpoint here — inside id-ordered node construction —
-  // pins the logical source order that breaks cross-shard timestamp ties,
-  // independent of the shard layout.
-  endpoint = std::make_unique<ShardedRpcNode>(&cluster->engine(), shard, &dpu.rpc(), &clock,
-                                              cluster->options_.fabric,
-                                              cluster->options_.fabric.default_link_gbps);
-  if (cluster->options_.trace) {
-    // Origin = node id: logical identity, stable across shard layouts.
-    tracer = std::make_unique<obs::Tracer>(id);
-    dpu.InstallTracer(tracer.get());
-    endpoint->SetTracer(tracer.get());
-  }
-  clients.resize(cluster->options_.workload.clients_per_node,
-                 Client{cluster->options_.workload.ops_per_client});
+void FillLatency(const sim::Histogram& merged, uint64_t* count, uint64_t* p50, uint64_t* p99,
+                 uint64_t* max) {
+  *count = merged.count();
+  *p50 = merged.P50();
+  *p99 = merged.P99();
+  *max = merged.max();
 }
 
-KvCluster::KvCluster(const ClusterOptions& options) : options_(options) {
-  CHECK_GT(options_.num_nodes, 0u);
-  if (options_.num_shards == 0 || options_.num_shards > options_.num_nodes) {
-    options_.num_shards = options_.num_nodes;
-  }
-  CHECK_GT(options_.workload.value_bytes, 0u);
-  CHECK_GT(options_.workload.key_space, 0u);
+// -- Cluster ---------------------------------------------------------------------
 
-  value_.resize(options_.workload.value_bytes);
-  for (size_t i = 0; i < value_.size(); ++i) {
-    value_[i] = static_cast<uint8_t>(i * 31 + 7);
-  }
-
+Cluster::Cluster(const ClusterBaseOptions& options, uint32_t num_nodes)
+    : num_nodes_(num_nodes), fabric_(options.fabric) {
+  CHECK_GT(num_nodes_, 0u);
   sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
+  popts.num_shards = options.num_shards == 0 || options.num_shards > num_nodes_
+                         ? num_nodes_
+                         : options.num_shards;
+  popts.use_threads = options.use_threads;
   engine_ = std::make_unique<sim::ParallelEngine>(popts);
-
-  nodes_.reserve(options_.num_nodes);
-  for (uint32_t id = 0; id < options_.num_nodes; ++id) {
-    nodes_.push_back(std::make_unique<Node>(this, id, ShardOf(id)));
-  }
-  std::vector<ShardedRpcNode*> partitions;
-  partitions.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    partitions.push_back(node->endpoint.get());
-  }
-  for (auto& node : nodes_) {
-    node->kv = std::make_unique<ShardedKvClient>(node->endpoint.get(), partitions);
-  }
+  nodes_.reserve(num_nodes_);
 }
 
-KvCluster::~KvCluster() = default;
+Cluster::~Cluster() = default;
 
-uint32_t KvCluster::ShardOf(uint32_t node) const {
+uint32_t Cluster::ShardOf(uint32_t node) const {
   // Contiguous blocks: halving the shard count merges neighbouring shards
   // without reordering the nodes inside them.
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / options_.num_nodes);
+  return static_cast<uint32_t>(uint64_t{node} * num_shards() / num_nodes_);
 }
 
-void KvCluster::Preload() {
-  // Load every key directly into its owner's store (no virtual wire): the
-  // measured phase then runs read-mostly traffic against a warm cluster.
-  const ByteSpan value(value_.data(), value_.size());
-  for (uint64_t key = 0; key < options_.workload.key_space; ++key) {
-    Node& owner = *nodes_[KvPartitionOf(key, nodes_.size())];
-    CHECK(owner.services->kv().Put(key, value).ok());
+Cluster::Node& Cluster::Lookup(uint32_t id) const {
+  CHECK_LT(id, nodes_.size()) << "no node " << id;
+  return *nodes_[id];
+}
+
+void Cluster::Adopt(std::unique_ptr<Node> node, const HyperionConfig* config) {
+  node->id = static_cast<uint32_t>(nodes_.size());
+  CHECK_LT(node->id, num_nodes_);
+  node->shard = ShardOf(node->id);
+  RpcServer* server = nullptr;
+  if (config != nullptr) {
+    node->fabric.emplace(&node->clock, fabric_);
+    node->dpu.emplace(&node->clock, &*node->fabric, *config);
+    CHECK(node->dpu->Boot().ok());
+    server = &node->dpu->rpc();
   }
+  nodes_.push_back(std::move(node));
+  nodes_.back()->endpoint = AddEndpoint(server, &nodes_.back()->clock);
 }
 
-void KvCluster::IssueOp(Node& node, uint32_t client) {
-  Client& state = node.clients[client];
-  CHECK_GT(state.remaining, 0u);
-  --state.remaining;
-  const ClusterWorkload& workload = options_.workload;
-  const uint64_t key = node.rng.Uniform(workload.key_space);
-  const bool write = node.rng.Uniform(100) < workload.write_pct;
-  const sim::SimTime issued = engine_->shard(node.shard).Now();
-  // Closed loop: the completion records the op and immediately issues the
-  // client's next one, so per-client concurrency stays at 1 and offered
-  // load scales with clients_per_node.
-  auto finish = [this, &node, client, issued](bool ok) {
-    const sim::SimTime now = engine_->shard(node.shard).Now();
-    node.latency.Record(now - issued);
-    if (ok) {
-      ++node.ok_ops;
-    } else {
-      ++node.failed_ops;
-    }
-    node.last_completion = std::max(node.last_completion, now);
-    if (node.clients[client].remaining > 0) {
-      IssueOp(node, client);
-    }
-  };
-  if (write) {
-    node.kv->PutAsync(key, ByteSpan(value_.data(), value_.size()),
-                      [finish](Status status) { finish(status.ok()); });
-  } else {
-    node.kv->GetAsync(key, [finish](Result<Buffer> result) { finish(result.ok()); });
-  }
+ShardedRpcNode* Cluster::AddEndpoint(RpcServer* server, sim::Engine* clock) {
+  CHECK(!nodes_.empty());
+  endpoints_.push_back(std::make_unique<ShardedRpcNode>(
+      engine_.get(), nodes_.back()->shard, server, clock, fabric_, fabric_.default_link_gbps));
+  return endpoints_.back().get();
 }
 
-ClusterResult KvCluster::Run() {
-  CHECK(!ran_);
+obs::Tracer* Cluster::AddTracer(Node& node) {
+  node.tracer = std::make_unique<obs::Tracer>(node.id);
+  return node.tracer.get();
+}
+
+void Cluster::AddMetrics(obs::Subsystem subsystem, const sim::Counters* counters) {
+  tenant_metrics_.emplace_back(subsystem, counters);
+}
+
+void Cluster::BeginRun() {
+  CHECK(!ran_) << "a cluster runs once: construct a fresh one per run";
+  CHECK_EQ(nodes_.size(), num_nodes_);
   ran_ = true;
-  Preload();
-  // Clients start once the slowest node has drained boot + preload from its
-  // pipeline — latency then measures wire + service, not boot backlog. The
-  // base is layout-invariant (boot and preload never touch shard engines).
-  sim::SimTime start_base = 0;
-  for (const auto& node : nodes_) {
-    start_base = std::max(start_base, node->clock.Now());
+}
+
+sim::SimTime Cluster::StartTime(uint32_t clock_nodes) const {
+  sim::SimTime start = 0;
+  for (uint32_t id = 0; id < clock_nodes; ++id) {
+    start = std::max(start, Lookup(id).clock.Now());
   }
-  start_base += 1000;
-  // Kick every client at a distinct virtual time: distinct timestamps need
-  // no tie-break, so the startup order is trivially layout-invariant.
-  const ClusterWorkload& workload = options_.workload;
-  for (uint32_t id = 0; id < nodes_.size(); ++id) {
-    Node& node = *nodes_[id];
+  return start + 1000;
+}
+
+void Cluster::RunClosedLoop(const ClusterWorkload& workload, sim::SimTime start,
+                            IssueFn issue) {
+  workload_ = workload;
+  issue_ = std::move(issue);
+  loops_.reserve(nodes_.size());
+  for (const auto& node : nodes_) {
+    ClientLoop& loop =
+        loops_.emplace_back(workload.seed ^ (0x9e3779b97f4a7c15ULL * (node->id + 1)));
+    loop.remaining.assign(workload.clients_per_node, workload.ops_per_client);
+  }
+  for (const auto& node : nodes_) {
     for (uint32_t client = 0; client < workload.clients_per_node; ++client) {
-      if (node.clients[client].remaining == 0) {
+      if (loops_[node->id].remaining[client] == 0) {
         continue;
       }
-      const sim::SimTime start =
-          start_base + (uint64_t{id} * workload.clients_per_node + client) * 7;
-      engine_->shard(node.shard).ScheduleAt(
-          start, [this, &node, client] { IssueOp(node, client); });
+      const sim::SimTime at =
+          start + (uint64_t{node->id} * workload.clients_per_node + client) * 7;
+      engine_->shard(node->shard).ScheduleAt(
+          at, [this, id = node->id, client] { IssueOp(id, client); });
     }
   }
   engine_->Run();
-
-  ClusterResult result;
-  result.events_run = engine_->stats().events_run;
-  result.messages = engine_->stats().messages;
-  result.start_ns = start_base;
-  result.nodes.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    result.ok_ops += node->ok_ops;
-    result.failed_ops += node->failed_ops;
-    if (node->last_completion > start_base) {
-      result.makespan_ns = std::max(result.makespan_ns, node->last_completion - start_base);
-    }
-    merged_latency_.Merge(node->latency);
-    ClusterNodeResult per_node;
-    per_node.node_clock_ns = node->clock.Now();
-    per_node.rpcs_served = node->endpoint->counters().Get("rpc_async_served");
-    per_node.ok_ops = node->ok_ops;
-    per_node.failed_ops = node->failed_ops;
-    result.nodes.push_back(per_node);
-  }
-  result.latency_count = merged_latency_.count();
-  result.latency_p50_ns = merged_latency_.P50();
-  result.latency_p99_ns = merged_latency_.P99();
-  result.latency_max_ns = merged_latency_.max();
-  return result;
 }
 
-std::vector<obs::SpanRecord> KvCluster::MergedTrace() const {
+void Cluster::IssueOp(uint32_t node, uint32_t client) {
+  ClientLoop& loop = loops_[node];
+  CHECK_GT(loop.remaining[client], 0u);
+  --loop.remaining[client];
+  const uint64_t key = loop.rng.Uniform(workload_.key_space);
+  const bool write = loop.rng.Uniform(100) < workload_.write_pct;
+  const sim::SimTime issued = engine_->shard(nodes_[node]->shard).Now();
+  issue_(ClientOp{this, node, client, key, write, issued});
+}
+
+void Cluster::FinishOp(const ClientOp& op, bool ok) {
+  ClientLoop& loop = loops_[op.node];
+  const sim::SimTime now = engine_->shard(nodes_[op.node]->shard).Now();
+  loop.latency.Record(now - op.issued);
+  if (!ok) {
+    ++loop.failed;
+  } else if (op.write) {
+    ++loop.ok_writes;
+  } else {
+    ++loop.ok_reads;
+  }
+  loop.last_completion = std::max(loop.last_completion, now);
+  if (loop.remaining[op.client] > 0) {
+    IssueOp(op.node, op.client);
+  }
+}
+
+Cluster::LoopTotals Cluster::FoldClosedLoop(sim::SimTime start) const {
+  LoopTotals totals;
+  for (const ClientLoop& loop : loops_) {
+    totals.ok_writes += loop.ok_writes;
+    totals.ok_reads += loop.ok_reads;
+    totals.failed += loop.failed;
+    if (loop.last_completion > start) {
+      totals.makespan_ns = std::max(totals.makespan_ns, loop.last_completion - start);
+    }
+    totals.latency.Merge(loop.latency);
+  }
+  return totals;
+}
+
+std::vector<obs::SpanRecord> Cluster::MergedTrace() const {
   std::vector<const obs::Tracer*> tracers;
-  tracers.reserve(nodes_.size());
   for (const auto& node : nodes_) {
     if (node->tracer != nullptr) {
       tracers.push_back(node->tracer.get());
@@ -196,13 +172,95 @@ std::vector<obs::SpanRecord> KvCluster::MergedTrace() const {
   return obs::Tracer::Merged(tracers);
 }
 
-void KvCluster::SnapshotMetrics(obs::MetricsRegistry* registry) const {
+void Cluster::SnapshotMetrics(obs::MetricsRegistry* registry) const {
+  for (const auto& endpoint : endpoints_) {
+    registry->ImportCounters(obs::Subsystem::kRpc, endpoint->counters());
+    if (const sim::AdmissionController* admission = endpoint->admission()) {
+      registry->ImportCounters(obs::Subsystem::kRpc, admission->counters());
+      registry->Record(obs::Subsystem::kRpc, "admission_depth_p99", admission->depth().P99());
+    }
+  }
   for (const auto& node : nodes_) {
-    registry->ImportCounters(obs::Subsystem::kRpc, node->endpoint->counters());
-    registry->ImportCounters(obs::Subsystem::kRpc, node->dpu.rpc().counters());
-    registry->ImportCounters(obs::Subsystem::kNvme, node->dpu.nvme().counters());
+    if (node->dpu) {
+      registry->ImportCounters(obs::Subsystem::kRpc, node->dpu->rpc().counters());
+      registry->ImportCounters(obs::Subsystem::kNvme, node->dpu->nvme().counters());
+    }
+  }
+  for (const auto& [subsystem, counters] : tenant_metrics_) {
+    registry->ImportCounters(subsystem, *counters);
   }
   obs::ImportParallelStats(registry, engine_->stats());
+}
+
+// -- KvCluster -------------------------------------------------------------------
+
+KvCluster::KvCluster(const ClusterOptions& options)
+    : Cluster(options, options.num_nodes), options_(options) {
+  CHECK_GT(options_.workload.value_bytes, 0u);
+  CHECK_GT(options_.workload.key_space, 0u);
+  value_.resize(options_.workload.value_bytes);
+  for (size_t i = 0; i < value_.size(); ++i) {
+    value_[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+
+  const HyperionConfig config = NodeConfig(options_);
+  std::vector<ShardedRpcNode*> partitions;
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    KvNode& node = AddDpuNode<KvNode>(config);
+    node.services = HyperionServices::Install(&*node.dpu).value();
+    if (options_.trace) {
+      obs::Tracer* tracer = AddTracer(node);
+      node.dpu->InstallTracer(tracer);
+      node.endpoint->SetTracer(tracer);
+    }
+    partitions.push_back(node.endpoint);
+  }
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    KvNode& node = this->node<KvNode>(id);
+    node.kv = std::make_unique<ShardedKvClient>(node.endpoint, partitions);
+  }
+}
+
+KvCluster::~KvCluster() = default;
+
+ClusterResult KvCluster::Run() {
+  BeginRun();
+  // Load every key directly into its owner's store (no virtual wire): the
+  // measured phase then runs read-mostly traffic against a warm cluster.
+  const ByteSpan value(value_.data(), value_.size());
+  for (uint64_t key = 0; key < options_.workload.key_space; ++key) {
+    const auto owner = static_cast<uint32_t>(KvPartitionOf(key, num_nodes()));
+    CHECK(node<KvNode>(owner).services->kv().Put(key, value).ok());
+  }
+  const sim::SimTime start = StartTime(num_nodes());
+  RunClosedLoop(options_.workload, start, [this, value](const ClientOp& op) {
+    ShardedKvClient& kv = *node<KvNode>(op.node).kv;
+    if (op.write) {
+      kv.PutAsync(op.key, value, [op](Status status) { op.Done(status.ok()); });
+    } else {
+      kv.GetAsync(op.key, [op](Result<Buffer> result) { op.Done(result.ok()); });
+    }
+  });
+
+  ClusterResult result;
+  result.events_run = engine().stats().events_run;
+  result.messages = engine().stats().messages;
+  result.start_ns = start;
+  const LoopTotals totals = FoldClosedLoop(start);
+  result.ok_ops = totals.ok_writes + totals.ok_reads;
+  result.failed_ops = totals.failed;
+  result.makespan_ns = totals.makespan_ns;
+  FillLatency(totals.latency, &result.latency_count, &result.latency_p50_ns,
+              &result.latency_p99_ns, &result.latency_max_ns);
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    const ClientLoop& loop = client_loop(id);
+    result.nodes.push_back(ClusterNodeResult{
+        .node_clock_ns = node(id).clock.Now(),
+        .rpcs_served = node(id).endpoint->counters().Get("rpc_async_served"),
+        .ok_ops = loop.ok_writes + loop.ok_reads,
+        .failed_ops = loop.failed});
+  }
+  return result;
 }
 
 }  // namespace hyperion::dpu

@@ -1,8 +1,26 @@
-// Sharded multi-DPU cluster simulation (PR 3).
+// Sharded multi-DPU cluster simulation (PR 3), and the one mechanism every
+// cluster harness runs on.
 //
-// KvCluster composes the pieces the parallel-simulation layer introduced
-// into the paper's §3 picture — a rack of self-hosting DPUs serving a
-// partitioned KV service — and runs it across ParallelEngine shards:
+// dpu::Cluster owns what the cluster harnesses (KvCluster below,
+// ReplicatedKvCluster, load::OverloadCluster, load::XdpCluster) share:
+//
+//   * the sim::ParallelEngine — one shard per node unless `num_shards` says
+//     fewer — with nodes mapped to shards in contiguous blocks (ShardOf);
+//   * id-ordered node construction: each node's private cost clock and, on
+//     serving nodes, a booted Hyperion DPU on its own net::Fabric, all in one
+//     allocation, plus the node's ShardedRpcNode endpoint. Endpoints register
+//     as engine sources in construction order, which pins the logical source
+//     order that breaks cross-shard timestamp ties independent of the shard
+//     layout;
+//   * the after-boot start time, the one-shot run, the closed-loop clients
+//     KV and replicated KV drive, and the latency fill;
+//   * engine(), SnapshotMetrics() and MergedTrace() for every harness.
+//
+// A harness derives from Cluster and keeps only its tenant code: what a node
+// installs, how its clients start, and how its result folds.
+//
+// KvCluster puts the paper's §3 picture on it — a rack of self-hosting DPUs
+// serving a partitioned KV service:
 //
 //   * Every node is a full Hyperion DPU (its own private cost engine, NVMe,
 //     object store, RPC services) plus a population of closed-loop clients
@@ -10,11 +28,10 @@
 //   * Keys hash-partition across nodes with the same placement the
 //     synchronous DistributedKvClient uses; an op whose owner is another
 //     node crosses shards as a serialized RPC frame (ShardedRpcNode).
-//   * `num_shards` maps nodes onto shards in contiguous blocks. The result
-//     snapshot is bit-identical for any shard count and with threads on or
-//     off — tests/cluster_test.cc pins num_shards in {1, 2, 4} — because
-//     nodes share no mutable state and cross-node messages merge in
-//     (time, source, seq) order.
+//   * The result snapshot is bit-identical for any shard count and with
+//     threads on or off — tests/cluster_test.cc pins num_shards in {1, 2, 4}
+//     — because nodes share no mutable state and cross-node messages merge
+//     in (time, source, seq) order.
 //
 // bench_cluster_scaling uses it for the netkv scaling experiment; the
 // determinism regression uses the ClusterResult snapshot.
@@ -23,9 +40,13 @@
 #define HYPERION_SRC_DPU_CLUSTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/dpu/distributed.h"
 #include "src/dpu/hyperion.h"
@@ -37,6 +58,31 @@
 
 namespace hyperion::dpu {
 
+// Options every cluster harness shares.
+struct ClusterBaseOptions {
+  // 0 defaults to one shard per node (full spatial parallelism). Nodes map
+  // to shards in contiguous blocks so the (time, source, seq) merge order
+  // is independent of the shard count.
+  uint32_t num_shards = 0;
+  bool use_threads = true;
+  net::FabricParams fabric;  // wire model for cross-node frames
+  // Trimmed per-node DPU: the cluster experiments care about communication
+  // structure, not per-node capacity, and full-size nodes would pay
+  // construction time for memory the workload never touches.
+  uint64_t lbas_per_device = 32768;
+  uint64_t dram_bytes = 64ull << 20;
+  uint64_t hbm_bytes = 16ull << 20;
+};
+
+// The per-node DPU of a cluster: one NVMe device with the trimmed
+// capacities above, attached at the fabric's link rate.
+HyperionConfig NodeConfig(const ClusterBaseOptions& options);
+
+// Copies a merged latency histogram into a result's four latency fields.
+void FillLatency(const sim::Histogram& merged, uint64_t* count, uint64_t* p50, uint64_t* p99,
+                 uint64_t* max);
+
+// The closed-loop client population (KvCluster, ReplicatedKvCluster).
 struct ClusterWorkload {
   uint32_t clients_per_node = 8;
   uint32_t ops_per_client = 32;
@@ -46,31 +92,175 @@ struct ClusterWorkload {
   uint64_t seed = 21;
 };
 
-struct ClusterOptions {
+class Cluster {
+ public:
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
+
+  uint32_t num_nodes() const { return num_nodes_; }
+  uint32_t num_shards() const { return engine_->num_shards(); }
+  uint32_t ShardOf(uint32_t node) const;
+
+  sim::ParallelEngine& engine() { return *engine_; }
+  ShardedRpcNode& endpoint(uint32_t node) { return *Lookup(node).endpoint; }
+  // Per-node tracer; null unless the harness traces that node.
+  const obs::Tracer* tracer(uint32_t node) const { return Lookup(node).tracer.get(); }
+
+  // Every node tracer's spans in the deterministic cross-node merge —
+  // (begin, origin, id) order, the golden-trace oracle.
+  std::vector<obs::SpanRecord> MergedTrace() const;
+
+  // Cluster-wide metrics (valid after Run()): every endpoint's counters and
+  // admission controller, every DPU's RPC server and NVMe counters, the
+  // tenant counters a harness registered, and the parallel engine's
+  // tallies, imported into `registry` under stable names.
+  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
+
+ protected:
+  // One simulated node: a private cost clock (never holds events) and, on
+  // serving nodes, a Hyperion DPU on its own fabric, inline so the node is
+  // one allocation. A harness derives its node types from Node to carry its
+  // tenant state. Nodes interact only through ShardedRpcNode messages — no
+  // shared mutable state, which is what makes the shard layout
+  // unobservable.
+  struct Node {
+    virtual ~Node() = default;
+
+    uint32_t id = 0;
+    uint32_t shard = 0;
+    sim::Engine clock;
+    std::unique_ptr<obs::Tracer> tracer;  // origin = node id; null untraced
+    std::optional<net::Fabric> fabric;
+    std::optional<Hyperion> dpu;  // empty on client-only nodes
+    ShardedRpcNode* endpoint = nullptr;
+  };
+
+  // One op of a closed-loop client. The key and the read/write draw come
+  // from the issuing node's seeded RNG.
+  struct ClientOp {
+    // Records the op's latency and outcome on its node, then issues the
+    // client's next op. Call exactly once, on the node's shard.
+    void Done(bool ok) const { cluster->FinishOp(*this, ok); }
+
+    Cluster* cluster;
+    uint32_t node;
+    uint32_t client;  // index among the node's clients
+    uint64_t key;
+    bool write;
+    sim::SimTime issued;
+  };
+  using IssueFn = std::function<void(const ClientOp&)>;
+
+  // A node's closed-loop clients: its RNG, the ops each client has left,
+  // and the outcome tallies its result folds.
+  struct ClientLoop {
+    explicit ClientLoop(uint64_t seed) : rng(seed) {}
+    Rng rng;
+    std::vector<uint32_t> remaining;
+    sim::Histogram latency;
+    uint64_t ok_writes = 0;
+    uint64_t ok_reads = 0;
+    uint64_t failed = 0;
+    sim::SimTime last_completion = 0;
+  };
+
+  // The closed loop folded across nodes.
+  struct LoopTotals {
+    uint64_t ok_writes = 0;
+    uint64_t ok_reads = 0;
+    uint64_t failed = 0;
+    sim::SimTime makespan_ns = 0;  // last completion past the start time
+    sim::Histogram latency;        // merged across nodes
+  };
+
+  Cluster(const ClusterBaseOptions& options, uint32_t num_nodes);
+  ~Cluster();
+
+  // Builds the next node (ids follow construction order) as a T, a Node
+  // subclass: a booted Hyperion DPU with `config`, served by a new endpoint.
+  template <typename T = Node>
+  T& AddDpuNode(const HyperionConfig& config) {
+    auto node = std::make_unique<T>();
+    T& added = *node;
+    Adopt(std::move(node), &config);
+    return added;
+  }
+  // The next node as a client only: a clock and an endpoint with no server.
+  template <typename T = Node>
+  T& AddClientNode() {
+    auto node = std::make_unique<T>();
+    T& added = *node;
+    Adopt(std::move(node), nullptr);
+    return added;
+  }
+  // A second endpoint on the newest node's shard, serving `server` on its
+  // own `clock` (a tenant spatially multiplexed beside the node's DPU). It
+  // registers right after its node's own endpoint.
+  ShardedRpcNode* AddEndpoint(RpcServer* server, sim::Engine* clock);
+  // Gives `node` a tracer whose origin is its node id — a logical identity,
+  // never the shard index — so MergedTrace() is layout-invariant.
+  obs::Tracer* AddTracer(Node& node);
+  // Tenant counters SnapshotMetrics imports; they must outlive the cluster.
+  void AddMetrics(obs::Subsystem subsystem, const sim::Counters* counters);
+
+  template <typename T = Node>
+  T& node(uint32_t id) {
+    return static_cast<T&>(Lookup(id));
+  }
+  template <typename T = Node>
+  const T& node(uint32_t id) const {
+    return static_cast<const T&>(Lookup(id));
+  }
+
+  // Marks the one-shot run: construct a fresh cluster per run.
+  void BeginRun();
+  bool ran() const { return ran_; }
+  // Clients start once the slowest of nodes [0, clock_nodes) has drained
+  // boot and preload from its pipeline, so latency measures wire + service,
+  // not boot backlog. The base is layout-invariant: boot and preload never
+  // touch the shard engines.
+  sim::SimTime StartTime(uint32_t clock_nodes) const;
+
+  // Runs `workload.clients_per_node` closed-loop clients on every node to
+  // quiescence. Each client keeps one op outstanding (the completion issues
+  // the next), so offered load scales with the client count; client c of
+  // node n starts at start + (n * clients_per_node + c) * 7 ns — distinct
+  // timestamps need no tie-break, so the startup order is layout-invariant.
+  void RunClosedLoop(const ClusterWorkload& workload, sim::SimTime start, IssueFn issue);
+  const ClientLoop& client_loop(uint32_t node) const { return loops_[node]; }
+  LoopTotals FoldClosedLoop(sim::SimTime start) const;
+
+ private:
+  Node& Lookup(uint32_t id) const;
+  void Adopt(std::unique_ptr<Node> node, const HyperionConfig* config);
+  void IssueOp(uint32_t node, uint32_t client);
+  void FinishOp(const ClientOp& op, bool ok);
+
+  uint32_t num_nodes_;
+  net::FabricParams fabric_;
+  std::unique_ptr<sim::ParallelEngine> engine_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  // Every endpoint in registration order; destroyed before the nodes whose
+  // clocks and RPC servers they reference.
+  std::vector<std::unique_ptr<ShardedRpcNode>> endpoints_;
+  std::vector<std::pair<obs::Subsystem, const sim::Counters*>> tenant_metrics_;
+  ClusterWorkload workload_;
+  IssueFn issue_;
+  std::vector<ClientLoop> loops_;
+  bool ran_ = false;
+};
+
+// -- KvCluster -----------------------------------------------------------------
+
+struct ClusterOptions : ClusterBaseOptions {
   uint32_t num_nodes = 4;
-  // 0 defaults to one shard per node (full spatial parallelism). Nodes map
-  // to shards in contiguous blocks so the (time, source, seq) merge order
-  // is independent of the shard count.
-  uint32_t num_shards = 0;
-  bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
-  storage::KvBackend backend = storage::KvBackend::kBTree;
-  net::FabricParams fabric;  // wire model for cross-node frames
   ClusterWorkload workload;
   // Distributed tracing: every node gets an obs::Tracer whose origin is the
-  // node id (a logical identity — never the shard index), wired into the
-  // node's DPU substrates and its shard endpoint. MergedTrace() after Run()
-  // is bit-identical across shard layouts and threading modes; virtual time
-  // is unaffected either way (trace context rides frames as unmodelled
-  // metadata).
+  // node id, wired into the node's DPU substrates and its shard endpoint.
+  // MergedTrace() after Run() is bit-identical across shard layouts and
+  // threading modes; virtual time is unaffected either way (trace context
+  // rides frames as unmodelled metadata).
   bool trace = false;
-  // Trimmed per-node DPU: the cluster experiments care about communication
-  // structure, not per-node capacity, and eight full-size nodes would pay
-  // construction time for memory the workload never touches.
-  uint32_t nvme_devices = 1;
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 64ull << 20;
-  uint64_t hbm_bytes = 16ull << 20;
 };
 
 // Everything observable a run produces, in deterministic form: equality
@@ -104,74 +294,23 @@ struct ClusterResult {
   bool operator==(const ClusterResult&) const = default;
 };
 
-class KvCluster {
+class KvCluster : public Cluster {
  public:
   explicit KvCluster(const ClusterOptions& options);
-  KvCluster(const KvCluster&) = delete;
-  KvCluster& operator=(const KvCluster&) = delete;
   ~KvCluster();
-
-  uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
-  uint32_t num_shards() const { return engine_->num_shards(); }
-  uint32_t ShardOf(uint32_t node) const;
-
-  sim::ParallelEngine& engine() { return *engine_; }
-  ShardedRpcNode& endpoint(uint32_t node) { return *nodes_[node]->endpoint; }
 
   // Runs the closed-loop workload to quiescence and snapshots the result.
   // One-shot: construct a fresh cluster per run.
   ClusterResult Run();
 
-  // Merged client-observed latency across nodes (valid after Run()).
-  const sim::Histogram& merged_latency() const { return merged_latency_; }
-
-  // Per-node tracer (null unless options.trace) and the deterministic
-  // cross-node merge — (begin, origin, id) order, the golden-trace oracle.
-  const obs::Tracer* tracer(uint32_t node) const { return nodes_[node]->tracer.get(); }
-  std::vector<obs::SpanRecord> MergedTrace() const;
-
-  // Cluster-wide metrics: per-node RPC/endpoint counters and the parallel
-  // engine's tallies imported into `registry` under stable names.
-  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
-
  private:
-  struct Client {
-    uint32_t remaining = 0;
-  };
-
-  // One simulated DPU node: private clock, full Hyperion, its shard
-  // endpoint, and the colocated client population. Nodes interact only
-  // through ShardedRpcNode messages — no shared mutable state, which is
-  // what makes the shard layout unobservable.
-  struct Node {
-    Node(KvCluster* cluster, uint32_t id, uint32_t shard);
-
-    uint32_t id;
-    uint32_t shard;
-    sim::Engine clock;  // private cost engine (never holds events)
-    net::Fabric fabric;
-    Hyperion dpu;
-    std::unique_ptr<obs::Tracer> tracer;  // origin = node id; null untraced
+  struct KvNode : Node {
     std::unique_ptr<HyperionServices> services;
-    std::unique_ptr<ShardedRpcNode> endpoint;
     std::unique_ptr<ShardedKvClient> kv;
-    Rng rng;
-    sim::Histogram latency;
-    std::vector<Client> clients;
-    uint64_t ok_ops = 0;
-    uint64_t failed_ops = 0;
-    sim::SimTime last_completion = 0;
   };
-
-  void Preload();
-  void IssueOp(Node& node, uint32_t client);
 
   ClusterOptions options_;
   Bytes value_;  // shared value pattern for puts
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  sim::Histogram merged_latency_;
-  bool ran_ = false;
 };
 
 }  // namespace hyperion::dpu

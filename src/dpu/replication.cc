@@ -904,89 +904,39 @@ void ReplicatedKvClient::FinishRecovery(std::shared_ptr<Recovery> rec) {
 
 // -- ReplicatedKvCluster ------------------------------------------------------
 
-namespace {
-
-HyperionConfig RepNodeConfig(const RepClusterOptions& options) {
-  HyperionConfig config;
-  config.nvme_devices = options.nvme_devices;
-  config.lbas_per_device = options.lbas_per_device;
-  config.dram_bytes = options.dram_bytes;
-  config.hbm_bytes = options.hbm_bytes;
-  config.link_gbps = options.fabric.default_link_gbps;
-  return config;
-}
-
-}  // namespace
-
-ReplicatedKvCluster::Node::Node(ReplicatedKvCluster* cluster, uint32_t id, uint32_t shard)
-    : id(id),
-      shard(shard),
-      fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, RepNodeConfig(cluster->options_)),
-      rng(cluster->options_.workload.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {
-  CHECK(dpu.Boot().ok());
-  auto installed = ReplicatedKvService::Install(&dpu, cluster->options_.backend);
-  CHECK(installed.ok());
-  service = std::move(*installed);
-  // Registering the endpoint inside id-ordered node construction pins the
-  // logical source order that breaks cross-shard timestamp ties,
-  // independent of the shard layout (same discipline as KvCluster).
-  endpoint = std::make_unique<ShardedRpcNode>(&cluster->engine(), shard, &dpu.rpc(), &clock,
-                                              cluster->options_.fabric,
-                                              cluster->options_.fabric.default_link_gbps);
-  if (cluster->options_.overload.enabled) {
-    endpoint->SetOverloadPolicy(cluster->options_.overload);
-  }
-  if (cluster->options_.kill_at_boundary != RepClusterOptions::kNoKill &&
-      cluster->options_.kill_node == id) {
-    sim::FaultPlan plan;
-    plan.AtQuery(sim::FaultSite::kNodeKill, cluster->options_.kill_at_boundary);
-    injector = std::make_unique<sim::FaultInjector>(&clock, plan);
-    service->SetFaultInjector(injector.get());
-  }
-  clients.resize(cluster->options_.workload.clients_per_node,
-                 ClientState{cluster->options_.workload.ops_per_client, 0});
-}
-
 ReplicatedKvCluster::ReplicatedKvCluster(const RepClusterOptions& options)
-    : options_(options) {
+    : Cluster(options, options.groups * options.replicas_per_group), options_(options) {
   CHECK_GT(options_.groups, 0u);
   CHECK_GT(options_.replicas_per_group, 0u);
   CHECK_GE(options_.workload.value_bytes, 8u);  // tag prefix
   CHECK_GT(options_.workload.key_space, 0u);
-  const uint32_t num_nodes = options_.groups * options_.replicas_per_group;
-  if (options_.num_shards == 0 || options_.num_shards > num_nodes) {
-    options_.num_shards = num_nodes;
+  const bool kill_at_boundary = options_.kill_at_boundary != RepClusterOptions::kNoKill;
+  if (kill_at_boundary || options_.kill_after_ns > 0) {
+    CHECK_LT(options_.kill_node, num_nodes()) << "kill_node names no node";
   }
 
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
-
-  nodes_.reserve(num_nodes);
-  for (uint32_t id = 0; id < num_nodes; ++id) {
-    nodes_.push_back(std::make_unique<Node>(this, id, ShardOf(id)));
-  }
+  const HyperionConfig config = NodeConfig(options_);
   std::vector<ShardedRpcNode*> replicas;
-  replicas.reserve(nodes_.size());
-  for (auto& node : nodes_) {
-    replicas.push_back(node->endpoint.get());
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    Replica& replica = AddDpuNode<Replica>(config);
+    replica.service = ReplicatedKvService::Install(&*replica.dpu).value();
+    if (kill_at_boundary && options_.kill_node == id) {
+      sim::FaultPlan plan;
+      plan.AtQuery(sim::FaultSite::kNodeKill, options_.kill_at_boundary);
+      replica.injector = std::make_unique<sim::FaultInjector>(&replica.clock, plan);
+      replica.service->SetFaultInjector(replica.injector.get());
+    }
+    replica.next_seq.assign(options_.workload.clients_per_node, 0);
+    replicas.push_back(replica.endpoint);
   }
-  for (auto& node : nodes_) {
-    node->client = std::make_unique<ReplicatedKvClient>(
-        engine_.get(), node->endpoint.get(), replicas, options_.groups,
-        options_.replicas_per_group, options_.client);
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    Replica& replica = node<Replica>(id);
+    replica.client = std::make_unique<ReplicatedKvClient>(
+        &engine(), replica.endpoint, replicas, options_.groups, options_.replicas_per_group);
   }
 }
 
 ReplicatedKvCluster::~ReplicatedKvCluster() = default;
-
-uint32_t ReplicatedKvCluster::ShardOf(uint32_t node) const {
-  const uint32_t num_nodes = options_.groups * options_.replicas_per_group;
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / num_nodes);
-}
 
 Bytes ReplicatedKvCluster::TaggedValue(uint64_t tag) const {
   Bytes value(options_.workload.value_bytes);
@@ -1008,115 +958,73 @@ void ReplicatedKvCluster::Preload() {
         static_cast<uint32_t>(KvPartitionOf(key, options_.groups));
     const Bytes value = TaggedValue(PreloadTag(key));
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      Node& replica = *nodes_[group * options_.replicas_per_group + r];
-      CHECK(replica.service->PreloadPut(key, ByteSpan(value.data(), value.size())).ok());
+      CHECK(replica(group, r).service->PreloadPut(key, ByteSpan(value.data(), value.size())).ok());
     }
   }
 }
 
-void ReplicatedKvCluster::IssueOp(Node& node, uint32_t client) {
-  ClientState& state = node.clients[client];
-  CHECK_GT(state.remaining, 0u);
-  --state.remaining;
-  const ClusterWorkload& workload = options_.workload;
-  const uint64_t key = node.rng.Uniform(workload.key_space);
-  const bool write = node.rng.Uniform(100) < workload.write_pct;
-  const uint32_t global_client = node.id * workload.clients_per_node + client;
-  const sim::SimTime invoke = engine_->shard(node.shard).Now();
-  auto finish = [this, &node, client, invoke](bool ok, bool put) {
-    const sim::SimTime now = engine_->shard(node.shard).Now();
-    node.latency.Record(now - invoke);
-    if (!ok) {
-      ++node.failed_ops;
-    } else if (put) {
-      ++node.ok_puts;
-    } else {
-      ++node.ok_gets;
-    }
-    node.last_completion = std::max(node.last_completion, now);
-    if (node.clients[client].remaining > 0) {
-      IssueOp(node, client);
-    }
-  };
-  if (write) {
-    const uint64_t seq = state.next_seq++;
-    const uint64_t tag = (uint64_t{global_client + 1} << 32) | seq;
-    Bytes value = TaggedValue(tag);
-    node.client->PutAsync(
-        key, std::move(value),
-        [this, &node, finish, key, tag, global_client, invoke](Status status,
-                                                               uint64_t position) {
+void ReplicatedKvCluster::IssueOp(const ClientOp& op) {
+  Replica& issuer = node<Replica>(op.node);
+  const uint32_t global_client = op.node * options_.workload.clients_per_node + op.client;
+  const sim::Engine& shard = engine().shard(issuer.shard);
+  if (op.write) {
+    const uint64_t tag = (uint64_t{global_client + 1} << 32) | issuer.next_seq[op.client]++;
+    issuer.client->PutAsync(
+        op.key, TaggedValue(tag),
+        [this, &issuer, &shard, op, tag, global_client](Status status, uint64_t position) {
           const bool ok = status.ok();
-          node.history.push_back(RepHistOp{RepHistOp::kPut, global_client, key, tag,
-                                           invoke, engine_->shard(node.shard).Now(), ok});
+          issuer.history.push_back(RepHistOp{RepHistOp::kPut, global_client, op.key, tag,
+                                             op.issued, shard.Now(), ok});
           if (ok) {
-            node.acked.push_back(AckedPut{
-                static_cast<uint32_t>(KvPartitionOf(key, options_.groups)), key,
+            issuer.acked.push_back(AckedPut{
+                static_cast<uint32_t>(KvPartitionOf(op.key, options_.groups)), op.key,
                 position, tag});
           }
-          finish(ok, true);
+          op.Done(ok);
         });
   } else {
-    node.client->GetAsync(
-        key, [this, &node, finish, key, global_client, invoke](
-                 Status status, bool present, uint64_t stamp, Bytes value) {
-          (void)stamp;
+    issuer.client->GetAsync(
+        op.key, [&issuer, &shard, op, global_client](Status status, bool present,
+                                                     uint64_t /*stamp*/, Bytes value) {
           const bool ok = status.ok();
           uint64_t tag = 0;
           if (ok && present && value.size() >= 8) {
             ByteReader reader(ByteSpan(value.data(), value.size()));
             tag = reader.ReadU64();
           }
-          node.history.push_back(RepHistOp{RepHistOp::kGet, global_client, key, tag,
-                                           invoke, engine_->shard(node.shard).Now(), ok});
-          finish(ok, false);
+          issuer.history.push_back(RepHistOp{RepHistOp::kGet, global_client, op.key, tag,
+                                             op.issued, shard.Now(), ok});
+          op.Done(ok);
         });
   }
 }
 
 RepClusterResult ReplicatedKvCluster::Run() {
-  CHECK(!ran_);
-  ran_ = true;
+  BeginRun();
   Preload();
-  sim::SimTime start_base = 0;
-  for (const auto& node : nodes_) {
-    start_base = std::max(start_base, node->clock.Now());
-  }
-  start_base += 1000;
+  const sim::SimTime start = StartTime(num_nodes());
   if (options_.kill_after_ns > 0) {
-    Node& victim = *nodes_[options_.kill_node];
-    ReplicatedKvService* svc = victim.service.get();
-    engine_->shard(victim.shard)
-        .ScheduleAt(start_base + options_.kill_after_ns, [svc] { svc->Kill(); });
+    Replica& victim = node<Replica>(options_.kill_node);
+    ReplicatedKvService* service = victim.service.get();
+    engine().shard(victim.shard).ScheduleAt(start + options_.kill_after_ns,
+                                            [service] { service->Kill(); });
   }
-  const ClusterWorkload& workload = options_.workload;
-  for (uint32_t id = 0; id < nodes_.size(); ++id) {
-    Node& node = *nodes_[id];
-    for (uint32_t client = 0; client < workload.clients_per_node; ++client) {
-      if (node.clients[client].remaining == 0) {
-        continue;
-      }
-      const sim::SimTime start =
-          start_base + (uint64_t{id} * workload.clients_per_node + client) * 7;
-      engine_->shard(node.shard).ScheduleAt(
-          start, [this, &node, client] { IssueOp(node, client); });
-    }
-  }
-  engine_->Run();
+  RunClosedLoop(options_.workload, start, [this](const ClientOp& op) { IssueOp(op); });
 
   RepClusterResult result;
-  result.events_run = engine_->stats().events_run;
-  result.messages = engine_->stats().messages;
-  result.start_ns = start_base;
-  for (auto& node : nodes_) {
-    result.ok_puts += node->ok_puts;
-    result.ok_gets += node->ok_gets;
-    result.failed_ops += node->failed_ops;
-    if (node->last_completion > start_base) {
-      result.makespan_ns = std::max(result.makespan_ns, node->last_completion - start_base);
-    }
-    merged_latency_.Merge(node->latency);
-    const sim::Counters& counters = node->client->counters();
+  result.events_run = engine().stats().events_run;
+  result.messages = engine().stats().messages;
+  result.start_ns = start;
+  const LoopTotals totals = FoldClosedLoop(start);
+  result.ok_puts = totals.ok_writes;
+  result.ok_gets = totals.ok_reads;
+  result.failed_ops = totals.failed;
+  result.makespan_ns = totals.makespan_ns;
+  FillLatency(totals.latency, &result.latency_count, &result.latency_p50_ns,
+              &result.latency_p99_ns, &result.latency_max_ns);
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    const Replica& replica = node<Replica>(id);
+    const sim::Counters& counters = replica.client->counters();
     result.failovers += counters.Get("rep_failovers");
     result.seals += counters.Get("rep_seals");
     result.repair_copies += counters.Get("rep_repair_copies");
@@ -1124,14 +1032,10 @@ RepClusterResult ReplicatedKvCluster::Run() {
     result.stale_epoch += counters.Get("rep_stale_epoch");
     result.retries += counters.Get("rep_retries");
     result.partial_abandons += counters.Get("rep_partial_abandons");
-    if (node->service->dead()) {
+    if (replica.service->dead()) {
       ++result.killed_nodes;
     }
   }
-  result.latency_count = merged_latency_.count();
-  result.latency_p50_ns = merged_latency_.P50();
-  result.latency_p99_ns = merged_latency_.P99();
-  result.latency_max_ns = merged_latency_.max();
   // Final group configs and state digests (replica state is a pure function
   // of the message history, so all of this is layout-invariant too).
   result.group_epochs.resize(options_.groups, 0);
@@ -1140,23 +1044,23 @@ RepClusterResult ReplicatedKvCluster::Run() {
     uint32_t max_epoch = 0;
     uint64_t final_dead = 0;
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      const Node& node = *nodes_[g * options_.replicas_per_group + r];
-      if (node.service->dead()) {
+      const ReplicatedKvService& service = *replica(g, r).service;
+      if (service.dead()) {
         continue;
       }
-      if (node.service->epoch() >= max_epoch) {
-        max_epoch = node.service->epoch();
-        final_dead = node.service->dead_mask();
+      if (service.epoch() >= max_epoch) {
+        max_epoch = service.epoch();
+        final_dead = service.dead_mask();
       }
     }
     result.group_epochs[g] = max_epoch;
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      Node& node = *nodes_[g * options_.replicas_per_group + r];
-      if (node.service->dead() || (final_dead & (1ull << r)) != 0) {
+      ReplicatedKvService& service = *replica(g, r).service;
+      if (service.dead() || (final_dead & (1ull << r)) != 0) {
         digest = Fold(digest, 0xdeadull);
         continue;
       }
-      digest = Fold(digest, node.service->StateDigest());
+      digest = Fold(digest, service.StateDigest());
     }
   }
   result.state_digest = digest;
@@ -1176,8 +1080,9 @@ RepClusterResult ReplicatedKvCluster::Run() {
 
 std::vector<RepHistOp> ReplicatedKvCluster::History() const {
   std::vector<RepHistOp> merged;
-  for (const auto& node : nodes_) {
-    merged.insert(merged.end(), node->history.begin(), node->history.end());
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    const std::vector<RepHistOp>& history = node<Replica>(id).history;
+    merged.insert(merged.end(), history.begin(), history.end());
   }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const RepHistOp& a, const RepHistOp& b) {
@@ -1187,12 +1092,8 @@ std::vector<RepHistOp> ReplicatedKvCluster::History() const {
   return merged;
 }
 
-bool ReplicatedKvCluster::LiveAtEnd(uint32_t node) const {
-  return !nodes_[node]->service->dead();
-}
-
 RepAudit ReplicatedKvCluster::AuditAckedWrites() {
-  CHECK(ran_);
+  CHECK(ran());
   RepAudit audit;
   // Per group: the authoritative final config comes from the max-epoch
   // surviving replica; accused-but-alive replicas stopped receiving
@@ -1201,14 +1102,14 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
   for (uint32_t g = 0; g < options_.groups; ++g) {
     uint32_t max_epoch = 0;
     for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      Node& node = *nodes_[g * options_.replicas_per_group + r];
-      if (node.service->dead()) {
+      const ReplicatedKvService& service = *replica(g, r).service;
+      if (service.dead()) {
         final_dead[g] |= 1ull << r;
         continue;
       }
-      if (node.service->epoch() >= max_epoch) {
-        max_epoch = node.service->epoch();
-        final_dead[g] |= node.service->dead_mask();
+      if (service.epoch() >= max_epoch) {
+        max_epoch = service.epoch();
+        final_dead[g] |= service.dead_mask();
       }
     }
     uint64_t first_digest = 0;
@@ -1218,8 +1119,7 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
       if ((final_dead[g] & (1ull << r)) != 0) {
         continue;
       }
-      Node& node = *nodes_[g * options_.replicas_per_group + r];
-      const uint64_t d = node.service->StateDigest();
+      const uint64_t d = replica(g, r).service->StateDigest();
       if (!have_digest) {
         first_digest = d;
         have_digest = true;
@@ -1231,15 +1131,14 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
       ++audit.divergent;
     }
   }
-  for (const auto& node : nodes_) {
-    for (const AckedPut& acked : node->acked) {
+  for (uint32_t id = 0; id < num_nodes(); ++id) {
+    for (const AckedPut& acked : node<Replica>(id).acked) {
       ++audit.acked;
       for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
         if ((final_dead[acked.group] & (1ull << r)) != 0) {
           continue;
         }
-        Node& replica = *nodes_[acked.group * options_.replicas_per_group + r];
-        auto applied = replica.service->ReadApplied(acked.key);
+        auto applied = replica(acked.group, r).service->ReadApplied(acked.key);
         if (!applied.ok() || applied->stamp < acked.position + 1) {
           ++audit.lost;
           continue;
@@ -1260,8 +1159,8 @@ RepAudit ReplicatedKvCluster::AuditAckedWrites() {
   return audit;
 }
 
-uint64_t ReplicatedKvCluster::VictimBoundaries(uint32_t node) const {
-  return nodes_[node]->service->counters().Get("rep_boundaries");
+uint64_t ReplicatedKvCluster::VictimBoundaries(uint32_t id) const {
+  return node<Replica>(id).service->counters().Get("rep_boundaries");
 }
 
 }  // namespace hyperion::dpu

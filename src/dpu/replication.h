@@ -308,20 +308,19 @@ struct RepAudit {
   bool ok() const { return lost == 0 && mismatched == 0 && divergent == 0; }
 };
 
-struct RepClusterOptions {
+struct RepClusterOptions : ClusterBaseOptions {
+  // A smaller node than the cluster default: 64-node runs would otherwise
+  // pay construction for memory the workload never touches.
+  RepClusterOptions() {
+    dram_bytes = 24ull << 20;
+    hbm_bytes = 8ull << 20;
+  }
+
   uint32_t groups = 2;
   uint32_t replicas_per_group = 3;
-  uint32_t num_shards = 0;  // 0 → one shard per node
-  bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
-  storage::KvBackend backend = storage::KvBackend::kBTree;
-  net::FabricParams fabric;
   ClusterWorkload workload;  // value_bytes must be >= 8 (the tag)
-  RepClientOptions client;
-  // Serving-side PR 5 admission (deadline-aware fast rejects) on every
-  // replica endpoint.
-  RpcOverloadPolicy overload;
-  // Kill schedule, two deterministic forms:
+  // Kill schedule, two deterministic forms (kill_node < groups x
+  // replicas_per_group, CHECKed whenever either is set):
   //   * kill_at_boundary: FaultPlan::AtQuery(kNodeKill, skip) on the victim
   //     — the fault-matrix primitive, landing the kill at exactly the Nth
   //     protocol boundary the victim serves.
@@ -331,28 +330,17 @@ struct RepClusterOptions {
   uint32_t kill_node = 0;
   uint64_t kill_at_boundary = kNoKill;
   sim::SimTime kill_after_ns = 0;  // 0 = disabled
-  // Trimmed per-node DPU (64-node runs would otherwise pay construction
-  // for memory the workload never touches).
-  uint32_t nvme_devices = 1;
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 24ull << 20;
-  uint64_t hbm_bytes = 8ull << 20;
 };
 
 // groups × replicas_per_group full Hyperion nodes, each also hosting a
 // closed-loop client population driving puts/gets through its
-// ReplicatedKvClient. Mirrors KvCluster's determinism discipline.
-class ReplicatedKvCluster {
+// ReplicatedKvClient, on the shared dpu::Cluster mechanism.
+class ReplicatedKvCluster : public Cluster {
  public:
   explicit ReplicatedKvCluster(const RepClusterOptions& options);
-  ReplicatedKvCluster(const ReplicatedKvCluster&) = delete;
-  ReplicatedKvCluster& operator=(const ReplicatedKvCluster&) = delete;
   ~ReplicatedKvCluster();
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
-  uint32_t ShardOf(uint32_t node) const;
-  sim::ParallelEngine& engine() { return *engine_; }
-  ReplicatedKvService& service(uint32_t node) { return *nodes_[node]->service; }
+  ReplicatedKvService& service(uint32_t node) { return *this->node<Replica>(node).service; }
 
   // Runs the workload to quiescence and snapshots the result. One-shot.
   RepClusterResult Run();
@@ -371,52 +359,29 @@ class ReplicatedKvCluster {
   static uint64_t PreloadTag(uint64_t key) { return (0x7Full << 56) | key; }
 
  private:
-  struct ClientState {
-    uint32_t remaining = 0;
-    uint64_t next_seq = 0;
-  };
   struct AckedPut {
     uint32_t group = 0;
     uint64_t key = 0;
     uint64_t position = 0;
     uint64_t tag = 0;
   };
-  struct Node {
-    Node(ReplicatedKvCluster* cluster, uint32_t id, uint32_t shard);
-
-    uint32_t id;
-    uint32_t shard;
-    sim::Engine clock;  // private cost engine (never holds events)
-    net::Fabric fabric;
-    Hyperion dpu;
+  struct Replica : Node {
     std::unique_ptr<ReplicatedKvService> service;
-    std::unique_ptr<ShardedRpcNode> endpoint;
     std::unique_ptr<ReplicatedKvClient> client;
     std::unique_ptr<sim::FaultInjector> injector;  // victim only
-    Rng rng;
-    sim::Histogram latency;
-    std::vector<ClientState> clients;
+    std::vector<uint64_t> next_seq;  // per client: tags its next put carries
     std::vector<RepHistOp> history;
     std::vector<AckedPut> acked;
-    uint64_t ok_puts = 0;
-    uint64_t ok_gets = 0;
-    uint64_t failed_ops = 0;
-    sim::SimTime last_completion = 0;
   };
 
-  uint32_t GroupOfNode(uint32_t node) const { return node / options_.replicas_per_group; }
-  bool LiveAtEnd(uint32_t node) const;
+  Replica& replica(uint32_t group, uint32_t r) {
+    return node<Replica>(group * options_.replicas_per_group + r);
+  }
   void Preload();
-  void IssueOp(Node& node, uint32_t client);
+  void IssueOp(const ClientOp& op);
   Bytes TaggedValue(uint64_t tag) const;
 
   RepClusterOptions options_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  sim::Histogram merged_latency_;
-  bool ran_ = false;
-
-  friend struct Node;
 };
 
 }  // namespace hyperion::dpu

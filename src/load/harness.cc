@@ -4,54 +4,32 @@
 
 #include "src/common/bytes.h"
 #include "src/common/check.h"
-#include "src/obs/export.h"
 
 namespace hyperion::load {
 
 namespace {
 
-dpu::HyperionConfig ServerConfig(const OverloadClusterOptions& options) {
-  dpu::HyperionConfig config;
-  config.nvme_devices = 1;
-  config.lbas_per_device = options.lbas_per_device;
-  config.dram_bytes = options.dram_bytes;
-  config.hbm_bytes = options.hbm_bytes;
-  config.link_gbps = options.fabric.default_link_gbps;
-  return config;
-}
+constexpr uint32_t kReadBlocks = 1;        // blocks per BlockOp::kRead
+constexpr uint32_t kScanFabricRegions = 2;  // analytics fabric size
 
 }  // namespace
 
-OverloadCluster::ServerNode::ServerNode(OverloadCluster* cluster)
-    : fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, ServerConfig(cluster->options_)) {
-  CHECK(dpu.Boot().ok());
-  auto installed = dpu::HyperionServices::Install(&dpu, storage::KvBackend::kBTree);
-  CHECK(installed.ok());
-  services = std::move(*installed);
-  if (cluster->options_.workload == OverloadWorkload::kLsmKv) {
-    // A zoned namespace beside the block namespaces, formatted for the PR 6
-    // LSM engine; the engine runs on the server's node clock so its I/O
-    // costs land in the served-request latency like every other substrate.
-    constexpr uint64_t kZoneLbas = 128;
-    constexpr uint32_t kZones = 48;
-    const uint32_t nsid = dpu.nvme().AddNamespace(kZones * kZoneLbas);
-    auto zoned = nvme::ZonedNamespace::Create(&dpu.nvme(), nsid, kZoneLbas);
-    CHECK_OK(zoned.status());
-    zns = std::make_unique<nvme::ZonedNamespace>(std::move(zoned).value());
-    auto formatted = storage::LsmEngine::Format(
-        storage::LsmDeps{.engine = &clock, .zns = zns.get(), .injector = nullptr});
-    CHECK_OK(formatted.status());
-    lsm = std::move(*formatted);
-    dpu.rpc().RegisterService(dpu::ServiceId::kLsmKv,
-                              [this](uint16_t opcode, const Buffer& payload) {
-                                return HandleLsm(opcode, payload);
-                              });
-  }
-  endpoint = std::make_unique<dpu::ShardedRpcNode>(
-      cluster->engine_.get(), cluster->ShardOf(0), &dpu.rpc(), &clock,
-      cluster->options_.fabric, cluster->options_.fabric.default_link_gbps);
-  endpoint->SetOverloadPolicy(cluster->options_.policy);
+void OverloadCluster::ServerNode::InstallLsm() {
+  // A zoned namespace beside the block namespaces, formatted for the PR 6
+  // LSM engine; the engine runs on the server's node clock so its I/O
+  // costs land in the served-request latency like every other substrate.
+  constexpr uint64_t kZoneLbas = 128;
+  constexpr uint32_t kZones = 48;
+  const uint32_t nsid = dpu->nvme().AddNamespace(kZones * kZoneLbas);
+  zns = std::make_unique<nvme::ZonedNamespace>(
+      nvme::ZonedNamespace::Create(&dpu->nvme(), nsid, kZoneLbas).value());
+  lsm = storage::LsmEngine::Format(
+            storage::LsmDeps{.engine = &clock, .zns = zns.get(), .injector = nullptr})
+            .value();
+  dpu->rpc().RegisterService(dpu::ServiceId::kLsmKv,
+                             [this](uint16_t opcode, const Buffer& payload) {
+                               return HandleLsm(opcode, payload);
+                             });
 }
 
 dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
@@ -103,23 +81,25 @@ dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
 }
 
 OverloadCluster::AnalyticsTenant::AnalyticsTenant(OverloadCluster* cluster)
-    : exec(cluster->options_.analytics_spatial ? &clock : &cluster->server_->clock) {
+    : exec(cluster->options_.analytics_spatial ? &clock : &cluster->node(0).clock) {
   const OverloadClusterOptions& opts = cluster->options_;
   if (!opts.scan_faults.empty()) {
-    injector = std::make_unique<sim::FaultInjector>(exec, opts.scan_faults,
-                                                    opts.scan_fault_seed);
+    injector = std::make_unique<sim::FaultInjector>(exec, opts.scan_faults);
   }
   nvme = std::make_unique<nvme::Controller>(exec);
   if (injector) {
     nvme->SetFaultInjector(injector.get());
   }
   fpga::FabricConfig fabric_config;
-  fabric_config.regions = opts.scan_fabric_regions;
+  fabric_config.regions = kScanFabricRegions;
   fabric = std::make_unique<fpga::Fabric>(exec, fabric_config);
   if (injector) {
     fabric->SetFaultInjector(injector.get());
   }
   scheduler = std::make_unique<fpga::SlotScheduler>(exec, fabric.get());
+  cluster->AddMetrics(obs::Subsystem::kFpga, &scheduler->counters());
+  cluster->AddMetrics(obs::Subsystem::kFpga, &fabric->counters());
+  cluster->AddMetrics(obs::Subsystem::kNvme, &nvme->counters());
 
   // Deterministic Parquet table: sequential order ids (tight per-group zone
   // maps, so range predicates prune), mixed-sign amounts, 7 regions.
@@ -162,13 +142,11 @@ OverloadCluster::AnalyticsTenant::AnalyticsTenant(OverloadCluster* cluster)
     // RpcServer, own node clock) on node 0's shard — KV head-of-line
     // behaviour cannot leak into it, nor it into KV.
     rpc.RegisterService(dpu::ServiceId::kScan, handler);
-    endpoint = std::make_unique<dpu::ShardedRpcNode>(
-        cluster->engine_.get(), cluster->ShardOf(0), &rpc, &clock, opts.fabric,
-        opts.fabric.default_link_gbps);
+    endpoint = cluster->AddEndpoint(&rpc, &clock);
   } else {
     // Time-shared contrast arm: scans ride the KV pipeline and advance the
     // KV server's clock — every queued KV request behind a scan waits.
-    cluster->server_->dpu.rpc().RegisterService(dpu::ServiceId::kScan, handler);
+    cluster->node(0).dpu->rpc().RegisterService(dpu::ServiceId::kScan, handler);
   }
 }
 
@@ -199,163 +177,131 @@ dpu::RpcResponse OverloadCluster::AnalyticsTenant::HandleScan(uint16_t opcode,
   }
 }
 
-OverloadCluster::ClientNode::ClientNode(OverloadCluster* cluster, uint32_t id, bool analytics)
-    : id(id), analytics(analytics) {
-  endpoint = std::make_unique<dpu::ShardedRpcNode>(
-      cluster->engine_.get(), cluster->ShardOf(id), /*server=*/nullptr, &clock,
-      cluster->options_.fabric, cluster->options_.fabric.default_link_gbps);
-}
-
-OverloadCluster::OverloadCluster(const OverloadClusterOptions& options) : options_(options) {
+OverloadCluster::OverloadCluster(const OverloadClusterOptions& options)
+    : Cluster(options, options.num_clients + options.analytics_clients + 1), options_(options) {
   CHECK_GT(options_.num_clients, 0u);
   CHECK_GT(options_.requests_per_client, 0u);
-  CHECK_GT(options_.read_blocks, 0u);
-  const uint32_t nodes = num_nodes();
-  if (options_.num_shards == 0 || options_.num_shards > nodes) {
-    options_.num_shards = nodes;
-  }
-
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
-
   // Id-ordered construction pins the cross-shard source order: server is
   // node 0 (KV endpoint first, analytics endpoint second on the same
   // shard), clients 1..N, analytics clients N+1..N+M.
-  server_ = std::make_unique<ServerNode>(this);
+  ServerNode& server = AddDpuNode<ServerNode>(dpu::NodeConfig(options_));
+  server.services = dpu::HyperionServices::Install(&*server.dpu).value();
+  if (options_.workload == OverloadWorkload::kLsmKv) {
+    server.InstallLsm();
+  }
+  server.endpoint->SetOverloadPolicy(options_.policy);
   if (options_.analytics_clients > 0) {
     analytics_ = std::make_unique<AnalyticsTenant>(this);
   }
-  const uint32_t total_clients = options_.num_clients + options_.analytics_clients;
-  clients_.reserve(total_clients);
-  for (uint32_t id = 1; id <= total_clients; ++id) {
-    clients_.push_back(
-        std::make_unique<ClientNode>(this, id, /*analytics=*/id > options_.num_clients));
+  for (uint32_t id = 1; id < num_nodes(); ++id) {
+    AddClientNode<ClientNode>().analytics = id > options_.num_clients;
   }
 }
 
 OverloadCluster::~OverloadCluster() = default;
 
-uint32_t OverloadCluster::ShardOf(uint32_t node) const {
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / num_nodes());
-}
-
 OverloadResult OverloadCluster::Run() {
-  CHECK(!ran_);
-  ran_ = true;
+  BeginRun();
   if (options_.workload == OverloadWorkload::kLsmKv) {
     // Warm dataset, installed directly (no wire) before the measured phase.
+    storage::LsmEngine& lsm = *node<ServerNode>(0).lsm;
     for (uint64_t key = 0; key < options_.kv_key_space; ++key) {
       Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(key * 131 + 17));
-      CHECK_OK(server_->lsm->Put(key, ByteSpan(value.data(), value.size())).status());
+      CHECK_OK(lsm.Put(key, ByteSpan(value.data(), value.size())).status());
     }
-    CHECK_OK(server_->lsm->Sync());
+    CHECK_OK(lsm.Sync());
   }
-  // Clients start once the server has drained boot from its pipeline (the
-  // base is layout-invariant: boot never touches shard engines).
-  const sim::SimTime start_base = server_->clock.Now() + 1000;
-  const uint64_t node_stride =
-      7ull * (options_.open_loop ? 1 : std::max<uint32_t>(1, options_.closed_clients));
-  for (auto& owned : clients_) {
-    ClientNode* client = owned.get();
-    if (client->analytics) {
-      StartScanClient(client, start_base, node_stride);
+  // Clients start after the server's boot and preload; client nodes own no
+  // pipeline to drain.
+  const sim::SimTime start = StartTime(/*clock_nodes=*/1);
+  for (uint32_t id = 1; id < num_nodes(); ++id) {
+    ClientNode& client = node<ClientNode>(id);
+    if (client.analytics) {
+      StartScanClient(client, start);
     } else {
-      StartKvClient(client, start_base, node_stride);
+      StartKvClient(client, start);
     }
   }
-  engine_->Run();
-  return Collect(start_base);
+  engine().Run();
+  return Collect(start);
 }
 
-void OverloadCluster::StartKvClient(ClientNode* client, sim::SimTime start_base,
-                                    uint64_t node_stride) {
-  const uint64_t max_slba = options_.lbas_per_device - options_.read_blocks;
-  {
-    LoadGenOptions gopts;
-    gopts.open_loop = options_.open_loop;
-    gopts.interarrival = options_.interarrival;
-    gopts.clients = options_.closed_clients;
-    gopts.think_time = options_.think_time;
-    gopts.total_requests = options_.requests_per_client;
-    gopts.deadline = options_.deadline;
-    gopts.start = start_base + (client->id - 1) * node_stride;
-    client->gen = std::make_unique<LoadGen>(
-        &engine_->shard(ShardOf(client->id)), gopts,
-        [this, client, max_slba](uint64_t seq, sim::SimTime deadline, LoadGen::DoneFn done) {
-          dpu::RpcRequest request;
-          if (options_.workload == OverloadWorkload::kLsmKv) {
-            // Deterministic per-(client, seq) key and op mix: layout cannot
-            // change what any client issues.
-            const uint64_t h =
-                (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client->id} << 32);
-            const uint64_t key = h % options_.kv_key_space;
-            const bool write = (h >> 33) % 100 < options_.kv_write_pct;
-            request.service = dpu::ServiceId::kLsmKv;
-            ByteWriter payload;
-            if (write) {
-              request.opcode = dpu::KvOp::kPut;
-              Bytes value(options_.kv_value_bytes,
-                          static_cast<uint8_t>(h >> 56 | 1));
-              payload.PutU64(key);
-              payload.PutU32(static_cast<uint32_t>(value.size()));
-              payload.PutBytes(ByteSpan(value.data(), value.size()));
-            } else {
-              request.opcode = dpu::KvOp::kGet;
-              payload.PutU64(key);
-            }
-            request.payload = Buffer(payload.Take());
-          } else {
-            request.service = dpu::ServiceId::kBlock;
-            request.opcode = dpu::BlockOp::kRead;
-            ByteWriter payload(16);
-            payload.PutU32(1);  // nsid
-            payload.PutU64((seq * 97 + uint64_t{client->id} * 7919) % max_slba);
-            payload.PutU32(options_.read_blocks);
-            request.payload = Buffer(payload.Take());
-          }
-          request.deadline = deadline;  // kNever == kNoDeadline: none
-          client->endpoint->CallAsync(
-              server_->endpoint.get(), request,
-              [done = std::move(done)](Result<dpu::RpcResponse> result) {
-                if (!result.ok()) {
-                  done(Outcome::kFailed);
-                  return;
-                }
-                if (result->status.ok()) {
-                  done(Outcome::kOk);
-                  return;
-                }
-                done(result->status.code() == StatusCode::kResourceExhausted
-                         ? Outcome::kRejected
-                         : Outcome::kFailed);
-              });
-        });
-    client->gen->Start();
-  }
-}
-
-void OverloadCluster::StartScanClient(ClientNode* client, sim::SimTime start_base,
-                                      uint64_t node_stride) {
+void OverloadCluster::StartKvClient(ClientNode& client, sim::SimTime start) {
   LoadGenOptions gopts;
-  gopts.open_loop = true;
+  gopts.interarrival = options_.interarrival;
+  gopts.total_requests = options_.requests_per_client;
+  gopts.deadline = options_.deadline;
+  gopts.start = start + (client.id - 1) * 7;
+  const uint64_t max_slba = options_.lbas_per_device - kReadBlocks;
+  dpu::ShardedRpcNode* server = node(0).endpoint;
+  client.gen = std::make_unique<LoadGen>(
+      &engine().shard(client.shard), gopts,
+      [this, &client, server, max_slba](uint64_t seq, sim::SimTime deadline,
+                                        LoadGen::DoneFn done) {
+        dpu::RpcRequest request;
+        if (options_.workload == OverloadWorkload::kLsmKv) {
+          // Deterministic per-(client, seq) key and op mix: layout cannot
+          // change what any client issues.
+          const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client.id} << 32);
+          const uint64_t key = h % options_.kv_key_space;
+          const bool write = (h >> 33) % 100 < options_.kv_write_pct;
+          request.service = dpu::ServiceId::kLsmKv;
+          ByteWriter payload;
+          if (write) {
+            request.opcode = dpu::KvOp::kPut;
+            Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(h >> 56 | 1));
+            payload.PutU64(key);
+            payload.PutU32(static_cast<uint32_t>(value.size()));
+            payload.PutBytes(ByteSpan(value.data(), value.size()));
+          } else {
+            request.opcode = dpu::KvOp::kGet;
+            payload.PutU64(key);
+          }
+          request.payload = Buffer(payload.Take());
+        } else {
+          request.service = dpu::ServiceId::kBlock;
+          request.opcode = dpu::BlockOp::kRead;
+          ByteWriter payload(16);
+          payload.PutU32(1);  // nsid
+          payload.PutU64((seq * 97 + uint64_t{client.id} * 7919) % max_slba);
+          payload.PutU32(kReadBlocks);
+          request.payload = Buffer(payload.Take());
+        }
+        request.deadline = deadline;  // kNever == kNoDeadline: none
+        client.endpoint->CallAsync(
+            server, request, [done = std::move(done)](Result<dpu::RpcResponse> result) {
+              if (!result.ok()) {
+                done(Outcome::kFailed);
+                return;
+              }
+              if (result->status.ok()) {
+                done(Outcome::kOk);
+                return;
+              }
+              done(result->status.code() == StatusCode::kResourceExhausted
+                       ? Outcome::kRejected
+                       : Outcome::kFailed);
+            });
+      });
+  client.gen->Start();
+}
+
+void OverloadCluster::StartScanClient(ClientNode& client, sim::SimTime start) {
+  LoadGenOptions gopts;
   gopts.interarrival = options_.scan_interarrival;
   gopts.total_requests = options_.scan_requests_per_client;
-  gopts.deadline = options_.scan_deadline;
-  gopts.start = start_base + (client->id - 1) * node_stride;
+  gopts.start = start + (client.id - 1) * 7;
   dpu::ShardedRpcNode* target =
-      options_.analytics_spatial ? analytics_->endpoint.get() : server_->endpoint.get();
+      options_.analytics_spatial ? analytics_->endpoint : node(0).endpoint;
   const uint64_t table_rows = options_.scan_table_rows;
-  client->gen = std::make_unique<LoadGen>(
-      &engine_->shard(ShardOf(client->id)), gopts,
-      [this, client, target, table_rows](uint64_t seq, sim::SimTime deadline,
-                                         LoadGen::DoneFn done) {
+  client.gen = std::make_unique<LoadGen>(
+      &engine().shard(client.shard), gopts,
+      [&client, target, table_rows](uint64_t seq, sim::SimTime deadline,
+                                    LoadGen::DoneFn done) {
         // Deterministic per-(client, seq) query: the kernel kind rotates
         // (forcing ICAP swaps on a small fabric) and the predicate range
         // walks the order-id space (zone maps prune most groups).
-        const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client->id} << 32);
+        const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client.id} << 32);
         format::ScanQuery query;
         query.kind = static_cast<format::ScanKernelKind>(h % format::kScanKernelKindCount);
         query.filter_column = "order_id";
@@ -370,9 +316,9 @@ void OverloadCluster::StartScanClient(ClientNode* client, sim::SimTime start_bas
         request.opcode = dpu::ScanOp::kQuery;
         request.payload = Buffer(format::SerializeScanQuery(query));
         request.deadline = deadline;
-        client->endpoint->CallAsync(
+        client.endpoint->CallAsync(
             target, request,
-            [client, h, done = std::move(done)](Result<dpu::RpcResponse> result) {
+            [&client, h, done = std::move(done)](Result<dpu::RpcResponse> result) {
               if (!result.ok()) {
                 done(Outcome::kFailed);
                 return;
@@ -391,89 +337,70 @@ void OverloadCluster::StartScanClient(ClientNode* client, sim::SimTime start_bas
               // Commutative folds only: completion order across clients is
               // not layout-pinned, per-(client, seq) salting keeps the
               // fingerprint sensitive to which query produced what.
-              client->scan_fingerprint ^=
+              client.scan_fingerprint ^=
                   scan->output.Fingerprint() ^ (h * 0x2545f4914f6cdd1dull);
-              client->scan_rows_matched += scan->output.rows_matched;
-              client->scan_chunk_bytes += scan->stats.chunk_bytes_fetched;
-              client->scan_device_bytes += scan->stats.device_bytes_moved;
-              client->scan_groups_skipped += scan->stats.groups_skipped;
+              client.scan_rows_matched += scan->output.rows_matched;
+              client.scan_chunk_bytes += scan->stats.chunk_bytes_fetched;
+              client.scan_device_bytes += scan->stats.device_bytes_moved;
+              client.scan_groups_skipped += scan->stats.groups_skipped;
               if (scan->stats.reconfigured) {
-                ++client->scan_reconfigs;
-                client->reconfig_latency.Record(scan->stats.reconfig_ns);
+                ++client.scan_reconfigs;
+                client.reconfig_latency.Record(scan->stats.reconfig_ns);
               }
               done(Outcome::kOk);
             });
       });
-  client->gen->Start();
+  client.gen->Start();
 }
 
-OverloadResult OverloadCluster::Collect(sim::SimTime start_base) {
+OverloadResult OverloadCluster::Collect(sim::SimTime start) {
   OverloadResult result;
+  sim::Histogram latency;
+  sim::Histogram scan_latency;
   sim::Histogram reconfig;
-  for (auto& client : clients_) {
-    const LoadStats& stats = client->gen->stats();
-    if (stats.last_completion > start_base) {
-      result.makespan_ns = std::max(result.makespan_ns, stats.last_completion - start_base);
+  for (uint32_t id = 1; id < num_nodes(); ++id) {
+    const ClientNode& client = node<ClientNode>(id);
+    const LoadStats& stats = client.gen->stats();
+    if (stats.last_completion > start) {
+      result.makespan_ns = std::max(result.makespan_ns, stats.last_completion - start);
     }
-    if (client->analytics) {
+    if (client.analytics) {
       result.scan_issued += stats.issued;
       result.scan_ok += stats.ok;
       result.scan_rejected += stats.rejected;
       result.scan_failed += stats.failed + stats.deadline_missed;
-      result.scan_fingerprint ^= client->scan_fingerprint;
-      result.scan_rows_matched += client->scan_rows_matched;
-      result.scan_chunk_bytes += client->scan_chunk_bytes;
-      result.scan_device_bytes += client->scan_device_bytes;
-      result.scan_groups_skipped += client->scan_groups_skipped;
-      result.scan_reconfigs += client->scan_reconfigs;
-      reconfig.Merge(client->reconfig_latency);
-      merged_scan_latency_.Merge(client->gen->latency());
+      result.scan_fingerprint ^= client.scan_fingerprint;
+      result.scan_rows_matched += client.scan_rows_matched;
+      result.scan_chunk_bytes += client.scan_chunk_bytes;
+      result.scan_device_bytes += client.scan_device_bytes;
+      result.scan_groups_skipped += client.scan_groups_skipped;
+      result.scan_reconfigs += client.scan_reconfigs;
+      reconfig.Merge(client.reconfig_latency);
+      scan_latency.Merge(client.gen->latency());
     } else {
       result.issued += stats.issued;
       result.ok += stats.ok;
       result.rejected += stats.rejected;
       result.failed += stats.failed;
       result.deadline_missed += stats.deadline_missed;
-      merged_latency_.Merge(client->gen->latency());
+      latency.Merge(client.gen->latency());
     }
   }
-  const sim::Counters& server = server_->endpoint->counters();
-  result.served = server.Get("rpc_async_served");
-  result.admitted = server.Get("rpc_admitted");
-  result.shed_queue = server.Get("rpc_shed_queue");
-  result.shed_deadline = server.Get("rpc_shed_deadline");
-  result.messages = engine_->stats().messages;
-  result.server_clock_ns = server_->clock.Now();
-  result.latency_count = merged_latency_.count();
-  result.latency_p50_ns = merged_latency_.P50();
-  result.latency_p99_ns = merged_latency_.P99();
-  result.latency_max_ns = merged_latency_.max();
+  const Node& server = node(0);
+  const sim::Counters& counters = server.endpoint->counters();
+  result.served = counters.Get("rpc_async_served");
+  result.admitted = counters.Get("rpc_admitted");
+  result.shed_queue = counters.Get("rpc_shed_queue");
+  result.shed_deadline = counters.Get("rpc_shed_deadline");
+  result.messages = engine().stats().messages;
+  result.server_clock_ns = server.clock.Now();
+  dpu::FillLatency(latency, &result.latency_count, &result.latency_p50_ns,
+                   &result.latency_p99_ns, &result.latency_max_ns);
   result.scan_reconfig_p50_ns = reconfig.P50();
   result.scan_reconfig_max_ns = reconfig.max();
-  result.scan_latency_count = merged_scan_latency_.count();
-  result.scan_latency_p50_ns = merged_scan_latency_.P50();
-  result.scan_latency_p99_ns = merged_scan_latency_.P99();
-  result.scan_latency_max_ns = merged_scan_latency_.max();
+  dpu::FillLatency(scan_latency, &result.scan_latency_count, &result.scan_latency_p50_ns,
+                   &result.scan_latency_p99_ns, &result.scan_latency_max_ns);
   return result;
-}
-
-void OverloadCluster::SnapshotMetrics(obs::MetricsRegistry* registry) const {
-  registry->ImportCounters(obs::Subsystem::kRpc, server_->endpoint->counters());
-  registry->ImportCounters(obs::Subsystem::kRpc, server_->dpu.rpc().counters());
-  registry->ImportCounters(obs::Subsystem::kNvme, server_->dpu.nvme().counters());
-  if (const sim::AdmissionController* admission = server_->endpoint->admission()) {
-    registry->ImportCounters(obs::Subsystem::kRpc, admission->counters());
-    registry->Record(obs::Subsystem::kRpc, "admission_depth_p99", admission->depth().P99());
-  }
-  for (const auto& client : clients_) {
-    registry->ImportCounters(obs::Subsystem::kRpc, client->endpoint->counters());
-  }
-  if (analytics_) {
-    registry->ImportCounters(obs::Subsystem::kFpga, analytics_->scheduler->counters());
-    registry->ImportCounters(obs::Subsystem::kFpga, analytics_->fabric->counters());
-    registry->ImportCounters(obs::Subsystem::kNvme, analytics_->nvme->counters());
-  }
-  obs::ImportParallelStats(registry, engine_->stats());
 }
 
 }  // namespace hyperion::load

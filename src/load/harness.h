@@ -12,10 +12,11 @@
 //        requests with kResourceExhausted after reject_cost only, keeping
 //        admitted-request latency bounded and goodput at the plateau.
 //
-// Layout invariance is inherited from the PDES layer exactly as KvCluster:
-// nodes share no mutable state, construction order pins source order, and
-// every client start time is distinct — OverloadResult is bit-identical
-// across num_shards x threads (tests/load_test.cc pins {1, 2, 4} x on/off).
+// It runs on dpu::Cluster, so layout invariance is inherited exactly as in
+// KvCluster: nodes share no mutable state, construction order pins source
+// order, and every client start time is distinct — OverloadResult is
+// bit-identical across num_shards x threads (tests/load_test.cc pins
+// {1, 2, 4} x on/off).
 
 #ifndef HYPERION_SRC_LOAD_HARNESS_H_
 #define HYPERION_SRC_LOAD_HARNESS_H_
@@ -24,7 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/dpu/hyperion.h"
+#include "src/dpu/cluster.h"
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
 #include "src/format/scan_kernel.h"
@@ -32,10 +33,7 @@
 #include "src/fpga/scheduler.h"
 #include "src/load/loadgen.h"
 #include "src/nvme/zns.h"
-#include "src/obs/metrics.h"
 #include "src/sim/fault.h"
-#include "src/sim/parallel.h"
-#include "src/sim/stats.h"
 #include "src/storage/lsm_engine.h"
 
 namespace hyperion::load {
@@ -46,22 +44,13 @@ enum class OverloadWorkload {
   kLsmKv,      // the PR 6 LSM engine served over RPC: KvOp::kPut / kGet
 };
 
-struct OverloadClusterOptions {
+struct OverloadClusterOptions : dpu::ClusterBaseOptions {
   uint32_t num_clients = 3;  // client nodes; node 0 is the server
-  // 0 defaults to one shard per node; nodes map to shards in contiguous
-  // blocks (same scheme as KvCluster).
-  uint32_t num_shards = 0;
-  bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
-  net::FabricParams fabric;
-  // Per-client arrival process (LoadGen semantics).
-  bool open_loop = true;
+  // Per-client open-loop arrival process (LoadGen semantics); a block read
+  // is one block.
   uint32_t requests_per_client = 64;
   sim::Duration interarrival = 20 * sim::kMicrosecond;
-  uint32_t closed_clients = 4;  // closed loop: concurrency per client node
-  sim::Duration think_time = 0;
   sim::Duration deadline = 1 * sim::kMillisecond;  // relative; 0 = none
-  uint32_t read_blocks = 1;
   // Workload selection (kLsmKv: the server formats an LsmEngine on a zoned
   // namespace and serves it under ServiceId::kLsmKv; puts are acknowledged
   // only after their WAL group sync, so every kOk is durable).
@@ -71,29 +60,23 @@ struct OverloadClusterOptions {
   uint32_t kv_value_bytes = 64;
   // Server-side overload policy (the experiment's independent variable).
   dpu::RpcOverloadPolicy policy;
-  // Trimmed server DPU (communication structure, not capacity).
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 64ull << 20;
-  uint64_t hbm_bytes = 16ull << 20;
   // -- Analytics tenant (PR 10) ----------------------------------------------
   // `analytics_clients` extra client nodes (ids num_clients+1 ..) issue
-  // ScanOp::kQuery against a Parquet table on the server's NVMe, scanned by
-  // FPGA kernels. With analytics_spatial the scans run behind a *second*
-  // endpoint on node 0 with its own node clock — spatial multiplexing on
-  // the same fabric, zero head-of-line coupling with KV. Without it the
-  // scan handler shares the KV pipeline (the time-shared contrast arm).
+  // ScanOp::kQuery, without deadlines, against a Parquet table on the
+  // server's NVMe, scanned by FPGA kernels on a two-region fabric. With
+  // analytics_spatial the scans run behind a *second* endpoint on node 0
+  // with its own node clock — spatial multiplexing on the same fabric, zero
+  // head-of-line coupling with KV. Without it the scan handler shares the
+  // KV pipeline (the time-shared contrast arm).
   uint32_t analytics_clients = 0;
   uint32_t scan_requests_per_client = 8;
   sim::Duration scan_interarrival = 200 * sim::kMicrosecond;
-  sim::Duration scan_deadline = 0;  // relative; 0 = none
   uint64_t scan_table_rows = 32768;
   uint64_t scan_rows_per_group = 2048;
   bool analytics_spatial = true;
-  uint32_t scan_fabric_regions = 2;
   // Fault plan evaluated on the analytics exec clock, hooked to the scan
   // path's NVMe controller and fabric (PR 1 semantics).
   sim::FaultPlan scan_faults;
-  uint64_t scan_fault_seed = 0x5eed;
 };
 
 // Deterministic run snapshot; equality across shard layouts is the
@@ -141,42 +124,25 @@ struct OverloadResult {
   bool operator==(const OverloadResult&) const = default;
 };
 
-class OverloadCluster {
+class OverloadCluster : public dpu::Cluster {
  public:
   explicit OverloadCluster(const OverloadClusterOptions& options);
-  OverloadCluster(const OverloadCluster&) = delete;
-  OverloadCluster& operator=(const OverloadCluster&) = delete;
   ~OverloadCluster();
-
-  uint32_t num_nodes() const {
-    return options_.num_clients + options_.analytics_clients + 1;
-  }
-  uint32_t ShardOf(uint32_t node) const;
 
   // Runs every client to completion and snapshots the result. One-shot.
   OverloadResult Run();
 
-  dpu::ShardedRpcNode& server_endpoint() { return *server_->endpoint; }
-  const sim::Histogram& merged_latency() const { return merged_latency_; }
-  const sim::Histogram& merged_scan_latency() const { return merged_scan_latency_; }
   // Analytics-side fault accounting (null when analytics_clients == 0).
   const sim::FaultInjector* scan_injector() const {
     return analytics_ ? analytics_->injector.get() : nullptr;
   }
 
-  // Client + server counters and the parallel engine's tallies, under the
-  // PR 4 registry (valid after Run()).
-  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
-
  private:
-  struct ServerNode {
-    explicit ServerNode(OverloadCluster* cluster);
+  // Node 0: the Hyperion server, its DPU owned by the cluster node.
+  struct ServerNode : Node {
+    void InstallLsm();
     dpu::RpcResponse HandleLsm(uint16_t opcode, const Buffer& payload);
-    sim::Engine clock;  // private cost engine (never holds events)
-    net::Fabric fabric;
-    dpu::Hyperion dpu;
     std::unique_ptr<dpu::HyperionServices> services;
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
     // kLsmKv only: a zoned namespace added to the DPU's controller and the
     // LSM engine formatted onto it, driven on the server's node clock.
     std::unique_ptr<nvme::ZonedNamespace> zns;
@@ -201,14 +167,11 @@ class OverloadCluster {
     uint32_t table_groups = 0;
     std::unique_ptr<format::FpgaScanKernel> kernel;
     dpu::RpcServer rpc;        // spatial mode dispatch table
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;  // spatial mode only
+    dpu::ShardedRpcNode* endpoint = nullptr;  // spatial mode only
   };
-  struct ClientNode {
-    ClientNode(OverloadCluster* cluster, uint32_t id, bool analytics);
-    uint32_t id;
-    bool analytics;
-    sim::Engine clock;  // endpoint node clock (client side serves nothing)
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
+  // Nodes 1..N: client-only nodes, each driving one LoadGen.
+  struct ClientNode : Node {
+    bool analytics = false;
     std::unique_ptr<LoadGen> gen;
     // Analytics accumulators, folded order-independently per completion.
     uint64_t scan_fingerprint = 0;
@@ -220,18 +183,12 @@ class OverloadCluster {
     sim::Histogram reconfig_latency;
   };
 
-  void StartKvClient(ClientNode* client, sim::SimTime start_base, uint64_t node_stride);
-  void StartScanClient(ClientNode* client, sim::SimTime start_base, uint64_t node_stride);
-  OverloadResult Collect(sim::SimTime start_base);
+  void StartKvClient(ClientNode& client, sim::SimTime start);
+  void StartScanClient(ClientNode& client, sim::SimTime start);
+  OverloadResult Collect(sim::SimTime start);
 
   OverloadClusterOptions options_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::unique_ptr<ServerNode> server_;
   std::unique_ptr<AnalyticsTenant> analytics_;
-  std::vector<std::unique_ptr<ClientNode>> clients_;
-  sim::Histogram merged_latency_;
-  sim::Histogram merged_scan_latency_;
-  bool ran_ = false;
 };
 
 }  // namespace hyperion::load

@@ -567,95 +567,51 @@ XdpStats XdpPipeline::Snapshot() const {
 
 namespace {
 
+constexpr sim::Duration kSprayDeadline = 2 * sim::kMillisecond;  // relative
+
+// The cluster node config, raised to what the flow table needs.
 dpu::HyperionConfig IngressConfig(const XdpClusterOptions& options) {
-  dpu::HyperionConfig config;
-  config.nvme_devices = 1;
-  config.lbas_per_device = std::max<uint64_t>(options.lbas_per_device, 65536);
+  dpu::HyperionConfig config = dpu::NodeConfig(options);
+  config.lbas_per_device = std::max<uint64_t>(config.lbas_per_device, 65536);
   // The flow-table directory lives on the HBM tier; size it for the
   // root buckets plus chain growth.
   config.hbm_bytes =
-      std::max<uint64_t>(options.hbm_bytes, uint64_t{options.xdp.flow_buckets} * 4096 * 2);
-  config.dram_bytes = std::max<uint64_t>(options.dram_bytes, 128ull << 20);
-  config.link_gbps = options.fabric.default_link_gbps;
-  return config;
-}
-
-dpu::HyperionConfig BackendConfig(const XdpClusterOptions& options) {
-  dpu::HyperionConfig config;
-  config.nvme_devices = 1;
-  config.lbas_per_device = options.lbas_per_device;
-  config.dram_bytes = options.dram_bytes;
-  config.hbm_bytes = options.hbm_bytes;
-  config.link_gbps = options.fabric.default_link_gbps;
+      std::max<uint64_t>(config.hbm_bytes, uint64_t{options.xdp.flow_buckets} * 4096 * 2);
+  config.dram_bytes = std::max<uint64_t>(config.dram_bytes, 128ull << 20);
   return config;
 }
 
 }  // namespace
 
-XdpCluster::IngressNode::IngressNode(XdpCluster* cluster)
-    : fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, IngressConfig(cluster->options_)) {
-  CHECK(dpu.Boot().ok());
-  auto built = XdpPipeline::Create(&dpu, cluster->options_.xdp);
-  CHECK(built.ok()) << built.status().message();
-  pipeline = std::move(*built);
-  pipeline->set_tracer(&tracer);
-  endpoint = std::make_unique<dpu::ShardedRpcNode>(
-      cluster->engine_.get(), cluster->ShardOf(0), &dpu.rpc(), &clock,
-      cluster->options_.fabric, cluster->options_.fabric.default_link_gbps);
-}
-
-XdpCluster::BackendNode::BackendNode(XdpCluster* cluster, uint32_t id)
-    : id(id),
-      fabric(&clock, cluster->options_.fabric),
-      dpu(&clock, &fabric, BackendConfig(cluster->options_)) {
-  CHECK(dpu.Boot().ok());
-  auto installed = dpu::HyperionServices::Install(&dpu, storage::KvBackend::kBTree);
-  CHECK(installed.ok());
-  services = std::move(*installed);
-  endpoint = std::make_unique<dpu::ShardedRpcNode>(
-      cluster->engine_.get(), cluster->ShardOf(id), &dpu.rpc(), &clock,
-      cluster->options_.fabric, cluster->options_.fabric.default_link_gbps);
-  endpoint->SetOverloadPolicy(cluster->options_.policy);
-}
-
-XdpCluster::XdpCluster(const XdpClusterOptions& options) : options_(options) {
+XdpCluster::XdpCluster(const XdpClusterOptions& options)
+    : Cluster(options, options.num_backends + 1), options_(options) {
   CHECK_GT(options_.num_backends, 0u);
   CHECK_GT(options_.spray_sample, 0u);
   // The pipeline's backend ring mirrors the cluster layout 1:1.
   options_.xdp.backends = options_.num_backends;
-  const uint32_t nodes = num_nodes();
-  if (options_.num_shards == 0 || options_.num_shards > nodes) {
-    options_.num_shards = nodes;
-  }
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options_.num_shards;
-  popts.lookahead_floor = options_.lookahead_floor;
-  popts.use_threads = options_.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
-
   // Id-ordered construction pins cross-shard source order: ingress is
   // node 0, backends 1..N (the OverloadCluster scheme).
-  ingress_ = std::make_unique<IngressNode>(this);
-  backends_.reserve(options_.num_backends);
-  for (uint32_t id = 1; id <= options_.num_backends; ++id) {
-    backends_.push_back(std::make_unique<BackendNode>(this, id));
+  IngressNode& ingress = AddDpuNode<IngressNode>(IngressConfig(options_));
+  auto built = XdpPipeline::Create(&*ingress.dpu, options_.xdp);
+  CHECK(built.ok()) << built.status().message();
+  ingress.pipeline = std::move(*built);
+  ingress.pipeline->set_tracer(AddTracer(ingress));
+  const dpu::HyperionConfig config = dpu::NodeConfig(options_);
+  for (uint32_t id = 1; id < num_nodes(); ++id) {
+    BackendNode& backend = AddDpuNode<BackendNode>(config);
+    backend.services = dpu::HyperionServices::Install(&*backend.dpu).value();
+    backend.endpoint->SetOverloadPolicy(options_.policy);
   }
 }
 
 XdpCluster::~XdpCluster() = default;
-
-uint32_t XdpCluster::ShardOf(uint32_t node) const {
-  return static_cast<uint32_t>(uint64_t{node} * options_.num_shards / num_nodes());
-}
 
 void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backend,
                            sim::SimTime now) {
   if (spray_seen_++ % options_.spray_sample != 0) {
     return;
   }
-  const uint32_t idx = backend.ip - XdpPipeline::kBackendIpBase;
-  CHECK_LT(idx, backends_.size());
+  const uint32_t id = 1 + backend.ip - XdpPipeline::kBackendIpBase;
   dpu::RpcRequest request;
   request.service = dpu::ServiceId::kKv;
   request.opcode = dpu::KvOp::kPut;
@@ -665,33 +621,32 @@ void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backen
   payload.PutU32(static_cast<uint32_t>(flow_bytes.size()));
   payload.PutBytes(ByteSpan(flow_bytes.data(), flow_bytes.size()));
   request.payload = Buffer(payload.Take());
-  request.deadline = options_.rpc_deadline > 0 ? now + options_.rpc_deadline : sim::Engine::kNever;
+  request.deadline = now + kSprayDeadline;
   ++spray_issued_;
-  ingress_->endpoint->CallAsync(backends_[idx]->endpoint.get(), request,
-                                [this](Result<dpu::RpcResponse> result) {
-                                  if (!result.ok()) {
-                                    ++spray_failed_;
-                                  } else if (result->status.ok()) {
-                                    ++spray_ok_;
-                                  } else if (result->status.code() ==
-                                             StatusCode::kResourceExhausted) {
-                                    ++spray_rejected_;
-                                  } else {
-                                    ++spray_failed_;
-                                  }
-                                });
+  node(0).endpoint->CallAsync(&endpoint(id), request, [this](Result<dpu::RpcResponse> result) {
+    if (!result.ok()) {
+      ++spray_failed_;
+    } else if (result->status.ok()) {
+      ++spray_ok_;
+    } else if (result->status.code() == StatusCode::kResourceExhausted) {
+      ++spray_rejected_;
+    } else {
+      ++spray_failed_;
+    }
+  });
 }
 
 void XdpCluster::ScheduleBatch(uint64_t first) {
-  const PacketTrace& trace = ingress_->pipeline->trace();
+  XdpPipeline& pipeline = *node<IngressNode>(0).pipeline;
+  const PacketTrace& trace = pipeline.trace();
   if (first >= trace.total_packets()) {
     return;
   }
   const uint32_t count = static_cast<uint32_t>(
       std::min<uint64_t>(options_.xdp.rx_batch, trace.total_packets() - first));
-  const sim::SimTime when = start_base_ + trace.ArrivalOf(first);
-  engine_->shard(ShardOf(0)).ScheduleAt(when, [this, first, count, when] {
-    Status status = ingress_->pipeline->ProcessBatch(
+  const sim::SimTime when = start_ + trace.ArrivalOf(first);
+  engine().shard(node(0).shard).ScheduleAt(when, [this, &pipeline, first, count, when] {
+    Status status = pipeline.ProcessBatch(
         first, count, when,
         [this](const apps::FlowKey& key, const apps::Backend& backend, sim::SimTime now) {
           SprayFlow(key, backend, now);
@@ -702,29 +657,32 @@ void XdpCluster::ScheduleBatch(uint64_t first) {
 }
 
 XdpClusterResult XdpCluster::Run() {
-  CHECK(!ran_);
-  ran_ = true;
-  start_base_ = ingress_->clock.Now() + 1000;
+  BeginRun();
+  // Packets arrive once the ingress has drained boot; the backends only
+  // answer sprays.
+  start_ = StartTime(/*clock_nodes=*/1);
   ScheduleBatch(0);
-  engine_->Run();
+  engine().Run();
 
+  const IngressNode& ingress = node<IngressNode>(0);
   XdpClusterResult result;
-  result.xdp = ingress_->pipeline->Snapshot();
+  result.xdp = ingress.pipeline->Snapshot();
   result.spray_issued = spray_issued_;
   result.spray_ok = spray_ok_;
   result.spray_rejected = spray_rejected_;
   result.spray_failed = spray_failed_;
-  sim::SimTime latest = std::max(ingress_->clock.Now(), ingress_->pipeline->fabric_busy());
-  for (const auto& backend : backends_) {
-    const sim::Counters& counters = backend->endpoint->counters();
+  sim::SimTime latest = std::max(ingress.clock.Now(), ingress.pipeline->fabric_busy());
+  for (uint32_t id = 1; id < num_nodes(); ++id) {
+    const Node& backend = node(id);
+    const sim::Counters& counters = backend.endpoint->counters();
     result.backend_served += counters.Get("rpc_async_served");
     result.backend_shed +=
         counters.Get("rpc_shed_queue") + counters.Get("rpc_shed_deadline");
-    latest = std::max(latest, backend->clock.Now());
+    latest = std::max(latest, backend.clock.Now());
   }
-  result.messages = engine_->stats().messages;
-  result.ingress_clock_ns = ingress_->clock.Now();
-  result.makespan_ns = latest > start_base_ ? latest - start_base_ : 0;
+  result.messages = engine().stats().messages;
+  result.ingress_clock_ns = ingress.clock.Now();
+  result.makespan_ns = latest > start_ ? latest - start_ : 0;
   return result;
 }
 

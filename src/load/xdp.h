@@ -48,6 +48,7 @@
 #include "src/apps/fail2ban.h"
 #include "src/apps/load_balancer.h"
 #include "src/baseline/host.h"
+#include "src/dpu/cluster.h"
 #include "src/dpu/hyperion.h"
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
@@ -228,23 +229,16 @@ class XdpPipeline {
 
 // -- Sharded cluster harness (determinism oracle) ----------------------------
 
-struct XdpClusterOptions {
+// The shared node sizing is the backends'; the ingress raises it to what
+// the flow table needs.
+struct XdpClusterOptions : dpu::ClusterBaseOptions {
   XdpOptions xdp;
   uint32_t num_backends = 3;
-  // 0 = one shard per node; contiguous node->shard blocks (KvCluster map).
-  uint32_t num_shards = 0;
-  bool use_threads = true;
-  sim::Duration lookahead_floor = 100;
-  net::FabricParams fabric;
-  // Backend-side overload policy for the spray RPCs.
+  // Backend-side overload policy for the spray RPCs, which carry a 2 ms
+  // deadline.
   dpu::RpcOverloadPolicy policy;
-  sim::Duration rpc_deadline = 2 * sim::kMillisecond;
   // Register every Nth admitted new flow with its backend over RPC.
   uint32_t spray_sample = 1;
-  // Trimmed backend DPU sizing.
-  uint64_t lbas_per_device = 32768;
-  uint64_t dram_bytes = 64ull << 20;
-  uint64_t hbm_bytes = 16ull << 20;
 };
 
 struct XdpClusterResult {
@@ -262,57 +256,38 @@ struct XdpClusterResult {
   bool operator==(const XdpClusterResult&) const = default;
 };
 
-class XdpCluster {
+class XdpCluster : public dpu::Cluster {
  public:
   explicit XdpCluster(const XdpClusterOptions& options);
-  XdpCluster(const XdpCluster&) = delete;
-  XdpCluster& operator=(const XdpCluster&) = delete;
   ~XdpCluster();
-
-  uint32_t num_nodes() const { return options_.num_backends + 1; }
-  uint32_t ShardOf(uint32_t node) const;
 
   // Drives the whole trace through the ingress node, spraying admitted new
   // flows to the backends. One-shot.
   XdpClusterResult Run();
 
-  XdpPipeline& pipeline() { return *ingress_->pipeline; }
-  obs::Tracer& ingress_tracer() { return ingress_->tracer; }
+  // The ingress pipeline's per-batch tracer (on unless disabled); it is
+  // node 0's tracer, so MergedTrace() returns its spans.
+  obs::Tracer& ingress_tracer() { return *node(0).tracer; }
 
  private:
-  struct IngressNode {
-    explicit IngressNode(XdpCluster* cluster);
-    sim::Engine clock;  // node clock: slow-path costs live here
-    net::Fabric fabric;
-    dpu::Hyperion dpu;
-    obs::Tracer tracer{0};
+  // Node 0; its clock is where slow-path costs live.
+  struct IngressNode : Node {
     std::unique_ptr<XdpPipeline> pipeline;
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
   };
-  struct BackendNode {
-    BackendNode(XdpCluster* cluster, uint32_t id);
-    uint32_t id;
-    sim::Engine clock;
-    net::Fabric fabric;
-    dpu::Hyperion dpu;
+  struct BackendNode : Node {
     std::unique_ptr<dpu::HyperionServices> services;
-    std::unique_ptr<dpu::ShardedRpcNode> endpoint;
   };
 
   void ScheduleBatch(uint64_t first);
   void SprayFlow(const apps::FlowKey& key, const apps::Backend& backend, sim::SimTime now);
 
   XdpClusterOptions options_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
-  std::unique_ptr<IngressNode> ingress_;
-  std::vector<std::unique_ptr<BackendNode>> backends_;
-  sim::SimTime start_base_ = 0;
+  sim::SimTime start_ = 0;
   uint64_t spray_seen_ = 0;
   uint64_t spray_issued_ = 0;
   uint64_t spray_ok_ = 0;
   uint64_t spray_rejected_ = 0;
   uint64_t spray_failed_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace hyperion::load

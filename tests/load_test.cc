@@ -483,7 +483,6 @@ OverloadClusterOptions SmallClusterOptions(bool admission) {
   OverloadClusterOptions options;
   options.num_clients = 3;
   options.requests_per_client = 40;
-  options.open_loop = true;
   options.interarrival = 50 * sim::kMicrosecond;
   options.deadline = 1 * sim::kMillisecond;
   options.policy.enabled = admission;
@@ -549,7 +548,6 @@ OverloadClusterOptions LsmKvOptions() {
   options.workload = OverloadWorkload::kLsmKv;
   options.num_clients = 3;
   options.requests_per_client = 32;
-  options.open_loop = true;
   options.interarrival = 60 * sim::kMicrosecond;
   options.deadline = 0;  // unbounded: every issued op must land
   options.kv_key_space = 96;
