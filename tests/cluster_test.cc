@@ -69,21 +69,7 @@ TEST(KvClusterTest, BlockShardMappingIsMonotonic) {
 }
 
 TEST(KvClusterTest, ResultIsBitIdenticalAcrossShardLayouts) {
-  ClusterOptions options = SmallCluster();
-  options.num_shards = 1;
-  options.use_threads = false;
-  const ClusterResult golden = KvCluster(options).Run();
-  ASSERT_EQ(golden.failed_ops, 0u);
-
-  for (const uint32_t shards : {1u, 2u, 4u}) {
-    for (const bool threads : {false, true}) {
-      ClusterOptions layout = SmallCluster();
-      layout.num_shards = shards;
-      layout.use_threads = threads;
-      const ClusterResult result = KvCluster(layout).Run();
-      EXPECT_EQ(result, golden) << "num_shards=" << shards << " threads=" << threads;
-    }
-  }
+  EXPECT_EQ(testutil::ExpectLayoutInvariant<KvCluster>(SmallCluster()).failed_ops, 0u);
 }
 
 TEST(KvClusterTest, RepeatedRunsReproduce) {

@@ -17,6 +17,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/flow.h"
 #include "src/sim/time.h"
+#include "tests/testutil.h"
 
 namespace hyperion::load {
 namespace {
@@ -491,28 +492,12 @@ OverloadClusterOptions SmallClusterOptions(bool admission) {
   return options;
 }
 
-OverloadResult RunLayout(bool admission, uint32_t num_shards, bool use_threads) {
-  OverloadClusterOptions options = SmallClusterOptions(admission);
-  options.num_shards = num_shards;
-  options.use_threads = use_threads;
-  OverloadCluster cluster(options);
-  return cluster.Run();
-}
-
 TEST(OverloadClusterTest, ResultBitIdenticalAcrossShardsAndThreads) {
   for (const bool admission : {false, true}) {
-    const OverloadResult baseline = RunLayout(admission, /*num_shards=*/1,
-                                              /*use_threads=*/false);
-    EXPECT_EQ(baseline.issued, 120u);
-    EXPECT_EQ(baseline.failed, 0u);
-    for (const uint32_t shards : {1u, 2u, 4u}) {
-      for (const bool threads : {false, true}) {
-        const OverloadResult result = RunLayout(admission, shards, threads);
-        EXPECT_EQ(result, baseline)
-            << "admission=" << admission << " shards=" << shards
-            << " threads=" << threads;
-      }
-    }
+    const OverloadResult golden =
+        testutil::ExpectLayoutInvariant<OverloadCluster>(SmallClusterOptions(admission));
+    EXPECT_EQ(golden.issued, 120u) << "admission=" << admission;
+    EXPECT_EQ(golden.failed, 0u) << "admission=" << admission;
   }
 }
 
@@ -567,20 +552,7 @@ TEST(OverloadClusterTest, LsmKvOverRpcServesEveryRequest) {
 }
 
 TEST(OverloadClusterTest, LsmKvResultBitIdenticalAcrossShardsAndThreads) {
-  auto run = [](uint32_t shards, bool threads) {
-    OverloadClusterOptions options = LsmKvOptions();
-    options.num_shards = shards;
-    options.use_threads = threads;
-    OverloadCluster cluster(options);
-    return cluster.Run();
-  };
-  const OverloadResult baseline = run(1, false);
-  for (const uint32_t shards : {1u, 2u, 4u}) {
-    for (const bool threads : {false, true}) {
-      EXPECT_EQ(run(shards, threads), baseline)
-          << "shards=" << shards << " threads=" << threads;
-    }
-  }
+  testutil::ExpectLayoutInvariant<OverloadCluster>(LsmKvOptions());
 }
 
 TEST(OverloadClusterTest, LsmKvDeadlineAdmissionShedsDoomedPuts) {

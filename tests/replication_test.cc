@@ -147,20 +147,7 @@ TEST(ReplicatedCluster, FaultFreeRunAuditsCleanAndLinearizable) {
 }
 
 TEST(ReplicatedCluster, ResultIsIdenticalAcrossLayouts) {
-  auto run = [](uint32_t shards, bool threads) {
-    RepClusterOptions options = SmallRepOptions();
-    options.num_shards = shards;
-    options.use_threads = threads;
-    ReplicatedKvCluster cluster(options);
-    return cluster.Run();
-  };
-  const RepClusterResult baseline = run(1, false);
-  for (const uint32_t shards : {1u, 2u, 4u}) {
-    for (const bool threads : {false, true}) {
-      EXPECT_EQ(run(shards, threads), baseline)
-          << "shards=" << shards << " threads=" << threads;
-    }
-  }
+  testutil::ExpectLayoutInvariant<ReplicatedKvCluster>(SmallRepOptions());
 }
 
 TEST(ReplicatedCluster, ScheduledKillMidRunLosesNothing) {
@@ -248,28 +235,21 @@ TEST(ReplicatedFaultMatrix, KillLeaderAtEveryProtocolBoundary) {
 TEST(ReplicatedFaultMatrix, KilledRunsAreIdenticalAcrossLayouts) {
   // Bit-identical recovery: the same kill must produce the same result —
   // including failover counters, digests, and the full history — on every
-  // shard layout and threading mode. Victim layout: 2 groups x 2 replicas
-  // so the cluster spreads across up to 4 shards.
-  auto run = [](uint64_t boundary, uint32_t shards, bool threads) {
+  // shard layout and threading mode, and every layout's run must audit clean
+  // and stay linearizable. Victim layout: 2 groups x 2 replicas so the
+  // cluster spreads across up to 4 shards.
+  uint64_t kills_seen = 0;
+  for (const uint64_t boundary : {2ull, 9ull, 17ull}) {
     RepClusterOptions options = SmallRepOptions();
     options.kill_node = 0;
     options.kill_at_boundary = boundary;
-    options.num_shards = shards;
-    options.use_threads = threads;
-    ReplicatedKvCluster cluster(options);
-    return cluster.Run();
-  };
-  uint64_t kills_seen = 0;
-  for (const uint64_t boundary : {2ull, 9ull, 17ull}) {
-    const RepClusterResult baseline = run(boundary, 1, false);
-    kills_seen += baseline.killed_nodes;
-    for (const uint32_t shards : {2u, 4u}) {
-      for (const bool threads : {false, true}) {
-        EXPECT_EQ(run(boundary, shards, threads), baseline)
-            << "boundary=" << boundary << " shards=" << shards
-            << " threads=" << threads;
-      }
-    }
+    kills_seen += testutil::ExpectLayoutInvariant<ReplicatedKvCluster>(
+                      options,
+                      [boundary](ReplicatedKvCluster& cluster) {
+                        EXPECT_TRUE(cluster.AuditAckedWrites().ok()) << "boundary=" << boundary;
+                        EXPECT_TRUE(Linearizable(cluster.History())) << "boundary=" << boundary;
+                      })
+                      .killed_nodes;
   }
   EXPECT_GT(kills_seen, 0u);
 }

@@ -23,6 +23,7 @@
 #include "src/nvme/controller.h"
 #include "src/sim/engine.h"
 #include "src/sim/fault.h"
+#include "tests/testutil.h"
 
 namespace hyperion {
 namespace {
@@ -363,8 +364,7 @@ TEST(ScanWireTest, CorruptPayloadsRejected) {
 
 // -- Mixed KV + analytics cluster ---------------------------------------------
 
-load::OverloadClusterOptions MixedOptions(uint32_t num_shards, bool use_threads,
-                                          bool spatial = true) {
+load::OverloadClusterOptions MixedOptions(bool spatial = true) {
   load::OverloadClusterOptions options;
   options.workload = load::OverloadWorkload::kLsmKv;
   options.num_clients = 2;
@@ -377,13 +377,11 @@ load::OverloadClusterOptions MixedOptions(uint32_t num_shards, bool use_threads,
   options.scan_table_rows = 4096;
   options.scan_rows_per_group = 512;
   options.analytics_spatial = spatial;
-  options.num_shards = num_shards;
-  options.use_threads = use_threads;
   return options;
 }
 
 TEST(MixedTenantTest, ScanArmCompletesAndAccountsPushdown) {
-  load::OverloadCluster cluster(MixedOptions(0, true));
+  load::OverloadCluster cluster(MixedOptions());
   const load::OverloadResult result = cluster.Run();
   EXPECT_EQ(result.scan_issued, 8u);
   EXPECT_EQ(result.scan_ok, 8u);
@@ -401,25 +399,13 @@ TEST(MixedTenantTest, ScanArmCompletesAndAccountsPushdown) {
 }
 
 TEST(MixedTenantTest, BitIdenticalAcrossShardLayoutsAndThreads) {
-  const load::OverloadResult golden =
-      load::OverloadCluster(MixedOptions(1, false)).Run();
-  for (uint32_t shards : {1u, 2u, 4u}) {
-    for (bool threads : {false, true}) {
-      load::OverloadCluster cluster(MixedOptions(shards, threads));
-      const load::OverloadResult result = cluster.Run();
-      EXPECT_EQ(result, golden) << "shards=" << shards << " threads=" << threads;
-    }
-  }
+  testutil::ExpectLayoutInvariant<load::OverloadCluster>(MixedOptions());
 }
 
 TEST(MixedTenantTest, SharedPipelineArmIsDeterministicToo) {
   const load::OverloadResult golden =
-      load::OverloadCluster(MixedOptions(1, false, /*spatial=*/false)).Run();
+      testutil::ExpectLayoutInvariant<load::OverloadCluster>(MixedOptions(/*spatial=*/false));
   EXPECT_EQ(golden.scan_ok, golden.scan_issued);
-  for (uint32_t shards : {2u, 4u}) {
-    load::OverloadCluster cluster(MixedOptions(shards, true, /*spatial=*/false));
-    EXPECT_EQ(cluster.Run(), golden) << "shards=" << shards;
-  }
 }
 
 TEST(MixedTenantTest, SpatialMultiplexingIsolatesKvGoodput) {
@@ -429,9 +415,9 @@ TEST(MixedTenantTest, SpatialMultiplexingIsolatesKvGoodput) {
   // behind one blows its 1 ms deadline: head-of-line blocking shows up as a
   // goodput collapse, not in the p99 of the few in-deadline survivors.
   const load::OverloadResult spatial =
-      load::OverloadCluster(MixedOptions(0, true, /*spatial=*/true)).Run();
+      load::OverloadCluster(MixedOptions(/*spatial=*/true)).Run();
   const load::OverloadResult shared =
-      load::OverloadCluster(MixedOptions(0, true, /*spatial=*/false)).Run();
+      load::OverloadCluster(MixedOptions(/*spatial=*/false)).Run();
   EXPECT_EQ(spatial.scan_fingerprint, shared.scan_fingerprint);  // same answers
   EXPECT_EQ(spatial.scan_ok, shared.scan_ok);
   // Spatial arm: scans run beside the KV pipeline, so KV goodput is intact.
@@ -443,7 +429,7 @@ TEST(MixedTenantTest, SpatialMultiplexingIsolatesKvGoodput) {
 }
 
 TEST(MixedTenantTest, NvmeFaultMidScanLosesNoAckedQuery) {
-  load::OverloadClusterOptions options = MixedOptions(0, true);
+  load::OverloadClusterOptions options = MixedOptions();
   const load::OverloadResult clean = load::OverloadCluster(options).Run();
   options.scan_faults = sim::FaultPlan().Always(sim::FaultSite::kNvmeReadError, 2);
   load::OverloadCluster faulted(options);
@@ -458,7 +444,7 @@ TEST(MixedTenantTest, NvmeFaultMidScanLosesNoAckedQuery) {
 }
 
 TEST(MixedTenantTest, ReconfigFaultMidScanMigratesWithoutLoss) {
-  load::OverloadClusterOptions options = MixedOptions(0, true);
+  load::OverloadClusterOptions options = MixedOptions();
   const load::OverloadResult clean = load::OverloadCluster(options).Run();
   options.scan_faults = sim::FaultPlan().Always(sim::FaultSite::kFpgaReconfigFail, 1);
   load::OverloadCluster faulted(options);
@@ -469,17 +455,14 @@ TEST(MixedTenantTest, ReconfigFaultMidScanMigratesWithoutLoss) {
 }
 
 TEST(MixedTenantTest, FaultedRunsAreBitIdenticalAcrossLayouts) {
-  load::OverloadClusterOptions base = MixedOptions(1, false);
-  base.scan_faults = sim::FaultPlan()
-                         .Always(sim::FaultSite::kNvmeReadError, 2)
-                         .Always(sim::FaultSite::kFpgaReconfigFail, 1);
-  const load::OverloadResult golden = load::OverloadCluster(base).Run();
-  for (uint32_t shards : {2u, 4u}) {
-    load::OverloadClusterOptions options = MixedOptions(shards, true);
-    options.scan_faults = base.scan_faults;
-    load::OverloadCluster cluster(options);
-    EXPECT_EQ(cluster.Run(), golden) << "shards=" << shards;
-  }
+  load::OverloadClusterOptions options = MixedOptions();
+  options.scan_faults = sim::FaultPlan()
+                            .Always(sim::FaultSite::kNvmeReadError, 2)
+                            .Always(sim::FaultSite::kFpgaReconfigFail, 1);
+  testutil::ExpectLayoutInvariant<load::OverloadCluster>(
+      options, [](load::OverloadCluster& cluster) {
+        EXPECT_EQ(cluster.scan_injector()->InjectedCount(sim::FaultSite::kNvmeReadError), 2u);
+      });
 }
 
 }  // namespace

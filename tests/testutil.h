@@ -12,6 +12,8 @@
 //   * SmallClusterOptions / SmallRepOptions — the seeded 4-node KvCluster
 //                      and ReplicatedKvCluster layouts the determinism
 //                      regressions share as their oracle workloads.
+//   * ExpectLayoutInvariant — the shard-layout determinism oracle, for any
+//                      cluster harness.
 //
 // Everything is header-only (inline) because each test binary is its own
 // translation unit; the fixtures use CHECK for setup steps that run in
@@ -206,6 +208,35 @@ inline dpu::RepClusterOptions SmallRepOptions() {
   options.workload.write_pct = 50;
   options.workload.seed = 21;
   return options;
+}
+
+// -- Layout oracle ---------------------------------------------------------
+
+// The determinism oracle every cluster harness shares: runs `options` as a
+// 1-shard inline golden, then on shards {1, 2, 4} x threads {off, on}, and
+// expects each Run() result to equal the golden's (operator==). `check`, if
+// given, runs after every Run() — the golden's first — for oracles beyond
+// the result snapshot (merged trace, audit, history). Returns the golden.
+template <typename Harness, typename Options>
+auto ExpectLayoutInvariant(Options options,
+                           const std::function<void(Harness&)>& check = nullptr) {
+  const auto run = [&](uint32_t shards, bool threads) {
+    options.num_shards = shards;
+    options.use_threads = threads;
+    Harness harness(options);
+    auto result = harness.Run();
+    if (check) {
+      check(harness);
+    }
+    return result;
+  };
+  const auto golden = run(1, false);
+  for (const uint32_t shards : {1u, 2u, 4u}) {
+    for (const bool threads : {false, true}) {
+      EXPECT_EQ(run(shards, threads), golden) << "num_shards=" << shards << " threads=" << threads;
+    }
+  }
+  return golden;
 }
 
 // -- Linearizability checker -----------------------------------------------

@@ -16,6 +16,7 @@
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/sim/engine.h"
+#include "tests/testutil.h"
 
 namespace hyperion {
 namespace {
@@ -304,22 +305,20 @@ TEST(XdpPipelineTest, CriticalPathReportAttributesStages) {
 
 // -- XdpCluster determinism oracle -------------------------------------------
 
-XdpClusterOptions ClusterOptions(uint32_t shards, bool threads) {
+XdpClusterOptions ClusterOptions() {
   XdpClusterOptions options;
   options.xdp = SmallOptions();
   options.xdp.trace.benign_flows = 1024;
   options.xdp.trace.hot_flows = 128;
   options.xdp.trace.steady_packets = 2048;
   options.num_backends = 3;
-  options.num_shards = shards;
-  options.use_threads = threads;
   options.policy.enabled = true;
   options.spray_sample = 4;
   return options;
 }
 
 TEST(XdpClusterTest, SpraysNewFlowsToBackends) {
-  XdpCluster cluster(ClusterOptions(4, true));
+  XdpCluster cluster(ClusterOptions());
   const XdpClusterResult result = cluster.Run();
   EXPECT_EQ(result.xdp.flow_inserts, 1024u);
   // Every 4th registration goes out as an RPC; completions all resolve.
@@ -332,22 +331,9 @@ TEST(XdpClusterTest, SpraysNewFlowsToBackends) {
 }
 
 TEST(XdpClusterTest, BitIdenticalAcrossShardLayouts) {
-  XdpClusterResult baseline;
-  bool first = true;
-  for (uint32_t shards : {1u, 2u, 4u}) {
-    for (bool threads : {false, true}) {
-      XdpCluster cluster(ClusterOptions(shards, threads));
-      const XdpClusterResult result = cluster.Run();
-      if (first) {
-        baseline = result;
-        first = false;
-        EXPECT_GT(result.xdp.verdict_hash, 0u);
-        EXPECT_EQ(result.xdp.flow_inserts, 1024u);
-      } else {
-        EXPECT_EQ(result, baseline) << "shards=" << shards << " threads=" << threads;
-      }
-    }
-  }
+  const XdpClusterResult golden = testutil::ExpectLayoutInvariant<XdpCluster>(ClusterOptions());
+  EXPECT_GT(golden.xdp.verdict_hash, 0u);
+  EXPECT_EQ(golden.xdp.flow_inserts, 1024u);
 }
 
 }  // namespace
