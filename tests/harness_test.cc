@@ -4,6 +4,9 @@
 // oracle pins that), so one run per harness at the default layout stands for
 // all of them; these literals pin the values themselves. A change that moves
 // any number here changed what a cluster run simulates.
+//
+// The same workloads then check what dpu::Cluster provides every harness:
+// a metrics snapshot that accounts for every endpoint, and checked node ids.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "src/dpu/replication.h"
 #include "src/load/harness.h"
 #include "src/load/xdp.h"
+#include "src/obs/metrics.h"
 #include "tests/testutil.h"
 
 namespace hyperion {
@@ -267,6 +271,53 @@ TEST(HarnessGolden, OverloadClusterLsmScan) {
 
 TEST(HarnessGolden, XdpCluster) {
   EXPECT_EQ(load::XdpCluster(XdpOptions()).Run(), kXdpGolden);
+}
+
+// -- The shared metrics snapshot ----------------------------------------------
+
+// Every async call is served exactly once (sheds included), so a snapshot
+// that imports every endpoint the cluster owns balances calls against
+// serves; and the engine tallies it imports are the engine's own.
+template <typename Harness, typename Options>
+void ExpectSnapshotBalanced(const Options& options) {
+  Harness cluster(options);
+  cluster.Run();
+  obs::MetricsRegistry registry;
+  cluster.SnapshotMetrics(&registry);
+  const uint64_t calls = registry.CounterValue(obs::Subsystem::kRpc, "rpc_async_calls");
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(calls, registry.CounterValue(obs::Subsystem::kRpc, "rpc_async_served"));
+  EXPECT_EQ(registry.CounterValue(obs::Subsystem::kEngine, "events_run"),
+            cluster.engine().stats().events_run);
+}
+
+TEST(HarnessMetrics, SnapshotServesEveryAsyncCallOnce) {
+  ExpectSnapshotBalanced<dpu::KvCluster>(testutil::SmallClusterOptions());
+  ExpectSnapshotBalanced<dpu::ReplicatedKvCluster>(testutil::SmallRepOptions());
+  ExpectSnapshotBalanced<dpu::ReplicatedKvCluster>(KilledRepOptions());
+  ExpectSnapshotBalanced<load::OverloadCluster>(BlockReadOptions());
+  ExpectSnapshotBalanced<load::OverloadCluster>(LsmScanOptions());
+  ExpectSnapshotBalanced<load::XdpCluster>(XdpOptions());
+}
+
+// -- Node ids are checked -----------------------------------------------------
+
+TEST(HarnessDeathTest, KillNodeOutsideTheClusterIsRejected) {
+  dpu::RepClusterOptions options = testutil::SmallRepOptions();
+  options.use_threads = false;
+  options.kill_node = 4;  // 2 groups x 2 replicas: ids 0..3
+  options.kill_at_boundary = 9;
+  EXPECT_DEATH(dpu::ReplicatedKvCluster cluster(options), "kill_node");
+  options.kill_at_boundary = dpu::RepClusterOptions::kNoKill;
+  options.kill_after_ns = 60 * sim::kMicrosecond;
+  EXPECT_DEATH(dpu::ReplicatedKvCluster cluster(options), "kill_node");
+}
+
+TEST(HarnessDeathTest, NodeLookupIsBoundsChecked) {
+  dpu::ClusterOptions options = testutil::SmallClusterOptions();
+  options.num_nodes = 1;
+  options.use_threads = false;
+  EXPECT_DEATH(dpu::KvCluster(options).endpoint(1), "no node 1");
 }
 
 }  // namespace
