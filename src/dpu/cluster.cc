@@ -39,8 +39,6 @@ Cluster::Cluster(const ClusterBaseOptions& options, uint32_t num_nodes)
   nodes_.reserve(num_nodes_);
 }
 
-Cluster::~Cluster() = default;
-
 uint32_t Cluster::ShardOf(uint32_t node) const {
   // Contiguous blocks: halving the shard count merges neighbouring shards
   // without reordering the nodes inside them.
@@ -52,7 +50,7 @@ Cluster::Node& Cluster::Lookup(uint32_t id) const {
   return *nodes_[id];
 }
 
-void Cluster::Adopt(std::unique_ptr<Node> node, const HyperionConfig* config) {
+Cluster::Node& Cluster::Adopt(std::unique_ptr<Node> node, const HyperionConfig* config) {
   node->id = static_cast<uint32_t>(nodes_.size());
   CHECK_LT(node->id, num_nodes_);
   node->shard = ShardOf(node->id);
@@ -63,8 +61,9 @@ void Cluster::Adopt(std::unique_ptr<Node> node, const HyperionConfig* config) {
     CHECK(node->dpu->Boot().ok());
     server = &node->dpu->rpc();
   }
-  nodes_.push_back(std::move(node));
-  nodes_.back()->endpoint = AddEndpoint(server, &nodes_.back()->clock);
+  Node& adopted = *nodes_.emplace_back(std::move(node));
+  adopted.endpoint = AddEndpoint(server, &adopted.clock);
+  return adopted;
 }
 
 ShardedRpcNode* Cluster::AddEndpoint(RpcServer* server, sim::Engine* clock) {
@@ -148,18 +147,15 @@ void Cluster::FinishOp(const ClientOp& op, bool ok) {
   }
 }
 
-Cluster::LoopTotals Cluster::FoldClosedLoop(sim::SimTime start) const {
-  LoopTotals totals;
+sim::SimTime Cluster::FoldClosedLoop(sim::SimTime start, sim::Histogram* latency) const {
+  sim::SimTime makespan = 0;
   for (const ClientLoop& loop : loops_) {
-    totals.ok_writes += loop.ok_writes;
-    totals.ok_reads += loop.ok_reads;
-    totals.failed += loop.failed;
     if (loop.last_completion > start) {
-      totals.makespan_ns = std::max(totals.makespan_ns, loop.last_completion - start);
+      makespan = std::max(makespan, loop.last_completion - start);
     }
-    totals.latency.Merge(loop.latency);
+    latency->Merge(loop.latency);
   }
-  return totals;
+  return makespan;
 }
 
 std::vector<obs::SpanRecord> Cluster::MergedTrace() const {
@@ -221,8 +217,6 @@ KvCluster::KvCluster(const ClusterOptions& options)
   }
 }
 
-KvCluster::~KvCluster() = default;
-
 ClusterResult KvCluster::Run() {
   BeginRun();
   // Load every key directly into its owner's store (no virtual wire): the
@@ -246,19 +240,19 @@ ClusterResult KvCluster::Run() {
   result.events_run = engine().stats().events_run;
   result.messages = engine().stats().messages;
   result.start_ns = start;
-  const LoopTotals totals = FoldClosedLoop(start);
-  result.ok_ops = totals.ok_writes + totals.ok_reads;
-  result.failed_ops = totals.failed;
-  result.makespan_ns = totals.makespan_ns;
-  FillLatency(totals.latency, &result.latency_count, &result.latency_p50_ns,
-              &result.latency_p99_ns, &result.latency_max_ns);
+  sim::Histogram latency;
+  result.makespan_ns = FoldClosedLoop(start, &latency);
+  FillLatency(latency, &result.latency_count, &result.latency_p50_ns, &result.latency_p99_ns,
+              &result.latency_max_ns);
   for (uint32_t id = 0; id < num_nodes(); ++id) {
     const ClientLoop& loop = client_loop(id);
-    result.nodes.push_back(ClusterNodeResult{
+    const ClusterNodeResult& added = result.nodes.emplace_back(ClusterNodeResult{
         .node_clock_ns = node(id).clock.Now(),
         .rpcs_served = node(id).endpoint->counters().Get("rpc_async_served"),
         .ok_ops = loop.ok_writes + loop.ok_reads,
         .failed_ops = loop.failed});
+    result.ok_ops += added.ok_ops;
+    result.failed_ops += added.failed_ops;
   }
   return result;
 }

@@ -1,40 +1,24 @@
-// Sharded multi-DPU cluster simulation (PR 3), and the one mechanism every
-// cluster harness runs on.
+// Sharded multi-DPU cluster simulation (PR 3): the one mechanism every
+// cluster harness runs on, and the partitioned KV cluster built on it.
 //
-// dpu::Cluster owns what the cluster harnesses (KvCluster below,
-// ReplicatedKvCluster, load::OverloadCluster, load::XdpCluster) share:
+// dpu::Cluster owns what KvCluster, ReplicatedKvCluster, load::OverloadCluster
+// and load::XdpCluster share: the sim::ParallelEngine with nodes mapped to
+// shards in contiguous blocks; id-ordered node construction (a private cost
+// clock and, on serving nodes, a booted Hyperion DPU on its own net::Fabric,
+// in one allocation) whose endpoint registration order pins the logical
+// source order that breaks cross-shard timestamp ties; the after-boot start
+// time; the one-shot run; the closed-loop clients; SnapshotMetrics() and
+// MergedTrace(). A harness derives from it and keeps only its tenant code:
+// what a node installs, how its clients start, how its result folds.
 //
-//   * the sim::ParallelEngine — one shard per node unless `num_shards` says
-//     fewer — with nodes mapped to shards in contiguous blocks (ShardOf);
-//   * id-ordered node construction: each node's private cost clock and, on
-//     serving nodes, a booted Hyperion DPU on its own net::Fabric, all in one
-//     allocation, plus the node's ShardedRpcNode endpoint. Endpoints register
-//     as engine sources in construction order, which pins the logical source
-//     order that breaks cross-shard timestamp ties independent of the shard
-//     layout;
-//   * the after-boot start time, the one-shot run, the closed-loop clients
-//     KV and replicated KV drive, and the latency fill;
-//   * engine(), SnapshotMetrics() and MergedTrace() for every harness.
-//
-// A harness derives from Cluster and keeps only its tenant code: what a node
-// installs, how its clients start, and how its result folds.
-//
-// KvCluster puts the paper's §3 picture on it — a rack of self-hosting DPUs
-// serving a partitioned KV service:
-//
-//   * Every node is a full Hyperion DPU (its own private cost engine, NVMe,
-//     object store, RPC services) plus a population of closed-loop clients
-//     colocated on the node's shard.
-//   * Keys hash-partition across nodes with the same placement the
-//     synchronous DistributedKvClient uses; an op whose owner is another
-//     node crosses shards as a serialized RPC frame (ShardedRpcNode).
-//   * The result snapshot is bit-identical for any shard count and with
-//     threads on or off — tests/cluster_test.cc pins num_shards in {1, 2, 4}
-//     — because nodes share no mutable state and cross-node messages merge
-//     in (time, source, seq) order.
-//
-// bench_cluster_scaling uses it for the netkv scaling experiment; the
-// determinism regression uses the ClusterResult snapshot.
+// KvCluster is the paper's §3 picture — a rack of self-hosting DPUs serving
+// a partitioned KV service. Every node is a full Hyperion DPU plus
+// closed-loop clients on the node's shard; keys hash-partition across nodes
+// with the placement DistributedKvClient uses, and an op owned by another
+// node crosses shards as a serialized RPC frame. The result is bit-identical
+// for any shard count and with threads on or off (tests/cluster_test.cc),
+// because nodes share no mutable state and cross-node messages merge in
+// (time, source, seq) order. bench_cluster_scaling runs it for netkv.
 
 #ifndef HYPERION_SRC_DPU_CLUSTER_H_
 #define HYPERION_SRC_DPU_CLUSTER_H_
@@ -46,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/dpu/distributed.h"
 #include "src/dpu/hyperion.h"
@@ -94,9 +77,6 @@ struct ClusterWorkload {
 
 class Cluster {
  public:
-  Cluster(const Cluster&) = delete;
-  Cluster& operator=(const Cluster&) = delete;
-
   uint32_t num_nodes() const { return num_nodes_; }
   uint32_t num_shards() const { return engine_->num_shards(); }
   uint32_t ShardOf(uint32_t node) const;
@@ -110,19 +90,16 @@ class Cluster {
   // (begin, origin, id) order, the golden-trace oracle.
   std::vector<obs::SpanRecord> MergedTrace() const;
 
-  // Cluster-wide metrics (valid after Run()): every endpoint's counters and
-  // admission controller, every DPU's RPC server and NVMe counters, the
-  // tenant counters a harness registered, and the parallel engine's
-  // tallies, imported into `registry` under stable names.
+  // Imports (after Run()) every endpoint's counters and admission state,
+  // every DPU's RPC server and NVMe counters, the tenant counters a harness
+  // registered, and the parallel engine's tallies into `registry`.
   void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  protected:
   // One simulated node: a private cost clock (never holds events) and, on
-  // serving nodes, a Hyperion DPU on its own fabric, inline so the node is
-  // one allocation. A harness derives its node types from Node to carry its
-  // tenant state. Nodes interact only through ShardedRpcNode messages — no
-  // shared mutable state, which is what makes the shard layout
-  // unobservable.
+  // serving nodes, a Hyperion DPU on its own fabric, inline in one
+  // allocation; harness node types derive from it to carry tenant state.
+  // Nodes share no mutable state, which makes the shard layout unobservable.
   struct Node {
     virtual ~Node() = default;
 
@@ -164,38 +141,22 @@ class Cluster {
     sim::SimTime last_completion = 0;
   };
 
-  // The closed loop folded across nodes.
-  struct LoopTotals {
-    uint64_t ok_writes = 0;
-    uint64_t ok_reads = 0;
-    uint64_t failed = 0;
-    sim::SimTime makespan_ns = 0;  // last completion past the start time
-    sim::Histogram latency;        // merged across nodes
-  };
-
   Cluster(const ClusterBaseOptions& options, uint32_t num_nodes);
-  ~Cluster();
+  ~Cluster() = default;
 
   // Builds the next node (ids follow construction order) as a T, a Node
   // subclass: a booted Hyperion DPU with `config`, served by a new endpoint.
   template <typename T = Node>
   T& AddDpuNode(const HyperionConfig& config) {
-    auto node = std::make_unique<T>();
-    T& added = *node;
-    Adopt(std::move(node), &config);
-    return added;
+    return static_cast<T&>(Adopt(std::make_unique<T>(), &config));
   }
   // The next node as a client only: a clock and an endpoint with no server.
   template <typename T = Node>
   T& AddClientNode() {
-    auto node = std::make_unique<T>();
-    T& added = *node;
-    Adopt(std::move(node), nullptr);
-    return added;
+    return static_cast<T&>(Adopt(std::make_unique<T>(), nullptr));
   }
   // A second endpoint on the newest node's shard, serving `server` on its
-  // own `clock` (a tenant spatially multiplexed beside the node's DPU). It
-  // registers right after its node's own endpoint.
+  // own `clock` (a tenant spatially multiplexed beside the node's DPU).
   ShardedRpcNode* AddEndpoint(RpcServer* server, sim::Engine* clock);
   // Gives `node` a tracer whose origin is its node id — a logical identity,
   // never the shard index — so MergedTrace() is layout-invariant.
@@ -204,21 +165,16 @@ class Cluster {
   void AddMetrics(obs::Subsystem subsystem, const sim::Counters* counters);
 
   template <typename T = Node>
-  T& node(uint32_t id) {
+  T& node(uint32_t id) const {
     return static_cast<T&>(Lookup(id));
-  }
-  template <typename T = Node>
-  const T& node(uint32_t id) const {
-    return static_cast<const T&>(Lookup(id));
   }
 
   // Marks the one-shot run: construct a fresh cluster per run.
   void BeginRun();
   bool ran() const { return ran_; }
   // Clients start once the slowest of nodes [0, clock_nodes) has drained
-  // boot and preload from its pipeline, so latency measures wire + service,
-  // not boot backlog. The base is layout-invariant: boot and preload never
-  // touch the shard engines.
+  // boot and preload from its pipeline, so latency measures wire + service.
+  // Layout-invariant: boot and preload never touch the shard engines.
   sim::SimTime StartTime(uint32_t clock_nodes) const;
 
   // Runs `workload.clients_per_node` closed-loop clients on every node to
@@ -228,11 +184,13 @@ class Cluster {
   // timestamps need no tie-break, so the startup order is layout-invariant.
   void RunClosedLoop(const ClusterWorkload& workload, sim::SimTime start, IssueFn issue);
   const ClientLoop& client_loop(uint32_t node) const { return loops_[node]; }
-  LoopTotals FoldClosedLoop(sim::SimTime start) const;
+  // Merges every node's client latency into `latency`; returns the makespan
+  // (last completion past `start`).
+  sim::SimTime FoldClosedLoop(sim::SimTime start, sim::Histogram* latency) const;
 
  private:
   Node& Lookup(uint32_t id) const;
-  void Adopt(std::unique_ptr<Node> node, const HyperionConfig* config);
+  Node& Adopt(std::unique_ptr<Node> node, const HyperionConfig* config);
   void IssueOp(uint32_t node, uint32_t client);
   void FinishOp(const ClientOp& op, bool ok);
 
@@ -297,7 +255,6 @@ struct ClusterResult {
 class KvCluster : public Cluster {
  public:
   explicit KvCluster(const ClusterOptions& options);
-  ~KvCluster();
 
   // Runs the closed-loop workload to quiescence and snapshots the result.
   // One-shot: construct a fresh cluster per run.

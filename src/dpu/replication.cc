@@ -936,8 +936,6 @@ ReplicatedKvCluster::ReplicatedKvCluster(const RepClusterOptions& options)
   }
 }
 
-ReplicatedKvCluster::~ReplicatedKvCluster() = default;
-
 Bytes ReplicatedKvCluster::TaggedValue(uint64_t tag) const {
   Bytes value(options_.workload.value_bytes);
   for (size_t i = 8; i < value.size(); ++i) {
@@ -947,20 +945,6 @@ Bytes ReplicatedKvCluster::TaggedValue(uint64_t tag) const {
   PutU64(prefix, tag);
   std::copy(prefix.begin(), prefix.end(), value.begin());
   return value;
-}
-
-void ReplicatedKvCluster::Preload() {
-  // Every key lands on every replica of its group with stamp 0 (below any
-  // log position), directly — no virtual wire — so the measured phase runs
-  // against a warm, already-replicated dataset.
-  for (uint64_t key = 0; key < options_.workload.key_space; ++key) {
-    const uint32_t group =
-        static_cast<uint32_t>(KvPartitionOf(key, options_.groups));
-    const Bytes value = TaggedValue(PreloadTag(key));
-    for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
-      CHECK(replica(group, r).service->PreloadPut(key, ByteSpan(value.data(), value.size())).ok());
-    }
-  }
 }
 
 void ReplicatedKvCluster::IssueOp(const ClientOp& op) {
@@ -1001,7 +985,17 @@ void ReplicatedKvCluster::IssueOp(const ClientOp& op) {
 
 RepClusterResult ReplicatedKvCluster::Run() {
   BeginRun();
-  Preload();
+  // Every key lands on every replica of its group with stamp 0 (below any
+  // log position), directly — no virtual wire — so the measured phase runs
+  // against a warm, already-replicated dataset.
+  for (uint64_t key = 0; key < options_.workload.key_space; ++key) {
+    const uint32_t group =
+        static_cast<uint32_t>(KvPartitionOf(key, options_.groups));
+    const Bytes value = TaggedValue(PreloadTag(key));
+    for (uint32_t r = 0; r < options_.replicas_per_group; ++r) {
+      CHECK_OK(replica(group, r).service->PreloadPut(key, ByteSpan(value.data(), value.size())));
+    }
+  }
   const sim::SimTime start = StartTime(num_nodes());
   if (options_.kill_after_ns > 0) {
     Replica& victim = node<Replica>(options_.kill_node);
@@ -1015,14 +1009,15 @@ RepClusterResult ReplicatedKvCluster::Run() {
   result.events_run = engine().stats().events_run;
   result.messages = engine().stats().messages;
   result.start_ns = start;
-  const LoopTotals totals = FoldClosedLoop(start);
-  result.ok_puts = totals.ok_writes;
-  result.ok_gets = totals.ok_reads;
-  result.failed_ops = totals.failed;
-  result.makespan_ns = totals.makespan_ns;
-  FillLatency(totals.latency, &result.latency_count, &result.latency_p50_ns,
-              &result.latency_p99_ns, &result.latency_max_ns);
+  sim::Histogram latency;
+  result.makespan_ns = FoldClosedLoop(start, &latency);
+  FillLatency(latency, &result.latency_count, &result.latency_p50_ns, &result.latency_p99_ns,
+              &result.latency_max_ns);
   for (uint32_t id = 0; id < num_nodes(); ++id) {
+    const ClientLoop& loop = client_loop(id);
+    result.ok_puts += loop.ok_writes;
+    result.ok_gets += loop.ok_reads;
+    result.failed_ops += loop.failed;
     const Replica& replica = node<Replica>(id);
     const sim::Counters& counters = replica.client->counters();
     result.failovers += counters.Get("rep_failovers");

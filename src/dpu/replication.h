@@ -46,7 +46,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/dpu/cluster.h"
 #include "src/dpu/hyperion.h"
 #include "src/dpu/rpc.h"
@@ -338,7 +337,6 @@ struct RepClusterOptions : ClusterBaseOptions {
 class ReplicatedKvCluster : public Cluster {
  public:
   explicit ReplicatedKvCluster(const RepClusterOptions& options);
-  ~ReplicatedKvCluster();
 
   ReplicatedKvService& service(uint32_t node) { return *this->node<Replica>(node).service; }
 
@@ -377,7 +375,6 @@ class ReplicatedKvCluster : public Cluster {
   Replica& replica(uint32_t group, uint32_t r) {
     return node<Replica>(group * options_.replicas_per_group + r);
   }
-  void Preload();
   void IssueOp(const ClientOp& op);
   Bytes TaggedValue(uint64_t tag) const;
 

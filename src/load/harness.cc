@@ -14,24 +14,6 @@ constexpr uint32_t kScanFabricRegions = 2;  // analytics fabric size
 
 }  // namespace
 
-void OverloadCluster::ServerNode::InstallLsm() {
-  // A zoned namespace beside the block namespaces, formatted for the PR 6
-  // LSM engine; the engine runs on the server's node clock so its I/O
-  // costs land in the served-request latency like every other substrate.
-  constexpr uint64_t kZoneLbas = 128;
-  constexpr uint32_t kZones = 48;
-  const uint32_t nsid = dpu->nvme().AddNamespace(kZones * kZoneLbas);
-  zns = std::make_unique<nvme::ZonedNamespace>(
-      nvme::ZonedNamespace::Create(&dpu->nvme(), nsid, kZoneLbas).value());
-  lsm = storage::LsmEngine::Format(
-            storage::LsmDeps{.engine = &clock, .zns = zns.get(), .injector = nullptr})
-            .value();
-  dpu->rpc().RegisterService(dpu::ServiceId::kLsmKv,
-                             [this](uint16_t opcode, const Buffer& payload) {
-                               return HandleLsm(opcode, payload);
-                             });
-}
-
 dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
                                                         const Buffer& payload) {
   clock.Advance(1200);  // shell datapath cost, same as the plain services
@@ -187,7 +169,22 @@ OverloadCluster::OverloadCluster(const OverloadClusterOptions& options)
   ServerNode& server = AddDpuNode<ServerNode>(dpu::NodeConfig(options_));
   server.services = dpu::HyperionServices::Install(&*server.dpu).value();
   if (options_.workload == OverloadWorkload::kLsmKv) {
-    server.InstallLsm();
+    // A zoned namespace beside the block namespaces, formatted for the PR 6
+    // LSM engine; the engine runs on the server's node clock so its I/O
+    // costs land in the served-request latency like every other substrate.
+    constexpr uint64_t kZoneLbas = 128;
+    constexpr uint32_t kZones = 48;
+    const uint32_t nsid = server.dpu->nvme().AddNamespace(kZones * kZoneLbas);
+    server.zns = std::make_unique<nvme::ZonedNamespace>(
+        nvme::ZonedNamespace::Create(&server.dpu->nvme(), nsid, kZoneLbas).value());
+    server.lsm = storage::LsmEngine::Format(storage::LsmDeps{.engine = &server.clock,
+                                                             .zns = server.zns.get(),
+                                                             .injector = nullptr})
+                     .value();
+    server.dpu->rpc().RegisterService(dpu::ServiceId::kLsmKv,
+                                      [&server](uint16_t opcode, const Buffer& payload) {
+                                        return server.HandleLsm(opcode, payload);
+                                      });
   }
   server.endpoint->SetOverloadPolicy(options_.policy);
   if (options_.analytics_clients > 0) {
@@ -197,8 +194,6 @@ OverloadCluster::OverloadCluster(const OverloadClusterOptions& options)
     AddClientNode<ClientNode>().analytics = id > options_.num_clients;
   }
 }
-
-OverloadCluster::~OverloadCluster() = default;
 
 OverloadResult OverloadCluster::Run() {
   BeginRun();
@@ -268,20 +263,10 @@ void OverloadCluster::StartKvClient(ClientNode& client, sim::SimTime start) {
           request.payload = Buffer(payload.Take());
         }
         request.deadline = deadline;  // kNever == kNoDeadline: none
-        client.endpoint->CallAsync(
-            server, request, [done = std::move(done)](Result<dpu::RpcResponse> result) {
-              if (!result.ok()) {
-                done(Outcome::kFailed);
-                return;
-              }
-              if (result->status.ok()) {
-                done(Outcome::kOk);
-                return;
-              }
-              done(result->status.code() == StatusCode::kResourceExhausted
-                       ? Outcome::kRejected
-                       : Outcome::kFailed);
-            });
+        client.endpoint->CallAsync(server, request,
+                                   [done = std::move(done)](Result<dpu::RpcResponse> result) {
+                                     done(OutcomeOf(result));
+                                   });
       });
   client.gen->Start();
 }
@@ -319,14 +304,8 @@ void OverloadCluster::StartScanClient(ClientNode& client, sim::SimTime start) {
         client.endpoint->CallAsync(
             target, request,
             [&client, h, done = std::move(done)](Result<dpu::RpcResponse> result) {
-              if (!result.ok()) {
-                done(Outcome::kFailed);
-                return;
-              }
-              if (!result->status.ok()) {
-                done(result->status.code() == StatusCode::kResourceExhausted
-                         ? Outcome::kRejected
-                         : Outcome::kFailed);
+              if (const Outcome outcome = OutcomeOf(result); outcome != Outcome::kOk) {
+                done(outcome);
                 return;
               }
               auto scan = format::ParseScanResult(result->payload);

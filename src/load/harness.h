@@ -12,18 +12,16 @@
 //        requests with kResourceExhausted after reject_cost only, keeping
 //        admitted-request latency bounded and goodput at the plateau.
 //
-// It runs on dpu::Cluster, so layout invariance is inherited exactly as in
-// KvCluster: nodes share no mutable state, construction order pins source
-// order, and every client start time is distinct — OverloadResult is
-// bit-identical across num_shards x threads (tests/load_test.cc pins
-// {1, 2, 4} x on/off).
+// On dpu::Cluster it inherits KvCluster's layout invariance: nodes share no
+// mutable state, construction order pins source order, and every client
+// start time is distinct — OverloadResult is bit-identical across
+// num_shards x threads (tests/load_test.cc pins {1, 2, 4} x on/off).
 
 #ifndef HYPERION_SRC_LOAD_HARNESS_H_
 #define HYPERION_SRC_LOAD_HARNESS_H_
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/dpu/cluster.h"
 #include "src/dpu/rpc.h"
@@ -127,7 +125,6 @@ struct OverloadResult {
 class OverloadCluster : public dpu::Cluster {
  public:
   explicit OverloadCluster(const OverloadClusterOptions& options);
-  ~OverloadCluster();
 
   // Runs every client to completion and snapshots the result. One-shot.
   OverloadResult Run();
@@ -140,7 +137,6 @@ class OverloadCluster : public dpu::Cluster {
  private:
   // Node 0: the Hyperion server, its DPU owned by the cluster node.
   struct ServerNode : Node {
-    void InstallLsm();
     dpu::RpcResponse HandleLsm(uint16_t opcode, const Buffer& payload);
     std::unique_ptr<dpu::HyperionServices> services;
     // kLsmKv only: a zoned namespace added to the DPU's controller and the

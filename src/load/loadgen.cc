@@ -7,6 +7,17 @@
 
 namespace hyperion::load {
 
+Outcome OutcomeOf(const Result<dpu::RpcResponse>& response) {
+  if (!response.ok()) {
+    return Outcome::kFailed;
+  }
+  if (response->status.ok()) {
+    return Outcome::kOk;
+  }
+  return response->status.code() == StatusCode::kResourceExhausted ? Outcome::kRejected
+                                                                     : Outcome::kFailed;
+}
+
 LoadGen::LoadGen(sim::Engine* engine, const LoadGenOptions& options, IssueFn issue)
     : engine_(engine), options_(options), issue_(std::move(issue)) {
   CHECK(engine_ != nullptr);

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "src/common/result.h"
+#include "src/dpu/rpc.h"
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
@@ -31,6 +33,10 @@ enum class Outcome : uint8_t {
   kRejected,  // shed by admission control or backpressure (resource exhausted)
   kFailed,    // any other error
 };
+
+// An RPC completion as a load outcome: kResourceExhausted is admission's
+// fast reject; any other error, transport or service, failed.
+Outcome OutcomeOf(const Result<dpu::RpcResponse>& response);
 
 struct LoadGenOptions {
   bool open_loop = true;

@@ -6,6 +6,7 @@
 #include "src/common/check.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/verifier.h"
+#include "src/load/loadgen.h"
 #include "src/sim/energy.h"
 
 namespace hyperion::load {
@@ -569,18 +570,6 @@ namespace {
 
 constexpr sim::Duration kSprayDeadline = 2 * sim::kMillisecond;  // relative
 
-// The cluster node config, raised to what the flow table needs.
-dpu::HyperionConfig IngressConfig(const XdpClusterOptions& options) {
-  dpu::HyperionConfig config = dpu::NodeConfig(options);
-  config.lbas_per_device = std::max<uint64_t>(config.lbas_per_device, 65536);
-  // The flow-table directory lives on the HBM tier; size it for the
-  // root buckets plus chain growth.
-  config.hbm_bytes =
-      std::max<uint64_t>(config.hbm_bytes, uint64_t{options.xdp.flow_buckets} * 4096 * 2);
-  config.dram_bytes = std::max<uint64_t>(config.dram_bytes, 128ull << 20);
-  return config;
-}
-
 }  // namespace
 
 XdpCluster::XdpCluster(const XdpClusterOptions& options)
@@ -590,21 +579,24 @@ XdpCluster::XdpCluster(const XdpClusterOptions& options)
   // The pipeline's backend ring mirrors the cluster layout 1:1.
   options_.xdp.backends = options_.num_backends;
   // Id-ordered construction pins cross-shard source order: ingress is
-  // node 0, backends 1..N (the OverloadCluster scheme).
-  IngressNode& ingress = AddDpuNode<IngressNode>(IngressConfig(options_));
-  auto built = XdpPipeline::Create(&*ingress.dpu, options_.xdp);
-  CHECK(built.ok()) << built.status().message();
-  ingress.pipeline = std::move(*built);
-  ingress.pipeline->set_tracer(AddTracer(ingress));
+  // node 0, backends 1..N (the OverloadCluster scheme). The ingress raises
+  // the node config to what the flow table needs; its directory lives on
+  // the HBM tier, sized for the root buckets plus chain growth.
   const dpu::HyperionConfig config = dpu::NodeConfig(options_);
+  dpu::HyperionConfig ingress_config = config;
+  ingress_config.lbas_per_device = std::max<uint64_t>(config.lbas_per_device, 65536);
+  ingress_config.hbm_bytes =
+      std::max<uint64_t>(config.hbm_bytes, uint64_t{options_.xdp.flow_buckets} * 4096 * 2);
+  ingress_config.dram_bytes = std::max<uint64_t>(config.dram_bytes, 128ull << 20);
+  IngressNode& ingress = AddDpuNode<IngressNode>(ingress_config);
+  ingress.pipeline = XdpPipeline::Create(&*ingress.dpu, options_.xdp).value();
+  ingress.pipeline->set_tracer(AddTracer(ingress));
   for (uint32_t id = 1; id < num_nodes(); ++id) {
     BackendNode& backend = AddDpuNode<BackendNode>(config);
     backend.services = dpu::HyperionServices::Install(&*backend.dpu).value();
     backend.endpoint->SetOverloadPolicy(options_.policy);
   }
 }
-
-XdpCluster::~XdpCluster() = default;
 
 void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backend,
                            sim::SimTime now) {
@@ -624,14 +616,10 @@ void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backen
   request.deadline = now + kSprayDeadline;
   ++spray_issued_;
   node(0).endpoint->CallAsync(&endpoint(id), request, [this](Result<dpu::RpcResponse> result) {
-    if (!result.ok()) {
-      ++spray_failed_;
-    } else if (result->status.ok()) {
-      ++spray_ok_;
-    } else if (result->status.code() == StatusCode::kResourceExhausted) {
-      ++spray_rejected_;
-    } else {
-      ++spray_failed_;
+    switch (OutcomeOf(result)) {
+      case Outcome::kOk: ++spray_ok_; break;
+      case Outcome::kRejected: ++spray_rejected_; break;
+      case Outcome::kFailed: ++spray_failed_; break;
     }
   });
 }

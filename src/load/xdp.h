@@ -56,7 +56,6 @@
 #include "src/load/packet_trace.h"
 #include "src/obs/trace.h"
 #include "src/sim/flow.h"
-#include "src/sim/parallel.h"
 #include "src/storage/hash_index.h"
 
 namespace hyperion::load {
@@ -259,7 +258,6 @@ struct XdpClusterResult {
 class XdpCluster : public dpu::Cluster {
  public:
   explicit XdpCluster(const XdpClusterOptions& options);
-  ~XdpCluster();
 
   // Drives the whole trace through the ingress node, spraying admitted new
   // flows to the backends. One-shot.
