@@ -77,6 +77,10 @@ struct ClusterWorkload {
 
 class Cluster {
  public:
+  // Endpoints and scheduled events hold the cluster's address.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
+
   uint32_t num_nodes() const { return num_nodes_; }
   uint32_t num_shards() const { return engine_->num_shards(); }
   uint32_t ShardOf(uint32_t node) const;
@@ -101,6 +105,9 @@ class Cluster {
   // allocation; harness node types derive from it to carry tenant state.
   // Nodes share no mutable state, which makes the shard layout unobservable.
   struct Node {
+    Node() = default;
+    Node(const Node&) = delete;
+    Node& operator=(const Node&) = delete;
     virtual ~Node() = default;
 
     uint32_t id = 0;

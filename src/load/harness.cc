@@ -211,128 +211,23 @@ OverloadResult OverloadCluster::Run() {
   const sim::SimTime start = StartTime(/*clock_nodes=*/1);
   for (uint32_t id = 1; id < num_nodes(); ++id) {
     ClientNode& client = node<ClientNode>(id);
+    LoadGenOptions arrivals;  // open loop; client nodes start 7 ns apart
+    arrivals.start = start + (id - 1) * 7;
     if (client.analytics) {
-      StartScanClient(client, start);
+      arrivals.interarrival = options_.scan_interarrival;
+      arrivals.total_requests = options_.scan_requests_per_client;
     } else {
-      StartKvClient(client, start);
+      arrivals.interarrival = options_.interarrival;
+      arrivals.total_requests = options_.requests_per_client;
+      arrivals.deadline = options_.deadline;
     }
+    client.gen = std::make_unique<LoadGen>(
+        &engine().shard(client.shard), arrivals,
+        client.analytics ? ScanRequests(client) : KvRequests(client));
+    client.gen->Start();
   }
   engine().Run();
-  return Collect(start);
-}
 
-void OverloadCluster::StartKvClient(ClientNode& client, sim::SimTime start) {
-  LoadGenOptions gopts;
-  gopts.interarrival = options_.interarrival;
-  gopts.total_requests = options_.requests_per_client;
-  gopts.deadline = options_.deadline;
-  gopts.start = start + (client.id - 1) * 7;
-  const uint64_t max_slba = options_.lbas_per_device - kReadBlocks;
-  dpu::ShardedRpcNode* server = node(0).endpoint;
-  client.gen = std::make_unique<LoadGen>(
-      &engine().shard(client.shard), gopts,
-      [this, &client, server, max_slba](uint64_t seq, sim::SimTime deadline,
-                                        LoadGen::DoneFn done) {
-        dpu::RpcRequest request;
-        if (options_.workload == OverloadWorkload::kLsmKv) {
-          // Deterministic per-(client, seq) key and op mix: layout cannot
-          // change what any client issues.
-          const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client.id} << 32);
-          const uint64_t key = h % options_.kv_key_space;
-          const bool write = (h >> 33) % 100 < options_.kv_write_pct;
-          request.service = dpu::ServiceId::kLsmKv;
-          ByteWriter payload;
-          if (write) {
-            request.opcode = dpu::KvOp::kPut;
-            Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(h >> 56 | 1));
-            payload.PutU64(key);
-            payload.PutU32(static_cast<uint32_t>(value.size()));
-            payload.PutBytes(ByteSpan(value.data(), value.size()));
-          } else {
-            request.opcode = dpu::KvOp::kGet;
-            payload.PutU64(key);
-          }
-          request.payload = Buffer(payload.Take());
-        } else {
-          request.service = dpu::ServiceId::kBlock;
-          request.opcode = dpu::BlockOp::kRead;
-          ByteWriter payload(16);
-          payload.PutU32(1);  // nsid
-          payload.PutU64((seq * 97 + uint64_t{client.id} * 7919) % max_slba);
-          payload.PutU32(kReadBlocks);
-          request.payload = Buffer(payload.Take());
-        }
-        request.deadline = deadline;  // kNever == kNoDeadline: none
-        client.endpoint->CallAsync(server, request,
-                                   [done = std::move(done)](Result<dpu::RpcResponse> result) {
-                                     done(OutcomeOf(result));
-                                   });
-      });
-  client.gen->Start();
-}
-
-void OverloadCluster::StartScanClient(ClientNode& client, sim::SimTime start) {
-  LoadGenOptions gopts;
-  gopts.interarrival = options_.scan_interarrival;
-  gopts.total_requests = options_.scan_requests_per_client;
-  gopts.start = start + (client.id - 1) * 7;
-  dpu::ShardedRpcNode* target =
-      options_.analytics_spatial ? analytics_->endpoint : node(0).endpoint;
-  const uint64_t table_rows = options_.scan_table_rows;
-  client.gen = std::make_unique<LoadGen>(
-      &engine().shard(client.shard), gopts,
-      [&client, target, table_rows](uint64_t seq, sim::SimTime deadline,
-                                    LoadGen::DoneFn done) {
-        // Deterministic per-(client, seq) query: the kernel kind rotates
-        // (forcing ICAP swaps on a small fabric) and the predicate range
-        // walks the order-id space (zone maps prune most groups).
-        const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client.id} << 32);
-        format::ScanQuery query;
-        query.kind = static_cast<format::ScanKernelKind>(h % format::kScanKernelKindCount);
-        query.filter_column = "order_id";
-        const uint64_t span = std::max<uint64_t>(1, table_rows / 8);
-        const uint64_t lo = (h >> 8) % (table_rows - span + 1);
-        query.lo = static_cast<int64_t>(lo);
-        query.hi = static_cast<int64_t>(lo + span - 1);
-        query.value_column = "amount";
-        query.group_column = "region";
-        dpu::RpcRequest request;
-        request.service = dpu::ServiceId::kScan;
-        request.opcode = dpu::ScanOp::kQuery;
-        request.payload = Buffer(format::SerializeScanQuery(query));
-        request.deadline = deadline;
-        client.endpoint->CallAsync(
-            target, request,
-            [&client, h, done = std::move(done)](Result<dpu::RpcResponse> result) {
-              if (const Outcome outcome = OutcomeOf(result); outcome != Outcome::kOk) {
-                done(outcome);
-                return;
-              }
-              auto scan = format::ParseScanResult(result->payload);
-              if (!scan.ok()) {
-                done(Outcome::kFailed);
-                return;
-              }
-              // Commutative folds only: completion order across clients is
-              // not layout-pinned, per-(client, seq) salting keeps the
-              // fingerprint sensitive to which query produced what.
-              client.scan_fingerprint ^=
-                  scan->output.Fingerprint() ^ (h * 0x2545f4914f6cdd1dull);
-              client.scan_rows_matched += scan->output.rows_matched;
-              client.scan_chunk_bytes += scan->stats.chunk_bytes_fetched;
-              client.scan_device_bytes += scan->stats.device_bytes_moved;
-              client.scan_groups_skipped += scan->stats.groups_skipped;
-              if (scan->stats.reconfigured) {
-                ++client.scan_reconfigs;
-                client.reconfig_latency.Record(scan->stats.reconfig_ns);
-              }
-              done(Outcome::kOk);
-            });
-      });
-  client.gen->Start();
-}
-
-OverloadResult OverloadCluster::Collect(sim::SimTime start) {
   OverloadResult result;
   sim::Histogram latency;
   sim::Histogram scan_latency;
@@ -380,6 +275,102 @@ OverloadResult OverloadCluster::Collect(sim::SimTime start) {
   dpu::FillLatency(scan_latency, &result.scan_latency_count, &result.scan_latency_p50_ns,
                    &result.scan_latency_p99_ns, &result.scan_latency_max_ns);
   return result;
+}
+
+LoadGen::IssueFn OverloadCluster::KvRequests(ClientNode& client) {
+  const uint64_t max_slba = options_.lbas_per_device - kReadBlocks;
+  dpu::ShardedRpcNode* server = node(0).endpoint;
+  return [this, &client, server, max_slba](uint64_t seq, sim::SimTime deadline,
+                                           LoadGen::DoneFn done) {
+    dpu::RpcRequest request;
+    if (options_.workload == OverloadWorkload::kLsmKv) {
+      // Deterministic per-(client, seq) key and op mix: layout cannot
+      // change what any client issues.
+      const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client.id} << 32);
+      const uint64_t key = h % options_.kv_key_space;
+      const bool write = (h >> 33) % 100 < options_.kv_write_pct;
+      request.service = dpu::ServiceId::kLsmKv;
+      ByteWriter payload;
+      if (write) {
+        request.opcode = dpu::KvOp::kPut;
+        Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(h >> 56 | 1));
+        payload.PutU64(key);
+        payload.PutU32(static_cast<uint32_t>(value.size()));
+        payload.PutBytes(ByteSpan(value.data(), value.size()));
+      } else {
+        request.opcode = dpu::KvOp::kGet;
+        payload.PutU64(key);
+      }
+      request.payload = Buffer(payload.Take());
+    } else {
+      request.service = dpu::ServiceId::kBlock;
+      request.opcode = dpu::BlockOp::kRead;
+      ByteWriter payload(16);
+      payload.PutU32(1);  // nsid
+      payload.PutU64((seq * 97 + uint64_t{client.id} * 7919) % max_slba);
+      payload.PutU32(kReadBlocks);
+      request.payload = Buffer(payload.Take());
+    }
+    request.deadline = deadline;  // kNever == kNoDeadline: none
+    client.endpoint->CallAsync(server, request,
+                               [done = std::move(done)](Result<dpu::RpcResponse> result) {
+                                 done(OutcomeOf(result));
+                               });
+  };
+}
+
+LoadGen::IssueFn OverloadCluster::ScanRequests(ClientNode& client) {
+  dpu::ShardedRpcNode* target =
+      options_.analytics_spatial ? analytics_->endpoint : node(0).endpoint;
+  const uint64_t table_rows = options_.scan_table_rows;
+  return [&client, target, table_rows](uint64_t seq, sim::SimTime deadline,
+                                       LoadGen::DoneFn done) {
+    // Deterministic per-(client, seq) query: the kernel kind rotates
+    // (forcing ICAP swaps on a small fabric) and the predicate range
+    // walks the order-id space (zone maps prune most groups).
+    const uint64_t h = (seq * 0x9e3779b97f4a7c15ull) ^ (uint64_t{client.id} << 32);
+    format::ScanQuery query;
+    query.kind = static_cast<format::ScanKernelKind>(h % format::kScanKernelKindCount);
+    query.filter_column = "order_id";
+    const uint64_t span = std::max<uint64_t>(1, table_rows / 8);
+    const uint64_t lo = (h >> 8) % (table_rows - span + 1);
+    query.lo = static_cast<int64_t>(lo);
+    query.hi = static_cast<int64_t>(lo + span - 1);
+    query.value_column = "amount";
+    query.group_column = "region";
+    dpu::RpcRequest request;
+    request.service = dpu::ServiceId::kScan;
+    request.opcode = dpu::ScanOp::kQuery;
+    request.payload = Buffer(format::SerializeScanQuery(query));
+    request.deadline = deadline;
+    client.endpoint->CallAsync(
+        target, request,
+        [&client, h, done = std::move(done)](Result<dpu::RpcResponse> result) {
+          if (const Outcome outcome = OutcomeOf(result); outcome != Outcome::kOk) {
+            done(outcome);
+            return;
+          }
+          auto scan = format::ParseScanResult(result->payload);
+          if (!scan.ok()) {
+            done(Outcome::kFailed);
+            return;
+          }
+          // Commutative folds only: completion order across clients is
+          // not layout-pinned, per-(client, seq) salting keeps the
+          // fingerprint sensitive to which query produced what.
+          client.scan_fingerprint ^=
+              scan->output.Fingerprint() ^ (h * 0x2545f4914f6cdd1dull);
+          client.scan_rows_matched += scan->output.rows_matched;
+          client.scan_chunk_bytes += scan->stats.chunk_bytes_fetched;
+          client.scan_device_bytes += scan->stats.device_bytes_moved;
+          client.scan_groups_skipped += scan->stats.groups_skipped;
+          if (scan->stats.reconfigured) {
+            ++client.scan_reconfigs;
+            client.reconfig_latency.Record(scan->stats.reconfig_ns);
+          }
+          done(Outcome::kOk);
+        });
+  };
 }
 
 }  // namespace hyperion::load

@@ -179,9 +179,9 @@ class OverloadCluster : public dpu::Cluster {
     sim::Histogram reconfig_latency;
   };
 
-  void StartKvClient(ClientNode& client, sim::SimTime start);
-  void StartScanClient(ClientNode& client, sim::SimTime start);
-  OverloadResult Collect(sim::SimTime start);
+  // What each client kind issues; `client` is the issuing node.
+  LoadGen::IssueFn KvRequests(ClientNode& client);
+  LoadGen::IssueFn ScanRequests(ClientNode& client);
 
   OverloadClusterOptions options_;
   std::unique_ptr<AnalyticsTenant> analytics_;
