@@ -470,9 +470,9 @@ void BM_ChannelSendInline(benchmark::State& state) { ChannelSendLoop<InlinePaylo
 void BM_ChannelSendBoxed(benchmark::State& state) { ChannelSendLoop<BoxedPayload>(state); }
 
 void RegisterAll() {
-  // Weak scaling out to 64 shards (PR 9); the big rows run once — on a
-  // one-core host a 64-node iteration is construction-heavy and the
-  // virtual-time counters are deterministic anyway.
+  // Weak scaling out to 64 shards; the big rows run once — their
+  // virtual-time counters are deterministic, and the iteration count is
+  // part of the row name the committed baselines are matched by.
   for (int64_t shards : {1, 2, 4, 8, 16, 64}) {
     benchmark::RegisterBenchmark(
         ("E11/NetKvWeakScaling/shards:" + std::to_string(shards)).c_str(), BM_NetKvWeakScaling)

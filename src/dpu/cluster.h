@@ -49,9 +49,10 @@ struct ClusterBaseOptions {
   uint32_t num_shards = 0;
   bool use_threads = true;
   net::FabricParams fabric;  // wire model for cross-node frames
-  // Trimmed per-node DPU: the cluster experiments care about communication
-  // structure, not per-node capacity, and full-size nodes would pay
-  // construction time for memory the workload never touches.
+  // Trimmed per-node DPU. Flash, DRAM and HBM all cost host memory only
+  // where written, so these sizes are kept for what they decide, not for
+  // construction cost: ObjectStore::PickLocation places segments by tier
+  // capacity, and the harness goldens pin the results of that placement.
   uint64_t lbas_per_device = 32768;
   uint64_t dram_bytes = 64ull << 20;
   uint64_t hbm_bytes = 16ull << 20;

@@ -308,13 +308,6 @@ struct RepAudit {
 };
 
 struct RepClusterOptions : ClusterBaseOptions {
-  // A smaller node than the cluster default: 64-node runs would otherwise
-  // pay construction for memory the workload never touches.
-  RepClusterOptions() {
-    dram_bytes = 24ull << 20;
-    hbm_bytes = 8ull << 20;
-  }
-
   uint32_t groups = 2;
   uint32_t replicas_per_group = 3;
   ClusterWorkload workload;  // value_bytes must be >= 8 (the tag)

@@ -1,15 +1,19 @@
 // On-board DRAM/HBM model for the DPU (the U280 carries 32 GiB DDR4 and
 // 8 GiB HBM2) and for the baseline host's DIMMs.
 //
-// A flat byte arena with a simple latency model: fixed access latency plus
-// serialization at the device bandwidth. HBM trades slightly higher latency
-// for much higher bandwidth, which is why the placement hints of §2.1
-// matter.
+// A table of 4 KiB pages, each materialised zero-filled on the first write
+// that touches it; bytes never written read as zero, and reads never
+// allocate. A device therefore costs host memory only for what the workload
+// writes. Paging is invisible to the latency model: fixed access latency
+// plus serialization at the device bandwidth, charged once per access. HBM
+// trades slightly higher latency for much higher bandwidth, which is why
+// the placement hints of §2.1 matter.
 
 #ifndef HYPERION_SRC_MEM_DRAM_H_
 #define HYPERION_SRC_MEM_DRAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -29,10 +33,15 @@ inline DramParams HbmParams() {
 
 class DramDevice {
  public:
-  DramDevice(sim::Engine* engine, uint64_t capacity_bytes, DramParams params = DramParams())
-      : engine_(engine), params_(params), data_(capacity_bytes, 0) {}
+  static constexpr uint64_t kPageSize = 4096;
 
-  uint64_t capacity() const { return data_.size(); }
+  DramDevice(sim::Engine* engine, uint64_t capacity_bytes, DramParams params = DramParams())
+      : engine_(engine),
+        params_(params),
+        capacity_(capacity_bytes),
+        pages_((capacity_bytes + kPageSize - 1) / kPageSize) {}
+
+  uint64_t capacity() const { return capacity_; }
 
   Status Read(uint64_t addr, MutableByteSpan out);
   Status Write(uint64_t addr, ByteSpan data);
@@ -45,7 +54,8 @@ class DramDevice {
  private:
   sim::Engine* engine_;
   DramParams params_;
-  std::vector<uint8_t> data_;
+  uint64_t capacity_;
+  std::vector<std::unique_ptr<uint8_t[]>> pages_;  // null until first written
 };
 
 }  // namespace hyperion::mem

@@ -120,7 +120,7 @@ Status ObjectStore::Write(SegmentId id, uint64_t offset, ByteSpan data) {
   counters_.Increment("translations");
   ++access_counts_[id];
   ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (offset + data.size() > seg.size) {
+  if (offset > seg.size || data.size() > seg.size - offset) {
     return OutOfRange("write past end of segment");
   }
   switch (seg.location) {
@@ -139,7 +139,7 @@ Result<Bytes> ObjectStore::Read(SegmentId id, uint64_t offset, uint64_t length) 
   counters_.Increment("translations");
   ++access_counts_[id];
   ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (offset + length > seg.size) {
+  if (offset > seg.size || length > seg.size - offset) {
     return OutOfRange("read past end of segment");
   }
   switch (seg.location) {
@@ -164,7 +164,7 @@ Status ObjectStore::ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out)
   counters_.Increment("translations");
   ++access_counts_[id];
   ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (offset + out.size() > seg.size) {
+  if (offset > seg.size || out.size() > seg.size - offset) {
     return OutOfRange("read past end of segment");
   }
   switch (seg.location) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/mem/allocator.h"
+#include "src/mem/dram.h"
 #include "src/mem/object_store.h"
 #include "src/mem/segment_table.h"
 #include "src/mem/vm_baseline.h"
@@ -179,6 +181,106 @@ TEST(SegmentTableTest, LoadFromEmptyDeviceIsNotFound) {
   EXPECT_EQ(SegmentTable::LoadFrom(&ctrl, ns, 256).status().code(), StatusCode::kNotFound);
 }
 
+// -- DramDevice ---------------------------------------------------------------
+
+constexpr uint64_t kPage = DramDevice::kPageSize;
+
+Bytes Pattern(size_t n, uint8_t seed) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<uint8_t>(seed + 13 * i);
+  }
+  return b;
+}
+
+TEST(DramDeviceTest, UnwrittenBytesReadAsZero) {
+  sim::Engine engine;
+  DramDevice dram(&engine, 4 * kPage);
+  const Bytes data = Pattern(16, 1);
+  ASSERT_TRUE(dram.Write(kPage + 100, ByteSpan(data)).ok());
+
+  // The caller's buffer starts dirty: unwritten pages must overwrite it.
+  Bytes out(4 * kPage, 0xAB);
+  ASSERT_TRUE(dram.Read(0, MutableByteSpan(out)).ok());
+  for (uint64_t i = 0; i < out.size(); ++i) {
+    const bool written = i >= kPage + 100 && i < kPage + 116;
+    ASSERT_EQ(out[i], written ? data[i - kPage - 100] : 0) << "byte " << i;
+  }
+}
+
+TEST(DramDeviceTest, StraddlingAccessRoundTrips) {
+  sim::Engine engine;
+  DramDevice dram(&engine, 4 * kPage);
+  // Last 50 bytes of page 0, all of page 1, first 50 bytes of page 2.
+  const Bytes data = Pattern(kPage + 100, 7);
+  ASSERT_TRUE(dram.Write(kPage - 50, ByteSpan(data)).ok());
+  Bytes out(data.size());
+  ASSERT_TRUE(dram.Read(kPage - 50, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, data);
+
+  // A read straddling the second boundary sees the tail of the write, then
+  // zeros from the untouched rest of page 2.
+  Bytes tail(80);
+  ASSERT_TRUE(dram.Read(2 * kPage - 10, MutableByteSpan(tail)).ok());
+  EXPECT_TRUE(std::equal(tail.begin(), tail.begin() + 60, data.end() - 60));
+  EXPECT_TRUE(std::all_of(tail.begin() + 60, tail.end(), [](uint8_t b) { return b == 0; }));
+}
+
+TEST(DramDeviceTest, PartialLastPageServedToCapacity) {
+  sim::Engine engine;
+  const uint64_t capacity = 2 * kPage + 100;
+  DramDevice dram(&engine, capacity);
+  EXPECT_EQ(dram.capacity(), capacity);
+
+  const Bytes data = Pattern(100, 3);
+  ASSERT_TRUE(dram.Write(capacity - 100, ByteSpan(data)).ok());
+  Bytes out(100);
+  ASSERT_TRUE(dram.Read(capacity - 100, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, data);
+
+  Bytes one(1);
+  EXPECT_EQ(dram.Write(capacity, ByteSpan(one)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Read(capacity, MutableByteSpan(one)).code(), StatusCode::kOutOfRange);
+  Bytes two(2);
+  EXPECT_EQ(dram.Write(capacity - 1, ByteSpan(two)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Read(capacity - 1, MutableByteSpan(two)).code(), StatusCode::kOutOfRange);
+  // An address whose sum with the length wraps past 2^64 is out of range too.
+  Bytes eight(8);
+  EXPECT_EQ(dram.Write(UINT64_MAX - 3, ByteSpan(eight)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dram.Read(UINT64_MAX - 3, MutableByteSpan(eight)).code(), StatusCode::kOutOfRange);
+}
+
+TEST(DramDeviceTest, ZeroCapacityRejectsAnyNonEmptyAccess) {
+  sim::Engine engine;
+  DramDevice hbm(&engine, 0, HbmParams());
+  EXPECT_EQ(hbm.capacity(), 0u);
+  Bytes one(1);
+  for (uint64_t addr : {uint64_t{0}, kPage, UINT64_MAX}) {
+    EXPECT_EQ(hbm.Write(addr, ByteSpan(one)).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(hbm.Read(addr, MutableByteSpan(one)).code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_TRUE(hbm.Read(0, MutableByteSpan()).ok());
+}
+
+TEST(DramDeviceTest, EachAccessAdvancesByAccessTime) {
+  sim::Engine engine;
+  for (DramParams params : {DramParams(), HbmParams()}) {
+    DramDevice dram(&engine, 4 * kPage, params);
+    for (uint64_t size : {uint64_t{1}, uint64_t{64}, kPage, 3 * kPage - 1}) {
+      const Bytes data = Pattern(size, 9);
+      sim::SimTime before = engine.Now();
+      ASSERT_TRUE(dram.Write(kPage / 2, ByteSpan(data)).ok());
+      EXPECT_EQ(engine.Now() - before, dram.AccessTime(size));
+
+      Bytes out(size);
+      before = engine.Now();
+      ASSERT_TRUE(dram.Read(kPage / 2, MutableByteSpan(out)).ok());
+      EXPECT_EQ(engine.Now() - before, dram.AccessTime(size));
+      EXPECT_EQ(out, data);
+    }
+  }
+}
+
 // -- ObjectStore -------------------------------------------------------------
 
 class ObjectStoreTest : public ::testing::Test {
@@ -190,14 +292,6 @@ class ObjectStoreTest : public ::testing::Test {
     config.hbm_bytes = 256 << 10;
     config.nvme_nsid = nsid_;
     store_ = std::make_unique<ObjectStore>(&engine_, &ctrl_, config);
-  }
-
-  Bytes Pattern(size_t n, uint8_t seed) {
-    Bytes b(n);
-    for (size_t i = 0; i < n; ++i) {
-      b[i] = static_cast<uint8_t>(seed + 13 * i);
-    }
-    return b;
   }
 
   sim::Engine engine_;
@@ -245,11 +339,29 @@ TEST_F(ObjectStoreTest, WriteReadRoundTripAllTiers) {
 }
 
 TEST_F(ObjectStoreTest, BoundsEnforced) {
-  auto id = store_->Create(100, {});
-  ASSERT_TRUE(id.ok());
   Bytes data(50);
-  EXPECT_FALSE(store_->Write(*id, 60, ByteSpan(data.data(), data.size())).ok());
-  EXPECT_FALSE(store_->Read(*id, 90, 20).ok());
+  Bytes out(8);
+  for (SegmentHints hints :
+       {SegmentHints{}, SegmentHints{.performance_critical = true}, SegmentHints{.durable = true}}) {
+    // The first segment of each tier sits at base 0, so a wrapped offset
+    // that slipped past the check would land just before the tier.
+    auto id = store_->Create(100, hints);
+    ASSERT_TRUE(id.ok());
+    EXPECT_FALSE(store_->Write(*id, 60, ByteSpan(data.data(), data.size())).ok());
+    EXPECT_FALSE(store_->Read(*id, 90, 20).ok());
+    EXPECT_TRUE(store_->Read(*id, 92, 8).ok());
+
+    // Offsets near 2^64: offset + length wraps to a small sum that an
+    // additive bounds check would accept.
+    for (uint64_t offset : {UINT64_MAX - 3, UINT64_MAX - 49, UINT64_MAX}) {
+      EXPECT_EQ(store_->Write(*id, offset, ByteSpan(data.data(), data.size())).code(),
+                StatusCode::kOutOfRange);
+      EXPECT_EQ(store_->Read(*id, offset, 8).status().code(), StatusCode::kOutOfRange);
+      EXPECT_EQ(store_->ReadInto(*id, offset, MutableByteSpan(out)).code(),
+                StatusCode::kOutOfRange);
+    }
+    EXPECT_EQ(store_->Read(*id, 8, UINT64_MAX - 7).status().code(), StatusCode::kOutOfRange);
+  }
 }
 
 TEST_F(ObjectStoreTest, MigratePreservesContents) {
