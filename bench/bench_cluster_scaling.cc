@@ -309,7 +309,6 @@ double RunGraphBsp(const SyntheticGraph& graph, uint32_t shards, uint64_t* messa
   using Contributions = std::vector<std::pair<uint32_t, double>>;
   sim::ParallelEngineOptions options;
   options.num_shards = shards;
-  options.lookahead_floor = 100;
   sim::ParallelEngine engine(options);
   const sim::Duration step = 10 * engine.lookahead();
 

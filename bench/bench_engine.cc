@@ -2,20 +2,26 @@
 //
 // Measures raw schedule+run throughput of sim::Engine against a faithful
 // replica of the pre-PR-2 engine (binary heap of by-value events with
-// std::function callbacks), and isolates the two fast-path knobs:
+// std::function callbacks), on two workloads:
 //
-//   E0/Engine/legacy            pre-PR-2 baseline (heap + std::function)
-//   E0/Engine/wheel_pool        the shipped defaults
-//   E0/Engine/heap_pool         wheel off  (isolates the timing wheel)
-//   E0/Engine/wheel_nopool      pool off   (isolates the event slab pool)
-//   E0/Engine/heap_nopool      both off   (EventFn inlining alone)
+//   E0/Engine/...       batches of mixed-delay events, ~6% past the wheel
+//   E0/TimerChain/...   one self-rescheduling timer
 //
-// Callbacks capture 32 bytes — beyond std::function's small-object buffer
-// (16 bytes on libstdc++), inside EventFn's 48-byte inline storage — which
-// is the capture profile of the transport/RPC completions on the hot path.
+// Each runs twice: `legacy` is the replica, `wheel_pool` the shipped engine
+// (timing wheel and event pool, the only configuration). The row names keep
+// their PR 2 suffixes (batch or chain length, then the retired wheel and
+// pool knobs, both on) so they line up with BENCH_PR2.json and
+// BENCH_PR7.json.
 //
-// Reproduce the committed numbers (see EXPERIMENTS.md):
-//   ./bench/bench_engine --benchmark_format=json > BENCH_PR2.json
+// Callbacks capture a 32-byte payload plus a pointer — beyond
+// std::function's small-object buffer (16 bytes on libstdc++) and the 32
+// bytes an engine entry holds inline, so every event takes a pooled node —
+// which is the capture profile of the transport/RPC completions on the hot
+// path.
+//
+// Reproduce the committed numbers (see EXPERIMENTS.md; the CI wall gate
+// compares against BENCH_WALL.json):
+//   ./bench/bench_engine --benchmark_repetitions=3 --benchmark_format=json
 
 #include <benchmark/benchmark.h>
 
@@ -75,12 +81,12 @@ class LegacyEngine {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 
-// 32-byte capture: past std::function's SBO, within EventFn's 48 bytes.
+// 32-byte capture: past std::function's SBO, within EventFn's inline storage.
 struct Capture {
   uint64_t a, b, c, d;
 };
 
-// Deterministic delay sequence; bulk of events inside the default wheel
+// Deterministic delay sequence; bulk of events inside the wheel
 // horizon (~4.2 ms), a tail beyond it to exercise heap overflow+migration.
 class DelaySequence {
  public:
@@ -97,15 +103,17 @@ class DelaySequence {
   uint64_t state_ = 0x9e3779b97f4a7c15ull;
 };
 
-// Schedules `batch` events with mixed delays, drains, repeats. Reported
+constexpr int64_t kBatch = 4096;
+constexpr int64_t kChain = 16384;
+
+// Schedules kBatch events with mixed delays, drains, repeats. Reported
 // rate = events scheduled+executed per second of wall time.
 template <typename EngineT>
 void ScheduleRunLoop(benchmark::State& state, EngineT& engine) {
-  const int64_t batch = state.range(0);
   DelaySequence delays;
   uint64_t sink = 0;
   for (auto _ : state) {
-    for (int64_t i = 0; i < batch; ++i) {
+    for (int64_t i = 0; i < kBatch; ++i) {
       Capture cap{static_cast<uint64_t>(i), sink, 3, 4};
       engine.ScheduleAfter(delays.Next(),
                            [cap, &sink] { sink += cap.a + cap.b + cap.c + cap.d; });
@@ -113,7 +121,7 @@ void ScheduleRunLoop(benchmark::State& state, EngineT& engine) {
     engine.Run();
   }
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * batch);
+  state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
 void BM_LegacyEngine(benchmark::State& state) {
@@ -122,10 +130,7 @@ void BM_LegacyEngine(benchmark::State& state) {
 }
 
 void BM_Engine(benchmark::State& state) {
-  sim::EngineOptions options;
-  options.use_timing_wheel = state.range(1) != 0;
-  options.pool_events = state.range(2) != 0;
-  sim::Engine engine(options);
+  sim::Engine engine;
   ScheduleRunLoop(state, engine);
   state.counters["wheel_frac"] =
       engine.stats().scheduled == 0
@@ -145,7 +150,7 @@ template <typename EngineT>
 void TimerChainLoop(benchmark::State& state, EngineT& engine) {
   uint64_t sink = 0;
   for (auto _ : state) {
-    int64_t remaining = state.range(0);
+    int64_t remaining = kChain;
     std::function<void()> step;  // legacy engine needs a copyable callback
     step = [&engine, &remaining, &sink, &step] {
       ++sink;
@@ -157,7 +162,7 @@ void TimerChainLoop(benchmark::State& state, EngineT& engine) {
     engine.Run();
   }
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * kChain);
 }
 
 void BM_LegacyTimerChain(benchmark::State& state) {
@@ -166,31 +171,13 @@ void BM_LegacyTimerChain(benchmark::State& state) {
 }
 
 void BM_TimerChain(benchmark::State& state) {
-  sim::EngineOptions options;
-  options.use_timing_wheel = state.range(1) != 0;
-  options.pool_events = state.range(2) != 0;
-  sim::Engine engine(options);
+  sim::Engine engine;
   TimerChainLoop(state, engine);
 }
 
-void RegisterAll() {
-  constexpr int64_t kBatch = 4096;
-  benchmark::RegisterBenchmark("E0/Engine/legacy", BM_LegacyEngine)->Args({kBatch});
-  const std::pair<const char*, std::pair<int64_t, int64_t>> kVariants[] = {
-      {"E0/Engine/wheel_pool", {1, 1}},
-      {"E0/Engine/heap_pool", {0, 1}},
-      {"E0/Engine/wheel_nopool", {1, 0}},
-      {"E0/Engine/heap_nopool", {0, 0}},
-  };
-  for (const auto& [name, knobs] : kVariants) {
-    benchmark::RegisterBenchmark(name, BM_Engine)->Args({kBatch, knobs.first, knobs.second});
-  }
-  constexpr int64_t kChain = 16384;
-  benchmark::RegisterBenchmark("E0/TimerChain/legacy", BM_LegacyTimerChain)->Args({kChain});
-  benchmark::RegisterBenchmark("E0/TimerChain/wheel_pool", BM_TimerChain)->Args({kChain, 1, 1});
-  benchmark::RegisterBenchmark("E0/TimerChain/heap_nopool", BM_TimerChain)->Args({kChain, 0, 0});
-}
-
-const int kRegistered = (RegisterAll(), 0);
+BENCHMARK(BM_LegacyEngine)->Name("E0/Engine/legacy/4096");
+BENCHMARK(BM_Engine)->Name("E0/Engine/wheel_pool/4096/1/1");
+BENCHMARK(BM_LegacyTimerChain)->Name("E0/TimerChain/legacy/16384");
+BENCHMARK(BM_TimerChain)->Name("E0/TimerChain/wheel_pool/16384/1/1");
 
 }  // namespace

@@ -19,6 +19,15 @@ constexpr sim::Duration kDeadRefuseCost = 300;
 constexpr uint64_t kRepKvStoreId = 0x700;
 constexpr uint64_t kRepLogId = 0x800;
 
+// Client-side retry/failover policy. Per-op absolute deadlines ride the
+// request frames (the PR 5 deadline trailer), so deadline-aware admission
+// on the serving nodes sheds doomed work before it costs pipeline time.
+constexpr sim::Duration kOpDeadline = 50 * sim::kMillisecond;  // per-op budget
+constexpr sim::Duration kInitialBackoff = 20 * sim::kMicrosecond;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr sim::Duration kMaxBackoff = 2 * sim::kMillisecond;
+constexpr uint32_t kMaxAttempts = 16;  // full protocol attempts per op
+
 uint64_t Fold(uint64_t digest, uint64_t x) { return (digest ^ x) * 0x100000001b3ULL; }
 
 uint64_t FoldBytes(uint64_t digest, ByteSpan bytes) {
@@ -42,14 +51,14 @@ Bytes FrameApplied(uint64_t stamp, bool present, ByteSpan value) {
 
 // -- ReplicatedKvService ------------------------------------------------------
 
-Result<std::unique_ptr<ReplicatedKvService>> ReplicatedKvService::Install(
-    Hyperion* dpu, storage::KvBackend backend) {
+Result<std::unique_ptr<ReplicatedKvService>> ReplicatedKvService::Install(Hyperion* dpu) {
   if (!dpu->booted()) {
     return Unavailable("install the replicated service after Boot()");
   }
   auto service = std::unique_ptr<ReplicatedKvService>(new ReplicatedKvService(dpu));
   ASSIGN_OR_RETURN(storage::KvStore kv,
-                   storage::KvStore::Create(&dpu->store(), kRepKvStoreId, backend));
+                   storage::KvStore::Create(&dpu->store(), kRepKvStoreId,
+                                            storage::KvBackend::kBTree));
   service->kv_ = std::make_unique<storage::KvStore>(std::move(kv));
   service->log_ = std::make_unique<storage::CorfuLog>(&dpu->store(), kRepLogId);
   ReplicatedKvService* raw = service.get();
@@ -320,14 +329,12 @@ struct ReplicatedKvClient::Recovery {
 
 ReplicatedKvClient::ReplicatedKvClient(sim::ParallelEngine* engine, ShardedRpcNode* self,
                                        std::vector<ShardedRpcNode*> replicas,
-                                       uint32_t groups, uint32_t replicas_per_group,
-                                       RepClientOptions options)
+                                       uint32_t groups, uint32_t replicas_per_group)
     : engine_(engine),
       self_(self),
       replicas_(std::move(replicas)),
       groups_(groups),
       replicas_per_group_(replicas_per_group),
-      options_(options),
       views_(groups) {
   CHECK_EQ(replicas_.size(), size_t{groups_} * replicas_per_group_);
   CHECK_LE(replicas_per_group_, 64u);  // accusation set is a u64 mask
@@ -400,7 +407,7 @@ void ReplicatedKvClient::GetAsync(uint64_t key, GetDone done) {
 
 void ReplicatedKvClient::Start(std::shared_ptr<Op> op) {
   op->group = GroupOf(op->key);
-  op->deadline = Now() + options_.op_deadline;
+  op->deadline = Now() + kOpDeadline;
   Attempt(std::move(op));
 }
 
@@ -427,7 +434,7 @@ void ReplicatedKvClient::Attempt(std::shared_ptr<Op> op) {
     Finish(std::move(op), DeadlineExceeded("rep op deadline"));
     return;
   }
-  if (++op->attempts > options_.max_attempts) {
+  if (++op->attempts > kMaxAttempts) {
     Finish(std::move(op), Unavailable("rep attempts exhausted"));
     return;
   }
@@ -443,11 +450,9 @@ void ReplicatedKvClient::Backoff(std::shared_ptr<Op> op) {
     return;
   }
   counters_.Add("rep_retries", 1);
-  const sim::Duration delay =
-      op->backoff == 0 ? options_.initial_backoff : op->backoff;
+  const sim::Duration delay = op->backoff == 0 ? kInitialBackoff : op->backoff;
   op->backoff = std::min<sim::Duration>(
-      static_cast<sim::Duration>(delay * options_.backoff_multiplier),
-      options_.max_backoff);
+      static_cast<sim::Duration>(delay * kBackoffMultiplier), kMaxBackoff);
   if (Now() + delay >= op->deadline) {
     Finish(std::move(op), DeadlineExceeded("rep op deadline (backoff)"));
     return;

@@ -83,8 +83,7 @@ struct RepEntryKind {
 // wins by position and replay/repair order never matters.
 class ReplicatedKvService {
  public:
-  static Result<std::unique_ptr<ReplicatedKvService>> Install(
-      Hyperion* dpu, storage::KvBackend backend = storage::KvBackend::kBTree);
+  static Result<std::unique_ptr<ReplicatedKvService>> Install(Hyperion* dpu);
 
   // Hooks the node kill fault site (null detaches). Queried at every
   // protocol boundary in this replica's serve order: request entry
@@ -150,17 +149,6 @@ class ReplicatedKvService {
   sim::Counters counters_;
 };
 
-// Client-side retry/failover policy. Per-op absolute deadlines ride the
-// request frames (the PR 5 deadline trailer), so deadline-aware admission
-// on the serving nodes sheds doomed work before it costs pipeline time.
-struct RepClientOptions {
-  sim::Duration op_deadline = 50 * sim::kMillisecond;  // per-op budget
-  sim::Duration initial_backoff = 20 * sim::kMicrosecond;
-  double backoff_multiplier = 2.0;
-  sim::Duration max_backoff = 2 * sim::kMillisecond;
-  uint32_t max_attempts = 16;  // full protocol attempts per op
-};
-
 // The smart client: key → group placement, chain writes, tail reads, and
 // the whole failover path. One instance per client node; holds a private
 // {epoch, dead set} view per group and shares no state with other clients
@@ -176,7 +164,7 @@ class ReplicatedKvClient {
   // index order. Must be driven from `self`'s shard.
   ReplicatedKvClient(sim::ParallelEngine* engine, ShardedRpcNode* self,
                      std::vector<ShardedRpcNode*> replicas, uint32_t groups,
-                     uint32_t replicas_per_group, RepClientOptions options = {});
+                     uint32_t replicas_per_group);
 
   void PutAsync(uint64_t key, Bytes value, PutDone done);
   void DeleteAsync(uint64_t key, PutDone done);
@@ -244,7 +232,6 @@ class ReplicatedKvClient {
   std::vector<ShardedRpcNode*> replicas_;
   uint32_t groups_;
   uint32_t replicas_per_group_;
-  RepClientOptions options_;
   std::vector<View> views_;
   sim::Counters counters_;
 };

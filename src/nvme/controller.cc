@@ -50,7 +50,8 @@ Completion Controller::Execute(const Command& cmd) {
   switch (cmd.opcode) {
     case Opcode::kRead: {
       const uint32_t blocks = cmd.BlockCount();
-      if (cmd.slba + blocks > ns->capacity_lbas()) {
+      // slba can arrive straight off the wire (BlockOp::kRead): no sum may wrap.
+      if (cmd.slba > ns->capacity_lbas() || blocks > ns->capacity_lbas() - cmd.slba) {
         cqe.status = CmdStatus::kLbaOutOfRange;
         return cqe;
       }
@@ -88,7 +89,8 @@ Completion Controller::Execute(const Command& cmd) {
     }
     case Opcode::kWrite: {
       const uint32_t blocks = cmd.BlockCount();
-      if (cmd.slba + blocks > ns->capacity_lbas()) {
+      // As for reads: slba can arrive off the wire (BlockOp::kWrite).
+      if (cmd.slba > ns->capacity_lbas() || blocks > ns->capacity_lbas() - cmd.slba) {
         cqe.status = CmdStatus::kLbaOutOfRange;
         return cqe;
       }

@@ -78,7 +78,9 @@ Result<Bytes> ZonedNamespace::Read(uint32_t zone_id, uint64_t slba, uint32_t blo
     return InvalidArgument("no such zone");
   }
   const Zone& zone = zones_[zone_id];
-  if (slba < zone.start_lba || slba + block_count > zone.write_pointer) {
+  // slba comes from SSTable extents read off media: no sum may wrap.
+  if (slba < zone.start_lba || slba > zone.write_pointer ||
+      block_count > zone.write_pointer - slba) {
     return OutOfRange("read beyond the zone's written extent");
   }
   return controller_->Read(nsid_, slba, block_count);

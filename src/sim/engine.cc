@@ -4,30 +4,15 @@
 
 namespace hyperion::sim {
 
-Engine::Engine(const EngineOptions& options) : options_(options) {
-  CHECK_GT(options_.slot_count, 0u);
-  CHECK_EQ(options_.slot_count & (options_.slot_count - 1), 0u)
-      << "slot_count must be a power of two";
-  CHECK_LT(options_.slot_shift, 64u);
-  wheel_enabled_ = options_.use_timing_wheel;
-  pooled_ = options_.pool_events;
-  slot_shift_ = options_.slot_shift;
-  slot_count_ = options_.slot_count;
-  slot_mask_ = slot_count_ - 1;
-  if (wheel_enabled_) {
-    slot_data_ = std::make_unique_for_overwrite<Entry[]>(slot_count_ * kSlotCap);
-    slot_len_.assign(slot_count_, 0);
-    spill_.resize(slot_count_);
-    occ_.assign((slot_count_ + 63) / 64, 0);
-  }
-}
+Engine::Engine()
+    : slot_data_(std::make_unique_for_overwrite<Entry[]>(kSlotCount * kSlotCap)),
+      spill_(kSlotCount) {}
 
 Engine::~Engine() {
-  // Destroy any still-pending callables. Pooled nodes return to the free
-  // list and are freed with their slabs; unpooled nodes delete themselves
-  // through ReleaseEvent. Drained entries live only in drain_buf_/aux (the
-  // slot region is cleared when pulled), so there is no overlap with the
-  // region sweep.
+  // Destroy any still-pending callables. Their nodes return to the free
+  // list and are freed with their slabs. Drained entries live only in
+  // drain_buf_/aux (the slot region is cleared when pulled), so there is no
+  // overlap with the region sweep.
   for (size_t i = drain_pos_; i < drain_cnt_; ++i) {
     drain_base_[i].ops->destroy(this, drain_base_[i].storage);
   }
@@ -78,9 +63,6 @@ void Engine::ErasedDestroy(Engine* /*engine*/, void* s) {
 }
 
 Engine::Event* Engine::AllocEventSlow() {
-  if (!pooled_) {
-    return new Event;
-  }
   auto slab = std::make_unique<Event[]>(kSlabEvents);
   Event* events = slab.get();
   slabs_.push_back(std::move(slab));
@@ -165,9 +147,9 @@ void Engine::HeapPop() {
 }
 
 uint64_t Engine::FirstOccupiedAbs() const {
-  const uint64_t base = now_ >> slot_shift_;
-  const size_t p0 = static_cast<size_t>(base & slot_mask_);
-  const size_t nwords = occ_.size();
+  const uint64_t base = now_ >> kSlotShift;
+  const size_t p0 = static_cast<size_t>(base & kSlotMask);
+  constexpr size_t nwords = kSlotCount / 64;
   size_t word = p0 >> 6;
   // Mask off slots before p0 in the first word; the circular distance math
   // below maps wrapped positions back to absolute slot numbers.
@@ -175,8 +157,8 @@ uint64_t Engine::FirstOccupiedAbs() const {
   for (size_t scanned = 0; scanned <= nwords; ++scanned) {
     if (bits != 0) {
       const size_t p = ((word << 6) | static_cast<size_t>(std::countr_zero(bits))) &
-                       static_cast<size_t>(slot_mask_);
-      return base + ((p - p0) & slot_mask_);
+                       static_cast<size_t>(kSlotMask);
+      return base + ((p - p0) & kSlotMask);
     }
     word = word + 1 == nwords ? 0 : word + 1;
     bits = occ_[word];
@@ -208,7 +190,7 @@ void Engine::SortInto(const Entry* src, size_t n, Entry* dst) const {
     std::memcpy(dst, src, n * sizeof(Entry));
     return;
   }
-  const uint32_t sh = slot_shift_ >= 4 ? slot_shift_ - 4 : 0;
+  constexpr uint32_t sh = kSlotShift - 4;
   uint32_t cnt[17] = {0};
   for (size_t i = 0; i < n; ++i) {
     ++cnt[((src[i].when >> sh) & 15) + 1];
@@ -247,7 +229,7 @@ void Engine::SortRange(Entry* a, size_t n) const {
 void Engine::AbandonDrain() {
   // Return pending entries to their slot (region while it has room, spill
   // beyond); order within a slot does not matter.
-  const size_t p = static_cast<size_t>(drain_slot_ & slot_mask_);
+  const size_t p = static_cast<size_t>(drain_slot_ & kSlotMask);
   Entry* region = slot_data_.get() + p * kSlotCap;
   for (size_t i = drain_pos_; i < drain_cnt_; ++i) {
     const uint32_t len = slot_len_[p];
@@ -298,7 +280,7 @@ bool Engine::ResolveWheelFront() {
     if (drain_slot_ < first) {
       return true;
     }
-    const size_t p = static_cast<size_t>(first & slot_mask_);
+    const size_t p = static_cast<size_t>(first & kSlotMask);
     if (drain_slot_ == first) {
       // New arrivals landed in the slot being drained: gather pending +
       // arrivals (+ any spill) and re-sort.
@@ -351,7 +333,7 @@ bool Engine::ResolveWheelFront() {
   }
   // Pull slot `first`: radix-scatter the region into the hot drain buffer
   // and clear the slot (aux only when it spilled past the region).
-  const size_t p = static_cast<size_t>(first & slot_mask_);
+  const size_t p = static_cast<size_t>(first & kSlotMask);
   Entry* region = slot_data_.get() + p * kSlotCap;
   const size_t len = slot_len_[p];
   if (spill_count_ != 0 && !spill_[p].empty()) [[unlikely]] {
@@ -415,7 +397,7 @@ SimTime Engine::PeekTime() const {
     // yields the wheel minimum.
     const uint64_t first = FirstOccupiedAbs();
     if (first != kNever) {
-      const size_t p = static_cast<size_t>(first & slot_mask_);
+      const size_t p = static_cast<size_t>(first & kSlotMask);
       const Entry* region = slot_data_.get() + p * kSlotCap;
       for (size_t i = 0; i < slot_len_[p]; ++i) {
         if (region[i].when < best) {

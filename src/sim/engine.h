@@ -42,13 +42,14 @@
 //
 // All of it is behaviour-preserving for sequential users: execution order
 // is exactly the (time, seq) order of the original heap engine, which the
-// PR-1 determinism regression pins bit-identically. EngineOptions exposes
-// the wheel and pool as knobs so bench_engine can measure each against the
-// baseline.
+// PR-1 determinism regression pins bit-identically. The wheel geometry is
+// fixed (kSlotShift, kSlotCount); bench_engine measures the engine against
+// a replica of that original heap engine.
 
 #ifndef HYPERION_SRC_SIM_ENGINE_H_
 #define HYPERION_SRC_SIM_ENGINE_H_
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -203,23 +204,11 @@ class EventFn {
   const Ops* ops_ = nullptr;
 };
 
-// Knobs for bench_engine's A/B comparisons; defaults are the fast path.
-struct EngineOptions {
-  bool use_timing_wheel = true;
-  bool pool_events = true;
-  // Wheel geometry: slot width 2^slot_shift ns, slot_count slots (power of
-  // two). Defaults cover a ~4.2 ms horizon at 8.192 us per slot — wide
-  // enough for transport latencies, RTOs, and RPC backoffs, with slots
-  // dense enough that the sort-once drain amortizes over several events.
-  uint32_t slot_shift = 13;
-  uint32_t slot_count = 512;
-};
-
 // Scheduling/run telemetry (monotonic; for benches and tests, not models).
 struct EngineStats {
   uint64_t scheduled = 0;
   uint64_t wheel_scheduled = 0;   // entered the wheel directly
-  uint64_t heap_scheduled = 0;    // beyond the horizon (or wheel disabled)
+  uint64_t heap_scheduled = 0;    // beyond the wheel horizon
   uint64_t inline_callbacks = 0;  // captures held inline (entry or node)
   uint64_t boxed_callbacks = 0;   // heap-boxed captures
   uint64_t pool_slabs = 0;        // event-node slabs allocated
@@ -242,8 +231,17 @@ class Engine {
   // in the 64-byte ready-queue entry (no node, no allocation).
   static constexpr size_t kEntryInlineBytes = 32;
 
-  Engine() : Engine(EngineOptions{}) {}
-  explicit Engine(const EngineOptions& options);
+  // Wheel geometry: kSlotCount slots of 2^kSlotShift ns each, a ~4.2 ms
+  // horizon at 8.192 us per slot — wide enough for transport latencies,
+  // RTOs, and RPC backoffs, with slots dense enough that the sort-once
+  // drain amortizes over several events.
+  static constexpr uint32_t kSlotShift = 13;
+  static constexpr uint64_t kSlotCount = 512;
+  static_assert(std::has_single_bit(kSlotCount) && kSlotCount >= 64,
+                "the occupancy bitmap holds a power-of-two count of 64-slot words");
+  static_assert(kSlotShift >= 4, "the drain's radix pass keys on four sub-slot bits");
+
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -326,7 +324,6 @@ class Engine {
   // the parallel-simulation layer to compute epoch horizons. Read-only.
   SimTime PeekNextTime() const { return PeekTime(); }
 
-  const EngineOptions& options() const { return options_; }
   const EngineStats& stats() const { return stats_; }
 
  private:
@@ -418,12 +415,8 @@ class Engine {
   }
   Event* AllocEventSlow();
   void ReleaseEvent(Event* event) {
-    if (pooled_) [[likely]] {
-      NextFree(event) = free_list_;
-      free_list_ = event;
-    } else {
-      delete event;
-    }
+    NextFree(event) = free_list_;
+    free_list_ = event;
   }
 
   // Reserves an uninitialized Entry in the wheel calendar or heap staging
@@ -433,9 +426,8 @@ class Engine {
   Entry& PlaceEntry(SimTime when, uint64_t band, uint64_t seq) {
     ++stats_.scheduled;
     ++event_count_;
-    if (wheel_enabled_ && (when >> slot_shift_) - (now_ >> slot_shift_) < slot_count_)
-        [[likely]] {
-      const uint64_t abs_slot = when >> slot_shift_;
+    if ((when >> kSlotShift) - (now_ >> kSlotShift) < kSlotCount) [[likely]] {
+      const uint64_t abs_slot = when >> kSlotShift;
       // Express lane: an arrival for the slot currently being drained can
       // join the live drain buffer directly when it sorts after the last
       // pending entry — chained timers hit this on nearly every event and
@@ -458,7 +450,7 @@ class Engine {
         entry->seq = seq;
         return *entry;
       }
-      const size_t p = static_cast<size_t>(abs_slot & slot_mask_);
+      const size_t p = static_cast<size_t>(abs_slot & kSlotMask);
       occ_[p >> 6] |= 1ull << (p & 63);
       // Inserting at or below the drained slot invalidates the cached
       // front; the next extraction re-resolves it.
@@ -525,13 +517,7 @@ class Engine {
   uint64_t RunLoop(SimTime limit);
 
   static constexpr size_t kSlabEvents = 256;
-
-  EngineOptions options_;
-  bool wheel_enabled_ = false;
-  bool pooled_ = false;
-  uint32_t slot_shift_ = 0;
-  uint64_t slot_count_ = 0;
-  uint64_t slot_mask_ = 0;
+  static constexpr uint64_t kSlotMask = kSlotCount - 1;
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
@@ -542,11 +528,11 @@ class Engine {
   // that overflows kSlotCap spills into its per-slot vector (only examined
   // when slot_len_ has hit the cap).
   static constexpr size_t kSlotCap = 16;
-  std::unique_ptr<Entry[]> slot_data_;  // slot_count_ * kSlotCap
-  std::vector<uint32_t> slot_len_;
+  std::unique_ptr<Entry[]> slot_data_;  // kSlotCount * kSlotCap
+  std::array<uint32_t, kSlotCount> slot_len_{};
   std::vector<std::vector<Entry>> spill_;
   size_t spill_count_ = 0;  // total spilled entries; gates all spill checks
-  std::vector<uint64_t> occ_;
+  std::array<uint64_t, kSlotCount / 64> occ_{};
   size_t wheel_count_ = 0;
 
   // Drain state for the slot currently being consumed (absolute number

@@ -9,11 +9,10 @@ namespace hyperion::sim {
 ParallelEngine::ParallelEngine(const ParallelEngineOptions& options)
     : options_(options), num_shards_(options.num_shards) {
   CHECK_GT(options_.num_shards, 0u);
-  CHECK_GT(options_.lookahead_floor, 0u) << "a zero lookahead admits no safe window";
   shards_.reserve(num_shards_);
   for (uint32_t s = 0; s < num_shards_; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->engine = std::make_unique<Engine>(options_.engine_options);
+    shard->engine = std::make_unique<Engine>();
     shard->outbox.resize(num_shards_);
     shard->outbox_min.assign(num_shards_, Engine::kNever);
     shard->inbox.resize(num_shards_);
@@ -59,8 +58,7 @@ uint32_t ParallelEngine::source_shard(uint32_t source) const {
 }
 
 void ParallelEngine::DeclareLinkLatency(Duration min_latency) {
-  CHECK_GE(min_latency, options_.lookahead_floor)
-      << "link latency below lookahead_floor: lower the floor";
+  CHECK_GE(min_latency, kLookaheadFloor) << "link latency below the lookahead floor";
   CHECK(!running_) << "declare link latencies before Run()";
   global_declared_ = std::min(global_declared_, min_latency);
   matrices_ready_ = false;
@@ -70,8 +68,7 @@ void ParallelEngine::DeclareLinkLatency(uint32_t src_shard, uint32_t dst_shard,
                                         Duration min_latency) {
   CHECK_LT(src_shard, shards_.size());
   CHECK_LT(dst_shard, shards_.size());
-  CHECK_GE(min_latency, options_.lookahead_floor)
-      << "link latency below lookahead_floor: lower the floor";
+  CHECK_GE(min_latency, kLookaheadFloor) << "link latency below the lookahead floor";
   CHECK(!running_) << "declare link latencies before Run()";
   Duration& cell = pair_declared_[static_cast<size_t>(src_shard) * num_shards_ + dst_shard];
   cell = std::min(cell, min_latency);
@@ -83,7 +80,7 @@ Duration ParallelEngine::lookahead() const {
   for (Duration p : pair_declared_) {
     l = std::min(l, p);
   }
-  return l == Engine::kNever ? options_.lookahead_floor : l;
+  return l == Engine::kNever ? kLookaheadFloor : l;
 }
 
 Duration ParallelEngine::lookahead(uint32_t src_shard, uint32_t dst_shard) const {
@@ -91,7 +88,7 @@ Duration ParallelEngine::lookahead(uint32_t src_shard, uint32_t dst_shard) const
   CHECK_LT(dst_shard, shards_.size());
   const Duration l = std::min(
       global_declared_, pair_declared_[static_cast<size_t>(src_shard) * num_shards_ + dst_shard]);
-  return l == Engine::kNever ? options_.lookahead_floor : l;
+  return l == Engine::kNever ? kLookaheadFloor : l;
 }
 
 uint32_t ParallelEngine::RegisterChannel(uint32_t source, uint32_t dst_shard,
@@ -115,7 +112,7 @@ void ParallelEngine::EnsureMatrices() {
   for (size_t s = 0; s < n; ++s) {
     for (size_t d = 0; d < n; ++d) {
       Duration l = std::min(pair_declared_[s * n + d], global_declared_);
-      l_eff_[s * n + d] = l == Engine::kNever ? options_.lookahead_floor : l;
+      l_eff_[s * n + d] = l == Engine::kNever ? kLookaheadFloor : l;
     }
   }
   // All-pairs minimum influence distance over the directed lookahead edges

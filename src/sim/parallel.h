@@ -10,7 +10,7 @@
 // Synchronization is conservative PDES with a *lookahead matrix*: L[s][d]
 // is a lower bound on how far in the future a message from shard s to
 // shard d must land (per-channel declared latencies, falling back to the
-// global declared minimum, falling back to lookahead_floor). From L the
+// global declared minimum, falling back to kLookaheadFloor). From L the
 // coordinator derives the all-pairs shortest influence distance dist(s, d)
 // — the minimum latency over any multi-hop path s -> ... -> d, including
 // cycles back to d itself — and gives every shard its own horizon each
@@ -76,20 +76,10 @@ namespace hyperion::sim {
 
 struct ParallelEngineOptions {
   uint32_t num_shards = 1;
-  // Lower bound asserted on every cross-shard message's latency, and the
-  // fallback lookahead for links with no declared latency. Raising it
-  // widens windows (fewer barriers) but Post() CHECK-fails if any message
-  // is actually posted sooner — the knob can only claim lookahead the
-  // communication layer really has. DeclareLinkLatency() raises the
-  // effective lookahead above the floor, globally or per directed shard
-  // pair.
-  Duration lookahead_floor = 100;  // ns
   // Run shards on worker threads. With false (or num_shards == 1) windows
   // execute round-robin on the caller's thread — bit-identical results,
   // useful for debugging and for measuring barrier overhead alone.
   bool use_threads = true;
-  // Per-shard engine knobs (timing wheel, event pool).
-  EngineOptions engine_options;
 };
 
 struct ParallelEngineStats {
@@ -106,6 +96,13 @@ struct ParallelEngineStats {
 // Sharded conservative-lookahead event engine. See file comment.
 class ParallelEngine {
  public:
+  // Lower bound asserted on every declared link latency, and the fallback
+  // lookahead for links with no declared latency. DeclareLinkLatency()
+  // raises the effective lookahead above the floor, globally or per
+  // directed shard pair; Post() CHECK-fails any message posted sooner than
+  // its pair's effective lookahead.
+  static constexpr Duration kLookaheadFloor = 100;  // ns
+
   explicit ParallelEngine(const ParallelEngineOptions& options);
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
@@ -122,7 +119,7 @@ class ParallelEngine {
   uint32_t source_shard(uint32_t source) const;
 
   // Declares that some channel can deliver a message `min_latency` after it
-  // is sent (>= lookahead_floor — CHECK; call before Run()). The global
+  // is sent (>= kLookaheadFloor — CHECK; call before Run()). The global
   // form bounds every directed shard pair; the pair form bounds one edge,
   // letting slow links buy wider windows for everyone else.
   void DeclareLinkLatency(Duration min_latency);

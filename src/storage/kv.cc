@@ -26,8 +26,6 @@ std::string_view KvBackendName(KvBackend backend) {
   switch (backend) {
     case KvBackend::kBTree:
       return "btree";
-    case KvBackend::kLsm:
-      return "lsm";
     case KvBackend::kHash:
       return "hash";
   }
@@ -44,9 +42,6 @@ Result<KvStore> KvStore::Create(mem::ObjectStore* store, uint64_t store_id, KvBa
       kv.btree_ = std::make_unique<BPlusTree>(std::move(tree));
       break;
     }
-    case KvBackend::kLsm:
-      kv.lsm_ = std::make_unique<LsmTree>(store, store_id);
-      break;
     case KvBackend::kHash: {
       ASSIGN_OR_RETURN(HashIndex index, HashIndex::Create(store, store_id, 64));
       kv.hash_ = std::make_unique<HashIndex>(std::move(index));
@@ -60,8 +55,6 @@ Status KvStore::IndexPut(uint64_t key, ByteSpan tagged) {
   switch (backend_) {
     case KvBackend::kBTree:
       return btree_->Insert(key, tagged);
-    case KvBackend::kLsm:
-      return lsm_->Put(key, tagged);
     case KvBackend::kHash: {
       Bytes kb = KeyBytes(key);
       return hash_->Put(ByteSpan(kb.data(), kb.size()), tagged);
@@ -74,8 +67,6 @@ Result<Bytes> KvStore::IndexGet(uint64_t key) {
   switch (backend_) {
     case KvBackend::kBTree:
       return btree_->Get(key);
-    case KvBackend::kLsm:
-      return lsm_->Get(key);
     case KvBackend::kHash: {
       Bytes kb = KeyBytes(key);
       return hash_->Get(ByteSpan(kb.data(), kb.size()));
@@ -88,8 +79,6 @@ Status KvStore::IndexDelete(uint64_t key) {
   switch (backend_) {
     case KvBackend::kBTree:
       return btree_->Delete(key);
-    case KvBackend::kLsm:
-      return lsm_->Delete(key);
     case KvBackend::kHash: {
       Bytes kb = KeyBytes(key);
       return hash_->Delete(ByteSpan(kb.data(), kb.size()));
@@ -174,12 +163,7 @@ Result<std::vector<std::pair<uint64_t, Bytes>>> KvStore::Scan(uint64_t lo, uint6
   if (backend_ == KvBackend::kHash) {
     return Unimplemented("hash index has no key order");
   }
-  std::vector<std::pair<uint64_t, Bytes>> rows;
-  if (backend_ == KvBackend::kBTree) {
-    ASSIGN_OR_RETURN(rows, btree_->Scan(lo, hi));
-  } else {
-    ASSIGN_OR_RETURN(rows, lsm_->Scan(lo, hi));
-  }
+  ASSIGN_OR_RETURN(auto rows, btree_->Scan(lo, hi));
   std::vector<std::pair<uint64_t, Bytes>> out;
   out.reserve(rows.size());
   for (auto& [key, tagged] : rows) {

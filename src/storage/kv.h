@@ -2,9 +2,10 @@
 // network-attached SSDs exporting "trees, lookup-tables").
 //
 // One key-value interface over a pluggable index backend so workloads (and
-// experiment E9's YCSB-style mixes) can choose read-optimized (B+ tree),
-// write-optimized (LSM), or point-lookup-optimized (hash) layouts without
-// changing call sites. Keys are u64 (KV-SSD style fixed keys); values are
+// experiment E9's YCSB-style mixes) can choose an ordered (B+ tree) or a
+// point-lookup-optimized (hash) layout without changing call sites. The
+// write-optimized layout is storage::LsmEngine on ZNS, served on its own
+// (ServiceId::kLsmKv). Keys are u64 (KV-SSD style fixed keys); values are
 // byte strings of any size: small values inline in the index, large ones
 // spill into their own durable segments with a reference in the index (the
 // classic KV-SSD value-log split).
@@ -21,11 +22,12 @@
 #include "src/mem/object_store.h"
 #include "src/storage/bptree.h"
 #include "src/storage/hash_index.h"
-#include "src/storage/lsm.h"
 
 namespace hyperion::storage {
 
-enum class KvBackend { kBTree, kLsm, kHash };
+// Explicit values: E9's bench row names carry them (E9/YCSB-A/hash/2/50),
+// so they stay fixed.
+enum class KvBackend { kBTree = 0, kHash = 2 };
 
 std::string_view KvBackendName(KvBackend backend);
 
@@ -43,7 +45,7 @@ class KvStore {
   Result<Buffer> GetBuffer(uint64_t key);
   Status Delete(uint64_t key);
 
-  // Ordered scan; kUnimplemented on the hash backend.
+  // Ordered scan (B+ tree); kUnimplemented on the hash backend.
   Result<std::vector<std::pair<uint64_t, Bytes>>> Scan(uint64_t lo, uint64_t hi);
 
   KvBackend backend() const { return backend_; }
@@ -61,7 +63,6 @@ class KvStore {
   mem::ObjectStore* store_ = nullptr;
   uint64_t store_id_ = 0;
   std::unique_ptr<BPlusTree> btree_;
-  std::unique_ptr<LsmTree> lsm_;
   std::unique_ptr<HashIndex> hash_;
 };
 

@@ -169,6 +169,39 @@ TEST_F(DpuTest, KvScanOverRpc) {
   EXPECT_EQ(GetU32(rows.payload, 0), 4u);  // keys 12..15
 }
 
+// A remote client picks slba: a block RPC whose slba + blocks wraps past
+// 2^64 gets an error reply, and the node keeps serving.
+TEST_F(DpuTest, WrappedSlbaBlockRpcFailsAndNodeKeepsServing) {
+  BootAndConnect();
+  constexpr uint32_t kNsid = 2;
+  Bytes read;
+  PutU32(read, kNsid);
+  PutU64(read, UINT64_MAX - 3);
+  PutU32(read, 8);
+  EXPECT_EQ(Call(ServiceId::kBlock, BlockOp::kRead, read).status.code(),
+            StatusCode::kOutOfRange);
+  const Bytes blocks(8 * nvme::kLbaSize, 0x5a);
+  Bytes write;
+  PutU32(write, kNsid);
+  PutU64(write, UINT64_MAX - 3);
+  PutBytes(write, ByteSpan(blocks.data(), blocks.size()));
+  EXPECT_EQ(Call(ServiceId::kBlock, BlockOp::kWrite, write).status.code(),
+            StatusCode::kOutOfRange);
+
+  Bytes in_range;
+  PutU32(in_range, kNsid);
+  PutU64(in_range, 0);
+  PutBytes(in_range, ByteSpan(blocks.data(), blocks.size()));
+  ASSERT_TRUE(Call(ServiceId::kBlock, BlockOp::kWrite, in_range).status.ok());
+  Bytes read_back;
+  PutU32(read_back, kNsid);
+  PutU64(read_back, 0);
+  PutU32(read_back, 8);
+  RpcResponse got = Call(ServiceId::kBlock, BlockOp::kRead, read_back);
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(got.payload, blocks);
+}
+
 TEST_F(DpuTest, LogServiceOverRpc) {
   BootAndConnect();
   Bytes entry = ToBytes("log-entry-0");

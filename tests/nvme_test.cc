@@ -218,6 +218,28 @@ TEST_F(ControllerTest, OutOfRangeRead) {
   EXPECT_FALSE(ctrl_.Read(ns, 7, 2).ok());
 }
 
+// slba can arrive straight off the wire (BlockOp): a range whose
+// slba + blocks wraps past 2^64 must fail the bounds check, not reach the
+// media.
+TEST_F(ControllerTest, WrappedSlbaReadRejected) {
+  const uint32_t ns = ctrl_.AddNamespace(8);
+  EXPECT_EQ(ctrl_.Read(ns, UINT64_MAX - 3, 8).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ctrl_.Read(ns, UINT64_MAX, 1).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ctrl_.Read(ns, 8, 1).status().code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(ctrl_.Read(ns, 0, 8).ok());  // the whole namespace still reads
+}
+
+TEST_F(ControllerTest, WrappedSlbaWriteRejected) {
+  const uint32_t ns = ctrl_.AddNamespace(8);
+  Bytes data = Pattern(8 * kLbaSize, 9);
+  EXPECT_EQ(ctrl_.Write(ns, UINT64_MAX - 3, ByteSpan(data.data(), data.size())).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ctrl_.Write(ns, UINT64_MAX, ByteSpan(data.data(), kLbaSize)).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(*ctrl_.Read(ns, 0, 8), Bytes(8 * kLbaSize, 0));  // nothing landed
+  EXPECT_TRUE(ctrl_.Write(ns, 0, ByteSpan(data.data(), data.size())).ok());
+}
+
 TEST_F(ControllerTest, MisalignedWriteRejected) {
   const uint32_t ns = ctrl_.AddNamespace(8);
   Bytes partial(100);
@@ -499,6 +521,16 @@ TEST_F(ZnsTest, ReadBeyondWritePointerRejected) {
   Bytes data = Blocks(1, 7);
   ASSERT_TRUE(zns_->Append(0, ByteSpan(data.data(), data.size())).ok());
   EXPECT_EQ(zns_->Read(0, 1, 1).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(ZnsTest, WrappedSlbaReadRejected) {
+  // slba comes from SSTable extents on media: a corrupt one whose
+  // slba + count wraps to inside the written extent must still be refused.
+  Bytes data = Blocks(4, 9);
+  ASSERT_TRUE(zns_->Append(0, ByteSpan(data.data(), data.size())).ok());
+  EXPECT_EQ(zns_->Read(0, UINT64_MAX - 3, 8).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(zns_->Read(0, UINT64_MAX, 1).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(*zns_->Read(0, 0, 4), data);
 }
 
 TEST_F(ZnsTest, ResetReturnsZoneToEmpty) {

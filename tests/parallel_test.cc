@@ -18,7 +18,6 @@ ParallelEngineOptions Options(uint32_t shards, bool threads) {
   ParallelEngineOptions options;
   options.num_shards = shards;
   options.use_threads = threads;
-  options.lookahead_floor = 100;
   return options;
 }
 

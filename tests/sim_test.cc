@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/sim/energy.h"
@@ -296,53 +297,50 @@ TEST(EngineTest, ScheduleAtAbsoluteTime) {
 
 // -- Engine fast path (PR 2) -------------------------------------------
 
-// Runs a deterministic mixed workload (bursts of same-time ties, delays
-// inside and far beyond the wheel horizon, events scheduling events) and
-// records the (time, tag) execution sequence.
-std::vector<std::pair<SimTime, int>> RunMixedWorkload(const EngineOptions& options) {
-  Engine engine(options);
-  std::vector<std::pair<SimTime, int>> trace;
-  uint64_t lcg = 12345;
-  auto next = [&lcg] {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return lcg >> 33;
-  };
-  for (int i = 0; i < 400; ++i) {
-    const uint64_t r = next();
-    // ~1/4 of events land far past the default wheel horizon (~4.2 ms).
-    const Duration delay = (r % 4 == 0) ? 10'000'000 + r % 50'000'000 : r % 3'000'000;
-    engine.ScheduleAfter(delay, [&trace, &engine, i] {
-      trace.emplace_back(engine.Now(), i);
-      if (i % 7 == 0) {
-        engine.ScheduleAfter(500, [&trace, &engine, i] {
-          trace.emplace_back(engine.Now(), 1000 + i);
-        });
+TEST(EngineFastPathTest, MixedWorkloadRunsInScheduleKeyOrder) {
+  // The (when, seq) key admits exactly one execution order, with seq taken
+  // at schedule time. So the property that fully specifies the engine is:
+  // every scheduled event runs exactly once, at its due time, and the
+  // executed (time, schedule index) pairs are strictly increasing. The
+  // workload mixes bursts of same-time ties, delays inside and far beyond
+  // the wheel horizon, and events scheduling events.
+  Engine engine;
+  std::vector<SimTime> due;                     // by schedule index
+  std::vector<std::pair<SimTime, size_t>> ran;  // (time, schedule index)
+  // An event with a nonzero `follow_up` schedules one more that far out.
+  std::function<void(SimTime, Duration)> schedule = [&](SimTime when, Duration follow_up) {
+    engine.ScheduleAt(when, [&, follow_up, index = due.size()] {
+      ran.emplace_back(engine.Now(), index);
+      if (follow_up != 0) {
+        schedule(engine.Now() + follow_up, 0);
       }
     });
+    due.push_back(when);
+  };
+  uint64_t lcg = 12345;
+  for (int i = 0; i < 400; ++i) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const uint64_t r = lcg >> 33;
+    // ~1/4 of events land far past the wheel horizon (~4.2 ms).
+    const Duration delay = (r % 4 == 0) ? 10'000'000 + r % 50'000'000 : r % 3'000'000;
+    // 500 ns follow-ups join the slot being drained; 3 ms follow-ups of
+    // far events enter the wheel while earlier heap entries still wait.
+    schedule(delay, i % 7 == 0 ? 500 : i % 7 == 1 ? 3'000'000 : 0);
   }
-  // Same-time ties in a burst.
   for (int i = 0; i < 32; ++i) {
-    engine.ScheduleAt(2'000'000, [&trace, i] { trace.emplace_back(2'000'000, 2000 + i); });
+    schedule(2'000'000, 0);  // same-time ties in a burst
   }
-  engine.Run();
-  return trace;
-}
-
-TEST(EngineFastPathTest, AllOptionPermutationsExecuteIdentically) {
-  // The wheel, the pool, and the wheel geometry are pure performance knobs:
-  // every permutation must produce the exact same execution sequence.
-  const std::vector<std::pair<SimTime, int>> golden =
-      RunMixedWorkload({.use_timing_wheel = false, .pool_events = false});
-  for (bool wheel : {false, true}) {
-    for (bool pool : {false, true}) {
-      EngineOptions options{.use_timing_wheel = wheel, .pool_events = pool};
-      EXPECT_EQ(RunMixedWorkload(options), golden) << "wheel=" << wheel << " pool=" << pool;
+  const uint64_t executed = engine.Run();  // schedules follow-ups: read due after
+  EXPECT_EQ(executed, due.size());
+  ASSERT_EQ(ran.size(), due.size());
+  for (size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i].first, due[ran[i].second]) << "event " << ran[i].second << " ran off time";
+    if (i > 0) {
+      EXPECT_LT(ran[i - 1], ran[i]) << "key order violated at " << i;
     }
   }
-  // A tiny wheel forces heavy heap overflow + migration; order still holds.
-  EngineOptions tiny{.use_timing_wheel = true, .pool_events = true,
-                     .slot_shift = 8, .slot_count = 16};  // 4.1 us horizon
-  EXPECT_EQ(RunMixedWorkload(tiny), golden);
+  EXPECT_GT(engine.stats().wheel_scheduled, 0u);
+  EXPECT_GT(engine.stats().heap_scheduled, 0u);
 }
 
 TEST(EngineFastPathTest, HeapOverflowInterleavesWithWheelInOrder) {
@@ -352,7 +350,7 @@ TEST(EngineFastPathTest, HeapOverflowInterleavesWithWheelInOrder) {
   for (int i = 1; i <= 9; ++i) {  // in-wheel events pulling now_ forward
     engine.ScheduleAfter(i * 1'000'000, [&order, i] { order.push_back(i); });
   }
-  // Horizon is 1024 x 4096 ns ~= 4.19 ms: 1-4 ms are wheel-eligible, the
+  // Horizon is 512 x 8192 ns ~= 4.19 ms: 1-4 ms are wheel-eligible, the
   // rest (5-9 ms and the 10 ms target) overflow to the heap. Extraction
   // compares the wheel front against the heap top by full key, so overflow
   // events execute in exact global order without migrating containers.
@@ -363,7 +361,7 @@ TEST(EngineFastPathTest, HeapOverflowInterleavesWithWheelInOrder) {
 }
 
 TEST(EngineFastPathTest, RunUntilWithPooledEvents) {
-  Engine engine(EngineOptions{.pool_events = true});
+  Engine engine;
   int fired = 0;
   // Big non-entry-inline captures force the overflow-node path; two waves
   // through the same pool pin release + reuse across RunUntil calls.
@@ -387,7 +385,7 @@ TEST(EngineFastPathTest, RunUntilWithPooledEvents) {
 }
 
 TEST(EngineFastPathTest, SmallTrivialCallbacksNeverTouchThePool) {
-  Engine engine(EngineOptions{.pool_events = true});
+  Engine engine;
   int fired = 0;
   for (int i = 0; i < 1000; ++i) {
     engine.ScheduleAfter(10 + i, [&fired] { ++fired; });
@@ -438,51 +436,51 @@ TEST(EventFnTest, InlineAndBoxedBothInvoke) {
 
 TEST(EngineFastPathTest, SameTimeFifoHoldsAcrossSlotGeometries) {
   // Property: at equal timestamps execution order is insertion order, for
-  // every storage path an entry can take — calendar region, spill past
-  // kSlotCap, over-horizon heap, the drain-slot express lane, and plain
-  // heap with the wheel disabled. A tiny wheel (4 slots x 64 ns) plus many
-  // colliding timestamps forces all of them.
-  const EngineOptions geometries[] = {
-      {},                                                              // defaults
-      {.slot_shift = 6, .slot_count = 4},                              // spill + heap
-      {.use_timing_wheel = false},                                     // pure heap
-      {.pool_events = false, .slot_shift = 6, .slot_count = 4},        // no pool
-  };
-  for (const EngineOptions& options : geometries) {
-    Engine engine(options);
-    std::vector<std::pair<SimTime, int>> order;
-    uint64_t state = 12345;
-    int id = 0;
+  // every storage path an entry can take. The two near clusters each pile
+  // 500 entries into one 8.192 us slot (express lane, calendar region,
+  // then spill past kSlotCap): the one at 0 lands in the slot the engine
+  // drains from the start, the one at 100 us is pulled fresh. The far
+  // cluster lies beyond the ~4.2 ms wheel horizon (the overflow heap).
+  // Same-time follow-ups scheduled from callbacks join the slot being
+  // drained near and tie with heap entries far.
+  constexpr SimTime kFar = 10'000'000;
+  static_assert(kFar > (Engine::kSlotCount << Engine::kSlotShift));
+  Engine engine;
+  std::vector<std::pair<SimTime, int>> order;
+  uint64_t state = 12345;
+  int id = 0;
+  for (SimTime base : {SimTime{0}, SimTime{100'000}, kFar}) {
     for (int i = 0; i < 500; ++i) {
       state = state * 6364136223846793005ull + 1442695040888963407ull;
-      const SimTime when = 10 + (state >> 33) % 40;  // heavy same-time collisions
+      const SimTime when = base + 10 + (state >> 33) % 40;  // heavy same-time collisions
       engine.ScheduleAt(when, [&order, when, my = id++] { order.push_back({when, my}); });
     }
-    // Same-time follow-ups from inside callbacks (the express-lane shape):
-    // each must run after every already-pending event at its timestamp.
-    // The follow-up's id is taken when it is scheduled (mid-run), so ids
+    // Each follow-up must run after every already-pending event at its
+    // timestamp. Its id is taken when it is scheduled (mid-run), so ids
     // track seq assignment order globally.
-    for (SimTime when : {SimTime{15}, SimTime{25}}) {
+    for (SimTime when : {base + 15, base + 25}) {
       engine.ScheduleAt(when, [&order, &engine, &id, when, my = id++] {
         order.push_back({when, my});
         engine.ScheduleAt(when, [&order, when, my2 = id++] { order.push_back({when, my2}); });
       });
     }
-    EXPECT_EQ(engine.Run(), 504u);
-    ASSERT_EQ(order.size(), 504u);
-    for (size_t i = 1; i < order.size(); ++i) {
-      EXPECT_LE(order[i - 1].first, order[i].first) << "time order violated at " << i;
-      if (order[i - 1].first == order[i].first) {
-        EXPECT_LT(order[i - 1].second, order[i].second) << "FIFO violated at " << i;
-      }
+  }
+  EXPECT_EQ(engine.Run(), 1512u);
+  ASSERT_EQ(order.size(), 1512u);
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_LE(order[i - 1].first, order[i].first) << "time order violated at " << i;
+    if (order[i - 1].first == order[i].first) {
+      EXPECT_LT(order[i - 1].second, order[i].second) << "FIFO violated at " << i;
     }
   }
+  EXPECT_GT(engine.stats().wheel_scheduled, 0u);
+  EXPECT_GT(engine.stats().heap_scheduled, 0u);
 }
 
 TEST(EngineFastPathTest, PoolExhaustionGrowsOnceAndReuses) {
   // 1000 node-path events need ceil(1000/256) = 4 slabs; a second wave of
   // the same size must reuse the freed nodes and allocate nothing new.
-  Engine engine(EngineOptions{.pool_events = true});
+  Engine engine;
   struct Fat {
     int* fired;
     char pad[Engine::kEntryInlineBytes];  // too big for entry-inline storage

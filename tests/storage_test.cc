@@ -1,5 +1,5 @@
-// Tests for the storage engines: B+ tree, LSM tree, hash index, Corfu log,
-// and WAL transactions (including crash-injection recovery).
+// Tests for the storage engines: B+ tree, hash index, Corfu log, and WAL
+// transactions (including crash-injection recovery).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "src/storage/graph.h"
 #include "src/storage/hash_index.h"
 #include "src/storage/kv.h"
-#include "src/storage/lsm.h"
 #include "src/storage/txn.h"
 
 namespace hyperion::storage {
@@ -155,105 +154,6 @@ TEST_F(StorageTest, BTreePropertyMatchesStdMap) {
     auto got = tree->Get(key);
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, value);
-  }
-}
-
-// -- LSM --------------------------------------------------------------------
-
-TEST_F(StorageTest, LsmPutGetThroughFlushes) {
-  LsmTree lsm(store_.get(), 1, /*memtable_budget=*/8 * 1024);
-  for (uint64_t k = 0; k < 1000; ++k) {
-    Bytes v = Value(k);
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), v.size())).ok());
-  }
-  EXPECT_GT(lsm.stats().flushes, 0u);
-  for (uint64_t k = 0; k < 1000; ++k) {
-    auto got = lsm.Get(k);
-    ASSERT_TRUE(got.ok()) << k;
-    EXPECT_EQ(*got, Value(k));
-  }
-}
-
-TEST_F(StorageTest, LsmNewestVersionWins) {
-  LsmTree lsm(store_.get(), 2, 4 * 1024);
-  Bytes v1 = {1};
-  Bytes v2 = {2};
-  ASSERT_TRUE(lsm.Put(42, ByteSpan(v1.data(), 1)).ok());
-  ASSERT_TRUE(lsm.Flush().ok());
-  ASSERT_TRUE(lsm.Put(42, ByteSpan(v2.data(), 1)).ok());
-  EXPECT_EQ(*lsm.Get(42), v2);
-  ASSERT_TRUE(lsm.Flush().ok());
-  EXPECT_EQ(*lsm.Get(42), v2);
-}
-
-TEST_F(StorageTest, LsmTombstonesShadowOlderValues) {
-  LsmTree lsm(store_.get(), 3, 4 * 1024);
-  Bytes v = {7};
-  ASSERT_TRUE(lsm.Put(10, ByteSpan(v.data(), 1)).ok());
-  ASSERT_TRUE(lsm.Flush().ok());
-  ASSERT_TRUE(lsm.Delete(10).ok());
-  EXPECT_EQ(lsm.Get(10).status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(lsm.Flush().ok());
-  EXPECT_EQ(lsm.Get(10).status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(StorageTest, LsmCompactionBoundsL0AndDropsTombstones) {
-  LsmTree lsm(store_.get(), 4, 2 * 1024);
-  for (uint64_t k = 0; k < 2000; ++k) {
-    Bytes v = Value(k);
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), v.size())).ok());
-  }
-  ASSERT_TRUE(lsm.Flush().ok());
-  EXPECT_GT(lsm.stats().compactions, 0u);
-  auto [l0, l1] = lsm.TableCounts();
-  EXPECT_LT(l0, LsmTree::kMaxL0Tables);
-  EXPECT_GT(l1, 0u);
-  // Everything still readable post-compaction.
-  for (uint64_t k = 0; k < 2000; k += 97) {
-    ASSERT_TRUE(lsm.Get(k).ok()) << k;
-  }
-}
-
-TEST_F(StorageTest, LsmBloomFiltersSkipFlashReads) {
-  LsmTree lsm(store_.get(), 5, 4 * 1024);
-  for (uint64_t k = 0; k < 500; ++k) {
-    Bytes v = Value(k);
-    ASSERT_TRUE(lsm.Put(k * 2, ByteSpan(v.data(), v.size())).ok());  // even keys
-  }
-  ASSERT_TRUE(lsm.Flush().ok());
-  // Odd keys fall inside [min,max] but are absent: blooms absorb most
-  // probes before any flash read.
-  for (uint64_t k = 1; k < 400; k += 2) {
-    EXPECT_FALSE(lsm.Get(k).ok());
-  }
-  EXPECT_GT(lsm.stats().bloom_skips, 0u);
-}
-
-TEST_F(StorageTest, LsmPropertyMatchesStdMap) {
-  LsmTree lsm(store_.get(), 6, 2 * 1024);
-  std::map<uint64_t, Bytes> model;
-  Rng rng(777);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t key = rng.Uniform(300);
-    if (rng.Bernoulli(0.25)) {
-      model.erase(key);
-      ASSERT_TRUE(lsm.Delete(key).ok());
-    } else {
-      Bytes v;
-      PutU64(v, rng.Next());
-      model[key] = v;
-      ASSERT_TRUE(lsm.Put(key, ByteSpan(v.data(), v.size())).ok());
-    }
-  }
-  for (uint64_t key = 0; key < 300; ++key) {
-    auto got = lsm.Get(key);
-    auto it = model.find(key);
-    if (it == model.end()) {
-      EXPECT_FALSE(got.ok()) << key;
-    } else {
-      ASSERT_TRUE(got.ok()) << key;
-      EXPECT_EQ(*got, it->second);
-    }
   }
 }
 
@@ -689,7 +589,7 @@ TEST_P(KvParamTest, PutGetDeleteAcrossBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KvParamTest,
-                         ::testing::Values(KvBackend::kBTree, KvBackend::kLsm, KvBackend::kHash),
+                         ::testing::Values(KvBackend::kBTree, KvBackend::kHash),
                          [](const auto& info) {
                            return std::string(KvBackendName(info.param));
                          });
@@ -734,56 +634,13 @@ TEST_F(StorageTest, KvScanMaterializesSpilledValues) {
 
 TEST_F(StorageTest, KvScanOnOrderedBackendsOnly) {
   auto btree_kv = KvStore::Create(store_.get(), 50, KvBackend::kBTree);
-  auto lsm_kv = KvStore::Create(store_.get(), 52, KvBackend::kLsm);
   auto hash_kv = KvStore::Create(store_.get(), 51, KvBackend::kHash);
   ASSERT_TRUE(btree_kv.ok());
-  ASSERT_TRUE(lsm_kv.ok());
   ASSERT_TRUE(hash_kv.ok());
   Bytes v = {1};
   ASSERT_TRUE(btree_kv->Put(1, ByteSpan(v.data(), 1)).ok());
-  ASSERT_TRUE(lsm_kv->Put(1, ByteSpan(v.data(), 1)).ok());
   EXPECT_TRUE(btree_kv->Scan(0, 10).ok());
-  EXPECT_TRUE(lsm_kv->Scan(0, 10).ok());
   EXPECT_EQ(hash_kv->Scan(0, 10).status().code(), StatusCode::kUnimplemented);
-}
-
-TEST_F(StorageTest, LsmScanMergesLevelsNewestWins) {
-  LsmTree lsm(store_.get(), 20, 2 * 1024);
-  // Old versions end up in L1 via compaction, new ones in memtable/L0.
-  for (uint64_t k = 0; k < 400; ++k) {
-    Bytes v = {1};
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), 1)).ok());
-  }
-  ASSERT_TRUE(lsm.Flush().ok());
-  // Overwrite a subset and delete another subset, leaving them in newer
-  // layers.
-  for (uint64_t k = 100; k < 120; ++k) {
-    Bytes v = {2};
-    ASSERT_TRUE(lsm.Put(k, ByteSpan(v.data(), 1)).ok());
-  }
-  for (uint64_t k = 150; k < 160; ++k) {
-    ASSERT_TRUE(lsm.Delete(k).ok());
-  }
-  auto rows = lsm.Scan(90, 169);
-  ASSERT_TRUE(rows.ok());
-  // 80 keys in range minus 10 tombstoned.
-  EXPECT_EQ(rows->size(), 70u);
-  for (const auto& [key, value] : *rows) {
-    ASSERT_GE(key, 90u);
-    ASSERT_LE(key, 169u);
-    EXPECT_TRUE(key < 150 || key > 159) << key;  // deleted range absent
-    const uint8_t expected = (key >= 100 && key < 120) ? 2 : 1;
-    EXPECT_EQ(value[0], expected) << key;
-  }
-  // Ordering.
-  for (size_t i = 0; i + 1 < rows->size(); ++i) {
-    EXPECT_LT((*rows)[i].first, (*rows)[i + 1].first);
-  }
-}
-
-TEST_F(StorageTest, LsmScanInvertedRangeRejected) {
-  LsmTree lsm(store_.get(), 21);
-  EXPECT_FALSE(lsm.Scan(10, 5).ok());
 }
 
 }  // namespace

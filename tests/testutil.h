@@ -117,8 +117,8 @@ class DpuFixture : public ::testing::Test {
   void Boot() { CHECK_OK(dpu_.Boot().status()); }
 
   // Registers the KV/log/block/control services on the DPU's RPC server.
-  void InstallServices(storage::KvBackend backend = storage::KvBackend::kBTree) {
-    auto services = dpu::HyperionServices::Install(&dpu_, backend);
+  void InstallServices() {
+    auto services = dpu::HyperionServices::Install(&dpu_);
     CHECK_OK(services.status());
     services_ = std::move(*services);
   }
@@ -131,14 +131,14 @@ class DpuFixture : public ::testing::Test {
                                                    dpu_.host_id(), &dpu_.rpc());
   }
 
-  void BootAndInstall(storage::KvBackend backend = storage::KvBackend::kBTree) {
+  void BootAndInstall() {
     Boot();
-    InstallServices(backend);
+    InstallServices();
   }
 
   // The full stack: boot, services, and an RDMA client.
-  void BootAndConnect(storage::KvBackend backend = storage::KvBackend::kBTree) {
-    BootAndInstall(backend);
+  void BootAndConnect() {
+    BootAndInstall();
     ConnectClient();
   }
 
