@@ -27,8 +27,10 @@
 //                       ran, and the post-run audit finds every
 //                       acknowledged write on every surviving replica.
 //
-// On a single-core host wall_events_per_s cannot rise with thread count;
-// see EXPERIMENTS.md for how to read the two axes. Generate the JSON with
+// Every shard runs on the calling thread, so wall_events_per_s measures
+// what sharding costs the host (barriers, outbox exchange), never a
+// parallel gain; see EXPERIMENTS.md for how to read the two axes.
+// Generate the JSON with
 //   bench_cluster_scaling --benchmark_format=json > BENCH_PR9.json
 
 #include <array>
@@ -139,7 +141,7 @@ void BM_NetKvWeakScaling(benchmark::State& state) {
 
 // Strong scaling: a fixed 8-node cluster over 1..8 shards. Determinism
 // makes the virtual-time numbers identical across rows; the wall rate
-// isolates the engine's parallel overhead (barriers, outbox exchange).
+// isolates the engine's sharding overhead (barriers, outbox exchange).
 void BM_NetKvStrongScaling(benchmark::State& state) {
   const auto shards = static_cast<uint32_t>(state.range(0));
   std::vector<NetKvRates> runs;
@@ -153,7 +155,8 @@ void BM_NetKvStrongScaling(benchmark::State& state) {
 // Headline acceptance row: 4-shard vs 1-shard netkv in one iteration.
 // speedup_sim_events_per_s is the modelled-throughput gain of the 4-node
 // sharded cluster over the single node (>= 2x expected); speedup_wall is
-// the host-side gain, bounded by the physical core count.
+// the ratio of host-side event rates, which with every shard on one thread
+// reflects per-event host cost, not parallelism.
 void BM_NetKvSpeedup(benchmark::State& state) {
   double base_sim = 0;
   double wide_sim = 0;
@@ -307,9 +310,7 @@ SyntheticGraph BuildGraph() {
 
 double RunGraphBsp(const SyntheticGraph& graph, uint32_t shards, uint64_t* messages) {
   using Contributions = std::vector<std::pair<uint32_t, double>>;
-  sim::ParallelEngineOptions options;
-  options.num_shards = shards;
-  sim::ParallelEngine engine(options);
+  sim::ParallelEngine engine(shards);
   const sim::Duration step = 10 * engine.lookahead();
 
   struct Partition {
@@ -424,10 +425,7 @@ struct BoxedPayload {
 
 template <typename Payload>
 void ChannelSendLoop(benchmark::State& state) {
-  sim::ParallelEngineOptions options;
-  options.num_shards = 2;
-  options.use_threads = false;  // alloc accounting, not parallelism
-  sim::ParallelEngine engine(options);
+  sim::ParallelEngine engine(2);
   const uint32_t src = engine.AddSource(0);
   uint64_t delivered = 0;
   sim::Channel<Payload> channel(

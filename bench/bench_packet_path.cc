@@ -26,8 +26,8 @@
 //       PR 4 span tracer, as counters.
 //
 //   ClusterIdentity   the E16 oracle: XdpCluster runs over shard layouts
-//       {1,2,4} x threads {off,on} must produce bit-identical results
-//       (including the per-packet verdict hash). Aborts on divergence.
+//       {1,2,4} must produce bit-identical results (including the
+//       per-packet verdict hash). Aborts on divergence.
 //
 // Regenerate the PR 8 numbers with
 //   bench_packet_path --benchmark_format=json > BENCH_PR8.json
@@ -190,7 +190,7 @@ BENCHMARK(Attribution)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// The determinism oracle as a benchmark: all six shard/thread layouts must
+// The determinism oracle as a benchmark: all three shard layouts must
 // produce bit-identical XdpClusterResult snapshots (verdict hash included).
 void ClusterIdentity(benchmark::State& state) {
   uint64_t messages = 0;
@@ -199,31 +199,28 @@ void ClusterIdentity(benchmark::State& state) {
     load::XdpClusterResult baseline;
     bool first = true;
     for (uint32_t shards : {1u, 2u, 4u}) {
-      for (bool threads : {false, true}) {
-        load::XdpClusterOptions options;
-        options.xdp = PathOptions(1u << 12, 1 << 13, /*fpga=*/true);
-        options.xdp.flow_buckets = 256;
-        options.num_backends = 3;
-        options.num_shards = shards;
-        options.use_threads = threads;
-        options.policy.enabled = true;
-        options.spray_sample = 4;
-        load::XdpCluster cluster(options);
-        const load::XdpClusterResult result = cluster.Run();
-        CHECK_GT(result.xdp.verdict_hash, 0u);
-        if (first) {
-          baseline = result;
-          first = false;
-        } else {
-          CHECK(result == baseline);  // E16 acceptance: bit-identical
-        }
-        messages += result.messages;
-        packets += result.xdp.rx_frames;
+      load::XdpClusterOptions options;
+      options.xdp = PathOptions(1u << 12, 1 << 13, /*fpga=*/true);
+      options.xdp.flow_buckets = 256;
+      options.num_backends = 3;
+      options.num_shards = shards;
+      options.policy.enabled = true;
+      options.spray_sample = 4;
+      load::XdpCluster cluster(options);
+      const load::XdpClusterResult result = cluster.Run();
+      CHECK_GT(result.xdp.verdict_hash, 0u);
+      if (first) {
+        baseline = result;
+        first = false;
+      } else {
+        CHECK(result == baseline);  // E16 acceptance: bit-identical
       }
+      messages += result.messages;
+      packets += result.xdp.rx_frames;
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(packets));
-  state.counters["layouts"] = 6;
+  state.counters["layouts"] = 3;
   state.counters["identical"] = 1;
   state.counters["messages"] = static_cast<double>(messages);
 }

@@ -33,8 +33,8 @@
 //       reconfig_p50_ms.
 //
 //   E18/ScanIdentity   determinism oracle: the mixed cluster re-run across
-//       shard layouts {1,2,4} x threads on/off must produce bit-identical
-//       OverloadResults (CHECK-aborts on divergence). Counter: layouts_ok.
+//       shard layouts {1,2,4} must produce bit-identical OverloadResults
+//       (CHECK-aborts on divergence). Counter: layouts_ok.
 //
 // Regenerate the PR 10 numbers with
 //   bench_scan --benchmark_filter='^E18' --benchmark_format=json > BENCH_PR10.json
@@ -276,23 +276,18 @@ void BM_ScanIdentity(benchmark::State& state) {
   for (auto _ : state) {
     load::OverloadClusterOptions base = MixedOptions(2, /*spatial=*/true);
     base.num_shards = 1;
-    base.use_threads = false;
     load::OverloadCluster golden_cluster(base);
     const load::OverloadResult golden = golden_cluster.Run();
     CHECK_NE(golden.scan_fingerprint, 0u);
     layouts = 0;
     for (uint32_t shards : {1u, 2u, 4u}) {
-      for (bool threads : {false, true}) {
-        load::OverloadClusterOptions options = MixedOptions(2, /*spatial=*/true);
-        options.num_shards = shards;
-        options.use_threads = threads;
-        load::OverloadCluster cluster(options);
-        const load::OverloadResult result = cluster.Run();
-        CHECK(result == golden) << "scan determinism violation: shards=" << shards
-                                << " threads=" << threads;
-        ++layouts;
-        processed += result.issued + result.scan_issued;
-      }
+      load::OverloadClusterOptions options = MixedOptions(2, /*spatial=*/true);
+      options.num_shards = shards;
+      load::OverloadCluster cluster(options);
+      const load::OverloadResult result = cluster.Run();
+      CHECK(result == golden) << "scan determinism violation: shards=" << shards;
+      ++layouts;
+      processed += result.issued + result.scan_issued;
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(processed));

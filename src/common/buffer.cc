@@ -5,9 +5,9 @@
 namespace hyperion {
 
 namespace {
-// Relaxed atomics: shard worker threads (sim/parallel.h) copy buffers
-// concurrently, and the totals are monotonic tallies read only at
-// quiescence — no ordering with respect to other memory is needed.
+// Relaxed atomics: threads may copy buffers concurrently, and the totals
+// are monotonic tallies read only at quiescence — no ordering with respect
+// to other memory is needed.
 std::atomic<uint64_t> g_copied_bytes{0};
 std::atomic<uint64_t> g_copy_ops{0};
 }  // namespace

@@ -15,9 +15,9 @@
 // counter so experiments can report copies-per-request (see
 // EXPERIMENTS.md, "copy-bytes accounting").
 //
-// Thread-safety (audited for the sharded parallel simulation, PR 3):
+// Thread-safety (checked by BufferThreadTest):
 //   * The copy counters are relaxed atomics — accounting stays correct when
-//     shard worker threads copy concurrently.
+//     threads copy concurrently.
 //   * The backing-block reference count is a std::shared_ptr control block,
 //     whose increments/decrements are atomic: distinct Buffer values (and
 //     slices) that share one block may be created, copied, and destroyed
@@ -47,7 +47,7 @@ namespace hyperion {
 // -- Copy accounting ---------------------------------------------------------
 
 // Monotonic totals of bytes/operations memcpy'd through the buffer layer
-// since process start (relaxed atomics: exact under shard worker threads).
+// since process start (relaxed atomics: exact under concurrent copies).
 uint64_t BufferCopiedBytes();
 uint64_t BufferCopyOps();
 // Internal: charge a copy. Exposed so chain helpers outside buffer.cc can

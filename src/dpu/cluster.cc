@@ -30,12 +30,9 @@ void FillLatency(const sim::Histogram& merged, uint64_t* count, uint64_t* p50, u
 Cluster::Cluster(const ClusterBaseOptions& options, uint32_t num_nodes)
     : num_nodes_(num_nodes), fabric_(options.fabric) {
   CHECK_GT(num_nodes_, 0u);
-  sim::ParallelEngineOptions popts;
-  popts.num_shards = options.num_shards == 0 || options.num_shards > num_nodes_
-                         ? num_nodes_
-                         : options.num_shards;
-  popts.use_threads = options.use_threads;
-  engine_ = std::make_unique<sim::ParallelEngine>(popts);
+  const uint32_t shards =
+      options.num_shards == 0 || options.num_shards > num_nodes_ ? num_nodes_ : options.num_shards;
+  engine_ = std::make_unique<sim::ParallelEngine>(shards);
   nodes_.reserve(num_nodes_);
 }
 

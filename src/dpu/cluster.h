@@ -16,9 +16,9 @@
 // closed-loop clients on the node's shard; keys hash-partition across nodes
 // with the placement DistributedKvClient uses, and an op owned by another
 // node crosses shards as a serialized RPC frame. The result is bit-identical
-// for any shard count and with threads on or off (tests/cluster_test.cc),
-// because nodes share no mutable state and cross-node messages merge in
-// (time, source, seq) order. bench_cluster_scaling runs it for netkv.
+// for any shard count (tests/cluster_test.cc), because nodes share no
+// mutable state and cross-node messages merge in (time, source, seq) order.
+// bench_cluster_scaling runs it for netkv.
 
 #ifndef HYPERION_SRC_DPU_CLUSTER_H_
 #define HYPERION_SRC_DPU_CLUSTER_H_
@@ -47,6 +47,8 @@ struct ClusterBaseOptions {
   // to shards in contiguous blocks so the (time, source, seq) merge order
   // is independent of the shard count.
   uint32_t num_shards = 0;
+  // Ignored: every shard runs on the caller's thread (sim/parallel.h). Kept
+  // only because perfbench/src/workloads.cc still assigns it.
   bool use_threads = true;
   net::FabricParams fabric;  // wire model for cross-node frames
   // Trimmed per-node DPU. Flash, DRAM and HBM all cost host memory only
@@ -223,9 +225,9 @@ struct ClusterOptions : ClusterBaseOptions {
   ClusterWorkload workload;
   // Distributed tracing: every node gets an obs::Tracer whose origin is the
   // node id, wired into the node's DPU substrates and its shard endpoint.
-  // MergedTrace() after Run() is bit-identical across shard layouts and
-  // threading modes; virtual time is unaffected either way (trace context
-  // rides frames as unmodelled metadata).
+  // MergedTrace() after Run() is bit-identical across shard layouts;
+  // virtual time is unaffected either way (trace context rides frames as
+  // unmodelled metadata).
   bool trace = false;
 };
 

@@ -36,8 +36,8 @@
 // Determinism: replicas share no mutable state; every cross-node
 // interaction is a ShardedRpcNode frame; node kill is decided on the
 // victim's own shard (its FaultInjector, queried at each protocol boundary
-// in its serve order) — so results are bit-identical across shard layouts
-// and threading modes, kills included.
+// in its serve order) — so results are bit-identical across shard layouts,
+// kills included.
 
 #ifndef HYPERION_SRC_DPU_REPLICATION_H_
 #define HYPERION_SRC_DPU_REPLICATION_H_
@@ -254,8 +254,8 @@ struct RepHistOp {
 };
 
 // Everything observable a replicated run produces, in deterministic form:
-// equality across shard layouts / threading modes is the determinism
-// oracle, kills included.
+// equality across shard layouts is the determinism oracle, kills
+// included.
 struct RepClusterResult {
   uint64_t ok_puts = 0;
   uint64_t ok_gets = 0;

@@ -225,8 +225,7 @@ class RpcClient {
 //                  the response frame at finish + wire latency
 //   caller shard   ParseResponseFrame -> completion callback
 //
-// The frame's payload crosses threads as shared Buffer slices (refcounts
-// are atomic; the epoch barrier provides the happens-before edge), so the
+// The frame's payload crosses shards as shared Buffer slices, so the
 // zero-copy datapath property of PR 2 survives sharding. Wire latency is
 // the pure fabric model (net::OneWayLatencyModel) of the frame's byte
 // count; its zero-byte floor is declared to the parallel engine as the

@@ -451,7 +451,7 @@ Result<Bytes> ExtFs::ReadFile(uint32_t inode_num, uint64_t offset, uint64_t leng
   if (inode.kind == InodeKind::kFree) {
     return NotFound("no such inode");
   }
-  if (offset + length > inode.size) {
+  if (offset > inode.size || length > inode.size - offset) {
     if (offset >= inode.size) {
       return OutOfRange("read past end of file");
     }

@@ -15,7 +15,7 @@
 // On dpu::Cluster it inherits KvCluster's layout invariance: nodes share no
 // mutable state, construction order pins source order, and every client
 // start time is distinct — OverloadResult is bit-identical across
-// num_shards x threads (tests/load_test.cc pins {1, 2, 4} x on/off).
+// num_shards (tests/load_test.cc pins shards {1, 2, 4}).
 
 #ifndef HYPERION_SRC_LOAD_HARNESS_H_
 #define HYPERION_SRC_LOAD_HARNESS_H_

@@ -34,7 +34,7 @@
 // runs the ingress, nodes 1..K are KvCluster-style backends; admitted new
 // flows are sprayed to their backend over the sharded RPC fabric. Its
 // result snapshot (including a per-packet verdict hash) must be
-// bit-identical across {1,2,4} shards x threads on/off.
+// bit-identical across shards {1, 2, 4}.
 
 #ifndef HYPERION_SRC_LOAD_XDP_H_
 #define HYPERION_SRC_LOAD_XDP_H_

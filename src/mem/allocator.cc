@@ -32,7 +32,7 @@ Result<uint64_t> RangeAllocator::Allocate(uint64_t size) {
 }
 
 Status RangeAllocator::Reserve(uint64_t offset, uint64_t size) {
-  if (size == 0 || offset + size > capacity_) {
+  if (size == 0 || offset > capacity_ || size > capacity_ - offset) {
     return InvalidArgument("bad reserve range");
   }
   // Find the free range containing [offset, offset+size).
@@ -58,7 +58,7 @@ Status RangeAllocator::Reserve(uint64_t offset, uint64_t size) {
 }
 
 Status RangeAllocator::Free(uint64_t offset, uint64_t size) {
-  if (size == 0 || offset + size > capacity_) {
+  if (size == 0 || offset > capacity_ || size > capacity_ - offset) {
     return InvalidArgument("bad free range");
   }
   // Find the free range after the one being inserted and its predecessor.

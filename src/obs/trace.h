@@ -13,15 +13,14 @@
 //
 //   * Span and trace ids are derived from (origin, seq): `origin` is a
 //     logical id the creator assigns (a cluster node id, a ParallelEngine
-//     source id — never a thread id or shard index, which change with the
+//     source id — never a shard index, which changes with the
 //     layout), and `seq` is the tracer's own call counter, which advances
 //     in the origin's deterministic execution order. No wall clock, no
 //     addresses, no randomness.
 //   * Timestamps are virtual (sim::SimTime), so begin/end are bit-stable.
 //   * Merged(...) orders spans across tracers by (begin, origin, id) — the
 //     same merge discipline sim::ParallelEngine uses for messages — so the
-//     merged trace of a sharded run is bit-identical for any shard layout,
-//     threads on or off.
+//     merged trace of a sharded run is bit-identical for any shard layout.
 //
 // Cross-shard stitching: a caller opens a span, packs {trace_id, span_id}
 // into a TraceContext, and the RPC layer carries it inside the request
@@ -110,9 +109,9 @@ struct SpanRecord {
 };
 
 // Per-origin span recorder. Not thread-safe by design: under the parallel
-// engine each tracer is owned by one logical node and therefore touched by
-// exactly one shard worker during a window (the same contract as the node's
-// private engine); merge across tracers only at quiescence.
+// engine each tracer is owned by one logical node and therefore touched
+// only by that node's shard (the same contract as the node's private
+// engine); merge across tracers only at quiescence.
 class Tracer {
  public:
   explicit Tracer(uint32_t origin = 0) : origin_(origin) {}

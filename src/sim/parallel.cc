@@ -6,43 +6,23 @@
 
 namespace hyperion::sim {
 
-ParallelEngine::ParallelEngine(const ParallelEngineOptions& options)
-    : options_(options), num_shards_(options.num_shards) {
-  CHECK_GT(options_.num_shards, 0u);
-  shards_.reserve(num_shards_);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->engine = std::make_unique<Engine>();
-    shard->outbox.resize(num_shards_);
-    shard->outbox_min.assign(num_shards_, Engine::kNever);
-    shard->inbox.resize(num_shards_);
-    shards_.push_back(std::move(shard));
+ParallelEngine::ParallelEngine(uint32_t num_shards) : num_shards_(num_shards) {
+  CHECK_GT(num_shards_, 0u);
+  shards_.resize(num_shards_);
+  for (Shard& shard : shards_) {
+    shard.engine = std::make_unique<Engine>();
+    shard.outbox.resize(num_shards_);
+    shard.outbox_min.assign(num_shards_, Engine::kNever);
+    shard.inbox.resize(num_shards_);
   }
   pair_declared_.assign(static_cast<size_t>(num_shards_) * num_shards_, Engine::kNever);
   next_.assign(num_shards_, Engine::kNever);
   horizon_.assign(num_shards_, Engine::kNever);
-  active_.assign(num_shards_, 0);
-  StartWorkers();
-}
-
-ParallelEngine::~ParallelEngine() {
-  if (!workers_.empty()) {
-    for (auto& shard : shards_) {
-      {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        shard->shutdown = true;
-      }
-      shard->cv.notify_one();
-    }
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
-  }
 }
 
 Engine& ParallelEngine::shard(uint32_t s) {
   CHECK_LT(s, shards_.size());
-  return *shards_[s]->engine;
+  return *shards_[s].engine;
 }
 
 uint32_t ParallelEngine::AddSource(uint32_t shard) {
@@ -151,7 +131,7 @@ void ParallelEngine::Post(uint32_t source, uint32_t dst_shard, SimTime when, Eve
   EnsureMatrices();
   Source& src = sources_[source];
   const uint32_t s = src.shard;
-  Shard& home = *shards_[s];
+  Shard& home = shards_[s];
   // Conservative-safety invariant: nothing posted during the current window
   // may take effect before this edge's lookahead.
   CHECK_GE(when, home.engine->Now() + l_eff_[static_cast<size_t>(s) * num_shards_ + dst_shard])
@@ -168,16 +148,6 @@ void ParallelEngine::Post(uint32_t source, uint32_t dst_shard, SimTime when, Eve
   home.outbox[dst_shard].push_back(Message{when, seq, source, std::move(fn)});
 }
 
-void ParallelEngine::StartWorkers() {
-  if (!options_.use_threads || shards_.size() < 2) {
-    return;
-  }
-  workers_.reserve(shards_.size());
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    workers_.emplace_back([this, s] { WorkerLoop(s); });
-  }
-}
-
 void ParallelEngine::DeliverInbox(Shard& sh) {
   if (sh.inbox_min == Engine::kNever) {
     return;
@@ -191,40 +161,15 @@ void ParallelEngine::DeliverInbox(Shard& sh) {
   sh.inbox_min = Engine::kNever;
 }
 
-void ParallelEngine::WorkerLoop(uint32_t shard_index) {
-  Shard& sh = *shards_[shard_index];
-  uint64_t seen_gen = 0;
-  for (;;) {
-    SimTime horizon;
-    {
-      std::unique_lock<std::mutex> lock(sh.mu);
-      sh.cv.wait(lock, [&] { return sh.shutdown || sh.gen != seen_gen; });
-      if (sh.shutdown) {
-        return;
-      }
-      seen_gen = sh.gen;
-      horizon = sh.horizon;
-    }
-    DeliverInbox(sh);
-    // Half-open window: events strictly below the horizon. The clock is not
-    // advanced to the horizon — later epochs may deliver messages below it.
-    sh.executed += sh.engine->RunEvents(horizon - 1);
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_one();
-    }
-  }
-}
-
 void ParallelEngine::ExchangeOutboxes() {
   uint64_t moved = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    Shard& src = *shards_[s];
+    Shard& src = shards_[s];
     for (uint32_t d = 0; d < num_shards_; ++d) {
       if (src.outbox_min[d] == Engine::kNever) {
         continue;
       }
-      Shard& dst = *shards_[d];
+      Shard& dst = shards_[d];
       auto& box = src.outbox[d];
       auto& in = dst.inbox[s];
       moved += box.size();
@@ -249,7 +194,7 @@ void ParallelEngine::ExchangeOutboxes() {
 SimTime ParallelEngine::ComputeNextTimes() {
   SimTime global = Engine::kNever;
   for (uint32_t d = 0; d < num_shards_; ++d) {
-    const Shard& sh = *shards_[d];
+    const Shard& sh = shards_[d];
     next_[d] = std::min(sh.engine->PeekNextTime(), sh.inbox_min);
     global = std::min(global, next_[d]);
   }
@@ -271,48 +216,24 @@ void ParallelEngine::ComputeHorizons() {
 }
 
 void ParallelEngine::RunWindows() {
-  uint32_t num_active = 0;
   for (uint32_t d = 0; d < num_shards_; ++d) {
-    active_[d] = next_[d] < horizon_[d] ? 1 : 0;
-    num_active += active_[d];
-  }
-  stats_.windows_run += num_active;
-  stats_.windows_skipped += num_shards_ - num_active;
-  if (workers_.empty()) {
-    for (uint32_t d = 0; d < num_shards_; ++d) {
-      if (!active_[d]) {
-        continue;
-      }
-      Shard& sh = *shards_[d];
-      DeliverInbox(sh);
-      sh.executed += sh.engine->RunEvents(horizon_[d] - 1);
-    }
-    return;
-  }
-  if (num_active == 0) {
-    return;
-  }
-  pending_.store(num_active, std::memory_order_relaxed);
-  for (uint32_t d = 0; d < num_shards_; ++d) {
-    if (!active_[d]) {
+    if (next_[d] >= horizon_[d]) {
+      ++stats_.windows_skipped;
       continue;
     }
-    Shard& sh = *shards_[d];
-    {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.horizon = horizon_[d];
-      ++sh.gen;
-    }
-    sh.cv.notify_one();
+    ++stats_.windows_run;
+    Shard& sh = shards_[d];
+    DeliverInbox(sh);
+    // Half-open window: events strictly below the horizon. The clock is not
+    // advanced to the horizon — later epochs may deliver messages below it.
+    sh.executed += sh.engine->RunEvents(horizon_[d] - 1);
   }
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [&] { return pending_.load(std::memory_order_acquire) == 0; });
 }
 
 uint64_t ParallelEngine::TotalExecuted() const {
   uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->executed;
+  for (const Shard& sh : shards_) {
+    total += sh.executed;
   }
   return total;
 }
@@ -333,8 +254,8 @@ uint64_t ParallelEngine::Run() {
   const uint64_t after = TotalExecuted();
   stats_.events_run = after;
   uint64_t self = 0;
-  for (const auto& sh : shards_) {
-    self += sh->self_delivered;
+  for (const Shard& sh : shards_) {
+    self += sh.self_delivered;
   }
   stats_.self_delivered = self;
   stats_.messages = stats_.cross_shard_messages + self;

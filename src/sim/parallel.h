@@ -2,10 +2,13 @@
 // in PR 7 for per-channel lookahead and allocation-free exchange).
 //
 // The cluster experiments (multi-DPU KV, replicated logs, partitioned graph
-// analytics) used to serialize every simulated node through one sim::Engine
-// on one core. This layer shards the simulation: each shard owns a private
-// Engine and runs on its own worker thread, and shards interact only
-// through timestamped cross-shard messages.
+// analytics) used to serialize every simulated node through one sim::Engine.
+// This layer shards the simulation: each shard owns a private Engine, and
+// shards interact only through timestamped cross-shard messages. Every
+// shard's window runs on the caller's thread, round-robin within an epoch:
+// the simulation is in virtual time, so threads could change only its host
+// cost, and with 1-3 events per barrier a worker per shard made it slower
+// (EXPERIMENTS.md E11). Sharding stays as the layout-invariance oracle.
 //
 // Synchronization is conservative PDES with a *lookahead matrix*: L[s][d]
 // is a lower bound on how far in the future a message from shard s to
@@ -26,46 +29,32 @@
 // With one shard (or no path back), dist is infinite and the whole
 // simulation drains in a single epoch. Wider per-shard horizons mean fewer
 // barriers than the classic single-window [E, E + min L) scheme, and idle
-// shards (next(d) >= horizon(d)) are not woken at all.
+// shards (next(d) >= horizon(d)) are skipped.
 //
-// Determinism no longer depends on *when* a message is merged: every
+// Determinism does not depend on *when* a message is merged: every
 // message carries an explicit (delivery time, source id, per-source seq)
 // key into the destination engine (Engine::ScheduleMessage), and at equal
 // timestamps messages sort before locally scheduled events. Source ids are
 // logical (registration order) and per-source sequences are assigned in the
 // source's own deterministic execution order, so the execution order — and
 // therefore the full event trace — is bit-identical whether the same
-// logical sources are spread over 1 shard or N, with threads or without,
-// and regardless of which epoch window delivered each message. This is also
-// what lets same-shard messages skip the exchange entirely and be scheduled
-// directly into the home engine.
+// logical sources are spread over 1 shard or N, and regardless of which
+// epoch window delivered each message. This is also what lets same-shard
+// messages skip the exchange entirely and be scheduled directly into the
+// home engine.
 //
 // The exchange itself is allocation-free in steady state: each shard keeps
 // one outbox vector per destination, the barrier swaps it with the
 // destination's inbox vector (capacities ping-pong), and the destination
-// worker schedules its own inbox at window start. No global sort: the
-// explicit keys order messages inside the engines.
-//
-// Thread-safety contract: shard s's Engine, outboxes and sources (and
-// everything scheduled on it) are touched only by shard s's worker during a
-// window, and only by the coordinator at a barrier while all workers are
-// quiescent; the per-shard mutex provides the happens-before edges.
-// Post(source, ...) must be called from the source's shard (its worker
-// thread during windows, or the coordinator before Run()). Anything a
-// message closure captures crosses threads through the barrier, which
-// synchronizes; payloads should still be immutable or uniquely owned
-// (Buffer slices qualify — see common/buffer.h).
+// schedules its own inbox at window start. No global sort: the explicit
+// keys order messages inside the engines.
 
 #ifndef HYPERION_SRC_SIM_PARALLEL_H_
 #define HYPERION_SRC_SIM_PARALLEL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,14 +62,6 @@
 #include "src/sim/time.h"
 
 namespace hyperion::sim {
-
-struct ParallelEngineOptions {
-  uint32_t num_shards = 1;
-  // Run shards on worker threads. With false (or num_shards == 1) windows
-  // execute round-robin on the caller's thread — bit-identical results,
-  // useful for debugging and for measuring barrier overhead alone.
-  bool use_threads = true;
-};
 
 struct ParallelEngineStats {
   uint64_t epochs = 0;      // barrier rounds executed
@@ -90,7 +71,7 @@ struct ParallelEngineStats {
   uint64_t max_outbox = 0;        // largest per-barrier exchange
   uint64_t self_delivered = 0;    // same-shard messages that skipped the exchange
   uint64_t windows_run = 0;       // per-shard windows actually executed
-  uint64_t windows_skipped = 0;   // idle shards not woken at a barrier
+  uint64_t windows_skipped = 0;   // idle shards skipped at a barrier
 };
 
 // Sharded conservative-lookahead event engine. See file comment.
@@ -103,14 +84,12 @@ class ParallelEngine {
   // its pair's effective lookahead.
   static constexpr Duration kLookaheadFloor = 100;  // ns
 
-  explicit ParallelEngine(const ParallelEngineOptions& options);
+  explicit ParallelEngine(uint32_t num_shards);
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
-  ~ParallelEngine();
 
   uint32_t num_shards() const { return num_shards_; }
   Engine& shard(uint32_t s);
-  const ParallelEngineOptions& options() const { return options_; }
 
   // Registers a logical message source homed on `shard` and returns its id.
   // Registration order is the deterministic tie-break between sources, so
@@ -137,8 +116,8 @@ class ParallelEngine {
   uint32_t RegisterChannel(uint32_t source, uint32_t dst_shard, Duration min_latency = 0);
 
   // Posts a message from `source`: `fn` runs on the destination shard's
-  // engine at virtual time `when`. Must be called from the source's shard
-  // (see thread-safety contract above); CHECKs the lookahead invariant
+  // engine at virtual time `when`. Must be called from an event on the
+  // source's shard, or before Run(); CHECKs the lookahead invariant
   // `when >= source-shard Now() + lookahead(src_shard, dst_shard)`.
   void Post(uint32_t source, uint32_t dst_shard, SimTime when, EventFn fn);
 
@@ -167,10 +146,10 @@ class ParallelEngine {
     uint32_t dst_shard = 0;
   };
 
-  // One shard: a private engine, per-destination outboxes its worker fills
+  // One shard: a private engine, per-destination outboxes its events fill
   // during a window, and per-source inboxes the barrier swaps full outboxes
-  // into. Padded so neighbouring shards' hot state never shares a line.
-  struct alignas(64) Shard {
+  // into.
+  struct Shard {
     std::unique_ptr<Engine> engine;
     std::vector<std::vector<Message>> outbox;  // [dst_shard]
     std::vector<SimTime> outbox_min;           // earliest `when` per outbox
@@ -178,14 +157,6 @@ class ParallelEngine {
     SimTime inbox_min = Engine::kNever;        // earliest undelivered `when`
     uint64_t executed = 0;
     uint64_t self_delivered = 0;
-
-    // Worker wake state (guarded by mu). gen advances when a new window is
-    // assigned; horizon is its exclusive end.
-    std::mutex mu;
-    std::condition_variable cv;
-    uint64_t gen = 0;
-    SimTime horizon = 0;
-    bool shutdown = false;
   };
 
   struct Source {
@@ -197,28 +168,25 @@ class ParallelEngine {
     return a >= Engine::kNever - b ? Engine::kNever : a + b;
   }
 
-  void StartWorkers();
-  void WorkerLoop(uint32_t shard_index);
   // Builds the effective-lookahead and influence-distance matrices from the
   // declared latencies (idempotent; cheap flag check when clean).
   void EnsureMatrices();
-  // Coordinator, workers quiescent: swaps every non-empty outbox into its
+  // Barrier, between windows: swaps every non-empty outbox into its
   // destination's inbox (O(1) per pair) and tallies exchange stats.
   void ExchangeOutboxes();
   // Fills next_[d] = earliest pending event or undelivered message per
   // shard; returns the global minimum.
   SimTime ComputeNextTimes();
   void ComputeHorizons();
-  // Runs every shard with next_[d] < horizon_[d] over its window — on
-  // workers or inline — then returns with all workers quiescent.
+  // Runs every shard with next_[d] < horizon_[d] over its window, in shard
+  // order.
   void RunWindows();
-  // Schedules a shard's undelivered inbox into its engine (worker-side).
+  // Schedules a shard's undelivered inbox into its engine (window start).
   void DeliverInbox(Shard& sh);
   uint64_t TotalExecuted() const;
 
-  ParallelEngineOptions options_;
   uint32_t num_shards_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   std::vector<Source> sources_;
   std::vector<ChannelEdge> channels_;
   ParallelEngineStats stats_;
@@ -231,16 +199,9 @@ class ParallelEngine {
   std::vector<SimTime> dist_;            // min influence distance per pair
   bool matrices_ready_ = false;
 
-  // Coordinator scratch (barrier-only).
+  // Barrier scratch.
   std::vector<SimTime> next_;
   std::vector<SimTime> horizon_;
-  std::vector<uint8_t> active_;
-
-  // Epoch completion: count of active workers still running their window.
-  std::vector<std::thread> workers_;
-  std::atomic<uint32_t> pending_{0};
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
 };
 
 // Typed cross-shard channel: a fixed (source, destination shard) edge that

@@ -127,7 +127,7 @@ Result<BuiltTable> BuildTable(uint64_t id, uint32_t level, std::span<const LsmEn
 
 Result<Bytes> ReadTableBlocks(ZnsMedia* media, const TableMeta& meta, uint32_t first,
                               uint32_t count) {
-  if (first + count > meta.TotalBlocks()) {
+  if (first > meta.TotalBlocks() || count > meta.TotalBlocks() - first) {
     return OutOfRange("block range past the table's extent");
   }
   Bytes out;

@@ -1,7 +1,7 @@
 // Tests for the sharded cluster simulation (src/dpu/cluster.*): the async
 // sharded KV path serves every op, placement agrees with the synchronous
 // client, and — the PR's acceptance property — the full run is bit-identical
-// for num_shards in {1, 2, 4}, threads on or off.
+// for num_shards in {1, 2, 4}.
 
 #include <gtest/gtest.h>
 

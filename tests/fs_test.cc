@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/fs/annotation.h"
 #include "src/fs/extfs.h"
 #include "src/nvme/controller.h"
@@ -57,6 +59,21 @@ TEST_F(FsTest, CreateWriteReadFile) {
   auto middle = fs->ReadFile(*inode, 5000, 100);
   ASSERT_TRUE(middle.ok());
   EXPECT_EQ(*middle, Bytes(data.begin() + 5000, data.begin() + 5100));
+}
+
+TEST_F(FsTest, WrappedReadRangeIsBoundedByFileSize) {
+  // offset + length wraps in both reads: an additive check would pass the
+  // first to out.reserve(UINT64_MAX) and send the second past the extents.
+  auto fs = ExtFs::Format(&ctrl_, nsid_);
+  ASSERT_TRUE(fs.ok());
+  auto inode = fs->CreateFile("/wrap.bin");
+  ASSERT_TRUE(inode.ok());
+  Bytes data = Pattern(100, 9);
+  ASSERT_TRUE(fs->WriteFile(*inode, 0, ByteSpan(data.data(), data.size())).ok());
+  auto tail = fs->ReadFile(*inode, 1, UINT64_MAX);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail, Bytes(data.begin() + 1, data.end()));
+  EXPECT_EQ(fs->ReadFile(*inode, UINT64_MAX, 2).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(FsTest, NestedDirectories) {

@@ -304,7 +304,6 @@ TEST(HarnessMetrics, SnapshotServesEveryAsyncCallOnce) {
 
 TEST(HarnessDeathTest, KillNodeOutsideTheClusterIsRejected) {
   dpu::RepClusterOptions options = testutil::SmallRepOptions();
-  options.use_threads = false;
   options.kill_node = 4;  // 2 groups x 2 replicas: ids 0..3
   options.kill_at_boundary = 9;
   EXPECT_DEATH(dpu::ReplicatedKvCluster cluster(options), "kill_node");
@@ -316,7 +315,6 @@ TEST(HarnessDeathTest, KillNodeOutsideTheClusterIsRejected) {
 TEST(HarnessDeathTest, NodeLookupIsBoundsChecked) {
   dpu::ClusterOptions options = testutil::SmallClusterOptions();
   options.num_nodes = 1;
-  options.use_threads = false;
   EXPECT_DEATH(dpu::KvCluster(options).endpoint(1), "no node 1");
 }
 

@@ -66,6 +66,28 @@ TEST(AllocatorTest, ReserveSpecificRange) {
   EXPECT_EQ(*alloc.Allocate(40), 60u);
 }
 
+TEST(AllocatorTest, WrappedRangesRejected) {
+  // offset + size wraps to 4: an additive bounds check would accept the
+  // range. ObjectStore boot recovery reserves ranges read from the on-media
+  // segment table, so a corrupt boot area can hand Reserve such a range.
+  RangeAllocator reserve(1024);
+  EXPECT_EQ(reserve.Reserve(UINT64_MAX - 3, 8).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reserve.Reserve(4, UINT64_MAX).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reserve.used(), 0u);
+  EXPECT_EQ(reserve.LargestFreeRange(), 1024u);
+
+  RangeAllocator full(1024);
+  ASSERT_TRUE(full.Allocate(1024).ok());
+  EXPECT_EQ(full.Free(UINT64_MAX - 3, 8).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(full.Free(4, UINT64_MAX).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(full.used(), 1024u);
+
+  // A range ending exactly at capacity is still in bounds.
+  EXPECT_TRUE(reserve.Reserve(1016, 8).ok());
+  EXPECT_TRUE(reserve.Free(1016, 8).ok());
+  EXPECT_EQ(reserve.LargestFreeRange(), 1024u);
+}
+
 // Property: random alloc/free churn never corrupts accounting and always
 // coalesces back to a single range when everything is freed.
 TEST(AllocatorTest, PropertyChurnConservesSpace) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -14,15 +17,8 @@
 namespace hyperion::sim {
 namespace {
 
-ParallelEngineOptions Options(uint32_t shards, bool threads) {
-  ParallelEngineOptions options;
-  options.num_shards = shards;
-  options.use_threads = threads;
-  return options;
-}
-
 TEST(ParallelEngineTest, SingleShardRunsPostedMessagesInTimeOrder) {
-  ParallelEngine engine(Options(1, false));
+  ParallelEngine engine(1);
   const uint32_t src = engine.AddSource(0);
   std::vector<int> order;
   engine.Post(src, 0, 300, [&order] { order.push_back(3); });
@@ -35,7 +31,7 @@ TEST(ParallelEngineTest, SingleShardRunsPostedMessagesInTimeOrder) {
 }
 
 TEST(ParallelEngineTest, LookaheadIsMinimumDeclaredLatency) {
-  ParallelEngine engine(Options(2, false));
+  ParallelEngine engine(2);
   EXPECT_EQ(engine.lookahead(), 100u);  // floor until a link is declared
   engine.DeclareLinkLatency(500);
   EXPECT_EQ(engine.lookahead(), 500u);
@@ -47,8 +43,8 @@ TEST(ParallelEngineTest, LookaheadIsMinimumDeclaredLatency) {
 
 TEST(ParallelEngineTest, SameTimestampBreaksTiesBySourceThenSeq) {
   // Two sources on different shards post to shard 0 at identical times; the
-  // merge must order them (source, seq), never by arrival or thread timing.
-  ParallelEngine engine(Options(2, false));
+  // merge must order them (source, seq), never by arrival or window order.
+  ParallelEngine engine(2);
   const uint32_t first = engine.AddSource(0);
   const uint32_t second = engine.AddSource(1);
   std::vector<std::pair<uint32_t, int>> order;
@@ -68,7 +64,7 @@ TEST(ParallelEngineTest, SameTimestampBreaksTiesBySourceThenSeq) {
 }
 
 TEST(ParallelChannelTest, DeliversTypedValuesWithTimestamps) {
-  ParallelEngine engine(Options(2, true));
+  ParallelEngine engine(2);
   const uint32_t src = engine.AddSource(0);
   std::vector<std::pair<uint64_t, SimTime>> got;
   Channel<uint64_t> channel(&engine, src, 1,
@@ -82,8 +78,8 @@ TEST(ParallelChannelTest, DeliversTypedValuesWithTimestamps) {
 }
 
 // Ring of logical actors forwarding a token; the recorded trace is the full
-// observable behaviour. Run under different shard layouts and threading
-// modes: the trace must be bit-identical.
+// observable behaviour. Run under different shard layouts: the trace must be
+// bit-identical.
 struct RingTrace {
   std::vector<std::vector<std::pair<SimTime, uint64_t>>> per_actor;
   uint64_t messages = 0;
@@ -91,8 +87,8 @@ struct RingTrace {
   bool operator==(const RingTrace&) const = default;
 };
 
-RingTrace RunRing(uint32_t num_actors, uint32_t num_shards, bool threads) {
-  ParallelEngine engine(Options(num_shards, threads));
+RingTrace RunRing(uint32_t num_actors, uint32_t num_shards) {
+  ParallelEngine engine(num_shards);
   RingTrace trace;
   trace.per_actor.resize(num_actors);
   std::vector<std::unique_ptr<Channel<uint64_t>>> ring(num_actors);
@@ -119,17 +115,15 @@ RingTrace RunRing(uint32_t num_actors, uint32_t num_shards, bool threads) {
 }
 
 TEST(ParallelEngineTest, RingTraceIsIdenticalAcrossLayoutsAndThreading) {
-  const RingTrace golden = RunRing(4, 1, false);
+  const RingTrace golden = RunRing(4, 1);
   EXPECT_GT(golden.messages, 100u);
-  EXPECT_EQ(RunRing(4, 1, true), golden);
-  EXPECT_EQ(RunRing(4, 2, false), golden);
-  EXPECT_EQ(RunRing(4, 2, true), golden);
-  EXPECT_EQ(RunRing(4, 4, false), golden);
-  EXPECT_EQ(RunRing(4, 4, true), golden);
+  EXPECT_EQ(RunRing(4, 1), golden);
+  EXPECT_EQ(RunRing(4, 2), golden);
+  EXPECT_EQ(RunRing(4, 4), golden);
 }
 
 TEST(ParallelEngineTest, StatsCountEpochsAndLargestExchange) {
-  ParallelEngine engine(Options(2, true));
+  ParallelEngine engine(2);
   const uint32_t a = engine.AddSource(0);
   std::vector<SimTime> deliveries;
   for (SimTime t = 1000; t < 2000; t += 100) {
@@ -149,35 +143,77 @@ TEST(ParallelEngineTest, StatsCountEpochsAndLargestExchange) {
 TEST(ParallelEngineTest, SingleShardStatsStayDegenerate) {
   // The sharding machinery must cost (and count) nothing when there is
   // nothing to shard: one window covers the whole run, every Post
-  // self-delivers without staging, and the exchange counters stay zero —
-  // with and without the worker-thread path requested.
-  for (const bool threads : {false, true}) {
-    SCOPED_TRACE(threads ? "use_threads=true" : "use_threads=false");
-    ParallelEngine engine(Options(1, threads));
-    const uint32_t src = engine.AddSource(0);
-    int fired = 0;
-    for (SimTime t = 100; t <= 1000; t += 100) {
-      engine.Post(src, 0, t, [&fired] { ++fired; });
+  // self-delivers without staging, and the exchange counters stay zero.
+  ParallelEngine engine(1);
+  const uint32_t src = engine.AddSource(0);
+  int fired = 0;
+  for (SimTime t = 100; t <= 1000; t += 100) {
+    engine.Post(src, 0, t, [&fired] { ++fired; });
+  }
+  engine.shard(0).ScheduleAt(50, [&fired] { ++fired; });  // plain local event
+  EXPECT_EQ(engine.Run(), 11u);
+  EXPECT_EQ(fired, 11);
+  const ParallelEngineStats& stats = engine.stats();
+  EXPECT_EQ(stats.epochs, 1u);
+  EXPECT_EQ(stats.windows_run, 1u);
+  EXPECT_EQ(stats.windows_skipped, 0u);
+  EXPECT_EQ(stats.max_outbox, 0u);
+  EXPECT_EQ(stats.cross_shard_messages, 0u);
+  EXPECT_EQ(stats.self_delivered, 10u);
+  EXPECT_EQ(stats.messages, 10u);
+  EXPECT_EQ(stats.events_run, 11u);
+}
+
+TEST(ParallelEngineTest, EveryShardRunsOnTheCallingThread) {
+  // Four shards, each with a local timer chain and a ping-pong partner on
+  // another shard: many epochs, every shard active, and every event —
+  // local or delivered by the exchange — must run on this thread. Each
+  // shard records into its own list, so the recording itself is race-free
+  // however the windows are executed.
+  constexpr uint32_t kShards = 4;
+  ParallelEngine engine(kShards);
+  std::vector<uint32_t> sources;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    sources.push_back(engine.AddSource(s));
+  }
+  using ThreadId = decltype(std::this_thread::get_id());
+  std::vector<std::vector<ThreadId>> ran_on(kShards);
+  std::function<void(uint32_t, int)> ping = [&](uint32_t s, int hops) {
+    ran_on[s].push_back(std::this_thread::get_id());
+    if (hops == 0) {
+      return;
     }
-    engine.shard(0).ScheduleAt(50, [&fired] { ++fired; });  // plain local event
-    EXPECT_EQ(engine.Run(), 11u);
-    EXPECT_EQ(fired, 11);
-    const ParallelEngineStats& stats = engine.stats();
-    EXPECT_EQ(stats.epochs, 1u);
-    EXPECT_EQ(stats.windows_run, 1u);
-    EXPECT_EQ(stats.windows_skipped, 0u);
-    EXPECT_EQ(stats.max_outbox, 0u);
-    EXPECT_EQ(stats.cross_shard_messages, 0u);
-    EXPECT_EQ(stats.self_delivered, 10u);
-    EXPECT_EQ(stats.messages, 10u);
-    EXPECT_EQ(stats.events_run, 11u);
+    const uint32_t peer = s ^ 1;  // 0 <-> 1, 2 <-> 3
+    engine.Post(sources[s], peer, engine.shard(s).Now() + 150,
+                [&ping, peer, hops] { ping(peer, hops - 1); });
+  };
+  std::function<void(uint32_t, int)> tick = [&](uint32_t s, int left) {
+    ran_on[s].push_back(std::this_thread::get_id());
+    if (left > 0) {
+      engine.shard(s).ScheduleAfter(70, [&tick, s, left] { tick(s, left - 1); });
+    }
+  };
+  for (uint32_t s = 0; s < kShards; ++s) {
+    engine.shard(s).ScheduleAt(10 + s, [&ping, s] { ping(s, 20); });
+    engine.shard(s).ScheduleAt(20 + s, [&tick, s] { tick(s, 30); });
+  }
+  EXPECT_EQ(engine.Run(), uint64_t{kShards} * (21 + 31));
+  EXPECT_GT(engine.stats().epochs, 1u);
+  EXPECT_GT(engine.stats().cross_shard_messages, 0u);
+  const ThreadId caller = std::this_thread::get_id();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(ran_on[s].size(), 21u + 31u);
+    for (const ThreadId id : ran_on[s]) {
+      ASSERT_EQ(id, caller);
+    }
   }
 }
 
 TEST(ParallelEngineTest, PerPairLookaheadIsDirectional) {
   // Declaring a slow link one way must not narrow the other direction's
   // windows: the per-pair matrix keeps each directed edge's lookahead.
-  ParallelEngine engine(Options(2, false));
+  ParallelEngine engine(2);
   engine.DeclareLinkLatency(0, 1, 5000);
   EXPECT_EQ(engine.lookahead(0, 1), 5000u);
   EXPECT_EQ(engine.lookahead(1, 0), 100u);  // floor: no declared link
@@ -187,7 +223,7 @@ TEST(ParallelEngineTest, PerPairLookaheadIsDirectional) {
 TEST(ParallelEngineTest, MessagesPostedFromEventsRespectLookahead) {
   // A message posted *during* a window lands at least lookahead later and
   // still executes at exactly its requested virtual time.
-  ParallelEngine engine(Options(2, true));
+  ParallelEngine engine(2);
   const uint32_t a = engine.AddSource(0);
   const uint32_t b = engine.AddSource(1);
   std::vector<std::pair<int, SimTime>> log;

@@ -7,14 +7,14 @@
 //      linearizable histories and rejects known violations, so a green
 //      checker verdict below means something.
 //   2. Fault-free replicated runs — audits, digests, determinism oracle
-//      (bit-identical results across shard layouts and threading modes).
+//      (bit-identical results across shard layouts).
 //   3. The fault matrix — kill the leader/sequencer at every protocol
 //      boundary it serves (reserve arrival, each chain-write arrival, the
 //      applied-but-unacked ack boundary, seal arrival) and after every
 //      kill: zero acknowledged-write loss, live replicas bit-identical,
 //      recorded history linearizable. A layout cross-check re-runs kills
-//      across shards {1,2,4} x threads on/off and demands identical
-//      results, kills included.
+//      across shards {1,2,4} and demands identical results, kills
+//      included.
 
 #include <gtest/gtest.h>
 
@@ -235,8 +235,8 @@ TEST(ReplicatedFaultMatrix, KillLeaderAtEveryProtocolBoundary) {
 TEST(ReplicatedFaultMatrix, KilledRunsAreIdenticalAcrossLayouts) {
   // Bit-identical recovery: the same kill must produce the same result —
   // including failover counters, digests, and the full history — on every
-  // shard layout and threading mode, and every layout's run must audit clean
-  // and stay linearizable. Victim layout: 2 groups x 2 replicas so the
+  // shard layout, and every layout's run must audit clean and stay
+  // linearizable. Victim layout: 2 groups x 2 replicas so the
   // cluster spreads across up to 4 shards.
   uint64_t kills_seen = 0;
   for (const uint64_t boundary : {2ull, 9ull, 17ull}) {

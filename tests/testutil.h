@@ -213,16 +213,15 @@ inline dpu::RepClusterOptions SmallRepOptions() {
 // -- Layout oracle ---------------------------------------------------------
 
 // The determinism oracle every cluster harness shares: runs `options` as a
-// 1-shard inline golden, then on shards {1, 2, 4} x threads {off, on}, and
-// expects each Run() result to equal the golden's (operator==). `check`, if
-// given, runs after every Run() — the golden's first — for oracles beyond
-// the result snapshot (merged trace, audit, history). Returns the golden.
+// 1-shard golden, then again on shards {1, 2, 4}, and expects each Run()
+// result to equal the golden's (operator==). `check`, if given, runs after
+// every Run() — the golden's first — for oracles beyond the result snapshot
+// (merged trace, audit, history). Returns the golden.
 template <typename Harness, typename Options>
 auto ExpectLayoutInvariant(Options options,
                            const std::function<void(Harness&)>& check = nullptr) {
-  const auto run = [&](uint32_t shards, bool threads) {
+  const auto run = [&](uint32_t shards) {
     options.num_shards = shards;
-    options.use_threads = threads;
     Harness harness(options);
     auto result = harness.Run();
     if (check) {
@@ -230,11 +229,9 @@ auto ExpectLayoutInvariant(Options options,
     }
     return result;
   };
-  const auto golden = run(1, false);
+  const auto golden = run(1);
   for (const uint32_t shards : {1u, 2u, 4u}) {
-    for (const bool threads : {false, true}) {
-      EXPECT_EQ(run(shards, threads), golden) << "num_shards=" << shards << " threads=" << threads;
-    }
+    EXPECT_EQ(run(shards), golden) << "num_shards=" << shards;
   }
   return golden;
 }

@@ -1,7 +1,7 @@
 // Golden-trace regression (PR 4): the merged distributed trace of the
-// seeded KV cluster workload is bit-identical for num_shards in {1, 2, 4},
-// threads on or off — the same determinism bar cluster_test pins for the
-// ClusterResult, extended to every span the run emits. Also locks down the
+// seeded KV cluster workload is bit-identical for num_shards in {1, 2, 4} —
+// the same determinism bar cluster_test pins for the ClusterResult, extended
+// to every span the run emits. Also locks down the
 // surrounding contracts: tracing never perturbs virtual time, cross-shard
 // request trees stitch across node tracers, the critical-path report
 // accounts for every root nanosecond, and the Chrome export carries one
@@ -23,11 +23,10 @@
 namespace hyperion::dpu {
 namespace {
 
-ClusterOptions TracedSmallCluster(uint32_t shards, bool threads) {
+ClusterOptions TracedSmallCluster(uint32_t shards) {
   ClusterOptions options = testutil::SmallClusterOptions();
   options.trace = true;
   options.num_shards = shards;
-  options.use_threads = threads;
   return options;
 }
 
@@ -52,18 +51,17 @@ ClusterOptions TracedSmallCluster(uint32_t shards, bool threads) {
 }
 
 TEST(GoldenTraceTest, TraceIsBitIdenticalAcrossShardLayoutsAndThreads) {
-  // The first check sees the 1-shard inline golden and records its trace.
+  // The first check sees the 1-shard golden and records its trace.
   std::vector<obs::SpanRecord> golden;
   const ClusterResult result = testutil::ExpectLayoutInvariant<KvCluster>(
-      TracedSmallCluster(/*shards=*/1, /*threads=*/false), [&](KvCluster& cluster) {
+      TracedSmallCluster(/*shards=*/1), [&](KvCluster& cluster) {
         if (golden.empty()) {
           golden = cluster.MergedTrace();
           ASSERT_FALSE(golden.empty());
           return;
         }
         EXPECT_TRUE(TracesMatch(cluster.MergedTrace(), golden))
-            << "num_shards=" << cluster.num_shards()
-            << " threads=" << cluster.engine().options().use_threads;
+            << "num_shards=" << cluster.num_shards();
       });
   EXPECT_EQ(result.failed_ops, 0u);
 }
@@ -75,12 +73,12 @@ TEST(GoldenTraceTest, TracingDoesNotPerturbVirtualTime) {
   ClusterOptions untraced = testutil::SmallClusterOptions();
   untraced.num_shards = 2;
   const ClusterResult without = KvCluster(untraced).Run();
-  const ClusterResult with = KvCluster(TracedSmallCluster(/*shards=*/2, true)).Run();
+  const ClusterResult with = KvCluster(TracedSmallCluster(/*shards=*/2)).Run();
   EXPECT_EQ(with, without);
 }
 
 TEST(GoldenTraceTest, EverySpanClosesAndParentsResolve) {
-  KvCluster cluster(TracedSmallCluster(/*shards=*/4, /*threads=*/true));
+  KvCluster cluster(TracedSmallCluster(/*shards=*/4));
   cluster.Run();
   const std::vector<obs::SpanRecord> merged = cluster.MergedTrace();
   ASSERT_FALSE(merged.empty());
@@ -105,7 +103,7 @@ TEST(GoldenTraceTest, EverySpanClosesAndParentsResolve) {
 }
 
 TEST(GoldenTraceTest, CrossNodeRequestsStitchIntoOneTree) {
-  KvCluster cluster(TracedSmallCluster(/*shards=*/4, /*threads=*/false));
+  KvCluster cluster(TracedSmallCluster(/*shards=*/4));
   cluster.Run();
   const std::vector<obs::SpanRecord> merged = cluster.MergedTrace();
 
@@ -131,7 +129,7 @@ TEST(GoldenTraceTest, CrossNodeRequestsStitchIntoOneTree) {
 }
 
 TEST(GoldenTraceTest, CriticalPathReportAccountsForEveryRootNanosecond) {
-  KvCluster cluster(TracedSmallCluster(/*shards=*/2, /*threads=*/false));
+  KvCluster cluster(TracedSmallCluster(/*shards=*/2));
   cluster.Run();
   const std::vector<obs::SpanRecord> merged = cluster.MergedTrace();
   const obs::CriticalPathReport report = obs::BuildCriticalPathReport(merged);
@@ -149,7 +147,7 @@ TEST(GoldenTraceTest, CriticalPathReportAccountsForEveryRootNanosecond) {
 }
 
 TEST(GoldenTraceTest, ChromeExportCarriesOneEventPerSpan) {
-  KvCluster cluster(TracedSmallCluster(/*shards=*/1, /*threads=*/false));
+  KvCluster cluster(TracedSmallCluster(/*shards=*/1));
   cluster.Run();
   const std::vector<obs::SpanRecord> merged = cluster.MergedTrace();
   const std::string json = obs::ToChromeTraceJson(merged);
@@ -168,7 +166,7 @@ TEST(GoldenTraceTest, MetricsSnapshotIsReproducible) {
   // Same layout, same seed -> byte-identical registry JSON (counters,
   // histograms, and the parallel engine's tallies all land deterministically).
   auto snapshot = [] {
-    KvCluster cluster(TracedSmallCluster(/*shards=*/2, /*threads=*/true));
+    KvCluster cluster(TracedSmallCluster(/*shards=*/2));
     cluster.Run();
     obs::MetricsRegistry registry;
     cluster.SnapshotMetrics(&registry);
