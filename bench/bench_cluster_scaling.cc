@@ -15,7 +15,7 @@
 //                       speedup counters land in BENCH_PR3.json.
 //   GraphBsp            partitioned BSP rank propagation where each
 //                       superstep's cross-partition contributions travel
-//                       as one batched Channel<T> message per edge-cut.
+//                       as one batched ParallelEngine::Post per edge-cut.
 //   RepKvWeakScaling    E17: the PR 9 replicated cluster (Corfu chain
 //                       replication, R=3 groups) at fixed per-node load,
 //                       from 3 nodes out to the 64-node / 64-shard point.
@@ -28,7 +28,7 @@
 //                       acknowledged write on every surviving replica.
 //
 // Every shard runs on the calling thread, so wall_events_per_s measures
-// what sharding costs the host (barriers, outbox exchange), never a
+// what sharding costs the host (barriers and horizon computation), never a
 // parallel gain; see EXPERIMENTS.md for how to read the two axes.
 // Generate the JSON with
 //   bench_cluster_scaling --benchmark_format=json > BENCH_PR9.json
@@ -38,7 +38,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <string>
 #include <utility>
@@ -141,7 +140,7 @@ void BM_NetKvWeakScaling(benchmark::State& state) {
 
 // Strong scaling: a fixed 8-node cluster over 1..8 shards. Determinism
 // makes the virtual-time numbers identical across rows; the wall rate
-// isolates the engine's sharding overhead (barriers, outbox exchange).
+// isolates the engine's sharding overhead (barriers and horizons).
 void BM_NetKvStrongScaling(benchmark::State& state) {
   const auto shards = static_cast<uint32_t>(state.range(0));
   std::vector<NetKvRates> runs;
@@ -281,7 +280,7 @@ void BM_RepKvKillMidBench(benchmark::State& state) {
   state.SetLabel("repkv/groups:2/R:3/kill:head@60us");
 }
 
-// -- Graph analytics: BSP rank propagation over Channel<T> ------------------
+// -- Graph analytics: BSP rank propagation over ParallelEngine::Post --------
 
 constexpr uint32_t kPartitions = 4;
 constexpr uint32_t kVertices = 256;
@@ -333,29 +332,15 @@ double RunGraphBsp(const SyntheticGraph& graph, uint32_t shards, uint64_t* messa
     parts[p].rank.assign(parts[p].vertices.size(), 1.0 / kVertices);
     parts[p].inbox.assign(parts[p].vertices.size(), 0.0);
   }
-  // channels[p][q]: partition p's contributions destined for q's vertices,
-  // one batched message per superstep per cut.
-  std::vector<std::vector<std::unique_ptr<sim::Channel<Contributions>>>> channels(kPartitions);
-  for (uint32_t p = 0; p < kPartitions; ++p) {
-    channels[p].resize(kPartitions);
-    for (uint32_t q = 0; q < kPartitions; ++q) {
-      Partition* dst = &parts[q];
-      channels[p][q] = std::make_unique<sim::Channel<Contributions>>(
-          &engine, parts[p].source, parts[q].shard,
-          [dst, &local_index](Contributions batch, sim::SimTime) {
-            for (const auto& [vertex, value] : batch) {
-              dst->inbox[local_index[vertex]] += value;
-            }
-          });
-    }
-  }
   // Superstep s on partition p: fold the inbox into ranks, then ship this
-  // step's contributions; lookahead delays land them before step s + 1.
+  // step's contributions to each partition q as one batched message;
+  // lookahead delays land them before step s + 1.
   for (uint32_t s = 0; s < kSupersteps; ++s) {
     const sim::SimTime at = 1000 + uint64_t{s} * step;
     for (uint32_t p = 0; p < kPartitions; ++p) {
       Partition* part = &parts[p];
-      engine.shard(part->shard).ScheduleAt(at, [part, &graph, &channels, &engine, p, s, at] {
+      engine.shard(part->shard).ScheduleAt(at, [part, &parts, &graph, &local_index, &engine, s,
+                                                at] {
         if (s > 0) {
           for (size_t i = 0; i < part->rank.size(); ++i) {
             part->rank[i] = 0.15 / kVertices + 0.85 * part->inbox[i];
@@ -371,7 +356,13 @@ double RunGraphBsp(const SyntheticGraph& graph, uint32_t shards, uint64_t* messa
           }
         }
         for (uint32_t q = 0; q < kPartitions; ++q) {
-          channels[p][q]->Send(at + engine.lookahead(), std::move(out[q]));
+          Partition* dst = &parts[q];
+          engine.Post(part->source, dst->shard, at + engine.lookahead(),
+                      [dst, &local_index, batch = std::move(out[q])] {
+                        for (const auto& [vertex, value] : batch) {
+                          dst->inbox[local_index[vertex]] += value;
+                        }
+                      });
         }
       });
     }
@@ -405,15 +396,14 @@ void BM_GraphBsp(benchmark::State& state) {
   state.SetLabel("graph/partitions:4/shards:" + std::to_string(shards));
 }
 
-// -- Channel send allocation accounting (PR 7) ------------------------------
+// -- Cross-shard send allocation accounting ---------------------------------
 //
-// One registered channel, shard 0 -> shard 1, driven in batches. The
+// Posts from a source on shard 0 to shard 1, driven in batches. The
 // `inline` row is the shipped fast path: a 16-byte payload's send closure
 // fits EventFn inline storage and relocates into the destination engine's
 // pooled entry — zero heap allocations per message in steady state. The
-// `boxed` row forces the pre-PR-7 behaviour with a payload too large for
-// inline storage, so every send boxes its closure: the before/after of
-// satellite (a).
+// `boxed` row carries a payload too large for inline storage, so every
+// send boxes its closure: one allocation per message.
 
 struct InlinePayload {
   uint64_t a = 0;
@@ -428,17 +418,18 @@ void ChannelSendLoop(benchmark::State& state) {
   sim::ParallelEngine engine(2);
   const uint32_t src = engine.AddSource(0);
   uint64_t delivered = 0;
-  sim::Channel<Payload> channel(
-      &engine, src, 1, [&delivered](Payload, sim::SimTime) { ++delivered; });
 
   constexpr uint64_t kBatch = 4096;
-  const sim::Duration la = engine.lookahead(0, 1);
+  const sim::Duration la = engine.lookahead();
   sim::SimTime cursor = 1000;
   auto run_batch = [&] {
-    engine.shard(0).ScheduleAt(cursor, [&engine, &channel, la] {
+    engine.shard(0).ScheduleAt(cursor, [&engine, &delivered, src, la] {
       const sim::SimTime at = engine.shard(0).Now() + la;
       for (uint64_t i = 0; i < kBatch; ++i) {
-        channel.Send(at + i, Payload{});
+        engine.Post(src, 1, at + i, [&delivered, payload = Payload{}] {
+          static_cast<void>(payload);
+          ++delivered;
+        });
       }
     });
     engine.Run();
@@ -447,7 +438,7 @@ void ChannelSendLoop(benchmark::State& state) {
     // shard's future.
     cursor = std::max(engine.shard(0).Now(), engine.shard(1).Now()) + 10 * la;
   };
-  run_batch();  // warm up outbox/inbox capacity and the event pools
+  run_batch();  // warm up the event pools
 
   const uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   uint64_t batches = 0;

@@ -255,29 +255,6 @@ RpcResponse RpcServer::Dispatch(const RpcRequest& request, obs::TraceContext con
     counters_.Increment("rpc_unknown_service");
     return RpcResponse::Fail(NotFound("no such service"));
   }
-  if (admission_ != nullptr && admission_clock_ != nullptr) {
-    // The synchronous server is never mid-request at dispatch (handlers run
-    // inline), so the pipeline is idle: busy_until == now. Queue-bound and
-    // deadline sheds still apply.
-    const sim::SimTime now = admission_clock_->Now();
-    const sim::AdmissionDecision decision = admission_->Decide(now, now, request.deadline);
-    if (decision != sim::AdmissionDecision::kAdmit) {
-      counters_.Increment(decision == sim::AdmissionDecision::kShedDeadline
-                              ? "rpc_shed_deadline"
-                              : "rpc_shed_queue");
-      // Saying no costs shell time only — no handler, no flash, no fabric.
-      admission_clock_->Advance(reject_cost_);
-      return RpcResponse::Fail(ResourceExhausted("server overloaded"));
-    }
-    counters_.Increment("rpc_admitted");
-    RpcResponse response;
-    {
-      obs::ScopedSpan dispatch(tracer_, clock_, obs::Subsystem::kRpc, "rpc.dispatch", context);
-      response = it->second(request.opcode, request.payload);
-    }
-    admission_->OnAdmitted(now, admission_clock_->Now());
-    return response;
-  }
   // Stack-scoped: substrate spans the handler opens (nvme.*, pcie.*, ...)
   // nest under the dispatch span on the same per-node tracer.
   obs::ScopedSpan dispatch(tracer_, clock_, obs::Subsystem::kRpc, "rpc.dispatch", context);

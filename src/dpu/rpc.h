@@ -123,19 +123,6 @@ class RpcServer {
     clock_ = clock;
   }
 
-  // Deadline-aware admission on the synchronous dispatch path (null
-  // detaches): a request whose deadline cannot be met — already past, or
-  // unreachable given the admission controller's service estimate — is
-  // fast-rejected with kResourceExhausted before the handler runs, so a
-  // doomed request costs no flash or fabric time. `clock` is the engine the
-  // handlers advance; `reject_cost` is the shell-level cost of saying no.
-  void SetAdmission(sim::AdmissionController* admission, sim::Engine* clock,
-                    sim::Duration reject_cost = 200) {
-    admission_ = admission;
-    admission_clock_ = clock;
-    reject_cost_ = reject_cost;
-  }
-
   const sim::Counters& counters() const { return counters_; }
 
  private:
@@ -143,9 +130,6 @@ class RpcServer {
   sim::Counters counters_;
   obs::Tracer* tracer_ = nullptr;
   sim::Engine* clock_ = nullptr;
-  sim::AdmissionController* admission_ = nullptr;
-  sim::Engine* admission_clock_ = nullptr;
-  sim::Duration reject_cost_ = 200;
 };
 
 // Retry policy for client calls: transient failures (lost or corrupted

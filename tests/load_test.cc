@@ -492,7 +492,7 @@ OverloadClusterOptions SmallClusterOptions(bool admission) {
   return options;
 }
 
-TEST(OverloadClusterTest, ResultBitIdenticalAcrossShardsAndThreads) {
+TEST(OverloadClusterTest, ResultBitIdenticalAcrossShardLayouts) {
   for (const bool admission : {false, true}) {
     const OverloadResult golden =
         testutil::ExpectLayoutInvariant<OverloadCluster>(SmallClusterOptions(admission));
@@ -551,7 +551,7 @@ TEST(OverloadClusterTest, LsmKvOverRpcServesEveryRequest) {
   EXPECT_GT(result.latency_count, 0u);
 }
 
-TEST(OverloadClusterTest, LsmKvResultBitIdenticalAcrossShardsAndThreads) {
+TEST(OverloadClusterTest, LsmKvResultBitIdenticalAcrossShardLayouts) {
   testutil::ExpectLayoutInvariant<OverloadCluster>(LsmKvOptions());
 }
 

@@ -448,7 +448,7 @@ LayoutOutcome RunLayout(uint32_t num_shards) {
   return outcome;
 }
 
-TEST(LsmDeterminismTest, BitIdenticalAcrossShardLayoutsAndThreads) {
+TEST(LsmDeterminismTest, BitIdenticalAcrossShardLayouts) {
   const LayoutOutcome baseline = RunLayout(1);
   for (const NodeResult& node : baseline.nodes) {
     ASSERT_FALSE(node.failed);

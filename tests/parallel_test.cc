@@ -1,18 +1,20 @@
 // Unit tests for src/sim/parallel: conservative epoch-barrier sharding,
-// (time, source, seq) merge order, typed channels, and layout-invariant
-// determinism (the property the cluster experiments lean on).
+// (time, source, seq) merge order, the barrier schedule, and
+// layout-invariant determinism (the property the cluster experiments lean
+// on).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "src/dpu/cluster.h"
 #include "src/sim/parallel.h"
+#include "tests/testutil.h"
 
 namespace hyperion::sim {
 namespace {
@@ -63,20 +65,6 @@ TEST(ParallelEngineTest, SameTimestampBreaksTiesBySourceThenSeq) {
   EXPECT_EQ(engine.stats().messages, 4u);
 }
 
-TEST(ParallelChannelTest, DeliversTypedValuesWithTimestamps) {
-  ParallelEngine engine(2);
-  const uint32_t src = engine.AddSource(0);
-  std::vector<std::pair<uint64_t, SimTime>> got;
-  Channel<uint64_t> channel(&engine, src, 1,
-                            [&got](uint64_t v, SimTime when) { got.push_back({v, when}); });
-  channel.Send(250, 7);
-  channel.Send(120, 9);
-  engine.Run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], (std::pair<uint64_t, SimTime>{9, 120}));
-  EXPECT_EQ(got[1], (std::pair<uint64_t, SimTime>{7, 250}));
-}
-
 // Ring of logical actors forwarding a token; the recorded trace is the full
 // observable behaviour. Run under different shard layouts: the trace must be
 // bit-identical.
@@ -87,39 +75,71 @@ struct RingTrace {
   bool operator==(const RingTrace&) const = default;
 };
 
-RingTrace RunRing(uint32_t num_actors, uint32_t num_shards) {
+RingTrace RunRing(uint32_t num_actors, uint32_t num_shards,
+                  ParallelEngineStats* stats = nullptr) {
   ParallelEngine engine(num_shards);
   RingTrace trace;
   trace.per_actor.resize(num_actors);
-  std::vector<std::unique_ptr<Channel<uint64_t>>> ring(num_actors);
+  auto shard_of = [num_actors, num_shards](uint32_t a) { return a * num_shards / num_actors; };
+  std::vector<uint32_t> sources;
   for (uint32_t a = 0; a < num_actors; ++a) {
-    const uint32_t src = engine.AddSource(a * num_shards / num_actors);
-    const uint32_t next = (a + 1) % num_actors;
-    const uint32_t next_shard = next * num_shards / num_actors;
-    ring[a] = std::make_unique<Channel<uint64_t>>(
-        &engine, src, next_shard, [&engine, &ring, &trace, next](uint64_t token, SimTime when) {
-          trace.per_actor[next].push_back({when, token});
-          if (token < 64) {
-            // Variable hop latency (>= lookahead) so epochs carry different
-            // message counts in different windows.
-            ring[next]->Send(when + 100 + token % 7, token + 1);
-          }
-        });
+    sources.push_back(engine.AddSource(shard_of(a)));
   }
+  // Actor `from` hands `token` to the next actor, which records it at `when`.
+  std::function<void(uint32_t, SimTime, uint64_t)> send = [&](uint32_t from, SimTime when,
+                                                              uint64_t token) {
+    const uint32_t next = (from + 1) % num_actors;
+    engine.Post(sources[from], shard_of(next), when, [&trace, &send, next, when, token] {
+      trace.per_actor[next].push_back({when, token});
+      if (token < 64) {
+        // Variable hop latency (>= lookahead) so epochs carry different
+        // message counts in different windows.
+        send(next, when + 100 + token % 7, token + 1);
+      }
+    });
+  };
   // Two concurrent tokens so distinct sources are in flight at once.
-  ring[0]->Send(1000, 0);
-  ring[num_actors / 2]->Send(1003, 1);
+  send(0, 1000, 0);
+  send(num_actors / 2, 1003, 1);
   engine.Run();
   trace.messages = engine.stats().messages;
+  if (stats != nullptr) {
+    *stats = engine.stats();
+  }
   return trace;
 }
 
-TEST(ParallelEngineTest, RingTraceIsIdenticalAcrossLayoutsAndThreading) {
+TEST(ParallelEngineTest, RingTraceIsIdenticalAcrossLayouts) {
   const RingTrace golden = RunRing(4, 1);
   EXPECT_GT(golden.messages, 100u);
   EXPECT_EQ(RunRing(4, 1), golden);
   EXPECT_EQ(RunRing(4, 2), golden);
   EXPECT_EQ(RunRing(4, 4), golden);
+}
+
+// Every ParallelEngineStats field in declaration order, so a golden
+// mismatch prints which counter moved.
+std::vector<uint64_t> StatsFields(const ParallelEngineStats& s) {
+  return {s.epochs,     s.events_run,     s.messages,    s.cross_shard_messages,
+          s.max_outbox, s.self_delivered, s.windows_run, s.windows_skipped};
+}
+
+TEST(ParallelEngineTest, BarrierScheduleMatchesGolden) {
+  // The layout oracles compare results, which a barrier moved to another
+  // epoch cannot change. These literals pin the schedule itself: epochs,
+  // windows run and skipped, and the most cross-shard posts between two
+  // barriers, for the ring at 2 and 4 shards and for a 2-shard KvCluster.
+  ParallelEngineStats stats;
+  RunRing(4, 2, &stats);
+  EXPECT_EQ(StatsFields(stats), (std::vector<uint64_t>{47, 129, 129, 64, 2, 65, 75, 19}));
+  RunRing(4, 4, &stats);
+  EXPECT_EQ(StatsFields(stats), (std::vector<uint64_t>{65, 129, 129, 129, 2, 0, 129, 131}));
+  dpu::ClusterOptions options = testutil::SmallClusterOptions();
+  options.num_shards = 2;
+  dpu::KvCluster cluster(options);
+  cluster.Run();
+  EXPECT_EQ(StatsFields(cluster.engine().stats()),
+            (std::vector<uint64_t>{86, 136, 128, 56, 2, 72, 90, 82}));
 }
 
 TEST(ParallelEngineTest, StatsCountEpochsAndLargestExchange) {
@@ -142,8 +162,8 @@ TEST(ParallelEngineTest, StatsCountEpochsAndLargestExchange) {
 
 TEST(ParallelEngineTest, SingleShardStatsStayDegenerate) {
   // The sharding machinery must cost (and count) nothing when there is
-  // nothing to shard: one window covers the whole run, every Post
-  // self-delivers without staging, and the exchange counters stay zero.
+  // nothing to shard: one window covers the whole run, every Post is
+  // same-shard, and the cross-shard counters stay zero.
   ParallelEngine engine(1);
   const uint32_t src = engine.AddSource(0);
   int fired = 0;
@@ -167,7 +187,7 @@ TEST(ParallelEngineTest, SingleShardStatsStayDegenerate) {
 TEST(ParallelEngineTest, EveryShardRunsOnTheCallingThread) {
   // Four shards, each with a local timer chain and a ping-pong partner on
   // another shard: many epochs, every shard active, and every event —
-  // local or delivered by the exchange — must run on this thread. Each
+  // local or posted from another shard — must run on this thread. Each
   // shard records into its own list, so the recording itself is race-free
   // however the windows are executed.
   constexpr uint32_t kShards = 4;
@@ -210,14 +230,16 @@ TEST(ParallelEngineTest, EveryShardRunsOnTheCallingThread) {
   }
 }
 
-TEST(ParallelEngineTest, PerPairLookaheadIsDirectional) {
-  // Declaring a slow link one way must not narrow the other direction's
-  // windows: the per-pair matrix keeps each directed edge's lookahead.
+TEST(ParallelEngineTest, PostIntoADestinationsPastDiesAtThePost) {
+  // Shard 1 has run to 10,000 ns while shard 0 is still at 0, so a post
+  // from shard 0 for 5,000 ns clears the lookahead check but lies in the
+  // destination's past. Post itself must refuse it, not a later Run().
   ParallelEngine engine(2);
-  engine.DeclareLinkLatency(0, 1, 5000);
-  EXPECT_EQ(engine.lookahead(0, 1), 5000u);
-  EXPECT_EQ(engine.lookahead(1, 0), 100u);  // floor: no declared link
-  EXPECT_EQ(engine.lookahead(), 5000u);     // global = min over *declared* links
+  const uint32_t src = engine.AddSource(0);
+  engine.shard(1).ScheduleAt(10000, [] {});
+  engine.Run();
+  ASSERT_EQ(engine.shard(1).Now(), 10000u);
+  EXPECT_DEATH(engine.Post(src, 1, 5000, [] {}), "cannot schedule into the past");
 }
 
 TEST(ParallelEngineTest, MessagesPostedFromEventsRespectLookahead) {

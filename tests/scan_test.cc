@@ -398,7 +398,7 @@ TEST(MixedTenantTest, ScanArmCompletesAndAccountsPushdown) {
   EXPECT_EQ(result.ok + result.rejected + result.failed + result.deadline_missed, 48u);
 }
 
-TEST(MixedTenantTest, BitIdenticalAcrossShardLayoutsAndThreads) {
+TEST(MixedTenantTest, BitIdenticalAcrossShardLayouts) {
   testutil::ExpectLayoutInvariant<load::OverloadCluster>(MixedOptions());
 }
 

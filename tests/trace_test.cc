@@ -50,7 +50,7 @@ ClusterOptions TracedSmallCluster(uint32_t shards) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(GoldenTraceTest, TraceIsBitIdenticalAcrossShardLayoutsAndThreads) {
+TEST(GoldenTraceTest, TraceIsBitIdenticalAcrossShardLayouts) {
   // The first check sees the 1-shard golden and records its trace.
   std::vector<obs::SpanRecord> golden;
   const ClusterResult result = testutil::ExpectLayoutInvariant<KvCluster>(
