@@ -15,10 +15,11 @@
 //       ON: doomed work is shed at the NIC for reject_cost, admitted p99
 //       stays bounded, and goodput holds the service-capacity plateau.
 //
-//   DoorbellBatch/<k>   the single-engine OverloadPipeline sweeping NVMe
-//       doorbell coalescing K: one MMIO ring publishes up to K SQEs, so
-//       doorbells-per-op falls as 1/K while the max-delay timer bounds the
-//       added latency. Counters: p99_us, doorbells_per_op, mean_batch.
+//   DoorbellBatch/<k>   the single-engine doorbell pipeline
+//       (load::OverloadPipeline) sweeping NVMe doorbell coalescing K: one
+//       MMIO ring publishes up to K SQEs, so doorbells-per-op falls as 1/K
+//       while the 5 us max-delay timer bounds the added latency. Counters:
+//       p99_us, doorbells_per_op, mean_batch.
 //
 // Regenerate the PR 5 numbers with
 //   bench_overload --benchmark_format=json > BENCH_PR5.json
@@ -107,9 +108,6 @@ void DoorbellBatch(benchmark::State& state) {
     sim::Engine engine;
     load::OverloadPipelineOptions options;
     options.doorbell_batch = batch;
-    options.doorbell_max_delay = 5 * sim::kMicrosecond;
-    options.rx_batch = 1;       // isolate the doorbell axis
-    options.admission_enabled = false;  // closed loop self-limits
     load::OverloadPipeline pipeline(&engine, options);
     load::LoadGenOptions gopts;
     // 32 outstanding requests: completions of one coalesced interrupt
@@ -119,8 +117,8 @@ void DoorbellBatch(benchmark::State& state) {
     gopts.think_time = 0;
     gopts.total_requests = 2000;
     load::LoadGen gen(&engine, gopts,
-                      [&pipeline](uint64_t seq, sim::SimTime deadline, load::LoadGen::DoneFn done) {
-                        pipeline.Offer(seq, deadline, std::move(done));
+                      [&pipeline](uint64_t seq, sim::SimTime, load::LoadGen::DoneFn done) {
+                        pipeline.Offer(seq, std::move(done));
                       });
     gen.Start();
     engine.Run();

@@ -1,82 +1,65 @@
 // Distributed CPU-free applications over a rack of Hyperion DPUs (paper
 // §2.4's "mixed distributed workloads" and discussion question 3).
 //
-// Three DPUs share a fabric with one client. The client holds all the
-// smartness (passive disaggregation): it hash-partitions a KV space across
-// the rack, and runs a Boxwood/CORFU-style replicated shared log with
-// write-all/read-one plus on-read repair — surviving the loss of a
-// replica's media without any coordination service.
+// Passive disaggregation: the clients hold all the smartness (partitioning,
+// replication, failover) and the DPUs serve only the fast path. Two runs on
+// the sharded cluster harness show it:
+//
+//   * dpu::KvCluster: three DPUs, each also hosting closed-loop clients,
+//     hash-partition one KV space. Every op is one RPC to the key's owner,
+//     so the served RPCs spread across the rack.
+//   * dpu::ReplicatedKvCluster: one chain-replicated group of three DPUs on
+//     the Corfu log. The head (leader and sequencer) dies 60 us into the
+//     run; the clients seal the epoch, repair the tail and fail over with no
+//     coordination service, and the post-run audit re-reads every
+//     acknowledged write from the survivors.
 //
 //   ./build/examples/distributed
 
 #include <cstdio>
 
-#include "src/dpu/distributed.h"
-#include "src/dpu/hyperion.h"
-#include "src/dpu/services.h"
+#include "src/common/check.h"
+#include "src/dpu/cluster.h"
+#include "src/dpu/replication.h"
 
 using namespace hyperion;  // NOLINT
 
 int main() {
-  sim::Engine engine;
-  net::Fabric fabric(&engine);
-  const net::HostId client = fabric.AddHost("client");
-  Rng rng(3);
-  auto transport = net::MakeTransport(net::TransportKind::kRdma, &fabric, &rng);
-
-  std::vector<std::unique_ptr<dpu::Hyperion>> dpus;
-  std::vector<std::unique_ptr<dpu::HyperionServices>> services;
-  std::vector<std::unique_ptr<dpu::RpcClient>> rpcs;
-  for (int d = 0; d < 3; ++d) {
-    dpus.push_back(std::make_unique<dpu::Hyperion>(&engine, &fabric));
-    CHECK_OK(dpus.back()->Boot());
-    auto installed = dpu::HyperionServices::Install(dpus.back().get());
-    CHECK_OK(installed.status());
-    services.push_back(std::move(*installed));
-    rpcs.push_back(std::make_unique<dpu::RpcClient>(transport.get(), client,
-                                                    dpus.back()->host_id(),
-                                                    &dpus.back()->rpc()));
+  // ---- hash-partitioned KV -----------------------------------------------------
+  dpu::ClusterOptions kv_options;
+  kv_options.num_nodes = 3;
+  dpu::KvCluster kv(kv_options);
+  const dpu::ClusterResult kv_result = kv.Run();
+  CHECK_EQ(kv_result.failed_ops, 0u);
+  std::printf("partitioned KV: 3 CPU-free DPUs, %llu client ops, each one RPC to its owner\n",
+              static_cast<unsigned long long>(kv_result.ok_ops));
+  for (size_t node = 0; node < kv_result.nodes.size(); ++node) {
+    std::printf("  DPU %zu served %llu RPCs\n", node,
+                static_cast<unsigned long long>(kv_result.nodes[node].rpcs_served));
   }
-  std::printf("rack up: 3 CPU-free DPUs booted, %zu W of CPUs installed\n\n", size_t{0});
 
-  // ---- hash-partitioned KV ---------------------------------------------------
-  std::vector<dpu::RpcClient*> rack = {rpcs[0].get(), rpcs[1].get(), rpcs[2].get()};
-  dpu::DistributedKvClient kv(rack);
-  int per_partition[3] = {0, 0, 0};
-  for (uint64_t k = 0; k < 600; ++k) {
-    Bytes value;
-    PutU64(value, k * k);
-    CHECK_OK(kv.Put(k, ByteSpan(value.data(), value.size())));
-    ++per_partition[kv.PartitionOf(k)];
-  }
-  std::printf("distributed KV: 600 keys client-routed to partitions [%d, %d, %d]\n",
-              per_partition[0], per_partition[1], per_partition[2]);
-  auto sample = kv.Get(123);
-  CHECK_OK(sample.status());
-  std::printf("  get(123) -> %llu (from DPU %zu)\n\n",
-              static_cast<unsigned long long>(GetU64(*sample, 0)), kv.PartitionOf(123));
-
-  // ---- replicated shared log ---------------------------------------------------
-  dpu::ReplicatedLogClient log(rack);
-  for (int i = 0; i < 5; ++i) {
-    Bytes entry = ToBytes("txn-record-" + std::to_string(i));
-    CHECK_OK(log.Append(ByteSpan(entry.data(), entry.size())).status());
-  }
-  std::printf("replicated log: 5 entries written to all 3 replicas\n");
-
-  // Destroy replica 0's copy of position 2 (media loss).
-  const mem::SegmentId victim(0xC0F0000000000300ull, 2);
-  CHECK_OK(dpus[0]->store().Delete(victim));
-  std::printf("  simulated media loss: replica 0 lost position 2\n");
-
-  auto recovered = log.Read(2);
-  CHECK_OK(recovered.status());
-  std::printf("  read(2) -> \"%s\" (read-one fallback; %llu replica repaired)\n",
-              ToString(ByteSpan(recovered->data(), recovered->size())).c_str(),
-              static_cast<unsigned long long>(log.repairs()));
-  auto verify = services[0]->log().Read(2);
-  std::printf("  replica 0 now holds position 2 again: %s\n",
-              verify.ok() ? "yes" : "no");
+  // ---- replicated KV surviving a head kill -----------------------------------
+  dpu::RepClusterOptions rep_options;
+  rep_options.groups = 1;
+  rep_options.replicas_per_group = 3;
+  rep_options.kill_node = 0;  // the head: leader and sequencer
+  rep_options.kill_after_ns = 60 * sim::kMicrosecond;
+  dpu::ReplicatedKvCluster rep(rep_options);
+  const dpu::RepClusterResult rep_result = rep.Run();
+  CHECK_EQ(rep_result.killed_nodes, 1u);
+  const dpu::RepAudit audit = rep.AuditAckedWrites();
+  CHECK(audit.ok());
+  std::printf("\nreplicated KV: 1 group x R=3, head killed at 60 us\n");
+  std::printf("  %llu puts + %llu gets acknowledged, %llu failed, %llu failover(s), "
+              "%llu seal(s), %llu repair copies\n",
+              static_cast<unsigned long long>(rep_result.ok_puts),
+              static_cast<unsigned long long>(rep_result.ok_gets),
+              static_cast<unsigned long long>(rep_result.failed_ops),
+              static_cast<unsigned long long>(rep_result.failovers),
+              static_cast<unsigned long long>(rep_result.seals),
+              static_cast<unsigned long long>(rep_result.repair_copies));
+  std::printf("  audit: %llu acknowledged writes re-read on the survivors, none lost\n",
+              static_cast<unsigned long long>(audit.acked));
 
   std::printf("\nClients carry the distribution logic; DPUs only serve the fast path —\n"
               "the passive-disaggregation division of labor the paper argues for.\n");

@@ -24,9 +24,9 @@
 //     from different threads — exactly what happens when an RPC payload
 //     slice rides a cross-shard message.
 //   * A single Buffer/BufferChain *object* is still not synchronized; hand
-//     a value across shards by moving it through a channel message (the
-//     barrier provides the happens-before edge), never by sharing one
-//     object between concurrently running shards.
+//     a value across shards by moving it into the closure a
+//     ParallelEngine::Post delivers, never by sharing one object between
+//     shards.
 //   * Borrowed() buffers carry no refcount at all; they must stay confined
 //     to the scope (and shard) that owns the underlying memory.
 

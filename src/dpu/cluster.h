@@ -14,10 +14,11 @@
 // KvCluster is the paper's §3 picture — a rack of self-hosting DPUs serving
 // a partitioned KV service. Every node is a full Hyperion DPU plus
 // closed-loop clients on the node's shard; keys hash-partition across nodes
-// with the placement DistributedKvClient uses, and an op owned by another
-// node crosses shards as a serialized RPC frame. The result is bit-identical
-// for any shard count (tests/cluster_test.cc), because nodes share no
-// mutable state and cross-node messages merge in (time, source, seq) order.
+// by KvPartitionOf (each client is a ShardedKvClient), and an op owned by
+// another node crosses shards as a serialized RPC frame. The result is
+// bit-identical for any shard count (tests/cluster_test.cc), because nodes
+// share no mutable state and cross-node messages merge in (time, source,
+// seq) order.
 // bench_cluster_scaling runs it for netkv.
 
 #ifndef HYPERION_SRC_DPU_CLUSTER_H_
@@ -246,7 +247,7 @@ struct ClusterResult {
   uint64_t ok_ops = 0;
   uint64_t failed_ops = 0;
   uint64_t events_run = 0;      // across all shard engines
-  uint64_t messages = 0;        // channel messages (layout-invariant)
+  uint64_t messages = 0;        // ParallelEngine posts (layout-invariant)
   // Clients start after the slowest node finishes boot + preload (start_ns),
   // so the measured window excludes the ~2.8 s virtual boot sequence;
   // makespan_ns is last client completion minus start_ns.

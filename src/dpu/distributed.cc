@@ -19,39 +19,6 @@ size_t KvPartitionOf(uint64_t key, size_t partitions) {
   return static_cast<size_t>(MixKey(key) % partitions);
 }
 
-size_t DistributedKvClient::PartitionOf(uint64_t key) const {
-  return KvPartitionOf(key, partitions_.size());
-}
-
-Result<RpcResponse> DistributedKvClient::CallOwner(uint64_t key, uint16_t opcode,
-                                                   Bytes payload) {
-  RpcRequest request{ServiceId::kKv, opcode, std::move(payload)};
-  ASSIGN_OR_RETURN(RpcResponse response, partitions_[PartitionOf(key)]->Call(request));
-  RETURN_IF_ERROR(response.status);
-  return response;
-}
-
-Status DistributedKvClient::Put(uint64_t key, ByteSpan value) {
-  Bytes payload;
-  PutU64(payload, key);
-  PutU32(payload, static_cast<uint32_t>(value.size()));
-  PutBytes(payload, value);
-  return CallOwner(key, KvOp::kPut, std::move(payload)).status();
-}
-
-Result<Buffer> DistributedKvClient::Get(uint64_t key) {
-  Bytes payload;
-  PutU64(payload, key);
-  ASSIGN_OR_RETURN(RpcResponse response, CallOwner(key, KvOp::kGet, std::move(payload)));
-  return std::move(response.payload);
-}
-
-Status DistributedKvClient::Delete(uint64_t key) {
-  Bytes payload;
-  PutU64(payload, key);
-  return CallOwner(key, KvOp::kDelete, std::move(payload)).status();
-}
-
 void ShardedKvClient::CallOwnerAsync(uint64_t key, uint16_t opcode, Bytes payload,
                                      std::function<void(Result<RpcResponse>)> done) {
   CHECK(!partitions_.empty());
@@ -94,65 +61,6 @@ void ShardedKvClient::DeleteAsync(uint64_t key, std::function<void(Status)> done
                  [done = std::move(done)](Result<RpcResponse> response) {
                    done(response.ok() ? response->status : response.status());
                  });
-}
-
-Result<RpcResponse> ReplicatedLogClient::CallLog(size_t replica, uint16_t opcode,
-                                                 Bytes payload) {
-  RpcRequest request{ServiceId::kLog, opcode, std::move(payload)};
-  ASSIGN_OR_RETURN(RpcResponse response, replicas_[replica]->Call(request));
-  RETURN_IF_ERROR(response.status);
-  return response;
-}
-
-Result<uint64_t> ReplicatedLogClient::Append(ByteSpan data) {
-  if (replicas_.empty()) {
-    return InvalidArgument("no replicas configured");
-  }
-  // 1. Position from the sequencer (replica 0).
-  ASSIGN_OR_RETURN(RpcResponse reserved, CallLog(0, LogOp::kReserve, {}));
-  const uint64_t position = GetU64(reserved.payload, 0);
-  // Non-sequencer replicas track the tail by reserving the same position
-  // locally (their sequencers run in lockstep under a single writer; a
-  // multi-writer deployment would route every Reserve to replica 0).
-  for (size_t r = 1; r < replicas_.size(); ++r) {
-    RETURN_IF_ERROR(CallLog(r, LogOp::kReserve, {}).status());
-  }
-  // 2. Write-all.
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    Bytes payload;
-    PutU64(payload, position);
-    PutBytes(payload, data);
-    RETURN_IF_ERROR(CallLog(r, LogOp::kWriteAt, std::move(payload)).status());
-  }
-  return position;
-}
-
-Result<Buffer> ReplicatedLogClient::Read(uint64_t position) {
-  if (replicas_.empty()) {
-    return InvalidArgument("no replicas configured");
-  }
-  Status last = NotFound("position unwritten on every replica");
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    Bytes payload;
-    PutU64(payload, position);
-    RpcRequest request{ServiceId::kLog, LogOp::kRead, std::move(payload)};
-    ASSIGN_OR_RETURN(RpcResponse response, replicas_[r]->Call(request));
-    if (response.status.ok()) {
-      // Repair any replica we skipped over on the way here.
-      for (size_t damaged = 0; damaged < r; ++damaged) {
-        Bytes repair;
-        PutU64(repair, position);
-        PutBytes(repair, ByteSpan(response.payload.data(), response.payload.size()));
-        // Best effort: write-once may legitimately refuse (already filled).
-        if (CallLog(damaged, LogOp::kWriteAt, std::move(repair)).ok()) {
-          ++repairs_;
-        }
-      }
-      return std::move(response.payload);
-    }
-    last = response.status;
-  }
-  return last;
 }
 
 }  // namespace hyperion::dpu

@@ -1,20 +1,14 @@
-// Distributed CPU-free applications over multiple Hyperion DPUs (paper
-// §2.4's C1 class and discussion question 3: "How should one build CPU-free
+// Client-driven KV partitioning over a rack of Hyperion DPUs (paper §2.4's
+// C1 class and discussion question 3: "How should one build CPU-free
 // distributed applications ... of such standalone, passively disaggregated
 // DPUs?").
 //
-// Both clients follow the passive-disaggregation doctrine: the *client*
-// holds the smartness (partitioning, replication, failure fallback) and the
-// DPUs serve only fast datapath requests.
-//
-//   DistributedKvClient  client-driven request routing (MICA [111] style):
-//                        keys hash-partition across N DPUs; every op is a
-//                        single RPC to the owning partition.
-//   ReplicatedLogClient  Boxwood/CORFU-style fault-tolerant shared log:
-//                        positions come from the sequencer DPU; data is
-//                        written to all R replicas (write-all), reads try
-//                        replicas in order (read-one with fallback), and a
-//                        damaged replica is repaired from a healthy one.
+// Passive disaggregation: the *client* holds the smartness (partitioning,
+// replication, failure fallback) and the DPUs serve only fast datapath
+// requests. ShardedKvClient routes MICA-style [111]: keys hash-partition
+// across N DPUs and every op is a single RPC to the owning partition.
+// Replication and failover on the same doctrine live in
+// src/dpu/replication.h.
 
 #ifndef HYPERION_SRC_DPU_DISTRIBUTED_H_
 #define HYPERION_SRC_DPU_DISTRIBUTED_H_
@@ -27,38 +21,14 @@
 
 namespace hyperion::dpu {
 
-// Hash-partition placement shared by the synchronous and sharded clients:
-// both must route a key to the same owner or the cluster experiments would
-// disagree with the single-engine ones.
+// Hash-partition placement of a key over `partitions` owners, shared by
+// ShardedKvClient and the replicated cluster's group routing.
 size_t KvPartitionOf(uint64_t key, size_t partitions);
 
-class DistributedKvClient {
- public:
-  // One RpcClient per DPU partition. Ownership stays with the caller.
-  explicit DistributedKvClient(std::vector<RpcClient*> partitions)
-      : partitions_(std::move(partitions)) {}
-
-  Status Put(uint64_t key, ByteSpan value);
-  // The returned Buffer shares the RPC response's backing bytes.
-  Result<Buffer> Get(uint64_t key);
-  Status Delete(uint64_t key);
-
-  // The partition that owns `key` (exposed for tests/placement debugging).
-  size_t PartitionOf(uint64_t key) const;
-  size_t PartitionCount() const { return partitions_.size(); }
-
- private:
-  Result<RpcResponse> CallOwner(uint64_t key, uint16_t opcode, Bytes payload);
-
-  std::vector<RpcClient*> partitions_;
-};
-
-// Sharded-cluster twin of DistributedKvClient (PR 3): the same client-driven
-// MICA-style partitioning, but asynchronous and shard-aware — each op is one
-// ShardedRpcNode::CallAsync to the owning partition, so an op whose owner
-// lives on another shard becomes a cross-shard frame message and ops to
-// different partitions overlap in virtual time. Completions run on the
-// calling node's shard.
+// Asynchronous and shard-aware: each op is one ShardedRpcNode::CallAsync to
+// the owning partition, so an op whose owner lives on another shard becomes
+// a cross-shard frame message and ops to different partitions overlap in
+// virtual time. Completions run on the calling node's shard.
 class ShardedKvClient {
  public:
   // `self` is the calling node's endpoint; `partitions[i]` serves partition
@@ -81,31 +51,6 @@ class ShardedKvClient {
 
   ShardedRpcNode* self_;
   std::vector<ShardedRpcNode*> partitions_;
-};
-
-class ReplicatedLogClient {
- public:
-  // replicas[0] doubles as the sequencer. Requires >= 1 replica.
-  explicit ReplicatedLogClient(std::vector<RpcClient*> replicas)
-      : replicas_(std::move(replicas)) {}
-
-  // Reserves a position at the sequencer, then writes it to every replica.
-  // Fails (and fills the position on the replicas already written) if any
-  // replica rejects — write-all gives read-one.
-  Result<uint64_t> Append(ByteSpan data);
-
-  // Reads `position`, trying replicas in order; a replica returning
-  // data-loss or not-found is skipped. After a successful fallback read the
-  // damaged replica is repaired with a write-once put of the good data.
-  Result<Buffer> Read(uint64_t position);
-
-  uint64_t repairs() const { return repairs_; }
-
- private:
-  Result<RpcResponse> CallLog(size_t replica, uint16_t opcode, Bytes payload);
-
-  std::vector<RpcClient*> replicas_;
-  uint64_t repairs_ = 0;
 };
 
 }  // namespace hyperion::dpu

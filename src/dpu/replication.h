@@ -3,11 +3,12 @@
 // §3's fault-tolerance argument needs a node death to cost no acknowledged
 // data without any host CPU in the loop).
 //
-// The design follows the client-driven "passive disaggregation" doctrine of
-// src/dpu/distributed.h: the DPUs serve a dumb fast path (write-once log
-// positions, last-writer-wins KV apply, epoch checks) and every smart step
-// — chain placement, failure detection, seal, tail recovery, repair — runs
-// in the client library. Per shard group of R replicas:
+// The design follows the client-driven "passive disaggregation" doctrine
+// (paper §2.4; ShardedKvClient in src/dpu/distributed.h partitions on it):
+// the DPUs serve a dumb fast path (write-once log positions, last-writer-wins
+// KV apply, epoch checks) and every smart step — chain placement, failure
+// detection, seal, tail recovery, repair — runs in the client library. Per
+// shard group of R replicas:
 //
 //   * Sequencing: the head (first live replica) hands out positions from
 //     its durable CorfuLog sequencer (CorfuLog::Reserve).

@@ -191,25 +191,18 @@ RpcResponse HyperionServices::HandleLog(uint16_t opcode, const Buffer& payload) 
     }
     case LogOp::kFill: {
       const uint64_t position = reader.ReadU64();
+      if (!reader.Ok()) {
+        return RpcResponse::Fail(InvalidArgument("malformed log fill"));
+      }
       Status st = log_->Fill(position);
       return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
     }
     case LogOp::kTrim: {
       const uint64_t prefix = reader.ReadU64();
-      Status st = log_->Trim(prefix);
-      return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
-    }
-    case LogOp::kReserve: {
-      Bytes out;
-      PutU64(out, log_->Reserve());
-      return RpcResponse::Ok(std::move(out));
-    }
-    case LogOp::kWriteAt: {
-      const uint64_t position = reader.ReadU64();
       if (!reader.Ok()) {
-        return RpcResponse::Fail(InvalidArgument("malformed write-at"));
+        return RpcResponse::Fail(InvalidArgument("malformed log trim"));
       }
-      Status st = log_->WriteAt(position, payload.Slice(reader.offset()));
+      Status st = log_->Trim(prefix);
       return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
     }
     default:
@@ -248,6 +241,9 @@ RpcResponse HyperionServices::HandleBlock(uint16_t opcode, const Buffer& payload
     }
     case BlockOp::kFlush: {
       const uint32_t nsid = reader.ReadU32();
+      if (!reader.Ok()) {
+        return RpcResponse::Fail(InvalidArgument("malformed block flush"));
+      }
       Status st = dpu_->nvme().Flush(nsid);
       return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
     }

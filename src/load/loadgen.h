@@ -9,10 +9,12 @@
 //     issuing the next one `think_time` after the previous completes. Load
 //     self-limits, the classic contrast to the open-loop curve.
 //
-// LoadGen is sink-agnostic: the IssueFn may drive an OverloadPipeline (one
-// engine) or a ShardedRpcNode (a shard of a ParallelEngine) — both are just
-// "issue request seq with this absolute deadline, call done once". All
-// arrival times are pure functions of the options, so runs are bit-stable.
+// LoadGen is sink-agnostic: the IssueFn may drive a ShardedRpcNode (a shard
+// of a ParallelEngine, as OverloadCluster's clients do) or a single-engine
+// sink such as E13's doorbell pipeline, which ignores the deadline — the
+// contract is just "issue request seq with this absolute deadline, call done
+// once". All arrival times are pure functions of the options, so runs are
+// bit-stable.
 
 #ifndef HYPERION_SRC_LOAD_LOADGEN_H_
 #define HYPERION_SRC_LOAD_LOADGEN_H_

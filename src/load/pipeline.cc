@@ -1,6 +1,5 @@
 #include "src/load/pipeline.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -8,79 +7,30 @@
 
 namespace hyperion::load {
 
+namespace {
+constexpr sim::Duration kDoorbellCost = 500;  // one MMIO doorbell write
+constexpr uint16_t kSqEntries = 256;
+constexpr uint64_t kDeviceLbas = 65536;
+constexpr uint32_t kReadBlocks = 1;
+}  // namespace
+
 OverloadPipeline::OverloadPipeline(sim::Engine* engine, const OverloadPipelineOptions& options)
     : engine_(engine),
-      options_(options),
       controller_(&device_),
-      nic_gate_(options.nic_capacity),
-      fpga_gate_(options.fpga_slots),
-      admission_(options.admission),
-      rx_batcher_(engine, options.rx_batch, options.rx_max_delay,
-                  [this](std::vector<PendingIo> batch, bool) {
-                    for (auto& io : batch) {
-                      AdmitOne(std::move(io));
-                    }
-                  }),
-      nvme_batcher_(engine, options.doorbell_batch, options.doorbell_max_delay,
-                    [this](std::vector<PendingIo> batch, bool) {
-                      SubmitBatch(std::move(batch));
-                    }) {
+      batcher_(engine, options.doorbell_batch, kDoorbellMaxDelay,
+               [this](std::vector<PendingIo> batch, bool) { SubmitBatch(std::move(batch)); }) {
   CHECK(engine_ != nullptr);
-  nsid_ = controller_.AddNamespace(options_.device_lbas, options_.flash);
-  qid_ = controller_.CreateQueuePair(options_.sq_entries);
-  controller_.SetDoorbellCoalescing(options_.doorbell_batch);
-  controller_.SetDoorbellCost(options_.doorbell_cost);
+  // The SQ keeps one slot empty to tell full from empty, so a batch below
+  // kSqEntries always fits: every batch is reaped before the next one.
+  CHECK_LT(options.doorbell_batch, kSqEntries);
+  nsid_ = controller_.AddNamespace(kDeviceLbas);
+  qid_ = controller_.CreateQueuePair(kSqEntries);
+  controller_.SetDoorbellCoalescing(options.doorbell_batch);
+  controller_.SetDoorbellCost(kDoorbellCost);
 }
 
-void OverloadPipeline::Offer(uint64_t seq, sim::SimTime deadline, LoadGen::DoneFn done) {
-  counters_.Increment("nic_offered");
-  PendingIo io;
-  io.seq = seq;
-  io.arrival = engine_->Now();
-  io.deadline = deadline;
-  io.done = std::move(done);
-  if (!nic_gate_.TryAcquire()) {
-    // Tail drop at the NIC: no buffer, no cost, immediate feedback (the
-    // model's stand-in for the wire-level pushback a real NIC would apply).
-    counters_.Increment("nic_dropped");
-    io.done(Outcome::kRejected);
-    return;
-  }
-  rx_batcher_.Add(std::move(io));
-}
-
-void OverloadPipeline::Reject(PendingIo io, const char* counter, bool release_fpga) {
-  counters_.Increment(counter);
-  if (release_fpga) {
-    fpga_gate_.Release();
-  }
-  nic_gate_.Release();
-  // The reject is cheap but not free: schedule the answer after the shell-
-  // level bounce cost, without touching the device clock.
-  engine_->ScheduleAfter(options_.reject_cost,
-                         [done = std::move(io.done)] { done(Outcome::kRejected); });
-}
-
-void OverloadPipeline::AdmitOne(PendingIo io) {
-  const sim::SimTime now = engine_->Now();
-  if (options_.admission_enabled) {
-    const sim::AdmissionDecision decision = admission_.Decide(now, device_.Now(), io.deadline);
-    if (decision != sim::AdmissionDecision::kAdmit) {
-      Reject(std::move(io),
-             decision == sim::AdmissionDecision::kShedDeadline ? "pipe_shed_deadline"
-                                                               : "pipe_shed_queue",
-             /*release_fpga=*/false);
-      return;
-    }
-  }
-  if (!fpga_gate_.TryAcquire()) {
-    // Downstream credits exhausted: backpressure surfaces as a reject here
-    // rather than as unbounded queueing in front of the fabric.
-    Reject(std::move(io), "fpga_backpressure", /*release_fpga=*/false);
-    return;
-  }
-  counters_.Increment("pipe_admitted");
-  nvme_batcher_.Add(std::move(io));
+void OverloadPipeline::Offer(uint64_t seq, LoadGen::DoneFn done) {
+  batcher_.Add(PendingIo{seq, std::move(done)});
 }
 
 void OverloadPipeline::SubmitBatch(std::vector<PendingIo> batch) {
@@ -90,26 +40,14 @@ void OverloadPipeline::SubmitBatch(std::vector<PendingIo> batch) {
   if (device_.Now() < now) {
     device_.AdvanceTo(now);
   }
-  bool submitted = false;
-  for (auto& io : batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
     nvme::Command cmd;
-    cmd.cid = next_cid_;
+    cmd.cid = static_cast<uint16_t>(i);  // index into `batch`
     cmd.opcode = nvme::Opcode::kRead;
     cmd.nsid = nsid_;
-    cmd.slba = (io.seq * 97) % (options_.device_lbas - options_.read_blocks);
-    cmd.nlb = options_.read_blocks - 1;
-    const Status status = controller_.SubmitCoalesced(qid_, std::move(cmd));
-    if (!status.ok()) {
-      // SQ credits exhausted — the innermost backpressure signal.
-      Reject(std::move(io), "nvme_rejected", /*release_fpga=*/true);
-      continue;
-    }
-    inflight_.emplace(next_cid_, std::move(io));
-    next_cid_ = next_cid_ == 0xffff ? 1 : static_cast<uint16_t>(next_cid_ + 1);
-    submitted = true;
-  }
-  if (!submitted) {
-    return;
+    cmd.slba = (batch[i].seq * 97) % (kDeviceLbas - kReadBlocks);
+    cmd.nlb = kReadBlocks - 1;
+    CHECK_OK(controller_.SubmitCoalesced(qid_, std::move(cmd)));
   }
   // Publish any staged remainder (one doorbell for the whole batch), run
   // the device, and reap with one coalesced completion interrupt.
@@ -117,47 +55,12 @@ void OverloadPipeline::SubmitBatch(std::vector<PendingIo> batch) {
   controller_.ProcessSubmissions();
   const sim::SimTime finish = device_.Now();
   while (auto cqe = controller_.Reap(qid_)) {
-    auto it = inflight_.find(cqe->cid);
-    CHECK(it != inflight_.end());
-    PendingIo io = std::move(it->second);
-    inflight_.erase(it);
-    if (options_.admission_enabled) {
-      admission_.OnAdmitted(io.arrival, finish);
-    }
+    CHECK_LT(cqe->cid, batch.size());
     const bool ok = cqe->status == nvme::CmdStatus::kSuccess;
-    engine_->ScheduleAt(finish, [this, ok, done = std::move(io.done)] {
-      fpga_gate_.Release();
-      nic_gate_.Release();
-      counters_.Increment(ok ? "completed" : "io_failed");
+    engine_->ScheduleAt(finish, [ok, done = std::move(batch[cqe->cid].done)] {
       done(ok ? Outcome::kOk : Outcome::kFailed);
     });
   }
-}
-
-void OverloadPipeline::FlushAll() {
-  rx_batcher_.Flush();
-  nvme_batcher_.Flush();
-}
-
-void OverloadPipeline::SnapshotMetrics(obs::MetricsRegistry* registry) const {
-  registry->ImportCounters(obs::Subsystem::kApp, counters_);
-  registry->ImportCounters(obs::Subsystem::kApp, admission_.counters());
-  registry->ImportCounters(obs::Subsystem::kNvme, controller_.counters());
-  for (const auto& [name, value] : nic_gate_.counters().Snapshot()) {
-    registry->Add(obs::Subsystem::kNet, "nic_" + name, value);
-  }
-  for (const auto& [name, value] : fpga_gate_.counters().Snapshot()) {
-    registry->Add(obs::Subsystem::kFpga, "fpga_" + name, value);
-  }
-  for (const auto& [name, value] : rx_batcher_.counters().Snapshot()) {
-    registry->Add(obs::Subsystem::kNet, "rx_" + name, value);
-  }
-  for (const auto& [name, value] : nvme_batcher_.counters().Snapshot()) {
-    registry->Add(obs::Subsystem::kNvme, "doorbell_" + name, value);
-  }
-  registry->Record(obs::Subsystem::kApp, "admission_depth_p99", admission_.depth().P99());
-  registry->Record(obs::Subsystem::kNvme, "doorbell_batch_p50",
-                   nvme_batcher_.batch_sizes().P50());
 }
 
 }  // namespace hyperion::load

@@ -1,22 +1,12 @@
-// Single-engine overload datapath: NIC -> admission -> FPGA -> flash (PR 5).
+// Single-engine NVMe doorbell pipeline (E13's DoorbellBatch rows, PR 5).
 //
-// OverloadPipeline wires the flow-control primitives of sim/flow.h into the
-// Fig. 2 request path, end to end, on one event engine:
-//
-//   NIC ingress      CreditGate bounding total in-flight requests; a frame
-//                    arriving with no credit is tail-dropped at the NIC.
-//   RX coalescing    Batcher<Arrival>: frames accumulate for up to rx_batch
-//                    or rx_max_delay before one batched pass hands them on.
-//   Admission        AdmissionController against the *device* busy-until
-//                    clock: bounded pending queue, backlog bound, deadline-
-//                    aware shedding. A shed costs reject_cost of event time
-//                    and never touches the device.
-//   FPGA stage       CreditGate of pipeline slots between admission and the
-//                    NVMe queue (credit exhaustion = backpressure reject).
-//   NVMe             Batcher<PendingIo> + the controller's doorbell
-//                    coalescing: K SQEs ride one doorbell ring, the batch
-//                    executes on the device cost clock, and one coalesced
-//                    completion event releases credits and reports back.
+// OverloadPipeline isolates one Fig. 2 mechanism on one event engine:
+// doorbell coalescing. Requests stage in a Batcher<PendingIo>; a batch of
+// up to doorbell_batch SQEs, or whatever kDoorbellMaxDelay collected, rides
+// one doorbell ring, executes on the device cost clock, and one coalesced
+// completion event reports every request in it. E13's admission curves run
+// on the sharded load::OverloadCluster, whose server sheds through
+// RpcOverloadPolicy; NIC credits and RX batching live in load::XdpCluster.
 //
 // Two clocks, by design: the host engine holds *events* (arrivals, batch
 // timers, completions) and must never be advanced inline; the device engine
@@ -27,98 +17,49 @@
 #define HYPERION_SRC_LOAD_PIPELINE_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <vector>
 
 #include "src/load/loadgen.h"
 #include "src/nvme/controller.h"
-#include "src/obs/metrics.h"
 #include "src/sim/engine.h"
 #include "src/sim/flow.h"
-#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace hyperion::load {
 
 struct OverloadPipelineOptions {
-  // NIC ingress bound: total requests in flight anywhere in the pipeline.
-  uint32_t nic_capacity = 256;
-  // NIC RX frame coalescing.
-  uint32_t rx_batch = 4;
-  sim::Duration rx_max_delay = 2 * sim::kMicrosecond;
-  // Admission control (the with/without axis of the E13 curves).
-  bool admission_enabled = true;
-  sim::AdmissionParams admission;
-  sim::Duration reject_cost = 200;
-  // FPGA pipeline slots between admission and the NVMe submission queue.
-  uint32_t fpga_slots = 64;
-  // NVMe doorbell coalescing: SQEs per ring and the max staging delay.
+  // SQEs per doorbell ring (the swept axis); below the SQ's 256 entries.
   uint16_t doorbell_batch = 4;
-  sim::Duration doorbell_max_delay = 2 * sim::kMicrosecond;
-  sim::Duration doorbell_cost = 500;
-  uint16_t sq_entries = 256;
-  // Media model behind the queue pair.
-  uint64_t device_lbas = 65536;
-  uint32_t read_blocks = 1;
-  nvme::FlashLatency flash;
 };
 
 class OverloadPipeline {
  public:
+  // A batch short of doorbell_batch rings once its first request has
+  // waited this long.
+  static constexpr sim::Duration kDoorbellMaxDelay = 5 * sim::kMicrosecond;
+
   OverloadPipeline(sim::Engine* engine, const OverloadPipelineOptions& options);
 
-  // NIC ingress for request `seq` with an absolute `deadline`
-  // (sim::Engine::kNever = none); signature matches LoadGen::IssueFn.
-  void Offer(uint64_t seq, sim::SimTime deadline, LoadGen::DoneFn done);
+  // Issues a one-block read for request `seq`; `done` runs at the batch's
+  // completion.
+  void Offer(uint64_t seq, LoadGen::DoneFn done);
 
-  // Manually drains both coalescers (tests; the max-delay timers make this
-  // unnecessary in a driven run).
-  void FlushAll();
-
-  sim::Engine* engine() { return engine_; }
-  sim::Engine& device_clock() { return device_; }
   nvme::Controller& controller() { return controller_; }
-  sim::CreditGate& nic_gate() { return nic_gate_; }
-  sim::CreditGate& fpga_gate() { return fpga_gate_; }
-  sim::AdmissionController& admission() { return admission_; }
-
-  // nic_offered / nic_dropped / pipe_admitted / pipe_shed_queue /
-  // pipe_shed_deadline / fpga_backpressure / nvme_rejected / completed /
-  // io_failed.
-  const sim::Counters& counters() const { return counters_; }
-
-  // Queue depths, sheds, and batch sizes from every stage, under stable
-  // names: load.* (pipeline counters), plus the admission controller's,
-  // both credit gates' (nic_/fpga_ prefixed), both batchers' (rx_/nvme_
-  // prefixed), and the NVMe controller's counters.
-  void SnapshotMetrics(obs::MetricsRegistry* registry) const;
 
  private:
   struct PendingIo {
     uint64_t seq = 0;
-    sim::SimTime arrival = 0;  // NIC arrival (admission's queueing anchor)
-    sim::SimTime deadline = sim::Engine::kNever;
     LoadGen::DoneFn done;
   };
 
-  void Reject(PendingIo io, const char* counter, bool release_fpga);
-  void AdmitOne(PendingIo io);
   void SubmitBatch(std::vector<PendingIo> batch);
 
   sim::Engine* engine_;
-  OverloadPipelineOptions options_;
   sim::Engine device_;  // pure cost clock; never holds events
   nvme::Controller controller_;
   uint16_t qid_ = 0;
   uint32_t nsid_ = 0;
-  sim::CreditGate nic_gate_;
-  sim::CreditGate fpga_gate_;
-  sim::AdmissionController admission_;
-  sim::Batcher<PendingIo> rx_batcher_;
-  sim::Batcher<PendingIo> nvme_batcher_;
-  std::map<uint16_t, PendingIo> inflight_;  // cid -> request at the device
-  uint16_t next_cid_ = 1;
-  sim::Counters counters_;
+  sim::Batcher<PendingIo> batcher_;
 };
 
 }  // namespace hyperion::load

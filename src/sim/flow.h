@@ -7,15 +7,17 @@
 // queues, all deterministic under the discrete-event engine:
 //
 //   CreditGate           fixed pool of credits, the backwards-propagating
-//                        "may I occupy downstream capacity" token (NVMe SQ
-//                        slots -> FPGA pipeline slots -> RPC pending slots).
+//                        "may I occupy downstream capacity" token (the LSM
+//                        engine's shared NVMe SQ slots, the XDP ingress's
+//                        NIC batches in flight).
 //   AdmissionController  bounded pending-request queue with deadline-aware
 //                        early rejection for a FIFO pipeline whose state is
 //                        a busy-until clock (the node-clock idiom used by
-//                        ShardedRpcNode and load::OverloadPipeline).
+//                        ShardedRpcNode's RpcOverloadPolicy and
+//                        load::XdpCluster).
 //   Batcher<T>           K-or-max-delay coalescer: trades a bounded added
 //                        latency for amortized per-item costs (NVMe doorbell
-//                        rings, NIC RX frame batches).
+//                        rings in load::OverloadPipeline).
 //
 // None of these draw randomness or read wall-clock time; decisions depend
 // only on virtual time and call order, so sharded runs stay bit-identical.

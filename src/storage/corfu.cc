@@ -68,6 +68,9 @@ Status CorfuLog::WriteAt(uint64_t position, ByteSpan data) {
   if (position < trim_point_) {
     return OutOfRange("position trimmed");
   }
+  if (position > kMaxPosition) {
+    return OutOfRange("position past the log's address space");
+  }
   if (data.size() > kMaxEntryLen) {
     return InvalidArgument("entry exceeds kMaxEntryLen");
   }
@@ -130,6 +133,9 @@ Result<Bytes> CorfuLog::Read(uint64_t position) {
 Status CorfuLog::Fill(uint64_t position) {
   if (position < trim_point_) {
     return OutOfRange("position trimmed");
+  }
+  if (position > kMaxPosition) {
+    return OutOfRange("position past the log's address space");
   }
   if (position >= tail_) {
     tail_ = position + 1;

@@ -36,6 +36,9 @@ class CorfuLog {
   // Positions per durable ceiling bump: one 16-byte meta write amortised
   // over this many Reserve() calls.
   static constexpr uint64_t kReserveChunk = 64;
+  // Highest position WriteAt and Fill accept. Past it, the tail
+  // (position + 1) or the chunk-rounded ceiling would wrap to 0.
+  static constexpr uint64_t kMaxPosition = UINT64_MAX - kReserveChunk;
 
   CorfuLog(mem::ObjectStore* store, uint64_t log_id, uint32_t stripe_units = 4);
 
@@ -46,9 +49,10 @@ class CorfuLog {
   uint64_t Reserve();
 
   // Writes `data` to a reserved position. kAlreadyExists if the position
-  // was already written or hole-filled (write-once). Positions at or past
-  // the local tail advance it: a replica accepts positions reserved at a
-  // remote sequencer without having seen the Reserve().
+  // was already written or hole-filled (write-once); kOutOfRange past
+  // kMaxPosition. Positions at or past the local tail advance it: a replica
+  // accepts positions reserved at a remote sequencer without having seen
+  // the Reserve().
   Status WriteAt(uint64_t position, ByteSpan data);
 
   // Reads a position. kNotFound if unwritten; kDataLoss if it was
@@ -56,7 +60,7 @@ class CorfuLog {
   Result<Bytes> Read(uint64_t position);
 
   // Junk-fills a hole so readers can make progress (write-once also holds
-  // for fills). Advances the tail like WriteAt.
+  // for fills). Advances the tail, and bounds the position, like WriteAt.
   Status Fill(uint64_t position);
 
   // -- Convenience ------------------------------------------------------------

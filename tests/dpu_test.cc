@@ -202,6 +202,40 @@ TEST_F(DpuTest, WrappedSlbaBlockRpcFailsAndNodeKeepsServing) {
   EXPECT_EQ(got.payload, blocks);
 }
 
+// Corfu positions are remote-chosen too: a fill at 2^64 - 1 would wrap the
+// log's tail to 0 and turn every later append into a write-once conflict.
+// It gets an error reply, and appends keep taking the next position.
+TEST_F(DpuTest, WrappingLogPositionRpcFailsAndAppendsContinue) {
+  BootAndConnect();
+  const Bytes entry = ToBytes("entry");
+  ASSERT_TRUE(Call(ServiceId::kLog, LogOp::kAppend, entry).status.ok());  // position 0
+  Bytes fill;
+  PutU64(fill, UINT64_MAX);
+  EXPECT_EQ(Call(ServiceId::kLog, LogOp::kFill, fill).status.code(), StatusCode::kOutOfRange);
+  RpcResponse tail = Call(ServiceId::kLog, LogOp::kTail, {});
+  ASSERT_TRUE(tail.status.ok());
+  EXPECT_EQ(GetU64(tail.payload, 0), 1u);
+  RpcResponse appended = Call(ServiceId::kLog, LogOp::kAppend, entry);
+  ASSERT_TRUE(appended.status.ok());
+  EXPECT_EQ(GetU64(appended.payload, 0), 1u);
+}
+
+// A log or block request too short to hold its operand is malformed; it
+// must not act on a zero read past the end of the payload.
+TEST_F(DpuTest, TruncatedLogAndBlockRequestsAreRejected) {
+  BootAndConnect();
+  EXPECT_EQ(Call(ServiceId::kLog, LogOp::kFill, {}).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Call(ServiceId::kLog, LogOp::kTrim, {}).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Call(ServiceId::kBlock, BlockOp::kFlush, {}).status.code(),
+            StatusCode::kInvalidArgument);
+  // The empty fill left position 0 unfilled.
+  RpcResponse tail = Call(ServiceId::kLog, LogOp::kTail, {});
+  ASSERT_TRUE(tail.status.ok());
+  EXPECT_EQ(GetU64(tail.payload, 0), 0u);
+}
+
 TEST_F(DpuTest, LogServiceOverRpc) {
   BootAndConnect();
   Bytes entry = ToBytes("log-entry-0");

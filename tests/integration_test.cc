@@ -1,12 +1,11 @@
-// Full-system integration tests: multiple Hyperion DPUs on one fabric,
-// distributed clients, multi-tenancy, crash/recovery across the stack, and
+// Full-system integration tests: Hyperion DPUs on one fabric with a
+// synchronous client, multi-tenancy, crash/recovery across the stack, and
 // the block service — the scenarios that cut across every module.
 
 #include <gtest/gtest.h>
 
 #include "src/apps/fail2ban.h"
 #include "src/apps/load_balancer.h"
-#include "src/dpu/distributed.h"
 #include "src/dpu/hyperion.h"
 #include "src/dpu/services.h"
 #include "src/ebpf/assembler.h"
@@ -17,7 +16,6 @@ namespace {
 using dpu::BlockOp;
 using dpu::Hyperion;
 using dpu::HyperionServices;
-using dpu::LogOp;
 using dpu::RpcClient;
 using dpu::ServiceId;
 
@@ -39,14 +37,6 @@ class Cluster {
     }
   }
 
-  std::vector<RpcClient*> RpcPointers() {
-    std::vector<RpcClient*> out;
-    for (auto& rpc : rpcs_) {
-      out.push_back(rpc.get());
-    }
-    return out;
-  }
-
   sim::Engine engine_;
   net::Fabric fabric_;
   net::HostId client_host_ = 0;
@@ -56,87 +46,6 @@ class Cluster {
   std::vector<std::unique_ptr<HyperionServices>> services_;
   std::vector<std::unique_ptr<RpcClient>> rpcs_;
 };
-
-// -- Distributed KV -----------------------------------------------------
-
-TEST(IntegrationTest, DistributedKvPartitionsAndServes) {
-  Cluster cluster(3);
-  dpu::DistributedKvClient kv(cluster.RpcPointers());
-
-  // Write 300 keys; they must spread over all three partitions.
-  std::vector<size_t> per_partition(3, 0);
-  for (uint64_t k = 0; k < 300; ++k) {
-    Bytes value;
-    PutU64(value, k * 11);
-    ASSERT_TRUE(kv.Put(k, ByteSpan(value.data(), value.size())).ok()) << k;
-    ++per_partition[kv.PartitionOf(k)];
-  }
-  for (size_t p = 0; p < 3; ++p) {
-    EXPECT_GT(per_partition[p], 50u) << "partition " << p << " starved";
-  }
-  // Every key reads back from its owner.
-  for (uint64_t k = 0; k < 300; ++k) {
-    auto value = kv.Get(k);
-    ASSERT_TRUE(value.ok()) << k;
-    EXPECT_EQ(GetU64(*value, 0), k * 11);
-  }
-  ASSERT_TRUE(kv.Delete(7).ok());
-  EXPECT_EQ(kv.Get(7).status().code(), StatusCode::kNotFound);
-}
-
-TEST(IntegrationTest, DistributedKvPartitionsAreIndependent) {
-  Cluster cluster(2);
-  dpu::DistributedKvClient kv(cluster.RpcPointers());
-  // Data landing on partition 0 is invisible to partition 1's local store.
-  uint64_t key_on_p0 = 0;
-  while (kv.PartitionOf(key_on_p0) != 0) {
-    ++key_on_p0;
-  }
-  Bytes value = ToBytes("partitioned");
-  ASSERT_TRUE(kv.Put(key_on_p0, ByteSpan(value.data(), value.size())).ok());
-  EXPECT_TRUE(cluster.services_[0]->kv().Get(key_on_p0).ok());
-  EXPECT_FALSE(cluster.services_[1]->kv().Get(key_on_p0).ok());
-}
-
-// -- Replicated log -------------------------------------------------------
-
-TEST(IntegrationTest, ReplicatedLogWriteAllReadOne) {
-  Cluster cluster(3);
-  dpu::ReplicatedLogClient log(cluster.RpcPointers());
-  Bytes entry = ToBytes("replicated-entry");
-  auto position = log.Append(ByteSpan(entry.data(), entry.size()));
-  ASSERT_TRUE(position.ok());
-  EXPECT_EQ(*position, 0u);
-  // Every replica holds the data locally.
-  for (size_t r = 0; r < 3; ++r) {
-    auto local = cluster.services_[r]->log().Read(*position);
-    ASSERT_TRUE(local.ok()) << "replica " << r;
-    EXPECT_EQ(*local, entry);
-  }
-  auto read = log.Read(*position);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, entry);
-}
-
-TEST(IntegrationTest, ReplicatedLogSurvivesReplicaDamageAndRepairs) {
-  Cluster cluster(3);
-  dpu::ReplicatedLogClient log(cluster.RpcPointers());
-  Bytes entry = ToBytes("precious");
-  auto position = log.Append(ByteSpan(entry.data(), entry.size()));
-  ASSERT_TRUE(position.ok());
-
-  // Destroy replica 0's copy (simulated media loss: delete the segment).
-  const mem::SegmentId seg(0xC0F0000000000300ull, *position);
-  ASSERT_TRUE(cluster.dpus_[0]->store().Delete(seg).ok());
-  EXPECT_FALSE(cluster.services_[0]->log().Read(*position).ok());
-
-  // The replicated read falls back to replica 1 and repairs replica 0.
-  auto read = log.Read(*position);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, entry);
-  EXPECT_EQ(log.repairs(), 1u);
-  EXPECT_TRUE(cluster.services_[0]->log().Read(*position).ok());
-}
 
 // -- Multi-tenancy -----------------------------------------------------
 

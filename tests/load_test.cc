@@ -1,7 +1,7 @@
 // Overload-control tests (PR 5): flow-control primitives (CreditGate,
 // AdmissionController, Batcher), the deterministic load generator, the
-// single-engine OverloadPipeline, and the sharded OverloadCluster's
-// layout-invariance and hockey-stick properties.
+// single-engine doorbell pipeline, and the sharded OverloadCluster's
+// admission, layout-invariance and hockey-stick properties.
 
 #include <algorithm>
 #include <cstdint>
@@ -308,174 +308,53 @@ TEST(LoadGenTest, RejectionsAreCountedNotRetried) {
 
 // -- OverloadPipeline ------------------------------------------------------
 
-struct PipelineTally {
-  uint64_t ok = 0;
-  uint64_t rejected = 0;
-  uint64_t failed = 0;
-
-  LoadGen::DoneFn Sink() {
-    return [this](Outcome outcome) {
-      switch (outcome) {
-        case Outcome::kOk: ++ok; break;
-        case Outcome::kRejected: ++rejected; break;
-        case Outcome::kFailed: ++failed; break;
-      }
-    };
-  }
-};
-
 TEST(OverloadPipelineTest, LoneRequestCompletesViaIdleTimerFlush) {
   sim::Engine engine;
-  OverloadPipelineOptions options;  // rx_batch 4, doorbell_batch 4: both > 1
-  OverloadPipeline pipeline(&engine, options);
-  PipelineTally tally;
-  engine.ScheduleAt(1000, [&] { pipeline.Offer(0, sim::Engine::kNever, tally.Sink()); });
-  engine.Run();
-  // Neither coalescer reached its size bound; both max-delay timers fired,
-  // so the lone request still flowed NIC -> admission -> FPGA -> flash.
-  EXPECT_EQ(tally.ok, 1u);
-  EXPECT_EQ(pipeline.counters().Get("completed"), 1u);
-  EXPECT_EQ(pipeline.controller().counters().Get("nvme_doorbells"), 1u);
-  // All credits returned once the pipeline drained.
-  EXPECT_EQ(pipeline.nic_gate().in_use(), 0u);
-  EXPECT_EQ(pipeline.fpga_gate().in_use(), 0u);
-}
-
-TEST(OverloadPipelineTest, ShedsUnderBurstAndRecovers) {
-  sim::Engine engine;
-  OverloadPipelineOptions options;
-  options.admission.max_pending = 4;
-  options.admission.max_backlog = 200 * sim::kMicrosecond;
-  OverloadPipeline pipeline(&engine, options);
-  PipelineTally tally;
-  // A 64-request burst in one event: far beyond the bounded pending queue.
+  OverloadPipeline pipeline(&engine, OverloadPipelineOptions{});  // doorbell_batch 4
+  std::vector<Outcome> outcomes;
+  sim::SimTime completed_at = 0;
   engine.ScheduleAt(1000, [&] {
-    for (uint64_t seq = 0; seq < 64; ++seq) {
-      pipeline.Offer(seq, sim::Engine::kNever, tally.Sink());
-    }
+    pipeline.Offer(0, [&](Outcome outcome) {
+      outcomes.push_back(outcome);
+      completed_at = engine.Now();
+    });
   });
   engine.Run();
-  EXPECT_EQ(tally.ok + tally.rejected, 64u);
-  EXPECT_EQ(tally.failed, 0u);
-  // The burst overflowed the bounded queue; the excess was shed, the
-  // admitted prefix completed.
-  EXPECT_GT(tally.rejected, 0u);
-  EXPECT_GT(tally.ok, 0u);
-  EXPECT_GT(pipeline.counters().Get("pipe_shed_queue"), 0u);
-  EXPECT_EQ(pipeline.counters().Get("pipe_admitted"), tally.ok);
-  // Recovery: once drained, a fresh request is admitted again.
-  PipelineTally later;
-  engine.ScheduleAfter(10 * sim::kMillisecond,
-                       [&] { pipeline.Offer(100, sim::Engine::kNever, later.Sink()); });
-  engine.Run();
-  EXPECT_EQ(later.ok, 1u);
-  EXPECT_EQ(pipeline.nic_gate().in_use(), 0u);
-  EXPECT_EQ(pipeline.fpga_gate().in_use(), 0u);
+  // The batch never reached its size bound, so the max-delay timer rang the
+  // doorbell for the lone request.
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0], Outcome::kOk);
+  EXPECT_EQ(pipeline.controller().counters().Get("nvme_doorbells"), 1u);
+  EXPECT_EQ(pipeline.controller().counters().Get("nvme_doorbell_sqes"), 1u);
+  EXPECT_GT(completed_at, 1000 + OverloadPipeline::kDoorbellMaxDelay);
 }
 
-TEST(OverloadPipelineTest, RejectIsFastAndTouchesNoDeviceTime) {
+TEST(OverloadPipelineTest, FullBatchesRingWithoutWaitingForTheTimer) {
   sim::Engine engine;
-  OverloadPipelineOptions options;
-  options.admission.max_pending = 1;
-  options.rx_batch = 1;       // admit each arrival immediately
-  options.doorbell_batch = 1; // submit each admitted request immediately
-  options.reject_cost = 200;
-  OverloadPipeline pipeline(&engine, options);
-  PipelineTally tally;
-  std::vector<sim::SimTime> completion_times;
+  OverloadPipeline pipeline(&engine, OverloadPipelineOptions{.doorbell_batch = 4});
+  std::vector<sim::SimTime> completions;
   engine.ScheduleAt(1000, [&] {
     for (uint64_t seq = 0; seq < 8; ++seq) {
-      pipeline.Offer(seq, sim::Engine::kNever, [&](Outcome outcome) {
-        tally.Sink()(outcome);
-        completion_times.push_back(engine.Now());
+      pipeline.Offer(seq, [&](Outcome outcome) {
+        EXPECT_EQ(outcome, Outcome::kOk);
+        completions.push_back(engine.Now());
       });
     }
   });
   engine.Run();
-  ASSERT_EQ(tally.rejected, 7u);
-  ASSERT_EQ(tally.ok, 1u);
-  // Sheds answer after reject_cost only — they never reach the flash, so
-  // the device clock advanced by a single request's doorbell + media time.
-  const sim::SimTime device_busy = pipeline.device_clock().Now() - 1000;
-  EXPECT_LT(device_busy, 200 * sim::kMicrosecond);
-  uint64_t fast_rejects = 0;
-  for (sim::SimTime t : completion_times) {
-    if (t == 1000 + options.reject_cost) {
-      ++fast_rejects;
-    }
-  }
-  EXPECT_EQ(fast_rejects, 7u);
+  // Two full batches of four: two doorbells, each answered by one
+  // completion event, the second batch queued behind the first.
+  ASSERT_EQ(completions.size(), 8u);
+  EXPECT_EQ(pipeline.controller().counters().Get("nvme_doorbells"), 2u);
+  EXPECT_EQ(pipeline.controller().counters().Get("nvme_doorbell_sqes"), 8u);
+  EXPECT_EQ(completions[0], completions[3]);
+  EXPECT_EQ(completions[4], completions[7]);
+  EXPECT_LT(completions[0], completions[4]);
 }
 
-TEST(OverloadPipelineTest, FpgaCreditExhaustionBackpressuresAndReplenishes) {
+TEST(OverloadPipelineDeathTest, BatchMustFitTheSubmissionQueue) {
   sim::Engine engine;
-  OverloadPipelineOptions options;
-  options.admission_enabled = false;  // isolate the credit path
-  options.fpga_slots = 2;
-  options.rx_batch = 1;
-  OverloadPipeline pipeline(&engine, options);
-  PipelineTally tally;
-  engine.ScheduleAt(1000, [&] {
-    for (uint64_t seq = 0; seq < 6; ++seq) {
-      pipeline.Offer(seq, sim::Engine::kNever, tally.Sink());
-    }
-  });
-  engine.Run();
-  // Two slots: two admitted, four bounced by credit exhaustion.
-  EXPECT_EQ(tally.ok, 2u);
-  EXPECT_EQ(tally.rejected, 4u);
-  EXPECT_EQ(pipeline.counters().Get("fpga_backpressure"), 4u);
-  EXPECT_EQ(pipeline.fpga_gate().counters().Get("credit_exhausted"), 4u);
-  EXPECT_EQ(pipeline.fpga_gate().max_in_use(), 2u);
-  // Credits replenished on completion: the next burst is admitted again.
-  PipelineTally later;
-  engine.ScheduleAfter(1 * sim::kMillisecond, [&] {
-    pipeline.Offer(10, sim::Engine::kNever, later.Sink());
-    pipeline.Offer(11, sim::Engine::kNever, later.Sink());
-  });
-  engine.Run();
-  EXPECT_EQ(later.ok, 2u);
-  EXPECT_EQ(pipeline.fpga_gate().in_use(), 0u);
-}
-
-TEST(OverloadPipelineTest, NicTailDropsWhenSaturated) {
-  sim::Engine engine;
-  OverloadPipelineOptions options;
-  options.nic_capacity = 4;
-  OverloadPipeline pipeline(&engine, options);
-  PipelineTally tally;
-  engine.ScheduleAt(1000, [&] {
-    for (uint64_t seq = 0; seq < 10; ++seq) {
-      pipeline.Offer(seq, sim::Engine::kNever, tally.Sink());
-    }
-  });
-  engine.Run();
-  EXPECT_EQ(pipeline.counters().Get("nic_offered"), 10u);
-  EXPECT_EQ(pipeline.counters().Get("nic_dropped"), 6u);
-  EXPECT_EQ(tally.ok + tally.rejected, 10u);
-  EXPECT_EQ(pipeline.nic_gate().in_use(), 0u);
-}
-
-TEST(OverloadPipelineTest, MetricsSnapshotExportsEveryStage) {
-  sim::Engine engine;
-  OverloadPipelineOptions options;
-  options.admission.max_pending = 2;
-  OverloadPipeline pipeline(&engine, options);
-  PipelineTally tally;
-  engine.ScheduleAt(1000, [&] {
-    for (uint64_t seq = 0; seq < 16; ++seq) {
-      pipeline.Offer(seq, sim::Engine::kNever, tally.Sink());
-    }
-  });
-  engine.Run();
-  obs::MetricsRegistry registry;
-  pipeline.SnapshotMetrics(&registry);
-  EXPECT_EQ(registry.CounterValue(obs::Subsystem::kApp, "nic_offered"), 16u);
-  EXPECT_GT(registry.CounterValue(obs::Subsystem::kApp, "admission_admitted"), 0u);
-  EXPECT_GT(registry.CounterValue(obs::Subsystem::kNvme, "nvme_doorbells"), 0u);
-  EXPECT_GT(registry.CounterValue(obs::Subsystem::kNet, "nic_credit_acquired"), 0u);
-  EXPECT_GT(registry.CounterValue(obs::Subsystem::kFpga, "fpga_credit_acquired"), 0u);
-  ASSERT_NE(registry.FindHistogram(obs::Subsystem::kApp, "admission_depth_p99"), nullptr);
+  EXPECT_DEATH(OverloadPipeline pipeline(&engine, {.doorbell_batch = 256}), "doorbell_batch");
 }
 
 // -- OverloadCluster: determinism and the hockey-stick property ------------

@@ -467,6 +467,25 @@ TEST_F(StorageTest, CorfuRemoteSequencedWriteAdvancesTail) {
   EXPECT_EQ(log.Read(3).status().code(), StatusCode::kNotFound);
 }
 
+// A position whose tail (position + 1) or chunk-rounded ceiling would wrap
+// past 2^64 is rejected: the tail stays put and appends keep going.
+TEST_F(StorageTest, CorfuPositionsThatWouldWrapTheTailAreRejected) {
+  CorfuLog log(store_.get(), 11);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(log.Append(ToBytes("entry")).ok());
+  }
+  EXPECT_EQ(log.Fill(UINT64_MAX).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(log.Tail(), 3u);
+  const Bytes data = ToBytes("far");
+  const uint64_t last_chunk = UINT64_MAX - CorfuLog::kReserveChunk + 1;  // 2^64 - 64
+  EXPECT_EQ(log.WriteAt(last_chunk, ByteSpan(data.data(), data.size())).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(log.Tail(), 3u);
+  auto next = log.Append(ToBytes("next"));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 3u);
+}
+
 // -- Transactions ---------------------------------------------------------
 
 class TxnTest : public StorageTest {
