@@ -20,7 +20,7 @@ size_t KvPartitionOf(uint64_t key, size_t partitions) {
 }
 
 void ShardedKvClient::CallOwnerAsync(uint64_t key, uint16_t opcode, Bytes payload,
-                                     std::function<void(Result<RpcResponse>)> done) {
+                                     ShardedRpcNode::Completion done) {
   CHECK(!partitions_.empty());
   RpcRequest request{ServiceId::kKv, opcode, std::move(payload)};
   self_->CallAsync(partitions_[PartitionOf(key)], request, std::move(done));
@@ -32,8 +32,8 @@ void ShardedKvClient::PutAsync(uint64_t key, ByteSpan value, std::function<void(
   PutU32(payload, static_cast<uint32_t>(value.size()));
   PutBytes(payload, value);
   CallOwnerAsync(key, KvOp::kPut, std::move(payload),
-                 [done = std::move(done)](Result<RpcResponse> response) {
-                   done(response.ok() ? response->status : response.status());
+                 [done = std::move(done)](RpcResponse response) {
+                   done(std::move(response.status));
                  });
 }
 
@@ -41,25 +41,12 @@ void ShardedKvClient::GetAsync(uint64_t key, std::function<void(Result<Buffer>)>
   Bytes payload;
   PutU64(payload, key);
   CallOwnerAsync(key, KvOp::kGet, std::move(payload),
-                 [done = std::move(done)](Result<RpcResponse> response) {
-                   if (!response.ok()) {
-                     done(response.status());
+                 [done = std::move(done)](RpcResponse response) {
+                   if (!response.status.ok()) {
+                     done(std::move(response.status));
                      return;
                    }
-                   if (!response->status.ok()) {
-                     done(response->status);
-                     return;
-                   }
-                   done(std::move(response->payload));
-                 });
-}
-
-void ShardedKvClient::DeleteAsync(uint64_t key, std::function<void(Status)> done) {
-  Bytes payload;
-  PutU64(payload, key);
-  CallOwnerAsync(key, KvOp::kDelete, std::move(payload),
-                 [done = std::move(done)](Result<RpcResponse> response) {
-                   done(response.ok() ? response->status : response.status());
+                   done(std::move(response.payload));
                  });
 }
 

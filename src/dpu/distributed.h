@@ -40,14 +40,12 @@ class ShardedKvClient {
   void PutAsync(uint64_t key, ByteSpan value, std::function<void(Status)> done);
   // The Buffer handed to `done` shares the response frame's backing bytes.
   void GetAsync(uint64_t key, std::function<void(Result<Buffer>)> done);
-  void DeleteAsync(uint64_t key, std::function<void(Status)> done);
 
   size_t PartitionOf(uint64_t key) const { return KvPartitionOf(key, partitions_.size()); }
-  size_t PartitionCount() const { return partitions_.size(); }
 
  private:
   void CallOwnerAsync(uint64_t key, uint16_t opcode, Bytes payload,
-                      std::function<void(Result<RpcResponse>)> done);
+                      ShardedRpcNode::Completion done);
 
   ShardedRpcNode* self_;
   std::vector<ShardedRpcNode*> partitions_;

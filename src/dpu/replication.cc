@@ -38,13 +38,33 @@ uint64_t FoldBytes(uint64_t digest, ByteSpan bytes) {
   return digest;
 }
 
-// KV value framing on a replica: [stamp u64][present u8][value].
-Bytes FrameApplied(uint64_t stamp, bool present, ByteSpan value) {
+// KV value framing on a replica: [stamp u64][present u8 = 1][value].
+Bytes FrameApplied(uint64_t stamp, ByteSpan value) {
   Bytes framed;
   PutU64(framed, stamp);
-  framed.push_back(present ? 1 : 0);
+  framed.push_back(1);
   PutBytes(framed, value);
   return framed;
+}
+
+// A decoded log entry, [kind u8][key u64][len u32][value]; `value` views
+// the entry's bytes.
+struct RepEntry {
+  uint64_t key = 0;
+  ByteSpan value;
+};
+
+Result<RepEntry> ParseEntry(ByteSpan entry) {
+  ByteReader reader(entry);
+  const uint8_t kind = reader.ReadU8();
+  RepEntry parsed;
+  parsed.key = reader.ReadU64();
+  const uint32_t len = reader.ReadU32();
+  if (!reader.Ok() || reader.remaining() < len || kind != RepEntryKind::kPut) {
+    return InvalidArgument("malformed replicated entry");
+  }
+  parsed.value = entry.subspan(reader.offset(), len);
+  return parsed;
 }
 
 }  // namespace
@@ -89,16 +109,7 @@ RpcResponse ReplicatedKvService::StaleEpoch() const {
   return RpcResponse{Aborted("stale epoch"), Buffer(config.Take())};
 }
 
-Status ReplicatedKvService::Apply(uint64_t stamp, ByteSpan entry) {
-  ByteReader reader(entry);
-  const uint8_t kind = reader.ReadU8();
-  const uint64_t key = reader.ReadU64();
-  const uint32_t len = reader.ReadU32();
-  if (!reader.Ok() || reader.remaining() < len ||
-      (kind != RepEntryKind::kPut && kind != RepEntryKind::kDelete)) {
-    return InvalidArgument("malformed replicated entry");
-  }
-  const Bytes value = reader.ReadBytes(len);
+Status ReplicatedKvService::Apply(uint64_t stamp, uint64_t key, ByteSpan value) {
   // Last-writer-wins by stamp: replay and repair copies in any order
   // converge to the same state.
   auto existing = kv_->Get(key);
@@ -111,13 +122,12 @@ Status ReplicatedKvService::Apply(uint64_t stamp, ByteSpan entry) {
   } else if (existing.status().code() != StatusCode::kNotFound) {
     return existing.status();
   }
-  const Bytes framed =
-      FrameApplied(stamp, kind == RepEntryKind::kPut, ByteSpan(value.data(), value.size()));
+  const Bytes framed = FrameApplied(stamp, value);
   return kv_->Put(key, ByteSpan(framed.data(), framed.size()));
 }
 
 Status ReplicatedKvService::PreloadPut(uint64_t key, ByteSpan value) {
-  const Bytes framed = FrameApplied(0, true, value);
+  const Bytes framed = FrameApplied(0, value);
   return kv_->Put(key, ByteSpan(framed.data(), framed.size()));
 }
 
@@ -180,8 +190,12 @@ RpcResponse ReplicatedKvService::Handle(uint16_t opcode, const Buffer& payload) 
         // recovery; kAborted carries the config like any stale reject.
         return StaleEpoch();
       }
+      Result<uint64_t> position = log_->Reserve();
+      if (!position.ok()) {
+        return RpcResponse::Fail(position.status());
+      }
       ByteWriter out;
-      out.PutU64(log_->Reserve());
+      out.PutU64(*position);
       return RpcResponse::Ok(Buffer(out.Take()));
     }
     case RepOp::kWrite: {
@@ -191,17 +205,20 @@ RpcResponse ReplicatedKvService::Handle(uint16_t opcode, const Buffer& payload) 
       }
       const Bytes entry = reader.ReadBytes(static_cast<uint32_t>(reader.remaining()));
       const ByteSpan entry_span(entry.data(), entry.size());
+      // Decoded before the write: a malformed entry must not claim the
+      // write-once position, or repair would copy it to every replica.
+      Result<RepEntry> decoded = ParseEntry(entry_span);
+      if (!decoded.ok()) {
+        return RpcResponse::Fail(decoded.status());
+      }
       Status wrote = log_->WriteAt(position, entry_span);
-      if (wrote.code() == StatusCode::kAlreadyExists) {
-        // Repair copies race benignly (identical bytes, applied when the
-        // original landed); a junked position tells the writer to
-        // re-reserve. Either way the position is settled.
-        return RpcResponse::Fail(wrote);
-      }
       if (!wrote.ok()) {
+        // kAlreadyExists: repair copies race benignly (identical bytes,
+        // applied when the original landed); a junked position tells the
+        // writer to re-reserve. Either way the position is settled.
         return RpcResponse::Fail(wrote);
       }
-      Status applied = Apply(position + 1, entry_span);
+      Status applied = Apply(position + 1, decoded->key, decoded->value);
       if (!applied.ok()) {
         return RpcResponse::Fail(applied);
       }
@@ -234,7 +251,10 @@ RpcResponse ReplicatedKvService::Handle(uint16_t opcode, const Buffer& payload) 
       if (!reader.Ok()) {
         return RpcResponse::Fail(InvalidArgument("malformed tail adoption"));
       }
-      log_->AdvanceTail(tail);
+      Status adopted = log_->AdvanceTail(tail);
+      if (!adopted.ok()) {
+        return RpcResponse::Fail(adopted);
+      }
       awaiting_tail_ = false;
       counters_.Add("rep_tail_adoptions", 1);
       return RpcResponse::Ok();
@@ -297,8 +317,7 @@ RpcResponse ReplicatedKvService::HandleSeal(ByteReader& reader) {
 // -- ReplicatedKvClient -------------------------------------------------------
 
 struct ReplicatedKvClient::Op {
-  static constexpr uint8_t kGetOp = 0;
-  uint8_t kind = kGetOp;  // RepEntryKind::{kPut,kDelete} or kGetOp
+  bool get = false;  // a read; otherwise a put
   uint64_t key = 0;
   Bytes value;
   uint32_t group = 0;
@@ -321,9 +340,7 @@ struct ReplicatedKvClient::Recovery {
   uint64_t recovered_tail = 0;
   uint32_t seal_next = 0;
   uint64_t repair_pos = 0;
-  Bytes entry;      // entry found for repair_pos (copy mode)
-  bool fill = false;  // no survivor holds repair_pos: junk-fill it
-  uint32_t write_next = 0;
+  Bytes entry;  // entry found for repair_pos (copy mode)
   bool done = false;
 };
 
@@ -348,18 +365,11 @@ uint32_t ReplicatedKvClient::GroupOf(uint64_t key) const {
   return static_cast<uint32_t>(KvPartitionOf(key, groups_));
 }
 
-ShardedRpcNode* ReplicatedKvClient::Replica(uint32_t group, uint32_t index) const {
-  return replicas_[size_t{group} * replicas_per_group_ + index];
-}
-
-uint32_t ReplicatedKvClient::HeadOf(uint32_t group) const {
-  const uint64_t dead = views_[group].dead;
-  for (uint32_t r = 0; r < replicas_per_group_; ++r) {
-    if ((dead & (1ull << r)) == 0) {
-      return r;
-    }
+uint32_t ReplicatedKvClient::NextLive(uint64_t dead, uint32_t from) const {
+  while (from < replicas_per_group_ && (dead & (1ull << from)) != 0) {
+    ++from;
   }
-  return replicas_per_group_;
+  return from;
 }
 
 uint32_t ReplicatedKvClient::TailOf(uint32_t group) const {
@@ -372,34 +382,25 @@ uint32_t ReplicatedKvClient::TailOf(uint32_t group) const {
   return replicas_per_group_;
 }
 
-RpcRequest ReplicatedKvClient::MakeRequest(uint16_t opcode, sim::SimTime deadline) const {
-  RpcRequest request;
-  request.service = ServiceId::kRepKv;
-  request.opcode = opcode;
-  request.deadline = deadline;
-  return request;
+void ReplicatedKvClient::Send(uint32_t group, uint32_t index, uint16_t opcode,
+                              sim::SimTime deadline, Bytes payload,
+                              ShardedRpcNode::Completion reply) {
+  const RpcRequest request{ServiceId::kRepKv, opcode, Buffer(std::move(payload)), deadline};
+  self_->CallAsync(replicas_[size_t{group} * replicas_per_group_ + index], request,
+                   std::move(reply));
 }
 
 void ReplicatedKvClient::PutAsync(uint64_t key, Bytes value, PutDone done) {
   auto op = std::make_shared<Op>();
-  op->kind = RepEntryKind::kPut;
   op->key = key;
   op->value = std::move(value);
   op->put_done = std::move(done);
   Start(std::move(op));
 }
 
-void ReplicatedKvClient::DeleteAsync(uint64_t key, PutDone done) {
-  auto op = std::make_shared<Op>();
-  op->kind = RepEntryKind::kDelete;
-  op->key = key;
-  op->put_done = std::move(done);
-  Start(std::move(op));
-}
-
 void ReplicatedKvClient::GetAsync(uint64_t key, GetDone done) {
   auto op = std::make_shared<Op>();
-  op->kind = Op::kGetOp;
+  op->get = true;
   op->key = key;
   op->get_done = std::move(done);
   Start(std::move(op));
@@ -419,7 +420,7 @@ void ReplicatedKvClient::Finish(std::shared_ptr<Op> op, Status status) {
   if (!status.ok() && op->wrote_any) {
     counters_.Add("rep_partial_abandons", 1);
   }
-  if (op->kind == Op::kGetOp) {
+  if (op->get) {
     op->get_done(std::move(status), false, 0, {});
   } else {
     op->put_done(std::move(status), op->position);
@@ -438,7 +439,7 @@ void ReplicatedKvClient::Attempt(std::shared_ptr<Op> op) {
     Finish(std::move(op), Unavailable("rep attempts exhausted"));
     return;
   }
-  if (op->kind == Op::kGetOp) {
+  if (op->get) {
     SendRead(std::move(op));
   } else {
     SendReserve(std::move(op));
@@ -517,75 +518,61 @@ void ReplicatedKvClient::OnFailure(std::shared_ptr<Op> op, uint32_t index,
 }
 
 void ReplicatedKvClient::SendReserve(std::shared_ptr<Op> op) {
-  const uint32_t head = HeadOf(op->group);
+  const uint32_t head = NextLive(views_[op->group].dead, 0);
   if (head >= replicas_per_group_) {
     Finish(std::move(op), Unavailable("all replicas accused"));
     return;
   }
-  RpcRequest request = MakeRequest(RepOp::kReserve, op->deadline);
   ByteWriter payload;
   payload.PutU32(views_[op->group].epoch);
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(Replica(op->group, head), request,
-                   [this, op, head](Result<RpcResponse> result) {
-                     if (op->finished) {
-                       return;
-                     }
-                     RpcResponse response = result.ok()
-                                                ? std::move(result).value()
-                                                : RpcResponse::Fail(result.status());
-                     if (!response.status.ok()) {
-                       OnFailure(std::move(op), head, response, false);
-                       return;
-                     }
-                     ByteReader reader(response.payload);
-                     op->position = reader.ReadU64();
-                     if (!reader.Ok()) {
-                       Finish(std::move(op), DataLoss("malformed reserve response"));
-                       return;
-                     }
-                     op->chain_next = 0;
-                     SendNextWrite(std::move(op));
-                   });
+  Send(op->group, head, RepOp::kReserve, op->deadline, payload.Take(),
+       [this, op, head](RpcResponse response) {
+         if (op->finished) {
+           return;
+         }
+         if (!response.status.ok()) {
+           OnFailure(std::move(op), head, response, false);
+           return;
+         }
+         ByteReader reader(response.payload);
+         op->position = reader.ReadU64();
+         if (!reader.Ok()) {
+           Finish(std::move(op), DataLoss("malformed reserve response"));
+           return;
+         }
+         op->chain_next = 0;
+         SendNextWrite(std::move(op));
+       });
 }
 
 void ReplicatedKvClient::SendNextWrite(std::shared_ptr<Op> op) {
-  const uint64_t dead = views_[op->group].dead;
-  while (op->chain_next < replicas_per_group_ &&
-         (dead & (1ull << op->chain_next)) != 0) {
-    ++op->chain_next;
-  }
+  op->chain_next = NextLive(views_[op->group].dead, op->chain_next);
   if (op->chain_next >= replicas_per_group_) {
     // Write-all reached the end of the live chain: acknowledged.
     Finish(std::move(op), Status::Ok());
     return;
   }
   const uint32_t target = op->chain_next;
-  RpcRequest request = MakeRequest(RepOp::kWrite, op->deadline);
   ByteWriter payload;
   payload.PutU32(views_[op->group].epoch);
   payload.PutU64(op->position);
-  payload.PutU8(op->kind);
+  payload.PutU8(RepEntryKind::kPut);
   payload.PutU64(op->key);
   payload.PutU32(static_cast<uint32_t>(op->value.size()));
   payload.PutBytes(ByteSpan(op->value.data(), op->value.size()));
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(Replica(op->group, target), request,
-                   [this, op, target](Result<RpcResponse> result) {
-                     if (op->finished) {
-                       return;
-                     }
-                     RpcResponse response = result.ok()
-                                                ? std::move(result).value()
-                                                : RpcResponse::Fail(result.status());
-                     if (!response.status.ok()) {
-                       OnFailure(std::move(op), target, response, target > 0);
-                       return;
-                     }
-                     op->wrote_any = true;
-                     ++op->chain_next;
-                     SendNextWrite(std::move(op));
-                   });
+  Send(op->group, target, RepOp::kWrite, op->deadline, payload.Take(),
+       [this, op, target](RpcResponse response) {
+         if (op->finished) {
+           return;
+         }
+         if (!response.status.ok()) {
+           OnFailure(std::move(op), target, response, target > 0);
+           return;
+         }
+         op->wrote_any = true;
+         ++op->chain_next;
+         SendNextWrite(std::move(op));
+       });
 }
 
 void ReplicatedKvClient::SendRead(std::shared_ptr<Op> op) {
@@ -597,35 +584,30 @@ void ReplicatedKvClient::SendRead(std::shared_ptr<Op> op) {
     Finish(std::move(op), Unavailable("all replicas accused"));
     return;
   }
-  RpcRequest request = MakeRequest(RepOp::kRead, op->deadline);
   ByteWriter payload;
   payload.PutU32(views_[op->group].epoch);
   payload.PutU64(op->key);
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(Replica(op->group, tail), request,
-                   [this, op, tail](Result<RpcResponse> result) {
-                     if (op->finished) {
-                       return;
-                     }
-                     RpcResponse response = result.ok()
-                                                ? std::move(result).value()
-                                                : RpcResponse::Fail(result.status());
-                     if (!response.status.ok()) {
-                       OnFailure(std::move(op), tail, response, false);
-                       return;
-                     }
-                     ByteReader reader(response.payload);
-                     const bool present = reader.ReadU8() != 0;
-                     const uint64_t stamp = reader.ReadU64();
-                     const uint32_t len = reader.ReadU32();
-                     Bytes value = reader.ReadBytes(len);
-                     if (!reader.Ok()) {
-                       Finish(std::move(op), DataLoss("malformed read response"));
-                       return;
-                     }
-                     op->finished = true;
-                     op->get_done(Status::Ok(), present, stamp, std::move(value));
-                   });
+  Send(op->group, tail, RepOp::kRead, op->deadline, payload.Take(),
+       [this, op, tail](RpcResponse response) {
+         if (op->finished) {
+           return;
+         }
+         if (!response.status.ok()) {
+           OnFailure(std::move(op), tail, response, false);
+           return;
+         }
+         ByteReader reader(response.payload);
+         const bool present = reader.ReadU8() != 0;
+         const uint64_t stamp = reader.ReadU64();
+         const uint32_t len = reader.ReadU32();
+         Bytes value = reader.ReadBytes(len);
+         if (!reader.Ok()) {
+           Finish(std::move(op), DataLoss("malformed read response"));
+           return;
+         }
+         op->finished = true;
+         op->get_done(Status::Ok(), present, stamp, std::move(value));
+       });
 }
 
 // -- Failover -----------------------------------------------------------------
@@ -650,79 +632,75 @@ void ReplicatedKvClient::StartRecovery(std::shared_ptr<Op> op, uint64_t accused,
   SealNext(std::move(rec));
 }
 
-void ReplicatedKvClient::AbandonRecovery(std::shared_ptr<Recovery> rec,
-                                         const Buffer& config) {
-  // A competing recovery reached a higher epoch: its seal/repair covers
-  // ours, so adopt whatever config the rejection carried and retry the op.
+void ReplicatedKvClient::RecoveryFailed(std::shared_ptr<Recovery> rec, uint32_t index,
+                                        const RpcResponse& response) {
   rec->done = true;
-  AdoptConfig(rec->group, config);
-  Backoff(rec->op);
+  switch (response.status.code()) {
+    case StatusCode::kUnavailable:
+      // Another death mid-recovery: accuse it and recover one epoch higher.
+      StartRecovery(rec->op, rec->dead | (1ull << index), rec->target_epoch + 1);
+      return;
+    case StatusCode::kAborted:
+      // A competing recovery reached a higher epoch: its seal/repair covers
+      // ours, so adopt whatever config the rejection carried and retry.
+      AdoptConfig(rec->group, response.payload);
+      Backoff(rec->op);
+      return;
+    default:
+      Finish(rec->op, response.status);
+      return;
+  }
 }
 
 void ReplicatedKvClient::SealNext(std::shared_ptr<Recovery> rec) {
   if (rec->done || rec->op->finished) {
     return;
   }
-  while (rec->seal_next < replicas_per_group_ &&
-         (rec->dead & (1ull << rec->seal_next)) != 0) {
-    ++rec->seal_next;
-  }
-  if (rec->dead == (replicas_per_group_ == 64
-                        ? ~0ull
-                        : (1ull << replicas_per_group_) - 1)) {
+  if (NextLive(rec->dead, 0) >= replicas_per_group_) {
     rec->done = true;
     Finish(rec->op, Unavailable("all replicas accused"));
     return;
   }
+  rec->seal_next = NextLive(rec->dead, rec->seal_next);
   if (rec->seal_next >= replicas_per_group_) {
     rec->repair_pos = 0;
     RepairNext(std::move(rec));
     return;
   }
   const uint32_t target = rec->seal_next;
-  RpcRequest request = MakeRequest(RepOp::kSeal, rec->op->deadline);
   ByteWriter payload;
   payload.PutU32(rec->target_epoch);
   payload.PutU64(rec->dead);
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(Replica(rec->group, target), request,
-                   [this, rec, target](Result<RpcResponse> result) {
-                     if (rec->done || rec->op->finished) {
-                       return;
-                     }
-                     RpcResponse response = result.ok()
-                                                ? std::move(result).value()
-                                                : RpcResponse::Fail(result.status());
-                     if (response.status.ok()) {
-                       ByteReader reader(response.payload);
-                       const uint64_t tail = reader.ReadU64();
-                       if (!reader.Ok()) {
-                         rec->done = true;
-                         Finish(rec->op, DataLoss("malformed seal response"));
-                         return;
-                       }
-                       counters_.Add("rep_seals", 1);
-                       rec->recovered_tail = std::max(rec->recovered_tail, tail);
-                       ++rec->seal_next;
-                       SealNext(std::move(rec));
-                       return;
-                     }
-                     if (response.status.code() == StatusCode::kUnavailable) {
-                       // Another death mid-seal: accuse it and restart the
-                       // round (re-seals at the same epoch are idempotent).
-                       rec->dead |= 1ull << target;
-                       rec->seal_next = 0;
-                       rec->recovered_tail = 0;
-                       SealNext(std::move(rec));
-                       return;
-                     }
-                     if (response.status.code() == StatusCode::kAborted) {
-                       AbandonRecovery(std::move(rec), response.payload);
-                       return;
-                     }
-                     rec->done = true;
-                     Finish(rec->op, response.status);
-                   });
+  Send(rec->group, target, RepOp::kSeal, rec->op->deadline, payload.Take(),
+       [this, rec, target](RpcResponse response) {
+         if (rec->done || rec->op->finished) {
+           return;
+         }
+         if (response.status.code() == StatusCode::kUnavailable) {
+           // Another death mid-seal: accuse it and restart the round
+           // (re-seals at the same epoch are idempotent).
+           rec->dead |= 1ull << target;
+           rec->seal_next = 0;
+           rec->recovered_tail = 0;
+           SealNext(std::move(rec));
+           return;
+         }
+         if (!response.status.ok()) {
+           RecoveryFailed(std::move(rec), target, response);
+           return;
+         }
+         ByteReader reader(response.payload);
+         const uint64_t tail = reader.ReadU64();
+         if (!reader.Ok()) {
+           rec->done = true;
+           Finish(rec->op, DataLoss("malformed seal response"));
+           return;
+         }
+         counters_.Add("rep_seals", 1);
+         rec->recovered_tail = std::max(rec->recovered_tail, tail);
+         ++rec->seal_next;
+         SealNext(std::move(rec));
+       });
 }
 
 void ReplicatedKvClient::RepairNext(std::shared_ptr<Recovery> rec) {
@@ -739,7 +717,6 @@ void ReplicatedKvClient::RepairNext(std::shared_ptr<Recovery> rec) {
     return;
   }
   rec->entry.clear();
-  rec->fill = false;
   RepairRead(std::move(rec), 0);
 }
 
@@ -747,62 +724,44 @@ void ReplicatedKvClient::RepairRead(std::shared_ptr<Recovery> rec, uint32_t from
   if (rec->done || rec->op->finished) {
     return;
   }
-  while (from < replicas_per_group_ && (rec->dead & (1ull << from)) != 0) {
-    ++from;
-  }
+  from = NextLive(rec->dead, from);
   if (from >= replicas_per_group_) {
     // No survivor holds the position: junk-fill it everywhere so the log
     // stays prefix-readable and every replica converges to the same hole.
-    rec->fill = true;
     counters_.Add("rep_repair_fills", 1);
-    rec->write_next = 0;
     RepairWrite(std::move(rec), 0, true);
     return;
   }
-  RpcRequest request = MakeRequest(RepOp::kReadAt, rec->op->deadline);
   ByteWriter payload;
   payload.PutU32(rec->target_epoch);
   payload.PutU64(rec->repair_pos);
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(
-      Replica(rec->group, from), request,
-      [this, rec, from](Result<RpcResponse> result) {
-        if (rec->done || rec->op->finished) {
-          return;
-        }
-        RpcResponse response = result.ok() ? std::move(result).value()
-                                           : RpcResponse::Fail(result.status());
-        if (response.status.ok()) {
-          const ByteSpan found = response.payload.span();
-          rec->entry.assign(found.begin(), found.end());
-          counters_.Add("rep_repair_copies", 1);
-          RepairWrite(std::move(rec), 0, false);
-          return;
-        }
-        switch (response.status.code()) {
-          case StatusCode::kNotFound:
-            RepairRead(std::move(rec), from + 1);
-            return;
-          case StatusCode::kDataLoss:
-            // Already junked at this replica (an earlier recovery): the
-            // junk is authoritative, propagate it.
-            rec->fill = true;
-            counters_.Add("rep_repair_fills", 1);
-            RepairWrite(std::move(rec), 0, true);
-            return;
-          case StatusCode::kUnavailable:
-            rec->done = true;
-            StartRecovery(rec->op, rec->dead | (1ull << from), rec->target_epoch + 1);
-            return;
-          case StatusCode::kAborted:
-            AbandonRecovery(std::move(rec), response.payload);
-            return;
-          default:
-            rec->done = true;
-            Finish(rec->op, response.status);
-            return;
-        }
-      });
+  Send(rec->group, from, RepOp::kReadAt, rec->op->deadline, payload.Take(),
+       [this, rec, from](RpcResponse response) {
+         if (rec->done || rec->op->finished) {
+           return;
+         }
+         if (response.status.ok()) {
+           const ByteSpan found = response.payload.span();
+           rec->entry.assign(found.begin(), found.end());
+           counters_.Add("rep_repair_copies", 1);
+           RepairWrite(std::move(rec), 0, false);
+           return;
+         }
+         switch (response.status.code()) {
+           case StatusCode::kNotFound:
+             RepairRead(std::move(rec), from + 1);
+             return;
+           case StatusCode::kDataLoss:
+             // Already junked at this replica (an earlier recovery): the
+             // junk is authoritative, propagate it.
+             counters_.Add("rep_repair_fills", 1);
+             RepairWrite(std::move(rec), 0, true);
+             return;
+           default:
+             RecoveryFailed(std::move(rec), from, response);
+             return;
+         }
+       });
 }
 
 void ReplicatedKvClient::RepairWrite(std::shared_ptr<Recovery> rec, uint32_t to,
@@ -810,101 +769,57 @@ void ReplicatedKvClient::RepairWrite(std::shared_ptr<Recovery> rec, uint32_t to,
   if (rec->done || rec->op->finished) {
     return;
   }
-  while (to < replicas_per_group_ && (rec->dead & (1ull << to)) != 0) {
-    ++to;
-  }
+  to = NextLive(rec->dead, to);
   if (to >= replicas_per_group_) {
     ++rec->repair_pos;
     RepairNext(std::move(rec));
     return;
   }
-  RpcRequest request =
-      MakeRequest(fill ? RepOp::kFill : RepOp::kWrite, rec->op->deadline);
   ByteWriter payload;
   payload.PutU32(rec->target_epoch);
   payload.PutU64(rec->repair_pos);
   if (!fill) {
     payload.PutBytes(ByteSpan(rec->entry.data(), rec->entry.size()));
   }
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(
-      Replica(rec->group, to), request,
-      [this, rec, to, fill](Result<RpcResponse> result) {
-        if (rec->done || rec->op->finished) {
-          return;
-        }
-        RpcResponse response = result.ok() ? std::move(result).value()
-                                           : RpcResponse::Fail(result.status());
-        // kAlreadyExists is success here: the position is settled (another
-        // recoverer or the original writer beat us to it).
-        if (response.status.ok() ||
-            response.status.code() == StatusCode::kAlreadyExists) {
-          RepairWrite(std::move(rec), to + 1, fill);
-          return;
-        }
-        switch (response.status.code()) {
-          case StatusCode::kUnavailable:
-            rec->done = true;
-            StartRecovery(rec->op, rec->dead | (1ull << to), rec->target_epoch + 1);
-            return;
-          case StatusCode::kAborted:
-            AbandonRecovery(std::move(rec), response.payload);
-            return;
-          default:
-            rec->done = true;
-            Finish(rec->op, response.status);
-            return;
-        }
-      });
+  Send(rec->group, to, fill ? RepOp::kFill : RepOp::kWrite, rec->op->deadline, payload.Take(),
+       [this, rec, to, fill](RpcResponse response) {
+         if (rec->done || rec->op->finished) {
+           return;
+         }
+         // kAlreadyExists is success here: the position is settled (another
+         // recoverer or the original writer beat us to it).
+         if (response.status.ok() || response.status.code() == StatusCode::kAlreadyExists) {
+           RepairWrite(std::move(rec), to + 1, fill);
+           return;
+         }
+         RecoveryFailed(std::move(rec), to, response);
+       });
 }
 
 void ReplicatedKvClient::AdoptRecoveredTail(std::shared_ptr<Recovery> rec) {
   // New sequencer: the head resumes from the recovered tail, past every
   // position any survivor ever saw.
-  uint32_t head = 0;
-  while (head < replicas_per_group_ && (rec->dead & (1ull << head)) != 0) {
-    ++head;
-  }
+  const uint32_t head = NextLive(rec->dead, 0);
   CHECK_LT(head, replicas_per_group_);
-  RpcRequest request = MakeRequest(RepOp::kAdoptTail, rec->op->deadline);
   ByteWriter payload;
   payload.PutU32(rec->target_epoch);
   payload.PutU64(rec->recovered_tail);
-  request.payload = Buffer(payload.Take());
-  self_->CallAsync(
-      Replica(rec->group, head), request,
-      [this, rec, head](Result<RpcResponse> result) {
-        if (rec->done || rec->op->finished) {
-          return;
-        }
-        RpcResponse response = result.ok() ? std::move(result).value()
-                                           : RpcResponse::Fail(result.status());
-        if (response.status.ok()) {
-          FinishRecovery(std::move(rec));
-          return;
-        }
-        switch (response.status.code()) {
-          case StatusCode::kUnavailable:
-            rec->done = true;
-            StartRecovery(rec->op, rec->dead | (1ull << head), rec->target_epoch + 1);
-            return;
-          case StatusCode::kAborted:
-            AbandonRecovery(std::move(rec), response.payload);
-            return;
-          default:
-            rec->done = true;
-            Finish(rec->op, response.status);
-            return;
-        }
-      });
-}
-
-void ReplicatedKvClient::FinishRecovery(std::shared_ptr<Recovery> rec) {
-  rec->done = true;
-  View& view = views_[rec->group];
-  view.epoch = std::max(view.epoch, rec->target_epoch);
-  view.dead |= rec->dead;
-  Backoff(rec->op);
+  Send(rec->group, head, RepOp::kAdoptTail, rec->op->deadline, payload.Take(),
+       [this, rec, head](RpcResponse response) {
+         if (rec->done || rec->op->finished) {
+           return;
+         }
+         if (!response.status.ok()) {
+           RecoveryFailed(std::move(rec), head, response);
+           return;
+         }
+         // Recovered: retry the op under the new view.
+         rec->done = true;
+         View& view = views_[rec->group];
+         view.epoch = std::max(view.epoch, rec->target_epoch);
+         view.dead |= rec->dead;
+         Backoff(rec->op);
+       });
 }
 
 // -- ReplicatedKvCluster ------------------------------------------------------

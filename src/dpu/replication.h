@@ -74,7 +74,6 @@ struct RepOp {
 // Log entry payload: [kind u8][key u64][len u32][value].
 struct RepEntryKind {
   static constexpr uint8_t kPut = 1;
-  static constexpr uint8_t kDelete = 2;
 };
 
 // One replica: a CorfuLog (the replicated history) plus a KvStore (the
@@ -99,9 +98,6 @@ class ReplicatedKvService {
 
   uint32_t epoch() const { return epoch_; }
   uint64_t dead_mask() const { return dead_mask_; }
-
-  storage::CorfuLog& log() { return *log_; }
-  storage::KvStore& kv() { return *kv_; }
 
   // Preload path (no wire, no log entry): installs `value` under stamp 0 so
   // a warm dataset exists before the measured phase.
@@ -132,9 +128,9 @@ class ReplicatedKvService {
   // node was already dead).
   bool KillBoundary();
   RpcResponse StaleEpoch() const;
-  // Applies a log entry to the KV state machine (last-writer-wins by
-  // stamp); `stamp` = position + 1.
-  Status Apply(uint64_t stamp, ByteSpan entry);
+  // Applies a decoded log entry to the KV state machine (last-writer-wins
+  // by stamp); `stamp` = position + 1.
+  Status Apply(uint64_t stamp, uint64_t key, ByteSpan value);
 
   Hyperion* dpu_;
   std::unique_ptr<storage::CorfuLog> log_;
@@ -168,12 +164,9 @@ class ReplicatedKvClient {
                      uint32_t replicas_per_group);
 
   void PutAsync(uint64_t key, Bytes value, PutDone done);
-  void DeleteAsync(uint64_t key, PutDone done);
   void GetAsync(uint64_t key, GetDone done);
 
   uint32_t GroupOf(uint64_t key) const;
-  uint32_t epoch(uint32_t group) const { return views_[group].epoch; }
-  uint64_t dead_mask(uint32_t group) const { return views_[group].dead; }
 
   // rep_failovers / rep_seals / rep_repair_copies / rep_repair_fills /
   // rep_stale_epoch / rep_retries / rep_reserve_conflicts /
@@ -192,11 +185,17 @@ class ReplicatedKvClient {
 
   sim::Engine& shard_engine();
   sim::SimTime Now();
-  ShardedRpcNode* Replica(uint32_t group, uint32_t index) const;
-  // First / last live replica index per the group view; returns
-  // replicas_per_group_ when every replica is accused.
-  uint32_t HeadOf(uint32_t group) const;
+  // First replica index >= `from` not in the accusation mask `dead`;
+  // replicas_per_group_ when there is none.
+  uint32_t NextLive(uint64_t dead, uint32_t from) const;
+  // Last live replica index per the group view; replicas_per_group_ when
+  // every replica is accused.
   uint32_t TailOf(uint32_t group) const;
+  // Every request goes out here: `opcode` with `payload` to replica `index`
+  // of `group`, under the op's absolute `deadline`. `reply` runs on this
+  // client's shard.
+  void Send(uint32_t group, uint32_t index, uint16_t opcode, sim::SimTime deadline,
+            Bytes payload, ShardedRpcNode::Completion reply);
 
   void Start(std::shared_ptr<Op> op);
   void Attempt(std::shared_ptr<Op> op);
@@ -221,12 +220,11 @@ class ReplicatedKvClient {
   void RepairRead(std::shared_ptr<Recovery> rec, uint32_t from);
   void RepairWrite(std::shared_ptr<Recovery> rec, uint32_t to, bool fill);
   void AdoptRecoveredTail(std::shared_ptr<Recovery> rec);
-  void FinishRecovery(std::shared_ptr<Recovery> rec);
-  // A competing recovery reached a higher epoch: adopt it and fall back to
-  // the op retry path.
-  void AbandonRecovery(std::shared_ptr<Recovery> rec, const Buffer& config);
-
-  RpcRequest MakeRequest(uint16_t opcode, sim::SimTime deadline) const;
+  // Ends `rec` on a failed reply from replica `index`: kUnavailable accuses
+  // it and recovers one epoch higher, kAborted adopts the higher epoch the
+  // rejection carries and retries the op, anything else fails the op.
+  void RecoveryFailed(std::shared_ptr<Recovery> rec, uint32_t index,
+                      const RpcResponse& response);
 
   sim::ParallelEngine* engine_;
   ShardedRpcNode* self_;

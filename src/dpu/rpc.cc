@@ -399,9 +399,9 @@ void ShardedRpcNode::CallAsync(ShardedRpcNode* peer, const RpcRequest& request,
   if (obs::kCompiledIn && tracer_ != nullptr && tracer_->enabled()) {
     const obs::SpanId call = tracer_->BeginAsync(obs::Subsystem::kRpc, "rpc.call", now);
     AppendTraceTrailer(frame, tracer_->ContextOf(call));
-    done = [this, call, inner = std::move(done)](Result<RpcResponse> result) {
+    done = [this, call, inner = std::move(done)](RpcResponse response) {
       tracer_->End(call, engine_->shard(shard_).Now());
-      inner(std::move(result));
+      inner(std::move(response));
     };
   }
   engine_->Post(source_, peer->shard_, now + latency,
@@ -485,7 +485,9 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
   const sim::Duration latency = WireLatency(wire.size(), *reply_to);
   engine_->Post(source_, reply_to->shard_, finish + latency,
                 [wire = std::move(wire), done = std::move(done)]() mutable {
-                  done(ParseResponseFrame(wire));
+                  Result<RpcResponse> response = ParseResponseFrame(wire);
+                  done(response.ok() ? std::move(response).value()
+                                     : RpcResponse::Fail(response.status()));
                 });
 }
 

@@ -230,7 +230,7 @@ struct RpcOverloadPolicy {
 
 class ShardedRpcNode {
  public:
-  using Completion = std::function<void(Result<RpcResponse>)>;
+  using Completion = std::function<void(RpcResponse)>;
 
   // Registers the node as a message source on `shard` (registration order
   // is the deterministic cross-shard tie-break — construct nodes in node-id
@@ -246,8 +246,9 @@ class ShardedRpcNode {
   sim::Engine* node_clock() { return node_clock_; }
 
   // Asynchronous call: `done` runs on this node's shard engine when the
-  // response frame arrives. Must be called from this node's shard (an event
-  // on its engine, or setup code before ParallelEngine::Run()).
+  // response frame arrives; a frame that fails to parse completes as
+  // RpcResponse::Fail. Must be called from this node's shard (an event on
+  // its engine, or setup code before ParallelEngine::Run()).
   void CallAsync(ShardedRpcNode* peer, const RpcRequest& request, Completion done);
 
   // One-way wire latency for `bytes` between this node and `peer`.

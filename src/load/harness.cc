@@ -313,8 +313,8 @@ LoadGen::IssueFn OverloadCluster::KvRequests(ClientNode& client) {
     }
     request.deadline = deadline;  // kNever == kNoDeadline: none
     client.endpoint->CallAsync(server, request,
-                               [done = std::move(done)](Result<dpu::RpcResponse> result) {
-                                 done(OutcomeOf(result));
+                               [done = std::move(done)](dpu::RpcResponse response) {
+                                 done(OutcomeOf(response));
                                });
   };
 }
@@ -345,12 +345,12 @@ LoadGen::IssueFn OverloadCluster::ScanRequests(ClientNode& client) {
     request.deadline = deadline;
     client.endpoint->CallAsync(
         target, request,
-        [&client, h, done = std::move(done)](Result<dpu::RpcResponse> result) {
-          if (const Outcome outcome = OutcomeOf(result); outcome != Outcome::kOk) {
+        [&client, h, done = std::move(done)](dpu::RpcResponse response) {
+          if (const Outcome outcome = OutcomeOf(response); outcome != Outcome::kOk) {
             done(outcome);
             return;
           }
-          auto scan = format::ParseScanResult(result->payload);
+          auto scan = format::ParseScanResult(response.payload);
           if (!scan.ok()) {
             done(Outcome::kFailed);
             return;

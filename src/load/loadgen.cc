@@ -7,15 +7,12 @@
 
 namespace hyperion::load {
 
-Outcome OutcomeOf(const Result<dpu::RpcResponse>& response) {
-  if (!response.ok()) {
-    return Outcome::kFailed;
-  }
-  if (response->status.ok()) {
+Outcome OutcomeOf(const dpu::RpcResponse& response) {
+  if (response.status.ok()) {
     return Outcome::kOk;
   }
-  return response->status.code() == StatusCode::kResourceExhausted ? Outcome::kRejected
-                                                                     : Outcome::kFailed;
+  return response.status.code() == StatusCode::kResourceExhausted ? Outcome::kRejected
+                                                                    : Outcome::kFailed;
 }
 
 LoadGen::LoadGen(sim::Engine* engine, const LoadGenOptions& options, IssueFn issue)

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "src/common/result.h"
 #include "src/dpu/rpc.h"
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
@@ -36,9 +35,9 @@ enum class Outcome : uint8_t {
   kFailed,    // any other error
 };
 
-// An RPC completion as a load outcome: kResourceExhausted is admission's
-// fast reject; any other error, transport or service, failed.
-Outcome OutcomeOf(const Result<dpu::RpcResponse>& response);
+// An RPC reply as a load outcome: kResourceExhausted is admission's fast
+// reject; any other error failed.
+Outcome OutcomeOf(const dpu::RpcResponse& response);
 
 struct LoadGenOptions {
   bool open_loop = true;

@@ -615,8 +615,8 @@ void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backen
   request.payload = Buffer(payload.Take());
   request.deadline = now + kSprayDeadline;
   ++spray_issued_;
-  node(0).endpoint->CallAsync(&endpoint(id), request, [this](Result<dpu::RpcResponse> result) {
-    switch (OutcomeOf(result)) {
+  node(0).endpoint->CallAsync(&endpoint(id), request, [this](dpu::RpcResponse response) {
+    switch (OutcomeOf(response)) {
       case Outcome::kOk: ++spray_ok_; break;
       case Outcome::kRejected: ++spray_rejected_; break;
       case Outcome::kFailed: ++spray_failed_; break;

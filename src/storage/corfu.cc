@@ -58,10 +58,24 @@ void CorfuLog::CoverPosition(uint64_t position) {
   PersistMeta();
 }
 
-uint64_t CorfuLog::Reserve() {
+Result<uint64_t> CorfuLog::Reserve() {
+  if (tail_ > kMaxPosition) {
+    return OutOfRange("log positions exhausted");
+  }
   const uint64_t position = tail_++;
   CoverPosition(position);
   return position;
+}
+
+Status CorfuLog::AdvanceTail(uint64_t tail) {
+  if (tail > kMaxPosition + 1) {
+    return OutOfRange("tail past the log's address space");
+  }
+  if (tail > tail_) {
+    tail_ = tail;
+    CoverPosition(tail - 1);
+  }
+  return Status::Ok();
 }
 
 Status CorfuLog::WriteAt(uint64_t position, ByteSpan data) {
@@ -155,7 +169,7 @@ Status CorfuLog::Fill(uint64_t position) {
 }
 
 Result<uint64_t> CorfuLog::Append(ByteSpan data) {
-  const uint64_t position = Reserve();
+  ASSIGN_OR_RETURN(const uint64_t position, Reserve());
   RETURN_IF_ERROR(WriteAt(position, data));
   return position;
 }

@@ -36,8 +36,9 @@ class CorfuLog {
   // Positions per durable ceiling bump: one 16-byte meta write amortised
   // over this many Reserve() calls.
   static constexpr uint64_t kReserveChunk = 64;
-  // Highest position WriteAt and Fill accept. Past it, the tail
-  // (position + 1) or the chunk-rounded ceiling would wrap to 0.
+  // Highest position Reserve hands out and WriteAt and Fill accept. Past
+  // it, the tail (position + 1) or the chunk-rounded ceiling would wrap
+  // to 0.
   static constexpr uint64_t kMaxPosition = UINT64_MAX - kReserveChunk;
 
   CorfuLog(mem::ObjectStore* store, uint64_t log_id, uint32_t stripe_units = 4);
@@ -45,8 +46,9 @@ class CorfuLog {
   // -- Client-driven protocol (the fast path) -------------------------------
 
   // Sequencer: reserves the next position. Persists the chunked ceiling so
-  // a reopened log never re-issues a handed-out position.
-  uint64_t Reserve();
+  // a reopened log never re-issues a handed-out position. kOutOfRange once
+  // the tail has passed kMaxPosition.
+  Result<uint64_t> Reserve();
 
   // Writes `data` to a reserved position. kAlreadyExists if the position
   // was already written or hole-filled (write-once); kOutOfRange past
@@ -72,13 +74,9 @@ class CorfuLog {
 
   // Adopts a recovered tail (failover: the new sequencer resumes from the
   // maximum tail observed across sealed replicas). Monotone; persists the
-  // covering ceiling so the adoption survives a reopen.
-  void AdvanceTail(uint64_t tail) {
-    if (tail > tail_) {
-      tail_ = tail;
-      CoverPosition(tail - 1);
-    }
-  }
+  // covering ceiling so the adoption survives a reopen. kOutOfRange, with
+  // the tail unchanged, past kMaxPosition + 1.
+  Status AdvanceTail(uint64_t tail);
 
   // Reclaims all positions < prefix.
   Status Trim(uint64_t prefix);

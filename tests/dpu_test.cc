@@ -6,6 +6,7 @@
 
 #include "src/dpu/hyperion.h"
 #include "src/dpu/remote_tree.h"
+#include "src/dpu/replication.h"
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
 #include "src/ebpf/assembler.h"
@@ -234,6 +235,71 @@ TEST_F(DpuTest, TruncatedLogAndBlockRequestsAreRejected) {
   RpcResponse tail = Call(ServiceId::kLog, LogOp::kTail, {});
   ASSERT_TRUE(tail.status.ok());
   EXPECT_EQ(GetU64(tail.payload, 0), 0u);
+}
+
+// A kRepKv request at epoch 0: [epoch u32][operand u64]...
+Bytes RepRequest(std::initializer_list<uint64_t> operands) {
+  Bytes payload;
+  PutU32(payload, 0);
+  for (const uint64_t operand : operands) {
+    PutU64(payload, operand);
+  }
+  return payload;
+}
+
+// A kWrite of entry [kind u8][key u64][len u32][value] at `position`.
+Bytes RepWrite(uint64_t position, uint8_t kind, uint64_t key, const std::string& value) {
+  Bytes payload = RepRequest({position});
+  payload.push_back(kind);
+  PutU64(payload, key);
+  PutU32(payload, static_cast<uint32_t>(value.size()));
+  const Bytes bytes = ToBytes(value);
+  PutBytes(payload, ByteSpan(bytes.data(), bytes.size()));
+  return payload;
+}
+
+// A recovered tail that would wrap the sequencer's ceiling is refused over
+// the wire, and the replica keeps sequencing from where it was.
+TEST_F(DpuTest, WrappingRepTailAdoptionFailsAndReservesContinue) {
+  BootAndConnect();
+  auto replica = ReplicatedKvService::Install(&dpu_);
+  ASSERT_TRUE(replica.ok());
+  RpcResponse first = Call(ServiceId::kRepKv, RepOp::kReserve, RepRequest({}));
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_EQ(GetU64(first.payload, 0), 0u);
+  EXPECT_EQ(Call(ServiceId::kRepKv, RepOp::kAdoptTail, RepRequest({UINT64_MAX})).status.code(),
+            StatusCode::kOutOfRange);
+  RpcResponse next = Call(ServiceId::kRepKv, RepOp::kReserve, RepRequest({}));
+  ASSERT_TRUE(next.status.ok());
+  EXPECT_EQ(GetU64(next.payload, 0), 1u);
+}
+
+// Every RepOp decoder rejects a request too short for its operands, and a
+// write whose entry does not decode leaves nothing in the write-once log
+// for repair to copy.
+TEST_F(DpuTest, MalformedRepRequestsAreRejectedBeforeTheLog) {
+  BootAndConnect();
+  auto replica = ReplicatedKvService::Install(&dpu_);
+  ASSERT_TRUE(replica.ok());
+  auto code = [this](uint16_t opcode, Bytes payload) {
+    return Call(ServiceId::kRepKv, opcode, std::move(payload)).status.code();
+  };
+  for (uint16_t opcode = RepOp::kReserve; opcode <= RepOp::kFill; ++opcode) {
+    EXPECT_EQ(code(opcode, {}), StatusCode::kInvalidArgument) << opcode;
+    if (opcode != RepOp::kReserve) {  // the only opcode with no operand
+      EXPECT_EQ(code(opcode, RepRequest({})), StatusCode::kInvalidArgument) << opcode;
+    }
+  }
+  EXPECT_EQ(code(RepOp::kFill + 1, RepRequest({})), StatusCode::kUnimplemented);
+
+  EXPECT_EQ(code(RepOp::kWrite, RepWrite(0, /*kind=*/9, 42, "abc")),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(RepOp::kReadAt, RepRequest({0})), StatusCode::kNotFound);
+  EXPECT_EQ(code(RepOp::kWrite, RepWrite(0, RepEntryKind::kPut, 42, "abc")), StatusCode::kOk);
+  RpcResponse read = Call(ServiceId::kRepKv, RepOp::kRead, RepRequest({42}));
+  ASSERT_TRUE(read.status.ok());
+  EXPECT_EQ(read.payload[0], 1u);          // present
+  EXPECT_EQ(GetU64(read.payload, 1), 1u);  // stamp = position + 1
 }
 
 TEST_F(DpuTest, LogServiceOverRpc) {

@@ -464,7 +464,7 @@ TEST(CorfuProperty, RacingWritersKeepLogInvariants) {
     for (int step = 0; step < 400; ++step) {
       const uint64_t action = rng.Uniform(100);
       if (action < 30) {  // reserve
-        const uint64_t pos = log->Reserve();
+        const uint64_t pos = log->Reserve().value();
         ASSERT_EQ(model.count(pos), 0u) << "position re-issued at seed " << seed;
         ASSERT_TRUE(std::find(reserved.begin(), reserved.end(), pos) == reserved.end());
         reserved.push_back(pos);
@@ -559,7 +559,7 @@ TEST(CorfuProperty, RacingWritersKeepLogInvariants) {
     // positions, reserve never re-issues, and junk still reads kDataLoss.
     log = std::make_unique<storage::CorfuLog>(rig.store_.get(), kLogId);
     EXPECT_EQ(log->TrimPoint(), trim);
-    const uint64_t fresh = log->Reserve();
+    const uint64_t fresh = log->Reserve().value();
     EXPECT_GE(fresh, tail);
     EXPECT_EQ(model.count(fresh), 0u);
     for (const auto& [pos, cell] : model) {

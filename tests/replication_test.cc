@@ -12,7 +12,9 @@
 //      boundary it serves (reserve arrival, each chain-write arrival, the
 //      applied-but-unacked ack boundary, seal arrival) and after every
 //      kill: zero acknowledged-write loss, live replicas bit-identical,
-//      recorded history linearizable. A layout cross-check re-runs kills
+//      recorded history linearizable. A double-fault sweep then kills a
+//      second replica at each boundary it serves after the head died, so
+//      recovery itself loses a node. A layout cross-check re-runs kills
 //      across shards {1,2,4} and demands identical results, kills
 //      included.
 
@@ -230,6 +232,41 @@ TEST(ReplicatedFaultMatrix, KillLeaderAtEveryProtocolBoundary) {
   }
   EXPECT_GT(swept, 8u);
   EXPECT_GT(kills, 0u);  // the sweep actually exercised kills
+}
+
+TEST(ReplicatedFaultMatrix, SecondReplicaDiesMidRecovery) {
+  // Double faults: the head dies at one of a few boundaries, then replica 1
+  // dies at each boundary it serves in that run, so the second death lands
+  // inside the seal, repair and tail-adoption steps of the first recovery.
+  for (const uint64_t head_boundary : {3ull, 7ull, 12ull, 20ull}) {
+    RepClusterOptions options = MatrixOptions();
+    options.kill_at_boundary = head_boundary;
+    uint64_t boundaries = 0;
+    {
+      ReplicatedKvCluster cluster(options);
+      cluster.Run();
+      boundaries = cluster.VictimBoundaries(1);
+    }
+    ASSERT_GT(boundaries, 0u);
+    for (uint64_t skip = 0; skip < boundaries; ++skip) {
+      sim::Engine clock;
+      sim::FaultPlan plan;
+      plan.AtQuery(sim::FaultSite::kNodeKill, skip);
+      sim::FaultInjector injector(&clock, plan);
+      ReplicatedKvCluster cluster(options);
+      cluster.service(1).SetFaultInjector(&injector);
+      const RepClusterResult result = cluster.Run();
+      EXPECT_EQ(result.killed_nodes, 2u) << "head=" << head_boundary << " skip=" << skip;
+      EXPECT_EQ(result.failed_ops, 0u) << "head=" << head_boundary << " skip=" << skip;
+      const dpu::RepAudit audit = cluster.AuditAckedWrites();
+      EXPECT_TRUE(audit.ok()) << "head=" << head_boundary << " skip=" << skip
+                              << " lost=" << audit.lost << " mismatched=" << audit.mismatched
+                              << " divergent=" << audit.divergent;
+      uint64_t bad_key = 0;
+      EXPECT_TRUE(Linearizable(cluster.History(), &bad_key))
+          << "head=" << head_boundary << " skip=" << skip << " key=" << bad_key;
+    }
+  }
 }
 
 TEST(ReplicatedFaultMatrix, KilledRunsAreIdenticalAcrossLayouts) {

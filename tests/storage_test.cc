@@ -344,7 +344,7 @@ TEST_F(StorageTest, CorfuAppendRead) {
 
 TEST_F(StorageTest, CorfuWriteOnceEnforced) {
   CorfuLog log(store_.get(), 2);
-  const uint64_t pos = log.Reserve();
+  const uint64_t pos = log.Reserve().value();
   Bytes data = ToBytes("x");
   ASSERT_TRUE(log.WriteAt(pos, ByteSpan(data.data(), 1)).ok());
   EXPECT_EQ(log.WriteAt(pos, ByteSpan(data.data(), 1)).code(), StatusCode::kAlreadyExists);
@@ -352,7 +352,7 @@ TEST_F(StorageTest, CorfuWriteOnceEnforced) {
 
 TEST_F(StorageTest, CorfuHolesAndFills) {
   CorfuLog log(store_.get(), 3);
-  const uint64_t hole = log.Reserve();  // reserved, never written
+  const uint64_t hole = log.Reserve().value();  // reserved, never written
   auto p1 = log.Append(ToBytes("after-hole"));
   ASSERT_TRUE(p1.ok());
   // The hole reads as NotFound until filled.
@@ -410,7 +410,7 @@ TEST_F(StorageTest, CorfuSequencerSurvivesReopen) {
   {
     CorfuLog log(store_.get(), kLogId);
     for (int i = 0; i < 5; ++i) {
-      reserved = log.Reserve();
+      reserved = log.Reserve().value();
     }
     Bytes data = ToBytes("durable");
     ASSERT_TRUE(log.WriteAt(reserved, ByteSpan(data.data(), data.size())).ok());
@@ -418,7 +418,7 @@ TEST_F(StorageTest, CorfuSequencerSurvivesReopen) {
   CorfuLog reopened(store_.get(), kLogId);
   // The recovered tail may overestimate (chunked ceiling) but never hands
   // out a position at or below anything previously reserved.
-  EXPECT_GT(reopened.Reserve(), reserved);
+  EXPECT_GT(reopened.Reserve().value(), reserved);
   // Write-once still holds across the reopen.
   Bytes late = ToBytes("late");
   EXPECT_EQ(reopened.WriteAt(reserved, ByteSpan(late.data(), late.size())).code(),
@@ -448,12 +448,12 @@ TEST_F(StorageTest, CorfuAdoptedTailSurvivesReopen) {
   constexpr uint64_t kLogId = 9;
   {
     CorfuLog log(store_.get(), kLogId);
-    log.AdvanceTail(500);
+    ASSERT_TRUE(log.AdvanceTail(500).ok());
     EXPECT_EQ(log.Tail(), 500u);
   }
   CorfuLog reopened(store_.get(), kLogId);
   EXPECT_GE(reopened.Tail(), 500u);
-  EXPECT_GE(reopened.Reserve(), 500u);
+  EXPECT_GE(reopened.Reserve().value(), 500u);
 }
 
 // A replica accepts writes at positions sequenced elsewhere: WriteAt past
@@ -484,6 +484,34 @@ TEST_F(StorageTest, CorfuPositionsThatWouldWrapTheTailAreRejected) {
   auto next = log.Append(ToBytes("next"));
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(*next, 3u);
+}
+
+// Reserve and AdvanceTail fail rather than push the tail or the
+// chunk-rounded ceiling past 2^64: a wrapped ceiling reopens the log at
+// tail 0, where it re-issues positions already written.
+TEST_F(StorageTest, CorfuSequencerAndAdoptedTailDoNotWrap) {
+  constexpr uint64_t kLogId = 12;
+  {
+    CorfuLog log(store_.get(), kLogId);
+    ASSERT_TRUE(log.Append(ToBytes("first")).ok());  // position 0
+    ASSERT_TRUE(log.Fill(CorfuLog::kMaxPosition).ok());
+    EXPECT_EQ(log.Reserve().status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(log.Tail(), CorfuLog::kMaxPosition + 1);
+  }
+  {
+    CorfuLog reopened(store_.get(), kLogId);
+    EXPECT_EQ(reopened.Tail(), CorfuLog::kMaxPosition + 1);
+    EXPECT_EQ(reopened.Append(ToBytes("next")).status().code(), StatusCode::kOutOfRange);
+  }
+  CorfuLog log(store_.get(), kLogId + 1);
+  ASSERT_TRUE(log.Append(ToBytes("first")).ok());
+  EXPECT_EQ(log.AdvanceTail(UINT64_MAX).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(log.Tail(), 1u);
+  auto next = log.Append(ToBytes("next"));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 1u);
+  ASSERT_TRUE(log.AdvanceTail(CorfuLog::kMaxPosition + 1).ok());
+  EXPECT_EQ(log.Reserve().status().code(), StatusCode::kOutOfRange);
 }
 
 // -- Transactions ---------------------------------------------------------
