@@ -52,8 +52,9 @@ struct ClusterBaseOptions {
   // only because perfbench/src/workloads.cc still assigns it.
   bool use_threads = true;
   net::FabricParams fabric;  // wire model for cross-node frames
-  // Trimmed per-node DPU. Flash, DRAM and HBM all cost host memory only
-  // where written, so these sizes are kept for what they decide, not for
+  // Trimmed per-node DPU. DRAM and HBM cost host memory per written 4 KiB
+  // page and flash per written byte (each LBA up to its last non-zero
+  // byte), so these sizes are kept for what they decide, not for
   // construction cost: ObjectStore::PickLocation places segments by tier
   // capacity, and the harness goldens pin the results of that placement.
   uint64_t lbas_per_device = 32768;

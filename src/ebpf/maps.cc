@@ -6,6 +6,14 @@
 
 namespace hyperion::ebpf {
 
+namespace {
+
+std::string_view KeyView(ByteSpan key) {
+  return {reinterpret_cast<const char*>(key.data()), key.size()};
+}
+
+}  // namespace
+
 Map::Map(MapSpec spec) : spec_(std::move(spec)) {
   CHECK_GT(spec_.key_size, 0u);
   CHECK_GT(spec_.value_size, 0u);
@@ -36,7 +44,7 @@ Result<uint32_t> Map::LookupHandle(ByteSpan key) const {
     }
     return idx;
   }
-  auto it = index_.find(std::string(reinterpret_cast<const char*>(key.data()), key.size()));
+  auto it = index_.find(KeyView(key));
   if (it == index_.end()) {
     return NotFound("no such key");
   }
@@ -59,8 +67,7 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
               values_.begin() + static_cast<ptrdiff_t>(idx) * spec_.value_size);
     return idx;
   }
-  std::string key_str(reinterpret_cast<const char*>(key.data()), key.size());
-  auto it = index_.find(key_str);
+  auto it = index_.find(KeyView(key));
   uint32_t slot;
   if (it != index_.end()) {
     slot = it->second;
@@ -75,7 +82,7 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
       slot = next_slot_++;
       values_.resize(static_cast<size_t>(next_slot_) * spec_.value_size, 0);
     }
-    index_.emplace(std::move(key_str), slot);
+    index_.emplace(KeyView(key), slot);
   }
   std::copy(value.begin(), value.end(),
             values_.begin() + static_cast<ptrdiff_t>(slot) * spec_.value_size);
@@ -89,7 +96,7 @@ Status Map::Delete(ByteSpan key) {
   if (spec_.type == MapType::kArray) {
     return InvalidArgument("array map entries cannot be deleted");
   }
-  auto it = index_.find(std::string(reinterpret_cast<const char*>(key.data()), key.size()));
+  auto it = index_.find(KeyView(key));
   if (it == index_.end()) {
     return NotFound("no such key");
   }

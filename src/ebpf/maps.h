@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +69,13 @@ class Map {
   std::vector<uint8_t> values_;
   std::vector<uint32_t> free_slots_;
   uint32_t next_slot_ = 0;
-  std::unordered_map<std::string, uint32_t> index_;  // key bytes -> slot
+  // Hashes std::string keys and std::string_view probes alike, so lookups
+  // need not build a std::string.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const { return std::hash<std::string_view>{}(key); }
+  };
+  std::unordered_map<std::string, uint32_t, KeyHash, std::equal_to<>> index_;  // key -> slot
 };
 
 // Registry with dense u32 ids, what LD_IMM64/map-fd instructions reference.

@@ -38,82 +38,58 @@ void WriteLe(uint8_t* p, uint32_t size, uint64_t v) {
 
 }  // namespace
 
-Result<uint64_t> Vm::LoadFrom(uint64_t addr, uint32_t size, MutableByteSpan ctx) {
-  const uint64_t tag = TagOf(addr);
+Result<uint8_t*> Vm::Resolve(uint64_t addr, uint64_t len, MutableByteSpan ctx,
+                             Access access) {
+  const bool load = access == Access::kLoad;
   const uint64_t payload = PayloadOf(addr);
-  switch (tag) {
+  switch (TagOf(addr)) {
     case kTagStack:
-      if (payload + size > kStackSize) {
-        return PermissionDenied("stack load out of bounds");
+      if (payload > kStackSize || len > kStackSize - payload) {
+        return PermissionDenied(load ? "stack load out of bounds" : "stack store out of bounds");
       }
-      return ReadLe(&stack_[payload], size);
+      return &stack_[payload];
     case kTagCtx:
-      if (payload + size > ctx.size()) {
-        return PermissionDenied("ctx load out of bounds");
+      if (payload > ctx.size() || len > ctx.size() - payload) {
+        return PermissionDenied(load ? "ctx load out of bounds" : "ctx store out of bounds");
       }
-      return ReadLe(ctx.data() + payload, size);
+      return ctx.data() + payload;
     case kTagMapValue: {
       const auto map_id = static_cast<uint32_t>(payload >> 40);
       const auto handle = static_cast<uint32_t>((payload >> 16) & 0xffffff);
       const auto offset = static_cast<uint32_t>(payload & 0xffff);
       Map* map = maps_->Get(map_id);
       if (map == nullptr) {
-        return PermissionDenied("load through bad map pointer");
+        return PermissionDenied(load ? "load through bad map pointer"
+                                     : "store through bad map pointer");
       }
-      if (offset + size > map->spec().value_size) {
-        return PermissionDenied("map value load out of bounds");
+      const uint32_t value_size = map->spec().value_size;
+      if (offset > value_size || len > value_size - offset) {
+        return PermissionDenied(load ? "map value load out of bounds"
+                                     : "map value store out of bounds");
       }
-      MutableByteSpan value = map->MutableValue(handle);
-      return ReadLe(value.data() + offset, size);
+      return map->MutableValue(handle).data() + offset;
     }
     default:
-      return PermissionDenied("load through non-pointer value");
+      return PermissionDenied(load ? "load through non-pointer value"
+                                   : "store through non-pointer value");
   }
+}
+
+Result<uint64_t> Vm::LoadFrom(uint64_t addr, uint32_t size, MutableByteSpan ctx) {
+  ASSIGN_OR_RETURN(const uint8_t* p, Resolve(addr, size, ctx, Access::kLoad));
+  return ReadLe(p, size);
 }
 
 Status Vm::StoreTo(uint64_t addr, uint32_t size, uint64_t value, MutableByteSpan ctx) {
-  const uint64_t tag = TagOf(addr);
-  const uint64_t payload = PayloadOf(addr);
-  switch (tag) {
-    case kTagStack:
-      if (payload + size > kStackSize) {
-        return PermissionDenied("stack store out of bounds");
-      }
-      WriteLe(&stack_[payload], size, value);
-      return Status::Ok();
-    case kTagCtx:
-      if (payload + size > ctx.size()) {
-        return PermissionDenied("ctx store out of bounds");
-      }
-      WriteLe(ctx.data() + payload, size, value);
-      return Status::Ok();
-    case kTagMapValue: {
-      const auto map_id = static_cast<uint32_t>(payload >> 40);
-      const auto handle = static_cast<uint32_t>((payload >> 16) & 0xffffff);
-      const auto offset = static_cast<uint32_t>(payload & 0xffff);
-      Map* map = maps_->Get(map_id);
-      if (map == nullptr) {
-        return PermissionDenied("store through bad map pointer");
-      }
-      if (offset + size > map->spec().value_size) {
-        return PermissionDenied("map value store out of bounds");
-      }
-      MutableByteSpan slot = map->MutableValue(handle);
-      WriteLe(slot.data() + offset, size, value);
-      return Status::Ok();
-    }
-    default:
-      return PermissionDenied("store through non-pointer value");
-  }
+  ASSIGN_OR_RETURN(uint8_t* p, Resolve(addr, size, ctx, Access::kStore));
+  WriteLe(p, size, value);
+  return Status::Ok();
 }
 
-Result<Bytes> Vm::CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx) {
-  Bytes out(len);
-  for (uint32_t i = 0; i < len; ++i) {
-    ASSIGN_OR_RETURN(uint64_t byte, LoadFrom(addr + i, 1, ctx));
-    out[i] = static_cast<uint8_t>(byte);
-  }
-  return out;
+Status Vm::CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx, Bytes& out) {
+  ASSIGN_OR_RETURN(const uint8_t* p, Resolve(addr, len, ctx, Access::kLoad));
+  out.assign(p, p + len);
+  return Status::Ok();
 }
 
 Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3,
@@ -128,8 +104,8 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
       if (map == nullptr) {
         return PermissionDenied("map_lookup: unknown map");
       }
-      ASSIGN_OR_RETURN(Bytes key, CopyIn(r2, map->spec().key_size, ctx));
-      Result<uint32_t> handle = map->LookupHandle(ByteSpan(key.data(), key.size()));
+      RETURN_IF_ERROR(CopyIn(r2, map->spec().key_size, ctx, key_));
+      Result<uint32_t> handle = map->LookupHandle(key_);
       if (!handle.ok()) {
         return uint64_t{0};  // NULL: program must branch on it
       }
@@ -144,11 +120,10 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
       if (map == nullptr) {
         return PermissionDenied("map_update: unknown map");
       }
-      ASSIGN_OR_RETURN(Bytes key, CopyIn(r2, map->spec().key_size, ctx));
-      ASSIGN_OR_RETURN(Bytes value, CopyIn(r3, map->spec().value_size, ctx));
+      RETURN_IF_ERROR(CopyIn(r2, map->spec().key_size, ctx, key_));
+      RETURN_IF_ERROR(CopyIn(r3, map->spec().value_size, ctx, value_));
       (void)r4;  // flags: only BPF_ANY semantics modelled
-      Result<uint32_t> slot =
-          map->Update(ByteSpan(key.data(), key.size()), ByteSpan(value.data(), value.size()));
+      Result<uint32_t> slot = map->Update(key_, value_);
       if (!slot.ok()) {
         return static_cast<uint64_t>(-1);
       }
@@ -163,8 +138,8 @@ Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint6
       if (map == nullptr) {
         return PermissionDenied("map_delete: unknown map");
       }
-      ASSIGN_OR_RETURN(Bytes key, CopyIn(r2, map->spec().key_size, ctx));
-      Status st = map->Delete(ByteSpan(key.data(), key.size()));
+      RETURN_IF_ERROR(CopyIn(r2, map->spec().key_size, ctx, key_));
+      Status st = map->Delete(key_);
       return st.ok() ? uint64_t{0} : static_cast<uint64_t>(-1);
     }
     case HelperId::kKtimeGetNs:

@@ -66,16 +66,16 @@ class Vm {
   void set_exec_counts(std::vector<uint64_t>* counts) { exec_counts_ = counts; }
 
  private:
-  struct MemRef {
-    uint8_t* ptr = nullptr;
-    // For map-value writebacks nothing extra is needed: ptr aliases the
-    // map's value arena directly.
-  };
+  enum class Access { kLoad, kStore };
 
+  // Host address of the `len`-byte window at tagged `addr`, checked against
+  // its region once; `access` picks the wording of the error.
+  Result<uint8_t*> Resolve(uint64_t addr, uint64_t len, MutableByteSpan ctx, Access access);
   Result<uint64_t> LoadFrom(uint64_t addr, uint32_t size, MutableByteSpan ctx);
   Status StoreTo(uint64_t addr, uint32_t size, uint64_t value, MutableByteSpan ctx);
-  // Copies `len` bytes out of VM address space (for helper key/value args).
-  Result<Bytes> CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx);
+  // Copies `len` bytes out of VM address space into `out` (helper key/value
+  // args). A copy, not a view: Map::Update may move the values it aliases.
+  Status CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx, Bytes& out);
 
   Result<uint64_t> CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3, uint64_t r4,
                               MutableByteSpan ctx);
@@ -85,6 +85,9 @@ class Vm {
   Rng rng_;
   uint8_t stack_[kStackSize] = {};
   std::vector<uint64_t>* exec_counts_ = nullptr;
+  // Helper key/value arguments, reused across calls.
+  Bytes key_;
+  Bytes value_;
 };
 
 }  // namespace hyperion::ebpf

@@ -1,7 +1,5 @@
 #include "src/fpga/match_action.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 #include "src/ebpf/verifier.h"
 
@@ -69,9 +67,7 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
     stage.info.critical_path_cycles = plan.CriticalPathCycles();
     stage.info.mean_ilp = plan.MeanIlp();
     stage.info.fmax_mhz = spec.codegen.fmax_mhz;
-    stage.exec_counts.assign(spec.program.insns.size(), 0);
     stage.program = std::move(spec.program);
-    stage.plan = std::move(plan);
     pipeline->stages_.push_back(std::move(stage));
   }
   // Bottleneck: the stage with the longest admission period in wall time.
@@ -89,15 +85,8 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
 
 Result<uint64_t> MatchActionPipeline::RunStage(size_t i, MutableByteSpan ctx) {
   CHECK_LT(i, stages_.size());
-  Stage& stage = stages_[i];
-  std::fill(stage.exec_counts.begin(), stage.exec_counts.end(), 0);
-  vm_.set_exec_counts(&stage.exec_counts);
-  Result<ebpf::ExecResult> result = vm_.Run(stage.program, ctx);
-  vm_.set_exec_counts(nullptr);
-  RETURN_IF_ERROR(result.status());
-  ++stage.info.packets;
-  stage.info.serial_cycles += ebpf::EstimateCycles(stage.plan, stage.exec_counts);
-  return result->return_value;
+  ASSIGN_OR_RETURN(ebpf::ExecResult result, vm_.Run(stages_[i].program, ctx));
+  return result.return_value;
 }
 
 sim::Duration MatchActionPipeline::AdmissionPeriod() const {

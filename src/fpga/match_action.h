@@ -17,11 +17,10 @@
 //     regardless of neighbours (fpga::Fabric contract), so batch service
 //     time is pure arithmetic — no interference terms.
 //
-// Functional behaviour comes from the instrumented interpreter (the same
-// contract as Hyperion::ProcessPacket); time is charged at batch
-// granularity from the pipelined model. Programs that fail verification
-// are rejected here, before any plan is built or any bitstream touches the
-// fabric.
+// Functional behaviour comes from the eBPF interpreter; time is charged
+// at batch granularity from the pipelined model. Programs that fail
+// verification are rejected here, before any plan is built or any
+// bitstream touches the fabric.
 
 #ifndef HYPERION_SRC_FPGA_MATCH_ACTION_H_
 #define HYPERION_SRC_FPGA_MATCH_ACTION_H_
@@ -61,8 +60,6 @@ struct MatchActionStageInfo {
   uint32_t critical_path_cycles = 0;
   double mean_ilp = 0.0;
   double fmax_mhz = 0.0;
-  uint64_t packets = 0;
-  uint64_t serial_cycles = 0;  // profile-weighted cycles, unpipelined
 };
 
 class MatchActionPipeline {
@@ -78,7 +75,8 @@ class MatchActionPipeline {
   const MatchActionStageInfo& stage(size_t i) const { return stages_[i].info; }
 
   // Functional execution of stage `i` on `ctx` (the frame bytes): returns
-  // the program's r0 verdict and accrues the stage's execution profile.
+  // the program's r0 verdict. Time is charged per batch (BatchTime), not
+  // here.
   Result<uint64_t> RunStage(size_t i, MutableByteSpan ctx);
 
   // Pipelined service time for a batch of `packets` frames through the
@@ -99,9 +97,7 @@ class MatchActionPipeline {
  private:
   struct Stage {
     ebpf::Program program;
-    ebpf::PipelinePlan plan;
     MatchActionStageInfo info;
-    std::vector<uint64_t> exec_counts;
   };
 
   MatchActionPipeline(Fabric* fabric, AxiInterconnect* axi, ebpf::MapRegistry* maps)

@@ -1,10 +1,33 @@
 #include "src/nvme/flash.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/check.h"
 
 namespace hyperion::nvme {
+
+namespace {
+
+// Length of `block` up to and including its last non-zero byte. Written
+// blocks mostly end in a long zero tail, so the scan steps back 32 bytes at
+// a time and trims the last partial stride bytewise.
+size_t NonZeroPrefix(ByteSpan block) {
+  constexpr size_t kStride = 4 * sizeof(uint64_t);
+  size_t n = block.size();
+  for (uint64_t w[4]; n >= kStride; n -= kStride) {
+    std::memcpy(w, block.data() + n - kStride, kStride);
+    if ((w[0] | w[1] | w[2] | w[3]) != 0) {
+      break;
+    }
+  }
+  while (n > 0 && block[n - 1] == 0) {
+    --n;
+  }
+  return n;
+}
+
+}  // namespace
 
 Status FlashDevice::ReadBlock(uint64_t lba, MutableByteSpan out) const {
   if (lba >= capacity_lbas_) {
@@ -13,12 +36,11 @@ Status FlashDevice::ReadBlock(uint64_t lba, MutableByteSpan out) const {
   if (out.size() != kLbaSize) {
     return InvalidArgument("read buffer must be one LBA");
   }
-  auto it = blocks_.find(lba);
-  if (it == blocks_.end()) {
-    std::fill(out.begin(), out.end(), 0);
-  } else {
-    std::copy(it->second.begin(), it->second.end(), out.begin());
+  auto zeros_from = out.begin();
+  if (auto it = blocks_.find(lba); it != blocks_.end()) {
+    zeros_from = std::copy(it->second.begin(), it->second.end(), out.begin());
   }
+  std::fill(zeros_from, out.end(), 0);
   return Status::Ok();
 }
 
@@ -29,8 +51,17 @@ Status FlashDevice::WriteBlock(uint64_t lba, ByteSpan data) {
   if (data.size() != kLbaSize) {
     return InvalidArgument("write buffer must be one LBA");
   }
-  blocks_[lba] = Bytes(data.begin(), data.end());
+  // assign() reuses the entry's buffer when the LBA is rewritten.
+  blocks_[lba].assign(data.begin(), data.begin() + NonZeroPrefix(data));
   return Status::Ok();
+}
+
+size_t FlashDevice::StoredBytes() const {
+  size_t total = 0;
+  for (const auto& [lba, prefix] : blocks_) {
+    total += prefix.size();
+  }
+  return total;
 }
 
 sim::Duration FlashDevice::ServiceTime(uint64_t lba, uint32_t count, bool is_write,

@@ -1,7 +1,10 @@
 // Flash media model backing a simulated NVMe device.
 //
 // Storage is an in-memory sparse block map (unwritten LBAs read back as
-// zeroes, like a freshly formatted namespace). The latency model captures
+// zeroes, like a freshly formatted namespace). A written LBA keeps only its
+// prefix up to the last non-zero byte, so host memory follows the bytes a
+// block really holds: a short log entry or spilled value padded to one LBA
+// costs its own size, not 4 KiB. The latency model captures
 // the properties the experiments depend on: asymmetric read/program
 // latency, multi-channel parallelism (ops on different channels overlap),
 // and serialization of the data across the channel bus.
@@ -37,9 +40,11 @@ class FlashDevice {
   uint64_t capacity_lbas() const { return capacity_lbas_; }
   const FlashLatency& latency() const { return latency_; }
 
-  // Copies the block at `lba` into `out` (exactly kLbaSize bytes).
+  // Copies the block at `lba` into `out` (exactly kLbaSize bytes): the
+  // stored prefix, then zeroes to the end of the LBA.
   Status ReadBlock(uint64_t lba, MutableByteSpan out) const;
-  // Stores `data` (exactly kLbaSize bytes) at `lba`.
+  // Stores `data` (exactly kLbaSize bytes) at `lba`, keeping only its
+  // prefix up to the last non-zero byte; ReadBlock returns `data` exactly.
   Status WriteBlock(uint64_t lba, ByteSpan data);
 
   // Media service time for a `count`-block op starting at `lba`, beginning
@@ -47,13 +52,16 @@ class FlashDevice {
   // its last channel finishes. Mutates per-channel free times.
   sim::Duration ServiceTime(uint64_t lba, uint32_t count, bool is_write, sim::SimTime now);
 
-  // Number of blocks that have ever been written (for tests/metrics).
+  // Number of blocks that have ever been written (for tests/metrics); an
+  // all-zero write counts too.
   size_t WrittenBlocks() const { return blocks_.size(); }
+  // Host bytes held for written blocks: the sum of their stored prefixes.
+  size_t StoredBytes() const;
 
  private:
   uint64_t capacity_lbas_;
   FlashLatency latency_;
-  std::unordered_map<uint64_t, Bytes> blocks_;
+  std::unordered_map<uint64_t, Bytes> blocks_;  // LBA -> non-zero prefix
   std::vector<sim::SimTime> channel_free_at_;
 };
 

@@ -238,6 +238,76 @@ TEST(VmTest, MapLookupUpdateThroughHelpers) {
   EXPECT_EQ(GetU64(*value, 0), 3u);
 }
 
+TEST(VmTest, HelperKeyWindowLeavingItsRegionTrapped) {
+  // Unverified programs run straight on the Vm: the verifier would reject
+  // both key pointers, so only the Vm's check of the whole 8-byte key
+  // window stands between them and memory past the region.
+  MapRegistry maps;
+  maps.Create({MapType::kHash, 8, 8, 16, "wide_keys"});
+  Program stack_tail = MustAssemble(R"(
+      ld_map_fd r1, 0
+      mov r2, r10
+      add r2, -4
+      call map_lookup
+      exit
+  )");
+  Program ctx_tail = MustAssemble(R"(
+      mov r2, r1
+      add r2, 60
+      ld_map_fd r1, 0
+      call map_lookup
+      exit
+  )");
+  Vm vm(&maps);
+  Bytes ctx(64, 0);  // +60 with an 8-byte key crosses the end
+  Result<ExecResult> stack_run = vm.Run(stack_tail, MutableByteSpan(ctx));
+  EXPECT_EQ(stack_run.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(stack_run.status().message(), "stack load out of bounds");
+  Result<ExecResult> ctx_run = vm.Run(ctx_tail, MutableByteSpan(ctx));
+  EXPECT_EQ(ctx_run.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(ctx_run.status().message(), "ctx load out of bounds");
+}
+
+TEST(VmTest, MapUpdateFromAMapValueCopiesItFirst) {
+  // The value argument points into the map's own value arena, which the
+  // insert of a new key grows: the helper must copy it before updating.
+  MapRegistry maps;
+  const uint32_t map_id = maps.Create({MapType::kHash, 8, 8, 16, "copies"});
+  Map* map = maps.Get(map_id);
+  Bytes key_a;
+  PutU64(key_a, 1);
+  Bytes value_a;
+  PutU64(value_a, 0x1122334455667788ull);
+  ASSERT_TRUE(map->Update(key_a, value_a).ok());
+  Program p = MustAssemble(R"(
+      stdw [r10-8], 1
+      stdw [r10-16], 2
+      ld_map_fd r1, 0
+      mov r2, r10
+      add r2, -8
+      call map_lookup
+      jeq r0, 0, miss
+      mov r3, r0
+      ld_map_fd r1, 0
+      mov r2, r10
+      add r2, -16
+      mov r4, 0
+      call map_update
+      exit
+  miss:
+      mov r0, 1
+      exit
+  )");
+  Vm vm(&maps);
+  Bytes ctx(8, 0);
+  EXPECT_EQ(vm.Run(p, MutableByteSpan(ctx))->return_value, 0u);
+  Bytes key_b;
+  PutU64(key_b, 2);
+  Result<Bytes> value_b = map->Lookup(key_b);
+  ASSERT_TRUE(value_b.ok());
+  EXPECT_EQ(*value_b, value_a);
+}
+
 TEST(VmTest, KtimeHelperReadsVirtualClock) {
   MapRegistry maps;
   sim::Engine engine;

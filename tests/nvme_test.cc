@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "src/common/rng.h"
 #include "src/nvme/controller.h"
 #include "src/nvme/flash.h"
@@ -21,6 +24,13 @@ Bytes Pattern(size_t n, uint8_t seed) {
   return b;
 }
 
+// `prefix` followed by zeroes to one LBA, as a short log entry is written.
+Bytes Padded(const Bytes& prefix) {
+  Bytes block(kLbaSize, 0);
+  std::copy(prefix.begin(), prefix.end(), block.begin());
+  return block;
+}
+
 // -- FlashDevice -----------------------------------------------------------
 
 TEST(FlashTest, UnwrittenBlocksReadZero) {
@@ -35,10 +45,61 @@ TEST(FlashTest, UnwrittenBlocksReadZero) {
 TEST(FlashTest, WriteReadRoundTrip) {
   FlashDevice dev(16);
   Bytes data = Pattern(kLbaSize, 7);
-  ASSERT_TRUE(dev.WriteBlock(5, ByteSpan(data.data(), data.size())).ok());
-  Bytes out(kLbaSize);
-  ASSERT_TRUE(dev.ReadBlock(5, MutableByteSpan(out)).ok());
-  EXPECT_EQ(out, data);
+  ASSERT_NE(data.back(), 0);  // no zero tail: the whole block is stored
+  Bytes last_byte_only(kLbaSize, 0);
+  last_byte_only.back() = 0x5a;
+  Bytes first_byte_only(kLbaSize, 0);
+  first_byte_only.front() = 0xa5;
+  // Ends mid-stride, with zero bytes inside the stored prefix.
+  const Bytes mid_stride = Padded(Pattern(279, 0));
+  const Bytes* blocks[] = {&data, &last_byte_only, &first_byte_only, &mid_stride};
+  for (uint64_t lba = 0; lba < std::size(blocks); ++lba) {
+    const Bytes& block = *blocks[lba];
+    ASSERT_TRUE(dev.WriteBlock(lba, ByteSpan(block.data(), block.size())).ok());
+    Bytes out(kLbaSize, 0xff);
+    ASSERT_TRUE(dev.ReadBlock(lba, MutableByteSpan(out)).ok());
+    EXPECT_EQ(out, block) << "lba " << lba;
+  }
+}
+
+TEST(FlashTest, ShortWriteStoresOnlyItsPrefix) {
+  FlashDevice dev(16);
+  const Bytes block = Padded(Pattern(300, 1));
+  ASSERT_TRUE(dev.WriteBlock(2, ByteSpan(block.data(), block.size())).ok());
+  EXPECT_LE(dev.StoredBytes(), 300u);
+  Bytes out(kLbaSize, 0xff);
+  ASSERT_TRUE(dev.ReadBlock(2, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, block);
+}
+
+TEST(FlashTest, ShortOverwriteReadsZerosPastIt) {
+  FlashDevice dev(16);
+  const Bytes full = Pattern(kLbaSize, 3);
+  ASSERT_TRUE(dev.WriteBlock(6, ByteSpan(full.data(), full.size())).ok());
+  const Bytes short_block = Padded(Pattern(100, 9));
+  ASSERT_TRUE(dev.WriteBlock(6, ByteSpan(short_block.data(), short_block.size())).ok());
+  Bytes out(kLbaSize, 0xff);
+  ASSERT_TRUE(dev.ReadBlock(6, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, short_block);
+  EXPECT_LE(dev.StoredBytes(), 100u);
+  EXPECT_EQ(dev.WrittenBlocks(), 1u);
+}
+
+TEST(FlashTest, AllZeroWriteReadsZeroAndCountsAsWritten) {
+  FlashDevice dev(16);
+  const Bytes zeros(kLbaSize, 0);
+  ASSERT_TRUE(dev.WriteBlock(1, ByteSpan(zeros.data(), zeros.size())).ok());
+  // Zeroing a block that held data must erase it too.
+  const Bytes full = Pattern(kLbaSize, 5);
+  ASSERT_TRUE(dev.WriteBlock(9, ByteSpan(full.data(), full.size())).ok());
+  ASSERT_TRUE(dev.WriteBlock(9, ByteSpan(zeros.data(), zeros.size())).ok());
+  EXPECT_EQ(dev.WrittenBlocks(), 2u);
+  EXPECT_EQ(dev.StoredBytes(), 0u);
+  for (uint64_t lba : {1u, 9u}) {
+    Bytes out(kLbaSize, 0xff);
+    ASSERT_TRUE(dev.ReadBlock(lba, MutableByteSpan(out)).ok());
+    EXPECT_EQ(out, zeros) << "lba " << lba;
+  }
 }
 
 TEST(FlashTest, OutOfRangeRejected) {
