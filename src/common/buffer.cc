@@ -121,4 +121,22 @@ ByteSpan ChainReader::Next(size_t n, MutableByteSpan scratch) {
   return ByteSpan(scratch.data(), n);
 }
 
+void ChainReader::Skip(size_t n) {
+  if (!ok_ || remaining() < n) {
+    ok_ = false;
+    return;
+  }
+  consumed_ += n;
+  while (n > 0) {
+    const size_t size = chain_->segment(segment_).size();
+    const size_t take = std::min(n, size - offset_);
+    offset_ += take;
+    n -= take;
+    if (offset_ == size) {
+      ++segment_;
+      offset_ = 0;
+    }
+  }
+}
+
 }  // namespace hyperion

@@ -200,6 +200,10 @@ class ChainReader {
   // empty span (and clears ok()) on overrun.
   ByteSpan Next(size_t n, MutableByteSpan scratch);
 
+  // Advances the cursor past `n` bytes without reading them (no copy).
+  // Clears ok() on overrun.
+  void Skip(size_t n);
+
  private:
   const BufferChain* chain_;
   size_t segment_ = 0;     // current segment index

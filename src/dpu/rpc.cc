@@ -7,8 +7,10 @@ namespace hyperion::dpu {
 namespace {
 
 // Header segment of a request frame: [service u16][opcode u16][len u32].
+constexpr size_t kRequestHeaderBytes = 8;
+
 Bytes RequestHeader(const RpcRequest& request) {
-  ByteWriter header(8);
+  ByteWriter header(kRequestHeaderBytes);
   header.PutU16(static_cast<uint16_t>(request.service));
   header.PutU16(request.opcode);
   header.PutU32(static_cast<uint32_t>(request.payload.size()));
@@ -24,46 +26,14 @@ Bytes ResponseHeader(const RpcResponse& response) {
   return header.Take();
 }
 
+// Trailer magics ("TRC1" / "DLN1", little-endian), each leading a
+// fixed-size block appended past the request frame's header+payload.
+constexpr uint32_t kTraceTrailerMagic = 0x31435254;
+constexpr size_t kTraceTrailerBytes = 20;
+constexpr uint32_t kDeadlineTrailerMagic = 0x314e4c44;
+constexpr size_t kDeadlineTrailerBytes = 12;
+
 }  // namespace
-
-Bytes SerializeRequest(const RpcRequest& request) {
-  Bytes out = RequestHeader(request);
-  PutBytes(out, request.payload);
-  return out;
-}
-
-Result<RpcRequest> ParseRequest(ByteSpan data) {
-  ByteReader reader(data);
-  RpcRequest request;
-  request.service = static_cast<ServiceId>(reader.ReadU16());
-  request.opcode = reader.ReadU16();
-  const uint32_t len = reader.ReadU32();
-  if (!reader.Ok() || reader.remaining() < len) {
-    return DataLoss("truncated RPC request");
-  }
-  request.payload = Buffer::CopyOf(data.subspan(reader.offset(), len));
-  return request;
-}
-
-Bytes SerializeResponse(const RpcResponse& response) {
-  Bytes out = ResponseHeader(response);
-  PutBytes(out, response.payload);
-  return out;
-}
-
-Result<RpcResponse> ParseResponse(ByteSpan data) {
-  ByteReader reader(data);
-  RpcResponse response;
-  const auto code = static_cast<StatusCode>(reader.ReadU32());
-  const std::string message = reader.ReadString();
-  response.status = code == StatusCode::kOk ? Status::Ok() : Status(code, message);
-  const uint32_t len = reader.ReadU32();
-  if (!reader.Ok() || reader.remaining() < len) {
-    return DataLoss("truncated RPC response");
-  }
-  response.payload = Buffer::CopyOf(data.subspan(reader.offset(), len));
-  return response;
-}
 
 BufferChain SerializeRequestFrame(const RpcRequest& request) {
   BufferChain frame{Buffer(RequestHeader(request))};
@@ -72,23 +42,36 @@ BufferChain SerializeRequestFrame(const RpcRequest& request) {
 }
 
 Result<RpcRequest> ParseRequestFrame(const BufferChain& frame) {
-  if (frame.segment_count() == 0) {
-    return DataLoss("truncated RPC request");
-  }
-  // Frames we build carry the whole header in segment 0; anything else is a
-  // foreign layout and takes the contiguous (copying) path.
-  ByteReader reader(frame.segment(0));
+  // Holds a fixed-size field that straddles segments; the largest is a
+  // trace trailer's body.
+  uint8_t scratch_bytes[kTraceTrailerBytes - 4];
+  const MutableByteSpan scratch(scratch_bytes, sizeof(scratch_bytes));
+  ChainReader reader(frame);
+  ByteReader header(reader.Next(kRequestHeaderBytes, scratch));
   RpcRequest request;
-  request.service = static_cast<ServiceId>(reader.ReadU16());
-  request.opcode = reader.ReadU16();
-  const uint32_t len = reader.ReadU32();
-  if (!reader.Ok()) {
-    return ParseRequest(ByteSpan(frame.Flatten()));
-  }
-  if (frame.size() < reader.offset() + len) {
+  request.service = static_cast<ServiceId>(header.ReadU16());
+  request.opcode = header.ReadU16();
+  const uint32_t len = header.ReadU32();
+  if (!header.Ok() || reader.remaining() < len) {
     return DataLoss("truncated RPC request");
   }
-  request.payload = frame.SubChain(reader.offset(), len).Gather();
+  request.payload = frame.SubChain(kRequestHeaderBytes, len).Gather();
+  reader.Skip(len);
+  // Trailers, in whatever order they were appended. An unknown magic or a
+  // short block ends the walk; whatever parsed before it stands.
+  while (reader.remaining() >= 4) {
+    const uint32_t magic = ByteReader(reader.Next(4, scratch)).ReadU32();
+    if (magic == kTraceTrailerMagic && reader.remaining() >= kTraceTrailerBytes - 4) {
+      ByteReader body(reader.Next(kTraceTrailerBytes - 4, scratch));
+      request.trace.trace_id = body.ReadU64();
+      request.trace.parent_span = body.ReadU64();
+    } else if (magic == kDeadlineTrailerMagic &&
+               reader.remaining() >= kDeadlineTrailerBytes - 4) {
+      request.deadline = ByteReader(reader.Next(kDeadlineTrailerBytes - 4, scratch)).ReadU64();
+    } else {
+      break;
+    }
+  }
   return request;
 }
 
@@ -98,108 +81,31 @@ BufferChain SerializeResponseFrame(const RpcResponse& response) {
   return frame;
 }
 
-namespace {
-// Trailer magics ("TRC1" / "DLN1", little-endian), each leading a
-// fixed-size block appended past the request frame's header+payload.
-// Parsers never read that far, so trailers are invisible to peers that
-// understand neither.
-constexpr uint32_t kTraceTrailerMagic = 0x31435254;
-constexpr size_t kTraceTrailerBytes = 20;
-constexpr uint32_t kDeadlineTrailerMagic = 0x314e4c44;
-constexpr size_t kDeadlineTrailerBytes = 12;
-
-struct RequestTrailers {
-  obs::TraceContext trace;
-  sim::SimTime deadline = kNoDeadline;
-};
-
-// Offset just past the request frame's header+payload (where trailers
-// start), or SIZE_MAX when the frame is malformed or truncated.
-size_t RequestPayloadEnd(const BufferChain& frame) {
-  if (frame.segment_count() == 0) {
-    return ~size_t{0};
-  }
-  ByteReader header(frame.segment(0));
-  header.ReadU16();  // service
-  header.ReadU16();  // opcode
-  const uint32_t len = header.ReadU32();
-  if (!header.Ok()) {
-    return ~size_t{0};
-  }
-  const size_t end = header.offset() + len;
-  return end <= frame.size() ? end : ~size_t{0};
-}
-
-// Reads `n` bytes at `pos` without materializing a sub-chain: the common
-// case lands inside one segment and borrows its bytes; a straddling read
-// assembles into `scratch` (accounted like any buffer-layer copy). The
-// trailer scan runs once per served RPC, so the SubChain+Gather it used to
-// do here (a segment vector plus a gathered Buffer per field) was pure
-// per-request allocator traffic.
-ByteSpan ReadBytesAt(const BufferChain& frame, size_t pos, size_t n, MutableByteSpan scratch) {
-  DCHECK_LE(pos + n, frame.size());
-  DCHECK_LE(n, scratch.size());
-  size_t seg = 0;
-  size_t off = pos;
-  while (off >= frame.segment(seg).size()) {
-    off -= frame.segment(seg).size();
-    ++seg;
-  }
-  const Buffer& first = frame.segment(seg);
-  if (off + n <= first.size()) {
-    return ByteSpan(first.data() + off, n);
-  }
-  size_t got = 0;
-  while (got < n) {
-    const Buffer& cur = frame.segment(seg);
-    const size_t take = std::min(n - got, cur.size() - off);
-    std::memcpy(scratch.data() + got, cur.data() + off, take);
-    got += take;
-    off = 0;
-    ++seg;
-  }
-  AccountBufferCopy(n);
-  return ByteSpan(scratch.data(), n);
-}
-
-// Walks the trailer blocks in whatever order they were appended. An
-// unrecognized magic (or a short block) ends the walk: whatever parsed up
-// to that point stands, matching the pre-PR-5 tolerance for foreign bytes.
-RequestTrailers ScanRequestTrailers(const BufferChain& frame) {
-  RequestTrailers out;
-  size_t pos = RequestPayloadEnd(frame);
-  if (pos == ~size_t{0}) {
-    return out;
-  }
-  uint8_t scratch_bytes[kTraceTrailerBytes];
+Result<RpcResponse> ParseResponseFrame(const BufferChain& frame) {
+  uint8_t scratch_bytes[8];
   const MutableByteSpan scratch(scratch_bytes, sizeof(scratch_bytes));
-  while (pos + 4 <= frame.size()) {
-    ByteReader magic_reader{ReadBytesAt(frame, pos, 4, scratch)};
-    const uint32_t magic = magic_reader.ReadU32();
-    if (magic == kTraceTrailerMagic && pos + kTraceTrailerBytes <= frame.size()) {
-      ByteReader reader{ReadBytesAt(frame, pos + 4, kTraceTrailerBytes - 4, scratch)};
-      obs::TraceContext context;
-      context.trace_id = reader.ReadU64();
-      context.parent_span = reader.ReadU64();
-      if (reader.Ok()) {
-        out.trace = context;
-      }
-      pos += kTraceTrailerBytes;
-    } else if (magic == kDeadlineTrailerMagic && pos + kDeadlineTrailerBytes <= frame.size()) {
-      ByteReader reader{ReadBytesAt(frame, pos + 4, kDeadlineTrailerBytes - 4, scratch)};
-      const sim::SimTime deadline = reader.ReadU64();
-      if (reader.Ok()) {
-        out.deadline = deadline;
-      }
-      pos += kDeadlineTrailerBytes;
-    } else {
-      break;
-    }
+  ChainReader reader(frame);
+  ByteReader prefix(reader.Next(8, scratch));  // [code u32][msg_len u32]
+  const auto code = static_cast<StatusCode>(prefix.ReadU32());
+  const uint32_t message_len = prefix.ReadU32();
+  // Bound the message by the frame before sizing its scratch from it.
+  if (!prefix.Ok() || reader.remaining() < message_len) {
+    return DataLoss("truncated RPC response");
   }
-  return out;
+  std::string message_scratch(message_len, '\0');
+  const ByteSpan message = reader.Next(
+      message_len,
+      MutableByteSpan(reinterpret_cast<uint8_t*>(message_scratch.data()), message_len));
+  const uint32_t len = ByteReader(reader.Next(4, scratch)).ReadU32();
+  if (!reader.ok() || reader.remaining() < len) {
+    return DataLoss("truncated RPC response");
+  }
+  RpcResponse response;
+  response.status =
+      Status(code, std::string_view(reinterpret_cast<const char*>(message.data()), message_len));
+  response.payload = frame.SubChain(frame.size() - reader.remaining(), len).Gather();
+  return response;
 }
-
-}  // namespace
 
 void AppendTraceTrailer(BufferChain& frame, obs::TraceContext context) {
   ByteWriter trailer(kTraceTrailerBytes);
@@ -214,34 +120,6 @@ void AppendDeadlineTrailer(BufferChain& frame, sim::SimTime deadline) {
   trailer.PutU32(kDeadlineTrailerMagic);
   trailer.PutU64(deadline);
   frame.Append(Buffer(trailer.Take()));
-}
-
-obs::TraceContext ExtractRequestTraceContext(const BufferChain& frame) {
-  return ScanRequestTrailers(frame).trace;
-}
-
-sim::SimTime ExtractRequestDeadline(const BufferChain& frame) {
-  return ScanRequestTrailers(frame).deadline;
-}
-
-Result<RpcResponse> ParseResponseFrame(const BufferChain& frame) {
-  if (frame.segment_count() == 0) {
-    return DataLoss("truncated RPC response");
-  }
-  ByteReader reader(frame.segment(0));
-  RpcResponse response;
-  const auto code = static_cast<StatusCode>(reader.ReadU32());
-  const std::string message = reader.ReadString();
-  response.status = code == StatusCode::kOk ? Status::Ok() : Status(code, message);
-  const uint32_t len = reader.ReadU32();
-  if (!reader.Ok()) {
-    return ParseResponse(ByteSpan(frame.Flatten()));
-  }
-  if (frame.size() < reader.offset() + len) {
-    return DataLoss("truncated RPC response");
-  }
-  response.payload = frame.SubChain(reader.offset(), len).Gather();
-  return response;
 }
 
 void RpcServer::RegisterService(ServiceId service, Handler handler) {
@@ -412,22 +290,16 @@ void ShardedRpcNode::CallAsync(ShardedRpcNode* peer, const RpcRequest& request,
 
 void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Completion done) {
   const sim::SimTime arrival = engine_->shard(shard_).Now();
-  // One trailer walk serves both consumers (trace stitching and the
-  // admission deadline); this path used to scan the frame twice.
-  const bool tracing = obs::kCompiledIn && tracer_ != nullptr && tracer_->enabled();
-  RequestTrailers trailers;
-  if (tracing || admission_ != nullptr) {
-    trailers = ScanRequestTrailers(frame);
-  }
+  Result<RpcRequest> request = ParseRequestFrame(frame);
   obs::SpanId serve = 0;
-  if (tracing) {
+  if (obs::kCompiledIn && tracer_ != nullptr && tracer_->enabled()) {
     // Stitch under the caller's span carried in the frame trailer (empty
     // context — a fresh root — when the caller was untraced).
-    serve = tracer_->BeginAsync(obs::Subsystem::kRpc, "rpc.serve", arrival, trailers.trace);
+    serve = tracer_->BeginAsync(obs::Subsystem::kRpc, "rpc.serve", arrival,
+                                request.ok() ? request->trace : obs::TraceContext{});
   }
   RpcResponse response;
   sim::SimTime finish = arrival;
-  Result<RpcRequest> request = ParseRequestFrame(frame);
   bool admitted = true;
   if (!request.ok()) {
     response = RpcResponse::Fail(request.status());
@@ -435,7 +307,6 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
     response = RpcResponse::Fail(InvalidArgument("node has no RPC server"));
   } else {
     if (admission_ != nullptr) {
-      request->deadline = trailers.deadline;
       const sim::AdmissionDecision decision =
           admission_->Decide(arrival, node_clock_->Now(), request->deadline);
       admitted = decision == sim::AdmissionDecision::kAdmit;

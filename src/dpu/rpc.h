@@ -53,11 +53,13 @@ struct RpcRequest {
   ServiceId service = ServiceId::kControl;
   uint16_t opcode = 0;
   Buffer payload;
-  // Absolute virtual-time deadline (kNoDeadline = none). Metadata, not part
-  // of the golden wire layout: it rides request frames as a trailer (like
-  // the trace context) so deadline-aware servers can shed work that cannot
-  // finish in time. CallWithDeadline fills it in; plain Call leaves it off.
+  // Absolute virtual-time deadline (kNoDeadline = none), so deadline-aware
+  // servers can shed work that cannot finish in time. CallWithDeadline
+  // fills it in; plain Call leaves it off. On the wire it rides a trailer.
   sim::SimTime deadline = kNoDeadline;
+  // The caller's span, read off a request frame's trace trailer (empty when
+  // the frame carries none). Metadata like `deadline`.
+  obs::TraceContext trace{};
 };
 
 struct RpcResponse {
@@ -70,37 +72,29 @@ struct RpcResponse {
   static RpcResponse Fail(Status status) { return RpcResponse{std::move(status), {}}; }
 };
 
-// Contiguous wire codecs (compatibility/golden layout; parsing copies the
-// payload out of the caller's span because the span may not outlive it).
-Bytes SerializeRequest(const RpcRequest& request);
-Result<RpcRequest> ParseRequest(ByteSpan data);
-Bytes SerializeResponse(const RpcResponse& response);
-Result<RpcResponse> ParseResponse(ByteSpan data);
-
-// Scatter-gather wire codecs: the frame is [header segment][payload
-// segments...] — the payload rides as shared Buffer slices, so neither
-// serialize nor parse copies it. Byte-for-byte identical layout to the
-// contiguous codecs (Flatten() of the frame == Serialize*()).
+// Wire codecs, one per frame kind. Little-endian layouts:
+//   request:  [service u16][opcode u16][len u32][payload][trailers...]
+//   response: [code u32][msg_len u32][msg][len u32][payload]
+// A frame is [header segment][payload segments...]: the payload rides as
+// shared Buffer slices, so neither serialize nor parse copies it. The
+// parsers read through a ChainReader, so a frame parses the same however
+// its bytes are split into segments; only a field that straddles segments
+// is copied. A length that overruns the frame fails with kDataLoss.
 BufferChain SerializeRequestFrame(const RpcRequest& request);
 Result<RpcRequest> ParseRequestFrame(const BufferChain& frame);
 BufferChain SerializeResponseFrame(const RpcResponse& response);
 Result<RpcResponse> ParseResponseFrame(const BufferChain& frame);
 
-// Metadata trailers appended *after* the request frame's header+payload.
-// Every frame parser reads exactly header + payload-length bytes and
-// ignores anything beyond, so a trailered frame stays wire-compatible with
-// peers that understand neither; senders compute the modelled wire latency
-// from the pre-trailer size, so trailers never perturb virtual time. Two
-// trailer kinds exist and may coexist in any order, each self-describing by
-// a leading magic:
-//   trace (PR 4):    [magic "TRC1" u32][trace_id u64][parent_span u64]
-//   deadline (PR 5): [magic "DLN1" u32][deadline u64]
-// Extractors return the empty context / kNoDeadline when no well-formed
-// trailer of that kind is present.
+// Metadata trailers appended *after* a request frame's header+payload.
+// Two kinds exist and may come in either order, each led by its magic:
+//   trace:    [magic "TRC1" u32][trace_id u64][parent_span u64]
+//   deadline: [magic "DLN1" u32][deadline u64]
+// ParseRequestFrame walks them into RpcRequest::trace and ::deadline; an
+// unknown magic or a short block ends the walk, and the fields parsed
+// before it stand. Senders compute the modelled wire latency from the
+// pre-trailer size, so trailers never perturb virtual time.
 void AppendTraceTrailer(BufferChain& frame, obs::TraceContext context);
 void AppendDeadlineTrailer(BufferChain& frame, sim::SimTime deadline);
-obs::TraceContext ExtractRequestTraceContext(const BufferChain& frame);
-sim::SimTime ExtractRequestDeadline(const BufferChain& frame);
 
 // Server-side dispatch table. Handlers run on the DPU and advance the
 // shared virtual clock by whatever work they do.
@@ -109,11 +103,10 @@ class RpcServer {
   using Handler = std::function<RpcResponse(uint16_t opcode, const Buffer& payload)>;
 
   void RegisterService(ServiceId service, Handler handler);
-  RpcResponse Dispatch(const RpcRequest& request) { return Dispatch(request, {}); }
 
-  // Traced dispatch: wraps the handler in an "rpc.dispatch" span parented
-  // at `context` (the caller's attempt or serve span), read off `clock` —
-  // the engine the handlers advance. Untraced without SetTracer.
+  // Runs the service's handler inside an "rpc.dispatch" span parented at
+  // `context` (the caller's attempt or serve span), read off `clock` — the
+  // engine the handlers advance. Untraced without SetTracer.
   RpcResponse Dispatch(const RpcRequest& request, obs::TraceContext context);
 
   // Attaches the per-node tracer (null detaches). `clock` is the virtual
@@ -155,7 +148,6 @@ class RpcClient {
       : transport_(transport), self_(self), server_(server), peer_(peer) {}
 
   void set_retry_policy(const RetryPolicy& policy) { policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return policy_; }
 
   // Hooks this client to a fault injector (null detaches). Injected fault:
   // the server executes but its response is dropped — the at-least-once
@@ -241,9 +233,7 @@ class ShardedRpcNode {
                  sim::Engine* node_clock, const net::FabricParams& wire,
                  double link_gbps);
 
-  uint32_t source() const { return source_; }
   uint32_t shard() const { return shard_; }
-  sim::Engine* node_clock() { return node_clock_; }
 
   // Asynchronous call: `done` runs on this node's shard engine when the
   // response frame arrives; a frame that fails to parse completes as

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/buffer.h"
 #include "src/common/result.h"
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
@@ -74,14 +73,6 @@ class Fabric {
 
   // Accounts a message on the clock and counters; returns its latency.
   Result<sim::Duration> Deliver(HostId src, HostId dst, uint64_t bytes);
-
-  // Accounts a scatter-gather frame (net_frames / net_frame_segments). The
-  // frame's bytes are charged by the transport via Send; the chain itself
-  // crosses the fabric as shared slices, never flattened.
-  void NoteFrame(const BufferChain& frame) {
-    counters_.Increment("net_frames");
-    counters_.Add("net_frame_segments", frame.segment_count());
-  }
 
   const FabricParams& params() const { return params_; }
   const sim::Counters& counters() const { return counters_; }

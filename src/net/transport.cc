@@ -20,6 +20,9 @@ std::string_view TransportKindName(TransportKind kind) {
   return "?";
 }
 
+namespace {
+
+// Per-message wire overhead (headers) by transport kind, bytes.
 uint32_t HeaderBytes(TransportKind kind) {
   switch (kind) {
     case TransportKind::kUdp:
@@ -33,8 +36,6 @@ uint32_t HeaderBytes(TransportKind kind) {
   }
   return 0;
 }
-
-namespace {
 
 class UdpTransport : public Transport {
  public:
@@ -59,26 +60,6 @@ class UdpTransport : public Transport {
                      fabric_->Deliver(src, dst, bytes + HeaderBytes(kind())));
     fabric_->engine()->Advance(params_.receiver_sw_overhead);
     return wire + params_.sender_sw_overhead + params_.receiver_sw_overhead;
-  }
-
-  Result<sim::Duration> RoundTrip(HostId src, HostId dst, uint64_t request_bytes,
-                                  uint64_t response_bytes) override {
-    // Application-level retry on a 1 ms timer, the standard pattern over UDP.
-    constexpr sim::Duration kRetryTimeout = 1 * sim::kMillisecond;
-    constexpr int kMaxAttempts = 16;
-    sim::Duration total = 0;
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<sim::Duration> fwd = Send(src, dst, request_bytes);
-      if (fwd.ok()) {
-        Result<sim::Duration> rev = Send(dst, src, response_bytes);
-        if (rev.ok()) {
-          return total + *fwd + *rev;
-        }
-      }
-      fabric_->engine()->Advance(kRetryTimeout);
-      total += kRetryTimeout;
-    }
-    return DeadlineExceeded("udp round trip exhausted retries");
   }
 };
 
@@ -113,13 +94,6 @@ class TcpTransport : public Transport {
     }
     return DeadlineExceeded("tcp retransmission limit");
   }
-
-  Result<sim::Duration> RoundTrip(HostId src, HostId dst, uint64_t request_bytes,
-                                  uint64_t response_bytes) override {
-    ASSIGN_OR_RETURN(sim::Duration fwd, Send(src, dst, request_bytes));
-    ASSIGN_OR_RETURN(sim::Duration rev, Send(dst, src, response_bytes));
-    return fwd + rev;
-  }
 };
 
 class RdmaTransport : public Transport {
@@ -139,14 +113,6 @@ class RdmaTransport : public Transport {
                      fabric_->Deliver(src, dst, bytes + HeaderBytes(kind())));
     fabric_->engine()->Advance(params_.receiver_sw_overhead);
     return wire + params_.sender_sw_overhead + params_.receiver_sw_overhead;
-  }
-
-  Result<sim::Duration> RoundTrip(HostId src, HostId dst, uint64_t request_bytes,
-                                  uint64_t response_bytes) override {
-    // One-sided READ: request carries no payload; data returns in one go.
-    ASSIGN_OR_RETURN(sim::Duration fwd, Send(src, dst, request_bytes));
-    ASSIGN_OR_RETURN(sim::Duration rev, Send(dst, src, response_bytes));
-    return fwd + rev;
   }
 };
 
@@ -178,13 +144,6 @@ class HomaTransport : public Transport {
     }
     fabric_->engine()->Advance(grant_cost + queueing);
     return wire + sw + grant_cost + queueing;
-  }
-
-  Result<sim::Duration> RoundTrip(HostId src, HostId dst, uint64_t request_bytes,
-                                  uint64_t response_bytes) override {
-    ASSIGN_OR_RETURN(sim::Duration fwd, Send(src, dst, request_bytes));
-    ASSIGN_OR_RETURN(sim::Duration rev, Send(dst, src, response_bytes));
-    return fwd + rev;
   }
 };
 

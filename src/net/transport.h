@@ -5,7 +5,9 @@
 // pipeline*: a workload picks the semantics it needs and the fabric
 // specializes for it. The four transports here share a Fabric but differ in
 // per-message software/protocol costs, reliability behaviour under loss,
-// and (for Homa) message-size-dependent scheduling:
+// and (for Homa) message-size-dependent scheduling. A transport carries
+// one-way messages; request/response exchanges, and retries over a lossy
+// transport, belong to the RPC layer above it (`dpu::RpcClient`).
 //
 //   Udp  — fire-and-forget datagrams; loss surfaces to the caller.
 //   Tcp  — reliable byte stream; pays header+ACK costs and retransmission
@@ -20,7 +22,6 @@
 
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "src/common/buffer.h"
 #include "src/common/result.h"
@@ -72,36 +73,13 @@ class Transport {
   // never flattened here — the cost charged is exactly Send() of the chain's
   // total byte count, so the latency model is independent of segmentation.
   Result<sim::Duration> SendFrame(HostId src, HostId dst, const BufferChain& frame) {
-    fabric_->NoteFrame(frame);
     obs::ScopedSpan span(tracer_, engine(), obs::Subsystem::kNet, "net.send");
     return Send(src, dst, frame.size());
-  }
-
-  // Coalesced send (PR 5): N frames ride one wire message, so the header
-  // and the per-message software overhead at each end are charged once and
-  // amortized across the batch — the transport-level analogue of NVMe
-  // doorbell coalescing. An empty batch is free.
-  Result<sim::Duration> SendFrameBatch(HostId src, HostId dst,
-                                       const std::vector<BufferChain>& frames) {
-    if (frames.empty()) {
-      return sim::Duration{0};
-    }
-    uint64_t total = 0;
-    for (const auto& frame : frames) {
-      fabric_->NoteFrame(frame);
-      total += frame.size();
-    }
-    obs::ScopedSpan span(tracer_, engine(), obs::Subsystem::kNet, "net.send_batch");
-    return Send(src, dst, total);
   }
 
   // Attaches a tracer (null detaches): SendFrame emits a net.send span
   // covering the modelled wire + software time of each frame.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  // Request/response exchange; reliable transports retry internally.
-  virtual Result<sim::Duration> RoundTrip(HostId src, HostId dst, uint64_t request_bytes,
-                                          uint64_t response_bytes) = 0;
 
   // The shared virtual clock this transport charges (for callers layering
   // their own timers/backoff on top, e.g. the RPC retry loop).
@@ -125,9 +103,6 @@ class Transport {
 
 std::unique_ptr<Transport> MakeTransport(TransportKind kind, Fabric* fabric, Rng* rng,
                                          TransportParams params = TransportParams());
-
-// Per-message wire overhead (headers) by transport kind, bytes.
-uint32_t HeaderBytes(TransportKind kind);
 
 }  // namespace hyperion::net
 

@@ -86,27 +86,27 @@ TEST_F(DpuTest, DeployAndProcessPacket) {
 
 TEST_F(DpuTest, RpcSerializationRoundTrip) {
   RpcRequest request{ServiceId::kKv, KvOp::kGet, ToBytes("payload")};
-  auto parsed = ParseRequest(ByteSpan(SerializeRequest(request).data(),
-                                      SerializeRequest(request).size()));
+  auto parsed = ParseRequestFrame(SerializeRequestFrame(request));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->service, ServiceId::kKv);
   EXPECT_EQ(parsed->opcode, KvOp::kGet);
   EXPECT_EQ(ToString(ByteSpan(parsed->payload.data(), parsed->payload.size())), "payload");
 
   RpcResponse fail = RpcResponse::Fail(NotFound("missing key"));
-  auto decoded = ParseResponse(ByteSpan(SerializeResponse(fail).data(),
-                                        SerializeResponse(fail).size()));
+  auto decoded = ParseResponseFrame(SerializeResponseFrame(fail));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->status.code(), StatusCode::kNotFound);
   EXPECT_EQ(decoded->status.message(), "missing key");
 }
 
 TEST_F(DpuTest, RpcFrameMatchesContiguousWireFormat) {
-  // The scatter-gather frame codec is wire-compatible with the contiguous
-  // Bytes codec: flattening a frame yields byte-identical output, and the
-  // frame never copies the payload (it rides as a shared segment).
+  // The golden layouts are written out byte by byte, so they pin the wire
+  // format independently of the codec: a flattened frame is exactly these
+  // bytes, and the frame never copies the payload (it rides as a shared
+  // segment).
   RpcRequest request{ServiceId::kLog, LogOp::kAppend, Buffer(Bytes(300, 0xab))};
-  const Bytes golden = SerializeRequest(request);
+  Bytes golden = {0x03, 0x00, 0x01, 0x00, 0x2c, 0x01, 0x00, 0x00};  // kLog, kAppend, 300
+  golden.insert(golden.end(), 300, 0xab);
   BufferChain frame = SerializeRequestFrame(request);
   EXPECT_EQ(frame.Flatten(), golden);
   ASSERT_EQ(frame.segment_count(), 2u);  // header + payload
@@ -116,16 +116,173 @@ TEST_F(DpuTest, RpcFrameMatchesContiguousWireFormat) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->service, ServiceId::kLog);
   EXPECT_EQ(parsed->opcode, LogOp::kAppend);
+  EXPECT_EQ(parsed->payload.data(), request.payload.data());  // a slice of the frame
   EXPECT_EQ(parsed->payload, request.payload);
 
   RpcResponse response = RpcResponse::Ok(Buffer(Bytes(128, 0x11)));
-  const Bytes response_golden = SerializeResponse(response);
+  // OK, empty message, 128 payload bytes.
+  Bytes response_golden = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00};
+  response_golden.insert(response_golden.end(), 128, 0x11);
   BufferChain response_frame = SerializeResponseFrame(response);
   EXPECT_EQ(response_frame.Flatten(), response_golden);
   auto decoded = ParseResponseFrame(response_frame);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->status.ok());
+  EXPECT_EQ(decoded->payload.data(), response.payload.data());
   EXPECT_EQ(decoded->payload, response.payload);
+}
+
+// -- RPC frame corruption sweep ---------------------------------------------
+//
+// The frame parsers are where wire bytes enter a DPU. Whatever the bytes
+// and however they are segmented, a parser returns a frame or an error.
+
+RpcRequest FuzzRequest() {
+  RpcRequest request{ServiceId::kKv, KvOp::kPut, Buffer(Bytes(40, 0x3c))};
+  request.deadline = 7 * sim::kMillisecond;
+  request.trace = obs::TraceContext{/*trace_id=*/0x1234500042ull, /*parent_span=*/0x9876500011ull};
+  return request;
+}
+
+// FuzzRequest's frame as a sender builds it: header and payload, then a
+// deadline trailer and a trace trailer.
+Bytes FuzzRequestBytes() {
+  const RpcRequest request = FuzzRequest();
+  BufferChain frame = SerializeRequestFrame(request);
+  AppendDeadlineTrailer(frame, request.deadline);
+  AppendTraceTrailer(frame, request.trace);
+  return frame.Flatten();
+}
+
+RpcResponse FuzzResponse() { return RpcResponse{NotFound("no such key: 42"), Bytes(16, 0x7e)}; }
+
+Bytes FuzzResponseBytes() { return SerializeResponseFrame(FuzzResponse()).Flatten(); }
+
+// `bytes` as a chain of two segments cut at `cut` (an empty side is dropped).
+BufferChain SplitAt(const Bytes& bytes, size_t cut) {
+  BufferChain chain(Bytes(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut)));
+  chain.Append(Buffer(Bytes(bytes.begin() + static_cast<std::ptrdiff_t>(cut), bytes.end())));
+  return chain;
+}
+
+Bytes Prefix(const Bytes& bytes, size_t length) {
+  return Bytes(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(length));
+}
+
+void OverwriteU32(Bytes& bytes, size_t offset, uint32_t value) {
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(RpcFrameFuzz, EverySplitParsesTheSameFrame) {
+  const RpcRequest request = FuzzRequest();
+  const Bytes request_bytes = FuzzRequestBytes();
+  for (size_t cut = 0; cut <= request_bytes.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    auto parsed = ParseRequestFrame(SplitAt(request_bytes, cut));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->service, request.service);
+    EXPECT_EQ(parsed->opcode, request.opcode);
+    EXPECT_EQ(parsed->payload, request.payload);
+    EXPECT_EQ(parsed->deadline, request.deadline);
+    EXPECT_EQ(parsed->trace, request.trace);
+  }
+  const RpcResponse response = FuzzResponse();
+  const Bytes response_bytes = FuzzResponseBytes();
+  for (size_t cut = 0; cut <= response_bytes.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    auto decoded = ParseResponseFrame(SplitAt(response_bytes, cut));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->status.code(), response.status.code());
+    EXPECT_EQ(decoded->status.message(), response.status.message());
+    EXPECT_EQ(decoded->payload, response.payload);
+  }
+}
+
+TEST(RpcFrameFuzz, TruncationIsAnErrorOrAShorterTrailerWalk) {
+  const RpcRequest request = FuzzRequest();
+  const Bytes request_bytes = FuzzRequestBytes();
+  const size_t body = 8 + request.payload.size();  // header + payload
+  const size_t with_deadline = body + 12;          // the first trailer whole
+  for (size_t length = 0; length <= request_bytes.size(); ++length) {
+    SCOPED_TRACE(length);
+    auto parsed = ParseRequestFrame(Prefix(request_bytes, length));
+    if (length < body) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+      continue;
+    }
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->payload, request.payload);
+    EXPECT_EQ(parsed->deadline, length >= with_deadline ? request.deadline : kNoDeadline);
+    EXPECT_EQ(parsed->trace,
+              length == request_bytes.size() ? request.trace : obs::TraceContext{});
+  }
+  const Bytes response_bytes = FuzzResponseBytes();
+  for (size_t length = 0; length < response_bytes.size(); ++length) {
+    SCOPED_TRACE(length);
+    EXPECT_EQ(ParseResponseFrame(Prefix(response_bytes, length)).status().code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(RpcFrameFuzz, RandomByteFlipsNeverCrash) {
+  // Each round flips one byte of a pristine frame and parses it whole and
+  // split at a random offset. Either parse may fail; a parsed payload is
+  // always the frame's own bytes.
+  constexpr int kFlips = 2000;
+  Rng rng(2201);
+  auto flip = [&rng](Bytes bytes) {
+    bytes[rng.Uniform(bytes.size())] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+    return bytes;
+  };
+  const Bytes request_bytes = FuzzRequestBytes();
+  for (int round = 0; round < kFlips; ++round) {
+    const Bytes mutated = flip(request_bytes);
+    const Result<RpcRequest> whole = ParseRequestFrame(mutated);
+    const Result<RpcRequest> split =
+        ParseRequestFrame(SplitAt(mutated, rng.Uniform(mutated.size() + 1)));
+    ASSERT_EQ(whole.ok(), split.ok()) << "round " << round;
+    if (whole.ok()) {
+      EXPECT_EQ(whole->payload, Buffer(Bytes(mutated.begin() + 8,
+                                             mutated.begin() + 8 + whole->payload.size())));
+      EXPECT_EQ(split->payload, whole->payload);
+      EXPECT_EQ(split->deadline, whole->deadline);
+      EXPECT_EQ(split->trace, whole->trace);
+    }
+  }
+  const Bytes response_bytes = FuzzResponseBytes();
+  for (int round = 0; round < kFlips; ++round) {
+    const Bytes mutated = flip(response_bytes);
+    const Result<RpcResponse> whole = ParseResponseFrame(mutated);
+    const Result<RpcResponse> split =
+        ParseResponseFrame(SplitAt(mutated, rng.Uniform(mutated.size() + 1)));
+    ASSERT_EQ(whole.ok(), split.ok()) << "round " << round;
+    if (whole.ok()) {
+      EXPECT_LE(whole->payload.size(), mutated.size());
+      EXPECT_EQ(split->status.code(), whole->status.code());
+      EXPECT_EQ(split->status.message(), whole->status.message());
+      EXPECT_EQ(split->payload, whole->payload);
+    }
+  }
+}
+
+TEST(RpcFrameFuzz, OverlongLengthsAreDataLoss) {
+  Bytes request = FuzzRequestBytes();
+  OverwriteU32(request, 4, UINT32_MAX);  // payload length
+  EXPECT_EQ(ParseRequestFrame(request).status().code(), StatusCode::kDataLoss);
+
+  const Bytes response = FuzzResponseBytes();
+  const uint32_t message_room = static_cast<uint32_t>(response.size() - 8);
+  for (uint32_t message_len : {message_room + 1, UINT32_MAX}) {
+    SCOPED_TRACE(message_len);
+    Bytes corrupt = response;
+    OverwriteU32(corrupt, 4, message_len);
+    EXPECT_EQ(ParseResponseFrame(corrupt).status().code(), StatusCode::kDataLoss);
+  }
+  Bytes corrupt = response;
+  OverwriteU32(corrupt, 8 + FuzzResponse().status.message().size(), UINT32_MAX);  // payload length
+  EXPECT_EQ(ParseResponseFrame(corrupt).status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(DpuTest, KvServiceOverRpc) {

@@ -68,35 +68,12 @@ TEST_F(NetTest, AllTransportsCompleteLosslessRoundTrip) {
   for (TransportKind kind : {TransportKind::kUdp, TransportKind::kTcp, TransportKind::kRdma,
                              TransportKind::kHoma}) {
     auto transport = MakeTransport(kind, &fabric_, &rng_);
-    auto rt = transport->RoundTrip(a, b, 128, 4096);
-    ASSERT_TRUE(rt.ok()) << TransportKindName(kind);
-    EXPECT_GT(*rt, 0u) << TransportKindName(kind);
+    auto request = transport->Send(a, b, 128);
+    auto response = transport->Send(b, a, 4096);
+    ASSERT_TRUE(request.ok()) << TransportKindName(kind);
+    ASSERT_TRUE(response.ok()) << TransportKindName(kind);
+    EXPECT_GT(*request + *response, 0u) << TransportKindName(kind);
   }
-}
-
-TEST_F(NetTest, FrameBatchAmortizesPerMessageOverhead) {
-  HostId a = fabric_.AddHost("a");
-  HostId b = fabric_.AddHost("b");
-  auto tcp = MakeTransport(TransportKind::kTcp, &fabric_, &rng_);
-  std::vector<BufferChain> frames;
-  sim::Duration individual = 0;
-  for (int i = 0; i < 8; ++i) {
-    frames.emplace_back(Buffer(Bytes(512)));
-    auto sent = tcp->SendFrame(a, b, frames.back());
-    ASSERT_TRUE(sent.ok());
-    individual += *sent;
-  }
-  // One batched message carries the same bytes but pays the header and
-  // the per-message software overhead at each end exactly once.
-  auto batched = tcp->SendFrameBatch(a, b, frames);
-  ASSERT_TRUE(batched.ok());
-  EXPECT_LT(*batched, individual);
-  // An empty batch touches neither the wire nor the clock.
-  const auto before = engine_.Now();
-  auto empty = tcp->SendFrameBatch(a, b, {});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(*empty, 0u);
-  EXPECT_EQ(engine_.Now(), before);
 }
 
 TEST_F(NetTest, UdpLosesDatagramsAtConfiguredRate) {
@@ -145,7 +122,10 @@ TEST_F(NetTest, RdmaIsFastestSmallMessageTransport) {
   host.receiver_sw_overhead = 2 * sim::kMicrosecond;
   auto tcp = MakeTransport(TransportKind::kTcp, &fabric_, &rng_, host);
   auto rdma = MakeTransport(TransportKind::kRdma, &fabric_, &rng_);
-  EXPECT_LT(*rdma->RoundTrip(a, b, 64, 64), *tcp->RoundTrip(a, b, 64, 64));
+  auto round_trip = [&](Transport& transport) {
+    return *transport.Send(a, b, 64) + *transport.Send(b, a, 64);
+  };
+  EXPECT_LT(round_trip(*rdma), round_trip(*tcp));
 }
 
 TEST_F(NetTest, HomaShortMessagesDodgeLoadQueueing) {
@@ -165,22 +145,6 @@ TEST_F(NetTest, HomaShortMessagesDodgeLoadQueueing) {
   const auto long_penalty = long_msg - long_unloaded;
   EXPECT_LT(short_penalty * 5, long_penalty);
   EXPECT_GT(long_msg, long_unloaded);
-}
-
-TEST_F(NetTest, UdpRoundTripRetriesThroughLoss) {
-  HostId a = fabric_.AddHost("a");
-  HostId b = fabric_.AddHost("b");
-  TransportParams params;
-  params.loss_probability = 0.3;
-  auto udp = MakeTransport(TransportKind::kUdp, &fabric_, &rng_, params);
-  int ok = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (udp->RoundTrip(a, b, 64, 64).ok()) {
-      ++ok;
-    }
-  }
-  // With 16 retries per call at 30% loss, effectively all complete.
-  EXPECT_EQ(ok, 50);
 }
 
 }  // namespace

@@ -283,17 +283,19 @@ TEST(TraceTrailerTest, RoundTripsAndStaysWireCompatible) {
   const size_t bare_size = frame.size();
 
   // Without a trailer the context is empty.
-  EXPECT_FALSE(static_cast<bool>(dpu::ExtractRequestTraceContext(frame)));
+  auto bare = dpu::ParseRequestFrame(frame);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_FALSE(static_cast<bool>(bare->trace));
 
   const TraceContext ctx{/*trace_id=*/0x1234500042ull, /*parent_span=*/0x9876500011ull};
   dpu::AppendTraceTrailer(frame, ctx);
   EXPECT_GT(frame.size(), bare_size);
-  EXPECT_EQ(dpu::ExtractRequestTraceContext(frame), ctx);
 
-  // The parser ignores the trailer: the request still decodes intact, so
-  // traced and untraced peers interoperate.
+  // The trailer rides past the payload: the request decodes intact and
+  // carries the context.
   auto parsed = dpu::ParseRequestFrame(frame);
   ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->trace, ctx);
   EXPECT_EQ(parsed->service, dpu::ServiceId::kKv);
   EXPECT_EQ(parsed->opcode, dpu::KvOp::kPut);
   EXPECT_EQ(parsed->payload, request.payload);
@@ -305,7 +307,10 @@ TEST(TraceTrailerTest, GarbageTailIsNotMistakenForAContext) {
   // A tail of the right length but the wrong magic must read as untraced.
   Bytes junk(20, 0xee);
   frame.Append(Buffer(std::move(junk)));
-  EXPECT_FALSE(static_cast<bool>(dpu::ExtractRequestTraceContext(frame)));
+  auto parsed = dpu::ParseRequestFrame(frame);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE(static_cast<bool>(parsed->trace));
+  EXPECT_EQ(parsed->payload, request.payload);
 }
 
 // -- Exporters -------------------------------------------------------------

@@ -6,8 +6,9 @@
 // happen is accept-then-trap, because on real Hyperion "trap" would be a
 // misbehaving circuit with no OS underneath to catch it.)
 //
-// Also here: transports under parameterized loss, and the file system vs
-// an in-memory reference model under random operation sequences.
+// Also here: transports and RPC retry under parameterized loss, and the
+// file system vs an in-memory reference model under random operation
+// sequences.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/dpu/rpc.h"
 #include "src/ebpf/insn.h"
 #include "src/format/parquet.h"
 #include "src/ebpf/verifier.h"
@@ -187,9 +189,10 @@ TEST_P(TransportLoss, ReliableTransportsAlwaysCompleteRoundTrips) {
   params.loss_probability = GetParam().loss;
   auto transport = net::MakeTransport(GetParam().kind, &fabric, &rng, params);
   for (int i = 0; i < 100; ++i) {
-    auto rt = transport->RoundTrip(a, b, 64, 256);
-    ASSERT_TRUE(rt.ok()) << net::TransportKindName(GetParam().kind) << " at loss "
-                         << GetParam().loss;
+    ASSERT_TRUE(transport->Send(a, b, 64).ok())
+        << net::TransportKindName(GetParam().kind) << " at loss " << GetParam().loss;
+    ASSERT_TRUE(transport->Send(b, a, 256).ok())
+        << net::TransportKindName(GetParam().kind) << " at loss " << GetParam().loss;
   }
 }
 
@@ -197,14 +200,56 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TransportLoss,
     ::testing::Values(LossCase{net::TransportKind::kTcp, 0.0},
                       LossCase{net::TransportKind::kTcp, 0.05},
-                      LossCase{net::TransportKind::kTcp, 0.2},
-                      LossCase{net::TransportKind::kUdp, 0.0},
-                      LossCase{net::TransportKind::kUdp, 0.05},
-                      LossCase{net::TransportKind::kUdp, 0.2}),
+                      LossCase{net::TransportKind::kTcp, 0.2}),
     [](const auto& info) {
       return std::string(net::TransportKindName(info.param.kind)) + "_loss" +
              std::to_string(static_cast<int>(info.param.loss * 100));
     });
+
+// UDP surfaces loss to the caller; the RPC client's retry loop is what
+// completes calls over it. Every lost request or response costs a retry, and
+// a lost response re-executes the call (at-least-once delivery).
+class RpcOverLossyUdp : public ::testing::TestWithParam<double> {};
+
+TEST_P(RpcOverLossyUdp, EveryCallCompletes) {
+  sim::Engine engine;
+  net::Fabric fabric(&engine);
+  Rng rng(11);
+  const net::HostId client_host = fabric.AddHost("client");
+  const net::HostId server_host = fabric.AddHost("server");
+  net::TransportParams params;
+  params.loss_probability = GetParam();
+  auto udp = net::MakeTransport(net::TransportKind::kUdp, &fabric, &rng, params);
+  dpu::RpcServer server;
+  server.RegisterService(dpu::ServiceId::kApp, [](uint16_t, const Buffer& payload) {
+    return dpu::RpcResponse::Ok(payload);
+  });
+  dpu::RpcClient client(udp.get(), client_host, server_host, &server);
+  client.set_retry_policy(dpu::RetryPolicy{.max_attempts = 16});
+  constexpr uint64_t kCalls = 100;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    const dpu::RpcRequest request{dpu::ServiceId::kApp, 0, Buffer(Bytes(64, 0x5c))};
+    auto response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << "call " << i << ": " << response.status().ToString();
+    ASSERT_TRUE(response->status.ok());
+    EXPECT_EQ(response->payload, request.payload);
+  }
+  const uint64_t executed = server.counters().Get("rpcs");
+  const uint64_t retries = client.counters().Get("rpc_retries");
+  EXPECT_GE(executed, kCalls);
+  EXPECT_LE(executed - kCalls, retries);
+  if (GetParam() == 0.0) {
+    EXPECT_EQ(retries, 0u);
+  } else {
+    EXPECT_GT(retries, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, RpcOverLossyUdp, ::testing::Values(0.0, 0.05, 0.2),
+                         [](const auto& info) {
+                           return "udp_loss" +
+                                  std::to_string(static_cast<int>(info.param * 100));
+                         });
 
 // -- File system vs in-memory reference model ------------------------------
 
