@@ -111,8 +111,9 @@ void BM_EbpfExecution(benchmark::State& state) {
   auto plan = ebpf::CompileToPipeline(*prog, {.lanes = 8, .mem_ports = 2, .helper_cycles = 4});
   CHECK_OK(plan.status());
 
+  const ebpf::Executable exe = ebpf::Decode(*prog);
   ebpf::Vm vm(&maps);
-  std::vector<uint64_t> counts(prog->insns.size(), 0);
+  std::vector<uint64_t> counts(exe.size(), 0);
   vm.set_exec_counts(&counts);
   Rng rng(3);
 
@@ -124,7 +125,7 @@ void BM_EbpfExecution(benchmark::State& state) {
     packet[36] = 0x01;
     packet[37] = 0xbb;  // 443 big-endian... stored LE by the program's ldxh
     PutU32(packet, static_cast<uint32_t>(rng.Uniform(256)));  // perturb
-    auto run = vm.Run(*prog, MutableByteSpan(packet));
+    auto run = vm.Run(exe, MutableByteSpan(packet));
     if (!run.ok()) {
       state.SkipWithError("vm trap");
       return;

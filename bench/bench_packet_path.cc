@@ -171,7 +171,7 @@ void Attribution(benchmark::State& state) {
     (*built)->set_tracer(&tracer);
     CHECK((*built)->Run().ok());
     report = obs::BuildCriticalPathReport(tracer.spans());
-    batches = (*built)->counters().Get("xdp_rx_batches");
+    batches = (*built)->Snapshot().rx_batches;
     state.SetItemsProcessed(
         static_cast<int64_t>((*built)->trace().total_packets()));
   }

@@ -91,7 +91,8 @@ Result<fpga::RegionId> Hyperion::LoadBitstream(std::string_view token,
   return placement.region;
 }
 
-Result<AcceleratorId> Hyperion::DeployAccelerator(std::string_view token, ebpf::Program program,
+Result<AcceleratorId> Hyperion::DeployAccelerator(std::string_view token,
+                                                  const ebpf::Program& program,
                                                   fpga::TenantId tenant) {
   if (token != config_.control_token) {
     return PermissionDenied("control path: bad authorization token");
@@ -128,7 +129,7 @@ Result<AcceleratorId> Hyperion::DeployAccelerator(std::string_view token, ebpf::
   bitstream.size_bytes = 1 * 1024 * 1024 + static_cast<uint64_t>(plan.total_insns) * 24 * 1024;
   ASSIGN_OR_RETURN(fpga::SlotScheduler::Placement placement, scheduler_->Acquire(bitstream));
   Accelerator accel;
-  accel.program = std::move(program);
+  accel.exe = ebpf::Decode(program);
   accel.plan = std::move(plan);
   accel.region = placement.region;
   accel.tenant = tenant;
@@ -145,9 +146,9 @@ Result<uint64_t> Hyperion::ProcessPacket(AcceleratorId accel_id, MutableByteSpan
     return InvalidArgument("accelerator was undeployed");
   }
   // Functional execution (instrumented), then hardware-time charging.
-  std::vector<uint64_t> counts(accel.program.insns.size(), 0);
+  std::vector<uint64_t> counts(accel.exe.size(), 0);
   vm_->set_exec_counts(&counts);
-  auto run = vm_->Run(accel.program, packet);
+  auto run = vm_->Run(accel.exe, packet);
   vm_->set_exec_counts(nullptr);
   RETURN_IF_ERROR(run.status());
   const uint64_t cycles = ebpf::EstimateCycles(accel.plan, counts);

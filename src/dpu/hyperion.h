@@ -74,7 +74,7 @@ class Hyperion {
   // Full compiler-as-OS path: verify the program, compile it to a pipeline,
   // synthesize a bitstream descriptor, and place it. Token-gated; rejected
   // programs never touch the fabric.
-  Result<AcceleratorId> DeployAccelerator(std::string_view token, ebpf::Program program,
+  Result<AcceleratorId> DeployAccelerator(std::string_view token, const ebpf::Program& program,
                                           fpga::TenantId tenant);
 
   // Run-to-completion datapath: one packet/record through a deployed
@@ -128,7 +128,7 @@ class Hyperion {
 
  private:
   struct Accelerator {
-    ebpf::Program program;
+    ebpf::Executable exe;  // the verified program, decoded once
     ebpf::PipelinePlan plan;
     fpga::RegionId region = 0;
     fpga::TenantId tenant = fpga::kNoTenant;

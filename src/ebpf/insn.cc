@@ -163,6 +163,31 @@ const char* SizeSuffix(uint8_t size) {
 
 }  // namespace
 
+bool UsesBadRegister(const Insn& insn) {
+  const auto bad = [](uint8_t reg) { return reg >= kNumRegisters; };
+  switch (insn.Class()) {
+    case kClassAlu:
+    case kClassAlu64:
+      // An endian op's source bit picks the byte order, not a register.
+      return bad(insn.dst) || (insn.IsSrcReg() && insn.AluOp() != kAluEnd && bad(insn.src));
+    case kClassLd:  // LD_IMM64's src field marks a map reference
+    case kClassSt:
+      return bad(insn.dst);
+    case kClassLdx:
+    case kClassStx:
+      return bad(insn.dst) || bad(insn.src);
+    default:  // kClassJmp, kClassJmp32
+      switch (insn.AluOp()) {
+        case kJmpJa:
+        case kJmpCall:
+        case kJmpExit:
+          return false;
+        default:
+          return bad(insn.dst) || (insn.IsSrcReg() && bad(insn.src));
+      }
+  }
+}
+
 std::string Disassemble(const Insn& insn) {
   std::ostringstream os;
   const uint8_t cls = insn.Class();

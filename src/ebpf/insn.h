@@ -152,6 +152,11 @@ Insn AtomicAdd(uint8_t size, uint8_t dst, int16_t off, uint8_t src);
 // `bits` (16/32/64) with zero-extension.
 Insn EndianSwap(uint8_t dst, bool to_be, int32_t bits);
 
+// True when `insn` names a register past r10 in a field it reads or
+// writes. The 4-bit wire fields reach r15, so the verifier rejects such an
+// instruction and the VM decodes it to a trap.
+bool UsesBadRegister(const Insn& insn);
+
 // Disassembles one instruction (best effort, for diagnostics).
 std::string Disassemble(const Insn& insn);
 

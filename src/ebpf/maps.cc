@@ -1,6 +1,7 @@
 #include "src/ebpf/maps.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/check.h"
 
@@ -8,8 +9,32 @@ namespace hyperion::ebpf {
 
 namespace {
 
-std::string_view KeyView(ByteSpan key) {
-  return {reinterpret_cast<const char*>(key.data()), key.size()};
+// A new hash map's index: 16 cells hold 8 keys before the first doubling.
+constexpr size_t kMinCells = 16;
+
+// murmur3's 64-bit finaliser: every input bit reaches the low bits the
+// index masks with.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  return x ^ (x >> 33);
+}
+
+uint64_t HashKey(const uint8_t* key, size_t size) {
+  uint64_t h = size;
+  for (; size >= 8; key += 8, size -= 8) {
+    uint64_t word;
+    std::memcpy(&word, key, 8);
+    h = Mix(h ^ word);
+  }
+  if (size > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, key, size);
+    h = Mix(h ^ word);
+  }
+  return h;
 }
 
 }  // namespace
@@ -23,32 +48,50 @@ Map::Map(MapSpec spec) : spec_(std::move(spec)) {
     // Array maps are fully pre-allocated and every index always exists.
     values_.resize(static_cast<size_t>(spec_.max_entries) * spec_.value_size, 0);
     next_slot_ = spec_.max_entries;
+  } else {
+    cells_.assign(kMinCells, 0);
   }
 }
 
 uint32_t Map::EntryCount() const {
-  if (spec_.type == MapType::kArray) {
-    return spec_.max_entries;
-  }
-  return static_cast<uint32_t>(index_.size());
+  return spec_.type == MapType::kArray ? spec_.max_entries : entries_;
 }
 
-Result<uint32_t> Map::LookupHandle(ByteSpan key) const {
+size_t Map::FindCell(const uint8_t* key) const {
+  const size_t mask = cells_.size() - 1;
+  size_t cell = HashKey(key, spec_.key_size) & mask;
+  while (cells_[cell] != 0 && std::memcmp(KeyOf(cells_[cell] - 1), key, spec_.key_size) != 0) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+void Map::GrowIndex() {
+  const std::vector<uint32_t> old = std::move(cells_);
+  cells_.assign(old.size() * 2, 0);
+  for (const uint32_t cell : old) {
+    if (cell != 0) {
+      cells_[FindCell(KeyOf(cell - 1))] = cell;
+    }
+  }
+}
+
+std::optional<uint32_t> Map::LookupHandle(ByteSpan key) const {
   if (key.size() != spec_.key_size) {
-    return InvalidArgument("key size mismatch");
+    return std::nullopt;
   }
   if (spec_.type == MapType::kArray) {
     const uint32_t idx = GetU32(key, 0);
     if (idx >= spec_.max_entries) {
-      return NotFound("array index out of range");
+      return std::nullopt;
     }
     return idx;
   }
-  auto it = index_.find(KeyView(key));
-  if (it == index_.end()) {
-    return NotFound("no such key");
+  const uint32_t cell = cells_[FindCell(key.data())];
+  if (cell == 0) {
+    return std::nullopt;
   }
-  return it->second;
+  return cell - 1;
 }
 
 Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
@@ -67,12 +110,12 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
               values_.begin() + static_cast<ptrdiff_t>(idx) * spec_.value_size);
     return idx;
   }
-  auto it = index_.find(KeyView(key));
+  const size_t cell = FindCell(key.data());
   uint32_t slot;
-  if (it != index_.end()) {
-    slot = it->second;
+  if (cells_[cell] != 0) {
+    slot = cells_[cell] - 1;
   } else {
-    if (index_.size() >= spec_.max_entries) {
+    if (entries_ >= spec_.max_entries) {
       return ResourceExhausted("map full");
     }
     if (!free_slots_.empty()) {
@@ -81,8 +124,14 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
     } else {
       slot = next_slot_++;
       values_.resize(static_cast<size_t>(next_slot_) * spec_.value_size, 0);
+      keys_.resize(static_cast<size_t>(next_slot_) * spec_.key_size);
     }
-    index_.emplace(KeyView(key), slot);
+    std::copy(key.begin(), key.end(),
+              keys_.begin() + static_cast<ptrdiff_t>(slot) * spec_.key_size);
+    cells_[cell] = slot + 1;
+    if (2 * size_t{++entries_} > cells_.size()) {
+      GrowIndex();
+    }
   }
   std::copy(value.begin(), value.end(),
             values_.begin() + static_cast<ptrdiff_t>(slot) * spec_.value_size);
@@ -96,62 +145,49 @@ Status Map::Delete(ByteSpan key) {
   if (spec_.type == MapType::kArray) {
     return InvalidArgument("array map entries cannot be deleted");
   }
-  auto it = index_.find(KeyView(key));
-  if (it == index_.end()) {
+  size_t hole = FindCell(key.data());
+  if (cells_[hole] == 0) {
     return NotFound("no such key");
   }
-  free_slots_.push_back(it->second);
-  index_.erase(it);
+  free_slots_.push_back(cells_[hole] - 1);
+  --entries_;
+  // Backward-shift deletion keeps every probe run gap-free: each later
+  // member of the run whose home cell is not cyclically in (hole, next]
+  // would be unreachable past the hole, so it moves into it.
+  const size_t mask = cells_.size() - 1;
+  for (size_t next = (hole + 1) & mask; cells_[next] != 0; next = (next + 1) & mask) {
+    const size_t home = HashKey(KeyOf(cells_[next] - 1), spec_.key_size) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      cells_[hole] = cells_[next];
+      hole = next;
+    }
+  }
+  cells_[hole] = 0;
   return Status::Ok();
 }
 
 Result<Bytes> Map::ValueByHandle(uint32_t handle) const {
-  if (static_cast<size_t>(handle + 1) * spec_.value_size > values_.size()) {
+  if (!HasSlot(handle)) {
     return OutOfRange("bad map handle");
   }
-  const auto* begin = values_.data() + static_cast<size_t>(handle) * spec_.value_size;
+  const auto* begin = values_.data() + size_t{handle} * spec_.value_size;
   return Bytes(begin, begin + spec_.value_size);
 }
 
-MutableByteSpan Map::MutableValue(uint32_t handle) {
-  CHECK_LE(static_cast<size_t>(handle + 1) * spec_.value_size, values_.size());
-  return MutableByteSpan(values_.data() + static_cast<size_t>(handle) * spec_.value_size,
-                         spec_.value_size);
-}
-
 Result<Bytes> Map::Lookup(ByteSpan key) const {
-  ASSIGN_OR_RETURN(uint32_t handle, LookupHandle(key));
-  return ValueByHandle(handle);
-}
-
-std::vector<std::pair<Bytes, Bytes>> Map::Entries() const {
-  std::vector<std::pair<Bytes, Bytes>> out;
-  if (spec_.type == MapType::kArray) {
-    for (uint32_t i = 0; i < spec_.max_entries; ++i) {
-      Bytes key;
-      PutU32(key, i);
-      out.emplace_back(std::move(key), *ValueByHandle(i));
-    }
-    return out;
+  if (key.size() != spec_.key_size) {
+    return InvalidArgument("key size mismatch");
   }
-  out.reserve(index_.size());
-  for (const auto& [key, slot] : index_) {
-    out.emplace_back(Bytes(key.begin(), key.end()), *ValueByHandle(slot));
+  const std::optional<uint32_t> handle = LookupHandle(key);
+  if (!handle) {
+    return NotFound(spec_.type == MapType::kArray ? "array index out of range" : "no such key");
   }
-  return out;
+  return ValueByHandle(*handle);
 }
 
 uint32_t MapRegistry::Create(MapSpec spec) {
   maps_.push_back(std::make_unique<Map>(std::move(spec)));
   return static_cast<uint32_t>(maps_.size() - 1);
-}
-
-Map* MapRegistry::Get(uint32_t id) {
-  return id < maps_.size() ? maps_[id].get() : nullptr;
-}
-
-const Map* MapRegistry::Get(uint32_t id) const {
-  return id < maps_.size() ? maps_[id].get() : nullptr;
 }
 
 }  // namespace hyperion::ebpf

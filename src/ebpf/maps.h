@@ -10,9 +10,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -43,47 +42,57 @@ class Map {
   const MapSpec& spec() const { return spec_; }
   uint32_t EntryCount() const;
 
-  // Returns a stable internal handle (index into the value arena) for the
-  // entry, or kNotFound. The VM exposes values to programs as tagged
-  // pointers built from this handle.
-  Result<uint32_t> LookupHandle(ByteSpan key) const;
+  // The stable internal handle (index into the value arena) of the entry,
+  // or nullopt when there is none. The VM exposes values to programs as
+  // tagged pointers built from this handle.
+  std::optional<uint32_t> LookupHandle(ByteSpan key) const;
 
   // Inserts or overwrites. kResourceExhausted when at max_entries.
   Result<uint32_t> Update(ByteSpan key, ByteSpan value);
 
   Status Delete(ByteSpan key);
 
+  // True when `handle` names a slot inside the value arena.
+  bool HasSlot(uint32_t handle) const {
+    return (size_t{handle} + 1) * spec_.value_size <= values_.size();
+  }
+
   // Direct value access by handle (bounds-checked).
   Result<Bytes> ValueByHandle(uint32_t handle) const;
-  MutableByteSpan MutableValue(uint32_t handle);
+  MutableByteSpan MutableValue(uint32_t handle) {
+    CHECK(HasSlot(handle)) << "map handle " << handle << " past the value arena";
+    return MutableByteSpan(values_.data() + size_t{handle} * spec_.value_size, spec_.value_size);
+  }
 
   // Convenience typed access for C++ callers.
   Result<Bytes> Lookup(ByteSpan key) const;
 
-  // Iterates entries in unspecified order.
-  std::vector<std::pair<Bytes, Bytes>> Entries() const;
-
  private:
+  // The index cell holding `key`, or the empty cell where it would go.
+  size_t FindCell(const uint8_t* key) const;
+  const uint8_t* KeyOf(uint32_t slot) const { return keys_.data() + size_t{slot} * spec_.key_size; }
+  void GrowIndex();
+
   MapSpec spec_;
   // Value arena: slot i holds value_size bytes; free list recycles slots.
   std::vector<uint8_t> values_;
   std::vector<uint32_t> free_slots_;
   uint32_t next_slot_ = 0;
-  // Hashes std::string keys and std::string_view probes alike, so lookups
-  // need not build a std::string.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view key) const { return std::hash<std::string_view>{}(key); }
-  };
-  std::unordered_map<std::string, uint32_t, KeyHash, std::equal_to<>> index_;  // key -> slot
+  // Hash maps only. Key arena: slot i's key is keys_[i * key_size]. The
+  // index is an open-addressing table over it: a power-of-two number of
+  // cells, at most half full, linear probing; a cell holds slot + 1, or 0
+  // when empty.
+  std::vector<uint8_t> keys_;
+  std::vector<uint32_t> cells_;
+  uint32_t entries_ = 0;
 };
 
 // Registry with dense u32 ids, what LD_IMM64/map-fd instructions reference.
 class MapRegistry {
  public:
   uint32_t Create(MapSpec spec);
-  Map* Get(uint32_t id);
-  const Map* Get(uint32_t id) const;
+  Map* Get(uint32_t id) { return id < maps_.size() ? maps_[id].get() : nullptr; }
+  const Map* Get(uint32_t id) const { return id < maps_.size() ? maps_[id].get() : nullptr; }
   size_t Count() const { return maps_.size(); }
 
  private:

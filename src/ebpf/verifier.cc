@@ -115,13 +115,13 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
       const size_t pc = st.pc;
       const Insn& insn = insns[pc];
       const uint8_t cls = insn.Class();
+      if (UsesBadRegister(insn)) {
+        return Err(pc, insn, "bad register number");
+      }
 
       if (cls == kClassAlu64 || cls == kClassAlu) {
         const uint8_t op = insn.AluOp();
         RegState& dst = st.regs[insn.dst];
-        if (insn.dst >= kNumRegisters || (insn.IsSrcReg() && insn.src >= kNumRegisters)) {
-          return Err(pc, insn, "bad register number");
-        }
         if (insn.dst == 10) {
           return Err(pc, insn, "r10 (frame pointer) is read-only");
         }

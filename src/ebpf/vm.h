@@ -50,16 +50,52 @@ struct ExecResult {
   uint64_t insns_executed = 0;
 };
 
+// A program decoded once for Vm::Run. Slot i is insns[i] with its opcode
+// fields resolved into one dense handler id and its operands widened: an
+// immediate sign-extended, LD_IMM64 folded to its value (a map reference
+// to its kTagMapRef word), a jump to its absolute target. Slots stay 1:1
+// with insns, so a pc names the same instruction in both and a jump may
+// still land on an LD_IMM64's second half. A slot that cannot execute
+// (an unknown op, a register past r10) decodes to a trap, which fails the
+// run only when it is reached. Only Decode() builds one.
+class Executable {
+ public:
+  struct Slot {
+    uint8_t op = 0;  // handler id (vm.cc)
+    uint8_t dst = 0;
+    uint8_t src = 0;
+    // Memory offset; for a jump, its target pc, or -1 when that lies
+    // outside [0, size].
+    int32_t off = 0;
+    uint64_t imm = 0;  // operand; for a trap, which message it fails with
+  };
+
+  size_t size() const { return slots_.size(); }
+
+ private:
+  friend Executable Decode(const Program& prog);
+  friend class Vm;
+
+  std::vector<Slot> slots_;
+};
+
+Executable Decode(const Program& prog);
+
 class Vm {
  public:
   explicit Vm(MapRegistry* maps, sim::Engine* engine = nullptr, uint64_t rng_seed = 42)
       : maps_(maps), engine_(engine), rng_(rng_seed) {}
 
-  // Executes `prog` with r1 = tagged pointer to `ctx` and r2 = ctx.size().
+  // Executes `exe` with r1 = tagged pointer to `ctx` and r2 = ctx.size().
   // Fails with kPermissionDenied on a sandbox violation, kDeadlineExceeded
   // when the instruction budget is exhausted.
-  Result<ExecResult> Run(const Program& prog, MutableByteSpan ctx,
+  Result<ExecResult> Run(const Executable& exe, MutableByteSpan ctx,
                          uint64_t insn_budget = 1u << 20);
+  // One-shot: decodes `prog`, then runs it.
+  Result<ExecResult> Run(const Program& prog, MutableByteSpan ctx,
+                         uint64_t insn_budget = 1u << 20) {
+    return Run(Decode(prog), ctx, insn_budget);
+  }
 
   // When set, Run() increments (*counts)[pc] per executed instruction —
   // the profile the HDL cycle model consumes. Must outlive Run().
@@ -68,24 +104,25 @@ class Vm {
  private:
   enum class Access { kLoad, kStore };
 
-  // Host address of the `len`-byte window at tagged `addr`, checked against
-  // its region once; `access` picks the wording of the error.
-  Result<uint8_t*> Resolve(uint64_t addr, uint64_t len, MutableByteSpan ctx, Access access);
-  Result<uint64_t> LoadFrom(uint64_t addr, uint32_t size, MutableByteSpan ctx);
-  Status StoreTo(uint64_t addr, uint32_t size, uint64_t value, MutableByteSpan ctx);
-  // Copies `len` bytes out of VM address space into `out` (helper key/value
-  // args). A copy, not a view: Map::Update may move the values it aliases.
-  Status CopyIn(uint64_t addr, uint32_t len, MutableByteSpan ctx, Bytes& out);
+  // Host address of the `len`-byte window at tagged `addr`, or nullptr when
+  // the window leaves its region. A store window also lowers stack_low_.
+  template <Access kAccess>
+  uint8_t* Window(uint64_t addr, uint64_t len, MutableByteSpan ctx);
+  // The sandbox error for a window Window() refused.
+  Status Violation(uint64_t addr, Access access) const;
 
-  Result<uint64_t> CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3, uint64_t r4,
+  Result<uint64_t> CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3,
                               MutableByteSpan ctx);
 
   MapRegistry* maps_;
   sim::Engine* engine_;
   Rng rng_;
   uint8_t stack_[kStackSize] = {};
+  // Lowest stack byte any store has written since the last Run() began;
+  // the next Run() zeroes [stack_low_, kStackSize) so it starts clean.
+  uint32_t stack_low_ = kStackSize;
   std::vector<uint64_t>* exec_counts_ = nullptr;
-  // Helper key/value arguments, reused across calls.
+  // map_update/map_delete arguments, reused across calls.
   Bytes key_;
   Bytes value_;
 };

@@ -67,7 +67,7 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
     stage.info.critical_path_cycles = plan.CriticalPathCycles();
     stage.info.mean_ilp = plan.MeanIlp();
     stage.info.fmax_mhz = spec.codegen.fmax_mhz;
-    stage.program = std::move(spec.program);
+    stage.exe = ebpf::Decode(spec.program);
     pipeline->stages_.push_back(std::move(stage));
   }
   // Bottleneck: the stage with the longest admission period in wall time.
@@ -85,7 +85,7 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
 
 Result<uint64_t> MatchActionPipeline::RunStage(size_t i, MutableByteSpan ctx) {
   CHECK_LT(i, stages_.size());
-  ASSIGN_OR_RETURN(ebpf::ExecResult result, vm_.Run(stages_[i].program, ctx));
+  ASSIGN_OR_RETURN(ebpf::ExecResult result, vm_.Run(stages_[i].exe, ctx));
   return result.return_value;
 }
 
@@ -105,15 +105,6 @@ sim::Duration MatchActionPipeline::BatchTime(uint64_t packets) const {
   fill += static_cast<sim::Duration>(stages_.size() - 1) *
           axi_->TransactionTime(kDescriptorBytes);
   return fill + (packets - 1) * AdmissionPeriod();
-}
-
-uint64_t MatchActionPipeline::BatchCycles(uint64_t packets) const {
-  if (packets == 0) {
-    return 0;
-  }
-  const Stage& stage = stages_[bottleneck_];
-  return stage.info.critical_path_cycles +
-         (packets - 1) * uint64_t{stage.info.initiation_interval};
 }
 
 }  // namespace hyperion::fpga

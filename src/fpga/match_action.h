@@ -89,14 +89,9 @@ class MatchActionPipeline {
   // at its Fmax); capacity in packets/s is 1e9 / this.
   sim::Duration AdmissionPeriod() const;
 
-  // Region + cycle count to charge for a batch (the bottleneck stage does
-  // the most cycles of work; the others overlap under it).
-  RegionId BottleneckRegion() const { return stages_[bottleneck_].info.region; }
-  uint64_t BatchCycles(uint64_t packets) const;
-
  private:
   struct Stage {
-    ebpf::Program program;
+    ebpf::Executable exe;  // the verified program, decoded once
     MatchActionStageInfo info;
   };
 

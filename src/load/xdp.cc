@@ -207,12 +207,10 @@ Status XdpPipeline::BuildDataPath() {
   } else {
     // Host arm: verification is still the gate, then the same programs run
     // serially on the interpreter at kernel networking cost.
-    for (ebpf::Program* program : {&guard, &flow, &lb}) {
+    for (const ebpf::Program* program : {&guard, &flow, &lb}) {
       RETURN_IF_ERROR(ebpf::Verify(*program, dpu_->maps()).status());
+      host_stages_.push_back(ebpf::Decode(*program));
     }
-    host_programs_.push_back(std::move(guard));
-    host_programs_.push_back(std::move(flow));
-    host_programs_.push_back(std::move(lb));
     host_vm_ = std::make_unique<ebpf::Vm>(&dpu_->maps());
     host_ = std::make_unique<baseline::HostCpu>(dpu_->engine(), options_.host);
   }
@@ -231,7 +229,7 @@ Result<uint64_t> XdpPipeline::RunStage(size_t stage, MutableByteSpan ctx) {
   if (ma_) {
     return ma_->RunStage(stage, ctx);
   }
-  ASSIGN_OR_RETURN(ebpf::ExecResult result, host_vm_->Run(host_programs_[stage], ctx));
+  ASSIGN_OR_RETURN(ebpf::ExecResult result, host_vm_->Run(host_stages_[stage], ctx));
   host_->Compute(result.insns_executed);  // ~1 cycle/insn interpreted filter
   return result.return_value;
 }
@@ -243,7 +241,7 @@ void XdpPipeline::NoteVerdict(uint64_t disposition) {
 Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arrival,
                              const NewFlowFn& on_new_flow, uint64_t* disposition) {
   sim::Engine* clock = dpu_->engine();
-  counters_.Increment("xdp_slow_packets");
+  ++tallies_.slow_packets;
   if (clock->Now() < packet_arrival) {
     clock->AdvanceTo(packet_arrival);
   }
@@ -251,11 +249,11 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
       options_.slow_deadline > 0 ? packet_arrival + options_.slow_deadline : sim::Engine::kNever;
   if (admission_.Decide(packet_arrival, clock->Now(), deadline) !=
       sim::AdmissionDecision::kAdmit) {
-    counters_.Increment("xdp_slow_shed");
+    ++tallies_.slow_shed;
     *disposition = kDispSlowShed;
     return Status::Ok();
   }
-  counters_.Increment("xdp_slow_admitted");
+  ++tallies_.slow_admitted;
 
   const bool teardown = (meta.packet.tcp_flags & (apps::kTcpFin | apps::kTcpRst)) != 0;
   Bytes key_bytes = meta.packet.flow.Serialize();
@@ -265,7 +263,7 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
   if (teardown) {
     Status deleted = flows_->Delete(key);
     if (deleted.ok()) {
-      counters_.Increment("xdp_teardowns");
+      ++tallies_.teardowns;
     } else if (deleted.code() != StatusCode::kNotFound) {
       return deleted;
     }
@@ -285,14 +283,14 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
       const uint64_t count = GetU64(ByteSpan(record->data(), record->size()), 6) + 1;
       Bytes value = FlowRecord(backend, count);
       RETURN_IF_ERROR(flows_->Put(key, ByteSpan(value.data(), value.size())));
-      counters_.Increment("xdp_flow_updates");
+      ++tallies_.flow_updates;
     } else if (record.status().code() == StatusCode::kNotFound) {
       // New flow (ramp SYN, or a flow whose registration was shed): place
       // it, track it, pin it, and hand it to the spray hook.
       ASSIGN_OR_RETURN(apps::Backend backend, lb_->Route(meta.packet));
       Bytes value = FlowRecord(backend, 1);
       RETURN_IF_ERROR(flows_->Put(key, ByteSpan(value.data(), value.size())));
-      counters_.Increment("xdp_flow_inserts");
+      ++tallies_.flow_inserts;
       // Best effort: the pin map holds the hot set; beyond capacity the
       // flow simply stays on the slow path.
       const Bytes pin_value = U64Key(backend.ip - kBackendIpBase);
@@ -302,7 +300,7 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
       if (!pinned.ok() && pinned.status().code() != StatusCode::kResourceExhausted) {
         return pinned.status();
       }
-      counters_.Increment("xdp_sprayed");
+      ++tallies_.sprayed;
       if (on_new_flow) {
         on_new_flow(meta.packet.flow, backend, clock->Now());
       }
@@ -327,8 +325,8 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
   if (clock->Now() < arrival) {
     clock->AdvanceTo(arrival);
   }
-  counters_.Increment("xdp_rx_batches");
-  counters_.Add("xdp_rx_frames", count);
+  ++tallies_.rx_batches;
+  tallies_.rx_frames += count;
   const sim::Duration wire = trace_.FrameWireTime();
   // The batch is handed onward once its last frame is fully received
   // (ramp frames are setup-paced, steady frames wire-paced).
@@ -346,7 +344,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     }
   }
   if (!rx_credits_.TryAcquire()) {
-    counters_.Add("xdp_rx_overflow", count);
+    tallies_.rx_overflow += count;
     for (uint32_t i = 0; i < count; ++i) {
       NoteVerdict(kDispRxDrop);
     }
@@ -370,7 +368,6 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     fabric_done = fabric_start + service;
     fabric_busy_ = fabric_done;
     dpu_->energy().Busy(sim::DpuPowerIds::kFabric, service);
-    counters_.Add("xdp_fabric_cycles", ma_->BatchCycles(count));
     if (tracer_ != nullptr) {
       sim::SimTime cursor = fabric_start;
       for (size_t s = 0; s < ma_->StageCount(); ++s) {
@@ -411,7 +408,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     ASSIGN_OR_RETURN(uint64_t guard_verdict, RunStage(0, MutableByteSpan(frame, sizeof frame)));
     uint64_t disposition = kDispFastTx;
     if (guard_verdict == fpga::kXdpDrop) {
-      counters_.Increment("xdp_drop_banned");
+      ++tallies_.drop_banned;
       disposition = kDispBanned;
     } else if (guard_verdict == fpga::kXdpRedirect) {
       // Auth attempt: durable fail2ban accounting, behind admission (the
@@ -429,7 +426,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
                                         : sim::Engine::kNever;
       if (admission_.Decide(packet_arrival, clock->Now(), deadline) !=
           sim::AdmissionDecision::kAdmit) {
-        counters_.Increment("xdp_auth_shed");
+        ++tallies_.auth_shed;
         disposition = kDispAuthShed;
       } else {
         ASSIGN_OR_RETURN(apps::Fail2Ban::Verdict verdict,
@@ -447,7 +444,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         }
         admission_.OnAdmitted(packet_arrival, clock->Now());
         app_time += clock->Now() - mark;
-        counters_.Increment("xdp_auth_reports");
+        ++tallies_.auth_reports;
         disposition = kDispAuthReport;
       }
     } else {
@@ -461,21 +458,20 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         mark = clock->Now();
       }
       if (flow_verdict == fpga::kXdpPass) {
-        counters_.Increment("xdp_fast_hits");
+        ++tallies_.fast_hits;
         ASSIGN_OR_RETURN(uint64_t lb_verdict, RunStage(2, MutableByteSpan(frame, sizeof frame)));
         if (host_) {
           host_time += clock->Now() - mark;
           mark = clock->Now();
         }
         if (lb_verdict == fpga::kXdpTx) {
-          counters_.Increment("xdp_fast_tx");
+          ++tallies_.fast_tx;
           disposition = kDispFastTx;
         } else {
           RETURN_IF_ERROR(SlowPath(meta, packet_arrival, on_new_flow, &disposition));
           store_time += clock->Now() - mark;
         }
       } else {
-        counters_.Increment("xdp_front_miss");
         RETURN_IF_ERROR(SlowPath(meta, packet_arrival, on_new_flow, &disposition));
         store_time += clock->Now() - mark;
       }
@@ -523,23 +519,8 @@ Status XdpPipeline::Run(const NewFlowFn& on_new_flow) {
 }
 
 XdpStats XdpPipeline::Snapshot() const {
-  XdpStats stats;
-  stats.rx_frames = counters_.Get("xdp_rx_frames");
-  stats.rx_batches = counters_.Get("xdp_rx_batches");
-  stats.rx_overflow = counters_.Get("xdp_rx_overflow");
-  stats.drop_banned = counters_.Get("xdp_drop_banned");
-  stats.auth_reports = counters_.Get("xdp_auth_reports");
-  stats.auth_shed = counters_.Get("xdp_auth_shed");
+  XdpStats stats = tallies_;
   stats.bans = fail2ban_->bans_issued();
-  stats.fast_hits = counters_.Get("xdp_fast_hits");
-  stats.fast_tx = counters_.Get("xdp_fast_tx");
-  stats.slow_packets = counters_.Get("xdp_slow_packets");
-  stats.slow_admitted = counters_.Get("xdp_slow_admitted");
-  stats.slow_shed = counters_.Get("xdp_slow_shed");
-  stats.flow_inserts = counters_.Get("xdp_flow_inserts");
-  stats.flow_updates = counters_.Get("xdp_flow_updates");
-  stats.teardowns = counters_.Get("xdp_teardowns");
-  stats.sprayed = counters_.Get("xdp_sprayed");
   const storage::HashIndexStats flow_stats = flows_->Stats();
   stats.flow_entries = flow_stats.entries;
   stats.flow_max_chain = flow_stats.max_chain;

@@ -166,7 +166,6 @@ class XdpPipeline {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   const PacketTrace& trace() const { return trace_; }
-  const sim::Counters& counters() const { return counters_; }
   const storage::HashIndex& flow_table() const { return *flows_; }
   const apps::LoadBalancer& lb() const { return *lb_; }
   const apps::Fail2Ban& fail2ban() const { return *fail2ban_; }
@@ -203,7 +202,7 @@ class XdpPipeline {
 
   std::unique_ptr<fpga::MatchActionPipeline> ma_;  // use_fpga arm
   // Host arm: same programs, interpreted serially at kernel cost.
-  std::vector<ebpf::Program> host_programs_;
+  std::vector<ebpf::Executable> host_stages_;
   std::unique_ptr<ebpf::Vm> host_vm_;
   std::unique_ptr<baseline::HostCpu> host_;
 
@@ -218,7 +217,8 @@ class XdpPipeline {
 
   sim::SimTime t0_ = 0;           // trace origin on this node's clock
   sim::SimTime fabric_busy_ = 0;  // fabric chain busy-until
-  sim::Counters counters_;
+  // Per-frame tallies; Snapshot() adds the flow table, LB and clocks.
+  XdpStats tallies_;
   uint64_t verdict_hash_ = 0x811c9dc5u;
   uint64_t steady_offered_ = 0;
   uint64_t steady_delivered_ = 0;

@@ -507,6 +507,36 @@ TEST_F(DpuTest, ControlDeployWithBadTokenFailsOverRpc) {
             StatusCode::kPermissionDenied);
 }
 
+TEST_F(DpuTest, ControlDeployWithARegisterPastR10IsRejectedAndTheDpuStillServes) {
+  // The program wire format carries 4-bit register fields, so r11-r15
+  // arrive from the network; the verifier rejects them before indexing its
+  // 11 register states with them, and the control path keeps serving.
+  BootAndConnect();
+  const auto deploy = [this](const ebpf::Program& program) {
+    Bytes payload;
+    PutString(payload, std::string(dpu_.config().control_token));
+    PutU32(payload, /*tenant=*/3);
+    Bytes program_bytes = ebpf::SerializeProgram(program);
+    PutBytes(payload, ByteSpan(program_bytes.data(), program_bytes.size()));
+    return Call(ServiceId::kControl, ControlOp::kDeploy, payload);
+  };
+  const ebpf::Program bad{
+      "bad_reg", {ebpf::LoadMem(ebpf::kSizeW, 15, 1, 0), ebpf::Mov64Imm(0, 0), ebpf::Exit()}, 64};
+  RpcResponse rejected = deploy(bad);
+  EXPECT_EQ(rejected.status.code(), StatusCode::kPermissionDenied);
+  EXPECT_NE(rejected.status.message().find("bad register number"), std::string::npos)
+      << rejected.status.ToString();
+
+  auto good = ebpf::Assemble("mov r0, 99\nexit\n", "after", 64);
+  ASSERT_TRUE(good.ok());
+  RpcResponse deployed = deploy(*good);
+  ASSERT_TRUE(deployed.status.ok()) << deployed.status.ToString();
+  Bytes packet(64, 0);
+  EXPECT_EQ(*dpu_.ProcessPacket(static_cast<AcceleratorId>(GetU32(deployed.payload, 0)),
+                                MutableByteSpan(packet)),
+            99u);
+}
+
 // -- Pointer chasing -----------------------------------------------------
 
 TEST_F(DpuTest, OffloadedLookupBeatsClientDriven) {

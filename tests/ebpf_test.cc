@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <optional>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/hdl_codegen.h"
 #include "src/ebpf/insn.h"
@@ -223,14 +230,29 @@ TEST(VmTest, MapLookupUpdateThroughHelpers) {
       mov r0, r7
       exit
   )");
+  // Decoded once, run three times, profiled per instruction slot.
+  const Executable exe = Decode(p);
+  ASSERT_EQ(exe.size(), p.insns.size());
   Vm vm(&maps);
+  std::vector<uint64_t> counts(exe.size(), 0);
+  vm.set_exec_counts(&counts);
   Bytes ctx(8, 0);
   ctx[0] = 0x2a;
-  // First run: miss path inserts 1.
-  EXPECT_EQ(vm.Run(p, MutableByteSpan(ctx))->return_value, 1u);
-  // Second and third runs: hit path increments.
-  EXPECT_EQ(vm.Run(p, MutableByteSpan(ctx))->return_value, 2u);
-  EXPECT_EQ(vm.Run(p, MutableByteSpan(ctx))->return_value, 3u);
+  // First run: miss path inserts 1 (17 instructions).
+  Result<ExecResult> run = vm.Run(exe, MutableByteSpan(ctx));
+  EXPECT_EQ(run->return_value, 1u);
+  EXPECT_EQ(run->insns_executed, 17u);
+  // Second and third runs: hit path increments (12 instructions).
+  EXPECT_EQ(vm.Run(exe, MutableByteSpan(ctx))->return_value, 2u);
+  run = vm.Run(exe, MutableByteSpan(ctx));
+  EXPECT_EQ(run->return_value, 3u);
+  EXPECT_EQ(run->insns_executed, 12u);
+  // The profile indexes slots: ld_map_fd's second half (slot 3) never
+  // runs; the miss path's exit (slot 18) ran once, the hit path's twice.
+  EXPECT_EQ(counts[0], 3u);
+  EXPECT_EQ(counts[3], 0u);
+  EXPECT_EQ(counts[18], 1u);
+  EXPECT_EQ(counts[23], 2u);
   // The map itself holds 3 now.
   Bytes key = {0x2a, 0, 0, 0};
   auto value = maps.Get(map_id)->Lookup(ByteSpan(key.data(), key.size()));
@@ -318,6 +340,160 @@ TEST(VmTest, KtimeHelperReadsVirtualClock) {
   EXPECT_EQ(vm.Run(p, MutableByteSpan(ctx))->return_value, 12345u);
 }
 
+TEST(VmTest, EachRunStartsWithAnEmptyStack) {
+  // The eBPF ABI's working memory starts empty on every invocation: what
+  // one run stores, at either end of the stack and through an atomic add,
+  // must read as zero in the next, even when the storing run then traps.
+  Program store = MustAssemble(R"(
+      stdw [r10-8], 0x55
+      stb [r10-512], 1
+      mov r3, 9
+      xadddw [r10-300], r3
+      ldxdw r0, [r1+4096]
+      exit
+  )");
+  Program load = MustAssemble(R"(
+      ldxdw r0, [r10-8]
+      ldxb r2, [r10-512]
+      or r0, r2
+      ldxdw r2, [r10-300]
+      or r0, r2
+      exit
+  )");
+  MapRegistry maps;
+  Vm vm(&maps);
+  Bytes ctx(8, 0);
+  const Executable exe = Decode(load);
+  EXPECT_EQ(vm.Run(exe, MutableByteSpan(ctx))->return_value, 0u);
+  EXPECT_EQ(vm.Run(store, MutableByteSpan(ctx)).status().message(), "ctx load out of bounds");
+  EXPECT_EQ(vm.Run(exe, MutableByteSpan(ctx))->return_value, 0u);
+}
+
+TEST(VmTest, RegisterNumbersPastR10Trap) {
+  // The wire format's 4-bit register fields reach r15; an interpreter with
+  // 11 registers must trap them, not index past its register file.
+  MapRegistry maps;
+  Vm vm(&maps);
+  Bytes ctx(8, 0);
+  const Insn bad[] = {
+      Mov64Imm(11, 1),               // ALU dst
+      Alu64Reg(kAluAdd, 0, 12),      // ALU src
+      LoadMem(kSizeW, 15, 1, 0),     // LDX dst
+      LoadMem(kSizeW, 0, 13, 0),     // LDX src
+      StoreImm(kSizeW, 14, 0, 1),    // ST base
+      StoreReg(kSizeW, 10, -8, 15),  // STX src
+      AtomicAdd(kSizeDw, 11, 0, 0),  // atomic base
+      JumpImm(kJmpJeq, 12, 0, 0),    // JMP dst
+      JumpReg(kJmpJeq, 0, 15, 0),    // JMP src
+  };
+  for (const Insn& insn : bad) {
+    Program p{"bad_reg", {Mov64Imm(0, 0), insn, Exit()}, 8};
+    Result<ExecResult> run = vm.Run(p, MutableByteSpan(ctx));
+    EXPECT_EQ(run.status().code(), StatusCode::kPermissionDenied) << Disassemble(insn);
+    EXPECT_EQ(run.status().message(), "bad register number") << Disassemble(insn);
+  }
+  std::vector<Insn> wide;
+  LoadImm64(wide, 13, 42);  // LD_IMM64 dst
+  Program p{"bad_reg", {wide[0], wide[1], Exit()}, 8};
+  EXPECT_EQ(vm.Run(p, MutableByteSpan(ctx)).status().message(), "bad register number");
+  // Fields an instruction does not use are not registers.
+  Insn be = EndianSwap(0, /*to_be=*/true, 16);
+  be.src = 15;
+  Insn exit = Exit();
+  exit.dst = 14;
+  Program unused{"unused_fields", {Mov64Imm(0, 0x102), be, exit}, 8};
+  EXPECT_EQ(vm.Run(unused, MutableByteSpan(ctx))->return_value, 0x201u);
+}
+
+TEST(VmTest, ForgedMapValueHandleIsASandboxViolation) {
+  // An unverified program can forge a map-value pointer whose handle lies
+  // past the value arena; the window check refuses it like any other
+  // out-of-bounds access instead of aborting the process.
+  MapRegistry maps;
+  maps.Create({MapType::kHash, 4, 8, 16, "m"});
+  Vm vm(&maps);
+  Bytes ctx(8, 0);
+  for (const bool store : {false, true}) {
+    std::vector<Insn> insns;
+    LoadImm64(insns, 1, MakeTagged(kTagMapValue, PackMapValue(0, 0xffff, 0)));
+    insns.push_back(store ? StoreImm(kSizeB, 1, 0, 1) : LoadMem(kSizeB, 0, 1, 0));
+    insns.push_back(Exit());
+    Result<ExecResult> run = vm.Run(Program{"forged", insns, 8}, MutableByteSpan(ctx));
+    EXPECT_EQ(run.status().code(), StatusCode::kPermissionDenied);
+    EXPECT_EQ(run.status().message(),
+              store ? "map value store out of bounds" : "map value load out of bounds");
+  }
+}
+
+// Each instruction slot that cannot execute decodes to a trap with the
+// interpreter's message; the trap fires only when control reaches it.
+struct TrapCase {
+  const char* message;
+  std::vector<Insn> slots;  // jumped over when unreached
+};
+
+class VmTrapTest : public ::testing::TestWithParam<TrapCase> {};
+
+TEST_P(VmTrapTest, FailsWithItsMessageOnlyWhenReached) {
+  const TrapCase& c = GetParam();
+  MapRegistry maps;
+  Vm vm(&maps);
+  Bytes ctx(8, 0);
+  std::vector<Insn> reached = {Mov64Imm(0, 7)};
+  reached.insert(reached.end(), c.slots.begin(), c.slots.end());
+  reached.push_back(Exit());
+  Result<ExecResult> run = vm.Run(Program{"trap", reached, 8}, MutableByteSpan(ctx));
+  EXPECT_EQ(run.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(run.status().message(), c.message);
+
+  std::vector<Insn> skipped = {Mov64Imm(0, 7),
+                               JumpAlways(static_cast<int16_t>(c.slots.size()))};
+  skipped.insert(skipped.end(), c.slots.begin(), c.slots.end());
+  skipped.push_back(Exit());
+  Result<ExecResult> clean = vm.Run(Program{"skipped", skipped, 8}, MutableByteSpan(ctx));
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(clean->return_value, 7u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Messages, VmTrapTest,
+    ::testing::Values(
+        TrapCase{"bad endian width", {EndianSwap(0, true, 24)}},
+        TrapCase{"unknown ALU op", {Insn{kClassAlu64 | 0xe0, 0, 0, 0, 1}}},
+        TrapCase{"malformed LD instruction", {Insn{kClassLd | kSizeW | kModeImm, 0, 0, 0, 1}}},
+        TrapCase{"unsupported atomic operation",
+                 {Insn{kClassStx | kSizeDw | kModeAtomic, 10, 0, -8, 0x40}}},
+        TrapCase{"unknown jump op", {Insn{kClassJmp | 0xf0, 0, 0, 0, 0}}},
+        TrapCase{"bad register number", {Mov64Imm(13, 0)}},
+        TrapCase{"jump out of program", {JumpImm(kJmpJeq, 0, 7, 100)}}),
+    [](const ::testing::TestParamInfo<TrapCase>& info) {
+      std::string name = info.param.message;
+      std::replace(name.begin(), name.end(), ' ', '_');
+      return name;
+    });
+
+TEST(VmTest, TrapsFireAfterTheBudgetCheckAndRunningOffTheEndBeforeIt) {
+  MapRegistry maps;
+  Vm vm(&maps);
+  Bytes ctx(8, 0);
+  // A trap slot still costs its budget check first.
+  Program trap{"trap", {Mov64Imm(0, 0), Mov64Imm(13, 0), Exit()}, 8};
+  EXPECT_EQ(vm.Run(trap, MutableByteSpan(ctx), 1).status().code(),
+            StatusCode::kDeadlineExceeded);
+  // Falling (or jumping) to pc == size fails before the budget is checked.
+  Program no_exit{"no_exit", {Mov64Imm(0, 0)}, 8};
+  EXPECT_EQ(vm.Run(no_exit, MutableByteSpan(ctx), 1).status().message(),
+            "program counter ran off the end");
+  Program to_end{"to_end", {JumpAlways(0), JumpImm(kJmpJeq, 0, 0, 0)}, 8};
+  EXPECT_EQ(vm.Run(to_end, MutableByteSpan(ctx), 2).status().message(),
+            "program counter ran off the end");
+  // An LD_IMM64 whose second half is missing cannot execute.
+  std::vector<Insn> wide;
+  LoadImm64(wide, 0, 1);
+  Program cut{"cut", {Mov64Imm(0, 0), wide[0]}, 8};
+  EXPECT_EQ(vm.Run(cut, MutableByteSpan(ctx)).status().message(), "malformed LD instruction");
+}
+
 // -- Maps ------------------------------------------------------------------
 
 TEST(MapsTest, HashMapBasicOps) {
@@ -377,6 +553,121 @@ TEST(MapsTest, KeySizeMismatchRejected) {
   EXPECT_FALSE(map.Lookup(ByteSpan(short_key.data(), 2)).ok());
 }
 
+TEST(MapsTest, HandleBoundsAreComputedWithoutWrapping) {
+  // handle + 1 wraps to 0 in 32 bits; the arena bound must not.
+  Map map({MapType::kArray, 4, 8, 4, "a"});
+  EXPECT_TRUE(map.HasSlot(3));
+  EXPECT_FALSE(map.HasSlot(4));
+  EXPECT_FALSE(map.HasSlot(UINT32_MAX));
+  EXPECT_TRUE(map.ValueByHandle(3).ok());
+  EXPECT_EQ(map.ValueByHandle(UINT32_MAX).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(MapsDeathTest, MutableValueChecksAWrappingHandle) {
+  Map map({MapType::kArray, 4, 8, 4, "a"});
+  EXPECT_EQ(map.MutableValue(3).size(), 8u);
+  EXPECT_DEATH(map.MutableValue(UINT32_MAX), "past the value arena");
+}
+
+// Seeded random insert/update/delete/lookup against a reference model of
+// the whole contract: contents, max_entries, and handles, which a free
+// list hands back last-freed-first and otherwise numbers in insert order.
+void ChurnAgainstReference(uint32_t key_size, uint64_t seed) {
+  constexpr uint32_t kMaxEntries = 300;
+  Map map({MapType::kHash, key_size, 8, kMaxEntries, "churn"});
+  struct Entry {
+    uint32_t slot;
+    Bytes value;
+  };
+  std::map<uint32_t, Entry> reference;  // by key id
+  std::vector<uint32_t> free_slots;
+  uint32_t next_slot = 0;
+  Rng rng(seed);
+  // Keys share every byte but the id in their last four, the worst case
+  // for a weak hash.
+  const auto key_of = [key_size](uint32_t id) {
+    Bytes key(key_size, 0x5a);
+    std::memcpy(key.data() + key_size - 4, &id, 4);
+    return key;
+  };
+  const auto check_all = [&] {
+    ASSERT_EQ(map.EntryCount(), reference.size());
+    for (const auto& [id, entry] : reference) {
+      ASSERT_EQ(map.LookupHandle(key_of(id)), entry.slot);
+      ASSERT_EQ(*map.Lookup(key_of(id)), entry.value);
+    }
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const auto id = static_cast<uint32_t>(rng.Uniform(2 * kMaxEntries));
+    const Bytes key = key_of(id);
+    const auto it = reference.find(id);
+    const uint64_t pick = rng.Uniform(10);
+    if (pick < 5) {
+      Bytes value;
+      PutU64(value, rng.Next());
+      Result<uint32_t> slot = map.Update(key, value);
+      if (it != reference.end()) {
+        ASSERT_EQ(*slot, it->second.slot);
+        it->second.value = value;
+      } else if (reference.size() == kMaxEntries) {
+        ASSERT_EQ(slot.status().code(), StatusCode::kResourceExhausted);
+      } else {
+        uint32_t expect = next_slot;
+        if (!free_slots.empty()) {
+          expect = free_slots.back();
+          free_slots.pop_back();
+        } else {
+          ++next_slot;
+        }
+        ASSERT_EQ(*slot, expect);
+        reference.emplace(id, Entry{expect, value});
+      }
+    } else if (pick < 8) {
+      Status deleted = map.Delete(key);
+      if (it == reference.end()) {
+        ASSERT_EQ(deleted.code(), StatusCode::kNotFound);
+      } else {
+        ASSERT_TRUE(deleted.ok());
+        free_slots.push_back(it->second.slot);
+        reference.erase(it);
+      }
+    } else if (it == reference.end()) {
+      ASSERT_EQ(map.LookupHandle(key), std::nullopt);
+      ASSERT_EQ(map.Lookup(key).status().code(), StatusCode::kNotFound);
+    } else {
+      ASSERT_EQ(map.LookupHandle(key), it->second.slot);
+    }
+    if (op % 1000 == 0) {
+      check_all();
+    }
+  }
+  check_all();
+  // Empty the table in a random order, checking every survivor after each
+  // delete: every member of every probe run, the longest included, is
+  // removed from every position in its run.
+  std::vector<uint32_t> ids;
+  for (const auto& [id, entry] : reference) {
+    ids.push_back(id);
+  }
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.Uniform(i)]);
+  }
+  for (const uint32_t id : ids) {
+    ASSERT_TRUE(map.Delete(key_of(id)).ok());
+    reference.erase(id);
+    ASSERT_EQ(map.LookupHandle(key_of(id)), std::nullopt);
+    check_all();
+  }
+  EXPECT_EQ(map.EntryCount(), 0u);
+}
+
+TEST(MapsTest, IndexChurnMatchesReference) {
+  for (const uint32_t key_size : {4u, 8u, 13u, 16u}) {
+    SCOPED_TRACE(key_size);
+    ChurnAgainstReference(key_size, 100 + key_size);
+  }
+}
+
 // -- Verifier ---------------------------------------------------------
 
 VerifyStats MustVerify(const Program& p, const MapRegistry& maps) {
@@ -429,6 +720,31 @@ TEST(VerifierTest, RejectsWritesToFramePointer) {
   MapRegistry maps;
   Program p = MustAssemble("mov r10, 0\nexit\n");
   EXPECT_NE(RejectionOf(p, maps).find("read-only"), std::string::npos);
+}
+
+TEST(VerifierTest, RejectsRegisterNumbersPastR10InEveryClass) {
+  // 4-bit wire fields reach r15; the verifier must reject them before it
+  // indexes its 11 register states with them.
+  MapRegistry maps;
+  std::vector<Insn> wide;
+  LoadImm64(wide, 12, 1);
+  const std::vector<std::vector<Insn>> bad = {
+      {Mov64Imm(11, 0)},                     // ALU64
+      {Alu32Reg(kAluAdd, 0, 15)},            // ALU
+      {wide[0], wide[1]},                    // LD
+      {LoadMem(kSizeW, 0, 13, 0)},           // LDX
+      {StoreImm(kSizeW, 14, 0, 0)},          // ST
+      {StoreReg(kSizeDw, 10, -8, 15)},       // STX
+      {JumpImm(kJmpJeq, 11, 0, 0)},          // JMP
+      {Insn{kClassJmp32 | kJmpJgt | kSrcX, 0, 12, 0, 0}},  // JMP32
+  };
+  for (const std::vector<Insn>& insns : bad) {
+    Program p{"bad_reg", {Mov64Imm(0, 0)}, 64};
+    p.insns.insert(p.insns.end(), insns.begin(), insns.end());
+    p.insns.push_back(Exit());
+    EXPECT_NE(RejectionOf(p, maps).find("bad register number"), std::string::npos)
+        << Disassemble(insns[0]);
+  }
 }
 
 TEST(VerifierTest, RejectsBackEdges) {

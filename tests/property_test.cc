@@ -170,6 +170,83 @@ TEST_P(VerifierFuzz, AcceptedProgramsNeverTrapTheVm) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerifierFuzz, ::testing::Range<uint64_t>(1, 13));
 
+// -- eBPF decode fuzz --------------------------------------------------------
+
+// Random instruction words arrive the way a ControlOp::kDeploy payload
+// does, as wire bytes: ParseProgram, then Verify, Decode and a Run with a
+// small budget, whatever Verify said. Any opcode, registers up to r15 (the
+// wire's 4-bit fields), any offset: every call must return, and the run
+// must stay inside its register file and sandbox (the ASan/UBSan job).
+class EbpfDecodeFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EbpfDecodeFuzz, RandomInstructionWordsNeverCrashTheToolchain) {
+  Rng rng(GetParam() * 104729);
+  ebpf::MapRegistry maps;
+  maps.Create({ebpf::MapType::kHash, 4, 8, 16, "fuzz_hash"});
+  maps.Create({ebpf::MapType::kArray, 4, 16, 4, "fuzz_array"});
+  ebpf::Vm vm(&maps);
+  // Opcodes the toolchain emits, so that some programs get somewhere; the
+  // rest of the time the opcode byte is uniform.
+  const uint8_t kOpcodes[] = {
+      ebpf::kClassAlu64 | ebpf::kAluMov, ebpf::kClassAlu64 | ebpf::kAluAdd | ebpf::kSrcX,
+      ebpf::kClassAlu | ebpf::kAluEnd | ebpf::kSrcX, ebpf::kClassLd | ebpf::kSizeDw,
+      ebpf::kClassLdx | ebpf::kSizeW | ebpf::kModeMem,
+      ebpf::kClassSt | ebpf::kSizeDw | ebpf::kModeMem,
+      ebpf::kClassStx | ebpf::kSizeB | ebpf::kModeMem,
+      ebpf::kClassStx | ebpf::kSizeDw | ebpf::kModeAtomic, ebpf::kClassJmp | ebpf::kJmpJeq,
+      ebpf::kClassJmp32 | ebpf::kJmpJsgt | ebpf::kSrcX, ebpf::kClassJmp | ebpf::kJmpCall,
+      ebpf::kClassJmp | ebpf::kJmpExit,
+  };
+  uint64_t parsed = 0;
+  uint64_t ran_clean = 0;
+  for (int round = 0; round < 600; ++round) {
+    const uint32_t count = 1 + static_cast<uint32_t>(rng.Uniform(24));
+    Bytes wire;
+    PutString(wire, "fuzz");
+    PutU32(wire, 64);
+    PutU32(wire, count);
+    for (uint32_t i = 0; i < count; ++i) {
+      wire.push_back(rng.Bernoulli(0.7) ? kOpcodes[rng.Uniform(std::size(kOpcodes))]
+                                        : static_cast<uint8_t>(rng.Next()));
+      wire.push_back(static_cast<uint8_t>(rng.Next()));  // src:4 | dst:4
+      PutU16(wire, static_cast<uint16_t>(rng.Bernoulli(0.8) ? rng.Uniform(8) : rng.Next()));
+      PutU32(wire, static_cast<uint32_t>(rng.Bernoulli(0.6) ? rng.Uniform(80) : rng.Next()));
+    }
+    if (rng.Bernoulli(0.1)) {
+      wire.resize(rng.Uniform(wire.size()));
+    }
+    Result<ebpf::Program> prog = ebpf::ParseProgram(wire);
+    if (!prog.ok()) {
+      continue;
+    }
+    ++parsed;
+    (void)ebpf::Verify(*prog, maps);
+    const ebpf::Executable exe = ebpf::Decode(*prog);
+    ASSERT_EQ(exe.size(), prog->insns.size());
+    Bytes ctx(64);
+    for (auto& byte : ctx) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    std::vector<uint64_t> counts(exe.size(), 0);
+    vm.set_exec_counts(&counts);
+    Result<ebpf::ExecResult> run = vm.Run(exe, MutableByteSpan(ctx), /*insn_budget=*/32);
+    vm.set_exec_counts(nullptr);
+    uint64_t profiled = 0;
+    for (uint64_t n : counts) {
+      profiled += n;
+    }
+    ASSERT_LE(profiled, 32u) << "seed=" << GetParam() << " round=" << round;
+    if (run.ok()) {
+      EXPECT_EQ(run->insns_executed, profiled);
+      ++ran_clean;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(ran_clean, 0u) << "no random program reached an exit";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EbpfDecodeFuzz, ::testing::Range<uint64_t>(1, 9));
+
 // -- Transports under parameterized loss -----------------------------------
 
 struct LossCase {

@@ -286,7 +286,7 @@ TEST(XdpPipelineTest, CriticalPathReportAttributesStages) {
   const obs::CriticalPathReport report = obs::BuildCriticalPathReport(tracer.spans());
   ASSERT_FALSE(report.rows.empty());
   // One root per batch.
-  const uint64_t batches = (*built)->counters().Get("xdp_rx_batches");
+  const uint64_t batches = (*built)->Snapshot().rx_batches;
   EXPECT_EQ(report.rows.size(), batches);
   // The wire (kNet), the match/action chain (kFpga) and the flow table
   // (kStore) all contribute self-time.
