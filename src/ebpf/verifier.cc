@@ -121,6 +121,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
 
       if (cls == kClassAlu64 || cls == kClassAlu) {
         const uint8_t op = insn.AluOp();
+        if (op > kAluEnd) {  // 0xe0 and 0xf0 name no operation; the VM traps them
+          return Err(pc, insn, "unknown ALU op");
+        }
         RegState& dst = st.regs[insn.dst];
         if (insn.dst == 10) {
           return Err(pc, insn, "r10 (frame pointer) is read-only");
@@ -212,7 +215,6 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
             b &= 0xffffffffull;
           }
           uint64_t out = 0;
-          bool folded = true;
           switch (op) {
             case kAluAdd:
               out = a + b;
@@ -247,14 +249,13 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
             case kAluArsh:
               out = static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63));
               break;
-            default:
-              folded = false;
+            default:  // every other op was handled or rejected above
               break;
           }
           if (cls == kClassAlu) {
             out &= 0xffffffffull;
           }
-          dst = RegState{RegType::kScalar, 0, 0, false, folded, out};
+          dst = RegState{RegType::kScalar, 0, 0, false, true, out};
         } else {
           dst = RegState{RegType::kScalar, 0, 0, false, false, 0};
         }
@@ -334,6 +335,9 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
 
       if (cls == kClassJmp || cls == kClassJmp32) {
         const uint8_t op = insn.AluOp();
+        if (op > kJmpJsle) {  // 0xe0 and 0xf0 name no jump; the VM traps them
+          return Err(pc, insn, "unknown jump op");
+        }
         if (op == kJmpExit) {
           const RegState& r0 = st.regs[0];
           if (r0.type != RegType::kScalar) {

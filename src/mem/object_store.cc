@@ -107,19 +107,27 @@ Status ObjectStore::CreateWithId(SegmentId id, uint64_t size, SegmentHints hints
 }
 
 Status ObjectStore::Delete(SegmentId id) {
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  RETURN_IF_ERROR(FreeIn(seg.location, seg.base, seg.size));
-  access_counts_.erase(id);
-  return table_.Erase(id);
+  ASSIGN_OR_RETURN(Segment seg, table_.Erase(id));
+  return FreeIn(seg.location, seg.base, seg.size);
 }
 
 Result<Segment> ObjectStore::Describe(SegmentId id) const { return table_.Lookup(id); }
 
-Status ObjectStore::Write(SegmentId id, uint64_t offset, ByteSpan data) {
+Result<Segment> ObjectStore::Translate(SegmentId id) {
   engine_->Advance(SegmentTable::kLookupCost);
-  counters_.Increment("translations");
-  ++access_counts_[id];
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
+  if (h_translations_ == kUnresolved) [[unlikely]] {
+    h_translations_ = counters_.Intern("translations");
+  }
+  counters_.Increment(h_translations_);
+  const Segment* seg = table_.Touch(id);
+  if (seg == nullptr) {
+    return NotFound("segment not mapped");
+  }
+  return *seg;
+}
+
+Status ObjectStore::Write(SegmentId id, uint64_t offset, ByteSpan data) {
+  ASSIGN_OR_RETURN(Segment seg, Translate(id));
   if (offset > seg.size || data.size() > seg.size - offset) {
     return OutOfRange("write past end of segment");
   }
@@ -135,10 +143,7 @@ Status ObjectStore::Write(SegmentId id, uint64_t offset, ByteSpan data) {
 }
 
 Result<Bytes> ObjectStore::Read(SegmentId id, uint64_t offset, uint64_t length) {
-  engine_->Advance(SegmentTable::kLookupCost);
-  counters_.Increment("translations");
-  ++access_counts_[id];
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
+  ASSIGN_OR_RETURN(Segment seg, Translate(id));
   if (offset > seg.size || length > seg.size - offset) {
     return OutOfRange("read past end of segment");
   }
@@ -160,10 +165,7 @@ Result<Bytes> ObjectStore::Read(SegmentId id, uint64_t offset, uint64_t length) 
 }
 
 Status ObjectStore::ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out) {
-  engine_->Advance(SegmentTable::kLookupCost);
-  counters_.Increment("translations");
-  ++access_counts_[id];
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
+  ASSIGN_OR_RETURN(Segment seg, Translate(id));
   if (offset > seg.size || out.size() > seg.size - offset) {
     return OutOfRange("read past end of segment");
   }
@@ -205,6 +207,11 @@ Result<Bytes> ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, uint64_
   const auto count = static_cast<uint32_t>(last_lba - first_lba + 1);
   ASSIGN_OR_RETURN(Bytes block, nvme_->Read(config_.nvme_nsid, first_lba, count));
   const uint64_t head_skew = offset % nvme::kLbaSize;
+  if (head_skew == 0 && length == block.size()) {
+    return block;  // whole LBAs, as every B+ tree node read is: no copy
+  }
+  // A shorter read is copied out, so a small value does not pin a 4 KiB
+  // completion buffer for as long as its caller holds it.
   return Bytes(block.begin() + static_cast<ptrdiff_t>(head_skew),
                block.begin() + static_cast<ptrdiff_t>(head_skew + length));
 }
@@ -230,11 +237,6 @@ Status ObjectStore::Migrate(SegmentId id, Location target) {
   return Status::Ok();
 }
 
-uint64_t ObjectStore::AccessCount(SegmentId id) const {
-  auto it = access_counts_.find(id);
-  return it == access_counts_.end() ? 0 : it->second;
-}
-
 Result<uint64_t> ObjectStore::PromoteHot(uint64_t min_accesses, size_t max_promotions) {
   // Collect ephemeral flash-resident candidates, hottest first.
   std::vector<std::pair<uint64_t, SegmentId>> candidates;
@@ -242,7 +244,7 @@ Result<uint64_t> ObjectStore::PromoteHot(uint64_t min_accesses, size_t max_promo
     if (seg.location != Location::kNvme || seg.durable) {
       continue;
     }
-    const uint64_t hits = AccessCount(seg.id);
+    const uint64_t hits = table_.AccessCount(seg.id);
     if (hits >= min_accesses) {
       candidates.emplace_back(hits, seg.id);
     }
@@ -262,7 +264,7 @@ Result<uint64_t> ObjectStore::PromoteHot(uint64_t min_accesses, size_t max_promo
     RETURN_IF_ERROR(Migrate(id, Location::kDram));
     ++promoted;
   }
-  access_counts_.clear();  // epoch-based decay
+  table_.ResetAccessCounts();  // epoch-based decay
   counters_.Add("promotions", promoted);
   return promoted;
 }

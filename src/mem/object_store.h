@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "src/common/result.h"
 #include "src/mem/allocator.h"
@@ -66,8 +65,9 @@ class ObjectStore {
   // Returns the number promoted.
   Result<uint64_t> PromoteHot(uint64_t min_accesses, size_t max_promotions);
 
-  // Accesses recorded for a segment since the last PromoteHot sweep.
-  uint64_t AccessCount(SegmentId id) const;
+  // Accesses recorded for a mapped segment since it was created, recovered
+  // or last swept by PromoteHot; 0 for an unmapped id.
+  uint64_t AccessCount(SegmentId id) const { return table_.AccessCount(id); }
 
   Result<Segment> Describe(SegmentId id) const;
   size_t SegmentCount() const { return table_.size(); }
@@ -88,6 +88,9 @@ class ObjectStore {
   Result<uint64_t> AllocateIn(Location loc, uint64_t size);
   Status FreeIn(Location loc, uint64_t base, uint64_t size);
 
+  // The one segment-table probe a data access pays: kLookupCost of sim
+  // time, a `translations` tick and the segment's access count.
+  Result<Segment> Translate(SegmentId id);
   Status WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data);
   Result<Bytes> ReadNvme(const Segment& seg, uint64_t offset, uint64_t length);
 
@@ -102,9 +105,12 @@ class ObjectStore {
   RangeAllocator nvme_alloc_;  // LBA-granular, excludes the boot area
 
   SegmentTable table_;
-  std::unordered_map<SegmentId, uint64_t> access_counts_;
   uint64_t next_id_ = 1;
   sim::Counters counters_;
+  // Interned at the first translation, so an idle store's Snapshot() stays
+  // empty.
+  static constexpr sim::Counters::Handle kUnresolved = ~sim::Counters::Handle{0};
+  sim::Counters::Handle h_translations_ = kUnresolved;
 };
 
 }  // namespace hyperion::mem

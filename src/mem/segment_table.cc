@@ -11,48 +11,118 @@ namespace {
 constexpr uint32_t kMagic = 0x53454754;  // "SEGT"
 constexpr uint32_t kVersion = 1;
 constexpr size_t kEntryBytes = 16 + 8 + 1 + 8 + 1;  // id + size + loc + base + durable
+// A new table's index: 16 cells hold 4 segments before the first doubling.
+constexpr size_t kMinCells = 16;
 }  // namespace
+
+SegmentTable::SegmentTable() : cells_(kMinCells, 0) {}
+
+size_t SegmentTable::FindCell(SegmentId id) const {
+  const size_t mask = cells_.size() - 1;
+  size_t cell = std::hash<SegmentId>{}(id) & mask;
+  while (cells_[cell] != 0 && slots_[cells_[cell] - 1].segment.id != id) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+void SegmentTable::GrowIndex() {
+  const std::vector<uint32_t> old = std::move(cells_);
+  cells_.assign(old.size() * 2, 0);
+  for (const uint32_t cell : old) {
+    if (cell != 0) {
+      cells_[FindCell(slots_[cell - 1].segment.id)] = cell;
+    }
+  }
+}
 
 Status SegmentTable::Insert(const Segment& segment) {
   if (segment.size == 0) {
     return InvalidArgument("zero-size segment");
   }
-  auto [it, inserted] = entries_.emplace(segment.id, segment);
-  if (!inserted) {
+  const size_t cell = FindCell(segment.id);
+  if (cells_[cell] != 0) {
     return AlreadyExists("segment id already mapped");
+  }
+  slots_.push_back(Entry{segment});
+  cells_[cell] = static_cast<uint32_t>(slots_.size());
+  if (4 * slots_.size() > cells_.size()) {
+    GrowIndex();
   }
   return Status::Ok();
 }
 
-Status SegmentTable::Erase(SegmentId id) {
-  if (entries_.erase(id) == 0) {
+Result<Segment> SegmentTable::Erase(SegmentId id) {
+  size_t hole = FindCell(id);
+  if (cells_[hole] == 0) {
     return NotFound("segment not mapped");
   }
-  return Status::Ok();
+  const uint32_t slot = cells_[hole] - 1;
+  const Segment erased = slots_[slot].segment;
+  // Backward-shift deletion keeps every probe run gap-free: each later
+  // member of the run whose home cell is not cyclically in (hole, next]
+  // would be unreachable past the hole, so it moves into it.
+  const size_t mask = cells_.size() - 1;
+  for (size_t next = (hole + 1) & mask; cells_[next] != 0; next = (next + 1) & mask) {
+    const size_t home = std::hash<SegmentId>{}(slots_[cells_[next] - 1].segment.id) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      cells_[hole] = cells_[next];
+      hole = next;
+    }
+  }
+  cells_[hole] = 0;
+  // Keep the slots dense: the last entry takes the erased one's slot.
+  if (const uint32_t last = static_cast<uint32_t>(slots_.size() - 1); slot != last) {
+    cells_[FindCell(slots_[last].segment.id)] = slot + 1;
+    slots_[slot] = slots_[last];
+  }
+  slots_.pop_back();
+  return erased;
 }
 
 Result<Segment> SegmentTable::Lookup(SegmentId id) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) {
+  const uint32_t cell = cells_[FindCell(id)];
+  if (cell == 0) {
     return NotFound("segment not mapped");
   }
-  return it->second;
+  return slots_[cell - 1].segment;
+}
+
+const Segment* SegmentTable::Touch(SegmentId id) {
+  const uint32_t cell = cells_[FindCell(id)];
+  if (cell == 0) {
+    return nullptr;
+  }
+  Entry& entry = slots_[cell - 1];
+  ++entry.accesses;
+  return &entry.segment;
 }
 
 Status SegmentTable::Update(const Segment& segment) {
-  auto it = entries_.find(segment.id);
-  if (it == entries_.end()) {
+  const uint32_t cell = cells_[FindCell(segment.id)];
+  if (cell == 0) {
     return NotFound("segment not mapped");
   }
-  it->second = segment;
+  slots_[cell - 1].segment = segment;
   return Status::Ok();
+}
+
+uint64_t SegmentTable::AccessCount(SegmentId id) const {
+  const uint32_t cell = cells_[FindCell(id)];
+  return cell == 0 ? 0 : slots_[cell - 1].accesses;
+}
+
+void SegmentTable::ResetAccessCounts() {
+  for (Entry& entry : slots_) {
+    entry.accesses = 0;
+  }
 }
 
 std::vector<Segment> SegmentTable::Entries() const {
   std::vector<Segment> out;
-  out.reserve(entries_.size());
-  for (const auto& [id, seg] : entries_) {
-    out.push_back(seg);
+  out.reserve(slots_.size());
+  for (const Entry& entry : slots_) {
+    out.push_back(entry.segment);
   }
   std::sort(out.begin(), out.end(),
             [](const Segment& a, const Segment& b) { return a.id < b.id; });
@@ -93,8 +163,9 @@ Result<SegmentTable> SegmentTable::Deserialize(ByteSpan data) {
   if (reader.ReadU32() != kVersion) {
     return Unimplemented("unknown segment table version");
   }
+  // Divide rather than multiply: a count off flash may be near 2^64.
   const uint64_t count = reader.ReadU64();
-  if (count * kEntryBytes > reader.remaining()) {
+  if (count > reader.remaining() / kEntryBytes) {
     return DataLoss("segment table snapshot truncated");
   }
   SegmentTable table;
@@ -103,11 +174,15 @@ Result<SegmentTable> SegmentTable::Deserialize(ByteSpan data) {
     seg.id.hi = reader.ReadU64();
     seg.id.lo = reader.ReadU64();
     seg.size = reader.ReadU64();
-    seg.location = static_cast<Location>(reader.ReadU8());
+    const uint8_t location = reader.ReadU8();
+    seg.location = static_cast<Location>(location);
     seg.base = reader.ReadU64();
     seg.durable = reader.ReadU8() != 0;
     if (!reader.Ok()) {
       return DataLoss("segment table snapshot truncated");
+    }
+    if (location > static_cast<uint8_t>(Location::kNvme)) {
+      return DataLoss("bad segment location");
     }
     RETURN_IF_ERROR(table.Insert(seg));
   }
@@ -137,11 +212,12 @@ Result<SegmentTable> SegmentTable::LoadFrom(nvme::Controller* controller, uint32
   if (length == 0) {
     return NotFound("no segment table snapshot present");
   }
-  const uint64_t total = length + 8;
-  const uint64_t lbas = (total + nvme::kLbaSize - 1) / nvme::kLbaSize;
-  if (lbas > boot_area_lbas) {
+  // The length comes off flash: bound it by the boot area before adding
+  // the 8-byte prefix, so a value near 2^64 cannot wrap the sum.
+  if (boot_area_lbas == 0 || length > boot_area_lbas * nvme::kLbaSize - 8) {
     return DataLoss("snapshot length exceeds boot area");
   }
+  const uint64_t lbas = (length + 8 + nvme::kLbaSize - 1) / nvme::kLbaSize;
   ASSIGN_OR_RETURN(Bytes all, controller->Read(nsid, 0, static_cast<uint32_t>(lbas)));
   return Deserialize(ByteSpan(all.data() + 8, length));
 }

@@ -73,11 +73,11 @@ Completion Controller::Execute(const Command& cmd) {
         cqe.status = CmdStatus::kMediaError;
         return cqe;
       }
-      cqe.data.resize(static_cast<size_t>(blocks) * kLbaSize);
+      // One pass over the completion buffer: each block appends its stored
+      // prefix and then its zero tail.
+      cqe.data.reserve(static_cast<size_t>(blocks) * kLbaSize);
       for (uint32_t i = 0; i < blocks; ++i) {
-        CHECK_OK(ns->ReadBlock(cmd.slba + i,
-                               MutableByteSpan(cqe.data.data() + static_cast<size_t>(i) * kLbaSize,
-                                               kLbaSize)));
+        CHECK_OK(ns->ReadBlock(cmd.slba + i, &cqe.data));
       }
       if (h_reads_ == kUnresolved) [[unlikely]] {
         h_reads_ = counters_.Intern("nvme_reads");

@@ -29,18 +29,16 @@ size_t NonZeroPrefix(ByteSpan block) {
 
 }  // namespace
 
-Status FlashDevice::ReadBlock(uint64_t lba, MutableByteSpan out) const {
+Status FlashDevice::ReadBlock(uint64_t lba, Bytes* out) const {
   if (lba >= capacity_lbas_) {
     return OutOfRange("read past end of namespace");
   }
-  if (out.size() != kLbaSize) {
-    return InvalidArgument("read buffer must be one LBA");
-  }
-  auto zeros_from = out.begin();
+  size_t stored = 0;
   if (auto it = blocks_.find(lba); it != blocks_.end()) {
-    zeros_from = std::copy(it->second.begin(), it->second.end(), out.begin());
+    out->insert(out->end(), it->second.begin(), it->second.end());
+    stored = it->second.size();
   }
-  std::fill(zeros_from, out.end(), 0);
+  out->resize(out->size() + (kLbaSize - stored));  // the zero tail
   return Status::Ok();
 }
 

@@ -40,9 +40,9 @@ class FlashDevice {
   uint64_t capacity_lbas() const { return capacity_lbas_; }
   const FlashLatency& latency() const { return latency_; }
 
-  // Copies the block at `lba` into `out` (exactly kLbaSize bytes): the
+  // Appends the block at `lba` to `out` (kLbaSize bytes) in one pass: the
   // stored prefix, then zeroes to the end of the LBA.
-  Status ReadBlock(uint64_t lba, MutableByteSpan out) const;
+  Status ReadBlock(uint64_t lba, Bytes* out) const;
   // Stores `data` (exactly kLbaSize bytes) at `lba`, keeping only its
   // prefix up to the last non-zero byte; ReadBlock returns `data` exactly.
   Status WriteBlock(uint64_t lba, ByteSpan data);

@@ -1,6 +1,7 @@
 #include "src/storage/bptree.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "src/common/check.h"
 
@@ -16,6 +17,7 @@ struct BPlusTree::Node {
 
   Bytes Serialize() const {
     Bytes out;
+    out.reserve(kNodeBytes);  // WriteNode pads to kNodeBytes without regrowing
     out.push_back(is_leaf ? 1 : 0);
     PutU32(out, static_cast<uint32_t>(keys.size()));
     PutU64(out, next_leaf);
@@ -68,6 +70,84 @@ struct BPlusTree::Node {
   }
 };
 
+// A serialized node read in place. Parse makes exactly Node::Deserialize's
+// checks, in its order and with its DataLoss messages, so a walk that only
+// routes through a node (Get, and the descent of Delete and Scan) never
+// decodes it; Decode() is there for the nodes a walk rewrites or returns.
+class BPlusTree::Image {
+ public:
+  static Result<Image> Parse(Bytes raw) {
+    Image image(std::move(raw));
+    const ByteSpan in = image.raw();
+    // Deserialize reads the count before it checks anything, so an
+    // implausible count wins over a header cut short after it.
+    if (in.size() >= 5) {
+      image.count_ = GetU32(in, 1);
+      if (image.count_ > kNodeBytes / 8) {
+        return DataLoss("implausible B+ node entry count");
+      }
+    }
+    size_t end = kHeaderBytes + 8 * size_t{image.count_};  // through the keys
+    if (in.size() < end) {
+      return DataLoss("truncated B+ node");
+    }
+    image.is_leaf_ = in[0] != 0;
+    if (image.is_leaf_) {
+      for (uint32_t i = 0; i < image.count_; ++i) {
+        if (in.size() - end < 4 || in.size() - end - 4 < GetU32(in, end)) {
+          return DataLoss("truncated B+ node");
+        }
+        end += 4 + size_t{GetU32(in, end)};
+      }
+    } else if ((in.size() - end) / 8 < size_t{image.count_} + 1) {
+      return DataLoss("truncated B+ node");
+    }
+    return image;
+  }
+
+  bool is_leaf() const { return is_leaf_; }
+  uint32_t count() const { return count_; }
+  ByteSpan raw() const { return ByteSpan(raw_.data(), raw_.size()); }
+  uint64_t Key(uint32_t i) const { return GetU64(raw(), kHeaderBytes + 8 * size_t{i}); }
+  // Inner nodes: child i of count() + 1.
+  uint64_t Child(uint32_t i) const {
+    return GetU64(raw(), kHeaderBytes + 8 * (size_t{count_} + i));
+  }
+  // Leaves: value i, found by walking the length-prefixed values before it.
+  ByteSpan Value(uint32_t i) const {
+    size_t at = kHeaderBytes + 8 * size_t{count_};
+    for (uint32_t j = 0; j < i; ++j) {
+      at += 4 + size_t{GetU32(raw(), at)};
+    }
+    return raw().subspan(at + 4, GetU32(raw(), at));
+  }
+
+  // std::lower_bound / std::upper_bound over the keys, by the same halving,
+  // so even a corrupt node's unsorted keys route as its decoded image would.
+  uint32_t LowerBound(uint64_t key) const {
+    const auto keys = Indexes();
+    const auto key_of = [this](uint32_t i) { return Key(i); };
+    return static_cast<uint32_t>(std::ranges::lower_bound(keys, key, {}, key_of) - keys.begin());
+  }
+  uint32_t UpperBound(uint64_t key) const {
+    const auto keys = Indexes();
+    const auto key_of = [this](uint32_t i) { return Key(i); };
+    return static_cast<uint32_t>(std::ranges::upper_bound(keys, key, {}, key_of) - keys.begin());
+  }
+
+  Result<Node> Decode() const { return Node::Deserialize(raw()); }
+
+ private:
+  static constexpr size_t kHeaderBytes = 1 + 4 + 8;  // is_leaf, count, next_leaf
+
+  explicit Image(Bytes raw) : raw_(std::move(raw)) {}
+  std::ranges::iota_view<uint32_t, uint32_t> Indexes() const { return {0u, count_}; }
+
+  Bytes raw_;
+  bool is_leaf_ = false;
+  uint32_t count_ = 0;
+};
+
 mem::SegmentId BPlusNodeSegment(uint64_t tree_id, uint64_t node_id) {
   // Namespaced 128-bit id: high word identifies the tree, low the node.
   return mem::SegmentId(0xB7EE000000000000ull | tree_id, node_id);
@@ -104,10 +184,15 @@ Result<uint64_t> BPlusTree::AllocateNode(const Node& node) {
   return id;
 }
 
-Result<BPlusTree::Node> BPlusTree::ReadNode(uint64_t node_id) {
+Result<BPlusTree::Image> BPlusTree::ReadImage(uint64_t node_id) {
   ++node_reads_;
   ASSIGN_OR_RETURN(Bytes raw, store_->Read(NodeSegment(node_id), 0, kNodeBytes));
-  return Node::Deserialize(ByteSpan(raw.data(), raw.size()));
+  return Image::Parse(std::move(raw));
+}
+
+Result<BPlusTree::Node> BPlusTree::ReadNode(uint64_t node_id) {
+  ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
+  return image.Decode();
 }
 
 Status BPlusTree::WriteNode(uint64_t node_id, const Node& node) {
@@ -199,16 +284,16 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
 Result<Bytes> BPlusTree::Get(uint64_t key) {
   uint64_t node_id = root_;
   while (true) {
-    ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-    if (node.is_leaf) {
-      auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
-      if (it == node.keys.end() || *it != key) {
+    ASSIGN_OR_RETURN(Image node, ReadImage(node_id));
+    if (node.is_leaf()) {
+      const uint32_t pos = node.LowerBound(key);
+      if (pos == node.count() || node.Key(pos) != key) {
         return NotFound("key not in tree");
       }
-      return node.values[static_cast<size_t>(it - node.keys.begin())];
+      const ByteSpan value = node.Value(pos);
+      return Bytes(value.begin(), value.end());
     }
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
-    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
+    node_id = node.Child(node.UpperBound(key));
   }
 }
 
@@ -216,20 +301,21 @@ Status BPlusTree::Delete(uint64_t key) {
   // Walk to the leaf, remembering the path is unnecessary: no rebalancing.
   uint64_t node_id = root_;
   while (true) {
-    ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-    if (node.is_leaf) {
-      auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
-      if (it == node.keys.end() || *it != key) {
-        return NotFound("key not in tree");
-      }
-      const size_t pos = static_cast<size_t>(it - node.keys.begin());
-      node.keys.erase(it);
-      node.values.erase(node.values.begin() + static_cast<ptrdiff_t>(pos));
-      --entry_count_;
-      return WriteNode(node_id, node);
+    ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
+    if (!image.is_leaf()) {
+      node_id = image.Child(image.UpperBound(key));
+      continue;
     }
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
-    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
+    ASSIGN_OR_RETURN(Node node, image.Decode());
+    auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
+    if (it == node.keys.end() || *it != key) {
+      return NotFound("key not in tree");
+    }
+    const size_t pos = static_cast<size_t>(it - node.keys.begin());
+    node.keys.erase(it);
+    node.values.erase(node.values.begin() + static_cast<ptrdiff_t>(pos));
+    --entry_count_;
+    return WriteNode(node_id, node);
   }
 }
 
@@ -241,24 +327,24 @@ Result<std::vector<std::pair<uint64_t, Bytes>>> BPlusTree::Scan(uint64_t lo, uin
   // Descend to the leaf containing lo.
   uint64_t node_id = root_;
   while (true) {
-    ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-    if (node.is_leaf) {
-      // Walk the leaf chain.
-      Node leaf = std::move(node);
-      while (true) {
-        for (size_t i = 0; i < leaf.keys.size(); ++i) {
-          if (leaf.keys[i] >= lo && leaf.keys[i] <= hi) {
-            out.emplace_back(leaf.keys[i], leaf.values[i]);
-          }
-        }
-        if (leaf.next_leaf == 0 || (!leaf.keys.empty() && leaf.keys.back() > hi)) {
-          return out;
-        }
-        ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
-      }
+    ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
+    if (!image.is_leaf()) {
+      node_id = image.Child(image.UpperBound(lo));
+      continue;
     }
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), lo);
-    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
+    // Walk the leaf chain.
+    ASSIGN_OR_RETURN(Node leaf, image.Decode());
+    while (true) {
+      for (size_t i = 0; i < leaf.keys.size(); ++i) {
+        if (leaf.keys[i] >= lo && leaf.keys[i] <= hi) {
+          out.emplace_back(leaf.keys[i], leaf.values[i]);
+        }
+      }
+      if (leaf.next_leaf == 0 || (!leaf.keys.empty() && leaf.keys.back() > hi)) {
+        return out;
+      }
+      ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
+    }
   }
 }
 

@@ -78,8 +78,14 @@ class BPlusTree {
   BPlusTree(mem::ObjectStore* store, uint64_t tree_id, mem::SegmentHints hints)
       : store_(store), tree_id_(tree_id), hints_(hints) {}
 
+  // One node's serialized bytes, checked in place; defined in bptree.cc.
+  class Image;
+
   mem::SegmentId NodeSegment(uint64_t node_id) const;
   Result<uint64_t> AllocateNode(const Node& node);
+  // Every node read goes through ReadImage; ReadNode also decodes, for the
+  // nodes a walk rewrites or returns whole.
+  Result<Image> ReadImage(uint64_t node_id);
   Result<Node> ReadNode(uint64_t node_id);
   Status WriteNode(uint64_t node_id, const Node& node);
 

@@ -747,6 +747,34 @@ TEST(VerifierTest, RejectsRegisterNumbersPastR10InEveryClass) {
   }
 }
 
+TEST(VerifierTest, RejectsUndefinedOpNibblesWithTheVmsMessage) {
+  // Op nibbles 0xe and 0xf name no ALU operation and no jump. The VM traps
+  // a slot holding one, so the verifier must not accept a program that
+  // reaches it; both report the same message.
+  MapRegistry maps;
+  const std::pair<uint8_t, const char*> classes[] = {
+      {kClassAlu, "unknown ALU op"},
+      {kClassAlu64, "unknown ALU op"},
+      {kClassJmp, "unknown jump op"},
+      {kClassJmp32, "unknown jump op"},
+  };
+  for (const auto& [cls, message] : classes) {
+    for (const uint8_t op : {uint8_t{0xe0}, uint8_t{0xf0}}) {
+      for (const uint8_t source : {kSrcK, kSrcX}) {
+        const Insn undefined{static_cast<uint8_t>(cls | op | source), 0, 1, 0, 0};
+        const Program p{"undefined_op", {Mov64Imm(0, 0), Mov64Imm(1, 0), undefined, Exit()}, 64};
+        EXPECT_NE(RejectionOf(p, maps).find(message), std::string::npos) << Disassemble(undefined);
+        Vm vm(&maps);
+        Bytes ctx(64);
+        const auto run = vm.Run(p, MutableByteSpan(ctx));
+        ASSERT_FALSE(run.ok()) << Disassemble(undefined);
+        EXPECT_NE(run.status().message().find(message), std::string::npos)
+            << run.status().ToString();
+      }
+    }
+  }
+}
+
 TEST(VerifierTest, RejectsBackEdges) {
   MapRegistry maps;
   std::vector<Insn> insns;

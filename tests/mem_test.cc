@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -201,6 +202,239 @@ TEST(SegmentTableTest, LoadFromEmptyDeviceIsNotFound) {
   nvme::Controller ctrl(&engine);
   const uint32_t ns = ctrl.AddNamespace(4096);
   EXPECT_EQ(SegmentTable::LoadFrom(&ctrl, ns, 256).status().code(), StatusCode::kNotFound);
+}
+
+// The snapshot format written out field by field, independently of
+// SegmentTable::Serialize: magic, version, count, entries by id, crc32c.
+Bytes ReferenceSnapshot(const std::map<SegmentId, Segment>& entries) {
+  Bytes out;
+  PutU32(out, 0x53454754);
+  PutU32(out, 1);
+  PutU64(out, entries.size());
+  for (const auto& [id, seg] : entries) {
+    PutU64(out, id.hi);
+    PutU64(out, id.lo);
+    PutU64(out, seg.size);
+    out.push_back(static_cast<uint8_t>(seg.location));
+    PutU64(out, seg.base);
+    out.push_back(seg.durable ? 1 : 0);
+  }
+  PutU32(out, Crc32c(ByteSpan(out.data(), out.size())));
+  return out;
+}
+
+void ExpectSameSegment(const Segment& got, const Segment& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.location, want.location);
+  EXPECT_EQ(got.base, want.base);
+  EXPECT_EQ(got.durable, want.durable);
+}
+
+TEST(SegmentTableTest, ChurnMatchesReference) {
+  // A third of the ids hash to the last cell of every index up to 256
+  // cells (the most 48 entries use), so their probe runs wrap past the end,
+  // and erasing them backward-shifts entries across the wrap; the rest
+  // land anywhere.
+  std::vector<SegmentId> ids;
+  for (uint64_t lo = 0; ids.size() < 16; ++lo) {
+    if ((std::hash<SegmentId>{}(SegmentId(0xC0FFEE, lo)) & 255) == 255) {
+      ids.emplace_back(0xC0FFEE, lo);
+    }
+  }
+  for (uint64_t i = 0; i < 32; ++i) {
+    ids.emplace_back(0xB7EE000000000000ull | (i % 3), i * 0x9e3779b97f4a7c15ull);
+  }
+  Rng rng(2025);
+  SegmentTable table;
+  std::map<SegmentId, Segment> reference;
+  std::map<SegmentId, uint64_t> accesses;
+  for (int op = 0; op < 24000; ++op) {
+    const SegmentId id = ids[rng.Uniform(ids.size())];
+    const bool mapped = reference.count(id) != 0;
+    Segment seg;
+    seg.id = id;
+    seg.size = 1 + rng.Uniform(1 << 20);
+    seg.location = static_cast<Location>(rng.Uniform(3));
+    seg.base = rng.Next();
+    seg.durable = rng.Bernoulli(0.5);
+    switch (rng.Uniform(5)) {
+      case 0:
+      case 1: {  // insert, twice as often as the rest so the table fills
+        const Status st = table.Insert(seg);
+        ASSERT_EQ(st.code(), mapped ? StatusCode::kAlreadyExists : StatusCode::kOk) << op;
+        if (!mapped) {
+          reference[id] = seg;
+          accesses[id] = 0;
+        }
+        break;
+      }
+      case 2: {
+        Result<Segment> erased = table.Erase(id);
+        ASSERT_EQ(erased.ok(), mapped) << op;
+        if (mapped) {
+          ExpectSameSegment(*erased, reference[id]);
+          reference.erase(id);
+          accesses.erase(id);
+        }
+        break;
+      }
+      case 3: {
+        ASSERT_EQ(table.Update(seg).code(), mapped ? StatusCode::kOk : StatusCode::kNotFound);
+        if (mapped) {
+          reference[id] = seg;  // the access count carries over
+        }
+        break;
+      }
+      default: {
+        Result<Segment> found = table.Lookup(id);
+        ASSERT_EQ(found.ok(), mapped) << op;
+        const Segment* touched = table.Touch(id);
+        ASSERT_EQ(touched != nullptr, mapped) << op;
+        if (mapped) {
+          ExpectSameSegment(*found, reference[id]);
+          ExpectSameSegment(*touched, reference[id]);
+          ++accesses[id];
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(table.size(), reference.size()) << op;
+    for (const SegmentId& probe : ids) {
+      ASSERT_EQ(table.AccessCount(probe), accesses.count(probe) ? accesses[probe] : 0) << op;
+    }
+    if (op % 97 == 0 || op == 23999) {
+      const std::vector<Segment> entries = table.Entries();
+      ASSERT_EQ(entries.size(), reference.size());
+      auto want = reference.begin();
+      for (const Segment& got : entries) {
+        ExpectSameSegment(got, (want++)->second);
+      }
+      ASSERT_EQ(table.Serialize(), ReferenceSnapshot(reference)) << op;
+    }
+  }
+  // Drain in random order: every backward shift must keep the rest findable.
+  std::vector<SegmentId> left;
+  for (const auto& [id, seg] : reference) {
+    left.push_back(id);
+  }
+  while (!left.empty()) {
+    const size_t pick = rng.Uniform(left.size());
+    ASSERT_TRUE(table.Erase(left[pick]).ok());
+    reference.erase(left[pick]);
+    left.erase(left.begin() + static_cast<ptrdiff_t>(pick));
+    for (const auto& [id, seg] : reference) {
+      ASSERT_TRUE(table.Lookup(id).ok());
+    }
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Serialize(), ReferenceSnapshot({}));
+}
+
+// Writes `first` (the length prefix and whatever follows) as boot LBA 0.
+void PlantBootLba(nvme::Controller* ctrl, uint32_t nsid, const Bytes& first) {
+  Bytes block(nvme::kLbaSize, 0);
+  std::copy(first.begin(), first.end(), block.begin());
+  ASSERT_TRUE(ctrl->Write(nsid, 0, ByteSpan(block.data(), block.size())).ok());
+}
+
+TEST(SegmentTableTest, BootLengthsPastTheBootAreaAreDataLoss) {
+  sim::Engine engine;
+  nvme::Controller ctrl(&engine);
+  const uint32_t ns = ctrl.AddNamespace(4096);
+  constexpr uint64_t kBootLbas = 4;
+  // For the first four, length + 8 or its round-up to whole LBAs wraps
+  // past 2^64; the last two just overrun the boot area.
+  for (uint64_t length : {UINT64_MAX, UINT64_MAX - 3, UINT64_MAX - 7, UINT64_MAX - 8,
+                          kBootLbas * nvme::kLbaSize - 7, uint64_t{1} << 40}) {
+    Bytes first;
+    PutU64(first, length);
+    PlantBootLba(&ctrl, ns, first);
+    EXPECT_EQ(SegmentTable::LoadFrom(&ctrl, ns, kBootLbas).status().code(), StatusCode::kDataLoss)
+        << length;
+  }
+  // No boot area at all: nothing it could hold.
+  EXPECT_EQ(SegmentTable::LoadFrom(&ctrl, ns, 0).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(SegmentTableTest, CraftedSnapshotFieldsAreDataLoss) {
+  Segment seg;
+  seg.id = U128(3, 4);
+  seg.size = 64;
+  std::map<SegmentId, Segment> one = {{seg.id, seg}};
+  // A location byte outside {DRAM, HBM, NVMe}, under a valid checksum.
+  Bytes snapshot = ReferenceSnapshot(one);
+  constexpr size_t kLocationAt = 4 + 4 + 8 + 16 + 8;
+  for (uint8_t location : {3, 0x80, 0xff}) {
+    snapshot[kLocationAt] = location;
+    const size_t body = snapshot.size() - 4;
+    snapshot.resize(body);
+    PutU32(snapshot, Crc32c(ByteSpan(snapshot.data(), body)));
+    Result<SegmentTable> loaded = SegmentTable::Deserialize(ByteSpan(snapshot.data(), snapshot.size()));
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << int{location};
+    EXPECT_EQ(loaded.status().message(), "bad segment location");
+  }
+  // An entry count whose byte size wraps 2^64 to 16, under a valid checksum.
+  Bytes counted;
+  PutU32(counted, 0x53454754);
+  PutU32(counted, 1);
+  PutU64(counted, (UINT64_MAX / 34) + 1);
+  counted.resize(counted.size() + 16, 0);
+  PutU32(counted, Crc32c(ByteSpan(counted.data(), counted.size())));
+  Result<SegmentTable> loaded = SegmentTable::Deserialize(ByteSpan(counted.data(), counted.size()));
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(loaded.status().message(), "segment table snapshot truncated");
+}
+
+TEST(SegmentTableTest, SnapshotTruncationsAndByteFlipsNeverCrash) {
+  SegmentTable table;
+  for (uint64_t i = 0; i < 40; ++i) {
+    Segment seg;
+    seg.id = U128(0xC0FFEE, i);
+    seg.size = 4096 * (i + 1);
+    seg.location = static_cast<Location>(i % 3);
+    seg.base = 256 + 8 * i;
+    seg.durable = i % 2 == 0;
+    ASSERT_TRUE(table.Insert(seg).ok());
+  }
+  const Bytes snapshot = table.Serialize();
+  for (size_t cut = 0; cut < snapshot.size(); ++cut) {
+    EXPECT_EQ(SegmentTable::Deserialize(ByteSpan(snapshot.data(), cut)).status().code(),
+              StatusCode::kDataLoss)
+        << cut;
+  }
+  sim::Engine engine;
+  nvme::Controller ctrl(&engine);
+  const uint32_t ns = ctrl.AddNamespace(4096);
+  constexpr uint64_t kBootLbas = 4;
+  ASSERT_TRUE(table.PersistTo(&ctrl, ns, kBootLbas).ok());
+  const Bytes boot = *ctrl.Read(ns, 0, kBootLbas);
+  Rng rng(77);
+  for (int flip = 0; flip < 2000; ++flip) {
+    // A flip the checksum catches...
+    Bytes bad = snapshot;
+    const size_t at = rng.Uniform(bad.size());
+    const auto mask = static_cast<uint8_t>(1 + rng.Uniform(255));
+    bad[at] ^= mask;
+    EXPECT_EQ(SegmentTable::Deserialize(ByteSpan(bad.data(), bad.size())).status().code(),
+              StatusCode::kDataLoss);
+    // ...and the same flip re-sealed, which reaches the field decoders.
+    const size_t body = bad.size() - 4;
+    if (at < body) {
+      bad.resize(body);
+      PutU32(bad, Crc32c(ByteSpan(bad.data(), body)));
+      Result<SegmentTable> loaded = SegmentTable::Deserialize(ByteSpan(bad.data(), bad.size()));
+      if (loaded.ok()) {
+        const Bytes again = loaded->Serialize();
+        ASSERT_TRUE(SegmentTable::Deserialize(ByteSpan(again.data(), again.size())).ok());
+      }
+    }
+    // The whole boot area as flash holds it, length prefix included.
+    Bytes area = boot;
+    area[rng.Uniform(8 + snapshot.size())] ^= mask;
+    ASSERT_TRUE(ctrl.Write(ns, 0, ByteSpan(area.data(), area.size())).ok());
+    (void)SegmentTable::LoadFrom(&ctrl, ns, kBootLbas);
+  }
 }
 
 // -- DramDevice ---------------------------------------------------------------
@@ -439,6 +673,113 @@ TEST_F(ObjectStoreTest, RecoveryKeepsDurableDropsEphemeral) {
   EXPECT_EQ(store_->Read(*ephemeral, 0, 1).status().code(), StatusCode::kNotFound);
   // New creations keep working after recovery (allocators rebuilt).
   EXPECT_TRUE(store_->Create(4096, {.durable = true}).ok());
+}
+
+TEST_F(ObjectStoreTest, RecoverRejectsABootLengthThatWouldWrap) {
+  ASSERT_TRUE(store_->Create(4096, {.durable = true}).ok());
+  ASSERT_TRUE(store_->Checkpoint().ok());
+  // A boot LBA whose length field wraps when the 8-byte prefix is added
+  // (a remote BlockOp::kWrite to LBA 0 can put it there).
+  Bytes block(nvme::kLbaSize, 0);
+  Bytes length;
+  PutU64(length, UINT64_MAX - 3);
+  std::copy(length.begin(), length.end(), block.begin());
+  ASSERT_TRUE(ctrl_.Write(nsid_, 0, ByteSpan(block.data(), block.size())).ok());
+  Result<uint64_t> recovered = store_->Recover();
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(recovered.status().message(), "snapshot length exceeds boot area");
+}
+
+TEST_F(ObjectStoreTest, AccessCountsLiveInMappedEntries) {
+  auto a = store_->Create(8192, {});
+  auto b = store_->Create(4096, {.durable = true});
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  Bytes data(64, 1);
+  Bytes out(64);
+  ASSERT_TRUE(store_->Read(*a, 0, 64).ok());
+  ASSERT_TRUE(store_->ReadInto(*a, 0, MutableByteSpan(out)).ok());
+  ASSERT_TRUE(store_->Write(*a, 0, ByteSpan(data.data(), data.size())).ok());
+  ASSERT_TRUE(store_->Read(*b, 0, 64).ok());
+  // An access that fails its bounds check was still translated.
+  EXPECT_EQ(store_->Read(*a, 8192, 1).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store_->AccessCount(*a), 4u);
+  EXPECT_EQ(store_->AccessCount(*b), 1u);
+  ASSERT_TRUE(store_->Describe(*a).ok());  // not an access
+  EXPECT_EQ(store_->AccessCount(*a), 4u);
+
+  // An unmapped id pays the translation but keeps no count, so a segment
+  // created under it later starts from zero.
+  const SegmentId stray(0x5757, 1);
+  const uint64_t translations = store_->counters().Get("translations");
+  const auto before = engine_.Now();
+  EXPECT_EQ(store_->Read(stray, 0, 1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine_.Now() - before, SegmentTable::kLookupCost);
+  EXPECT_EQ(store_->counters().Get("translations"), translations + 1);
+  EXPECT_EQ(store_->AccessCount(stray), 0u);
+  ASSERT_TRUE(store_->CreateWithId(stray, 64, {}).ok());
+  EXPECT_EQ(store_->AccessCount(stray), 0u);
+
+  // Migration reads and rewrites the segment (two accesses) and keeps its count.
+  ASSERT_TRUE(store_->Migrate(*a, Location::kHbm).ok());
+  EXPECT_EQ(store_->AccessCount(*a), 6u);
+
+  // Delete drops the count with the entry.
+  ASSERT_TRUE(store_->Delete(*a).ok());
+  EXPECT_EQ(store_->AccessCount(*a), 0u);
+  ASSERT_TRUE(store_->CreateWithId(*a, 64, {}).ok());
+  EXPECT_EQ(store_->AccessCount(*a), 0u);
+
+  // Recovery rebuilds the table from the boot area: counts start over.
+  ASSERT_TRUE(store_->Checkpoint().ok());
+  ASSERT_TRUE(store_->Recover().ok());
+  EXPECT_EQ(store_->AccessCount(*b), 0u);
+}
+
+TEST_F(ObjectStoreTest, PromoteHotMovesTheHottestEphemeralFlashSegments) {
+  // Fill DRAM and HBM so the next ephemeral segments spill to flash.
+  auto dram_hog = store_->Create(1 << 20, {});
+  auto hbm_hog = store_->Create(256 << 10, {});
+  ASSERT_TRUE(dram_hog.ok());
+  ASSERT_TRUE(hbm_hog.ok());
+  std::vector<SegmentId> flash;
+  for (int i = 0; i < 4; ++i) {
+    auto id = store_->Create(4096, {});
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(store_->Describe(*id)->location, Location::kNvme);
+    flash.push_back(*id);
+  }
+  auto durable = store_->Create(4096, {.durable = true});
+  ASSERT_TRUE(durable.ok());
+  const int reads[] = {5, 12, 30, 0};
+  for (size_t i = 0; i < flash.size(); ++i) {
+    for (int r = 0; r < reads[i]; ++r) {
+      ASSERT_TRUE(store_->Read(flash[i], 0, 8).ok());
+    }
+  }
+  for (int r = 0; r < 50; ++r) {
+    ASSERT_TRUE(store_->Read(*durable, 0, 8).ok());  // durable: never promoted
+  }
+  ASSERT_TRUE(store_->Delete(*dram_hog).ok());
+
+  // At most one promotion: the hottest candidate moves; every count resets.
+  EXPECT_EQ(*store_->PromoteHot(10, 1), 1u);
+  EXPECT_EQ(store_->Describe(flash[2])->location, Location::kDram);
+  EXPECT_EQ(store_->Describe(flash[1])->location, Location::kNvme);
+  EXPECT_EQ(store_->Describe(*durable)->location, Location::kNvme);
+  for (const SegmentId& id : {flash[0], flash[1], flash[2], flash[3], *durable}) {
+    EXPECT_EQ(store_->AccessCount(id), 0u);
+  }
+  EXPECT_EQ(*store_->PromoteHot(10, 8), 0u);
+
+  // Re-heated past the threshold, the next one moves.
+  for (int r = 0; r < 10; ++r) {
+    ASSERT_TRUE(store_->Read(flash[1], 0, 8).ok());
+  }
+  ASSERT_TRUE(store_->Read(flash[0], 0, 8).ok());
+  EXPECT_EQ(*store_->PromoteHot(10, 8), 1u);
+  EXPECT_EQ(store_->Describe(flash[1])->location, Location::kDram);
+  EXPECT_EQ(store_->Describe(flash[0])->location, Location::kNvme);
 }
 
 TEST_F(ObjectStoreTest, TranslationCostCharged) {

@@ -31,12 +31,23 @@ Bytes Padded(const Bytes& prefix) {
   return block;
 }
 
+// Reads `lba` through ReadBlock into a buffer that already holds a 0xff
+// sentinel: the read must append exactly one LBA and leave the sentinel be.
+Bytes ReadBack(const FlashDevice& dev, uint64_t lba) {
+  constexpr size_t kSentinel = 7;
+  Bytes out(kSentinel, 0xff);
+  EXPECT_TRUE(dev.ReadBlock(lba, &out).ok()) << "lba " << lba;
+  EXPECT_EQ(out.size(), kSentinel + kLbaSize);
+  EXPECT_TRUE(std::all_of(out.begin(), out.begin() + kSentinel, [](uint8_t b) { return b == 0xff; }));
+  return Bytes(out.begin() + kSentinel, out.end());
+}
+
 // -- FlashDevice -----------------------------------------------------------
 
 TEST(FlashTest, UnwrittenBlocksReadZero) {
   FlashDevice dev(16);
-  Bytes out(kLbaSize, 0xff);
-  ASSERT_TRUE(dev.ReadBlock(3, MutableByteSpan(out)).ok());
+  const Bytes out = ReadBack(dev, 3);
+  ASSERT_EQ(out.size(), kLbaSize);
   for (uint8_t b : out) {
     EXPECT_EQ(b, 0);
   }
@@ -56,9 +67,7 @@ TEST(FlashTest, WriteReadRoundTrip) {
   for (uint64_t lba = 0; lba < std::size(blocks); ++lba) {
     const Bytes& block = *blocks[lba];
     ASSERT_TRUE(dev.WriteBlock(lba, ByteSpan(block.data(), block.size())).ok());
-    Bytes out(kLbaSize, 0xff);
-    ASSERT_TRUE(dev.ReadBlock(lba, MutableByteSpan(out)).ok());
-    EXPECT_EQ(out, block) << "lba " << lba;
+    EXPECT_EQ(ReadBack(dev, lba), block) << "lba " << lba;
   }
 }
 
@@ -67,9 +76,7 @@ TEST(FlashTest, ShortWriteStoresOnlyItsPrefix) {
   const Bytes block = Padded(Pattern(300, 1));
   ASSERT_TRUE(dev.WriteBlock(2, ByteSpan(block.data(), block.size())).ok());
   EXPECT_LE(dev.StoredBytes(), 300u);
-  Bytes out(kLbaSize, 0xff);
-  ASSERT_TRUE(dev.ReadBlock(2, MutableByteSpan(out)).ok());
-  EXPECT_EQ(out, block);
+  EXPECT_EQ(ReadBack(dev, 2), block);
 }
 
 TEST(FlashTest, ShortOverwriteReadsZerosPastIt) {
@@ -78,9 +85,7 @@ TEST(FlashTest, ShortOverwriteReadsZerosPastIt) {
   ASSERT_TRUE(dev.WriteBlock(6, ByteSpan(full.data(), full.size())).ok());
   const Bytes short_block = Padded(Pattern(100, 9));
   ASSERT_TRUE(dev.WriteBlock(6, ByteSpan(short_block.data(), short_block.size())).ok());
-  Bytes out(kLbaSize, 0xff);
-  ASSERT_TRUE(dev.ReadBlock(6, MutableByteSpan(out)).ok());
-  EXPECT_EQ(out, short_block);
+  EXPECT_EQ(ReadBack(dev, 6), short_block);
   EXPECT_LE(dev.StoredBytes(), 100u);
   EXPECT_EQ(dev.WrittenBlocks(), 1u);
 }
@@ -96,16 +101,16 @@ TEST(FlashTest, AllZeroWriteReadsZeroAndCountsAsWritten) {
   EXPECT_EQ(dev.WrittenBlocks(), 2u);
   EXPECT_EQ(dev.StoredBytes(), 0u);
   for (uint64_t lba : {1u, 9u}) {
-    Bytes out(kLbaSize, 0xff);
-    ASSERT_TRUE(dev.ReadBlock(lba, MutableByteSpan(out)).ok());
-    EXPECT_EQ(out, zeros) << "lba " << lba;
+    EXPECT_EQ(ReadBack(dev, lba), zeros) << "lba " << lba;
   }
 }
 
 TEST(FlashTest, OutOfRangeRejected) {
   FlashDevice dev(4);
   Bytes buf(kLbaSize);
-  EXPECT_FALSE(dev.ReadBlock(4, MutableByteSpan(buf)).ok());
+  Bytes out;
+  EXPECT_EQ(dev.ReadBlock(4, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(out.empty());
   EXPECT_FALSE(dev.WriteBlock(100, ByteSpan(buf.data(), buf.size())).ok());
 }
 

@@ -76,7 +76,7 @@ ebpf::Program RandomProgram(Rng& rng, bool with_map) {
     return static_cast<int16_t>(rng.Uniform(80));
   };
   for (uint64_t i = 0; i < length; ++i) {
-    const uint64_t kind = rng.Uniform(12);
+    const uint64_t kind = rng.Uniform(13);
     switch (kind) {
       case 0:
         prog.insns.push_back(Mov64Imm(gp_reg(), static_cast<int32_t>(rng.Uniform(200))));
@@ -119,6 +119,17 @@ ebpf::Program RandomProgram(Rng& rng, bool with_map) {
       case 9: {
         const uint8_t base = mem_base();
         prog.insns.push_back(AtomicAdd(kSizeDw, base, mem_off(base), any_reg()));
+        break;
+      }
+      case 12: {
+        // An op nibble no ALU operation or jump defines (0xe, 0xf): the VM
+        // traps it, so the verifier must never accept one.
+        static constexpr uint8_t kClasses[] = {kClassAlu, kClassAlu64, kClassJmp, kClassJmp32};
+        const auto op = static_cast<uint8_t>(rng.Bernoulli(0.5) ? 0xe0 : 0xf0);
+        const auto source = rng.Bernoulli(0.5) ? kSrcX : kSrcK;
+        prog.insns.push_back(Insn{static_cast<uint8_t>(kClasses[rng.Uniform(4)] | op | source),
+                                  gp_reg(), any_reg(), static_cast<int16_t>(rng.Uniform(4)),
+                                  static_cast<int32_t>(rng.Uniform(64))});
         break;
       }
       case 10:

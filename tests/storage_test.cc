@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <unordered_map>
 
 #include "src/common/rng.h"
@@ -154,6 +157,103 @@ TEST_F(StorageTest, BTreePropertyMatchesStdMap) {
     auto got = tree->Get(key);
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, value);
+  }
+}
+
+// Get as it ran when every node on the path was decoded: ParseBPlusNode per
+// hop. nullopt when the walk comes back to a node: a corrupt child id can
+// point up the tree, and then neither walk ends.
+std::optional<Result<Bytes>> DecodedGet(mem::ObjectStore* store, const BPlusTree& tree,
+                                        uint64_t key) {
+  std::set<uint64_t> seen;
+  for (uint64_t node_id = tree.root_node_id(); seen.insert(node_id).second;) {
+    Result<Bytes> raw =
+        store->Read(BPlusNodeSegment(tree.tree_id(), node_id), 0, BPlusTree::kNodeBytes);
+    if (!raw.ok()) {
+      return Result<Bytes>(raw.status());
+    }
+    Result<NodeView> node = ParseBPlusNode(ByteSpan(raw->data(), raw->size()));
+    if (!node.ok()) {
+      return Result<Bytes>(node.status());
+    }
+    if (node->is_leaf) {
+      auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
+      if (it == node->keys.end() || *it != key) {
+        return Result<Bytes>(NotFound("key not in tree"));
+      }
+      return Result<Bytes>(node->values[static_cast<size_t>(it - node->keys.begin())]);
+    }
+    auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key);
+    node_id = node->children[static_cast<size_t>(it - node->keys.begin())];
+  }
+  return std::nullopt;
+}
+
+TEST_F(StorageTest, BTreeGetOnCorruptNodesMatchesDecodingThem) {
+  // 10 keys fit one leaf (the root); 60 make a two-level tree whose root is
+  // an inner node. Each root is cut short and byte-flipped in place.
+  for (const uint64_t keys : {10u, 60u}) {
+    auto tree = BPlusTree::Create(store_.get(), 40 + keys);
+    ASSERT_TRUE(tree.ok());
+    for (uint64_t k = 0; k < keys; ++k) {
+      const Bytes v(k % 23, static_cast<uint8_t>(k + 1));  // lengths 0-22
+      ASSERT_TRUE(tree->Insert(3 * k, ByteSpan(v.data(), v.size())).ok());
+    }
+    ASSERT_EQ(tree->Height(), keys == 10 ? 1u : 2u);
+    const mem::SegmentId root = BPlusNodeSegment(tree->tree_id(), tree->root_node_id());
+    const Bytes pristine = *store_->Read(root, 0, BPlusTree::kNodeBytes);
+    size_t used = pristine.size();
+    while (used > 0 && pristine[used - 1] == 0) {
+      --used;
+    }
+    Rng rng(keys);
+    std::vector<uint64_t> probes = {0, 1, 3 * (keys - 1), 3 * keys, UINT64_MAX};
+    for (int i = 0; i < 6; ++i) {
+      probes.push_back(rng.Uniform(3 * keys));
+    }
+    std::map<std::string, int> outcomes;
+    int compared = 0;
+    auto check = [&](const Bytes& image, const std::string& what) {
+      ASSERT_TRUE(store_->Write(root, 0, ByteSpan(image.data(), image.size())).ok());
+      for (const uint64_t key : probes) {
+        const std::optional<Result<Bytes>> want = DecodedGet(store_.get(), *tree, key);
+        if (!want.has_value()) {
+          continue;
+        }
+        ++compared;
+        const Result<Bytes> got = tree->Get(key);
+        ASSERT_EQ(got.ok(), want->ok()) << what << ", key " << key;
+        if (got.ok()) {
+          ASSERT_EQ(*got, **want) << what << ", key " << key;
+          ++outcomes["value"];
+        } else {
+          ASSERT_EQ(got.status().code(), want->status().code()) << what << ", key " << key;
+          ASSERT_EQ(got.status().message(), want->status().message()) << what << ", key " << key;
+          ++outcomes[std::string(got.status().message())];
+        }
+      }
+    };
+    // Every cut of the stored image, the rest zeroed (as WriteNode pads) or
+    // set to 0xff (so lengths and counts read from it overrun).
+    for (size_t cut = 0; cut <= used; ++cut) {
+      for (const uint8_t fill : {0x00, 0xff}) {
+        Bytes image = pristine;
+        std::fill(image.begin() + static_cast<ptrdiff_t>(cut), image.end(), fill);
+        check(image, "cut " + std::to_string(cut) + " fill " + std::to_string(fill));
+      }
+    }
+    for (int flip = 0; flip < 2000; ++flip) {
+      Bytes image = pristine;
+      const size_t at = rng.Bernoulli(0.75) ? rng.Uniform(used) : rng.Uniform(image.size());
+      image[at] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+      check(image, "flip at " + std::to_string(at));
+    }
+    ASSERT_TRUE(store_->Write(root, 0, ByteSpan(pristine.data(), pristine.size())).ok());
+    EXPECT_GT(compared, 20000) << keys;
+    for (const char* outcome : {"value", "key not in tree", "truncated B+ node",
+                                "implausible B+ node entry count"}) {
+      EXPECT_GT(outcomes[outcome], 0) << keys << " keys: " << outcome;
+    }
   }
 }
 

@@ -9,7 +9,11 @@ Usage:
 
 Both files are google-benchmark --benchmark_format=json output. Rows only
 present on one side are ignored (CI smoke runs use --benchmark_filter, and
-the committed baseline may carry extra rows). The checker has two modes.
+the committed baseline may carry extra rows). When both files declare a
+`build_type` in their context (every bench binary stamps its own), the two
+must agree: a Debug run says nothing about a Release baseline, in either
+clock. A file that declares none (the older baselines) is compared as
+before. The checker has two modes.
 
 Wall time (default). For every row present in BOTH files that reports
 items_per_second, the current run must be no more than `tolerance` (default
@@ -35,10 +39,22 @@ import json
 import sys
 
 
-def load_runs(path):
-    """Maps each benchmark name to its non-aggregate rows (one per repetition)."""
+def load(path):
     with open(path) as f:
-        data = json.load(f)
+        return json.load(f)
+
+
+def build_type_mismatch(baseline, current):
+    """Why the two files cannot be compared, or None when they can."""
+    base = baseline.get("context", {}).get("build_type")
+    cur = current.get("context", {}).get("build_type")
+    if base is None or cur is None or base == cur:
+        return None
+    return f"baseline build_type {base!r} differs from current build_type {cur!r}"
+
+
+def load_runs(data):
+    """Maps each benchmark name to its non-aggregate rows (one per repetition)."""
     runs = {}
     for b in data.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) from --benchmark_repetitions.
@@ -115,8 +131,15 @@ def main(argv=None):
                         help="comma-separated sim-clock counters that must equal the baseline")
     args = parser.parse_args(argv)
 
-    baseline_runs = load_runs(args.baseline)
-    current_runs = load_runs(args.current)
+    baseline_data = load(args.baseline)
+    current_data = load(args.current)
+    mismatch = build_type_mismatch(baseline_data, current_data)
+    if mismatch:
+        print(f"check_bench_regression: refusing to compare {args.baseline} with "
+              f"{args.current}: {mismatch}", file=sys.stderr)
+        return 1
+    baseline_runs = load_runs(baseline_data)
+    current_runs = load_runs(current_data)
 
     counters = [c for c in args.exact.split(",") if c]
     if counters:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests of check_bench_regression.py's exact sim-counter gate.
+"""Tests of check_bench_regression.py's exact sim-counter gate and its
+build-type check.
 
 Run: python3 tools/test_check_bench_regression.py
 """
@@ -38,18 +39,22 @@ class ExactGateTest(unittest.TestCase):
     def tearDown(self):
         self.dir.cleanup()
 
-    def write(self, name, rows):
+    def write(self, name, rows, context=None):
         path = os.path.join(self.dir.name, name)
         with open(path, "w") as f:
-            json.dump({"context": {}, "benchmarks": rows}, f)
+            json.dump({"context": context or {}, "benchmarks": rows}, f)
         return path
 
-    def check(self, current_rows):
-        baseline = self.write("baseline.json", BASELINE)
-        current = self.write("current.json", current_rows)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return check_bench_regression.main(
-                ["--baseline", baseline, "--current", current, "--exact", COUNTERS])
+    def check(self, current_rows, baseline_context=None, current_context=None, exact=COUNTERS,
+              baseline_rows=BASELINE):
+        baseline = self.write("baseline.json", baseline_rows, baseline_context)
+        current = self.write("current.json", current_rows, current_context)
+        self.stderr = io.StringIO()
+        args = ["--baseline", baseline, "--current", current]
+        if exact:
+            args += ["--exact", exact]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(self.stderr):
+            return check_bench_regression.main(args)
 
     def test_identical_counters_pass(self):
         # Three repetitions of each row, as CI runs them.
@@ -64,6 +69,20 @@ class ExactGateTest(unittest.TestCase):
         current = [row("E17/RepKvWeakScaling/nodes:64/32/2/iterations:1",
                        acked_writes_audited=497.0, sim_events_per_s=1.0, sim_ops_per_s=1.0)]
         self.assertEqual(self.check(current), 1)
+
+    def test_different_build_types_are_refused_in_both_modes(self):
+        # Rows both gates accept: the exact counters and items_per_second.
+        rows = [dict(r, items_per_second=1000.0) for r in BASELINE]
+        release = {"build_type": "Release", "compiler": "GNU 12.2.0"}
+        debug = {"build_type": "Debug", "compiler": "GNU 12.2.0"}
+        for exact in (COUNTERS, ""):
+            self.assertEqual(self.check(rows, release, debug, exact, rows), 1)
+            self.assertIn("'Release' differs from current build_type 'Debug'",
+                          self.stderr.getvalue())
+            self.assertEqual(self.check(rows, release, release, exact, rows), 0)
+            # A baseline that declares no build type (recorded before bench
+            # binaries stamped one) is still compared.
+            self.assertEqual(self.check(rows, {}, debug, exact, rows), 0)
 
 
 if __name__ == "__main__":
