@@ -1,7 +1,5 @@
 #include "src/apps/load_balancer.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace hyperion::apps {
@@ -59,21 +57,16 @@ Result<std::unique_ptr<LoadBalancer>> LoadBalancer::Create(dpu::Hyperion* dpu,
   }
   auto lb = std::unique_ptr<LoadBalancer>(
       new LoadBalancer(dpu, std::move(backends), resident_capacity));
-  lb->RebuildRing();
+  for (size_t b = 0; b < lb->backends_.size(); ++b) {
+    for (uint32_t v = 0; v < kVirtualNodes; ++v) {
+      lb->ring_[RingHash(lb->backends_[b].ip, lb->backends_[b].port, v)] = b;
+    }
+  }
   // Spill tier: value = 6-byte backend; fixed 13-byte FlowKey keys.
   ASSIGN_OR_RETURN(storage::HashIndex spill,
                    storage::HashIndex::Create(&dpu->store(), kSpillIndexId, spill_buckets));
   lb->spill_ = std::make_unique<storage::HashIndex>(std::move(spill));
   return lb;
-}
-
-void LoadBalancer::RebuildRing() {
-  ring_.clear();
-  for (size_t b = 0; b < backends_.size(); ++b) {
-    for (uint32_t v = 0; v < kVirtualNodes; ++v) {
-      ring_[RingHash(backends_[b].ip, backends_[b].port, v)] = b;
-    }
-  }
 }
 
 Backend LoadBalancer::PickByConsistentHash(const FlowKey& key) const {
@@ -160,31 +153,6 @@ Result<Backend> LoadBalancer::Route(const Packet& packet) {
     RETURN_IF_ERROR(InsertResident(key, backend));
   }
   return backend;
-}
-
-Status LoadBalancer::AddBackend(Backend backend) {
-  for (const Backend& b : backends_) {
-    if (b == backend) {
-      return AlreadyExists("backend already registered");
-    }
-  }
-  backends_.push_back(backend);
-  RebuildRing();
-  return Status::Ok();
-}
-
-Status LoadBalancer::RemoveBackend(Backend backend) {
-  auto it = std::find(backends_.begin(), backends_.end(), backend);
-  if (it == backends_.end()) {
-    return NotFound("no such backend");
-  }
-  backends_.erase(it);
-  if (backends_.empty()) {
-    backends_.push_back(backend);  // restore: cannot run with zero backends
-    return InvalidArgument("cannot remove the last backend");
-  }
-  RebuildRing();
-  return Status::Ok();
 }
 
 }  // namespace hyperion::apps

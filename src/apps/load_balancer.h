@@ -3,13 +3,12 @@
 // on-chip memory; Tiara spills it to x86 servers — Hyperion spills to its
 // own attached SSDs).
 //
-// New flows are placed by consistent hashing over the backend ring (so
-// backend changes only remap a 1/N slice); established flows are pinned by
-// a flow table. The table's hot part lives in the DPU DRAM tier with a
-// bounded capacity; on overflow the LRU entry spills to a durable hash
-// index on flash, from which it is promoted back on access. This keeps
-// *every* established flow sticky across backend reconfiguration, at flash
-// (not remote-server) cost for the cold tail.
+// New flows are placed by consistent hashing over the backend ring;
+// established flows are pinned by a flow table. The table's hot part lives
+// in the DPU DRAM tier with a bounded capacity; on overflow the LRU entry
+// spills to a durable hash index on flash, from which it is promoted back
+// on access. This keeps *every* established flow sticky, at flash (not
+// remote-server) cost for the cold tail.
 
 #ifndef HYPERION_SRC_APPS_LOAD_BALANCER_H_
 #define HYPERION_SRC_APPS_LOAD_BALANCER_H_
@@ -59,9 +58,6 @@ class LoadBalancer {
   // Routes one packet; FIN/RST tear the flow state down.
   Result<Backend> Route(const Packet& packet);
 
-  Status AddBackend(Backend backend);
-  Status RemoveBackend(Backend backend);
-
   const LoadBalancerStats& stats() const { return stats_; }
   size_t ResidentFlows() const { return resident_.size(); }
   // Flash-tier directory health (chain depth, occupancy).
@@ -71,7 +67,6 @@ class LoadBalancer {
   LoadBalancer(dpu::Hyperion* dpu, std::vector<Backend> backends, uint32_t resident_capacity)
       : dpu_(dpu), backends_(std::move(backends)), resident_capacity_(resident_capacity) {}
 
-  void RebuildRing();
   Backend PickByConsistentHash(const FlowKey& key) const;
   Status InsertResident(const FlowKey& key, const Backend& backend);
   Status SpillOne();

@@ -7,67 +7,8 @@
 namespace hyperion::baseline {
 
 CpuServer::CpuServer(sim::Engine* engine, HostCostParams params)
-    : engine_(engine),
-      cpu_(engine, params),
-      dma_(engine, &topology_),
-      nvme_(engine) {
-  root_ = topology_.AddRootComplex("host_rc");
-  dram_ = topology_.AddEndpoint("dram", root_, {5, 16});  // memory-bus stand-in
-  nic_ = topology_.AddEndpoint("nic", root_, {4, 8});
-  ssd_ = topology_.AddEndpoint("nvme", root_, {3, 4});
+    : engine_(engine), cpu_(engine, params), nvme_(engine) {
   nsid_ = nvme_.AddNamespace(1u << 20);  // 4 GiB namespace
-}
-
-Result<sim::Duration> CpuServer::IngestToStorage(uint64_t bytes) {
-  const sim::SimTime start = engine_->Now();
-  // NIC DMA into kernel DRAM buffers, then the interrupt + stack.
-  RETURN_IF_ERROR(dma_.Transfer(nic_, dram_, bytes).status());
-  cpu_.Interrupt();
-  const uint64_t packets = std::max<uint64_t>(1, bytes / 1460);
-  for (uint64_t p = 0; p < packets; ++p) {
-    cpu_.NetStackPacket();
-  }
-  // Userspace read(): syscall + copy out of the kernel.
-  cpu_.Syscall();
-  cpu_.Copy(bytes);
-  // Userspace write(): syscall + copy back in + block stack per 128 KiB IO.
-  cpu_.Syscall();
-  cpu_.Copy(bytes);
-  const uint64_t ios = std::max<uint64_t>(1, bytes / (128 * 1024));
-  for (uint64_t i = 0; i < ios; ++i) {
-    cpu_.BlockStackIo();
-  }
-  // DMA to the device and the NVMe program itself.
-  RETURN_IF_ERROR(dma_.Transfer(dram_, ssd_, bytes).status());
-  const uint64_t lbas = std::max<uint64_t>(1, (bytes + nvme::kLbaSize - 1) / nvme::kLbaSize);
-  Bytes payload(lbas * nvme::kLbaSize, 0);
-  RETURN_IF_ERROR(nvme_.Write(nsid_, next_lba_, ByteSpan(payload.data(), payload.size())));
-  next_lba_ = (next_lba_ + lbas) % (1u << 19);
-  cpu_.Interrupt();  // completion interrupt
-  return engine_->Now() - start;
-}
-
-Result<sim::Duration> CpuServer::ServeFromStorage(uint64_t bytes) {
-  const sim::SimTime start = engine_->Now();
-  cpu_.Syscall();
-  cpu_.PageCacheLookup();
-  const uint64_t ios = std::max<uint64_t>(1, bytes / (128 * 1024));
-  for (uint64_t i = 0; i < ios; ++i) {
-    cpu_.BlockStackIo();
-  }
-  const uint64_t lbas = std::max<uint64_t>(1, (bytes + nvme::kLbaSize - 1) / nvme::kLbaSize);
-  RETURN_IF_ERROR(nvme_.Read(nsid_, 0, static_cast<uint32_t>(lbas)).status());
-  RETURN_IF_ERROR(dma_.Transfer(ssd_, dram_, bytes).status());
-  cpu_.Interrupt();
-  cpu_.Copy(bytes);  // kernel -> user
-  cpu_.Syscall();    // send()
-  cpu_.Copy(bytes);  // user -> kernel socket buffer
-  const uint64_t packets = std::max<uint64_t>(1, bytes / 1460);
-  for (uint64_t p = 0; p < packets; ++p) {
-    cpu_.NetStackPacket();
-  }
-  RETURN_IF_ERROR(dma_.Transfer(dram_, nic_, bytes).status());
-  return engine_->Now() - start;
 }
 
 Result<sim::Duration> CpuServer::KvOperation(bool is_write, uint64_t value_bytes) {

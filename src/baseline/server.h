@@ -1,11 +1,10 @@
 // CPU-centric storage server: the end-to-end baseline Hyperion replaces.
 //
-// Composes the host cost model, a host PCIe topology (NIC, NVMe, DRAM
-// behind the host root complex), and an NVMe controller into the classic
-// kernel-mediated pipeline:
-//
-//   NIC DMA -> DRAM -> IRQ -> net stack -> syscall+copy to userspace ->
-//   application -> syscall+copy -> block stack -> DMA -> NVMe
+// Composes the host cost model and an NVMe controller into the classic
+// kernel-mediated KV server: IRQ -> net stack -> syscall+copy to userspace
+// -> index probe -> block stack -> NVMe -> syscall+copy -> net stack.
+// (Experiment E1 prices whole net-to-storage transfers through the host
+// PCIe topology in integration.h.)
 //
 // Also provides the time-shared multi-tenant scheduler used as the
 // predictability baseline in experiment E7 (contrast: spatially partitioned
@@ -21,8 +20,6 @@
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/nvme/controller.h"
-#include "src/pcie/dma.h"
-#include "src/pcie/topology.h"
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
 
@@ -32,29 +29,15 @@ class CpuServer {
  public:
   CpuServer(sim::Engine* engine, HostCostParams params = HostCostParams());
 
-  // Ingest `bytes` from the wire into durable storage (full kernel path).
-  // Returns the end-to-end host-side latency (excluding network flight).
-  Result<sim::Duration> IngestToStorage(uint64_t bytes);
-
-  // Serve `bytes` from storage out to the wire.
-  Result<sim::Duration> ServeFromStorage(uint64_t bytes);
-
   // Application-level KV op (userspace index + storage access).
   Result<sim::Duration> KvOperation(bool is_write, uint64_t value_bytes);
 
   HostCpu& cpu() { return cpu_; }
   nvme::Controller& nvme() { return nvme_; }
-  const pcie::DmaEngine& dma() const { return dma_; }
 
  private:
   sim::Engine* engine_;
   HostCpu cpu_;
-  pcie::Topology topology_;
-  pcie::NodeId root_;
-  pcie::NodeId nic_;
-  pcie::NodeId ssd_;
-  pcie::NodeId dram_;
-  pcie::DmaEngine dma_;
   nvme::Controller nvme_;
   uint32_t nsid_;
   uint64_t next_lba_ = 0;

@@ -25,11 +25,6 @@ Buffer Buffer::CopyOf(ByteSpan data) {
   return Buffer(Bytes(data.begin(), data.end()));
 }
 
-Buffer Buffer::FromString(const std::string& s) {
-  AccountBufferCopy(s.size());
-  return Buffer(Bytes(s.begin(), s.end()));
-}
-
 Bytes Buffer::ToBytes() const {
   AccountBufferCopy(size_);
   return Bytes(data_, data_ + size_);

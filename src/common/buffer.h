@@ -73,7 +73,6 @@ class Buffer {
 
   // Copies `data` into a fresh owned block (accounted).
   static Buffer CopyOf(ByteSpan data);
-  static Buffer FromString(const std::string& s);
 
   // Non-owning view of caller-managed memory. The caller guarantees the
   // span outlives every Buffer/slice derived from it — intended for

@@ -1,6 +1,5 @@
 #include "src/dpu/hyperion.h"
 
-#include "src/common/check.h"
 #include "src/common/log.h"
 
 namespace hyperion::dpu {
@@ -10,14 +9,6 @@ namespace {
 // when power is applied and FPGA JTAG self-tests are passed").
 constexpr sim::Duration kJtagSelfTest = 180 * sim::kMillisecond;
 constexpr sim::Duration kShellConfiguration = 2600 * sim::kMillisecond;  // QSPI static image
-
-// Bus-address map (Figure 2 / §2.1: "statically divide FPGA AXI-streaming
-// bus address ranges to map to FPGA DRAM addresses, and others to NVMe PCIe
-// BAR addresses").
-constexpr uint64_t kDramBase = 0x0000'0000'0000ull;
-constexpr uint64_t kHbmBase = 0x1000'0000'0000ull;
-constexpr uint64_t kNvmeBase = 0x2000'0000'0000ull;
-constexpr uint64_t kNvmeStride = 0x0100'0000'0000ull;
 }  // namespace
 
 Hyperion::Hyperion(sim::Engine* engine, net::Fabric* net, HyperionConfig config)
@@ -45,15 +36,6 @@ Hyperion::Hyperion(sim::Engine* engine, net::Fabric* net, HyperionConfig config)
 
   fabric_ = std::make_unique<fpga::Fabric>(engine_, config_.fabric);
   scheduler_ = std::make_unique<fpga::SlotScheduler>(engine_, fabric_.get());
-
-  // Static address-range routing.
-  CHECK_OK(axi_.AddRoute(kDramBase, kDramBase + config_.dram_bytes, fpga::Port::kDram));
-  CHECK_OK(axi_.AddRoute(kHbmBase, kHbmBase + config_.hbm_bytes, fpga::Port::kHbm));
-  for (uint32_t d = 0; d < config_.nvme_devices && d < 4; ++d) {
-    const uint64_t base = kNvmeBase + d * kNvmeStride;
-    CHECK_OK(axi_.AddRoute(base, base + config_.lbas_per_device * nvme::kLbaSize,
-                           static_cast<fpga::Port>(static_cast<uint8_t>(fpga::Port::kNvme0) + d)));
-  }
 
   vm_ = std::make_unique<ebpf::Vm>(&maps_, engine_);
 }

@@ -3,9 +3,8 @@
 // Composition of every substrate in this repository into the blueprint's
 // schematic: 2x100 GbE attachment to the data-center fabric, an FPGA fabric
 // with eHDL accelerator slots, an FPGA-hosted PCIe root complex with four
-// NVMe namespaces behind bifurcated x4 links, an AXI interconnect routing
-// bus addresses to DRAM/HBM/NVMe, the single-level segment-based object
-// store on top, and the eBPF toolchain (verifier -> pipeline compiler) as
+// NVMe namespaces behind bifurcated x4 links, DRAM and HBM tiers, the
+// single-level segment-based object store on top, and the eBPF toolchain (verifier -> pipeline compiler) as
 // the programming model. There is no host CPU object anywhere in this
 // class — that is the point.
 //
@@ -26,7 +25,6 @@
 #include "src/ebpf/maps.h"
 #include "src/ebpf/verifier.h"
 #include "src/ebpf/vm.h"
-#include "src/fpga/axi.h"
 #include "src/fpga/fabric.h"
 #include "src/fpga/scheduler.h"
 #include "src/mem/object_store.h"
@@ -105,7 +103,6 @@ class Hyperion {
   nvme::Controller& nvme() { return *nvme_; }
   mem::ObjectStore& store() { return *store_; }
   fpga::Fabric& fabric() { return *fabric_; }
-  fpga::AxiInterconnect& axi() { return axi_; }
   fpga::SlotScheduler& scheduler() { return *scheduler_; }
   ebpf::MapRegistry& maps() { return maps_; }
   sim::EnergyModel& energy() { return energy_; }
@@ -147,7 +144,6 @@ class Hyperion {
   std::unique_ptr<mem::ObjectStore> store_;
   std::unique_ptr<fpga::Fabric> fabric_;
   std::unique_ptr<fpga::SlotScheduler> scheduler_;
-  fpga::AxiInterconnect axi_;
   ebpf::MapRegistry maps_;
   std::unique_ptr<ebpf::Vm> vm_;
   sim::EnergyModel energy_;

@@ -36,7 +36,6 @@ enum class ServiceId : uint16_t {
   kTree = 2,
   kLog = 3,
   kBlock = 4,  // NVMe-oF-style block-level access to the attached SSDs
-  kFile = 5,   // virtio-fs/DPFS-style remote file access (annotation-driven)
   kApp = 6,    // Willow-style user RPC: opcode = accelerator id, payload = ctx
   kRepKv = 7,  // replicated KV: Corfu chain replication + epoch/seal failover
   kLsmKv = 8,  // LSM engine (PR 6) served as an RPC workload (KvOp opcodes)

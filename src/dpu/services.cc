@@ -278,54 +278,6 @@ RpcResponse HyperionServices::HandleApp(uint16_t opcode, const Buffer& payload) 
   return RpcResponse::Ok(out.Take());
 }
 
-Status HyperionServices::ServeVolume(uint32_t nsid) {
-  ASSIGN_OR_RETURN(fs::ExtFs volume, fs::ExtFs::Mount(&dpu_->nvme(), nsid));
-  volume_ = std::make_unique<fs::AnnotatedReader>(&dpu_->nvme(), nsid,
-                                                  fs::GenerateAnnotation(volume));
-  dpu_->rpc().RegisterService(ServiceId::kFile, [this](uint16_t opcode, const Buffer& payload) {
-    return HandleFile(opcode, payload);
-  });
-  return Status::Ok();
-}
-
-RpcResponse HyperionServices::HandleFile(uint16_t opcode, const Buffer& payload) {
-  ChargeShell();
-  if (volume_ == nullptr) {
-    return RpcResponse::Fail(Unavailable("no volume served"));
-  }
-  ByteReader reader(payload);
-  switch (opcode) {
-    case FileOp::kResolve: {
-      const std::string path = reader.ReadString();
-      if (!reader.Ok()) {
-        return RpcResponse::Fail(InvalidArgument("malformed resolve"));
-      }
-      Result<uint32_t> inode = volume_->ResolvePath(path);
-      if (!inode.ok()) {
-        return RpcResponse::Fail(inode.status());
-      }
-      Bytes out;
-      PutU32(out, *inode);
-      return RpcResponse::Ok(std::move(out));
-    }
-    case FileOp::kRead: {
-      const std::string path = reader.ReadString();
-      const uint64_t offset = reader.ReadU64();
-      const uint64_t length = reader.ReadU64();
-      if (!reader.Ok()) {
-        return RpcResponse::Fail(InvalidArgument("malformed file read"));
-      }
-      Result<Bytes> data = volume_->ReadPath(path, offset, length);
-      if (!data.ok()) {
-        return RpcResponse::Fail(data.status());
-      }
-      return RpcResponse::Ok(std::move(data).value());
-    }
-    default:
-      return RpcResponse::Fail(Unimplemented("unknown file opcode"));
-  }
-}
-
 RpcResponse HyperionServices::HandleControl(uint16_t opcode, const Buffer& payload) {
   ChargeShell();
   ByteReader reader(payload);

@@ -12,7 +12,6 @@
 #include "src/dpu/rpc.h"
 #include "src/storage/bptree.h"
 #include "src/storage/corfu.h"
-#include "src/fs/annotation.h"
 #include "src/storage/kv.h"
 
 namespace hyperion::dpu {
@@ -42,12 +41,6 @@ struct BlockOp {
   static constexpr uint16_t kWrite = 2;     // [nsid u32][slba u64][data]
   static constexpr uint16_t kFlush = 3;     // [nsid u32]
   static constexpr uint16_t kIdentify = 4;  // -> [count u32]{[capacity u64]}*
-};
-struct FileOp {
-  // Remote file access (§2.4 "remote file system access acceleration with
-  // DPUs using virtio-fs", served CPU-free via the layout annotation).
-  static constexpr uint16_t kResolve = 1;  // [path str] -> [inode u32]
-  static constexpr uint16_t kRead = 2;     // [path str][off u64][len u64] -> data
 };
 struct ScanOp {
   // Analytics scan pushdown (PR 10): Parquet queries executed by FPGA scan
@@ -82,11 +75,6 @@ class HyperionServices {
   storage::BPlusTree& tree() { return *tree_; }
   storage::CorfuLog& log() { return *log_; }
 
-  // Exports an ExtFs volume living on namespace `nsid` through the file
-  // service; access goes through the Spiffy-style annotation, not the FS
-  // implementation. The volume must already be formatted.
-  Status ServeVolume(uint32_t nsid);
-
  private:
   explicit HyperionServices(Hyperion* dpu) : dpu_(dpu) {}
 
@@ -98,7 +86,6 @@ class HyperionServices {
   RpcResponse HandleTree(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleLog(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleBlock(uint16_t opcode, const Buffer& payload);
-  RpcResponse HandleFile(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleApp(uint16_t opcode, const Buffer& payload);
   RpcResponse HandleControl(uint16_t opcode, const Buffer& payload);
 
@@ -106,7 +93,6 @@ class HyperionServices {
   void ChargeShell();
 
   Hyperion* dpu_;
-  std::unique_ptr<fs::AnnotatedReader> volume_;
   std::unique_ptr<storage::KvStore> kv_;
   std::unique_ptr<storage::BPlusTree> tree_;
   std::unique_ptr<storage::CorfuLog> log_;

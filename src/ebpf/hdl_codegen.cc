@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -244,41 +243,6 @@ uint64_t EstimateCycles(const PipelinePlan& plan, const std::vector<uint64_t>& e
     cycles += entries * block.cycles;
   }
   return cycles;
-}
-
-sim::Duration EstimateTime(const PipelinePlan& plan, const std::vector<uint64_t>& exec_counts) {
-  return sim::CyclesToTime(EstimateCycles(plan, exec_counts), plan.options.fmax_mhz);
-}
-
-std::string EmitVerilogSketch(const Program& prog, const PipelinePlan& plan) {
-  std::ostringstream os;
-  os << "// Auto-generated pipeline sketch for eBPF program '" << prog.name << "'\n";
-  os << "// lanes=" << plan.options.lanes << " fmax=" << plan.options.fmax_mhz << "MHz"
-     << " blocks=" << plan.blocks.size() << " critical_path=" << plan.CriticalPathCycles()
-     << " cycles\n";
-  os << "module " << (prog.name.empty() ? "ebpf_accel" : prog.name) << " (\n"
-     << "  input  wire        clk,\n"
-     << "  input  wire        rst_n,\n"
-     << "  input  wire [511:0] ctx_in,\n"
-     << "  input  wire        valid_in,\n"
-     << "  output reg  [63:0] r0_out,\n"
-     << "  output reg         valid_out\n"
-     << ");\n";
-  for (size_t b = 0; b < plan.blocks.size(); ++b) {
-    const BlockPlan& block = plan.blocks[b];
-    os << "  // block" << b << ": insns [" << block.first << ", " << block.last << "), "
-       << block.stages.size() << " stages, " << block.cycles << " cycles\n";
-    for (size_t s = 0; s < block.stages.size(); ++s) {
-      os << "  //   stage " << s << ":";
-      for (size_t idx : block.stages[s].insns) {
-        os << "  {" << Disassemble(prog.insns[idx]) << "}";
-      }
-      os << "\n";
-    }
-  }
-  os << "  // ... stage registers and functional units elided in the sketch\n";
-  os << "endmodule\n";
-  return os.str();
 }
 
 }  // namespace hyperion::ebpf

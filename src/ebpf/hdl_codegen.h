@@ -77,13 +77,6 @@ Result<PipelinePlan> CompileToPipeline(const Program& prog,
 // count once per entry.
 uint64_t EstimateCycles(const PipelinePlan& plan, const std::vector<uint64_t>& exec_counts);
 
-// Same, as virtual time at the plan's Fmax.
-sim::Duration EstimateTime(const PipelinePlan& plan, const std::vector<uint64_t>& exec_counts);
-
-// A human-readable pseudo-Verilog sketch of the pipeline (for docs/examples;
-// this repository models hardware, it does not synthesize it).
-std::string EmitVerilogSketch(const Program& prog, const PipelinePlan& plan);
-
 }  // namespace hyperion::ebpf
 
 #endif  // HYPERION_SRC_EBPF_HDL_CODEGEN_H_

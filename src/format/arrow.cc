@@ -4,18 +4,6 @@
 
 namespace hyperion::format {
 
-std::string_view ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt64:
-      return "int64";
-    case ColumnType::kFloat64:
-      return "float64";
-    case ColumnType::kString:
-      return "string";
-  }
-  return "?";
-}
-
 namespace {
 uint64_t LengthOf(const ColumnData& column) {
   return std::visit([](const auto& v) { return static_cast<uint64_t>(v.size()); }, column);

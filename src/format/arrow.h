@@ -20,8 +20,6 @@ namespace hyperion::format {
 
 enum class ColumnType : uint8_t { kInt64 = 0, kFloat64 = 1, kString = 2 };
 
-std::string_view ColumnTypeName(ColumnType type);
-
 struct Field {
   std::string name;
   ColumnType type = ColumnType::kInt64;

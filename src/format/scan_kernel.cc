@@ -272,20 +272,6 @@ Result<NvmeParquetFile> NvmeParquetFile::Store(nvme::Controller* nvme, uint32_t 
   return NvmeParquetFile(std::move(state));
 }
 
-NvmeParquetFile NvmeParquetFile::Attach(nvme::Controller* nvme, uint32_t nsid, uint64_t base_lba,
-                                        uint64_t file_size) {
-  auto state = std::make_shared<State>();
-  state->nvme = nvme;
-  state->nsid = nsid;
-  state->base_lba = base_lba;
-  state->file_size = file_size;
-  return NvmeParquetFile(std::move(state));
-}
-
-uint64_t NvmeParquetFile::lbas() const {
-  return (state_->file_size + nvme::kLbaSize - 1) / nvme::kLbaSize;
-}
-
 Result<Bytes> NvmeParquetFile::ReadDevice(uint64_t offset, uint64_t length) const {
   State& s = *state_;
   if (length > s.file_size || offset > s.file_size - length) {

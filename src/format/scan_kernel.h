@@ -141,12 +141,8 @@ class NvmeParquetFile {
   // Writes `file` (LBA-padded) to [base_lba, ...) of `nsid`.
   static Result<NvmeParquetFile> Store(nvme::Controller* nvme, uint32_t nsid, uint64_t base_lba,
                                        ByteSpan file);
-  // Wraps an extent written earlier (e.g. by a peer shard's Store).
-  static NvmeParquetFile Attach(nvme::Controller* nvme, uint32_t nsid, uint64_t base_lba,
-                                uint64_t file_size);
 
   uint64_t file_size() const { return state_->file_size; }
-  uint64_t lbas() const;  // blocks the file occupies (padding included)
 
   // FetchFn for ParquetReader::Open: byte-exact view, LBA-rounded device
   // traffic, every read accounted in device_bytes_moved().

@@ -1,87 +1,26 @@
-// AXI-stream interconnect with address-range routing and per-region
-// isolation windows.
+// AXI-stream interconnect timing.
 //
-// Figure 2's datapath runs every access through MUX/DEMUX/arbiter blocks
-// that route by bus address: some ranges map to FPGA DRAM/HBM, others to
-// the NVMe PCIe BARs (this is how §2.1's static segment-location split is
-// realized in hardware). In a multi-tenant deployment (§2.5) the same
-// interconnect is also the isolation mechanism: each region is granted
-// address windows at configuration time, checked on every transaction —
-// compiler/loader-enforced isolation instead of an MMU.
+// Figure 2's datapath stitches the FPGA's blocks together through
+// MUX/DEMUX/arbiter trees on a wide AXI-stream bus. The model prices one
+// transaction through that tree: a fixed arbitration latency plus the
+// payload's transfer time over the bus.
 
 #ifndef HYPERION_SRC_FPGA_AXI_H_
 #define HYPERION_SRC_FPGA_AXI_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "src/common/result.h"
-#include "src/fpga/fabric.h"
-#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace hyperion::fpga {
 
-enum class Port : uint8_t {
-  kDram = 0,
-  kHbm = 1,
-  kNvme0 = 2,
-  kNvme1 = 3,
-  kNvme2 = 4,
-  kNvme3 = 5,
-  kNet0 = 6,
-  kNet1 = 7,
-};
-
-std::string_view PortName(Port port);
-
-struct AxiParams {
-  sim::Duration arbiter_latency = 12;  // ns per transaction through the mux tree
-  double bus_gbps = 512.0;             // 512-bit bus at ~1 GHz
-};
-
-class AxiInterconnect {
- public:
-  explicit AxiInterconnect(AxiParams params = AxiParams()) : params_(params) {}
-
-  // Routing: [base, limit) -> port. Ranges must not overlap.
-  Status AddRoute(uint64_t base, uint64_t limit, Port port);
-  Result<Port> Route(uint64_t addr) const;
-
-  // Isolation windows: region may touch [base, limit). Multiple grants per
-  // region are allowed.
-  Status GrantWindow(RegionId region, uint64_t base, uint64_t limit);
-  void RevokeAll(RegionId region);
-
-  // Checks an access by `region` to [addr, addr+len) and returns the target
-  // port. kPermissionDenied if outside every granted window.
-  Result<Port> CheckedAccess(RegionId region, uint64_t addr, uint64_t len);
-
-  // Transaction latency for `bytes` over the bus.
-  sim::Duration TransactionTime(uint64_t bytes) const {
-    return params_.arbiter_latency + sim::TransferTime(bytes, params_.bus_gbps);
-  }
-
-  const sim::Counters& counters() const { return counters_; }
-
- private:
-  struct Range {
-    uint64_t base;
-    uint64_t limit;
-    Port port;
-  };
-  struct Window {
-    RegionId region;
-    uint64_t base;
-    uint64_t limit;
-  };
-
-  AxiParams params_;
-  std::vector<Range> routes_;    // sorted by base
-  std::vector<Window> windows_;
-  sim::Counters counters_;
-};
+// Latency of one `bytes` transaction: 12 ns through the mux tree, then the
+// payload over a 512-bit bus at ~1 GHz.
+constexpr sim::Duration AxiTransactionTime(uint64_t bytes) {
+  constexpr sim::Duration kArbiterLatency = 12;
+  constexpr double kBusGbps = 512.0;
+  return kArbiterLatency + sim::TransferTime(bytes, kBusGbps);
+}
 
 }  // namespace hyperion::fpga
 

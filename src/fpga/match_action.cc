@@ -11,11 +11,6 @@ namespace {
 // the interconnect between regions.
 constexpr uint64_t kDescriptorBytes = 64;
 
-// Per-stage scratch/table window in the bus address map, granted at
-// configuration time (§2.5: loader-enforced isolation instead of an MMU).
-constexpr uint64_t kStageWindowBase = 0x4000'0000ull;
-constexpr uint64_t kStageWindowBytes = 1ull << 20;
-
 Bitstream StageBitstream(const ebpf::Program& program, const ebpf::CodegenOptions& options,
                          TenantId tenant) {
   Bitstream bitstream;
@@ -33,13 +28,12 @@ Bitstream StageBitstream(const ebpf::Program& program, const ebpf::CodegenOption
 }  // namespace
 
 Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
-    Fabric* fabric, AxiInterconnect* axi, ebpf::MapRegistry* maps,
-    std::vector<MatchActionStageSpec> stages, TenantId tenant) {
+    Fabric* fabric, ebpf::MapRegistry* maps, std::vector<MatchActionStageSpec> stages,
+    TenantId tenant) {
   if (stages.empty()) {
     return InvalidArgument("match/action pipeline needs at least one stage");
   }
-  auto pipeline =
-      std::unique_ptr<MatchActionPipeline>(new MatchActionPipeline(fabric, axi, maps));
+  auto pipeline = std::unique_ptr<MatchActionPipeline>(new MatchActionPipeline(maps));
   RegionId next_region = 0;
   for (MatchActionStageSpec& spec : stages) {
     // Gate: unverifiable programs are rejected before any plan is built.
@@ -56,8 +50,6 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
     }
     RETURN_IF_ERROR(
         fabric->Reconfigure(region, StageBitstream(spec.program, spec.codegen, tenant)).status());
-    const uint64_t window_base = kStageWindowBase + uint64_t{region} * kStageWindowBytes;
-    RETURN_IF_ERROR(axi->GrantWindow(region, window_base, window_base + kStageWindowBytes));
     next_region = region + 1;
 
     Stage stage;
@@ -102,8 +94,7 @@ sim::Duration MatchActionPipeline::BatchTime(uint64_t packets) const {
   for (const Stage& stage : stages_) {
     fill += sim::CyclesToTime(stage.info.critical_path_cycles, stage.info.fmax_mhz);
   }
-  fill += static_cast<sim::Duration>(stages_.size() - 1) *
-          axi_->TransactionTime(kDescriptorBytes);
+  fill += static_cast<sim::Duration>(stages_.size() - 1) * AxiTransactionTime(kDescriptorBytes);
   return fill + (packets - 1) * AdmissionPeriod();
 }
 

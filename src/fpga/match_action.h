@@ -68,8 +68,8 @@ class MatchActionPipeline {
   // never reach hdl_codegen (the Verify error is returned as-is); plans
   // that compile but do not fit a region fail at Reconfigure time.
   static Result<std::unique_ptr<MatchActionPipeline>> Create(
-      Fabric* fabric, AxiInterconnect* axi, ebpf::MapRegistry* maps,
-      std::vector<MatchActionStageSpec> stages, TenantId tenant = kNoTenant);
+      Fabric* fabric, ebpf::MapRegistry* maps, std::vector<MatchActionStageSpec> stages,
+      TenantId tenant = kNoTenant);
 
   size_t StageCount() const { return stages_.size(); }
   const MatchActionStageInfo& stage(size_t i) const { return stages_[i].info; }
@@ -95,11 +95,8 @@ class MatchActionPipeline {
     MatchActionStageInfo info;
   };
 
-  MatchActionPipeline(Fabric* fabric, AxiInterconnect* axi, ebpf::MapRegistry* maps)
-      : fabric_(fabric), axi_(axi), vm_(maps) {}
+  explicit MatchActionPipeline(ebpf::MapRegistry* maps) : vm_(maps) {}
 
-  Fabric* fabric_;
-  AxiInterconnect* axi_;
   ebpf::Vm vm_;
   std::vector<Stage> stages_;
   size_t bottleneck_ = 0;

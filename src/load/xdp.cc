@@ -202,8 +202,8 @@ Status XdpPipeline::BuildDataPath() {
     specs.push_back({std::move(guard), options_.codegen});
     specs.push_back({std::move(flow), options_.codegen});
     specs.push_back({std::move(lb), options_.codegen});
-    ASSIGN_OR_RETURN(ma_, fpga::MatchActionPipeline::Create(&dpu_->fabric(), &dpu_->axi(),
-                                                            &dpu_->maps(), std::move(specs)));
+    ASSIGN_OR_RETURN(ma_, fpga::MatchActionPipeline::Create(&dpu_->fabric(), &dpu_->maps(),
+                                                            std::move(specs)));
   } else {
     // Host arm: verification is still the gate, then the same programs run
     // serially on the interpreter at kernel networking cost.

@@ -26,10 +26,6 @@ ObjectStore::ObjectStore(sim::Engine* engine, nvme::Controller* nvme, ObjectStor
   nvme_alloc_ = RangeAllocator(*capacity - config.boot_area_lbas);
 }
 
-uint64_t ObjectStore::TotalCapacity() const {
-  return dram_.capacity() + hbm_.capacity() + nvme_alloc_.capacity() * nvme::kLbaSize;
-}
-
 Result<Location> ObjectStore::PickLocation(uint64_t size, const SegmentHints& hints) {
   if (hints.durable) {
     // Durable segments must be NVMe-backed to survive power-off.
@@ -119,7 +115,7 @@ Result<Segment> ObjectStore::Translate(SegmentId id) {
     h_translations_ = counters_.Intern("translations");
   }
   counters_.Increment(h_translations_);
-  const Segment* seg = table_.Touch(id);
+  const Segment* seg = table_.Find(id);
   if (seg == nullptr) {
     return NotFound("segment not mapped");
   }
@@ -214,59 +210,6 @@ Result<Bytes> ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, uint64_
   // completion buffer for as long as its caller holds it.
   return Bytes(block.begin() + static_cast<ptrdiff_t>(head_skew),
                block.begin() + static_cast<ptrdiff_t>(head_skew + length));
-}
-
-Status ObjectStore::Migrate(SegmentId id, Location target) {
-  ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-  if (seg.location == target) {
-    return Status::Ok();
-  }
-  if (seg.durable && target != Location::kNvme) {
-    return InvalidArgument("durable segments must stay NVMe-backed");
-  }
-  ASSIGN_OR_RETURN(Bytes contents, Read(id, 0, seg.size));
-  ASSIGN_OR_RETURN(uint64_t new_base, AllocateIn(target, seg.size));
-  const Location old_loc = seg.location;
-  const uint64_t old_base = seg.base;
-  seg.location = target;
-  seg.base = new_base;
-  RETURN_IF_ERROR(table_.Update(seg));
-  RETURN_IF_ERROR(Write(id, 0, ByteSpan(contents.data(), contents.size())));
-  RETURN_IF_ERROR(FreeIn(old_loc, old_base, seg.size));
-  counters_.Increment("migrations");
-  return Status::Ok();
-}
-
-Result<uint64_t> ObjectStore::PromoteHot(uint64_t min_accesses, size_t max_promotions) {
-  // Collect ephemeral flash-resident candidates, hottest first.
-  std::vector<std::pair<uint64_t, SegmentId>> candidates;
-  for (const Segment& seg : table_.Entries()) {
-    if (seg.location != Location::kNvme || seg.durable) {
-      continue;
-    }
-    const uint64_t hits = table_.AccessCount(seg.id);
-    if (hits >= min_accesses) {
-      candidates.emplace_back(hits, seg.id);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(), [](const auto& a, const auto& b) {
-    return a.first > b.first;
-  });
-  uint64_t promoted = 0;
-  for (const auto& [hits, id] : candidates) {
-    if (promoted >= max_promotions) {
-      break;
-    }
-    ASSIGN_OR_RETURN(Segment seg, table_.Lookup(id));
-    if (dram_alloc_.LargestFreeRange() < seg.size) {
-      break;  // fast tier full: stop promoting
-    }
-    RETURN_IF_ERROR(Migrate(id, Location::kDram));
-    ++promoted;
-  }
-  table_.ResetAccessCounts();  // epoch-based decay
-  counters_.Add("promotions", promoted);
-  return promoted;
 }
 
 Status ObjectStore::Checkpoint() {

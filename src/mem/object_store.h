@@ -5,7 +5,7 @@
 // (FPGA DRAM, HBM, or NVMe flash). Total addressable capacity is the sum of
 // all three. Placement follows creation hints — performance-critical
 // objects go to HBM, durable ones to NVMe — with graceful spill when a tier
-// is full, and explicit Promote()/Demote() for hint-driven migration.
+// is full. A segment stays where it was placed until it is deleted.
 //
 // Every access pays exactly one segment-table translation (object-granular)
 // plus the media cost of the tier — no page tables, no TLBs, no pinning, no
@@ -55,20 +55,6 @@ class ObjectStore {
   // index probes run without a heap allocation per access.
   Status ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out);
 
-  // Moves a segment's backing to `target`, copying its contents.
-  Status Migrate(SegmentId id, Location target);
-
-  // Hints-based promotion (§2.1: "performance-critical objects are ...
-  // eventually promoted to DRAM or HBM"): migrates up to `max_promotions`
-  // of the most-accessed ephemeral flash-resident segments with at least
-  // `min_accesses` touches into DRAM, then resets the access counters.
-  // Returns the number promoted.
-  Result<uint64_t> PromoteHot(uint64_t min_accesses, size_t max_promotions);
-
-  // Accesses recorded for a mapped segment since it was created, recovered
-  // or last swept by PromoteHot; 0 for an unmapped id.
-  uint64_t AccessCount(SegmentId id) const { return table_.AccessCount(id); }
-
   Result<Segment> Describe(SegmentId id) const;
   size_t SegmentCount() const { return table_.size(); }
 
@@ -80,7 +66,6 @@ class ObjectStore {
   // the number of segments recovered.
   Result<uint64_t> Recover();
 
-  uint64_t TotalCapacity() const;
   const sim::Counters& counters() const { return counters_; }
 
  private:
@@ -89,7 +74,7 @@ class ObjectStore {
   Status FreeIn(Location loc, uint64_t base, uint64_t size);
 
   // The one segment-table probe a data access pays: kLookupCost of sim
-  // time, a `translations` tick and the segment's access count.
+  // time and a `translations` tick.
   Result<Segment> Translate(SegmentId id);
   Status WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data);
   Result<Bytes> ReadNvme(const Segment& seg, uint64_t offset, uint64_t length);

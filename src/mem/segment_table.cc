@@ -20,7 +20,7 @@ SegmentTable::SegmentTable() : cells_(kMinCells, 0) {}
 size_t SegmentTable::FindCell(SegmentId id) const {
   const size_t mask = cells_.size() - 1;
   size_t cell = std::hash<SegmentId>{}(id) & mask;
-  while (cells_[cell] != 0 && slots_[cells_[cell] - 1].segment.id != id) {
+  while (cells_[cell] != 0 && slots_[cells_[cell] - 1].id != id) {
     cell = (cell + 1) & mask;
   }
   return cell;
@@ -31,7 +31,7 @@ void SegmentTable::GrowIndex() {
   cells_.assign(old.size() * 2, 0);
   for (const uint32_t cell : old) {
     if (cell != 0) {
-      cells_[FindCell(slots_[cell - 1].segment.id)] = cell;
+      cells_[FindCell(slots_[cell - 1].id)] = cell;
     }
   }
 }
@@ -44,7 +44,7 @@ Status SegmentTable::Insert(const Segment& segment) {
   if (cells_[cell] != 0) {
     return AlreadyExists("segment id already mapped");
   }
-  slots_.push_back(Entry{segment});
+  slots_.push_back(segment);
   cells_[cell] = static_cast<uint32_t>(slots_.size());
   if (4 * slots_.size() > cells_.size()) {
     GrowIndex();
@@ -58,13 +58,13 @@ Result<Segment> SegmentTable::Erase(SegmentId id) {
     return NotFound("segment not mapped");
   }
   const uint32_t slot = cells_[hole] - 1;
-  const Segment erased = slots_[slot].segment;
+  const Segment erased = slots_[slot];
   // Backward-shift deletion keeps every probe run gap-free: each later
   // member of the run whose home cell is not cyclically in (hole, next]
   // would be unreachable past the hole, so it moves into it.
   const size_t mask = cells_.size() - 1;
   for (size_t next = (hole + 1) & mask; cells_[next] != 0; next = (next + 1) & mask) {
-    const size_t home = std::hash<SegmentId>{}(slots_[cells_[next] - 1].segment.id) & mask;
+    const size_t home = std::hash<SegmentId>{}(slots_[cells_[next] - 1].id) & mask;
     if (((next - home) & mask) >= ((next - hole) & mask)) {
       cells_[hole] = cells_[next];
       hole = next;
@@ -73,7 +73,7 @@ Result<Segment> SegmentTable::Erase(SegmentId id) {
   cells_[hole] = 0;
   // Keep the slots dense: the last entry takes the erased one's slot.
   if (const uint32_t last = static_cast<uint32_t>(slots_.size() - 1); slot != last) {
-    cells_[FindCell(slots_[last].segment.id)] = slot + 1;
+    cells_[FindCell(slots_[last].id)] = slot + 1;
     slots_[slot] = slots_[last];
   }
   slots_.pop_back();
@@ -85,45 +85,16 @@ Result<Segment> SegmentTable::Lookup(SegmentId id) const {
   if (cell == 0) {
     return NotFound("segment not mapped");
   }
-  return slots_[cell - 1].segment;
+  return slots_[cell - 1];
 }
 
-const Segment* SegmentTable::Touch(SegmentId id) {
+const Segment* SegmentTable::Find(SegmentId id) const {
   const uint32_t cell = cells_[FindCell(id)];
-  if (cell == 0) {
-    return nullptr;
-  }
-  Entry& entry = slots_[cell - 1];
-  ++entry.accesses;
-  return &entry.segment;
-}
-
-Status SegmentTable::Update(const Segment& segment) {
-  const uint32_t cell = cells_[FindCell(segment.id)];
-  if (cell == 0) {
-    return NotFound("segment not mapped");
-  }
-  slots_[cell - 1].segment = segment;
-  return Status::Ok();
-}
-
-uint64_t SegmentTable::AccessCount(SegmentId id) const {
-  const uint32_t cell = cells_[FindCell(id)];
-  return cell == 0 ? 0 : slots_[cell - 1].accesses;
-}
-
-void SegmentTable::ResetAccessCounts() {
-  for (Entry& entry : slots_) {
-    entry.accesses = 0;
-  }
+  return cell == 0 ? nullptr : &slots_[cell - 1];
 }
 
 std::vector<Segment> SegmentTable::Entries() const {
-  std::vector<Segment> out;
-  out.reserve(slots_.size());
-  for (const Entry& entry : slots_) {
-    out.push_back(entry.segment);
-  }
+  std::vector<Segment> out = slots_;
   std::sort(out.begin(), out.end(),
             [](const Segment& a, const Segment& b) { return a.id < b.id; });
   return out;

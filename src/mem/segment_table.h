@@ -11,9 +11,6 @@
 //
 // The table is periodically persisted to a pre-selected control/boot NVMe
 // area so the single-level store survives power cycles.
-//
-// Each entry also counts the data accesses translated through it, which is
-// what hints-based promotion (ObjectStore::PromoteHot) ranks segments by.
 
 #ifndef HYPERION_SRC_MEM_SEGMENT_TABLE_H_
 #define HYPERION_SRC_MEM_SEGMENT_TABLE_H_
@@ -61,16 +58,9 @@ class SegmentTable {
   // SRAM/HBM reference — contrast with the 4-level DRAM walk of the VM
   // baseline).
   Result<Segment> Lookup(SegmentId id) const;
-  // The same probe on the data path: `id`'s entry with its access count
-  // bumped, or null when unmapped. Valid until the table next changes.
-  const Segment* Touch(SegmentId id);
-
-  Status Update(const Segment& segment);  // kNotFound if absent; keeps the count
-
-  // Accesses Touch() recorded for `id` (0 when unmapped) since the entry
-  // was inserted or the counts were last reset.
-  uint64_t AccessCount(SegmentId id) const;
-  void ResetAccessCounts();
+  // The same probe on the data path, without building a Status: `id`'s
+  // entry, or null when unmapped. Valid until the table next changes.
+  const Segment* Find(SegmentId id) const;
 
   size_t size() const { return slots_.size(); }
   std::vector<Segment> Entries() const;  // sorted by id, for persistence/tests
@@ -90,17 +80,12 @@ class SegmentTable {
                                        uint64_t boot_area_lbas);
 
  private:
-  struct Entry {
-    Segment segment;
-    uint64_t accesses = 0;
-  };
-
   // The index cell holding `id`, or the empty cell where it would go.
   size_t FindCell(SegmentId id) const;
   void GrowIndex();
 
   // Entries, dense and unordered: erasing one moves the last into its slot.
-  std::vector<Entry> slots_;
+  std::vector<Segment> slots_;
   // Open-addressing index over slots_: a power-of-two number of cells,
   // linear probing; a cell holds slot + 1, or 0 when empty. At most a
   // quarter full: at half full a quarter to a third of lookups missed their

@@ -126,12 +126,6 @@ void Tlb::Insert(uint64_t vaddr, uint64_t page_paddr, PageSize page_size) {
   victim->lru = ++tick_;
 }
 
-void Tlb::Flush() {
-  for (Way& way : slots_) {
-    way.valid = false;
-  }
-}
-
 VirtualMemory::VirtualMemory(VmCostParams params)
     : params_(params),
       l1_(64, 4),       // 64-entry, 4-way L1 DTLB

@@ -85,7 +85,6 @@ class Tlb {
   // Probes for the page containing vaddr.
   bool Lookup(uint64_t vaddr, CachedTranslation* out);
   void Insert(uint64_t vaddr, uint64_t page_paddr, PageSize page_size);
-  void Flush();
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }

@@ -96,26 +96,4 @@ Status ZonedNamespace::Reset(uint32_t zone_id) {
   return Status::Ok();
 }
 
-Status ZonedNamespace::Open(uint32_t zone_id) {
-  if (zone_id >= zones_.size()) {
-    return InvalidArgument("no such zone");
-  }
-  Zone& zone = zones_[zone_id];
-  if (zone.state == ZoneState::kFull) {
-    return InvalidArgument("cannot open a full zone");
-  }
-  zone.state = ZoneState::kOpen;
-  return Status::Ok();
-}
-
-Status ZonedNamespace::Finish(uint32_t zone_id) {
-  if (zone_id >= zones_.size()) {
-    return InvalidArgument("no such zone");
-  }
-  Zone& zone = zones_[zone_id];
-  zone.write_pointer = zone.start_lba + zone.capacity_lbas;
-  zone.state = ZoneState::kFull;
-  return Status::Ok();
-}
-
 }  // namespace hyperion::nvme

@@ -4,10 +4,10 @@
 //
 // A zoned namespace divides the LBA space into fixed-size zones that must
 // be written sequentially at the zone's write pointer. The interface
-// models the spec's state machine (EMPTY -> OPEN -> FULL, explicit RESET)
-// plus Zone Append — the contention-free variant where the device picks
-// the LBA and returns it, which is what a log-structured engine on
-// Hyperion would actually use.
+// models the spec's state machine (a write opens an EMPTY zone, filling it
+// makes it FULL, RESET empties it) plus Zone Append — the contention-free
+// variant where the device picks the LBA and returns it, which is what a
+// log-structured engine on Hyperion would actually use.
 
 #ifndef HYPERION_SRC_NVME_ZNS_H_
 #define HYPERION_SRC_NVME_ZNS_H_
@@ -62,11 +62,6 @@ class ZonedNamespace {
 
   // Resets the zone to EMPTY (the explicit erase the host now controls).
   Status Reset(uint32_t zone_id);
-
-  // Explicitly transitions EMPTY -> OPEN (bounded by max_open in the spec;
-  // modelled unbounded here, but the transition is still required).
-  Status Open(uint32_t zone_id);
-  Status Finish(uint32_t zone_id);  // force FULL
 
  private:
   ZonedNamespace(Controller* controller, uint32_t nsid, uint64_t zone_lbas)

@@ -106,11 +106,6 @@ SpanRecord* Tracer::Find(SpanId id) {
   return nullptr;
 }
 
-void Tracer::Clear() {
-  spans_.clear();
-  stack_.clear();
-}
-
 std::vector<SpanRecord> Tracer::Merged(const std::vector<const Tracer*>& tracers) {
   std::vector<SpanRecord> merged;
   size_t total = 0;

@@ -162,7 +162,6 @@ class Tracer {
 
   const std::vector<SpanRecord>& spans() const { return spans_; }
   size_t open_depth() const { return stack_.size(); }
-  void Clear();
 
   // Deterministic cross-tracer merge: (begin, origin, id) order. Origins
   // must be unique across the merged tracers for the order to be total.

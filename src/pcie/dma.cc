@@ -10,13 +10,6 @@ Result<sim::Duration> DmaEngine::TransferPeerToPeer(NodeId src, NodeId dst, uint
   return DoTransfer(src, dst, bytes, "p2p_dma");
 }
 
-Result<sim::Duration> DmaEngine::TransferDescriptor(const DmaDescriptor& descriptor) {
-  counters_.Add("dma_sg_transfers", 1);
-  counters_.Add("dma_sg_segments", descriptor.data.segment_count());
-  return DoTransfer(descriptor.src, descriptor.dst, descriptor.data.size(),
-                    descriptor.peer_to_peer ? "p2p_dma" : "dma");
-}
-
 Result<sim::Duration> DmaEngine::DoTransfer(NodeId src, NodeId dst, uint64_t bytes,
                                             const char* kind) {
   ASSIGN_OR_RETURN(sim::Duration latency, topology_->TransferLatency(src, dst, bytes));

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "src/common/buffer.h"
 #include "src/common/result.h"
 #include "src/obs/trace.h"
 #include "src/pcie/topology.h"
@@ -20,15 +19,6 @@
 #include "src/sim/stats.h"
 
 namespace hyperion::pcie {
-
-// Scatter-gather DMA descriptor: the transfer references the payload's
-// buffer segments (SGL-style) — no staging copy is made to launch it.
-struct DmaDescriptor {
-  NodeId src = 0;
-  NodeId dst = 0;
-  BufferChain data;
-  bool peer_to_peer = false;
-};
 
 class DmaEngine {
  public:
@@ -58,11 +48,6 @@ class DmaEngine {
   // under a separate counter so experiments can distinguish P2P DMA (e.g.
   // NVMe CMB-based designs) from root-complex-mediated flows.
   Result<sim::Duration> TransferPeerToPeer(NodeId src, NodeId dst, uint64_t bytes);
-
-  // Scatter-gather transfer: identical cost model to Transfer for the
-  // chain's total byte count (segmentation never changes modelled latency),
-  // with dma_sg_transfers / dma_sg_segments accounting on top.
-  Result<sim::Duration> TransferDescriptor(const DmaDescriptor& descriptor);
 
   const sim::Counters& counters() const { return counters_; }
   void ResetCounters() { counters_.Reset(); }

@@ -7,6 +7,10 @@
 
 namespace hyperion::storage {
 
+namespace {
+Status TooDeep() { return DataLoss("B+ tree walk deeper than the tree's height"); }
+}  // namespace
+
 // In-memory node image; serialized into one kNodeBytes segment.
 struct BPlusTree::Node {
   bool is_leaf = true;
@@ -201,7 +205,22 @@ Status BPlusTree::WriteNode(uint64_t node_id, const Node& node) {
   return store_->Write(NodeSegment(node_id), 0, ByteSpan(raw.data(), raw.size()));
 }
 
+Result<std::pair<uint64_t, BPlusTree::Image>> BPlusTree::Descend(uint64_t key) {
+  uint64_t node_id = root_;
+  for (uint32_t depth = 1;; ++depth) {
+    ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
+    if (image.is_leaf()) {
+      return std::make_pair(node_id, std::move(image));
+    }
+    if (depth == height_) {
+      return TooDeep();
+    }
+    node_id = image.Child(image.UpperBound(key));
+  }
+}
+
 Result<std::optional<std::pair<uint64_t, uint64_t>>> BPlusTree::InsertRec(uint64_t node_id,
+                                                                          uint32_t depth,
                                                                           uint64_t key,
                                                                           ByteSpan value) {
   ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
@@ -235,9 +254,12 @@ Result<std::optional<std::pair<uint64_t, uint64_t>>> BPlusTree::InsertRec(uint64
     return std::make_optional(std::make_pair(right.keys.front(), right_id));
   }
   // Inner: route to the child covering `key`.
+  if (depth == height_) {
+    return TooDeep();
+  }
   auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
   const size_t child_idx = static_cast<size_t>(it - node.keys.begin());
-  ASSIGN_OR_RETURN(auto split, InsertRec(node.children[child_idx], key, value));
+  ASSIGN_OR_RETURN(auto split, InsertRec(node.children[child_idx], depth + 1, key, value));
   if (!split.has_value()) {
     return std::optional<std::pair<uint64_t, uint64_t>>{};
   }
@@ -267,7 +289,7 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
   if (value.size() > kMaxValueLen) {
     return InvalidArgument("value exceeds kMaxValueLen");
   }
-  ASSIGN_OR_RETURN(auto split, InsertRec(root_, key, value));
+  ASSIGN_OR_RETURN(auto split, InsertRec(root_, 1, key, value));
   if (split.has_value()) {
     // Grow a new root.
     Node new_root;
@@ -282,41 +304,29 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
 }
 
 Result<Bytes> BPlusTree::Get(uint64_t key) {
-  uint64_t node_id = root_;
-  while (true) {
-    ASSIGN_OR_RETURN(Image node, ReadImage(node_id));
-    if (node.is_leaf()) {
-      const uint32_t pos = node.LowerBound(key);
-      if (pos == node.count() || node.Key(pos) != key) {
-        return NotFound("key not in tree");
-      }
-      const ByteSpan value = node.Value(pos);
-      return Bytes(value.begin(), value.end());
-    }
-    node_id = node.Child(node.UpperBound(key));
+  ASSIGN_OR_RETURN(auto found, Descend(key));
+  const Image& leaf = found.second;
+  const uint32_t pos = leaf.LowerBound(key);
+  if (pos == leaf.count() || leaf.Key(pos) != key) {
+    return NotFound("key not in tree");
   }
+  const ByteSpan value = leaf.Value(pos);
+  return Bytes(value.begin(), value.end());
 }
 
 Status BPlusTree::Delete(uint64_t key) {
-  // Walk to the leaf, remembering the path is unnecessary: no rebalancing.
-  uint64_t node_id = root_;
-  while (true) {
-    ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
-    if (!image.is_leaf()) {
-      node_id = image.Child(image.UpperBound(key));
-      continue;
-    }
-    ASSIGN_OR_RETURN(Node node, image.Decode());
-    auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
-    if (it == node.keys.end() || *it != key) {
-      return NotFound("key not in tree");
-    }
-    const size_t pos = static_cast<size_t>(it - node.keys.begin());
-    node.keys.erase(it);
-    node.values.erase(node.values.begin() + static_cast<ptrdiff_t>(pos));
-    --entry_count_;
-    return WriteNode(node_id, node);
+  // Remembering the path is unnecessary: no rebalancing.
+  ASSIGN_OR_RETURN(auto found, Descend(key));
+  ASSIGN_OR_RETURN(Node node, found.second.Decode());
+  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
+  if (it == node.keys.end() || *it != key) {
+    return NotFound("key not in tree");
   }
+  const size_t pos = static_cast<size_t>(it - node.keys.begin());
+  node.keys.erase(it);
+  node.values.erase(node.values.begin() + static_cast<ptrdiff_t>(pos));
+  --entry_count_;
+  return WriteNode(found.first, node);
 }
 
 Result<std::vector<std::pair<uint64_t, Bytes>>> BPlusTree::Scan(uint64_t lo, uint64_t hi) {
@@ -324,26 +334,25 @@ Result<std::vector<std::pair<uint64_t, Bytes>>> BPlusTree::Scan(uint64_t lo, uin
     return InvalidArgument("scan range is inverted");
   }
   std::vector<std::pair<uint64_t, Bytes>> out;
-  // Descend to the leaf containing lo.
-  uint64_t node_id = root_;
-  while (true) {
-    ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
-    if (!image.is_leaf()) {
-      node_id = image.Child(image.UpperBound(lo));
-      continue;
+  ASSIGN_OR_RETURN(auto found, Descend(lo));
+  ASSIGN_OR_RETURN(Node leaf, found.second.Decode());
+  // Walk the leaf chain. Its links come off media too: an honest chain
+  // holds only leaves, and no more of them than the tree has nodes.
+  for (uint64_t leaves = 1;; ++leaves) {
+    for (size_t i = 0; i < leaf.keys.size(); ++i) {
+      if (leaf.keys[i] >= lo && leaf.keys[i] <= hi) {
+        out.emplace_back(leaf.keys[i], leaf.values[i]);
+      }
     }
-    // Walk the leaf chain.
-    ASSIGN_OR_RETURN(Node leaf, image.Decode());
-    while (true) {
-      for (size_t i = 0; i < leaf.keys.size(); ++i) {
-        if (leaf.keys[i] >= lo && leaf.keys[i] <= hi) {
-          out.emplace_back(leaf.keys[i], leaf.values[i]);
-        }
-      }
-      if (leaf.next_leaf == 0 || (!leaf.keys.empty() && leaf.keys.back() > hi)) {
-        return out;
-      }
-      ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
+    if (leaf.next_leaf == 0 || (!leaf.keys.empty() && leaf.keys.back() > hi)) {
+      return out;
+    }
+    if (leaves == next_node_id_ - 1) {
+      return DataLoss("B+ tree leaf chain longer than the tree");
+    }
+    ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
+    if (!leaf.is_leaf) {
+      return DataLoss("B+ tree leaf chain reaches an inner node");
     }
   }
 }

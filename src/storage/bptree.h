@@ -89,10 +89,17 @@ class BPlusTree {
   Result<Node> ReadNode(uint64_t node_id);
   Status WriteNode(uint64_t node_id, const Node& node);
 
-  // Insert into subtree rooted at node_id; on split returns the new right
-  // sibling's (separator_key, node_id).
-  Result<std::optional<std::pair<uint64_t, uint64_t>>> InsertRec(uint64_t node_id, uint64_t key,
-                                                                 ByteSpan value);
+  // Child ids come off media, so one may name its own node or an
+  // ancestor. Every descent therefore checks the tree's shape as it goes:
+  // the node at depth Height() must be a leaf, or the walk answers DataLoss.
+  //
+  // The leaf covering `key` and its node id.
+  Result<std::pair<uint64_t, Image>> Descend(uint64_t key);
+  // Insert into subtree rooted at node_id, which sits at `depth` (the root
+  // is at 1); on split returns the new right sibling's (separator_key,
+  // node_id).
+  Result<std::optional<std::pair<uint64_t, uint64_t>>> InsertRec(uint64_t node_id, uint32_t depth,
+                                                                 uint64_t key, ByteSpan value);
 
   mem::ObjectStore* store_;
   uint64_t tree_id_;

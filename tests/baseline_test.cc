@@ -36,29 +36,6 @@ TEST(HostCpuTest, CopyCostScalesWithBytes) {
   EXPECT_GT(large, small * 100);
 }
 
-TEST(CpuServerTest, IngestTraversesFullKernelPath) {
-  sim::Engine engine;
-  CpuServer server(&engine);
-  auto latency = server.IngestToStorage(64 * 1024);
-  ASSERT_TRUE(latency.ok());
-  EXPECT_GT(*latency, 0u);
-  const auto& counters = server.cpu().counters();
-  EXPECT_GE(counters.Get("syscalls"), 2u);       // read + write
-  EXPECT_GE(counters.Get("interrupts"), 2u);     // rx + completion
-  EXPECT_GE(counters.Get("copied_bytes"), 2u * 64 * 1024);  // two crossings
-  EXPECT_EQ(server.nvme().counters().Get("nvme_writes"), 1u);
-}
-
-TEST(CpuServerTest, ServeReadsBack) {
-  sim::Engine engine;
-  CpuServer server(&engine);
-  ASSERT_TRUE(server.IngestToStorage(8192).ok());
-  auto latency = server.ServeFromStorage(8192);
-  ASSERT_TRUE(latency.ok());
-  EXPECT_GT(*latency, 0u);
-  EXPECT_EQ(server.nvme().counters().Get("nvme_reads"), 1u);
-}
-
 TEST(CpuServerTest, KvOperationChargesSoftwareOverheads) {
   sim::Engine engine;
   CpuServer server(&engine);

@@ -689,19 +689,23 @@ namespace composition_checks {
 using namespace hyperion;  // NOLINT
 using namespace hyperion::dpu;  // NOLINT
 
-TEST(CompositionTest, BusAddressMapRoutesTiersAndDevices) {
+// A card populated without HBM is a valid configuration: the object store
+// places performance-critical segments in DRAM instead.
+TEST(CompositionTest, DpuWithoutHbmBoots) {
   sim::Engine engine;
   net::Fabric fabric(&engine);
-  Hyperion dpu(&engine, &fabric);
-  // The static Figure-2 address split: low = DRAM, 0x1000... = HBM,
-  // 0x2000... = NVMe BARs (one window per device).
-  EXPECT_EQ(*dpu.axi().Route(0x0000'0000'1000ull), fpga::Port::kDram);
-  EXPECT_EQ(*dpu.axi().Route(0x1000'0000'0010ull), fpga::Port::kHbm);
-  EXPECT_EQ(*dpu.axi().Route(0x2000'0000'0000ull), fpga::Port::kNvme0);
-  EXPECT_EQ(*dpu.axi().Route(0x2100'0000'0000ull), fpga::Port::kNvme1);
-  EXPECT_EQ(*dpu.axi().Route(0x2300'0000'0000ull), fpga::Port::kNvme3);
-  // Holes are unmapped.
-  EXPECT_FALSE(dpu.axi().Route(0x0F00'0000'0000ull).ok());
+  HyperionConfig config;
+  config.hbm_bytes = 0;
+  Hyperion dpu(&engine, &fabric, config);
+  ASSERT_TRUE(dpu.Boot().ok());
+  auto services = HyperionServices::Install(&dpu);
+  ASSERT_TRUE(services.ok());
+  Bytes value(100, 7);
+  ASSERT_TRUE((*services)->kv().Put(1, ByteSpan(value.data(), value.size())).ok());
+  EXPECT_EQ(*(*services)->kv().Get(1), value);
+  auto hot = dpu.store().Create(4096, {.performance_critical = true});
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(dpu.store().Describe(*hot)->location, mem::Location::kDram);
 }
 
 TEST(CompositionTest, PacketProcessingChargesFabricEnergy) {

@@ -1111,16 +1111,6 @@ TEST(HdlCodegenTest, HelperCallsCostHelperCycles) {
   EXPECT_GT(pricey->CriticalPathCycles(), cheap->CriticalPathCycles());
 }
 
-TEST(HdlCodegenTest, VerilogSketchMentionsProgram) {
-  Program p = MustAssemble("mov r0, 0\nexit\n");
-  auto plan = CompileToPipeline(p);
-  ASSERT_TRUE(plan.ok());
-  const std::string sketch = EmitVerilogSketch(p, *plan);
-  EXPECT_NE(sketch.find("module"), std::string::npos);
-  EXPECT_NE(sketch.find("endmodule"), std::string::npos);
-  EXPECT_NE(sketch.find("mov r0, 0"), std::string::npos);
-}
-
 TEST(HdlCodegenTest, PipelineBeatsInterpreterOnParallelCode) {
   // Wide independent work: the pipeline should need far fewer cycles than
   // one-insn-per-cycle interpretation.

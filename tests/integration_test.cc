@@ -130,52 +130,6 @@ TEST(IntegrationTest, BlockServiceReadsAndWritesRawLbas) {
   EXPECT_TRUE(rpc.Call({ServiceId::kBlock, BlockOp::kFlush, std::move(flush)})->status.ok());
 }
 
-// -- Promotion ------------------------------------------------------------
-
-TEST(IntegrationTest, HotFlashSegmentsPromoteToDram) {
-  sim::Engine engine;
-  nvme::Controller ctrl(&engine);
-  mem::ObjectStoreConfig config;
-  config.dram_bytes = 1 << 20;
-  config.hbm_bytes = 0;
-  config.nvme_nsid = ctrl.AddNamespace(65536);
-  mem::ObjectStore store(&engine, &ctrl, config);
-
-  // Fill DRAM so new ephemeral segments spill to flash.
-  ASSERT_TRUE(store.Create(1 << 20, {}).ok());
-  auto hot = store.Create(4096, {});
-  auto cold = store.Create(4096, {});
-  ASSERT_TRUE(hot.ok());
-  ASSERT_TRUE(cold.ok());
-  ASSERT_EQ(store.Describe(*hot)->location, mem::Location::kNvme);
-
-  // Heat up one segment.
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.Read(*hot, 0, 64).ok());
-  }
-  ASSERT_TRUE(store.Read(*cold, 0, 64).ok());
-
-  // DRAM is full: promotion stalls.
-  auto promoted_full = store.PromoteHot(10, 8);
-  ASSERT_TRUE(promoted_full.ok());
-  EXPECT_EQ(*promoted_full, 0u);
-
-  // Free DRAM, re-heat (counters were reset), promote: only the hot one moves.
-  auto entries_before = store.SegmentCount();
-  (void)entries_before;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.Read(*hot, 0, 64).ok());
-  }
-  // Delete the DRAM hog.
-  const mem::SegmentId hog(0xC0FFEEull, 1);
-  ASSERT_TRUE(store.Delete(hog).ok());
-  auto promoted = store.PromoteHot(10, 8);
-  ASSERT_TRUE(promoted.ok());
-  EXPECT_EQ(*promoted, 1u);
-  EXPECT_EQ(store.Describe(*hot)->location, mem::Location::kDram);
-  EXPECT_EQ(store.Describe(*cold)->location, mem::Location::kNvme);
-}
-
 // -- Whole-stack crash consistency -----------------------------------------
 
 TEST(IntegrationTest, FullStackPowerCycle) {
@@ -214,66 +168,6 @@ TEST(IntegrationTest, FullStackPowerCycle) {
 
 }  // namespace
 }  // namespace hyperion
-
-namespace file_service {
-
-using namespace hyperion;  // NOLINT
-using dpu::FileOp;
-using dpu::ServiceId;
-
-TEST(IntegrationTest, FileServiceServesAnnotatedVolume) {
-  sim::Engine engine;
-  net::Fabric fabric(&engine);
-  const net::HostId client = fabric.AddHost("client");
-  dpu::Hyperion dpu(&engine, &fabric);
-  CHECK_OK(dpu.Boot());
-  // Prepare a volume on namespace 3 (outside the object store's namespace 1).
-  auto extfs = fs::ExtFs::Format(&dpu.nvme(), 3);
-  ASSERT_TRUE(extfs.ok());
-  ASSERT_TRUE(extfs->Mkdir("/exports").ok());
-  auto inode = extfs->CreateFile("/exports/data.bin");
-  ASSERT_TRUE(inode.ok());
-  Bytes contents(10000);
-  for (size_t i = 0; i < contents.size(); ++i) {
-    contents[i] = static_cast<uint8_t>(i * 31);
-  }
-  ASSERT_TRUE(extfs->WriteFile(*inode, 0, ByteSpan(contents.data(), contents.size())).ok());
-
-  auto services = dpu::HyperionServices::Install(&dpu);
-  ASSERT_TRUE(services.ok());
-  ASSERT_TRUE((*services)->ServeVolume(3).ok());
-
-  Rng rng(1);
-  auto transport = net::MakeTransport(net::TransportKind::kRdma, &fabric, &rng);
-  dpu::RpcClient rpc(transport.get(), client, dpu.host_id(), &dpu.rpc());
-
-  // Resolve over the wire.
-  Bytes resolve;
-  PutString(resolve, "/exports/data.bin");
-  auto resolved = rpc.Call({ServiceId::kFile, FileOp::kResolve, std::move(resolve)});
-  ASSERT_TRUE(resolved.ok());
-  ASSERT_TRUE(resolved->status.ok());
-  EXPECT_EQ(GetU32(resolved->payload, 0), *inode);
-
-  // Ranged read over the wire, byte-identical with what the FS wrote.
-  Bytes read;
-  PutString(read, "/exports/data.bin");
-  PutU64(read, 5000);
-  PutU64(read, 200);
-  auto data = rpc.Call({ServiceId::kFile, FileOp::kRead, std::move(read)});
-  ASSERT_TRUE(data.ok());
-  ASSERT_TRUE(data->status.ok());
-  EXPECT_EQ(data->payload, Bytes(contents.begin() + 5000, contents.begin() + 5200));
-
-  // Missing paths surface as NotFound through the RPC boundary.
-  Bytes missing;
-  PutString(missing, "/exports/nope");
-  auto absent = rpc.Call({ServiceId::kFile, FileOp::kResolve, std::move(missing)});
-  ASSERT_TRUE(absent.ok());
-  EXPECT_EQ(absent->status.code(), StatusCode::kNotFound);
-}
-
-}  // namespace file_service
 
 namespace app_rpc {
 

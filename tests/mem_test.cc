@@ -248,7 +248,6 @@ TEST(SegmentTableTest, ChurnMatchesReference) {
   Rng rng(2025);
   SegmentTable table;
   std::map<SegmentId, Segment> reference;
-  std::map<SegmentId, uint64_t> accesses;
   for (int op = 0; op < 24000; ++op) {
     const SegmentId id = ids[rng.Uniform(ids.size())];
     const bool mapped = reference.count(id) != 0;
@@ -265,7 +264,6 @@ TEST(SegmentTableTest, ChurnMatchesReference) {
         ASSERT_EQ(st.code(), mapped ? StatusCode::kAlreadyExists : StatusCode::kOk) << op;
         if (!mapped) {
           reference[id] = seg;
-          accesses[id] = 0;
         }
         break;
       }
@@ -275,34 +273,22 @@ TEST(SegmentTableTest, ChurnMatchesReference) {
         if (mapped) {
           ExpectSameSegment(*erased, reference[id]);
           reference.erase(id);
-          accesses.erase(id);
-        }
-        break;
-      }
-      case 3: {
-        ASSERT_EQ(table.Update(seg).code(), mapped ? StatusCode::kOk : StatusCode::kNotFound);
-        if (mapped) {
-          reference[id] = seg;  // the access count carries over
         }
         break;
       }
       default: {
         Result<Segment> found = table.Lookup(id);
         ASSERT_EQ(found.ok(), mapped) << op;
-        const Segment* touched = table.Touch(id);
-        ASSERT_EQ(touched != nullptr, mapped) << op;
+        const Segment* probed = table.Find(id);
+        ASSERT_EQ(probed != nullptr, mapped) << op;
         if (mapped) {
           ExpectSameSegment(*found, reference[id]);
-          ExpectSameSegment(*touched, reference[id]);
-          ++accesses[id];
+          ExpectSameSegment(*probed, reference[id]);
         }
         break;
       }
     }
     ASSERT_EQ(table.size(), reference.size()) << op;
-    for (const SegmentId& probe : ids) {
-      ASSERT_EQ(table.AccessCount(probe), accesses.count(probe) ? accesses[probe] : 0) << op;
-    }
     if (op % 97 == 0 || op == 23999) {
       const std::vector<Segment> entries = table.Entries();
       ASSERT_EQ(entries.size(), reference.size());
@@ -620,24 +606,6 @@ TEST_F(ObjectStoreTest, BoundsEnforced) {
   }
 }
 
-TEST_F(ObjectStoreTest, MigratePreservesContents) {
-  auto id = store_->Create(8192, {});
-  ASSERT_TRUE(id.ok());
-  Bytes data = Pattern(8192, 5);
-  ASSERT_TRUE(store_->Write(*id, 0, ByteSpan(data.data(), data.size())).ok());
-  ASSERT_TRUE(store_->Migrate(*id, Location::kNvme).ok());
-  EXPECT_EQ(store_->Describe(*id)->location, Location::kNvme);
-  EXPECT_EQ(*store_->Read(*id, 0, 8192), data);
-  ASSERT_TRUE(store_->Migrate(*id, Location::kHbm).ok());
-  EXPECT_EQ(*store_->Read(*id, 0, 8192), data);
-}
-
-TEST_F(ObjectStoreTest, DurableSegmentCannotLeaveNvme) {
-  auto id = store_->Create(4096, {.durable = true});
-  ASSERT_TRUE(id.ok());
-  EXPECT_FALSE(store_->Migrate(*id, Location::kDram).ok());
-}
-
 TEST_F(ObjectStoreTest, DeleteReleasesSpace) {
   ObjectStoreConfig tiny;
   tiny.dram_bytes = 8192;
@@ -690,98 +658,6 @@ TEST_F(ObjectStoreTest, RecoverRejectsABootLengthThatWouldWrap) {
   EXPECT_EQ(recovered.status().message(), "snapshot length exceeds boot area");
 }
 
-TEST_F(ObjectStoreTest, AccessCountsLiveInMappedEntries) {
-  auto a = store_->Create(8192, {});
-  auto b = store_->Create(4096, {.durable = true});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  Bytes data(64, 1);
-  Bytes out(64);
-  ASSERT_TRUE(store_->Read(*a, 0, 64).ok());
-  ASSERT_TRUE(store_->ReadInto(*a, 0, MutableByteSpan(out)).ok());
-  ASSERT_TRUE(store_->Write(*a, 0, ByteSpan(data.data(), data.size())).ok());
-  ASSERT_TRUE(store_->Read(*b, 0, 64).ok());
-  // An access that fails its bounds check was still translated.
-  EXPECT_EQ(store_->Read(*a, 8192, 1).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(store_->AccessCount(*a), 4u);
-  EXPECT_EQ(store_->AccessCount(*b), 1u);
-  ASSERT_TRUE(store_->Describe(*a).ok());  // not an access
-  EXPECT_EQ(store_->AccessCount(*a), 4u);
-
-  // An unmapped id pays the translation but keeps no count, so a segment
-  // created under it later starts from zero.
-  const SegmentId stray(0x5757, 1);
-  const uint64_t translations = store_->counters().Get("translations");
-  const auto before = engine_.Now();
-  EXPECT_EQ(store_->Read(stray, 0, 1).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine_.Now() - before, SegmentTable::kLookupCost);
-  EXPECT_EQ(store_->counters().Get("translations"), translations + 1);
-  EXPECT_EQ(store_->AccessCount(stray), 0u);
-  ASSERT_TRUE(store_->CreateWithId(stray, 64, {}).ok());
-  EXPECT_EQ(store_->AccessCount(stray), 0u);
-
-  // Migration reads and rewrites the segment (two accesses) and keeps its count.
-  ASSERT_TRUE(store_->Migrate(*a, Location::kHbm).ok());
-  EXPECT_EQ(store_->AccessCount(*a), 6u);
-
-  // Delete drops the count with the entry.
-  ASSERT_TRUE(store_->Delete(*a).ok());
-  EXPECT_EQ(store_->AccessCount(*a), 0u);
-  ASSERT_TRUE(store_->CreateWithId(*a, 64, {}).ok());
-  EXPECT_EQ(store_->AccessCount(*a), 0u);
-
-  // Recovery rebuilds the table from the boot area: counts start over.
-  ASSERT_TRUE(store_->Checkpoint().ok());
-  ASSERT_TRUE(store_->Recover().ok());
-  EXPECT_EQ(store_->AccessCount(*b), 0u);
-}
-
-TEST_F(ObjectStoreTest, PromoteHotMovesTheHottestEphemeralFlashSegments) {
-  // Fill DRAM and HBM so the next ephemeral segments spill to flash.
-  auto dram_hog = store_->Create(1 << 20, {});
-  auto hbm_hog = store_->Create(256 << 10, {});
-  ASSERT_TRUE(dram_hog.ok());
-  ASSERT_TRUE(hbm_hog.ok());
-  std::vector<SegmentId> flash;
-  for (int i = 0; i < 4; ++i) {
-    auto id = store_->Create(4096, {});
-    ASSERT_TRUE(id.ok());
-    ASSERT_EQ(store_->Describe(*id)->location, Location::kNvme);
-    flash.push_back(*id);
-  }
-  auto durable = store_->Create(4096, {.durable = true});
-  ASSERT_TRUE(durable.ok());
-  const int reads[] = {5, 12, 30, 0};
-  for (size_t i = 0; i < flash.size(); ++i) {
-    for (int r = 0; r < reads[i]; ++r) {
-      ASSERT_TRUE(store_->Read(flash[i], 0, 8).ok());
-    }
-  }
-  for (int r = 0; r < 50; ++r) {
-    ASSERT_TRUE(store_->Read(*durable, 0, 8).ok());  // durable: never promoted
-  }
-  ASSERT_TRUE(store_->Delete(*dram_hog).ok());
-
-  // At most one promotion: the hottest candidate moves; every count resets.
-  EXPECT_EQ(*store_->PromoteHot(10, 1), 1u);
-  EXPECT_EQ(store_->Describe(flash[2])->location, Location::kDram);
-  EXPECT_EQ(store_->Describe(flash[1])->location, Location::kNvme);
-  EXPECT_EQ(store_->Describe(*durable)->location, Location::kNvme);
-  for (const SegmentId& id : {flash[0], flash[1], flash[2], flash[3], *durable}) {
-    EXPECT_EQ(store_->AccessCount(id), 0u);
-  }
-  EXPECT_EQ(*store_->PromoteHot(10, 8), 0u);
-
-  // Re-heated past the threshold, the next one moves.
-  for (int r = 0; r < 10; ++r) {
-    ASSERT_TRUE(store_->Read(flash[1], 0, 8).ok());
-  }
-  ASSERT_TRUE(store_->Read(flash[0], 0, 8).ok());
-  EXPECT_EQ(*store_->PromoteHot(10, 8), 1u);
-  EXPECT_EQ(store_->Describe(flash[1])->location, Location::kDram);
-  EXPECT_EQ(store_->Describe(flash[0])->location, Location::kNvme);
-}
-
 TEST_F(ObjectStoreTest, TranslationCostCharged) {
   auto id = store_->Create(64, {});
   ASSERT_TRUE(id.ok());
@@ -789,6 +665,29 @@ TEST_F(ObjectStoreTest, TranslationCostCharged) {
   ASSERT_TRUE(store_->Read(*id, 0, 64).ok());
   EXPECT_GE(engine_.Now() - before, SegmentTable::kLookupCost);
   EXPECT_GE(store_->counters().Get("translations"), 1u);
+}
+
+TEST_F(ObjectStoreTest, EveryAccessPaysOneTranslation) {
+  auto id = store_->Create(64, {});
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(store_->Read(*id, 0, 64).ok());
+  EXPECT_EQ(store_->counters().Get("translations"), 1u);
+
+  // Every data access translates once, even one that fails its bounds
+  // check. Describe is not an access.
+  Bytes data(64, 1);
+  Bytes out(64);
+  ASSERT_TRUE(store_->ReadInto(*id, 0, MutableByteSpan(out)).ok());
+  ASSERT_TRUE(store_->Write(*id, 0, ByteSpan(data.data(), data.size())).ok());
+  EXPECT_EQ(store_->Read(*id, 64, 1).status().code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(store_->Describe(*id).ok());
+  EXPECT_EQ(store_->counters().Get("translations"), 4u);
+
+  // An unmapped id pays the translation and nothing more.
+  const auto unmapped = engine_.Now();
+  EXPECT_EQ(store_->Read(SegmentId(0x5757, 1), 0, 1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine_.Now() - unmapped, SegmentTable::kLookupCost);
+  EXPECT_EQ(store_->counters().Get("translations"), 5u);
 }
 
 // -- VM baseline ---------------------------------------------------------

@@ -610,14 +610,6 @@ TEST_F(ZnsTest, ResetReturnsZoneToEmpty) {
   EXPECT_TRUE(zns_->Write(0, 0, ByteSpan(data.data(), data.size())).ok());
 }
 
-TEST_F(ZnsTest, FinishForcesFull) {
-  ASSERT_TRUE(zns_->Finish(5).ok());
-  EXPECT_EQ(zns_->Describe(5)->state, ZoneState::kFull);
-  Bytes data = Blocks(1, 9);
-  EXPECT_EQ(zns_->Write(5, 80, ByteSpan(data.data(), data.size())).code(),
-            StatusCode::kResourceExhausted);
-}
-
 TEST_F(ZnsTest, ZoneSizeMustDivideIntoNamespace) {
   EXPECT_FALSE(ZonedNamespace::Create(&ctrl_, nsid_, 0).ok());
   EXPECT_FALSE(ZonedNamespace::Create(&ctrl_, nsid_, 10000).ok());

@@ -1,12 +1,11 @@
-// Tests for the storage engines: B+ tree, hash index, Corfu log, and WAL
-// transactions (including crash-injection recovery).
+// Tests for the storage engines: B+ tree, hash index, Corfu log, KV facade
+// and graph store.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -19,7 +18,6 @@
 #include "src/storage/graph.h"
 #include "src/storage/hash_index.h"
 #include "src/storage/kv.h"
-#include "src/storage/txn.h"
 
 namespace hyperion::storage {
 namespace {
@@ -161,32 +159,27 @@ TEST_F(StorageTest, BTreePropertyMatchesStdMap) {
 }
 
 // Get as it ran when every node on the path was decoded: ParseBPlusNode per
-// hop. nullopt when the walk comes back to a node: a corrupt child id can
-// point up the tree, and then neither walk ends.
-std::optional<Result<Bytes>> DecodedGet(mem::ObjectStore* store, const BPlusTree& tree,
-                                        uint64_t key) {
-  std::set<uint64_t> seen;
-  for (uint64_t node_id = tree.root_node_id(); seen.insert(node_id).second;) {
-    Result<Bytes> raw =
-        store->Read(BPlusNodeSegment(tree.tree_id(), node_id), 0, BPlusTree::kNodeBytes);
-    if (!raw.ok()) {
-      return Result<Bytes>(raw.status());
-    }
-    Result<NodeView> node = ParseBPlusNode(ByteSpan(raw->data(), raw->size()));
-    if (!node.ok()) {
-      return Result<Bytes>(node.status());
-    }
-    if (node->is_leaf) {
-      auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
-      if (it == node->keys.end() || *it != key) {
-        return Result<Bytes>(NotFound("key not in tree"));
+// hop, and an inner node at depth Height() is DataLoss (a corrupt child id
+// can point up the tree).
+Result<Bytes> DecodedGet(mem::ObjectStore* store, const BPlusTree& tree, uint64_t key) {
+  uint64_t node_id = tree.root_node_id();
+  for (uint32_t depth = 1;; ++depth) {
+    ASSIGN_OR_RETURN(Bytes raw, store->Read(BPlusNodeSegment(tree.tree_id(), node_id), 0,
+                                            BPlusTree::kNodeBytes));
+    ASSIGN_OR_RETURN(NodeView node, ParseBPlusNode(ByteSpan(raw.data(), raw.size())));
+    if (node.is_leaf) {
+      auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
+      if (it == node.keys.end() || *it != key) {
+        return NotFound("key not in tree");
       }
-      return Result<Bytes>(node->values[static_cast<size_t>(it - node->keys.begin())]);
+      return node.values[static_cast<size_t>(it - node.keys.begin())];
     }
-    auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key);
-    node_id = node->children[static_cast<size_t>(it - node->keys.begin())];
+    if (depth == tree.Height()) {
+      return DataLoss("B+ tree walk deeper than the tree's height");
+    }
+    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
+    node_id = node.children[static_cast<size_t>(it - node.keys.begin())];
   }
-  return std::nullopt;
 }
 
 TEST_F(StorageTest, BTreeGetOnCorruptNodesMatchesDecodingThem) {
@@ -216,19 +209,16 @@ TEST_F(StorageTest, BTreeGetOnCorruptNodesMatchesDecodingThem) {
     auto check = [&](const Bytes& image, const std::string& what) {
       ASSERT_TRUE(store_->Write(root, 0, ByteSpan(image.data(), image.size())).ok());
       for (const uint64_t key : probes) {
-        const std::optional<Result<Bytes>> want = DecodedGet(store_.get(), *tree, key);
-        if (!want.has_value()) {
-          continue;
-        }
+        const Result<Bytes> want = DecodedGet(store_.get(), *tree, key);
         ++compared;
         const Result<Bytes> got = tree->Get(key);
-        ASSERT_EQ(got.ok(), want->ok()) << what << ", key " << key;
+        ASSERT_EQ(got.ok(), want.ok()) << what << ", key " << key;
         if (got.ok()) {
-          ASSERT_EQ(*got, **want) << what << ", key " << key;
+          ASSERT_EQ(*got, *want) << what << ", key " << key;
           ++outcomes["value"];
         } else {
-          ASSERT_EQ(got.status().code(), want->status().code()) << what << ", key " << key;
-          ASSERT_EQ(got.status().message(), want->status().message()) << what << ", key " << key;
+          ASSERT_EQ(got.status().code(), want.status().code()) << what << ", key " << key;
+          ASSERT_EQ(got.status().message(), want.status().message()) << what << ", key " << key;
           ++outcomes[std::string(got.status().message())];
         }
       }
@@ -255,6 +245,88 @@ TEST_F(StorageTest, BTreeGetOnCorruptNodesMatchesDecodingThem) {
       EXPECT_GT(outcomes[outcome], 0) << keys << " keys: " << outcome;
     }
   }
+}
+
+// Rewrites the u64 at `offset` of node `node_id`'s stored image.
+void OverwriteNodeU64(mem::ObjectStore* store, const BPlusTree& tree, uint64_t node_id,
+                      size_t offset, uint64_t value) {
+  Bytes bytes;
+  PutU64(bytes, value);
+  ASSERT_TRUE(store->Write(BPlusNodeSegment(tree.tree_id(), node_id), offset,
+                           ByteSpan(bytes.data(), bytes.size()))
+                  .ok());
+}
+
+// Node image layout: is_leaf u8, count u32, next_leaf u64, keys, children.
+constexpr size_t kNextLeafOffset = 1 + 4;
+size_t ChildOffset(const NodeView& node, size_t i) {
+  return kNextLeafOffset + 8 + 8 * node.keys.size() + 8 * i;
+}
+
+NodeView ReadView(mem::ObjectStore* store, const BPlusTree& tree, uint64_t node_id) {
+  const Bytes raw =
+      *store->Read(BPlusNodeSegment(tree.tree_id(), node_id), 0, BPlusTree::kNodeBytes);
+  return *ParseBPlusNode(ByteSpan(raw.data(), raw.size()));
+}
+
+TEST_F(StorageTest, BTreeChildIdCycleIsDataLoss) {
+  auto tree = BPlusTree::Create(store_.get(), 50);
+  ASSERT_TRUE(tree.ok());
+  for (uint64_t k = 0; k < 60; ++k) {
+    const Bytes v(8, static_cast<uint8_t>(k));
+    ASSERT_TRUE(tree->Insert(k, ByteSpan(v.data(), v.size())).ok());
+  }
+  ASSERT_EQ(tree->Height(), 2u);
+  // Every child id of the root names the root itself.
+  const uint64_t root = tree->root_node_id();
+  const NodeView view = ReadView(store_.get(), *tree, root);
+  ASSERT_FALSE(view.is_leaf);
+  for (size_t i = 0; i < view.children.size(); ++i) {
+    OverwriteNodeU64(store_.get(), *tree, root, ChildOffset(view, i), root);
+  }
+  const mem::SegmentId root_segment = BPlusNodeSegment(tree->tree_id(), root);
+  const Bytes corrupt = *store_->Read(root_segment, 0, BPlusTree::kNodeBytes);
+
+  const auto start = std::chrono::steady_clock::now();
+  tree->ResetStats();
+  const Bytes v(8, 1);
+  for (const Status& st : {tree->Get(7).status(), tree->Delete(7), tree->Scan(0, 100).status(),
+                           tree->Insert(7, ByteSpan(v.data(), v.size()))}) {
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), "B+ tree walk deeper than the tree's height");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // Each walk read the root twice, then stopped; nothing was written.
+  EXPECT_EQ(tree->NodeReads(), 8u);
+  EXPECT_EQ(tree->EntryCount(), 60u);
+  EXPECT_EQ(*store_->Read(root_segment, 0, BPlusTree::kNodeBytes), corrupt);
+}
+
+TEST_F(StorageTest, BTreeLeafChainCycleIsDataLoss) {
+  auto tree = BPlusTree::Create(store_.get(), 51);
+  ASSERT_TRUE(tree.ok());
+  for (uint64_t k = 0; k < 60; ++k) {
+    const Bytes v(8, static_cast<uint8_t>(k));
+    ASSERT_TRUE(tree->Insert(k, ByteSpan(v.data(), v.size())).ok());
+  }
+  const uint64_t root = tree->root_node_id();
+  const uint64_t first_leaf = ReadView(store_.get(), *tree, root).children[0];
+  const auto start = std::chrono::steady_clock::now();
+  // The first leaf links to itself: the scan would collect its keys forever.
+  OverwriteNodeU64(store_.get(), *tree, first_leaf, kNextLeafOffset, first_leaf);
+  auto looped = tree->Scan(0, UINT64_MAX);
+  EXPECT_EQ(looped.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(looped.status().message(), "B+ tree leaf chain longer than the tree");
+  // It links to the root: an inner node has no values to collect.
+  OverwriteNodeU64(store_.get(), *tree, first_leaf, kNextLeafOffset, root);
+  auto inner = tree->Scan(0, UINT64_MAX);
+  EXPECT_EQ(inner.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(inner.status().message(), "B+ tree leaf chain reaches an inner node");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // A scan that ends inside the first leaf never follows the bad link.
+  auto head = tree->Scan(0, 2);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(head->size(), 3u);
 }
 
 // -- Hash index -----------------------------------------------------------
@@ -612,105 +684,6 @@ TEST_F(StorageTest, CorfuSequencerAndAdoptedTailDoNotWrap) {
   EXPECT_EQ(*next, 1u);
   ASSERT_TRUE(log.AdvanceTail(CorfuLog::kMaxPosition + 1).ok());
   EXPECT_EQ(log.Reserve().status().code(), StatusCode::kOutOfRange);
-}
-
-// -- Transactions ---------------------------------------------------------
-
-class TxnTest : public StorageTest {
- protected:
-  mem::SegmentId MakeTarget(uint64_t id, uint64_t size = 4096) {
-    const mem::SegmentId seg(0xDA7Aull, id);
-    CHECK_OK(store_->CreateWithId(seg, size, {.durable = true}));
-    return seg;
-  }
-};
-
-TEST_F(TxnTest, CommitAppliesAtomically) {
-  auto mgr = TransactionManager::Create(store_.get(), 1);
-  ASSERT_TRUE(mgr.ok());
-  const mem::SegmentId a = MakeTarget(1);
-  const mem::SegmentId b = MakeTarget(2);
-  auto txn = mgr->Begin();
-  Bytes da = ToBytes("AAAA");
-  Bytes db = ToBytes("BBBB");
-  TransactionManager::StageWrite(txn, a, 0, ByteSpan(da.data(), da.size()));
-  TransactionManager::StageWrite(txn, b, 100, ByteSpan(db.data(), db.size()));
-  ASSERT_TRUE(mgr->Commit(txn).ok());
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(a, 0, 4)->data(), 4)), "AAAA");
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(b, 100, 4)->data(), 4)), "BBBB");
-  EXPECT_EQ(mgr->committed(), 1u);
-}
-
-TEST_F(TxnTest, CrashBeforeSyncLosesTransaction) {
-  auto mgr = TransactionManager::Create(store_.get(), 2);
-  ASSERT_TRUE(mgr.ok());
-  const mem::SegmentId a = MakeTarget(3);
-  auto txn = mgr->Begin();
-  Bytes data = ToBytes("GONE");
-  TransactionManager::StageWrite(txn, a, 0, ByteSpan(data.data(), data.size()));
-  EXPECT_EQ(mgr->Commit(txn, CrashPoint::kBeforeWalSync).code(), StatusCode::kAborted);
-  // Power cycle: attach + recover.
-  auto recovered_mgr = TransactionManager::Attach(store_.get(), 2);
-  ASSERT_TRUE(recovered_mgr.ok());
-  auto applied = recovered_mgr->Recover();
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 0u);
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(a, 0, 4)->data(), 4)), std::string(4, '\0'));
-}
-
-TEST_F(TxnTest, CrashAfterSyncIsReplayed) {
-  auto mgr = TransactionManager::Create(store_.get(), 3);
-  ASSERT_TRUE(mgr.ok());
-  const mem::SegmentId a = MakeTarget(4);
-  const mem::SegmentId b = MakeTarget(5);
-  auto txn = mgr->Begin();
-  Bytes da = ToBytes("SAVE");
-  Bytes db = ToBytes("ALSO");
-  TransactionManager::StageWrite(txn, a, 0, ByteSpan(da.data(), da.size()));
-  TransactionManager::StageWrite(txn, b, 8, ByteSpan(db.data(), db.size()));
-  EXPECT_EQ(mgr->Commit(txn, CrashPoint::kAfterWalSync).code(), StatusCode::kAborted);
-  // Data not applied yet.
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(a, 0, 4)->data(), 4)), std::string(4, '\0'));
-  // Recovery replays both writes (atomicity across segments).
-  auto recovered_mgr = TransactionManager::Attach(store_.get(), 3);
-  ASSERT_TRUE(recovered_mgr.ok());
-  auto applied = recovered_mgr->Recover();
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 1u);
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(a, 0, 4)->data(), 4)), "SAVE");
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(b, 8, 4)->data(), 4)), "ALSO");
-}
-
-TEST_F(TxnTest, InvalidStagedWriteRejectedBeforeLogging) {
-  auto mgr = TransactionManager::Create(store_.get(), 4);
-  ASSERT_TRUE(mgr.ok());
-  const mem::SegmentId a = MakeTarget(6, /*size=*/64);
-  auto txn = mgr->Begin();
-  Bytes big(128, 0xee);
-  TransactionManager::StageWrite(txn, a, 0, ByteSpan(big.data(), big.size()));
-  EXPECT_EQ(mgr->Commit(txn).code(), StatusCode::kOutOfRange);
-  // WAL unchanged: recovery finds nothing.
-  auto recovered = TransactionManager::Attach(store_.get(), 4)->Recover();
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, 0u);
-}
-
-TEST_F(TxnTest, CheckpointTruncatesWal) {
-  auto mgr = TransactionManager::Create(store_.get(), 5);
-  ASSERT_TRUE(mgr.ok());
-  const mem::SegmentId a = MakeTarget(7);
-  for (int i = 0; i < 5; ++i) {
-    auto txn = mgr->Begin();
-    Bytes data = ToBytes("data");
-    TransactionManager::StageWrite(txn, a, static_cast<uint64_t>(i) * 8,
-                                   ByteSpan(data.data(), data.size()));
-    ASSERT_TRUE(mgr->Commit(txn).ok());
-  }
-  ASSERT_TRUE(mgr->Checkpoint().ok());
-  auto recovered = TransactionManager::Attach(store_.get(), 5)->Recover();
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, 0u);  // log empty; data already in place
-  EXPECT_EQ(ToString(ByteSpan(store_->Read(a, 0, 4)->data(), 4)), "data");
 }
 
 // -- KV facade ---------------------------------------------------------------

@@ -261,8 +261,8 @@ TEST(XdpPipelineTest, RejectedProgramNeverReachesFabric) {
   fpga::MatchActionStageSpec spec;
   spec.program = std::move(*looping);
   specs.push_back(std::move(spec));
-  auto pipeline = fpga::MatchActionPipeline::Create(&rig.dpu.fabric(), &rig.dpu.axi(),
-                                                    &rig.dpu.maps(), std::move(specs));
+  auto pipeline =
+      fpga::MatchActionPipeline::Create(&rig.dpu.fabric(), &rig.dpu.maps(), std::move(specs));
   EXPECT_EQ(pipeline.status().code(), StatusCode::kPermissionDenied);
   uint32_t loaded = 0;
   for (fpga::RegionId r = 0; r < rig.dpu.fabric().RegionCount(); ++r) {
