@@ -49,7 +49,7 @@ Map::Map(MapSpec spec) : spec_(std::move(spec)) {
     values_.resize(static_cast<size_t>(spec_.max_entries) * spec_.value_size, 0);
     next_slot_ = spec_.max_entries;
   } else {
-    cells_.assign(kMinCells, 0);
+    index_ = ProbeTable(kMinCells);
   }
 }
 
@@ -58,23 +58,12 @@ uint32_t Map::EntryCount() const {
 }
 
 size_t Map::FindCell(const uint8_t* key) const {
-  const size_t mask = cells_.size() - 1;
-  size_t cell = HashKey(key, spec_.key_size) & mask;
-  while (cells_[cell] != 0 && std::memcmp(KeyOf(cells_[cell] - 1), key, spec_.key_size) != 0) {
-    cell = (cell + 1) & mask;
-  }
-  return cell;
+  return index_.Find(HashKey(key, spec_.key_size), [&](uint32_t slot) {
+    return std::memcmp(KeyOf(slot), key, spec_.key_size) == 0;
+  });
 }
 
-void Map::GrowIndex() {
-  const std::vector<uint32_t> old = std::move(cells_);
-  cells_.assign(old.size() * 2, 0);
-  for (const uint32_t cell : old) {
-    if (cell != 0) {
-      cells_[FindCell(KeyOf(cell - 1))] = cell;
-    }
-  }
-}
+uint64_t Map::SlotHash(uint32_t slot) const { return HashKey(KeyOf(slot), spec_.key_size); }
 
 std::optional<uint32_t> Map::LookupHandle(ByteSpan key) const {
   if (key.size() != spec_.key_size) {
@@ -87,7 +76,7 @@ std::optional<uint32_t> Map::LookupHandle(ByteSpan key) const {
     }
     return idx;
   }
-  const uint32_t cell = cells_[FindCell(key.data())];
+  const uint32_t cell = index_[FindCell(key.data())];
   if (cell == 0) {
     return std::nullopt;
   }
@@ -112,8 +101,8 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
   }
   const size_t cell = FindCell(key.data());
   uint32_t slot;
-  if (cells_[cell] != 0) {
-    slot = cells_[cell] - 1;
+  if (index_[cell] != 0) {
+    slot = index_[cell] - 1;
   } else {
     if (entries_ >= spec_.max_entries) {
       return ResourceExhausted("map full");
@@ -128,9 +117,9 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
     }
     std::copy(key.begin(), key.end(),
               keys_.begin() + static_cast<ptrdiff_t>(slot) * spec_.key_size);
-    cells_[cell] = slot + 1;
-    if (2 * size_t{++entries_} > cells_.size()) {
-      GrowIndex();
+    index_[cell] = slot + 1;
+    if (2 * size_t{++entries_} > index_.cells()) {
+      index_.Grow([this](uint32_t i) { return SlotHash(i); });
     }
   }
   std::copy(value.begin(), value.end(),
@@ -145,24 +134,13 @@ Status Map::Delete(ByteSpan key) {
   if (spec_.type == MapType::kArray) {
     return InvalidArgument("array map entries cannot be deleted");
   }
-  size_t hole = FindCell(key.data());
-  if (cells_[hole] == 0) {
+  const size_t hole = FindCell(key.data());
+  if (index_[hole] == 0) {
     return NotFound("no such key");
   }
-  free_slots_.push_back(cells_[hole] - 1);
+  free_slots_.push_back(index_[hole] - 1);
   --entries_;
-  // Backward-shift deletion keeps every probe run gap-free: each later
-  // member of the run whose home cell is not cyclically in (hole, next]
-  // would be unreachable past the hole, so it moves into it.
-  const size_t mask = cells_.size() - 1;
-  for (size_t next = (hole + 1) & mask; cells_[next] != 0; next = (next + 1) & mask) {
-    const size_t home = HashKey(KeyOf(cells_[next] - 1), spec_.key_size) & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      cells_[hole] = cells_[next];
-      hole = next;
-    }
-  }
-  cells_[hole] = 0;
+  index_.Erase(hole, [this](uint32_t i) { return SlotHash(i); });
   return Status::Ok();
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/probe_table.h"
 #include "src/common/result.h"
 
 namespace hyperion::ebpf {
@@ -71,19 +72,17 @@ class Map {
   // The index cell holding `key`, or the empty cell where it would go.
   size_t FindCell(const uint8_t* key) const;
   const uint8_t* KeyOf(uint32_t slot) const { return keys_.data() + size_t{slot} * spec_.key_size; }
-  void GrowIndex();
+  uint64_t SlotHash(uint32_t slot) const;
 
   MapSpec spec_;
   // Value arena: slot i holds value_size bytes; free list recycles slots.
   std::vector<uint8_t> values_;
   std::vector<uint32_t> free_slots_;
   uint32_t next_slot_ = 0;
-  // Hash maps only. Key arena: slot i's key is keys_[i * key_size]. The
-  // index is an open-addressing table over it: a power-of-two number of
-  // cells, at most half full, linear probing; a cell holds slot + 1, or 0
-  // when empty.
+  // Hash maps only. Key arena: slot i's key is keys_[i * key_size], and
+  // the index over it is hashed by HashKey and at most half full.
   std::vector<uint8_t> keys_;
-  std::vector<uint32_t> cells_;
+  ProbeTable index_;
   uint32_t entries_ = 0;
 };
 

@@ -15,25 +15,11 @@ constexpr size_t kEntryBytes = 16 + 8 + 1 + 8 + 1;  // id + size + loc + base + 
 constexpr size_t kMinCells = 16;
 }  // namespace
 
-SegmentTable::SegmentTable() : cells_(kMinCells, 0) {}
+SegmentTable::SegmentTable() : index_(kMinCells) {}
 
 size_t SegmentTable::FindCell(SegmentId id) const {
-  const size_t mask = cells_.size() - 1;
-  size_t cell = std::hash<SegmentId>{}(id) & mask;
-  while (cells_[cell] != 0 && slots_[cells_[cell] - 1].id != id) {
-    cell = (cell + 1) & mask;
-  }
-  return cell;
-}
-
-void SegmentTable::GrowIndex() {
-  const std::vector<uint32_t> old = std::move(cells_);
-  cells_.assign(old.size() * 2, 0);
-  for (const uint32_t cell : old) {
-    if (cell != 0) {
-      cells_[FindCell(slots_[cell - 1].id)] = cell;
-    }
-  }
+  return index_.Find(std::hash<SegmentId>{}(id),
+                     [&](uint32_t slot) { return slots_[slot].id == id; });
 }
 
 Status SegmentTable::Insert(const Segment& segment) {
@@ -41,39 +27,28 @@ Status SegmentTable::Insert(const Segment& segment) {
     return InvalidArgument("zero-size segment");
   }
   const size_t cell = FindCell(segment.id);
-  if (cells_[cell] != 0) {
+  if (index_[cell] != 0) {
     return AlreadyExists("segment id already mapped");
   }
   slots_.push_back(segment);
-  cells_[cell] = static_cast<uint32_t>(slots_.size());
-  if (4 * slots_.size() > cells_.size()) {
-    GrowIndex();
+  index_[cell] = static_cast<uint32_t>(slots_.size());
+  if (4 * slots_.size() > index_.cells()) {
+    index_.Grow([this](uint32_t i) { return SlotHash(i); });
   }
   return Status::Ok();
 }
 
 Result<Segment> SegmentTable::Erase(SegmentId id) {
-  size_t hole = FindCell(id);
-  if (cells_[hole] == 0) {
+  const size_t hole = FindCell(id);
+  if (index_[hole] == 0) {
     return NotFound("segment not mapped");
   }
-  const uint32_t slot = cells_[hole] - 1;
+  const uint32_t slot = index_[hole] - 1;
   const Segment erased = slots_[slot];
-  // Backward-shift deletion keeps every probe run gap-free: each later
-  // member of the run whose home cell is not cyclically in (hole, next]
-  // would be unreachable past the hole, so it moves into it.
-  const size_t mask = cells_.size() - 1;
-  for (size_t next = (hole + 1) & mask; cells_[next] != 0; next = (next + 1) & mask) {
-    const size_t home = std::hash<SegmentId>{}(slots_[cells_[next] - 1].id) & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      cells_[hole] = cells_[next];
-      hole = next;
-    }
-  }
-  cells_[hole] = 0;
+  index_.Erase(hole, [this](uint32_t i) { return SlotHash(i); });
   // Keep the slots dense: the last entry takes the erased one's slot.
   if (const uint32_t last = static_cast<uint32_t>(slots_.size() - 1); slot != last) {
-    cells_[FindCell(slots_[last].id)] = slot + 1;
+    index_[FindCell(slots_[last].id)] = slot + 1;
     slots_[slot] = slots_[last];
   }
   slots_.pop_back();
@@ -81,7 +56,7 @@ Result<Segment> SegmentTable::Erase(SegmentId id) {
 }
 
 Result<Segment> SegmentTable::Lookup(SegmentId id) const {
-  const uint32_t cell = cells_[FindCell(id)];
+  const uint32_t cell = index_[FindCell(id)];
   if (cell == 0) {
     return NotFound("segment not mapped");
   }
@@ -89,7 +64,7 @@ Result<Segment> SegmentTable::Lookup(SegmentId id) const {
 }
 
 const Segment* SegmentTable::Find(SegmentId id) const {
-  const uint32_t cell = cells_[FindCell(id)];
+  const uint32_t cell = index_[FindCell(id)];
   return cell == 0 ? nullptr : &slots_[cell - 1];
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/probe_table.h"
 #include "src/common/result.h"
 #include "src/common/u128.h"
 #include "src/nvme/controller.h"
@@ -82,16 +83,15 @@ class SegmentTable {
  private:
   // The index cell holding `id`, or the empty cell where it would go.
   size_t FindCell(SegmentId id) const;
-  void GrowIndex();
+  uint64_t SlotHash(uint32_t slot) const { return std::hash<SegmentId>{}(slots_[slot].id); }
 
   // Entries, dense and unordered: erasing one moves the last into its slot.
   std::vector<Segment> slots_;
-  // Open-addressing index over slots_: a power-of-two number of cells,
-  // linear probing; a cell holds slot + 1, or 0 when empty. At most a
+  // The index over slots_, hashed by std::hash<SegmentId>. At most a
   // quarter full: at half full a quarter to a third of lookups missed their
   // first cell, and the mispredicted probe loop cost more per translation
   // than the 4-byte cells save (EXPERIMENTS.md, E4).
-  std::vector<uint32_t> cells_;
+  ProbeTable index_;
 };
 
 }  // namespace hyperion::mem

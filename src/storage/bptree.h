@@ -16,7 +16,6 @@
 #define HYPERION_SRC_STORAGE_BPTREE_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/result.h"
@@ -24,15 +23,16 @@
 
 namespace hyperion::storage {
 
-// Public image of a serialized node, used by *clients* that walk the tree
-// remotely (client-driven pointer chasing reads raw node segments over the
-// network and parses them locally — experiment E5's baseline).
+// One node, decoded: what the tree serializes into a node segment when it
+// rewrites the node, and what *clients* that walk the tree remotely parse
+// (client-driven pointer chasing reads raw node segments over the network
+// and parses them locally — experiment E5's baseline).
 struct NodeView {
   bool is_leaf = true;
   std::vector<uint64_t> keys;
-  std::vector<Bytes> values;       // leaf only
-  std::vector<uint64_t> children;  // inner only (node ids)
-  uint64_t next_leaf = 0;
+  std::vector<Bytes> values;       // leaf only, parallel to keys
+  std::vector<uint64_t> children;  // inner only, keys.size() + 1 node ids
+  uint64_t next_leaf = 0;          // leaf chain for scans (0 = none)
 };
 
 // Parses a raw node segment into a NodeView.
@@ -66,10 +66,6 @@ class BPlusTree {
   uint64_t tree_id() const { return tree_id_; }
   uint64_t root_node_id() const { return root_; }
 
-  // Opaque on-storage node image; defined in bptree.cc, exposed for
-  // ParseBPlusNode.
-  struct Node;
-
   // Node reads performed since the last ResetStats (the "pointer chases").
   uint64_t NodeReads() const { return node_reads_; }
   void ResetStats() { node_reads_ = 0; }
@@ -82,24 +78,24 @@ class BPlusTree {
   class Image;
 
   mem::SegmentId NodeSegment(uint64_t node_id) const;
-  Result<uint64_t> AllocateNode(const Node& node);
-  // Every node read goes through ReadImage; ReadNode also decodes, for the
-  // nodes a walk rewrites or returns whole.
+  Result<uint64_t> AllocateNode(const NodeView& node);
+  // Every node read goes through ReadImage. Walks read nodes in place and
+  // decode only the nodes they rewrite.
   Result<Image> ReadImage(uint64_t node_id);
-  Result<Node> ReadNode(uint64_t node_id);
-  Status WriteNode(uint64_t node_id, const Node& node);
+  Status WriteNode(uint64_t node_id, const NodeView& node);
 
   // Child ids come off media, so one may name its own node or an
   // ancestor. Every descent therefore checks the tree's shape as it goes:
   // the node at depth Height() must be a leaf, or the walk answers DataLoss.
   //
-  // The leaf covering `key` and its node id.
-  Result<std::pair<uint64_t, Image>> Descend(uint64_t key);
-  // Insert into subtree rooted at node_id, which sits at `depth` (the root
-  // is at 1); on split returns the new right sibling's (separator_key,
-  // node_id).
-  Result<std::optional<std::pair<uint64_t, uint64_t>>> InsertRec(uint64_t node_id, uint32_t depth,
-                                                                 uint64_t key, ByteSpan value);
+  // The leaf covering `key` and its node id. With `path`, also the inner
+  // nodes the walk read and their ids, root first.
+  Result<std::pair<uint64_t, Image>> Descend(
+      uint64_t key, std::vector<std::pair<uint64_t, Image>>* path = nullptr);
+  // Moves the upper half of overfull `node` to a new right sibling, which
+  // is written before `node` is rewritten; returns the separator key for
+  // the parent and the sibling's id.
+  Result<std::pair<uint64_t, uint64_t>> Split(uint64_t node_id, NodeView& node);
 
   mem::ObjectStore* store_;
   uint64_t tree_id_;

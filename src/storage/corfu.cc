@@ -181,6 +181,9 @@ Status CorfuLog::Trim(uint64_t prefix) {
   if (prefix <= trim_point_) {
     return Status::Ok();
   }
+  if (prefix - trim_point_ > kMaxTrimPositions) {
+    return OutOfRange("trim spans more than kMaxTrimPositions positions");
+  }
   for (uint64_t p = trim_point_; p < prefix; ++p) {
     // Unwritten holes inside the trimmed prefix have no segment; ignore.
     Status st = store_->Delete(EntrySegment(p));

@@ -78,7 +78,12 @@ class CorfuLog {
   // the tail unchanged, past kMaxPosition + 1.
   Status AdvanceTail(uint64_t tail);
 
-  // Reclaims all positions < prefix.
+  // Most positions one Trim may reclaim. Each costs a store delete, so a
+  // prefix far past the trim point would stall whoever serves the call.
+  static constexpr uint64_t kMaxTrimPositions = uint64_t{1} << 16;
+
+  // Reclaims all positions < prefix. kOutOfRange, with nothing reclaimed,
+  // past the tail or more than kMaxTrimPositions past the trim point.
   Status Trim(uint64_t prefix);
   uint64_t TrimPoint() const { return trim_point_; }
 

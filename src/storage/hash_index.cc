@@ -10,20 +10,12 @@ namespace hyperion::storage {
 
 namespace {
 
-inline uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 inline void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 inline void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
+
+// A new bucket's header: no records, no overflow bucket.
+constexpr uint8_t kEmptyHeaderBytes[HashIndex::kHeaderBytes] = {};
+constexpr ByteSpan kEmptyHeader(kEmptyHeaderBytes, HashIndex::kHeaderBytes);
 
 }  // namespace
 
@@ -37,11 +29,9 @@ Result<HashIndex> HashIndex::Create(mem::ObjectStore* store, uint64_t index_id, 
   index.next_overflow_id_ = rounded;
   index.chain_len_.assign(rounded, 1);
   index.scratch_.assign(kBucketBytes, 0);
-  Bytes empty(kHeaderBytes, 0);
   for (uint32_t b = 0; b < rounded; ++b) {
     RETURN_IF_ERROR(store->CreateWithId(index.BucketSegment(b), kBucketBytes, hints));
-    RETURN_IF_ERROR(
-        store->Write(index.BucketSegment(b), 0, ByteSpan(empty.data(), empty.size())));
+    RETURN_IF_ERROR(store->Write(index.BucketSegment(b), 0, kEmptyHeader));
   }
   return index;
 }
@@ -50,20 +40,18 @@ mem::SegmentId HashIndex::BucketSegment(uint64_t bucket_id) const {
   return mem::SegmentId(0x4A54000000000000ull | index_id_, bucket_id);
 }
 
-Status HashIndex::ReadRaw(uint64_t bucket_id) {
+Result<HashIndex::Scan> HashIndex::ReadBucket(uint64_t bucket_id, ByteSpan key) {
   ++bucket_reads_;
   scratch_.resize(kBucketBytes);
-  return store_->ReadInto(BucketSegment(bucket_id), 0,
-                          MutableByteSpan(scratch_.data(), scratch_.size()));
-}
-
-Result<HashIndex::Scan> HashIndex::ScanBucket(ByteSpan raw, ByteSpan key) {
+  RETURN_IF_ERROR(store_->ReadInto(BucketSegment(bucket_id), 0,
+                                   MutableByteSpan(scratch_.data(), scratch_.size())));
+  const ByteSpan raw(scratch_.data(), scratch_.size());
   if (raw.size() < kHeaderBytes) {
     return DataLoss("short hash bucket");
   }
   Scan scan;
-  scan.count = LoadU32(raw.data());
-  scan.overflow = LoadU64(raw.data() + 4);
+  scan.count = GetU32(raw, 0);
+  scan.overflow = GetU64(raw, 4);
   if (scan.count > kBucketBytes / 9) {
     return DataLoss("implausible bucket entry count");
   }
@@ -72,12 +60,12 @@ Result<HashIndex::Scan> HashIndex::ScanBucket(ByteSpan raw, ByteSpan key) {
     if (off + 4 > raw.size()) {
       return DataLoss("torn hash bucket");
     }
-    const uint32_t klen = LoadU32(raw.data() + off);
+    const uint32_t klen = GetU32(raw, off);
     const size_t key_off = off + 4;
     if (key_off + klen + 4 > raw.size()) {
       return DataLoss("torn hash bucket");
     }
-    const uint32_t vlen = LoadU32(raw.data() + key_off + klen);
+    const uint32_t vlen = GetU32(raw, key_off + klen);
     const size_t value_off = key_off + klen + 4;
     if (value_off + vlen > raw.size()) {
       return DataLoss("torn hash bucket");
@@ -95,145 +83,121 @@ Result<HashIndex::Scan> HashIndex::ScanBucket(ByteSpan raw, ByteSpan key) {
   return scan;
 }
 
-Result<uint64_t> HashIndex::AllocateOverflow() {
-  const uint64_t id = next_overflow_id_++;
-  RETURN_IF_ERROR(store_->CreateWithId(BucketSegment(id), kBucketBytes, hints_));
-  Bytes empty(kHeaderBytes, 0);
-  RETURN_IF_ERROR(store_->Write(BucketSegment(id), 0, ByteSpan(empty.data(), empty.size())));
-  return id;
+Result<HashIndex::Scan> HashIndex::Walk(uint64_t& bucket_id, ByteSpan key, Room* room,
+                                        const Scan* after) {
+  Scan scan;
+  if (after != nullptr) {
+    scan = *after;
+  } else {
+    ASSIGN_OR_RETURN(scan, ReadBucket(bucket_id, key));
+  }
+  while (!scan.found) {
+    if (room != nullptr && !room->found && scan.end + room->needed <= kBucketBytes) {
+      *room = {room->needed, true, bucket_id, scan};
+    }
+    if (scan.overflow == 0) {
+      if (room == nullptr || room->found) {
+        break;
+      }
+      // No bucket has room: link a new, empty one after this last one.
+      scan.overflow = next_overflow_id_++;
+      RETURN_IF_ERROR(store_->CreateWithId(BucketSegment(scan.overflow), kBucketBytes, hints_));
+      RETURN_IF_ERROR(store_->Write(BucketSegment(scan.overflow), 0, kEmptyHeader));
+      StoreU64(scratch_.data() + 4, scan.overflow);
+      RETURN_IF_ERROR(store_->Write(BucketSegment(bucket_id), 4, ByteSpan(scratch_.data() + 4, 8)));
+      const uint64_t root = RootBucket(key);
+      CHECK_LT(root, chain_len_.size());
+      max_chain_ = std::max(max_chain_, ++chain_len_[root]);
+    }
+    bucket_id = scan.overflow;
+    ASSIGN_OR_RETURN(scan, ReadBucket(bucket_id, key));
+  }
+  return scan;
 }
 
-void HashIndex::NoteChainGrowth(uint64_t root_bucket) {
-  CHECK_LT(root_bucket, chain_len_.size());
-  max_chain_ = std::max(max_chain_, ++chain_len_[root_bucket]);
+void HashIndex::EraseRecord(Scan& scan, size_t key_len) {
+  const size_t old_len = 8 + key_len + scan.value_len;
+  std::memmove(scratch_.data() + scan.entry_off, scratch_.data() + scan.entry_off + old_len,
+               scan.end - (scan.entry_off + old_len));
+  scan.end -= old_len;
+  StoreU32(scratch_.data(), --scan.count);
+  --entry_count_;
+  used_bytes_ -= old_len;
+}
+
+void HashIndex::AppendRecord(Scan& scan, ByteSpan key, ByteSpan value) {
+  uint8_t* p = scratch_.data() + scan.end;
+  StoreU32(p, static_cast<uint32_t>(key.size()));
+  std::memcpy(p + 4, key.data(), key.size());
+  StoreU32(p + 4 + key.size(), static_cast<uint32_t>(value.size()));
+  std::memcpy(p + 8 + key.size(), value.data(), value.size());
+  const size_t len = 8 + key.size() + value.size();
+  scan.end += len;
+  StoreU32(scratch_.data(), ++scan.count);
+  ++entry_count_;
+  used_bytes_ += len;
+}
+
+Status HashIndex::RewriteBucket(uint64_t bucket_id, const Scan& scan) {
+  std::fill(scratch_.begin() + static_cast<ptrdiff_t>(scan.end), scratch_.end(), uint8_t{0});
+  return store_->Write(BucketSegment(bucket_id), 0, ByteSpan(scratch_.data(), scratch_.size()));
 }
 
 Status HashIndex::Put(ByteSpan key, ByteSpan value) {
-  if (key.empty() || value.size() > kMaxValueLen) {
+  const size_t needed = 8 + key.size() + value.size();
+  if (key.empty() || value.size() > kMaxValueLen || kHeaderBytes + needed > kBucketBytes) {
     return InvalidArgument("bad key/value size");
   }
-  const uint64_t root = Fnv1a64(key) & (bucket_count_ - 1);
-  const size_t needed = 8 + key.size() + value.size();
-  uint64_t bucket_id = root;
-  bool removed = false;  // a size-changing overwrite erased the old record
-  while (true) {
-    RETURN_IF_ERROR(ReadRaw(bucket_id));
-    ASSIGN_OR_RETURN(Scan scan, ScanBucket(ByteSpan(scratch_.data(), scratch_.size()), key));
-    if (scan.found && scan.value_len == value.size()) {
-      // Same-size overwrite: only the value bytes change on media.
-      return store_->Write(BucketSegment(bucket_id), scan.value_off, value);
-    }
-    if (scan.found) {
-      // Size-changing overwrite: close the gap over the old record, then
-      // insert the new one wherever it fits (usually right here).
-      const size_t old_len = 8 + key.size() + scan.value_len;
-      std::memmove(scratch_.data() + scan.entry_off, scratch_.data() + scan.entry_off + old_len,
-                   scan.end - (scan.entry_off + old_len));
-      scan.end -= old_len;
-      scan.count -= 1;
-      used_bytes_ -= old_len;
-      removed = true;
-      bool reinserted = false;
-      if (scan.end + needed <= kBucketBytes) {
-        uint8_t* p = scratch_.data() + scan.end;
-        StoreU32(p, static_cast<uint32_t>(key.size()));
-        std::memcpy(p + 4, key.data(), key.size());
-        StoreU32(p + 4 + key.size(), static_cast<uint32_t>(value.size()));
-        std::memcpy(p + 8 + key.size(), value.data(), value.size());
-        scan.end += needed;
-        scan.count += 1;
-        used_bytes_ += needed;
-        reinserted = true;
-      }
-      StoreU32(scratch_.data(), scan.count);
-      std::fill(scratch_.begin() + static_cast<ptrdiff_t>(scan.end), scratch_.end(), uint8_t{0});
-      RETURN_IF_ERROR(store_->Write(BucketSegment(bucket_id), 0,
-                                    ByteSpan(scratch_.data(), scratch_.size())));
-      if (reinserted) {
-        return Status::Ok();
-      }
-      // Did not fit after removal (value grew past this bucket's free
-      // space): fall through and keep walking the chain for room.
-      if (scan.overflow == 0) {
-        ASSIGN_OR_RETURN(const uint64_t overflow, AllocateOverflow());
-        StoreU64(scratch_.data() + 4, overflow);
-        RETURN_IF_ERROR(store_->Write(BucketSegment(bucket_id), 4,
-                                      ByteSpan(scratch_.data() + 4, 8)));
-        NoteChainGrowth(root);
-        scan.overflow = overflow;
-      }
-      bucket_id = scan.overflow;
-      continue;
-    }
-    // Append here if it fits, otherwise chase/extend the overflow chain.
-    if (scan.end + needed <= kBucketBytes) {
-      Bytes record;
-      record.reserve(needed + 4);
-      PutU32(record, static_cast<uint32_t>(key.size()));
-      PutBytes(record, key);
-      PutU32(record, static_cast<uint32_t>(value.size()));
-      PutBytes(record, value);
-      RETURN_IF_ERROR(store_->Write(BucketSegment(bucket_id), scan.end,
-                                    ByteSpan(record.data(), record.size())));
-      StoreU32(scratch_.data(), scan.count + 1);
-      RETURN_IF_ERROR(
-          store_->Write(BucketSegment(bucket_id), 0, ByteSpan(scratch_.data(), 4)));
-      if (!removed) {
-        ++entry_count_;
-      }
-      used_bytes_ += needed;
-      return Status::Ok();
-    }
-    if (scan.overflow == 0) {
-      ASSIGN_OR_RETURN(const uint64_t overflow, AllocateOverflow());
-      StoreU64(scratch_.data() + 4, overflow);
-      RETURN_IF_ERROR(
-          store_->Write(BucketSegment(bucket_id), 4, ByteSpan(scratch_.data() + 4, 8)));
-      NoteChainGrowth(root);
-      scan.overflow = overflow;
-    }
-    bucket_id = scan.overflow;
+  Room room{.needed = needed};
+  uint64_t bucket_id = RootBucket(key);
+  ASSIGN_OR_RETURN(Scan scan, Walk(bucket_id, key, &room));
+  if (scan.found && scan.value_len == value.size()) {
+    // Same-size overwrite: only the value bytes change on media.
+    return store_->Write(BucketSegment(bucket_id), scan.value_off, value);
   }
+  if (scan.found) {
+    // Size-changing overwrite: the bucket is rewritten without the old
+    // record, and with the new one if that fits there now. If not, the
+    // record goes where a new key would, and the walk goes on for room.
+    EraseRecord(scan, key.size());
+    if (scan.end + needed <= kBucketBytes) {
+      AppendRecord(scan, key, value);
+      return RewriteBucket(bucket_id, scan);
+    }
+    RETURN_IF_ERROR(RewriteBucket(bucket_id, scan));
+    scan.found = false;
+    ASSIGN_OR_RETURN(scan, Walk(bucket_id, key, &room, &scan));
+    if (scan.found) {
+      return DataLoss("hash chain holds a key twice");
+    }
+  }
+  // Append to the first bucket with room. scratch_ stages the record, and
+  // only its bytes and the bucket's new count are written.
+  const size_t at = room.scan.end;
+  AppendRecord(room.scan, key, value);
+  RETURN_IF_ERROR(store_->Write(BucketSegment(room.bucket_id), at,
+                                ByteSpan(scratch_.data() + at, needed)));
+  return store_->Write(BucketSegment(room.bucket_id), 0, ByteSpan(scratch_.data(), 4));
 }
 
 Result<Bytes> HashIndex::Get(ByteSpan key) {
-  uint64_t bucket_id = Fnv1a64(key) & (bucket_count_ - 1);
-  while (true) {
-    RETURN_IF_ERROR(ReadRaw(bucket_id));
-    ASSIGN_OR_RETURN(Scan scan, ScanBucket(ByteSpan(scratch_.data(), scratch_.size()), key));
-    if (scan.found) {
-      return Bytes(scratch_.begin() + static_cast<ptrdiff_t>(scan.value_off),
-                   scratch_.begin() + static_cast<ptrdiff_t>(scan.value_off + scan.value_len));
-    }
-    if (scan.overflow == 0) {
-      return NotFound("key not in index");
-    }
-    bucket_id = scan.overflow;
+  uint64_t bucket_id = RootBucket(key);
+  ASSIGN_OR_RETURN(const Scan scan, Walk(bucket_id, key));
+  if (!scan.found) {
+    return NotFound("key not in index");
   }
+  return Bytes(scratch_.begin() + static_cast<ptrdiff_t>(scan.value_off),
+               scratch_.begin() + static_cast<ptrdiff_t>(scan.value_off + scan.value_len));
 }
 
 Status HashIndex::Delete(ByteSpan key) {
-  uint64_t bucket_id = Fnv1a64(key) & (bucket_count_ - 1);
-  while (true) {
-    RETURN_IF_ERROR(ReadRaw(bucket_id));
-    ASSIGN_OR_RETURN(Scan scan, ScanBucket(ByteSpan(scratch_.data(), scratch_.size()), key));
-    if (scan.found) {
-      const size_t old_len = 8 + key.size() + scan.value_len;
-      std::memmove(scratch_.data() + scan.entry_off, scratch_.data() + scan.entry_off + old_len,
-                   scan.end - (scan.entry_off + old_len));
-      scan.end -= old_len;
-      StoreU32(scratch_.data(), scan.count - 1);
-      std::fill(scratch_.begin() + static_cast<ptrdiff_t>(scan.end), scratch_.end(), uint8_t{0});
-      --entry_count_;
-      used_bytes_ -= old_len;
-      return store_->Write(BucketSegment(bucket_id), 0,
-                           ByteSpan(scratch_.data(), scratch_.size()));
-    }
-    if (scan.overflow == 0) {
-      return NotFound("key not in index");
-    }
-    bucket_id = scan.overflow;
+  uint64_t bucket_id = RootBucket(key);
+  ASSIGN_OR_RETURN(Scan scan, Walk(bucket_id, key));
+  if (!scan.found) {
+    return NotFound("key not in index");
   }
+  EraseRecord(scan, key.size());
+  return RewriteBucket(bucket_id, scan);
 }
 
 HashIndexStats HashIndex::Stats() const {

@@ -5,14 +5,15 @@
 // collisions chain through overflow buckets. O(1 + chain) segment reads per
 // lookup — the contrast with tree walks in the pointer-chasing experiment.
 //
-// The mutation paths operate on the serialized bucket image in place: a
-// lookup scans the raw 4 KiB image with a cursor (no per-entry
-// deserialization), an insert appends the one new record plus a 4-byte
-// header update, and a same-size overwrite rewrites only the value bytes.
-// Only deletes and size-changing overwrites rebuild a bucket. That keeps
-// per-op cost independent of bucket fill, which is what lets the XDP flow
-// table hold millions of entries (PR 8) without the index becoming the
-// bottleneck of the simulation itself.
+// Get, Put and Delete share one walk of a chain and work on the serialized
+// bucket image in place: the walk scans the raw 4 KiB image with a cursor
+// (no per-entry deserialization), an insert appends the one new record plus
+// a 4-byte header update, and a same-size overwrite rewrites only the value
+// bytes. Only deletes and size-changing overwrites rebuild a bucket. That
+// keeps per-op cost independent of bucket fill, which is what lets the XDP
+// flow table hold millions of entries (PR 8) without the index becoming the
+// bottleneck of the simulation itself. Put reads the whole chain before it
+// appends, so a key is stored once.
 
 #ifndef HYPERION_SRC_STORAGE_HASH_INDEX_H_
 #define HYPERION_SRC_STORAGE_HASH_INDEX_H_
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/mem/object_store.h"
 
@@ -64,7 +66,7 @@ class HashIndex {
             mem::SegmentHints hints)
       : store_(store), index_id_(index_id), bucket_count_(buckets), hints_(hints) {}
 
-  // In-place scan of one serialized bucket image.
+  // One bucket image in scratch_, scanned in place for a key.
   struct Scan {
     uint32_t count = 0;
     uint64_t overflow = 0;
@@ -74,14 +76,29 @@ class HashIndex {
     uint32_t value_len = 0; // matched value length (valid when found)
     size_t end = 0;         // one past the last record
   };
-  static Result<Scan> ScanBucket(ByteSpan raw, ByteSpan key);
+
+  // Put's search for the first bucket on its chain with `needed` bytes free.
+  struct Room {
+    size_t needed = 0;
+    bool found = false;
+    uint64_t bucket_id = 0;
+    Scan scan{};
+  };
 
   mem::SegmentId BucketSegment(uint64_t bucket_id) const;
-  // Reads the raw serialized image into the reusable scratch buffer.
-  Status ReadRaw(uint64_t bucket_id);
-  Result<uint64_t> AllocateOverflow();
-  // Chain bookkeeping when root's chain grew by one overflow bucket.
-  void NoteChainGrowth(uint64_t root_bucket);
+  uint64_t RootBucket(ByteSpan key) const { return Fnv1a64(key) & (bucket_count_ - 1); }
+  // Reads the bucket into the reusable scratch buffer and scans it for `key`.
+  Result<Scan> ReadBucket(uint64_t bucket_id, ByteSpan key);
+  // The chain walk: reads buckets from `bucket_id` on (on after it, when
+  // `after` scans its image in scratch_) and stops, with `bucket_id` there,
+  // at the one holding `key` or at the chain's last. With `room` it also
+  // finds room, linking and reading a new last bucket when none has any.
+  Result<Scan> Walk(uint64_t& bucket_id, ByteSpan key, Room* room = nullptr,
+                    const Scan* after = nullptr);
+  // Edit the image in scratch_ that `scan` describes, and write it back.
+  void EraseRecord(Scan& scan, size_t key_len);
+  void AppendRecord(Scan& scan, ByteSpan key, ByteSpan value);
+  Status RewriteBucket(uint64_t bucket_id, const Scan& scan);
 
   mem::ObjectStore* store_;
   uint64_t index_id_;

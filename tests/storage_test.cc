@@ -182,66 +182,161 @@ Result<Bytes> DecodedGet(mem::ObjectStore* store, const BPlusTree& tree, uint64_
   }
 }
 
+// The corrupt-node sweeps' inputs. 10 keys fit one leaf (the root); 60
+// make a two-level tree whose root is an inner node. The root's stored
+// image is cut short and byte-flipped in place, and `check(tree, probes,
+// what)` runs once with each image stored.
+template <typename Check>
+void SweepCorruptRoots(mem::ObjectStore* store, uint64_t keys, Check check) {
+  auto tree = BPlusTree::Create(store, 40 + keys);
+  ASSERT_TRUE(tree.ok());
+  for (uint64_t k = 0; k < keys; ++k) {
+    const Bytes v(k % 23, static_cast<uint8_t>(k + 1));  // lengths 0-22
+    ASSERT_TRUE(tree->Insert(3 * k, ByteSpan(v.data(), v.size())).ok());
+  }
+  ASSERT_EQ(tree->Height(), keys == 10 ? 1u : 2u);
+  const mem::SegmentId root = BPlusNodeSegment(tree->tree_id(), tree->root_node_id());
+  const Bytes pristine = *store->Read(root, 0, BPlusTree::kNodeBytes);
+  size_t used = pristine.size();
+  while (used > 0 && pristine[used - 1] == 0) {
+    --used;
+  }
+  Rng rng(keys);
+  std::vector<uint64_t> probes = {0, 1, 3 * (keys - 1), 3 * keys, UINT64_MAX};
+  for (int i = 0; i < 6; ++i) {
+    probes.push_back(rng.Uniform(3 * keys));
+  }
+  auto run = [&](const Bytes& image, const std::string& what) {
+    ASSERT_TRUE(store->Write(root, 0, ByteSpan(image.data(), image.size())).ok());
+    check(*tree, probes, what);
+  };
+  // Every cut of the stored image, the rest zeroed (as WriteNode pads) or
+  // set to 0xff (so lengths and counts read from it overrun).
+  for (size_t cut = 0; cut <= used; ++cut) {
+    for (const uint8_t fill : {0x00, 0xff}) {
+      Bytes image = pristine;
+      std::fill(image.begin() + static_cast<ptrdiff_t>(cut), image.end(), fill);
+      run(image, "cut " + std::to_string(cut) + " fill " + std::to_string(fill));
+    }
+  }
+  for (int flip = 0; flip < 2000; ++flip) {
+    Bytes image = pristine;
+    const size_t at = rng.Bernoulli(0.75) ? rng.Uniform(used) : rng.Uniform(image.size());
+    image[at] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+    run(image, "flip at " + std::to_string(at));
+  }
+  ASSERT_TRUE(store->Write(root, 0, ByteSpan(pristine.data(), pristine.size())).ok());
+}
+
 TEST_F(StorageTest, BTreeGetOnCorruptNodesMatchesDecodingThem) {
-  // 10 keys fit one leaf (the root); 60 make a two-level tree whose root is
-  // an inner node. Each root is cut short and byte-flipped in place.
   for (const uint64_t keys : {10u, 60u}) {
-    auto tree = BPlusTree::Create(store_.get(), 40 + keys);
-    ASSERT_TRUE(tree.ok());
-    for (uint64_t k = 0; k < keys; ++k) {
-      const Bytes v(k % 23, static_cast<uint8_t>(k + 1));  // lengths 0-22
-      ASSERT_TRUE(tree->Insert(3 * k, ByteSpan(v.data(), v.size())).ok());
-    }
-    ASSERT_EQ(tree->Height(), keys == 10 ? 1u : 2u);
-    const mem::SegmentId root = BPlusNodeSegment(tree->tree_id(), tree->root_node_id());
-    const Bytes pristine = *store_->Read(root, 0, BPlusTree::kNodeBytes);
-    size_t used = pristine.size();
-    while (used > 0 && pristine[used - 1] == 0) {
-      --used;
-    }
-    Rng rng(keys);
-    std::vector<uint64_t> probes = {0, 1, 3 * (keys - 1), 3 * keys, UINT64_MAX};
-    for (int i = 0; i < 6; ++i) {
-      probes.push_back(rng.Uniform(3 * keys));
-    }
     std::map<std::string, int> outcomes;
     int compared = 0;
-    auto check = [&](const Bytes& image, const std::string& what) {
-      ASSERT_TRUE(store_->Write(root, 0, ByteSpan(image.data(), image.size())).ok());
-      for (const uint64_t key : probes) {
-        const Result<Bytes> want = DecodedGet(store_.get(), *tree, key);
-        ++compared;
-        const Result<Bytes> got = tree->Get(key);
-        ASSERT_EQ(got.ok(), want.ok()) << what << ", key " << key;
-        if (got.ok()) {
-          ASSERT_EQ(*got, *want) << what << ", key " << key;
-          ++outcomes["value"];
-        } else {
-          ASSERT_EQ(got.status().code(), want.status().code()) << what << ", key " << key;
-          ASSERT_EQ(got.status().message(), want.status().message()) << what << ", key " << key;
-          ++outcomes[std::string(got.status().message())];
-        }
-      }
-    };
-    // Every cut of the stored image, the rest zeroed (as WriteNode pads) or
-    // set to 0xff (so lengths and counts read from it overrun).
-    for (size_t cut = 0; cut <= used; ++cut) {
-      for (const uint8_t fill : {0x00, 0xff}) {
-        Bytes image = pristine;
-        std::fill(image.begin() + static_cast<ptrdiff_t>(cut), image.end(), fill);
-        check(image, "cut " + std::to_string(cut) + " fill " + std::to_string(fill));
-      }
-    }
-    for (int flip = 0; flip < 2000; ++flip) {
-      Bytes image = pristine;
-      const size_t at = rng.Bernoulli(0.75) ? rng.Uniform(used) : rng.Uniform(image.size());
-      image[at] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
-      check(image, "flip at " + std::to_string(at));
-    }
-    ASSERT_TRUE(store_->Write(root, 0, ByteSpan(pristine.data(), pristine.size())).ok());
+    SweepCorruptRoots(store_.get(), keys,
+                      [&](BPlusTree& tree, const std::vector<uint64_t>& probes,
+                          const std::string& what) {
+                        for (const uint64_t key : probes) {
+                          const Result<Bytes> want = DecodedGet(store_.get(), tree, key);
+                          ++compared;
+                          const Result<Bytes> got = tree.Get(key);
+                          ASSERT_EQ(got.ok(), want.ok()) << what << ", key " << key;
+                          if (got.ok()) {
+                            ASSERT_EQ(*got, *want) << what << ", key " << key;
+                            ++outcomes["value"];
+                          } else {
+                            ASSERT_EQ(got.status().code(), want.status().code())
+                                << what << ", key " << key;
+                            ASSERT_EQ(got.status().message(), want.status().message())
+                                << what << ", key " << key;
+                            ++outcomes[std::string(got.status().message())];
+                          }
+                        }
+                      });
     EXPECT_GT(compared, 20000) << keys;
     for (const char* outcome : {"value", "key not in tree", "truncated B+ node",
                                 "implausible B+ node entry count"}) {
+      EXPECT_GT(outcomes[outcome], 0) << keys << " keys: " << outcome;
+    }
+  }
+}
+
+// Every node's stored image, by node id from 1 up (ids are never reused).
+std::vector<Bytes> ReadNodes(mem::ObjectStore* store, const BPlusTree& tree) {
+  std::vector<Bytes> nodes;
+  for (uint64_t id = 1;; ++id) {
+    auto raw = store->Read(BPlusNodeSegment(tree.tree_id(), id), 0, BPlusTree::kNodeBytes);
+    if (!raw.ok()) {
+      return nodes;
+    }
+    nodes.push_back(std::move(*raw));
+  }
+}
+
+TEST_F(StorageTest, BTreeWritesOnCorruptNodesMatchDecodingThem) {
+  // Insert and Delete walk like Get. Where the decoding walk fails, each
+  // answers its error and writes nothing. Where it reaches a leaf, Delete
+  // finds what it found, and a Get after Insert reads back what Insert
+  // wrote unless a split moved it: a corrupt leaf's keys can be out of
+  // order or repeated, so the separator a split hands up may route the key
+  // to another entry. Get then still reads what the decoding walk reads.
+  const Bytes v(8, 0xab);
+  for (const uint64_t keys : {10u, 60u}) {
+    std::map<std::string, int> outcomes;
+    SweepCorruptRoots(
+        store_.get(), keys,
+        [&](BPlusTree& tree, const std::vector<uint64_t>& probes, const std::string& what) {
+          const std::vector<Bytes> before = ReadNodes(store_.get(), tree);
+          for (const uint64_t key : probes) {
+            const Result<Bytes> want = DecodedGet(store_.get(), tree, key);
+            const bool walked = want.ok() || want.status().message() == "key not in tree";
+            for (const bool insert : {true, false}) {
+              const std::string where =
+                  what + ", key " + std::to_string(key) + (insert ? ", insert" : ", delete");
+              BPlusTree copy = tree;  // the op may change the in-memory counts
+              const Status st =
+                  insert ? copy.Insert(key, ByteSpan(v.data(), v.size())) : copy.Delete(key);
+              if (!walked || (!insert && !want.ok())) {
+                ASSERT_EQ(st.code(), want.status().code()) << where;
+                ASSERT_EQ(st.message(), want.status().message()) << where;
+                ASSERT_EQ(copy.EntryCount(), tree.EntryCount()) << where;
+                ASSERT_EQ(ReadNodes(store_.get(), tree), before) << where;
+                ++outcomes[std::string(st.message())];
+                continue;
+              }
+              ASSERT_TRUE(st.ok()) << where << ": " << st.message();
+              ++outcomes[insert ? "inserted" : "deleted"];
+              if (insert) {
+                const Result<Bytes> got = copy.Get(key);
+                const Result<Bytes> decoded = DecodedGet(store_.get(), copy, key);
+                ASSERT_EQ(got.ok(), decoded.ok()) << where;
+                if (got.ok()) {
+                  ASSERT_EQ(*got, *decoded) << where;
+                }
+                const bool split = store_->Read(BPlusNodeSegment(tree.tree_id(), before.size() + 1),
+                                                0, BPlusTree::kNodeBytes)
+                                       .ok();
+                if (!split) {
+                  ASSERT_TRUE(got.ok()) << where << ": " << got.status().message();
+                  ASSERT_EQ(*got, v) << where;
+                }
+                ++outcomes[got.ok() && *got == v ? "read back" : "moved by a split"];
+              }
+              // Put the tree back as it was: every node's bytes, and no
+              // node a split added.
+              for (uint64_t id = 1; id <= before.size(); ++id) {
+                const Bytes& node = before[id - 1];
+                ASSERT_TRUE(store_->Write(BPlusNodeSegment(tree.tree_id(), id), 0,
+                                          ByteSpan(node.data(), node.size()))
+                                .ok());
+              }
+              for (uint64_t id = before.size() + 1;
+                   store_->Delete(BPlusNodeSegment(tree.tree_id(), id)).ok(); ++id) {
+              }
+            }
+          }
+        });
+    for (const char* outcome : {"inserted", "read back", "deleted", "key not in tree",
+                                "truncated B+ node", "implausible B+ node entry count"}) {
       EXPECT_GT(outcomes[outcome], 0) << keys << " keys: " << outcome;
     }
   }
@@ -327,6 +422,69 @@ TEST_F(StorageTest, BTreeLeafChainCycleIsDataLoss) {
   auto head = tree->Scan(0, 2);
   ASSERT_TRUE(head.ok());
   EXPECT_EQ(head->size(), 3u);
+}
+
+TEST(BTreeTrafficTest, StorageTrafficIsPinned) {
+  // A seeded mix that grows each tree to height 3, then overwrites,
+  // deletes, gets and scans, on a durable (flash) tree and on a
+  // performance-critical (HBM) tree. The digest folds each op's result, the
+  // sim clock, the node reads, the store's translations, the NVMe reads and
+  // writes and every node's bytes, so it moves if a walk reads, writes or
+  // creates a node in a different order or with different arguments.
+  Bytes trace;
+  for (const mem::SegmentHints hints :
+       {mem::SegmentHints{.durable = true}, mem::SegmentHints{.performance_critical = true}}) {
+    sim::Engine engine;
+    nvme::Controller ctrl(&engine);
+    mem::ObjectStoreConfig config;
+    config.dram_bytes = 16u << 20;
+    config.hbm_bytes = 16u << 20;
+    config.nvme_nsid = ctrl.AddNamespace(1u << 16);
+    mem::ObjectStore store(&engine, &ctrl, config);
+    auto tree = BPlusTree::Create(&store, 77, hints);
+    ASSERT_TRUE(tree.ok());
+    Rng rng(2027);
+    std::vector<uint64_t> inserted;
+    for (int op = 0; op < 6000; ++op) {
+      const uint64_t pick = rng.Uniform(10);
+      const uint64_t key = pick < 6 || inserted.empty() ? rng.Uniform(1u << 20)
+                                                        : inserted[rng.Uniform(inserted.size())];
+      if (op < 2500 || pick < 6 || pick == 9) {  // insert, or overwrite
+        const Bytes value(1 + rng.Uniform(BPlusTree::kMaxValueLen / 8),
+                          static_cast<uint8_t>(rng.Next()));
+        ASSERT_TRUE(tree->Insert(key, ByteSpan(value.data(), value.size())).ok());
+        inserted.push_back(key);
+      } else if (pick == 6) {
+        PutU32(trace, static_cast<uint32_t>(tree->Delete(key).code()));
+      } else if (pick == 7) {
+        const Result<Bytes> got = tree->Get(key);
+        PutU32(trace, static_cast<uint32_t>(got.status().code()));
+        if (got.ok()) {
+          PutBytes(trace, ByteSpan(got->data(), got->size()));
+        }
+      } else {
+        auto rows = tree->Scan(key, key + (1u << 14));
+        ASSERT_TRUE(rows.ok());
+        PutU64(trace, rows->size());
+        for (const auto& [k, value] : *rows) {
+          PutU64(trace, k);
+          PutBytes(trace, ByteSpan(value.data(), value.size()));
+        }
+      }
+    }
+    ASSERT_EQ(tree->Height(), 3u);
+    PutU64(trace, tree->EntryCount());
+    PutU64(trace, engine.Now());
+    PutU64(trace, tree->NodeReads());
+    PutU64(trace, store.counters().Get("translations"));
+    PutU64(trace, ctrl.counters().Get("nvme_reads"));
+    PutU64(trace, ctrl.counters().Get("nvme_writes"));
+    for (const Bytes& node : ReadNodes(&store, *tree)) {
+      PutBytes(trace, ByteSpan(node.data(), node.size()));
+    }
+  }
+  // Recorded from the tree whose Insert decoded every node on its path.
+  EXPECT_EQ(Fnv1a64(ByteSpan(trace.data(), trace.size())), 0xb3bca53f9c19820cull);
 }
 
 // -- Hash index -----------------------------------------------------------
@@ -500,6 +658,40 @@ TEST_F(StorageTest, HashIndexOverwrite) {
   EXPECT_EQ(*index->Get(ByteSpan(key.data(), 1)), v2);
 }
 
+TEST_F(StorageTest, HashIndexRePutFindsTheKeyPastARoomyBucket) {
+  // One root bucket of 216-byte records holds 18; the 19th overflows.
+  auto index = HashIndex::Create(store_.get(), 4, 1);
+  ASSERT_TRUE(index.ok());
+  const Bytes old_value(200, 1);
+  const Bytes new_value(200, 2);
+  auto key_of = [](uint64_t k) {
+    Bytes key;
+    PutU64(key, k);
+    return key;
+  };
+  uint64_t keys = 0;
+  while (index->Stats().overflow_buckets == 0) {
+    const Bytes key = key_of(keys++);
+    ASSERT_TRUE(index->Put(ByteSpan(key.data(), key.size()),
+                           ByteSpan(old_value.data(), old_value.size()))
+                    .ok());
+  }
+  // The root bucket gets room back; the last key lives past it.
+  const Bytes first = key_of(0);
+  const Bytes last = key_of(keys - 1);
+  ASSERT_TRUE(index->Delete(ByteSpan(first.data(), first.size())).ok());
+  const uint64_t entries = index->EntryCount();
+  ASSERT_TRUE(
+      index->Put(ByteSpan(last.data(), last.size()), ByteSpan(new_value.data(), new_value.size()))
+          .ok());
+  EXPECT_EQ(index->EntryCount(), entries);
+  EXPECT_EQ(*index->Get(ByteSpan(last.data(), last.size())), new_value);
+  ASSERT_TRUE(index->Delete(ByteSpan(last.data(), last.size())).ok());
+  EXPECT_EQ(index->Get(ByteSpan(last.data(), last.size())).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(index->EntryCount(), entries - 1);
+}
+
 // -- Corfu log ------------------------------------------------------------
 
 TEST_F(StorageTest, CorfuAppendRead) {
@@ -548,6 +740,19 @@ TEST_F(StorageTest, CorfuTrimReclaims) {
   EXPECT_EQ(log.Read(3).status().code(), StatusCode::kOutOfRange);
   EXPECT_TRUE(log.Read(7).ok());
   EXPECT_EQ(log.TrimPoint(), 5u);
+}
+
+TEST_F(StorageTest, CorfuTrimOfTooManyPositionsIsRefused) {
+  CorfuLog log(store_.get(), 30);
+  ASSERT_TRUE(log.Fill(CorfuLog::kMaxPosition).ok());
+  const auto start = std::chrono::steady_clock::now();
+  const Status st = log.Trim(CorfuLog::kMaxPosition);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(log.TrimPoint(), 0u);
+  // A trim of exactly the cap goes through.
+  ASSERT_TRUE(log.Trim(CorfuLog::kMaxTrimPositions).ok());
+  EXPECT_EQ(log.TrimPoint(), CorfuLog::kMaxTrimPositions);
 }
 
 TEST_F(StorageTest, CorfuStriping) {
