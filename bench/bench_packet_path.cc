@@ -25,6 +25,10 @@
 //       by subsystem (wire vs fabric chain vs flow table vs apps) from the
 //       PR 4 span tracer, as counters.
 //
+//   StageChain   wall cost of the stage chain alone: ns per frame of one
+//       interpreter call running the three programs over the steady frames
+//       of a perfbench-shaped trace, min over 5 repetitions. Not gated.
+//
 //   ClusterIdentity   the E16 oracle: XdpCluster runs over shard layouts
 //       {1,2,4} must produce bit-identical results (including the
 //       per-packet verdict hash). Aborts on divergence.
@@ -33,13 +37,17 @@
 //   bench_packet_path --benchmark_format=json > BENCH_PR8.json
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/check.h"
 #include "src/dpu/hyperion.h"
+#include "src/ebpf/vm.h"
+#include "src/fpga/match_action.h"
 #include "src/load/packet_trace.h"
 #include "src/load/xdp.h"
 #include "src/net/fabric.h"
@@ -155,6 +163,54 @@ BENCHMARK(PacketPathSmoke)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
+
+// The stage chain alone, in process: one chain call per frame (guard,
+// flow, LB while they PASS) over the steady frames of a perfbench-shaped
+// trace (2^14 flows, 2^18 steady 1024-byte frames), after the pipeline has
+// run that trace once so every map holds its end-of-run entries. The
+// frames are synthesised before the clock starts. ns_per_frame is the
+// wall cost of the interpreter and its map probes; the min over the
+// repetitions is the row to read. Not gated.
+void StageChain(benchmark::State& state) {
+  const load::XdpOptions options = PathOptions(1u << 14, 1u << 18, /*fpga=*/true);
+  Rig rig(HbmFor(options));
+  auto built = load::XdpPipeline::Create(&rig.dpu, options);
+  CHECK(built.ok());
+  CHECK((*built)->Run().ok());
+  const load::PacketTrace& trace = (*built)->trace();
+  fpga::MatchActionPipeline& chain = *(*built)->fabric_pipeline();
+  const uint64_t first = trace.ramp_packets();
+  const uint64_t frames = trace.total_packets() - first;
+  constexpr size_t kCtx = load::PacketTrace::kCtxBytes;
+  std::vector<uint8_t> bytes(frames * kCtx);
+  for (uint64_t i = 0; i < frames; ++i) {
+    trace.FrameAt(first + i, MutableByteSpan(&bytes[i * kCtx], kCtx));
+  }
+  uint64_t stages_run = 0;
+  std::chrono::nanoseconds elapsed{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < frames; ++i) {
+      Result<ebpf::ChainExit> exit = chain.RunChain(MutableByteSpan(&bytes[i * kCtx], kCtx));
+      CHECK(exit.ok());
+      stages_run += exit->stage + 1;
+    }
+    elapsed += std::chrono::steady_clock::now() - start;
+  }
+  const double total = static_cast<double>(frames) * static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(total));
+  state.counters["ns_per_frame"] = static_cast<double>(elapsed.count()) / total;
+  state.counters["stages_per_frame"] = static_cast<double>(stages_run) / total;
+}
+
+BENCHMARK(StageChain)
+    ->Name("E16/StageChain")
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ComputeStatistics("min", [](const std::vector<double>& v) {
+      return *std::min_element(v.begin(), v.end());
+    });
 
 // Per-stage critical-path attribution (PR 4 tracer): where a batch's time
 // actually goes — the wire (kNet), the match/action chain (kFpga), the

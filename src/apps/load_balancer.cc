@@ -83,10 +83,8 @@ Status LoadBalancer::SpillOne() {
   const FlowKey victim = lru_.back();
   auto it = resident_.find(victim);
   CHECK(it != resident_.end());
-  Bytes key_bytes = victim.Serialize();
   Bytes value = BackendBytes(it->second.backend);
-  RETURN_IF_ERROR(spill_->Put(ByteSpan(key_bytes.data(), key_bytes.size()),
-                              ByteSpan(value.data(), value.size())));
+  RETURN_IF_ERROR(spill_->Put(victim.Serialize(), ByteSpan(value.data(), value.size())));
   lru_.pop_back();
   resident_.erase(it);
   ++stats_.spills;
@@ -125,17 +123,17 @@ Result<Backend> LoadBalancer::Route(const Packet& packet) {
   // Flash tier probe. A pure SYN is a brand-new connection: it cannot have
   // been spilled, so skip the flash read and go straight to placement.
   const bool fresh_syn = (packet.tcp_flags & kTcpSyn) != 0 && !teardown;
-  Bytes key_bytes = key.Serialize();
+  const auto key_bytes = key.Serialize();
   Result<Bytes> spilled = fresh_syn ? Result<Bytes>(NotFound("fresh SYN"))
-                                    : spill_->Get(ByteSpan(key_bytes.data(), key_bytes.size()));
+                                    : spill_->Get(key_bytes);
   if (spilled.ok()) {
     ++stats_.spill_hits;
     const Backend backend = BackendFromBytes(ByteSpan(spilled->data(), spilled->size()));
     if (teardown) {
-      RETURN_IF_ERROR(spill_->Delete(ByteSpan(key_bytes.data(), key_bytes.size())));
+      RETURN_IF_ERROR(spill_->Delete(key_bytes));
     } else {
       // Promote back to DRAM.
-      RETURN_IF_ERROR(spill_->Delete(ByteSpan(key_bytes.data(), key_bytes.size())));
+      RETURN_IF_ERROR(spill_->Delete(key_bytes));
       RETURN_IF_ERROR(InsertResident(key, backend));
       ++stats_.promotions;
     }

@@ -4,18 +4,15 @@
 
 namespace hyperion::apps {
 
-uint64_t FlowKey::Hash() const {
-  Bytes bytes = Serialize();
-  return Fnv1a64(ByteSpan(bytes.data(), bytes.size()));
-}
+uint64_t FlowKey::Hash() const { return Fnv1a64(Serialize()); }
 
-Bytes FlowKey::Serialize() const {
-  Bytes out;
-  PutU32(out, src_ip);
-  PutU32(out, dst_ip);
-  PutU16(out, src_port);
-  PutU16(out, dst_port);
-  out.push_back(protocol);
+std::array<uint8_t, FlowKey::kSerializedBytes> FlowKey::Serialize() const {
+  std::array<uint8_t, kSerializedBytes> out;
+  SetU32(out, 0, src_ip);
+  SetU32(out, 4, dst_ip);
+  SetU16(out, 8, src_port);
+  SetU16(out, 10, dst_port);
+  out[12] = protocol;
   return out;
 }
 

@@ -3,6 +3,7 @@
 #ifndef HYPERION_SRC_APPS_PACKET_H_
 #define HYPERION_SRC_APPS_PACKET_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -20,8 +21,12 @@ struct FlowKey {
 
   friend bool operator==(const FlowKey&, const FlowKey&) = default;
 
+  // Serialize()'s length: both addresses, both ports and the protocol.
+  static constexpr size_t kSerializedBytes = 4 + 4 + 2 + 2 + 1;
+
   uint64_t Hash() const;
-  Bytes Serialize() const;            // 13 bytes, the spill-table key
+  // The spill-table key, built in place.
+  std::array<uint8_t, kSerializedBytes> Serialize() const;
   std::string ToString() const;       // "a.b.c.d:p -> a.b.c.d:p/proto"
 };
 

@@ -43,6 +43,18 @@ inline void PutLittleEndian(Bytes& out, T v) {
 }
 
 template <typename T>
+inline void SetLittleEndian(MutableByteSpan out, size_t offset, T v) {
+  DCHECK_LE(offset + sizeof(T), out.size());
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data() + offset, &v, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      out[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+template <typename T>
 inline T GetLittleEndian(ByteSpan in, size_t offset) {
   DCHECK_LE(offset + sizeof(T), in.size());
   if constexpr (std::endian::native == std::endian::little) {
@@ -69,6 +81,17 @@ inline void PutBytes(Bytes& out, ByteSpan data) { out.insert(out.end(), data.beg
 inline void PutString(Bytes& out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
+}
+
+// In-place counterparts of PutU16/32/64, for fixed-size buffers.
+inline void SetU16(MutableByteSpan out, size_t offset, uint16_t v) {
+  internal::SetLittleEndian(out, offset, v);
+}
+inline void SetU32(MutableByteSpan out, size_t offset, uint32_t v) {
+  internal::SetLittleEndian(out, offset, v);
+}
+inline void SetU64(MutableByteSpan out, size_t offset, uint64_t v) {
+  internal::SetLittleEndian(out, offset, v);
 }
 
 inline uint16_t GetU16(ByteSpan in, size_t offset) {

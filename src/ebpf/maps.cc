@@ -1,7 +1,6 @@
 #include "src/ebpf/maps.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/check.h"
 
@@ -11,31 +10,6 @@ namespace {
 
 // A new hash map's index: 16 cells hold 8 keys before the first doubling.
 constexpr size_t kMinCells = 16;
-
-// murmur3's 64-bit finaliser: every input bit reaches the low bits the
-// index masks with.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  return x ^ (x >> 33);
-}
-
-uint64_t HashKey(const uint8_t* key, size_t size) {
-  uint64_t h = size;
-  for (; size >= 8; key += 8, size -= 8) {
-    uint64_t word;
-    std::memcpy(&word, key, 8);
-    h = Mix(h ^ word);
-  }
-  if (size > 0) {
-    uint64_t word = 0;
-    std::memcpy(&word, key, size);
-    h = Mix(h ^ word);
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -57,32 +31,6 @@ uint32_t Map::EntryCount() const {
   return spec_.type == MapType::kArray ? spec_.max_entries : entries_;
 }
 
-size_t Map::FindCell(const uint8_t* key) const {
-  return index_.Find(HashKey(key, spec_.key_size), [&](uint32_t slot) {
-    return std::memcmp(KeyOf(slot), key, spec_.key_size) == 0;
-  });
-}
-
-uint64_t Map::SlotHash(uint32_t slot) const { return HashKey(KeyOf(slot), spec_.key_size); }
-
-std::optional<uint32_t> Map::LookupHandle(ByteSpan key) const {
-  if (key.size() != spec_.key_size) {
-    return std::nullopt;
-  }
-  if (spec_.type == MapType::kArray) {
-    const uint32_t idx = GetU32(key, 0);
-    if (idx >= spec_.max_entries) {
-      return std::nullopt;
-    }
-    return idx;
-  }
-  const uint32_t cell = index_[FindCell(key.data())];
-  if (cell == 0) {
-    return std::nullopt;
-  }
-  return cell - 1;
-}
-
 Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
   if (key.size() != spec_.key_size) {
     return InvalidArgument("key size mismatch");
@@ -90,22 +38,31 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
   if (value.size() != spec_.value_size) {
     return InvalidArgument("value size mismatch");
   }
+  const uint32_t slot = Put(key.data(), value.data());
+  if (slot == kNoHandle) {
+    return spec_.type == MapType::kArray ? OutOfRange("array index out of range")
+                                         : ResourceExhausted("map full");
+  }
+  return slot;
+}
+
+uint32_t Map::Put(const uint8_t* key, const uint8_t* value) {
   if (spec_.type == MapType::kArray) {
-    const uint32_t idx = GetU32(key, 0);
+    const uint32_t idx = GetU32(ByteSpan(key, 4), 0);
     if (idx >= spec_.max_entries) {
-      return OutOfRange("array index out of range");
+      return kNoHandle;
     }
-    std::copy(value.begin(), value.end(),
-              values_.begin() + static_cast<ptrdiff_t>(idx) * spec_.value_size);
+    std::copy_n(value, spec_.value_size,
+                values_.begin() + static_cast<ptrdiff_t>(idx) * spec_.value_size);
     return idx;
   }
-  const size_t cell = FindCell(key.data());
+  const size_t cell = FindCell(key);
   uint32_t slot;
   if (index_[cell] != 0) {
     slot = index_[cell] - 1;
   } else {
     if (entries_ >= spec_.max_entries) {
-      return ResourceExhausted("map full");
+      return kNoHandle;
     }
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -115,15 +72,15 @@ Result<uint32_t> Map::Update(ByteSpan key, ByteSpan value) {
       values_.resize(static_cast<size_t>(next_slot_) * spec_.value_size, 0);
       keys_.resize(static_cast<size_t>(next_slot_) * spec_.key_size);
     }
-    std::copy(key.begin(), key.end(),
-              keys_.begin() + static_cast<ptrdiff_t>(slot) * spec_.key_size);
+    std::copy_n(key, spec_.key_size,
+                keys_.begin() + static_cast<ptrdiff_t>(slot) * spec_.key_size);
     index_[cell] = slot + 1;
     if (2 * size_t{++entries_} > index_.cells()) {
       index_.Grow([this](uint32_t i) { return SlotHash(i); });
     }
   }
-  std::copy(value.begin(), value.end(),
-            values_.begin() + static_cast<ptrdiff_t>(slot) * spec_.value_size);
+  std::copy_n(value, spec_.value_size,
+              values_.begin() + static_cast<ptrdiff_t>(slot) * spec_.value_size);
   return slot;
 }
 

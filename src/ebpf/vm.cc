@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 
 #include "src/common/check.h"
 
@@ -38,9 +39,14 @@ enum Handler : uint8_t {
   kAtomicAddW = kStxB + 4,
   kAtomicAddDw,
   kJa,
-  kCall,
+  kCall,           // map_update, map_delete, ktime_get_ns, get_prandom_u32
+  kCallMapLookup,  // probed inline
   kExit,
   kTrap,
+  kOffEnd,   // the slot at size(): the pc ran off the end
+  kJumpOut,  // the slot after it: a jump left the program
+  kLookupBranch,  // a fused map lookup and null check (see Fuse below)
+  kHandlerCount,
 };
 
 // Trap messages, indexed by a trap slot's imm.
@@ -51,6 +57,7 @@ enum Trap : uint8_t {
   kUnsupportedAtomic,
   kUnknownJumpOp,
   kBadRegister,
+  kUnknownHelper,
 };
 constexpr const char* kTrapMessages[] = {
     "bad endian width",
@@ -59,6 +66,7 @@ constexpr const char* kTrapMessages[] = {
     "unsupported atomic operation",
     "unknown jump op",
     "bad register number",
+    "unknown helper id",
 };
 
 // 1, 2, 4 and 8-byte accesses in that order.
@@ -135,16 +143,29 @@ Executable::Slot DecodeSlot(const std::vector<Insn>& insns, size_t pc) {
       if (op == kJmpExit) {
         slot.op = kExit;
       } else if (op == kJmpCall) {
-        slot.op = kCall;
+        switch (static_cast<HelperId>(insn.imm)) {
+          case HelperId::kMapLookup:
+            slot.op = kCallMapLookup;
+            break;
+          case HelperId::kMapUpdate:
+          case HelperId::kMapDelete:
+          case HelperId::kKtimeGetNs:
+          case HelperId::kGetPrandomU32:
+            slot.op = kCall;
+            break;
+          default:
+            return trap(kUnknownHelper);
+        }
       } else if (op > kJmpJsle) {
         return trap(kUnknownJumpOp);
       } else {
         slot.op = op == kJmpJa ? uint8_t{kJa}
                                : Variant(kJmpHandlers, op, cls == kClassJmp, insn.IsSrcReg());
+        // A target outside [0, size] lands on the jump-out slot.
         const int64_t target = static_cast<int64_t>(pc) + 1 + insn.off;
-        slot.off = target < 0 || static_cast<size_t>(target) > insns.size()
-                       ? -1
-                       : static_cast<int32_t>(target);
+        slot.off = static_cast<int32_t>(target < 0 || static_cast<size_t>(target) > insns.size()
+                                            ? insns.size() + 1
+                                            : static_cast<size_t>(target));
       }
       break;
   }
@@ -244,14 +265,42 @@ void Store(uint8_t* p, uint64_t v) {
   std::memcpy(p, &narrowed, sizeof narrowed);
 }
 
+// Gives the first slot of the idiom every XDP stage looks a map up with,
+//
+//   ld_map_fd r1, M; mov r2, r10; add r2, K; call map_lookup; jeq r0, 0, L
+//
+// a handler that runs the whole idiom. It charges each instruction in turn
+// against the budget and the profile, exactly as the separate handlers
+// would, and fails where they would. The later slots keep their own
+// handlers, so a jump into the middle of the idiom runs from there as
+// before.
+void Fuse(std::vector<Executable::Slot>& slots, size_t size) {
+  const auto is = [&](size_t pc, uint8_t op, uint8_t dst) {
+    return slots[pc].op == op && slots[pc].dst == dst;
+  };
+  constexpr uint8_t kMovReg64 = Variant(kAluHandlers, kAluMov, true, true);
+  constexpr uint8_t kAddImm64 = Variant(kAluHandlers, kAluAdd, true, false);
+  constexpr uint8_t kJeqImm64 = Variant(kJmpHandlers, kJmpJeq, true, false);
+  for (size_t pc = 0; pc + 5 < size; ++pc) {
+    if (is(pc, kLdImm64, 1) && is(pc + 2, kMovReg64, 2) && slots[pc + 2].src == 10 &&
+        is(pc + 3, kAddImm64, 2) && slots[pc + 4].op == kCallMapLookup &&
+        is(pc + 5, kJeqImm64, 0) && slots[pc + 5].imm == 0) {
+      slots[pc].op = kLookupBranch;
+    }
+  }
+}
+
 }  // namespace
+
+Executable::Executable() : slots_{Slot{.op = kOffEnd}, Slot{.op = kJumpOut}} {}
 
 Executable Decode(const Program& prog) {
   Executable exe;
-  exe.slots_.reserve(prog.insns.size());
+  exe.slots_.insert(exe.slots_.begin(), prog.insns.size(), Executable::Slot{});
   for (size_t pc = 0; pc < prog.insns.size(); ++pc) {
-    exe.slots_.push_back(DecodeSlot(prog.insns, pc));
+    exe.slots_[pc] = DecodeSlot(prog.insns, pc);
   }
+  Fuse(exe.slots_, prog.insns.size());
   return exe;
 }
 
@@ -273,14 +322,10 @@ inline uint8_t* Vm::Window(uint64_t addr, uint64_t len, MutableByteSpan ctx) {
       }
       return ctx.data() + payload;
     case kTagMapValue: {
-      const auto handle = static_cast<uint32_t>((payload >> 16) & 0xffffff);
-      const auto offset = static_cast<uint32_t>(payload & 0xffff);
       Map* map = maps_->Get(static_cast<uint32_t>(payload >> 40));
-      if (map == nullptr || offset > map->spec().value_size ||
-          len > map->spec().value_size - offset || !map->HasSlot(handle)) {
-        return nullptr;
-      }
-      return map->MutableValue(handle).data() + offset;
+      return map == nullptr ? nullptr
+                            : map->ValueWindow(static_cast<uint32_t>((payload >> 16) & 0xffffff),
+                                               payload & 0xffff, len);
     }
     default:
       return nullptr;
@@ -307,246 +352,380 @@ Status Vm::Violation(uint64_t addr, Access access) const {
   }
 }
 
-Result<uint64_t> Vm::CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3,
-                                MutableByteSpan ctx) {
-  // Map helpers: r1 is the map, r2 the key and (update) r3 the value. A
-  // lookup hashes the key where it lies; update and delete copy it first,
-  // since Map::Update may move the values a key or value pointer aliases.
-  // The flags in r4 are not read: only BPF_ANY semantics are modelled.
-  const auto map_arg = [&](const char* no_map, const char* unknown) -> Result<Map*> {
-    if (TagOf(r1) != kTagMapRef) {
-      return PermissionDenied(no_map);
+bool Vm::CallHelper(HelperId helper, const uint64_t* reg, MutableByteSpan ctx, uint64_t* r0) {
+  // Map helpers: r1 is the map, r2 the key and (update) r3 the value.
+  // Update and delete copy the key first, since Map::Put may move the values
+  // a key or value pointer aliases. The flags in r4 are not read:
+  // only BPF_ANY semantics are modelled.
+  const auto map_arg = [&](const char* no_map, const char* unknown) -> Map* {
+    if (TagOf(reg[1]) != kTagMapRef) {
+      Fail(PermissionDenied(no_map));
+      return nullptr;
     }
-    Map* map = maps_->Get(static_cast<uint32_t>(PayloadOf(r1)));
+    Map* map = maps_->Get(static_cast<uint32_t>(PayloadOf(reg[1])));
     if (map == nullptr) {
-      return PermissionDenied(unknown);
+      Fail(PermissionDenied(unknown));
     }
     return map;
   };
-  const auto copy_in = [&](uint64_t addr, uint32_t len, Bytes& out) -> Status {
+  const auto copy_in = [&](uint64_t addr, uint32_t len, Bytes& out) {
     const uint8_t* p = Window<Access::kLoad>(addr, len, ctx);
     if (p == nullptr) {
-      return Violation(addr, Access::kLoad);
+      Fail(Violation(addr, Access::kLoad));
+      return false;
     }
     out.assign(p, p + len);
-    return Status::Ok();
+    return true;
   };
   switch (helper) {
-    case HelperId::kMapLookup: {
-      ASSIGN_OR_RETURN(Map * map,
-                       map_arg("map_lookup: r1 is not a map", "map_lookup: unknown map"));
-      const uint32_t key_size = map->spec().key_size;
-      const uint8_t* key = Window<Access::kLoad>(r2, key_size, ctx);
-      if (key == nullptr) {
-        return Violation(r2, Access::kLoad);
-      }
-      const std::optional<uint32_t> handle = map->LookupHandle(ByteSpan(key, key_size));
-      if (!handle) {
-        return uint64_t{0};  // NULL: program must branch on it
-      }
-      return MakeTagged(kTagMapValue,
-                        PackMapValue(static_cast<uint32_t>(PayloadOf(r1)), *handle, 0));
-    }
     case HelperId::kMapUpdate: {
-      ASSIGN_OR_RETURN(Map * map,
-                       map_arg("map_update: r1 is not a map", "map_update: unknown map"));
-      RETURN_IF_ERROR(copy_in(r2, map->spec().key_size, key_));
-      RETURN_IF_ERROR(copy_in(r3, map->spec().value_size, value_));
-      return map->Update(key_, value_).ok() ? uint64_t{0} : static_cast<uint64_t>(-1);
+      Map* map = map_arg("map_update: r1 is not a map", "map_update: unknown map");
+      if (map == nullptr || !copy_in(reg[2], map->spec().key_size, key_) ||
+          !copy_in(reg[3], map->spec().value_size, value_)) {
+        return false;
+      }
+      *r0 = map->Put(key_.data(), value_.data()) != Map::kNoHandle ? uint64_t{0}
+                                                                     : static_cast<uint64_t>(-1);
+      return true;
     }
     case HelperId::kMapDelete: {
-      ASSIGN_OR_RETURN(Map * map,
-                       map_arg("map_delete: r1 is not a map", "map_delete: unknown map"));
-      RETURN_IF_ERROR(copy_in(r2, map->spec().key_size, key_));
-      return map->Delete(key_).ok() ? uint64_t{0} : static_cast<uint64_t>(-1);
+      Map* map = map_arg("map_delete: r1 is not a map", "map_delete: unknown map");
+      if (map == nullptr || !copy_in(reg[2], map->spec().key_size, key_)) {
+        return false;
+      }
+      *r0 = map->Delete(key_).ok() ? uint64_t{0} : static_cast<uint64_t>(-1);
+      return true;
     }
     case HelperId::kKtimeGetNs:
-      return engine_ != nullptr ? engine_->Now() : uint64_t{0};
-    case HelperId::kGetPrandomU32:
-      return rng_.Next() & 0xffffffffull;
+      *r0 = engine_ != nullptr ? engine_->Now() : uint64_t{0};
+      return true;
+    default:  // kGetPrandomU32: Decode traps every other id
+      *r0 = rng_.Next() & 0xffffffffull;
+      return true;
   }
-  return PermissionDenied("unknown helper id");
 }
 
-// One case per handler id. `s` is the slot at the pc the loop just
-// advanced past; a handler that jumps overwrites `pc`.
-#define HYPERION_ALU_CASES(OP)                               \
-  case Variant(kAluHandlers, OP, true, false):               \
-    reg[s.dst] = Alu<OP, true>(reg[s.dst], s.imm);           \
-    break;                                                   \
-  case Variant(kAluHandlers, OP, true, true):                \
-    reg[s.dst] = Alu<OP, true>(reg[s.dst], reg[s.src]);      \
-    break;                                                   \
-  case Variant(kAluHandlers, OP, false, false):              \
-    reg[s.dst] = Alu<OP, false>(reg[s.dst], s.imm);          \
-    break;                                                   \
-  case Variant(kAluHandlers, OP, false, true):               \
-    reg[s.dst] = Alu<OP, false>(reg[s.dst], reg[s.src]);     \
-    break;
+void Vm::Fail(Status status) { fault_ = std::move(status); }
 
-#define HYPERION_BRANCH(taken)                                  \
-  if (taken) {                                                  \
-    if (s.off < 0) {                                            \
-      return PermissionDenied("jump out of program");           \
-    }                                                           \
-    pc = static_cast<size_t>(s.off);                            \
-  }                                                             \
-  break;
+// map_lookup: `map_ref` names the map and `key_addr` the key, hashed
+// where it lies; r0 gets a pointer to the value or NULL, which the
+// program must branch on.
+bool Vm::Lookup(uint64_t map_ref, uint64_t key_addr, MutableByteSpan ctx, uint64_t* r0) {
+  if (TagOf(map_ref) != kTagMapRef) {
+    Fail(PermissionDenied("map_lookup: r1 is not a map"));
+    return false;
+  }
+  const auto map_id = static_cast<uint32_t>(PayloadOf(map_ref));
+  const Map* map = maps_->Get(map_id);
+  if (map == nullptr) {
+    Fail(PermissionDenied("map_lookup: unknown map"));
+    return false;
+  }
+  const uint8_t* key = Window<Access::kLoad>(key_addr, map->spec().key_size, ctx);
+  if (key == nullptr) {
+    Fail(Violation(key_addr, Access::kLoad));
+    return false;
+  }
+  const uint32_t handle = map->Probe(key);
+  *r0 = handle == Map::kNoHandle ? 0 : MakeTagged(kTagMapValue, PackMapValue(map_id, handle, 0));
+  return true;
+}
 
-#define HYPERION_JMP_CASES(OP)                                      \
-  case Variant(kJmpHandlers, OP, true, false):                      \
-    HYPERION_BRANCH((Taken<OP, true>(reg[s.dst], s.imm)))           \
-  case Variant(kJmpHandlers, OP, true, true):                       \
-    HYPERION_BRANCH((Taken<OP, true>(reg[s.dst], reg[s.src])))      \
-  case Variant(kJmpHandlers, OP, false, false):                     \
-    HYPERION_BRANCH((Taken<OP, false>(reg[s.dst], s.imm)))          \
-  case Variant(kJmpHandlers, OP, false, true):                      \
-    HYPERION_BRANCH((Taken<OP, false>(reg[s.dst], reg[s.src])))
+// Direct-threaded dispatch (GCC labels as values): every handler ends by
+// jumping straight to the next slot's handler through kHandlers, so each
+// has its own indirect branch to predict. A handler first charges its
+// instruction against the budget and, in the profiled instantiation, the
+// per-pc counts. The two trailing slots fail without a charge, so no
+// handler tests the pc. Handlers keep their locals in a block, so no jump
+// enters a variable's scope.
+#define HYPERION_NEXT() goto* kHandlers[s->op]
 
-// Loads address [src + off], stores [dst + off]; a refused window fails
-// the run with the sandbox error.
-#define HYPERION_STORE(TYPE, VALUE)                                             \
-  {                                                                             \
-    const uint64_t addr = reg[s.dst] + static_cast<uint64_t>(int64_t{s.off});   \
-    uint8_t* p = Window<Access::kStore>(addr, sizeof(TYPE), ctx);               \
-    if (p == nullptr) {                                                         \
-      return Violation(addr, Access::kStore);                                   \
-    }                                                                           \
-    Store<TYPE>(p, VALUE);                                                      \
-    break;                                                                      \
+#define HYPERION_CHARGE()                                   \
+  if (left == 0) {                                          \
+    Fail(DeadlineExceeded("instruction budget exhausted")); \
+    return kFaulted;                                        \
+  }                                                         \
+  --left;                                                   \
+  if constexpr (kProfile) {                                 \
+    const auto pc = static_cast<size_t>(s - slots);         \
+    if (pc < counted) {                                     \
+      ++counts[pc];                                         \
+    }                                                       \
   }
 
-#define HYPERION_MEM_CASES(INDEX, TYPE)                                          \
-  case kLdxB + INDEX: {                                                          \
-    const uint64_t addr = reg[s.src] + static_cast<uint64_t>(int64_t{s.off});    \
-    const uint8_t* p = Window<Access::kLoad>(addr, sizeof(TYPE), ctx);           \
-    if (p == nullptr) {                                                          \
-      return Violation(addr, Access::kLoad);                                     \
-    }                                                                            \
-    reg[s.dst] = Load<TYPE>(p);                                                  \
-    break;                                                                       \
-  }                                                                              \
-  case kStB + INDEX:                                                             \
-    HYPERION_STORE(TYPE, s.imm)                                                  \
-  case kStxB + INDEX:                                                            \
-    HYPERION_STORE(TYPE, reg[s.src])
+#define HYPERION_STEP(label, ...) \
+  label : {                       \
+    HYPERION_CHARGE()             \
+    __VA_ARGS__;                  \
+  }                               \
+  ++s;                            \
+  HYPERION_NEXT();
 
-Result<ExecResult> Vm::Run(const Executable& exe, MutableByteSpan ctx, uint64_t insn_budget) {
+#define HYPERION_ALU_LABELS(name) \
+  &&alu_##name##_64k, &&alu_##name##_64x, &&alu_##name##_32k, &&alu_##name##_32x
+#define HYPERION_ALU_HANDLERS(name, OP)                                                  \
+  HYPERION_STEP(alu_##name##_64k, reg[s->dst] = Alu<OP, true>(reg[s->dst], s->imm))      \
+  HYPERION_STEP(alu_##name##_64x, reg[s->dst] = Alu<OP, true>(reg[s->dst], reg[s->src])) \
+  HYPERION_STEP(alu_##name##_32k, reg[s->dst] = Alu<OP, false>(reg[s->dst], s->imm))     \
+  HYPERION_STEP(alu_##name##_32x, reg[s->dst] = Alu<OP, false>(reg[s->dst], reg[s->src]))
+
+// A taken branch goes to its target's slot, the jump-out slot when the
+// target leaves the program.
+#define HYPERION_BRANCH(label, taken)     \
+  label : {                               \
+    HYPERION_CHARGE()                     \
+    s = (taken) ? slots + s->off : s + 1; \
+  }                                       \
+  HYPERION_NEXT();
+
+#define HYPERION_JMP_LABELS(name) \
+  &&jmp_##name##_64k, &&jmp_##name##_64x, &&jmp_##name##_32k, &&jmp_##name##_32x
+#define HYPERION_JMP_HANDLERS(name, OP)                                          \
+  HYPERION_BRANCH(jmp_##name##_64k, (Taken<OP, true>(reg[s->dst], s->imm)))      \
+  HYPERION_BRANCH(jmp_##name##_64x, (Taken<OP, true>(reg[s->dst], reg[s->src]))) \
+  HYPERION_BRANCH(jmp_##name##_32k, (Taken<OP, false>(reg[s->dst], s->imm)))     \
+  HYPERION_BRANCH(jmp_##name##_32x, (Taken<OP, false>(reg[s->dst], reg[s->src])))
+
+// Four trap entries: an op block no handler serves, which Decode never
+// emits.
+#define HYPERION_UNUSED_LABELS &&trap, &&trap, &&trap, &&trap
+
+// A `sizeof(TYPE)`-byte access at [reg[base] + off]; a refused window fails
+// the run with the sandbox error for `reported`, else `body` uses `p`.
+#define HYPERION_ACCESS(label, TYPE, base, access, reported, body)               \
+  label : {                                                                      \
+    HYPERION_CHARGE()                                                            \
+    const uint64_t addr = reg[s->base] + static_cast<uint64_t>(int64_t{s->off}); \
+    uint8_t* p = Window<access>(addr, sizeof(TYPE), ctx);                        \
+    if (p == nullptr) {                                                          \
+      Fail(Violation(addr, reported));                                           \
+      return kFaulted;                                                           \
+    }                                                                            \
+    body;                                                                        \
+  }                                                                              \
+  ++s;                                                                           \
+  HYPERION_NEXT();
+
+// Loads address [src + off], stores [dst + off].
+#define HYPERION_LOAD(label, TYPE) \
+  HYPERION_ACCESS(label, TYPE, src, Access::kLoad, Access::kLoad, reg[s->dst] = Load<TYPE>(p))
+#define HYPERION_STORE(label, TYPE, VALUE) \
+  HYPERION_ACCESS(label, TYPE, dst, Access::kStore, Access::kStore, Store<TYPE>(p, VALUE))
+// The read half of an atomic add is the one a refused window reports.
+#define HYPERION_ATOMIC_ADD(label, TYPE)                           \
+  HYPERION_ACCESS(label, TYPE, dst, Access::kStore, Access::kLoad, \
+                  Store<TYPE>(p, Load<TYPE>(p) + reg[s->src]))
+
+template <bool kProfile>
+ChainExit Vm::Exec(std::span<const Executable> stages, MutableByteSpan ctx, uint64_t insn_budget,
+                   uint64_t pass, uint64_t* insns) {
+  // Indexed by handler id.
+  static const void* const kHandlers[] = {
+      HYPERION_ALU_LABELS(add),  HYPERION_ALU_LABELS(sub),  HYPERION_ALU_LABELS(mul),
+      HYPERION_ALU_LABELS(div),  HYPERION_ALU_LABELS(bor),  HYPERION_ALU_LABELS(band),
+      HYPERION_ALU_LABELS(lsh),  HYPERION_ALU_LABELS(rsh),  HYPERION_ALU_LABELS(neg),
+      HYPERION_ALU_LABELS(mod),  HYPERION_ALU_LABELS(bxor), HYPERION_ALU_LABELS(mov),
+      HYPERION_ALU_LABELS(arsh), HYPERION_UNUSED_LABELS,    HYPERION_UNUSED_LABELS,
+      HYPERION_UNUSED_LABELS,
+      HYPERION_UNUSED_LABELS,  // ja
+      HYPERION_JMP_LABELS(jeq),  HYPERION_JMP_LABELS(jgt),  HYPERION_JMP_LABELS(jge),
+      HYPERION_JMP_LABELS(jset), HYPERION_JMP_LABELS(jne),  HYPERION_JMP_LABELS(jsgt),
+      HYPERION_JMP_LABELS(jsge),
+      HYPERION_UNUSED_LABELS,  // call
+      HYPERION_UNUSED_LABELS,  // exit
+      HYPERION_JMP_LABELS(jlt),  HYPERION_JMP_LABELS(jle),  HYPERION_JMP_LABELS(jslt),
+      HYPERION_JMP_LABELS(jsle), HYPERION_UNUSED_LABELS,    HYPERION_UNUSED_LABELS,
+      &&end_le16, &&end_le32, &&end_le64, &&end_be16, &&end_be32, &&end_be64,
+      &&ld_imm64,
+      &&ldx_b, &&ldx_h, &&ldx_w, &&ldx_dw,
+      &&st_b, &&st_h, &&st_w, &&st_dw,
+      &&stx_b, &&stx_h, &&stx_w, &&stx_dw,
+      &&atomic_add_w, &&atomic_add_dw,
+      &&ja, &&call, &&call_map_lookup, &&exit, &&trap, &&off_end, &&jump_out,
+      &&lookup_branch,
+  };
+  static_assert(std::size(kHandlers) == kHandlerCount);
+
+  size_t stage = 0;
+  uint64_t reg[kNumRegisters];
+  const Executable::Slot* slots;
+  const Executable::Slot* s;
+  uint64_t left;
+  uint64_t* const counts = kProfile ? exec_counts_->data() : nullptr;
+  size_t counted = 0;
+
+next_stage:
   // Stack stores are the only writers of stack_, so zeroing from the lowest
-  // byte the last run stored to gives every run empty working memory.
-  std::memset(stack_ + stack_low_, 0, kStackSize - stack_low_);
+  // byte the last run stored to gives every run empty working memory. A
+  // run dirties a few words, too few to pay a string store's start-up, so
+  // the loop stores words.
+  for (uint32_t at = stack_low_ & ~7u; at < kStackSize; at += 8) {
+    Store<uint64_t>(stack_ + at, 0);
+  }
   stack_low_ = kStackSize;
-  uint64_t reg[kNumRegisters] = {};
+  std::fill(std::begin(reg), std::end(reg), 0);
   reg[1] = MakeTagged(kTagCtx, 0);
   reg[2] = ctx.size();
   reg[10] = MakeTagged(kTagStack, kStackSize);
-
-  const Executable::Slot* slots = exe.slots_.data();
-  const size_t size = exe.size();
-  uint64_t* counts = exec_counts_ != nullptr ? exec_counts_->data() : nullptr;
-  const size_t counted = counts != nullptr ? std::min(size, exec_counts_->size()) : 0;
-  uint64_t executed = 0;
-  size_t pc = 0;
-  while (true) {
-    if (pc >= size) {
-      return PermissionDenied("program counter ran off the end");
-    }
-    if (executed >= insn_budget) {
-      return DeadlineExceeded("instruction budget exhausted");
-    }
-    ++executed;
-    if (pc < counted) {
-      ++counts[pc];
-    }
-    const Executable::Slot& s = slots[pc++];
-    switch (s.op) {
-      HYPERION_ALU_CASES(kAluAdd)
-      HYPERION_ALU_CASES(kAluSub)
-      HYPERION_ALU_CASES(kAluMul)
-      HYPERION_ALU_CASES(kAluDiv)
-      HYPERION_ALU_CASES(kAluOr)
-      HYPERION_ALU_CASES(kAluAnd)
-      HYPERION_ALU_CASES(kAluLsh)
-      HYPERION_ALU_CASES(kAluRsh)
-      HYPERION_ALU_CASES(kAluNeg)
-      HYPERION_ALU_CASES(kAluMod)
-      HYPERION_ALU_CASES(kAluXor)
-      HYPERION_ALU_CASES(kAluMov)
-      HYPERION_ALU_CASES(kAluArsh)
-      // Byte-swap (to-BE) or truncate (to-LE) the low 16/32/64 bits,
-      // zero-extended: kernel semantics on a little-endian host.
-      case kEndLe16:
-        reg[s.dst] &= 0xffff;
-        break;
-      case kEndLe32:
-        reg[s.dst] &= 0xffffffffull;
-        break;
-      case kEndLe64:
-        break;
-      case kEndBe16:
-        reg[s.dst] = __builtin_bswap16(static_cast<uint16_t>(reg[s.dst]));
-        break;
-      case kEndBe32:
-        reg[s.dst] = __builtin_bswap32(static_cast<uint32_t>(reg[s.dst]));
-        break;
-      case kEndBe64:
-        reg[s.dst] = __builtin_bswap64(reg[s.dst]);
-        break;
-      case kLdImm64:
-        reg[s.dst] = s.imm;
-        ++pc;  // the second slot holds the upper half
-        break;
-      HYPERION_MEM_CASES(0, uint8_t)
-      HYPERION_MEM_CASES(1, uint16_t)
-      HYPERION_MEM_CASES(2, uint32_t)
-      HYPERION_MEM_CASES(3, uint64_t)
-      case kAtomicAddW:
-      case kAtomicAddDw: {
-        const uint64_t addr = reg[s.dst] + static_cast<uint64_t>(int64_t{s.off});
-        const uint32_t len = s.op == kAtomicAddW ? 4 : 8;
-        uint8_t* p = Window<Access::kStore>(addr, len, ctx);
-        if (p == nullptr) {
-          return Violation(addr, Access::kLoad);  // the read half fails first
-        }
-        if (len == 4) {
-          Store<uint32_t>(p, Load<uint32_t>(p) + reg[s.src]);
-        } else {
-          Store<uint64_t>(p, Load<uint64_t>(p) + reg[s.src]);
-        }
-        break;
-      }
-      case kJa:
-        HYPERION_BRANCH(true)
-      HYPERION_JMP_CASES(kJmpJeq)
-      HYPERION_JMP_CASES(kJmpJgt)
-      HYPERION_JMP_CASES(kJmpJge)
-      HYPERION_JMP_CASES(kJmpJset)
-      HYPERION_JMP_CASES(kJmpJne)
-      HYPERION_JMP_CASES(kJmpJsgt)
-      HYPERION_JMP_CASES(kJmpJsge)
-      HYPERION_JMP_CASES(kJmpJlt)
-      HYPERION_JMP_CASES(kJmpJle)
-      HYPERION_JMP_CASES(kJmpJslt)
-      HYPERION_JMP_CASES(kJmpJsle)
-      case kCall: {
-        ASSIGN_OR_RETURN(reg[0], CallHelper(static_cast<HelperId>(s.imm), reg[1], reg[2],
-                                            reg[3], ctx));
-        // r1-r5 are clobbered by calls per the ABI.
-        reg[1] = reg[2] = reg[3] = reg[4] = reg[5] = 0;
-        break;
-      }
-      case kExit:
-        return ExecResult{reg[0], executed};
-      default:  // kTrap
-        return PermissionDenied(kTrapMessages[s.imm]);
-    }
+  slots = stages[stage].slots_.data();
+  if constexpr (kProfile) {
+    counted = std::min(stages[stage].size(), exec_counts_->size());
   }
+  left = insn_budget;
+  s = slots;
+  HYPERION_NEXT();
+
+  HYPERION_ALU_HANDLERS(add, kAluAdd)
+  HYPERION_ALU_HANDLERS(sub, kAluSub)
+  HYPERION_ALU_HANDLERS(mul, kAluMul)
+  HYPERION_ALU_HANDLERS(div, kAluDiv)
+  HYPERION_ALU_HANDLERS(bor, kAluOr)
+  HYPERION_ALU_HANDLERS(band, kAluAnd)
+  HYPERION_ALU_HANDLERS(lsh, kAluLsh)
+  HYPERION_ALU_HANDLERS(rsh, kAluRsh)
+  HYPERION_ALU_HANDLERS(neg, kAluNeg)
+  HYPERION_ALU_HANDLERS(mod, kAluMod)
+  HYPERION_ALU_HANDLERS(bxor, kAluXor)
+  HYPERION_ALU_HANDLERS(mov, kAluMov)
+  HYPERION_ALU_HANDLERS(arsh, kAluArsh)
+  // Byte-swap (to-BE) or truncate (to-LE) the low 16/32/64 bits,
+  // zero-extended: kernel semantics on a little-endian host.
+  HYPERION_STEP(end_le16, reg[s->dst] &= 0xffff)
+  HYPERION_STEP(end_le32, reg[s->dst] &= 0xffffffffull)
+  HYPERION_STEP(end_le64, )
+  HYPERION_STEP(end_be16, reg[s->dst] = __builtin_bswap16(static_cast<uint16_t>(reg[s->dst])))
+  HYPERION_STEP(end_be32, reg[s->dst] = __builtin_bswap32(static_cast<uint32_t>(reg[s->dst])))
+  HYPERION_STEP(end_be64, reg[s->dst] = __builtin_bswap64(reg[s->dst]))
+  // The second slot holds the upper half: step over it.
+  HYPERION_STEP(ld_imm64, reg[s->dst] = s->imm; ++s)
+  HYPERION_LOAD(ldx_b, uint8_t)
+  HYPERION_LOAD(ldx_h, uint16_t)
+  HYPERION_LOAD(ldx_w, uint32_t)
+  HYPERION_LOAD(ldx_dw, uint64_t)
+  HYPERION_STORE(st_b, uint8_t, s->imm)
+  HYPERION_STORE(st_h, uint16_t, s->imm)
+  HYPERION_STORE(st_w, uint32_t, s->imm)
+  HYPERION_STORE(st_dw, uint64_t, s->imm)
+  HYPERION_STORE(stx_b, uint8_t, reg[s->src])
+  HYPERION_STORE(stx_h, uint16_t, reg[s->src])
+  HYPERION_STORE(stx_w, uint32_t, reg[s->src])
+  HYPERION_STORE(stx_dw, uint64_t, reg[s->src])
+  HYPERION_ATOMIC_ADD(atomic_add_w, uint32_t)
+  HYPERION_ATOMIC_ADD(atomic_add_dw, uint64_t)
+  HYPERION_BRANCH(ja, true)
+  HYPERION_JMP_HANDLERS(jeq, kJmpJeq)
+  HYPERION_JMP_HANDLERS(jgt, kJmpJgt)
+  HYPERION_JMP_HANDLERS(jge, kJmpJge)
+  HYPERION_JMP_HANDLERS(jset, kJmpJset)
+  HYPERION_JMP_HANDLERS(jne, kJmpJne)
+  HYPERION_JMP_HANDLERS(jsgt, kJmpJsgt)
+  HYPERION_JMP_HANDLERS(jsge, kJmpJsge)
+  HYPERION_JMP_HANDLERS(jlt, kJmpJlt)
+  HYPERION_JMP_HANDLERS(jle, kJmpJle)
+  HYPERION_JMP_HANDLERS(jslt, kJmpJslt)
+  HYPERION_JMP_HANDLERS(jsle, kJmpJsle)
+
+call : {
+  HYPERION_CHARGE()
+  if (!CallHelper(static_cast<HelperId>(s->imm), reg, ctx, &reg[0])) {
+    return kFaulted;
+  }
+  // r1-r5 are clobbered by calls per the ABI.
+  reg[1] = reg[2] = reg[3] = reg[4] = reg[5] = 0;
+}
+  ++s;
+  HYPERION_NEXT();
+
+call_map_lookup : {
+  HYPERION_CHARGE()
+  if (!Lookup(reg[1], reg[2], ctx, &reg[0])) {
+    return kFaulted;
+  }
+  reg[1] = reg[2] = reg[3] = reg[4] = reg[5] = 0;
+}
+  ++s;
+  HYPERION_NEXT();
+
+// The program's exit; in a chain, a pass verdict starts the next stage.
+exit : {
+  HYPERION_CHARGE()
+  if (insns != nullptr) {
+    insns[stage] = insn_budget - left;
+  }
+  if (reg[0] == pass && stage + 1 < stages.size()) {
+    ++stage;
+    goto next_stage;
+  }
+  return ChainExit{stage, reg[0]};
+}
+trap : {
+  HYPERION_CHARGE()
+  Fail(PermissionDenied(kTrapMessages[s->imm]));
+  return kFaulted;
+}
+off_end:
+  Fail(PermissionDenied("program counter ran off the end"));
+  return kFaulted;
+jump_out:
+  Fail(PermissionDenied("jump out of program"));
+  return kFaulted;
+
+// ld_map_fd r1, M; mov r2, r10; add r2, K; call map_lookup; jeq r0, 0, L.
+// r1 and r2 need no stores: the call clobbers them.
+lookup_branch : {
+  HYPERION_CHARGE()
+  const uint64_t map_ref = s->imm;
+  s += 2;  // over the LD_IMM64's second slot
+  HYPERION_CHARGE()
+  ++s;
+  HYPERION_CHARGE()
+  const uint64_t key_addr = reg[10] + s->imm;
+  ++s;
+  HYPERION_CHARGE()
+  if (!Lookup(map_ref, key_addr, ctx, &reg[0])) {
+    return kFaulted;
+  }
+  reg[1] = reg[2] = reg[3] = reg[4] = reg[5] = 0;
+  ++s;
+  HYPERION_CHARGE()
+  s = reg[0] == 0 ? slots + s->off : s + 1;
+}
+  HYPERION_NEXT();
 }
 
-#undef HYPERION_MEM_CASES
+#undef HYPERION_ATOMIC_ADD
 #undef HYPERION_STORE
-#undef HYPERION_JMP_CASES
+#undef HYPERION_LOAD
+#undef HYPERION_ACCESS
+#undef HYPERION_UNUSED_LABELS
+#undef HYPERION_JMP_HANDLERS
+#undef HYPERION_JMP_LABELS
 #undef HYPERION_BRANCH
-#undef HYPERION_ALU_CASES
+#undef HYPERION_ALU_HANDLERS
+#undef HYPERION_ALU_LABELS
+#undef HYPERION_STEP
+#undef HYPERION_CHARGE
+#undef HYPERION_NEXT
+
+Result<ExecResult> Vm::Run(const Executable& exe, MutableByteSpan ctx, uint64_t insn_budget) {
+  uint64_t executed = 0;
+  const ChainExit exit = Exec({&exe, 1}, ctx, insn_budget, /*pass=*/0, &executed);
+  if (exit.stage == kFaulted.stage) {
+    return std::move(fault_);
+  }
+  return ExecResult{exit.verdict, executed};
+}
+
+Result<ChainExit> Vm::RunChain(std::span<const Executable> stages, MutableByteSpan ctx,
+                               uint64_t pass, std::span<uint64_t> insns) {
+  CHECK(!stages.empty());
+  CHECK(insns.empty() || insns.size() >= stages.size());
+  const ChainExit exit =
+      Exec(stages, ctx, kDefaultInsnBudget, pass, insns.empty() ? nullptr : insns.data());
+  if (exit.stage == kFaulted.stage) {
+    return std::move(fault_);
+  }
+  return exit;
+}
 
 }  // namespace hyperion::ebpf

@@ -16,7 +16,9 @@
 #ifndef HYPERION_SRC_EBPF_VM_H_
 #define HYPERION_SRC_EBPF_VM_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/result.h"
@@ -45,38 +47,54 @@ constexpr uint64_t PackMapValue(uint32_t map_id, uint32_t handle, uint32_t offse
   return (static_cast<uint64_t>(map_id) << 40) | (static_cast<uint64_t>(handle) << 16) | offset;
 }
 
+// The instruction budget of a run that names none.
+constexpr uint64_t kDefaultInsnBudget = 1u << 20;
+
 struct ExecResult {
   uint64_t return_value = 0;
   uint64_t insns_executed = 0;
 };
 
+// Where Vm::RunChain stopped: the first stage whose verdict was not the
+// pass verdict (the last stage when every one passed), and that verdict.
+struct ChainExit {
+  size_t stage = 0;
+  uint64_t verdict = 0;
+};
+
 // A program decoded once for Vm::Run. Slot i is insns[i] with its opcode
 // fields resolved into one dense handler id and its operands widened: an
 // immediate sign-extended, LD_IMM64 folded to its value (a map reference
-// to its kTagMapRef word), a jump to its absolute target. Slots stay 1:1
-// with insns, so a pc names the same instruction in both and a jump may
-// still land on an LD_IMM64's second half. A slot that cannot execute
-// (an unknown op, a register past r10) decodes to a trap, which fails the
-// run only when it is reached. Only Decode() builds one.
+// to its kTagMapRef word), a helper call to the handler of its helper, a
+// jump to its absolute target. Slots stay 1:1 with insns, so a pc names
+// the same instruction in both and a jump may still land on an LD_IMM64's
+// second half. A slot that cannot execute (an unknown op, a register past
+// r10, an unknown helper) decodes to a trap, which fails the run only when
+// it is reached. Two slots follow the program: one that fails a run whose
+// pc reached size(), and the target of every jump that leaves [0, size()].
+// Only Decode() builds one.
 class Executable {
  public:
   struct Slot {
     uint8_t op = 0;  // handler id (vm.cc)
     uint8_t dst = 0;
     uint8_t src = 0;
-    // Memory offset; for a jump, its target pc, or -1 when that lies
-    // outside [0, size].
-    int32_t off = 0;
+    int32_t off = 0;   // memory offset; for a jump, its target pc
     uint64_t imm = 0;  // operand; for a trap, which message it fails with
   };
 
-  size_t size() const { return slots_.size(); }
+  // An empty program: a run fails at once as having run off its end.
+  Executable();
+
+  size_t size() const { return slots_.size() - kTrailingSlots; }
 
  private:
   friend Executable Decode(const Program& prog);
   friend class Vm;
 
-  std::vector<Slot> slots_;
+  static constexpr size_t kTrailingSlots = 2;
+
+  std::vector<Slot> slots_;  // the program's, then the two trailing slots
 };
 
 Executable Decode(const Program& prog);
@@ -90,19 +108,45 @@ class Vm {
   // Fails with kPermissionDenied on a sandbox violation, kDeadlineExceeded
   // when the instruction budget is exhausted.
   Result<ExecResult> Run(const Executable& exe, MutableByteSpan ctx,
-                         uint64_t insn_budget = 1u << 20);
+                         uint64_t insn_budget = kDefaultInsnBudget);
   // One-shot: decodes `prog`, then runs it.
   Result<ExecResult> Run(const Program& prog, MutableByteSpan ctx,
-                         uint64_t insn_budget = 1u << 20) {
+                         uint64_t insn_budget = kDefaultInsnBudget) {
     return Run(Decode(prog), ctx, insn_budget);
   }
 
-  // When set, Run() increments (*counts)[pc] per executed instruction —
-  // the profile the HDL cycle model consumes. Must outlive Run().
+  // Runs `stages` in order on one `ctx`, each as Run() would with the
+  // default budget, while they answer `pass`. When `insns` is not empty,
+  // insns[i] receives stage i's insns_executed for every stage that ran;
+  // it must then hold one entry per stage. Fails with the first failing
+  // stage's error.
+  Result<ChainExit> RunChain(std::span<const Executable> stages, MutableByteSpan ctx,
+                             uint64_t pass, std::span<uint64_t> insns = {});
+
+  // When set, runs increment (*counts)[pc] per executed instruction — the
+  // profile the HDL cycle model consumes. Must outlive the runs.
   void set_exec_counts(std::vector<uint64_t>* counts) { exec_counts_ = counts; }
 
  private:
   enum class Access { kLoad, kStore };
+
+  // What Exec answers for a run that failed.
+  static constexpr ChainExit kFaulted{~size_t{0}, 0};
+
+  // The one interpreter loop behind Run and RunChain: runs `stages` in
+  // order, each on fresh registers and stack with `insn_budget`, while
+  // they exit with `pass`, and answers where they stopped (insns[i] gets
+  // stage i's insns_executed when insns is not null). On a failure it
+  // answers kFaulted, with the reason in fault_. kProfile counts every
+  // executed pc into exec_counts_.
+  template <bool kProfile>
+  ChainExit Exec(std::span<const Executable> stages, MutableByteSpan ctx, uint64_t insn_budget,
+                 uint64_t pass, uint64_t* insns);
+  ChainExit Exec(std::span<const Executable> stages, MutableByteSpan ctx, uint64_t insn_budget,
+                 uint64_t pass, uint64_t* insns) {
+    return exec_counts_ != nullptr ? Exec<true>(stages, ctx, insn_budget, pass, insns)
+                                   : Exec<false>(stages, ctx, insn_budget, pass, insns);
+  }
 
   // Host address of the `len`-byte window at tagged `addr`, or nullptr when
   // the window leaves its region. A store window also lowers stack_low_.
@@ -111,17 +155,27 @@ class Vm {
   // The sandbox error for a window Window() refused.
   Status Violation(uint64_t addr, Access access) const;
 
-  Result<uint64_t> CallHelper(HelperId helper, uint64_t r1, uint64_t r2, uint64_t r3,
-                              MutableByteSpan ctx);
+  // Records why a run failed in fault_; out of line, off the handlers'
+  // paths.
+  [[gnu::cold, gnu::noinline]] void Fail(Status status);
+  // map_lookup of the key at `key_addr` in the map `map_ref` names, into
+  // *r0; false with fault_ set on a sandbox violation.
+  [[gnu::always_inline]] inline bool Lookup(uint64_t map_ref, uint64_t key_addr,
+                                            MutableByteSpan ctx, uint64_t* r0);
+  // The helpers map_lookup does not cover; false with fault_ set on a
+  // sandbox violation.
+  bool CallHelper(HelperId helper, const uint64_t* reg, MutableByteSpan ctx, uint64_t* r0);
 
   MapRegistry* maps_;
   sim::Engine* engine_;
   Rng rng_;
-  uint8_t stack_[kStackSize] = {};
-  // Lowest stack byte any store has written since the last Run() began;
-  // the next Run() zeroes [stack_low_, kStackSize) so it starts clean.
+  alignas(8) uint8_t stack_[kStackSize] = {};
+  // Lowest stack byte any store has written since the last run began; the
+  // next run zeroes the words from there to the top so it starts clean.
   uint32_t stack_low_ = kStackSize;
   std::vector<uint64_t>* exec_counts_ = nullptr;
+  // Why the last failed run failed.
+  Status fault_;
   // map_update/map_delete arguments, reused across calls.
   Bytes key_;
   Bytes value_;

@@ -1,6 +1,5 @@
 #include "src/fpga/match_action.h"
 
-#include "src/common/check.h"
 #include "src/ebpf/verifier.h"
 
 namespace hyperion::fpga {
@@ -52,21 +51,21 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
         fabric->Reconfigure(region, StageBitstream(spec.program, spec.codegen, tenant)).status());
     next_region = region + 1;
 
-    Stage stage;
-    stage.info.name = spec.program.name;
-    stage.info.region = region;
-    stage.info.initiation_interval = plan.InitiationInterval();
-    stage.info.critical_path_cycles = plan.CriticalPathCycles();
-    stage.info.mean_ilp = plan.MeanIlp();
-    stage.info.fmax_mhz = spec.codegen.fmax_mhz;
-    stage.exe = ebpf::Decode(spec.program);
-    pipeline->stages_.push_back(std::move(stage));
+    MatchActionStageInfo info;
+    info.name = spec.program.name;
+    info.region = region;
+    info.initiation_interval = plan.InitiationInterval();
+    info.critical_path_cycles = plan.CriticalPathCycles();
+    info.mean_ilp = plan.MeanIlp();
+    info.fmax_mhz = spec.codegen.fmax_mhz;
+    pipeline->stages_.push_back(std::move(info));
+    pipeline->programs_.push_back(ebpf::Decode(spec.program));
   }
   // Bottleneck: the stage with the longest admission period in wall time.
   for (size_t i = 1; i < pipeline->stages_.size(); ++i) {
     const auto period = [&](size_t s) {
-      return sim::CyclesToTime(pipeline->stages_[s].info.initiation_interval,
-                               pipeline->stages_[s].info.fmax_mhz);
+      return sim::CyclesToTime(pipeline->stages_[s].initiation_interval,
+                               pipeline->stages_[s].fmax_mhz);
     };
     if (period(i) > period(pipeline->bottleneck_)) {
       pipeline->bottleneck_ = i;
@@ -75,15 +74,9 @@ Result<std::unique_ptr<MatchActionPipeline>> MatchActionPipeline::Create(
   return pipeline;
 }
 
-Result<uint64_t> MatchActionPipeline::RunStage(size_t i, MutableByteSpan ctx) {
-  CHECK_LT(i, stages_.size());
-  ASSIGN_OR_RETURN(ebpf::ExecResult result, vm_.Run(stages_[i].exe, ctx));
-  return result.return_value;
-}
-
 sim::Duration MatchActionPipeline::AdmissionPeriod() const {
-  const Stage& stage = stages_[bottleneck_];
-  return sim::CyclesToTime(stage.info.initiation_interval, stage.info.fmax_mhz);
+  const MatchActionStageInfo& stage = stages_[bottleneck_];
+  return sim::CyclesToTime(stage.initiation_interval, stage.fmax_mhz);
 }
 
 sim::Duration MatchActionPipeline::BatchTime(uint64_t packets) const {
@@ -91,8 +84,8 @@ sim::Duration MatchActionPipeline::BatchTime(uint64_t packets) const {
     return 0;
   }
   sim::Duration fill = 0;
-  for (const Stage& stage : stages_) {
-    fill += sim::CyclesToTime(stage.info.critical_path_cycles, stage.info.fmax_mhz);
+  for (const MatchActionStageInfo& stage : stages_) {
+    fill += sim::CyclesToTime(stage.critical_path_cycles, stage.fmax_mhz);
   }
   fill += static_cast<sim::Duration>(stages_.size() - 1) * AxiTransactionTime(kDescriptorBytes);
   return fill + (packets - 1) * AdmissionPeriod();

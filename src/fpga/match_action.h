@@ -72,12 +72,15 @@ class MatchActionPipeline {
       TenantId tenant = kNoTenant);
 
   size_t StageCount() const { return stages_.size(); }
-  const MatchActionStageInfo& stage(size_t i) const { return stages_[i].info; }
+  const MatchActionStageInfo& stage(size_t i) const { return stages_[i]; }
 
-  // Functional execution of stage `i` on `ctx` (the frame bytes): returns
-  // the program's r0 verdict. Time is charged per batch (BatchTime), not
-  // here.
-  Result<uint64_t> RunStage(size_t i, MutableByteSpan ctx);
+  // Functional execution of one frame: runs the stages in order on `ctx`
+  // (the frame bytes) while they answer kXdpPass, and returns the stage
+  // that stopped the chain with its r0 verdict. Time is charged per batch
+  // (BatchTime), not here.
+  Result<ebpf::ChainExit> RunChain(MutableByteSpan ctx) {
+    return vm_.RunChain(programs_, ctx, kXdpPass);
+  }
 
   // Pipelined service time for a batch of `packets` frames through the
   // whole chain: per-stage fill (critical path at the stage's Fmax) plus an
@@ -90,15 +93,12 @@ class MatchActionPipeline {
   sim::Duration AdmissionPeriod() const;
 
  private:
-  struct Stage {
-    ebpf::Executable exe;  // the verified program, decoded once
-    MatchActionStageInfo info;
-  };
-
   explicit MatchActionPipeline(ebpf::MapRegistry* maps) : vm_(maps) {}
 
   ebpf::Vm vm_;
-  std::vector<Stage> stages_;
+  std::vector<MatchActionStageInfo> stages_;
+  // Stage i's verified program, decoded once.
+  std::vector<ebpf::Executable> programs_;
   size_t bottleneck_ = 0;
 };
 

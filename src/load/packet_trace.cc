@@ -18,17 +18,6 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-void StoreU16(MutableByteSpan ctx, size_t off, uint16_t v) {
-  ctx[off] = static_cast<uint8_t>(v);
-  ctx[off + 1] = static_cast<uint8_t>(v >> 8);
-}
-
-void StoreU32(MutableByteSpan ctx, size_t off, uint32_t v) {
-  for (int b = 0; b < 4; ++b) {
-    ctx[off + b] = static_cast<uint8_t>(v >> (8 * b));
-  }
-}
-
 }  // namespace
 
 PacketTrace::PacketTrace(PacketTraceOptions options) : options_(options) {
@@ -135,12 +124,12 @@ TraceFrameMeta PacketTrace::FrameAt(uint64_t i, MutableByteSpan ctx) const {
   CHECK_EQ(ctx.size(), size_t{kCtxBytes});
   const TraceFrameMeta meta = i < ramp_packets_ ? RampFrame(i) : SteadyFrame(i - ramp_packets_);
   std::memset(ctx.data(), 0, ctx.size());
-  StoreU16(ctx, kOffEthertype, 0x0800);
+  SetU16(ctx, kOffEthertype, 0x0800);
   ctx[kOffProto] = meta.packet.flow.protocol;
-  StoreU32(ctx, kOffSrcIp, meta.packet.flow.src_ip);
-  StoreU32(ctx, kOffDstIp, meta.packet.flow.dst_ip);
-  StoreU16(ctx, kOffSrcPort, meta.packet.flow.src_port);
-  StoreU16(ctx, kOffDstPort, meta.packet.flow.dst_port);
+  SetU32(ctx, kOffSrcIp, meta.packet.flow.src_ip);
+  SetU32(ctx, kOffDstIp, meta.packet.flow.dst_ip);
+  SetU16(ctx, kOffSrcPort, meta.packet.flow.src_port);
+  SetU16(ctx, kOffDstPort, meta.packet.flow.dst_port);
   ctx[kOffTcpFlags] = meta.packet.tcp_flags;
   return meta;
 }

@@ -1,6 +1,7 @@
 #include "src/load/xdp.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "src/common/check.h"
@@ -26,6 +27,15 @@ constexpr uint64_t kDispSlowForward = 5;
 constexpr uint64_t kDispSlowShed = 6;
 constexpr uint64_t kDispTeardown = 7;
 
+// The match/action chain, in the order the frames meet it.
+constexpr size_t kGuardStage = 0;
+constexpr size_t kLbStage = 2;
+constexpr size_t kStageCount = 3;
+
+// A flow-table record: the backend's address and port, then the flow's
+// packet count.
+constexpr size_t kFlowRecordBytes = 4 + 2 + 8;
+
 // The 8-byte flow id the fabric stages compute from the header fields:
 // (src_ip << 32 | dst_ip) ^ (src_port | dst_port << 16). Mirrors the
 // ldxw/lsh/or/xor sequence in xdp_flow / xdp_lb below.
@@ -35,16 +45,16 @@ uint64_t FrontKeyOf(const apps::FlowKey& flow) {
   return ips ^ ports;
 }
 
-Bytes U32Key(uint32_t v) {
-  Bytes b;
-  PutU32(b, v);
-  return b;
+std::array<uint8_t, 4> U32Key(uint32_t v) {
+  std::array<uint8_t, 4> key;
+  SetU32(key, 0, v);
+  return key;
 }
 
-Bytes U64Key(uint64_t v) {
-  Bytes b;
-  PutU64(b, v);
-  return b;
+std::array<uint8_t, 8> U64Key(uint64_t v) {
+  std::array<uint8_t, 8> key;
+  SetU64(key, 0, v);
+  return key;
 }
 
 // Stage 1 — SSH brute-force guard. TCP to the auth port probes the banned
@@ -145,11 +155,11 @@ std::string LbSource(uint32_t pins_map) {
   )";
 }
 
-Bytes FlowRecord(const apps::Backend& backend, uint64_t count) {
-  Bytes value;
-  PutU32(value, backend.ip);
-  PutU16(value, backend.port);
-  PutU64(value, count);
+std::array<uint8_t, kFlowRecordBytes> FlowRecord(const apps::Backend& backend, uint64_t count) {
+  std::array<uint8_t, kFlowRecordBytes> value;
+  SetU32(value, 0, backend.ip);
+  SetU16(value, 4, backend.port);
+  SetU64(value, 6, count);
   return value;
 }
 
@@ -225,15 +235,6 @@ Status XdpPipeline::BuildDataPath() {
   return Status::Ok();
 }
 
-Result<uint64_t> XdpPipeline::RunStage(size_t stage, MutableByteSpan ctx) {
-  if (ma_) {
-    return ma_->RunStage(stage, ctx);
-  }
-  ASSIGN_OR_RETURN(ebpf::ExecResult result, host_vm_->Run(host_stages_[stage], ctx));
-  host_->Compute(result.insns_executed);  // ~1 cycle/insn interpreted filter
-  return result.return_value;
-}
-
 void XdpPipeline::NoteVerdict(uint64_t disposition) {
   verdict_hash_ = (verdict_hash_ ^ disposition) * 0x100000001b3ull;
 }
@@ -256,9 +257,9 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
   ++tallies_.slow_admitted;
 
   const bool teardown = (meta.packet.tcp_flags & (apps::kTcpFin | apps::kTcpRst)) != 0;
-  Bytes key_bytes = meta.packet.flow.Serialize();
-  const ByteSpan key(key_bytes.data(), key_bytes.size());
-  const Bytes front_key = U64Key(FrontKeyOf(meta.packet.flow));
+  const auto key_bytes = meta.packet.flow.Serialize();
+  const ByteSpan key(key_bytes);
+  const auto front_key = U64Key(FrontKeyOf(meta.packet.flow));
 
   if (teardown) {
     Status deleted = flows_->Delete(key);
@@ -269,8 +270,8 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
     }
     RETURN_IF_ERROR(lb_->Route(meta.packet).status());
     // Unpin from the fabric maps so the chain stops TXing the dead flow.
-    (void)dpu_->maps().Get(pins_map_)->Delete(ByteSpan(front_key.data(), front_key.size()));
-    (void)dpu_->maps().Get(front_map_)->Delete(ByteSpan(front_key.data(), front_key.size()));
+    (void)dpu_->maps().Get(pins_map_)->Delete(front_key);
+    (void)dpu_->maps().Get(front_map_)->Delete(front_key);
     *disposition = kDispTeardown;
   } else {
     Result<Bytes> record = flows_->Get(key);
@@ -281,25 +282,20 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
       backend.ip = GetU32(ByteSpan(record->data(), record->size()), 0);
       backend.port = GetU16(ByteSpan(record->data(), record->size()), 4);
       const uint64_t count = GetU64(ByteSpan(record->data(), record->size()), 6) + 1;
-      Bytes value = FlowRecord(backend, count);
-      RETURN_IF_ERROR(flows_->Put(key, ByteSpan(value.data(), value.size())));
+      const auto value = FlowRecord(backend, count);
+      RETURN_IF_ERROR(flows_->Put(key, value));
       ++tallies_.flow_updates;
     } else if (record.status().code() == StatusCode::kNotFound) {
       // New flow (ramp SYN, or a flow whose registration was shed): place
       // it, track it, pin it, and hand it to the spray hook.
       ASSIGN_OR_RETURN(apps::Backend backend, lb_->Route(meta.packet));
-      Bytes value = FlowRecord(backend, 1);
-      RETURN_IF_ERROR(flows_->Put(key, ByteSpan(value.data(), value.size())));
+      const auto value = FlowRecord(backend, 1);
+      RETURN_IF_ERROR(flows_->Put(key, value));
       ++tallies_.flow_inserts;
       // Best effort: the pin map holds the hot set; beyond capacity the
       // flow simply stays on the slow path.
-      const Bytes pin_value = U64Key(backend.ip - kBackendIpBase);
-      Result<uint32_t> pinned =
-          dpu_->maps().Get(pins_map_)->Update(ByteSpan(front_key.data(), front_key.size()),
-                                              ByteSpan(pin_value.data(), pin_value.size()));
-      if (!pinned.ok() && pinned.status().code() != StatusCode::kResourceExhausted) {
-        return pinned.status();
-      }
+      (void)dpu_->maps().Get(pins_map_)->Put(front_key.data(),
+                                             U64Key(backend.ip - kBackendIpBase).data());
       ++tallies_.sprayed;
       if (on_new_flow) {
         on_new_flow(meta.packet.flow, backend, clock->Now());
@@ -401,22 +397,35 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
     const sim::SimTime packet_arrival = t0_ + trace_.ArrivalOf(first + i);
     const TraceFrameMeta meta = trace_.FrameAt(index, MutableByteSpan(frame, sizeof frame));
     const bool steady = meta.phase == TracePhase::kSteady;
+    // One chain call per frame: guard, flow and LB run while they PASS.
+    uint64_t stage_insns[kStageCount];
+    ASSIGN_OR_RETURN(const ebpf::ChainExit chain,
+                     ma_ ? ma_->RunChain(MutableByteSpan(frame, sizeof frame))
+                         : host_vm_->RunChain(host_stages_, MutableByteSpan(frame, sizeof frame),
+                                              fpga::kXdpPass, stage_insns));
+    const bool banned = chain.stage == kGuardStage && chain.verdict == fpga::kXdpDrop;
     sim::SimTime mark = clock->Now();
     if (host_) {
+      // The kernel stack, then each stage that ran at ~1 cycle per
+      // interpreted instruction. A banned frame's cost stays out of the
+      // host_stack span.
       host_->NetStackPacket();
-    }
-    ASSIGN_OR_RETURN(uint64_t guard_verdict, RunStage(0, MutableByteSpan(frame, sizeof frame)));
-    uint64_t disposition = kDispFastTx;
-    if (guard_verdict == fpga::kXdpDrop) {
-      ++tallies_.drop_banned;
-      disposition = kDispBanned;
-    } else if (guard_verdict == fpga::kXdpRedirect) {
-      // Auth attempt: durable fail2ban accounting, behind admission (the
-      // audit log is flash-priced work the attacker is trying to flood).
-      if (host_) {
+      for (size_t stage = 0; stage <= chain.stage; ++stage) {
+        host_->Compute(stage_insns[stage]);
+      }
+      if (!banned) {
         host_time += clock->Now() - mark;
         mark = clock->Now();
       }
+    }
+    uint64_t disposition = kDispFastTx;
+    if (banned) {
+      ++tallies_.drop_banned;
+      disposition = kDispBanned;
+    } else if (chain.stage == kGuardStage) {
+      // REDIRECT, an auth attempt: durable fail2ban accounting, behind
+      // admission (the audit log is flash-priced work the attacker is
+      // trying to flood).
       if (clock->Now() < packet_arrival) {
         clock->AdvanceTo(packet_arrival);
         mark = clock->Now();
@@ -434,12 +443,9 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         if (verdict == apps::Fail2Ban::Verdict::kBanned) {
           // Push the ban into the fabric: from now on this source drops at
           // stage 1 for zero slow-path cost.
-          const Bytes ip_key = U32Key(meta.packet.flow.src_ip);
-          const Bytes one = U64Key(1);
           RETURN_IF_ERROR(dpu_->maps()
                               .Get(banned_map_)
-                              ->Update(ByteSpan(ip_key.data(), ip_key.size()),
-                                       ByteSpan(one.data(), one.size()))
+                              ->Update(U32Key(meta.packet.flow.src_ip), U64Key(1))
                               .status());
         }
         admission_.OnAdmitted(packet_arrival, clock->Now());
@@ -448,29 +454,14 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         disposition = kDispAuthReport;
       }
     } else {
-      if (host_) {
-        host_time += clock->Now() - mark;
-        mark = clock->Now();
-      }
-      ASSIGN_OR_RETURN(uint64_t flow_verdict, RunStage(1, MutableByteSpan(frame, sizeof frame)));
-      if (host_) {
-        host_time += clock->Now() - mark;
-        mark = clock->Now();
-      }
-      if (flow_verdict == fpga::kXdpPass) {
+      // Reaching the LB stage means the flow stage counted a front-map hit;
+      // a pinned flow then TXes in-fabric, anything else takes the slow
+      // path.
+      if (chain.stage == kLbStage) {
         ++tallies_.fast_hits;
-        ASSIGN_OR_RETURN(uint64_t lb_verdict, RunStage(2, MutableByteSpan(frame, sizeof frame)));
-        if (host_) {
-          host_time += clock->Now() - mark;
-          mark = clock->Now();
-        }
-        if (lb_verdict == fpga::kXdpTx) {
-          ++tallies_.fast_tx;
-          disposition = kDispFastTx;
-        } else {
-          RETURN_IF_ERROR(SlowPath(meta, packet_arrival, on_new_flow, &disposition));
-          store_time += clock->Now() - mark;
-        }
+      }
+      if (chain.stage == kLbStage && chain.verdict == fpga::kXdpTx) {
+        ++tallies_.fast_tx;
       } else {
         RETURN_IF_ERROR(SlowPath(meta, packet_arrival, on_new_flow, &disposition));
         store_time += clock->Now() - mark;
@@ -588,11 +579,11 @@ void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backen
   dpu::RpcRequest request;
   request.service = dpu::ServiceId::kKv;
   request.opcode = dpu::KvOp::kPut;
-  Bytes flow_bytes = key.Serialize();
+  const auto flow_bytes = key.Serialize();
   ByteWriter payload(16 + flow_bytes.size());
   payload.PutU64(key.Hash());
   payload.PutU32(static_cast<uint32_t>(flow_bytes.size()));
-  payload.PutBytes(ByteSpan(flow_bytes.data(), flow_bytes.size()));
+  payload.PutBytes(flow_bytes);
   request.payload = Buffer(payload.Take());
   request.deadline = now + kSprayDeadline;
   ++spray_issued_;

@@ -169,7 +169,8 @@ class XdpPipeline {
   const storage::HashIndex& flow_table() const { return *flows_; }
   const apps::LoadBalancer& lb() const { return *lb_; }
   const apps::Fail2Ban& fail2ban() const { return *fail2ban_; }
-  const fpga::MatchActionPipeline* fabric_pipeline() const { return ma_.get(); }
+  // The fabric chain (use_fpga arm), or null.
+  fpga::MatchActionPipeline* fabric_pipeline() const { return ma_.get(); }
   const std::vector<apps::Backend>& backends() const { return backends_; }
   sim::SimTime fabric_busy() const { return fabric_busy_; }
 
@@ -185,7 +186,6 @@ class XdpPipeline {
         admission_(options.slow_path) {}
 
   Status BuildDataPath();
-  Result<uint64_t> RunStage(size_t stage, MutableByteSpan ctx);
   Status SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arrival,
                   const NewFlowFn& on_new_flow, uint64_t* disposition);
   void NoteVerdict(uint64_t disposition);

@@ -33,6 +33,17 @@ Bytes SerializeNode(const NodeView& node) {
   return out;
 }
 
+// The bytes SerializeNode writes for a leaf holding entries [begin, end)
+// of `leaf`: the flag, count and link, then a key, a length and the bytes
+// of each value.
+size_t LeafBytes(const NodeView& leaf, size_t begin, size_t end) {
+  size_t bytes = 1 + 4 + 8;
+  for (size_t i = begin; i < end; ++i) {
+    bytes += 8 + 4 + leaf.values[i].size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 Result<NodeView> ParseBPlusNode(ByteSpan raw) {
@@ -231,11 +242,23 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
   ASSIGN_OR_RETURN(NodeView node, found.second.Decode());
   auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
   const ptrdiff_t pos = it - node.keys.begin();
-  if (it != node.keys.end() && *it == key) {
-    node.values[static_cast<size_t>(pos)] = Bytes(value.begin(), value.end());  // overwrite
+  const bool overwrite = it != node.keys.end() && *it == key;
+  if (overwrite) {
+    node.values[static_cast<size_t>(pos)] = Bytes(value.begin(), value.end());
   } else {
     node.keys.insert(it, key);
     node.values.insert(node.values.begin() + pos, Bytes(value.begin(), value.end()));
+  }
+  // A leaf read off corrupt media can hold values longer than any Insert
+  // writes. If the leaf, or a half of the split it is due, no longer fits
+  // a node, refuse before anything is written. Inner nodes always fit: a
+  // parsed one holds at most 254 keys and splits past kMaxInnerKeys.
+  const size_t entries = node.keys.size();
+  const size_t mid = entries > kMaxLeafEntries ? entries / 2 : entries;
+  if (LeafBytes(node, 0, mid) > kNodeBytes || LeafBytes(node, mid, entries) > kNodeBytes) {
+    return DataLoss("B+ tree leaf overflows its node");
+  }
+  if (!overwrite) {
     ++entry_count_;
   }
   // Splits run bottom-up: each parent a split reaches is decoded, gains the

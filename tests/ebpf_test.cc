@@ -487,6 +487,11 @@ TEST(VmTest, TrapsFireAfterTheBudgetCheckAndRunningOffTheEndBeforeIt) {
   Program to_end{"to_end", {JumpAlways(0), JumpImm(kJmpJeq, 0, 0, 0)}, 8};
   EXPECT_EQ(vm.Run(to_end, MutableByteSpan(ctx), 2).status().message(),
             "program counter ran off the end");
+  // So does an empty program, decoded or default-constructed.
+  EXPECT_EQ(vm.Run(Program{"empty", {}, 8}, MutableByteSpan(ctx), 0).status().message(),
+            "program counter ran off the end");
+  EXPECT_EQ(vm.Run(Executable(), MutableByteSpan(ctx)).status().message(),
+            "program counter ran off the end");
   // An LD_IMM64 whose second half is missing cannot execute.
   std::vector<Insn> wide;
   LoadImm64(wide, 0, 1);

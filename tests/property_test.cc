@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -183,22 +184,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VerifierFuzz, ::testing::Range<uint64_t>(1, 13))
 
 // -- eBPF decode fuzz --------------------------------------------------------
 
-// Random instruction words arrive the way a ControlOp::kDeploy payload
-// does, as wire bytes: ParseProgram, then Verify, Decode and a Run with a
-// small budget, whatever Verify said. Any opcode, registers up to r15 (the
-// wire's 4-bit fields), any offset: every call must return, and the run
-// must stay inside its register file and sandbox (the ASan/UBSan job).
-class EbpfDecodeFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EbpfDecodeFuzz, RandomInstructionWordsNeverCrashTheToolchain) {
-  Rng rng(GetParam() * 104729);
-  ebpf::MapRegistry maps;
-  maps.Create({ebpf::MapType::kHash, 4, 8, 16, "fuzz_hash"});
-  maps.Create({ebpf::MapType::kArray, 4, 16, 4, "fuzz_array"});
-  ebpf::Vm vm(&maps);
-  // Opcodes the toolchain emits, so that some programs get somewhere; the
-  // rest of the time the opcode byte is uniform.
-  const uint8_t kOpcodes[] = {
+// Random instruction words as a ControlOp::kDeploy payload carries them:
+// any opcode, registers up to r15 (the wire's 4-bit fields), any offset,
+// and one time in ten a cut short. Opcodes the toolchain emits come up
+// often enough that some programs get somewhere; the rest of the time the
+// opcode byte is uniform.
+Bytes RandomProgramWire(Rng& rng) {
+  static constexpr uint8_t kOpcodes[] = {
       ebpf::kClassAlu64 | ebpf::kAluMov, ebpf::kClassAlu64 | ebpf::kAluAdd | ebpf::kSrcX,
       ebpf::kClassAlu | ebpf::kAluEnd | ebpf::kSrcX, ebpf::kClassLd | ebpf::kSizeDw,
       ebpf::kClassLdx | ebpf::kSizeW | ebpf::kModeMem,
@@ -208,24 +200,40 @@ TEST_P(EbpfDecodeFuzz, RandomInstructionWordsNeverCrashTheToolchain) {
       ebpf::kClassJmp32 | ebpf::kJmpJsgt | ebpf::kSrcX, ebpf::kClassJmp | ebpf::kJmpCall,
       ebpf::kClassJmp | ebpf::kJmpExit,
   };
+  const uint32_t count = 1 + static_cast<uint32_t>(rng.Uniform(24));
+  Bytes wire;
+  PutString(wire, "fuzz");
+  PutU32(wire, 64);
+  PutU32(wire, count);
+  for (uint32_t i = 0; i < count; ++i) {
+    wire.push_back(rng.Bernoulli(0.7) ? kOpcodes[rng.Uniform(std::size(kOpcodes))]
+                                      : static_cast<uint8_t>(rng.Next()));
+    wire.push_back(static_cast<uint8_t>(rng.Next()));  // src:4 | dst:4
+    PutU16(wire, static_cast<uint16_t>(rng.Bernoulli(0.8) ? rng.Uniform(8) : rng.Next()));
+    PutU32(wire, static_cast<uint32_t>(rng.Bernoulli(0.6) ? rng.Uniform(80) : rng.Next()));
+  }
+  if (rng.Bernoulli(0.1)) {
+    wire.resize(rng.Uniform(wire.size()));
+  }
+  return wire;
+}
+
+// Each wire program goes through ParseProgram, then Verify, Decode and a
+// Run with a small budget, whatever Verify said: every call must return,
+// and the run must stay inside its register file and sandbox (the
+// ASan/UBSan job).
+class EbpfDecodeFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EbpfDecodeFuzz, RandomInstructionWordsNeverCrashTheToolchain) {
+  Rng rng(GetParam() * 104729);
+  ebpf::MapRegistry maps;
+  maps.Create({ebpf::MapType::kHash, 4, 8, 16, "fuzz_hash"});
+  maps.Create({ebpf::MapType::kArray, 4, 16, 4, "fuzz_array"});
+  ebpf::Vm vm(&maps);
   uint64_t parsed = 0;
   uint64_t ran_clean = 0;
   for (int round = 0; round < 600; ++round) {
-    const uint32_t count = 1 + static_cast<uint32_t>(rng.Uniform(24));
-    Bytes wire;
-    PutString(wire, "fuzz");
-    PutU32(wire, 64);
-    PutU32(wire, count);
-    for (uint32_t i = 0; i < count; ++i) {
-      wire.push_back(rng.Bernoulli(0.7) ? kOpcodes[rng.Uniform(std::size(kOpcodes))]
-                                        : static_cast<uint8_t>(rng.Next()));
-      wire.push_back(static_cast<uint8_t>(rng.Next()));  // src:4 | dst:4
-      PutU16(wire, static_cast<uint16_t>(rng.Bernoulli(0.8) ? rng.Uniform(8) : rng.Next()));
-      PutU32(wire, static_cast<uint32_t>(rng.Bernoulli(0.6) ? rng.Uniform(80) : rng.Next()));
-    }
-    if (rng.Bernoulli(0.1)) {
-      wire.resize(rng.Uniform(wire.size()));
-    }
+    const Bytes wire = RandomProgramWire(rng);
     Result<ebpf::Program> prog = ebpf::ParseProgram(wire);
     if (!prog.ok()) {
       continue;
@@ -257,6 +265,216 @@ TEST_P(EbpfDecodeFuzz, RandomInstructionWordsNeverCrashTheToolchain) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EbpfDecodeFuzz, ::testing::Range<uint64_t>(1, 9));
+
+// -- Interpreter golden digest -----------------------------------------------
+
+// FNV-1a over everything a run leaves behind, so that any change to the
+// interpreter's observable behaviour moves one 64-bit number.
+struct Digest {
+  uint64_t value = 0xcbf29ce484222325ull;
+
+  void Fold(const uint8_t* data, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      value = (value ^ data[i]) * 0x100000001b3ull;
+    }
+  }
+  void Fold(uint64_t word) {
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+    Fold(bytes, sizeof bytes);
+  }
+  void Fold(std::string_view text) {
+    Fold(text.size());
+    Fold(reinterpret_cast<const uint8_t*>(text.data()), text.size());
+  }
+};
+
+// A map's observable contents: its entry count, every slot of its value
+// arena, and the handle each of the keys 0..63 (u32, little-endian) finds.
+void FoldMap(Digest& digest, const ebpf::Map& map) {
+  digest.Fold(map.EntryCount());
+  for (uint32_t handle = 0; map.HasSlot(handle); ++handle) {
+    const Bytes value = map.ValueByHandle(handle).value();
+    digest.Fold(value.data(), value.size());
+  }
+  if (map.spec().key_size == 4) {
+    for (uint32_t key = 0; key < 64; ++key) {
+      Bytes bytes;
+      PutU32(bytes, key);
+      digest.Fold(map.LookupHandle(bytes).value_or(0xffffffffu));
+    }
+  }
+}
+
+// Runs `exe` on one Vm under each budget, each without a profile, with a
+// whole-program profile and with one that covers only the first half of
+// the program, on fresh random context bytes; folds the status code and
+// message, r0, insns_executed, the per-pc counts, the context bytes after
+// the run and every map.
+// With `small_words`, each 8-byte context word is below 16 instead, so
+// that keys loaded from it find map entries.
+void FoldRuns(Digest& digest, ebpf::Vm& vm, const ebpf::Executable& exe,
+              const ebpf::MapRegistry& maps, Rng& rng, const std::vector<uint64_t>& budgets,
+              bool small_words = false) {
+  for (const uint64_t budget : budgets) {
+    for (const size_t profiled : {size_t{0}, exe.size(), exe.size() / 2}) {
+      Bytes ctx(64);
+      if (small_words) {
+        ctx.clear();
+        while (ctx.size() < 64) {
+          PutU64(ctx, rng.Uniform(16));
+        }
+      } else {
+        for (auto& byte : ctx) {
+          byte = static_cast<uint8_t>(rng.Next());
+        }
+      }
+      std::vector<uint64_t> counts(profiled, 0);
+      vm.set_exec_counts(profiled > 0 ? &counts : nullptr);
+      const Result<ebpf::ExecResult> run = vm.Run(exe, MutableByteSpan(ctx), budget);
+      vm.set_exec_counts(nullptr);
+      digest.Fold(static_cast<uint64_t>(run.status().code()));
+      digest.Fold(run.status().message());
+      if (run.ok()) {
+        digest.Fold(run->return_value);
+        digest.Fold(run->insns_executed);
+      }
+      for (const uint64_t n : counts) {
+        digest.Fold(n);
+      }
+      digest.Fold(ctx.data(), ctx.size());
+      for (uint32_t id = 0; id < maps.Count(); ++id) {
+        FoldMap(digest, *maps.Get(id));
+      }
+    }
+  }
+}
+
+// Every interpreter change must leave this digest as it is: programs from
+// both fuzz generators, verified or not, run under a budget past their
+// length and budgets below it, with and without the per-pc profile, on one
+// Vm whose stack, random state and maps carry over from run to run.
+TEST(EbpfGoldenDigest, RandomProgramRunsArePinned) {
+  Rng rng(20261020);
+  ebpf::MapRegistry maps;
+  maps.Create({ebpf::MapType::kHash, 4, 8, 32, "golden_hash"});
+  maps.Create({ebpf::MapType::kArray, 4, 16, 8, "golden_array"});
+  // Keys 0..23 present, so that lookups of small stack words hit.
+  for (uint32_t key = 0; key < 24; ++key) {
+    Bytes key_bytes;
+    Bytes value;
+    PutU32(key_bytes, key);
+    PutU64(value, 1000 + key);
+    ASSERT_TRUE(maps.Get(0)->Update(key_bytes, value).ok());
+  }
+  ebpf::Vm vm(&maps);
+  Digest digest;
+  for (int round = 0; round < 400; ++round) {
+    const ebpf::Program prog = RandomProgram(rng, /*with_map=*/true);
+    const uint64_t length = prog.insns.size();
+    FoldRuns(digest, vm, ebpf::Decode(prog), maps, rng, {1u << 20, length / 2, 9});
+  }
+  for (int round = 0; round < 400; ++round) {
+    const Result<ebpf::Program> prog = ebpf::ParseProgram(RandomProgramWire(rng));
+    if (!prog.ok()) {
+      digest.Fold(prog.status().message());
+      continue;
+    }
+    const uint64_t length = prog->insns.size();
+    FoldRuns(digest, vm, ebpf::Decode(*prog), maps, rng, {256, length / 2, 1});
+  }
+  EXPECT_EQ(digest.value, 0x5cb0e8ffd9939701ull);
+}
+
+// Programs around the idioms every XDP stage is built from: a map lookup
+// and its null check (ld_map_fd r1; mov r2, r10; add r2, K; call
+// map_lookup; jeq r0, 0), a counter bump through the value pointer, and a
+// return of a constant (mov r0, K; exit). One time in ten an idiom is
+// bent: another register, offset, helper, map or branch. Forward jumps
+// land anywhere, the middle of an idiom included.
+ebpf::Program IdiomProgram(Rng& rng) {
+  using namespace ebpf;  // NOLINT
+  Program prog;
+  prog.name = "idiom";
+  prog.ctx_size = 64;
+  std::vector<Insn>& out = prog.insns;
+  const auto bent = [&] { return rng.Bernoulli(0.1); };
+  // The key: a context word at r10-8, its low half again at r10-4.
+  out.push_back(LoadMem(kSizeDw, 3, 1, static_cast<int16_t>(8 * rng.Uniform(8))));
+  out.push_back(StoreReg(kSizeDw, 10, -8, 3));
+  out.push_back(StoreReg(kSizeW, 10, -4, 3));
+  static constexpr int32_t kKeyOffsets[] = {-8, -4, -16, -512, -516, 0, 8};
+  const uint64_t blocks = rng.UniformRange(1, 5);
+  for (uint64_t block = 0; block < blocks; ++block) {
+    switch (rng.Uniform(4)) {
+      case 0:
+      case 1: {
+        if (bent()) {
+          LoadImm64(out, 1, rng.Next());
+        } else {
+          LoadMapFd(out, bent() ? 4 : 1, static_cast<uint32_t>(rng.Uniform(4)));
+        }
+        out.push_back(Mov64Reg(bent() ? 3 : 2, bent() ? 9 : 10));
+        out.push_back(Alu64Imm(kAluAdd, 2, bent() ? kKeyOffsets[rng.Uniform(7)] : -8));
+        out.push_back(Call(bent() ? HelperId::kKtimeGetNs : HelperId::kMapLookup));
+        // A miss skips the counter bump.
+        out.push_back(bent() ? JumpImm(kJmpJne, 0, 0, 3) : JumpImm(kJmpJeq, 0, bent() ? 1 : 0, 3));
+        out.push_back(LoadMem(kSizeDw, 6, 0, 0));
+        out.push_back(Alu64Imm(kAluAdd, 6, 1));
+        out.push_back(StoreReg(kSizeDw, 0, 0, 6));
+        break;
+      }
+      case 2:
+        // Taken when the key word is odd, so that code after it runs too.
+        out.push_back(JumpImm(kJmpJset, 3, 1, 2));
+        out.push_back(Mov64Imm(bent() ? 4 : 0, static_cast<int32_t>(rng.Uniform(5))));
+        out.push_back(Exit());
+        break;
+      default:
+        out.push_back(JumpImm(kJmpJgt, 3, static_cast<int32_t>(rng.Uniform(16)),
+                              static_cast<int16_t>(rng.Uniform(7))));
+        break;
+    }
+  }
+  out.push_back(Mov64Imm(0, static_cast<int32_t>(rng.Uniform(5))));
+  out.push_back(Exit());
+  return prog;
+}
+
+// The same contract for programs built from those idioms, under every
+// budget from 0 to past the program's length, so that a budget runs out
+// at each instruction of each idiom.
+TEST(EbpfGoldenDigest, IdiomProgramRunsArePinned) {
+  Rng rng(20261021);
+  ebpf::MapRegistry maps;
+  maps.Create({ebpf::MapType::kHash, 4, 8, 32, "idiom_hash4"});
+  maps.Create({ebpf::MapType::kHash, 8, 8, 32, "idiom_hash8"});
+  maps.Create({ebpf::MapType::kArray, 4, 16, 8, "idiom_array"});
+  // Keys 0..11 present in both hash maps.
+  for (uint32_t key = 0; key < 12; ++key) {
+    Bytes value;
+    PutU64(value, 100 + key);
+    Bytes key4;
+    PutU32(key4, key);
+    ASSERT_TRUE(maps.Get(0)->Update(key4, value).ok());
+    Bytes key8;
+    PutU64(key8, key);
+    ASSERT_TRUE(maps.Get(1)->Update(key8, value).ok());
+  }
+  ebpf::Vm vm(&maps);
+  Digest digest;
+  for (int round = 0; round < 300; ++round) {
+    const ebpf::Program prog = IdiomProgram(rng);
+    std::vector<uint64_t> budgets;
+    for (uint64_t budget = 0; budget <= prog.insns.size() + 1; ++budget) {
+      budgets.push_back(budget);
+    }
+    FoldRuns(digest, vm, ebpf::Decode(prog), maps, rng, budgets, /*small_words=*/true);
+  }
+  EXPECT_EQ(digest.value, 0xc1fa352985b324f6ull);
+}
 
 // -- Transports under parameterized loss -----------------------------------
 

@@ -8,6 +8,8 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/mem/object_store.h"
@@ -395,6 +397,61 @@ TEST_F(StorageTest, BTreeChildIdCycleIsDataLoss) {
   EXPECT_EQ(tree->NodeReads(), 8u);
   EXPECT_EQ(tree->EntryCount(), 60u);
   EXPECT_EQ(*store_->Read(root_segment, 0, BPlusTree::kNodeBytes), corrupt);
+}
+
+// A leaf image as the tree writes one: is_leaf, count, next_leaf, the keys,
+// then each value behind its length, padded to the node size.
+Bytes LeafImage(const std::vector<std::pair<uint64_t, Bytes>>& entries) {
+  Bytes image;
+  image.push_back(1);
+  PutU32(image, static_cast<uint32_t>(entries.size()));
+  PutU64(image, 0);
+  for (const auto& entry : entries) {
+    PutU64(image, entry.first);
+  }
+  for (const auto& entry : entries) {
+    PutU32(image, static_cast<uint32_t>(entry.second.size()));
+    PutBytes(image, ByteSpan(entry.second.data(), entry.second.size()));
+  }
+  image.resize(BPlusTree::kNodeBytes, 0);
+  return image;
+}
+
+TEST_F(StorageTest, BTreeInsertThatOverflowsACorruptLeafIsDataLoss) {
+  // A root leaf that parses but holds values longer than any Insert
+  // writes. Adding a record overflows the node, as does either half of a
+  // split: Insert refuses before it writes anything.
+  std::vector<std::pair<uint64_t, Bytes>> split_leaf = {{10, Bytes(3939, 0xcd)}};
+  for (uint64_t key = 11; key < 22; ++key) {
+    split_leaf.emplace_back(key, Bytes());
+  }
+  const std::pair<std::vector<std::pair<uint64_t, Bytes>>, uint64_t> cases[] = {
+      {{{5, Bytes(4071, 0xab)}}, 8},  // one entry filling the node exactly
+      {split_leaf, BPlusTree::kMaxValueLen},  // the new record joins the big half
+  };
+  uint64_t tree_id = 52;
+  for (const auto& [entries, value_len] : cases) {
+    auto tree = BPlusTree::Create(store_.get(), tree_id++);
+    ASSERT_TRUE(tree.ok());
+    const Bytes image = LeafImage(entries);
+    ASSERT_EQ(image.size(), BPlusTree::kNodeBytes);
+    const mem::SegmentId root = BPlusNodeSegment(tree->tree_id(), tree->root_node_id());
+    ASSERT_TRUE(store_->Write(root, 0, ByteSpan(image.data(), image.size())).ok());
+    ASSERT_EQ(*tree->Get(entries[0].first), entries[0].second);
+
+    const Bytes value(value_len, 1);
+    const Status st = tree->Insert(1, ByteSpan(value.data(), value.size()));
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), "B+ tree leaf overflows its node");
+    EXPECT_EQ(tree->EntryCount(), 0u);
+    EXPECT_EQ(*store_->Read(root, 0, BPlusTree::kNodeBytes), image);
+    EXPECT_FALSE(store_->Read(BPlusNodeSegment(tree->tree_id(), tree->root_node_id() + 1), 0,
+                              BPlusTree::kNodeBytes)
+                     .ok());
+    // Shrinking the big value makes room again.
+    ASSERT_TRUE(tree->Insert(entries[0].first, ByteSpan(value.data(), value.size())).ok());
+    EXPECT_EQ(*tree->Get(entries[0].first), value);
+  }
 }
 
 TEST_F(StorageTest, BTreeLeafChainCycleIsDataLoss) {

@@ -227,6 +227,40 @@ TEST(XdpPipelineTest, HostArmSaturatesWhereFabricKeepsPace) {
   // NIC ring and delivers an order of magnitude less.
   EXPECT_GT(host_stats.rx_overflow, 0u);
   EXPECT_LT(host_stats.SteadyMpps(), fpga_stats.SteadyMpps() / 5);
+
+  // The host arm charges its core per executed instruction, so a drift in
+  // any stage's insns_executed moves these.
+  EXPECT_EQ(host_stats.rx_frames, 8704u);
+  EXPECT_EQ(host_stats.rx_batches, 272u);
+  EXPECT_EQ(host_stats.rx_overflow, 5952u);
+  EXPECT_EQ(host_stats.drop_banned, 0u);
+  EXPECT_EQ(host_stats.auth_reports, 0u);
+  EXPECT_EQ(host_stats.auth_shed, 0u);
+  EXPECT_EQ(host_stats.bans, 0u);
+  EXPECT_EQ(host_stats.fast_hits, 2192u);
+  EXPECT_EQ(host_stats.fast_tx, 2192u);
+  EXPECT_EQ(host_stats.slow_packets, 560u);
+  EXPECT_EQ(host_stats.slow_admitted, 524u);
+  EXPECT_EQ(host_stats.slow_shed, 36u);
+  EXPECT_EQ(host_stats.flow_inserts, 512u);
+  EXPECT_EQ(host_stats.flow_updates, 12u);
+  EXPECT_EQ(host_stats.teardowns, 0u);
+  EXPECT_EQ(host_stats.sprayed, 512u);
+  EXPECT_EQ(host_stats.flow_entries, 512u);
+  EXPECT_EQ(host_stats.flow_max_chain, 1u);
+  EXPECT_EQ(host_stats.flow_mean_chain, 1.0);
+  EXPECT_EQ(host_stats.flow_overflow_buckets, 0u);
+  EXPECT_EQ(host_stats.flow_occupancy, 0.068359375);
+  EXPECT_EQ(host_stats.lb_new_flows, 512u);
+  EXPECT_EQ(host_stats.lb_spills, 0u);
+  EXPECT_EQ(host_stats.lb_spill_hits, 0u);
+  EXPECT_EQ(host_stats.lb_spill_entries, 0u);
+  EXPECT_EQ(host_stats.fabric_busy_ns, 2968974632u);
+  EXPECT_EQ(host_stats.clock_ns, 2968974632u);
+  EXPECT_EQ(host_stats.steady_offered, 8192u);
+  EXPECT_EQ(host_stats.steady_delivered, 2204u);
+  EXPECT_EQ(host_stats.steady_window_ns, 3542920u);
+  EXPECT_EQ(host_stats.verdict_hash, 0xbed373c2bbce85du);
 }
 
 TEST(XdpPipelineTest, TeardownsUnpinAndShrinkFlowTable) {
