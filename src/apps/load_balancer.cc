@@ -123,24 +123,25 @@ Result<Backend> LoadBalancer::Route(const Packet& packet) {
   // Flash tier probe. A pure SYN is a brand-new connection: it cannot have
   // been spilled, so skip the flash read and go straight to placement.
   const bool fresh_syn = (packet.tcp_flags & kTcpSyn) != 0 && !teardown;
-  const auto key_bytes = key.Serialize();
-  Result<Bytes> spilled = fresh_syn ? Result<Bytes>(NotFound("fresh SYN"))
-                                    : spill_->Get(key_bytes);
-  if (spilled.ok()) {
-    ++stats_.spill_hits;
-    const Backend backend = BackendFromBytes(ByteSpan(spilled->data(), spilled->size()));
-    if (teardown) {
-      RETURN_IF_ERROR(spill_->Delete(key_bytes));
-    } else {
-      // Promote back to DRAM.
-      RETURN_IF_ERROR(spill_->Delete(key_bytes));
-      RETURN_IF_ERROR(InsertResident(key, backend));
-      ++stats_.promotions;
+  if (!fresh_syn) {
+    const auto key_bytes = key.Serialize();
+    Result<Bytes> spilled = spill_->Get(key_bytes);
+    if (spilled.ok()) {
+      ++stats_.spill_hits;
+      const Backend backend = BackendFromBytes(ByteSpan(spilled->data(), spilled->size()));
+      if (teardown) {
+        RETURN_IF_ERROR(spill_->Delete(key_bytes));
+      } else {
+        // Promote back to DRAM.
+        RETURN_IF_ERROR(spill_->Delete(key_bytes));
+        RETURN_IF_ERROR(InsertResident(key, backend));
+        ++stats_.promotions;
+      }
+      return backend;
     }
-    return backend;
-  }
-  if (spilled.status().code() != StatusCode::kNotFound) {
-    return spilled.status();
+    if (spilled.status().code() != StatusCode::kNotFound) {
+      return spilled.status();
+    }
   }
 
   // New flow: consistent hash placement; SYN-less packets of unknown flows

@@ -22,7 +22,11 @@ void AccountBufferCopy(uint64_t bytes) {
 
 Buffer Buffer::CopyOf(ByteSpan data) {
   AccountBufferCopy(data.size());
-  return Buffer(Bytes(data.begin(), data.end()));
+  return Build(data.size(), [data](MutableByteSpan out) {
+    if (!data.empty()) {
+      std::memcpy(out.data(), data.data(), data.size());
+    }
+  });
 }
 
 Bytes Buffer::ToBytes() const {
@@ -30,42 +34,10 @@ Bytes Buffer::ToBytes() const {
   return Bytes(data_, data_ + size_);
 }
 
-BufferChain BufferChain::SubChain(size_t offset, size_t length) const {
-  DCHECK_LE(offset, total_);
-  DCHECK_LE(length, total_ - offset);
-  BufferChain out;
-  size_t skip = offset;
-  size_t want = length;
-  for (const Buffer& seg : segments_) {
-    if (want == 0) {
-      break;
-    }
-    if (skip >= seg.size()) {
-      skip -= seg.size();
-      continue;
-    }
-    const size_t take = std::min(want, seg.size() - skip);
-    out.Append(seg.Slice(skip, take));
-    skip = 0;
-    want -= take;
-  }
-  return out;
-}
-
 Bytes BufferChain::Flatten() const {
   Bytes out(total_);
   CopyTo(MutableByteSpan(out));
   return out;
-}
-
-Buffer BufferChain::Gather() const {
-  if (segments_.empty()) {
-    return Buffer();
-  }
-  if (segments_.size() == 1) {
-    return segments_[0];
-  }
-  return Buffer(Flatten());
 }
 
 void BufferChain::CopyTo(MutableByteSpan out) const {
@@ -114,6 +86,25 @@ ByteSpan ChainReader::Next(size_t n, MutableByteSpan scratch) {
   consumed_ += n;
   AccountBufferCopy(n);
   return ByteSpan(scratch.data(), n);
+}
+
+Buffer ChainReader::Slice(size_t n) {
+  if (!ok_ || remaining() < n) {
+    ok_ = false;
+    return Buffer();
+  }
+  if (n == 0) {
+    return Buffer();
+  }
+  const Buffer& seg = chain_->segment(segment_);
+  if (seg.size() - offset_ >= n) {
+    Buffer out = seg.Slice(offset_, n);
+    Skip(n);
+    return out;
+  }
+  // Straddles segments: Next assembles the bytes straight into the new
+  // block and accounts the copy.
+  return Buffer::Build(n, [this, n](MutableByteSpan out) { Next(n, out); });
 }
 
 void ChainReader::Skip(size_t n) {

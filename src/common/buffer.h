@@ -22,7 +22,8 @@
 //     whose increments/decrements are atomic: distinct Buffer values (and
 //     slices) that share one block may be created, copied, and destroyed
 //     from different threads — exactly what happens when an RPC payload
-//     slice rides a cross-shard message.
+//     slice rides a cross-shard message. A block made by Build keeps its
+//     bytes in the same allocation as that control block.
 //   * A single Buffer/BufferChain *object* is still not synchronized; hand
 //     a value across shards by moving it into the closure a
 //     ParallelEngine::Post delivers, never by sharing one object between
@@ -69,6 +70,21 @@ class Buffer {
     data_ = block->data();
     size_ = block->size();
     owner_ = std::move(block);
+  }
+
+  // A fresh block of `size` bytes that `fill(MutableByteSpan)` writes in
+  // full before the Buffer is handed out. The bytes and the refcount share
+  // one heap allocation, so a frame header costs one block, not the two an
+  // adopted `Bytes` costs.
+  template <typename Fill>
+  static Buffer Build(size_t size, Fill&& fill) {
+    std::shared_ptr<uint8_t[]> block = std::make_shared_for_overwrite<uint8_t[]>(size);
+    fill(MutableByteSpan(block.get(), size));
+    Buffer b;
+    b.data_ = block.get();
+    b.size_ = size;
+    b.owner_ = std::move(block);
+    return b;
   }
 
   // Copies `data` into a fresh owned block (accounted).
@@ -130,7 +146,7 @@ class Buffer {
 // -- BufferChain -------------------------------------------------------------
 
 // Scatter-gather list of Buffer segments: the in-memory shape of a network
-// frame or DMA descriptor. Appending shares segments; only Flatten/Gather
+// frame or DMA descriptor. Appending shares segments; only Flatten/CopyTo
 // (and straddling ChainReader reads) copy bytes.
 class BufferChain {
  public:
@@ -142,6 +158,10 @@ class BufferChain {
   }
   BufferChain(Bytes bytes)  // NOLINT(google-explicit-constructor)
       : BufferChain(Buffer(std::move(bytes))) {}
+
+  // Sizes the segment list for `segments` in all, so a frame whose parts
+  // are known up front grows its list once.
+  void Reserve(size_t segments) { segments_.reserve(segments); }
 
   void Append(Buffer buffer) {
     if (buffer.empty()) {
@@ -164,15 +184,8 @@ class BufferChain {
     return segments_[i];
   }
 
-  // Byte range [offset, offset+length) as a new chain sharing segments.
-  BufferChain SubChain(size_t offset, size_t length) const;
-
   // Contiguous copy of the whole chain (accounted).
   Bytes Flatten() const;
-
-  // Contiguous view: free for empty/single-segment chains (shares the
-  // segment), one accounted copy otherwise.
-  Buffer Gather() const;
 
   // Copies the chain into `out` (out.size() must equal size(); accounted).
   void CopyTo(MutableByteSpan out) const;
@@ -198,6 +211,11 @@ class ChainReader {
   // at least `n` bytes; it is written only on a straddling read. Returns an
   // empty span (and clears ok()) on overrun.
   ByteSpan Next(size_t n, MutableByteSpan scratch);
+
+  // Returns the next `n` bytes as a Buffer, advancing the cursor: a shared
+  // slice of the segment when they lie inside one (zero copy), else one
+  // accounted copy into a fresh block. Empty (and clears ok()) on overrun.
+  Buffer Slice(size_t n);
 
   // Advances the cursor past `n` bytes without reading them (no copy).
   // Clears ok() on overrun.

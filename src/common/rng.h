@@ -117,6 +117,31 @@ class Rng {
   double zipf_eta_ = 0.0;
 };
 
+// x % d for a divisor fixed at construction, without a hardware divide:
+// Lemire's fastmod (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+// Computation", 2019) with a 128-bit multiplier, exact for every 64-bit x
+// and every d >= 1. For generators that reduce a hash by a runtime count
+// on every draw.
+class FastMod {
+ public:
+  explicit FastMod(uint64_t d) : d_(d), m_(~Wide{0} / d + 1) {}  // d = 1 wraps m_ to 0
+
+  uint64_t operator()(uint64_t x) const {
+    // The fractional part of x / d in 128 bits, then the top 64 bits of
+    // its 192-bit product with d.
+    const Wide fraction = m_ * x;
+    const Wide low = static_cast<uint64_t>(fraction) * Wide{d_};
+    const Wide high = (fraction >> 64) * d_;
+    return static_cast<uint64_t>((high + (low >> 64)) >> 64);
+  }
+
+ private:
+  using Wide = unsigned __int128;
+
+  uint64_t d_;
+  Wide m_;
+};
+
 }  // namespace hyperion
 
 #endif  // HYPERION_SRC_COMMON_RNG_H_

@@ -42,7 +42,9 @@ Result<Buffer> RemoteTreeClient::ClientDrivenGet(uint64_t key) {
       if (it == node.keys.end() || *it != key) {
         return NotFound("key not in tree");
       }
-      return Buffer(std::move(node.values[static_cast<size_t>(it - node.keys.begin())]));
+      // The value is a view of the node frame: hand out a slice of it.
+      const ByteSpan value = node.values[static_cast<size_t>(it - node.keys.begin())];
+      return raw.Slice(static_cast<size_t>(value.data() - raw.data()), value.size());
     }
     auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key);
     node_id = node.children[static_cast<size_t>(it - node.keys.begin())];

@@ -9,21 +9,23 @@ namespace {
 // Header segment of a request frame: [service u16][opcode u16][len u32].
 constexpr size_t kRequestHeaderBytes = 8;
 
-Bytes RequestHeader(const RpcRequest& request) {
-  ByteWriter header(kRequestHeaderBytes);
-  header.PutU16(static_cast<uint16_t>(request.service));
-  header.PutU16(request.opcode);
-  header.PutU32(static_cast<uint32_t>(request.payload.size()));
-  return header.Take();
+Buffer RequestHeader(const RpcRequest& request) {
+  return Buffer::Build(kRequestHeaderBytes, [&request](MutableByteSpan out) {
+    SetU16(out, 0, static_cast<uint16_t>(request.service));
+    SetU16(out, 2, request.opcode);
+    SetU32(out, 4, static_cast<uint32_t>(request.payload.size()));
+  });
 }
 
 // Header segment of a response frame: [code u32][msg str][len u32].
-Bytes ResponseHeader(const RpcResponse& response) {
-  ByteWriter header(12 + response.status.message().size());
-  header.PutU32(static_cast<uint32_t>(response.status.code()));
-  header.PutString(std::string(response.status.message()));
-  header.PutU32(static_cast<uint32_t>(response.payload.size()));
-  return header.Take();
+Buffer ResponseHeader(const RpcResponse& response) {
+  const std::string_view message = response.status.message();
+  return Buffer::Build(12 + message.size(), [&](MutableByteSpan out) {
+    SetU32(out, 0, static_cast<uint32_t>(response.status.code()));
+    SetU32(out, 4, static_cast<uint32_t>(message.size()));
+    std::copy(message.begin(), message.end(), out.begin() + 8);
+    SetU32(out, 8 + message.size(), static_cast<uint32_t>(response.payload.size()));
+  });
 }
 
 // Trailer magics ("TRC1" / "DLN1", little-endian), each leading a
@@ -35,8 +37,10 @@ constexpr size_t kDeadlineTrailerBytes = 12;
 
 }  // namespace
 
-BufferChain SerializeRequestFrame(const RpcRequest& request) {
-  BufferChain frame{Buffer(RequestHeader(request))};
+BufferChain SerializeRequestFrame(const RpcRequest& request, size_t trailers) {
+  BufferChain frame;
+  frame.Reserve(1 + (request.payload.empty() ? 0 : 1) + trailers);
+  frame.Append(RequestHeader(request));
   frame.Append(request.payload);
   return frame;
 }
@@ -55,8 +59,7 @@ Result<RpcRequest> ParseRequestFrame(const BufferChain& frame) {
   if (!header.Ok() || reader.remaining() < len) {
     return DataLoss("truncated RPC request");
   }
-  request.payload = frame.SubChain(kRequestHeaderBytes, len).Gather();
-  reader.Skip(len);
+  request.payload = reader.Slice(len);
   // Trailers, in whatever order they were appended. An unknown magic or a
   // short block ends the walk; whatever parsed before it stands.
   while (reader.remaining() >= 4) {
@@ -76,7 +79,9 @@ Result<RpcRequest> ParseRequestFrame(const BufferChain& frame) {
 }
 
 BufferChain SerializeResponseFrame(const RpcResponse& response) {
-  BufferChain frame{Buffer(ResponseHeader(response))};
+  BufferChain frame;
+  frame.Reserve(response.payload.empty() ? 1 : 2);
+  frame.Append(ResponseHeader(response));
   frame.Append(response.payload);
   return frame;
 }
@@ -92,10 +97,7 @@ Result<RpcResponse> ParseResponseFrame(const BufferChain& frame) {
   if (!prefix.Ok() || reader.remaining() < message_len) {
     return DataLoss("truncated RPC response");
   }
-  std::string message_scratch(message_len, '\0');
-  const ByteSpan message = reader.Next(
-      message_len,
-      MutableByteSpan(reinterpret_cast<uint8_t*>(message_scratch.data()), message_len));
+  const Buffer message = reader.Slice(message_len);
   const uint32_t len = ByteReader(reader.Next(4, scratch)).ReadU32();
   if (!reader.ok() || reader.remaining() < len) {
     return DataLoss("truncated RPC response");
@@ -103,23 +105,23 @@ Result<RpcResponse> ParseResponseFrame(const BufferChain& frame) {
   RpcResponse response;
   response.status =
       Status(code, std::string_view(reinterpret_cast<const char*>(message.data()), message_len));
-  response.payload = frame.SubChain(frame.size() - reader.remaining(), len).Gather();
+  response.payload = reader.Slice(len);
   return response;
 }
 
 void AppendTraceTrailer(BufferChain& frame, obs::TraceContext context) {
-  ByteWriter trailer(kTraceTrailerBytes);
-  trailer.PutU32(kTraceTrailerMagic);
-  trailer.PutU64(context.trace_id);
-  trailer.PutU64(context.parent_span);
-  frame.Append(Buffer(trailer.Take()));
+  frame.Append(Buffer::Build(kTraceTrailerBytes, [context](MutableByteSpan out) {
+    SetU32(out, 0, kTraceTrailerMagic);
+    SetU64(out, 4, context.trace_id);
+    SetU64(out, 12, context.parent_span);
+  }));
 }
 
 void AppendDeadlineTrailer(BufferChain& frame, sim::SimTime deadline) {
-  ByteWriter trailer(kDeadlineTrailerBytes);
-  trailer.PutU32(kDeadlineTrailerMagic);
-  trailer.PutU64(deadline);
-  frame.Append(Buffer(trailer.Take()));
+  frame.Append(Buffer::Build(kDeadlineTrailerBytes, [deadline](MutableByteSpan out) {
+    SetU32(out, 0, kDeadlineTrailerMagic);
+    SetU64(out, 4, deadline);
+  }));
 }
 
 void RpcServer::RegisterService(ServiceId service, Handler handler) {
@@ -266,15 +268,17 @@ void ShardedRpcNode::CallAsync(ShardedRpcNode* peer, const RpcRequest& request,
     h_async_calls_ = counters_.Intern("rpc_async_calls");
   }
   counters_.Increment(h_async_calls_);
-  BufferChain frame = SerializeRequestFrame(request);
+  const bool traced = obs::kCompiledIn && tracer_ != nullptr && tracer_->enabled();
+  const bool deadlined = request.deadline != kNoDeadline;
+  BufferChain frame = SerializeRequestFrame(request, size_t{deadlined} + size_t{traced});
   const sim::SimTime now = engine_->shard(shard_).Now();
   // Latency from the pre-trailer size: trailers are metadata, not modelled
   // wire bytes, so traced/deadlined runs are time-identical to plain ones.
   const sim::Duration latency = WireLatency(frame.size(), *peer);
-  if (request.deadline != kNoDeadline) {
+  if (deadlined) {
     AppendDeadlineTrailer(frame, request.deadline);
   }
-  if (obs::kCompiledIn && tracer_ != nullptr && tracer_->enabled()) {
+  if (traced) {
     const obs::SpanId call = tracer_->BeginAsync(obs::Subsystem::kRpc, "rpc.call", now);
     AppendTraceTrailer(frame, tracer_->ContextOf(call));
     done = [this, call, inner = std::move(done)](RpcResponse response) {
@@ -282,10 +286,12 @@ void ShardedRpcNode::CallAsync(ShardedRpcNode* peer, const RpcRequest& request,
       inner(std::move(response));
     };
   }
-  engine_->Post(source_, peer->shard_, now + latency,
-                [peer, self = this, frame = std::move(frame), done = std::move(done)]() mutable {
-                  peer->ServeFrame(std::move(frame), self, std::move(done));
-                });
+  auto deliver = [peer, self = this, frame = std::move(frame), done = std::move(done)]() mutable {
+    peer->ServeFrame(std::move(frame), self, std::move(done));
+  };
+  static_assert(sizeof(deliver) <= sim::EventFn::kInlineBytes,
+                "a request hop's closure must fit the event's inline storage");
+  engine_->Post(source_, peer->shard_, now + latency, std::move(deliver));
 }
 
 void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Completion done) {
@@ -354,12 +360,13 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
   }
   BufferChain wire = SerializeResponseFrame(response);
   const sim::Duration latency = WireLatency(wire.size(), *reply_to);
-  engine_->Post(source_, reply_to->shard_, finish + latency,
-                [wire = std::move(wire), done = std::move(done)]() mutable {
-                  Result<RpcResponse> response = ParseResponseFrame(wire);
-                  done(response.ok() ? std::move(response).value()
-                                     : RpcResponse::Fail(response.status()));
-                });
+  auto reply = [wire = std::move(wire), done = std::move(done)]() mutable {
+    Result<RpcResponse> response = ParseResponseFrame(wire);
+    done(response.ok() ? std::move(response).value() : RpcResponse::Fail(response.status()));
+  };
+  static_assert(sizeof(reply) <= sim::EventFn::kInlineBytes,
+                "a reply hop's closure must fit the event's inline storage");
+  engine_->Post(source_, reply_to->shard_, finish + latency, std::move(reply));
 }
 
 void ShardedRpcNode::SetOverloadPolicy(const RpcOverloadPolicy& policy) {

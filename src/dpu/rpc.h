@@ -74,12 +74,16 @@ struct RpcResponse {
 // Wire codecs, one per frame kind. Little-endian layouts:
 //   request:  [service u16][opcode u16][len u32][payload][trailers...]
 //   response: [code u32][msg_len u32][msg][len u32][payload]
-// A frame is [header segment][payload segments...]: the payload rides as
-// shared Buffer slices, so neither serialize nor parse copies it. The
-// parsers read through a ChainReader, so a frame parses the same however
-// its bytes are split into segments; only a field that straddles segments
-// is copied. A length that overruns the frame fails with kDataLoss.
-BufferChain SerializeRequestFrame(const RpcRequest& request);
+// A frame is [header segment][payload segment][trailer segments...]: the
+// header and each trailer are one heap block apiece (bytes and refcount
+// together), and the payload rides as a shared Buffer, so neither
+// serialize nor parse copies it. A request frame's segment list is sized
+// for the `trailers` the caller will append, so it is allocated once. The
+// parsers read through a ChainReader and slice the payload out of the
+// frame, so a frame parses the same however its bytes are split into
+// segments; only a field that straddles segments is copied. A length that
+// overruns the frame fails with kDataLoss.
+BufferChain SerializeRequestFrame(const RpcRequest& request, size_t trailers = 0);
 Result<RpcRequest> ParseRequestFrame(const BufferChain& frame);
 BufferChain SerializeResponseFrame(const RpcResponse& response);
 Result<RpcResponse> ParseResponseFrame(const BufferChain& frame);

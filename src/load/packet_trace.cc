@@ -38,6 +38,8 @@ PacketTrace::PacketTrace(PacketTraceOptions options) : options_(options) {
       << "attack burst does not fit the ramp";
   wire_time_ = std::max<sim::Duration>(
       1, sim::TransferTime(options_.frame_bytes, options_.line_gbps));
+  hot_mod_ = FastMod(options_.hot_flows);
+  cold_mod_ = FastMod(std::max<uint64_t>(1, options_.benign_flows - options_.hot_flows));
 }
 
 sim::SimTime PacketTrace::ArrivalOf(uint64_t i) const {
@@ -102,10 +104,10 @@ TraceFrameMeta PacketTrace::SteadyFrame(uint64_t i) const {
   const uint32_t myriad = static_cast<uint32_t>(r % 10000);
   const uint64_t pick = Mix64(r);
   if (myriad < options_.hot_per_myriad) {
-    meta.flow_id = pick % options_.hot_flows;
+    meta.flow_id = hot_mod_(pick);
   } else {
     const uint64_t cold = options_.benign_flows - options_.hot_flows;
-    meta.flow_id = cold > 0 ? options_.hot_flows + pick % cold : pick % options_.hot_flows;
+    meta.flow_id = cold > 0 ? options_.hot_flows + cold_mod_(pick) : hot_mod_(pick);
   }
   meta.packet.flow = BenignFlowKey(meta.flow_id);
   meta.packet.tcp_flags = apps::kTcpAck;

@@ -33,6 +33,7 @@
 
 #include "src/apps/packet.h"
 #include "src/common/bytes.h"
+#include "src/common/rng.h"
 #include "src/sim/time.h"
 
 namespace hyperion::load {
@@ -117,6 +118,9 @@ class PacketTrace {
   uint64_t ramp_packets_ = 0;
   uint64_t attack_stride_ = 0;  // ramp slots between attack frames
   sim::Duration wire_time_ = 0;
+  // Steady frames reduce a hash by the hot and cold flow counts.
+  FastMod hot_mod_{1};
+  FastMod cold_mod_{1};
 };
 
 }  // namespace hyperion::load

@@ -17,6 +17,7 @@ constexpr uint32_t kReadBlocks = 1;
 OverloadPipeline::OverloadPipeline(sim::Engine* engine, const OverloadPipelineOptions& options)
     : engine_(engine),
       controller_(&device_),
+      read_sink_(kReadBlocks * nvme::kLbaSize),
       batcher_(engine, options.doorbell_batch, kDoorbellMaxDelay,
                [this](std::vector<PendingIo> batch, bool) { SubmitBatch(std::move(batch)); }) {
   CHECK(engine_ != nullptr);
@@ -47,6 +48,7 @@ void OverloadPipeline::SubmitBatch(std::vector<PendingIo> batch) {
     cmd.nsid = nsid_;
     cmd.slba = (batch[i].seq * 97) % (kDeviceLbas - kReadBlocks);
     cmd.nlb = kReadBlocks - 1;
+    cmd.dest = MutableByteSpan(read_sink_);
     CHECK_OK(controller_.SubmitCoalesced(qid_, std::move(cmd)));
   }
   // Publish any staged remainder (one doorbell for the whole batch), run

@@ -59,6 +59,9 @@ class OverloadPipeline {
   nvme::Controller controller_;
   uint16_t qid_ = 0;
   uint32_t nsid_ = 0;
+  // Where every read lands: the pipeline models the reads' timing and
+  // drops their data, so the commands of a batch share one destination.
+  Bytes read_sink_;
   sim::Batcher<PendingIo> batcher_;
 };
 

@@ -86,7 +86,7 @@ Status ObjectStore::CreateWithId(SegmentId id, uint64_t size, SegmentHints hints
   if (size == 0) {
     return InvalidArgument("zero-size segment");
   }
-  if (table_.Lookup(id).ok()) {
+  if (table_.Find(id) != nullptr) {
     return AlreadyExists("segment id in use");
   }
   ASSIGN_OR_RETURN(Location loc, PickLocation(size, hints));
@@ -143,21 +143,9 @@ Result<Bytes> ObjectStore::Read(SegmentId id, uint64_t offset, uint64_t length) 
   if (offset > seg.size || length > seg.size - offset) {
     return OutOfRange("read past end of segment");
   }
-  switch (seg.location) {
-    case Location::kDram: {
-      Bytes out(length);
-      RETURN_IF_ERROR(dram_.Read(seg.base + offset, MutableByteSpan(out)));
-      return out;
-    }
-    case Location::kHbm: {
-      Bytes out(length);
-      RETURN_IF_ERROR(hbm_.Read(seg.base + offset, MutableByteSpan(out)));
-      return out;
-    }
-    case Location::kNvme:
-      return ReadNvme(seg, offset, length);
-  }
-  return Internal("bad location");
+  Bytes out(length);
+  RETURN_IF_ERROR(ReadAt(seg, offset, MutableByteSpan(out)));
+  return out;
 }
 
 Status ObjectStore::ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out) {
@@ -165,51 +153,52 @@ Status ObjectStore::ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out)
   if (offset > seg.size || out.size() > seg.size - offset) {
     return OutOfRange("read past end of segment");
   }
+  return ReadAt(seg, offset, out);
+}
+
+Status ObjectStore::ReadAt(const Segment& seg, uint64_t offset, MutableByteSpan out) {
   switch (seg.location) {
     case Location::kDram:
       return dram_.Read(seg.base + offset, out);
     case Location::kHbm:
       return hbm_.Read(seg.base + offset, out);
-    case Location::kNvme: {
-      ASSIGN_OR_RETURN(Bytes data, ReadNvme(seg, offset, out.size()));
-      std::copy(data.begin(), data.end(), out.begin());
-      return Status::Ok();
-    }
+    case Location::kNvme:
+      return ReadNvme(seg, offset, out);
   }
   return Internal("bad location");
 }
 
 Status ObjectStore::WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data) {
-  // Read-modify-write of the covering LBA range.
   const uint64_t first_lba = seg.base + offset / nvme::kLbaSize;
-  const uint64_t end = offset + data.size();
-  const uint64_t last_lba = seg.base + (end - 1) / nvme::kLbaSize;
-  const auto count = static_cast<uint32_t>(last_lba - first_lba + 1);
-  Bytes block;
   const uint64_t head_skew = offset % nvme::kLbaSize;
-  const bool aligned = head_skew == 0 && data.size() % nvme::kLbaSize == 0;
-  if (aligned) {
+  if (head_skew == 0 && data.size() % nvme::kLbaSize == 0) {
     return nvme_->Write(config_.nvme_nsid, first_lba, data);
   }
-  ASSIGN_OR_RETURN(block, nvme_->Read(config_.nvme_nsid, first_lba, count));
-  std::copy(data.begin(), data.end(), block.begin() + static_cast<ptrdiff_t>(head_skew));
-  return nvme_->Write(config_.nvme_nsid, first_lba, ByteSpan(block.data(), block.size()));
+  // Read-modify-write of the covering LBA range, staged in the reused
+  // buffer.
+  staging_.resize(LbasFor(head_skew + data.size()) * nvme::kLbaSize);
+  RETURN_IF_ERROR(nvme_->ReadInto(config_.nvme_nsid, first_lba, MutableByteSpan(staging_)));
+  std::copy(data.begin(), data.end(), staging_.begin() + static_cast<ptrdiff_t>(head_skew));
+  return nvme_->Write(config_.nvme_nsid, first_lba, ByteSpan(staging_.data(), staging_.size()));
 }
 
-Result<Bytes> ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, uint64_t length) {
-  const uint64_t first_lba = seg.base + offset / nvme::kLbaSize;
-  const uint64_t end = offset + length;
-  const uint64_t last_lba = seg.base + (end - 1) / nvme::kLbaSize;
-  const auto count = static_cast<uint32_t>(last_lba - first_lba + 1);
-  ASSIGN_OR_RETURN(Bytes block, nvme_->Read(config_.nvme_nsid, first_lba, count));
-  const uint64_t head_skew = offset % nvme::kLbaSize;
-  if (head_skew == 0 && length == block.size()) {
-    return block;  // whole LBAs, as every B+ tree node read is: no copy
+Status ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, MutableByteSpan out) {
+  if (out.empty()) {
+    return Status::Ok();  // as on DRAM: no bytes, no command
   }
-  // A shorter read is copied out, so a small value does not pin a 4 KiB
-  // completion buffer for as long as its caller holds it.
-  return Bytes(block.begin() + static_cast<ptrdiff_t>(head_skew),
-               block.begin() + static_cast<ptrdiff_t>(head_skew + length));
+  const uint64_t first_lba = seg.base + offset / nvme::kLbaSize;
+  const uint64_t head_skew = offset % nvme::kLbaSize;
+  if (head_skew == 0 && out.size() % nvme::kLbaSize == 0) {
+    // Whole LBAs, as every B+ tree node read is: the caller's memory is
+    // the command's destination.
+    return nvme_->ReadInto(config_.nvme_nsid, first_lba, out);
+  }
+  // A partial range reads its covering LBAs into the reused staging buffer
+  // and copies the range out.
+  staging_.resize(LbasFor(head_skew + out.size()) * nvme::kLbaSize);
+  RETURN_IF_ERROR(nvme_->ReadInto(config_.nvme_nsid, first_lba, MutableByteSpan(staging_)));
+  std::copy_n(staging_.begin() + static_cast<ptrdiff_t>(head_skew), out.size(), out.begin());
+  return Status::Ok();
 }
 
 Status ObjectStore::Checkpoint() {

@@ -50,9 +50,12 @@ class ObjectStore {
 
   Status Write(SegmentId id, uint64_t offset, ByteSpan data);
   Result<Bytes> Read(SegmentId id, uint64_t offset, uint64_t length);
-  // Read into a caller-owned buffer (`out.size()` bytes at `offset`):
-  // allocation-free for DRAM/HBM segments, which is what lets per-packet
-  // index probes run without a heap allocation per access.
+  // Read into a caller-owned buffer (`out.size()` bytes at `offset`),
+  // allocation-free on every tier: a flash read of whole LBAs lands in
+  // `out` itself, and a partial one in a staging buffer the store reuses.
+  // That is what lets per-packet index probes and B+ tree walks run without
+  // a heap allocation per access. A zero-length read answers OK with no
+  // media access on every tier.
   Status ReadInto(SegmentId id, uint64_t offset, MutableByteSpan out);
 
   Result<Segment> Describe(SegmentId id) const;
@@ -76,8 +79,10 @@ class ObjectStore {
   // The one segment-table probe a data access pays: kLookupCost of sim
   // time and a `translations` tick.
   Result<Segment> Translate(SegmentId id);
+  // The tier's read of a translated, bounds-checked range.
+  Status ReadAt(const Segment& seg, uint64_t offset, MutableByteSpan out);
   Status WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data);
-  Result<Bytes> ReadNvme(const Segment& seg, uint64_t offset, uint64_t length);
+  Status ReadNvme(const Segment& seg, uint64_t offset, MutableByteSpan out);
 
   sim::Engine* engine_;
   nvme::Controller* nvme_;
@@ -91,6 +96,9 @@ class ObjectStore {
 
   SegmentTable table_;
   uint64_t next_id_ = 1;
+  // The covering LBAs of a flash access that is not whole LBAs (a partial
+  // read, or a write's read-modify-write), reused across accesses.
+  Bytes staging_;
   sim::Counters counters_;
   // Interned at the first translation, so an idle store's Snapshot() stays
   // empty.

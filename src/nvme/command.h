@@ -1,9 +1,9 @@
 // NVMe command set subset used by Hyperion.
 //
 // We model the semantics of the spec structures (64-byte SQE, 16-byte CQE)
-// rather than their exact bit layout: opcode, namespace, LBA range, a data
-// buffer in place of PRP lists, and the command identifier / status fields
-// needed for queue-pair completion matching.
+// rather than their exact bit layout: opcode, namespace, LBA range, data
+// buffers in place of SGL/PRP lists, and the command identifier / status
+// fields needed for queue-pair completion matching.
 
 #ifndef HYPERION_SRC_NVME_COMMAND_H_
 #define HYPERION_SRC_NVME_COMMAND_H_
@@ -49,6 +49,11 @@ struct Command {
   // Buffer segments — posting a command references the caller's buffers
   // rather than staging a copy.
   BufferChain data;
+  // PRP stand-in: host memory the device writes into. A read's blocks land
+  // here (exactly BlockCount() * kLbaSize bytes, else kInvalidField), and
+  // so does Identify's data structure. The memory must outlive the
+  // command's execution.
+  MutableByteSpan dest;
 
   uint32_t BlockCount() const { return nlb + 1; }
 };
@@ -57,7 +62,6 @@ struct Completion {
   uint16_t cid = 0;
   CmdStatus status = CmdStatus::kSuccess;
   uint16_t sq_id = 0;
-  Bytes data;  // read payload
 };
 
 }  // namespace hyperion::nvme

@@ -32,6 +32,14 @@ Status Controller::Submit(uint16_t qid, Command cmd) {
   return queues_[qid - 1]->sq.Push(std::move(cmd));
 }
 
+namespace {
+// Whether `blocks` LBAs from `slba` lie inside `ns`. slba can arrive
+// straight off the wire (BlockOp::kRead/kWrite): no sum may wrap.
+bool RangeFits(const FlashDevice& ns, uint64_t slba, uint64_t blocks) {
+  return slba <= ns.capacity_lbas() && blocks <= ns.capacity_lbas() - slba;
+}
+}  // namespace
+
 FlashDevice* Controller::GetNamespace(uint32_t nsid) {
   if (nsid == 0 || nsid > namespaces_.size()) {
     return nullptr;
@@ -50,9 +58,12 @@ Completion Controller::Execute(const Command& cmd) {
   switch (cmd.opcode) {
     case Opcode::kRead: {
       const uint32_t blocks = cmd.BlockCount();
-      // slba can arrive straight off the wire (BlockOp::kRead): no sum may wrap.
-      if (cmd.slba > ns->capacity_lbas() || blocks > ns->capacity_lbas() - cmd.slba) {
+      if (!RangeFits(*ns, cmd.slba, blocks)) {
         cqe.status = CmdStatus::kLbaOutOfRange;
+        return cqe;
+      }
+      if (cmd.dest.size() != static_cast<size_t>(blocks) * kLbaSize) {
+        cqe.status = CmdStatus::kInvalidField;
         return cqe;
       }
       if (injector_ != nullptr && injector_->ShouldInject(sim::FaultSite::kNvmeCmdTimeout)) {
@@ -73,11 +84,10 @@ Completion Controller::Execute(const Command& cmd) {
         cqe.status = CmdStatus::kMediaError;
         return cqe;
       }
-      // One pass over the completion buffer: each block appends its stored
-      // prefix and then its zero tail.
-      cqe.data.reserve(static_cast<size_t>(blocks) * kLbaSize);
+      // One pass over the destination: each block lands in its own LBA of
+      // the host's memory, its stored prefix and then its zero tail.
       for (uint32_t i = 0; i < blocks; ++i) {
-        CHECK_OK(ns->ReadBlock(cmd.slba + i, &cqe.data));
+        CHECK_OK(ns->ReadBlock(cmd.slba + i, cmd.dest.subspan(size_t{i} * kLbaSize, kLbaSize)));
       }
       if (h_reads_ == kUnresolved) [[unlikely]] {
         h_reads_ = counters_.Intern("nvme_reads");
@@ -89,8 +99,7 @@ Completion Controller::Execute(const Command& cmd) {
     }
     case Opcode::kWrite: {
       const uint32_t blocks = cmd.BlockCount();
-      // As for reads: slba can arrive off the wire (BlockOp::kWrite).
-      if (cmd.slba > ns->capacity_lbas() || blocks > ns->capacity_lbas() - cmd.slba) {
+      if (!RangeFits(*ns, cmd.slba, blocks)) {
         cqe.status = CmdStatus::kLbaOutOfRange;
         return cqe;
       }
@@ -134,12 +143,16 @@ Completion Controller::Execute(const Command& cmd) {
       counters_.Add("nvme_flushes", 1);
       break;
     case Opcode::kIdentify: {
-      Bytes payload;
-      PutU32(payload, static_cast<uint32_t>(namespaces_.size()));
-      for (const auto& n : namespaces_) {
-        PutU64(payload, n->capacity_lbas());
+      // The namespace list, into the destination: [count u32] then each
+      // namespace's capacity as a u64.
+      if (cmd.dest.size() < 4 + 8 * namespaces_.size()) {
+        cqe.status = CmdStatus::kInvalidField;
+        return cqe;
       }
-      cqe.data = std::move(payload);
+      SetU32(cmd.dest, 0, static_cast<uint32_t>(namespaces_.size()));
+      for (size_t i = 0; i < namespaces_.size(); ++i) {
+        SetU64(cmd.dest, 4 + 8 * i, namespaces_[i]->capacity_lbas());
+      }
       break;
     }
     default:
@@ -266,6 +279,26 @@ Result<Bytes> Controller::Read(uint32_t nsid, uint64_t slba, uint32_t block_coun
   if (block_count == 0) {
     return InvalidArgument("zero-length read");
   }
+  // block_count can come off the wire (BlockOp::kRead): size the buffer only
+  // for blocks the namespace holds. Any other command fails in Execute and
+  // reads nothing.
+  const FlashDevice* ns = GetNamespace(nsid);
+  Bytes out(ns != nullptr && RangeFits(*ns, slba, block_count)
+                ? static_cast<size_t>(block_count) * kLbaSize
+                : 0);
+  RETURN_IF_ERROR(ReadBlocks(nsid, slba, block_count, MutableByteSpan(out)));
+  return out;
+}
+
+Status Controller::ReadInto(uint32_t nsid, uint64_t slba, MutableByteSpan out) {
+  if (out.empty() || out.size() % kLbaSize != 0 || out.size() / kLbaSize > UINT32_MAX) {
+    return InvalidArgument("read must be a whole number of LBAs");
+  }
+  return ReadBlocks(nsid, slba, static_cast<uint32_t>(out.size() / kLbaSize), out);
+}
+
+Status Controller::ReadBlocks(uint32_t nsid, uint64_t slba, uint32_t block_count,
+                              MutableByteSpan out) {
   obs::ScopedSpan span(tracer_, engine_, obs::Subsystem::kNvme, "nvme.read");
   Command cmd;
   cmd.cid = next_cid_++;
@@ -273,14 +306,15 @@ Result<Bytes> Controller::Read(uint32_t nsid, uint64_t slba, uint32_t block_coun
   cmd.nsid = nsid;
   cmd.slba = slba;
   cmd.nlb = block_count - 1;
-  Completion cqe = ExecuteWithRetry(std::move(cmd));
+  cmd.dest = out;
+  const Completion cqe = ExecuteWithRetry(std::move(cmd));
   if (cqe.status != CmdStatus::kSuccess) {
     if (IsTransient(cqe.status)) {
       return DataLoss("NVMe read failed after retries");
     }
     return OutOfRange("NVMe read failed");
   }
-  return std::move(cqe.data);
+  return Status::Ok();
 }
 
 Status Controller::Write(uint32_t nsid, uint64_t slba, ByteSpan data) {

@@ -80,6 +80,11 @@ class Controller {
   // the cost model, not doorbell mechanics.
 
   Result<Bytes> Read(uint32_t nsid, uint64_t slba, uint32_t block_count);
+  // Reads whole blocks from `slba` straight into `out`, the command's
+  // destination: no completion buffer and no second copy. `out` must be a
+  // nonzero whole number of LBAs (else InvalidArgument, before any time is
+  // charged). A failed read leaves `out` untouched.
+  Status ReadInto(uint32_t nsid, uint64_t slba, MutableByteSpan out);
   Status Write(uint32_t nsid, uint64_t slba, ByteSpan data);  // data = N * kLbaSize
   // Scatter-gather write: the command references `data`'s segments (no
   // staging copy). Same size contract as Write.
@@ -117,6 +122,10 @@ class Controller {
   // Executes `cmd` and reissues it (fresh cid) on transient failure until
   // it succeeds, fails deterministically, or exhausts the retry budget.
   Completion ExecuteWithRetry(Command cmd);
+  // The one read path of the synchronous facade: a read command whose
+  // destination is `out` (`block_count` LBAs, or empty for a range the
+  // namespace does not hold), reissued on transient failure.
+  Status ReadBlocks(uint32_t nsid, uint64_t slba, uint32_t block_count, MutableByteSpan out);
 
   sim::Engine* engine_;
   std::vector<std::unique_ptr<FlashDevice>> namespaces_;

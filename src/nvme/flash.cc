@@ -29,16 +29,19 @@ size_t NonZeroPrefix(ByteSpan block) {
 
 }  // namespace
 
-Status FlashDevice::ReadBlock(uint64_t lba, Bytes* out) const {
+Status FlashDevice::ReadBlock(uint64_t lba, MutableByteSpan out) const {
   if (lba >= capacity_lbas_) {
     return OutOfRange("read past end of namespace");
   }
+  if (out.size() != kLbaSize) {
+    return InvalidArgument("read buffer must be one LBA");
+  }
   size_t stored = 0;
   if (auto it = blocks_.find(lba); it != blocks_.end()) {
-    out->insert(out->end(), it->second.begin(), it->second.end());
     stored = it->second.size();
+    std::copy(it->second.begin(), it->second.end(), out.begin());
   }
-  out->resize(out->size() + (kLbaSize - stored));  // the zero tail
+  std::memset(out.data() + stored, 0, kLbaSize - stored);  // the zero tail
   return Status::Ok();
 }
 

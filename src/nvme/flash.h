@@ -40,9 +40,10 @@ class FlashDevice {
   uint64_t capacity_lbas() const { return capacity_lbas_; }
   const FlashLatency& latency() const { return latency_; }
 
-  // Appends the block at `lba` to `out` (kLbaSize bytes) in one pass: the
-  // stored prefix, then zeroes to the end of the LBA.
-  Status ReadBlock(uint64_t lba, Bytes* out) const;
+  // Fills `out` (exactly kLbaSize bytes of the caller's memory) with the
+  // block at `lba` in one pass: the stored prefix, then zeroes to the end
+  // of the LBA.
+  Status ReadBlock(uint64_t lba, MutableByteSpan out) const;
   // Stores `data` (exactly kLbaSize bytes) at `lba`, keeping only its
   // prefix up to the last non-zero byte; ReadBlock returns `data` exactly.
   Status WriteBlock(uint64_t lba, ByteSpan data);

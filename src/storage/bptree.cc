@@ -9,10 +9,11 @@ namespace hyperion::storage {
 
 namespace {
 
-// The node's bytes as WriteNode stores them, before padding.
-Bytes SerializeNode(const NodeView& node) {
-  Bytes out;
-  out.reserve(BPlusTree::kNodeBytes);  // WriteNode pads to kNodeBytes without regrowing
+// Serializes `node` into `out` as WriteNode stores it, padded to
+// kNodeBytes. `out` keeps its storage from one node to the next.
+void SerializeNode(const NodeView& node, Bytes& out) {
+  out.clear();
+  out.reserve(BPlusTree::kNodeBytes);
   out.push_back(node.is_leaf ? 1 : 0);
   PutU32(out, static_cast<uint32_t>(node.keys.size()));
   PutU64(out, node.next_leaf);
@@ -20,9 +21,9 @@ Bytes SerializeNode(const NodeView& node) {
     PutU64(out, k);
   }
   if (node.is_leaf) {
-    for (const Bytes& v : node.values) {
+    for (const ByteSpan v : node.values) {
       PutU32(out, static_cast<uint32_t>(v.size()));
-      PutBytes(out, ByteSpan(v.data(), v.size()));
+      PutBytes(out, v);
     }
   } else {
     for (uint64_t c : node.children) {
@@ -30,7 +31,14 @@ Bytes SerializeNode(const NodeView& node) {
     }
   }
   CHECK_LE(out.size(), BPlusTree::kNodeBytes) << "node serialization overflow";
-  return out;
+  out.resize(BPlusTree::kNodeBytes, 0);
+}
+
+// Expected misses answer this one Status, built once and shared by
+// refcount, so a lookup of an absent key allocates nothing.
+const Status& KeyNotInTree() {
+  static const Status kMiss = NotFound("key not in tree");
+  return kMiss;
 }
 
 // The bytes SerializeNode writes for a leaf holding entries [begin, end)
@@ -63,7 +71,11 @@ Result<NodeView> ParseBPlusNode(ByteSpan raw) {
     node.values.resize(count);
     for (uint32_t i = 0; i < count; ++i) {
       const uint32_t len = reader.ReadU32();
-      node.values[i] = reader.ReadBytes(len);
+      const size_t at = reader.offset();
+      reader.Skip(len);
+      if (reader.Ok()) {
+        node.values[i] = raw.subspan(at, len);
+      }
     }
   } else {
     node.children.resize(count + 1);
@@ -77,14 +89,14 @@ Result<NodeView> ParseBPlusNode(ByteSpan raw) {
   return node;
 }
 
-// A serialized node read in place. Parse makes exactly ParseBPlusNode's
-// checks, in its order and with its DataLoss messages, so a walk never
-// decodes a node it only routes through or reads; Decode() is there for
-// the nodes a walk rewrites.
+// A serialized node read in place: a view of the bytes in a depth buffer.
+// Parse makes exactly ParseBPlusNode's checks, in its order and with its
+// DataLoss messages, so a walk never decodes a node it only routes through
+// or reads; DecodeInto() is there for the nodes a walk rewrites.
 class BPlusTree::Image {
  public:
-  static Result<Image> Parse(Bytes raw) {
-    Image image(std::move(raw));
+  static Result<Image> Parse(ByteSpan raw) {
+    Image image(raw);
     const ByteSpan in = image.raw();
     // ParseBPlusNode reads the count before it checks anything, so an
     // implausible count wins over a header cut short after it.
@@ -114,7 +126,7 @@ class BPlusTree::Image {
 
   bool is_leaf() const { return is_leaf_; }
   uint32_t count() const { return count_; }
-  ByteSpan raw() const { return ByteSpan(raw_.data(), raw_.size()); }
+  ByteSpan raw() const { return raw_; }
   uint64_t NextLeaf() const { return GetU64(raw(), 1 + 4); }
   uint64_t Key(uint32_t i) const { return GetU64(raw(), kHeaderBytes + 8 * size_t{i}); }
   // Inner nodes: child i of count() + 1.
@@ -140,14 +152,38 @@ class BPlusTree::Image {
     return static_cast<uint32_t>(bound(keys, key, {}, key_of) - keys.begin());
   }
 
-  Result<NodeView> Decode() const { return ParseBPlusNode(raw()); }
+  // Decodes the node into `node`, reusing its vectors' storage; the values
+  // view this image's bytes. Parse has checked the layout, so this is
+  // ParseBPlusNode's result without its checks.
+  void DecodeInto(NodeView& node) const {
+    node.is_leaf = is_leaf_;
+    node.next_leaf = NextLeaf();
+    node.keys.resize(count_);
+    for (uint32_t i = 0; i < count_; ++i) {
+      node.keys[i] = Key(i);
+    }
+    node.values.clear();
+    node.children.clear();
+    if (is_leaf_) {
+      size_t at = kHeaderBytes + 8 * size_t{count_};
+      for (uint32_t i = 0; i < count_; ++i) {
+        const uint32_t len = GetU32(raw_, at);
+        node.values.push_back(raw_.subspan(at + 4, len));
+        at += 4 + size_t{len};
+      }
+    } else {
+      for (uint32_t i = 0; i <= count_; ++i) {
+        node.children.push_back(Child(i));
+      }
+    }
+  }
 
  private:
   static constexpr size_t kHeaderBytes = 1 + 4 + 8;  // is_leaf, count, next_leaf
 
-  explicit Image(Bytes raw) : raw_(std::move(raw)) {}
+  explicit Image(ByteSpan raw) : raw_(raw) {}
 
-  Bytes raw_;
+  ByteSpan raw_;
   bool is_leaf_ = false;
   uint32_t count_ = 0;
 };
@@ -175,41 +211,46 @@ Result<uint64_t> BPlusTree::AllocateNode(const NodeView& node) {
   return id;
 }
 
-Result<BPlusTree::Image> BPlusTree::ReadImage(uint64_t node_id) {
+Result<BPlusTree::Image> BPlusTree::ReadImage(uint64_t node_id, uint32_t depth) {
   ++node_reads_;
-  ASSIGN_OR_RETURN(Bytes raw, store_->Read(NodeSegment(node_id), 0, kNodeBytes));
-  return Image::Parse(std::move(raw));
+  if (depth >= depth_buffers_.size()) {
+    depth_buffers_.resize(depth + 1, Bytes(kNodeBytes));
+  }
+  const MutableByteSpan buffer(depth_buffers_[depth]);
+  RETURN_IF_ERROR(store_->ReadInto(NodeSegment(node_id), 0, buffer));
+  return Image::Parse(buffer);
 }
 
 Status BPlusTree::WriteNode(uint64_t node_id, const NodeView& node) {
-  Bytes raw = SerializeNode(node);
-  raw.resize(kNodeBytes, 0);
-  return store_->Write(NodeSegment(node_id), 0, ByteSpan(raw.data(), raw.size()));
+  SerializeNode(node, node_out_);
+  return store_->Write(NodeSegment(node_id), 0, ByteSpan(node_out_.data(), node_out_.size()));
 }
 
-Result<std::pair<uint64_t, BPlusTree::Image>> BPlusTree::Descend(
-    uint64_t key, std::vector<std::pair<uint64_t, Image>>* path) {
+Result<std::pair<uint64_t, BPlusTree::Image>> BPlusTree::Descend(uint64_t key,
+                                                                  std::vector<uint64_t>* path) {
+  if (path != nullptr) {
+    path->clear();
+  }
   uint64_t node_id = root_;
   for (uint32_t depth = 1;; ++depth) {
-    ASSIGN_OR_RETURN(Image image, ReadImage(node_id));
+    ASSIGN_OR_RETURN(const Image image, ReadImage(node_id, depth - 1));
     if (image.is_leaf()) {
-      return std::make_pair(node_id, std::move(image));
+      return std::make_pair(node_id, image);
     }
     if (depth == height_) {
       return DataLoss("B+ tree walk deeper than the tree's height");
     }
-    const uint64_t child = image.Child(image.Position(std::ranges::upper_bound, key));
     if (path != nullptr) {
-      path->emplace_back(node_id, std::move(image));
+      path->push_back(node_id);
     }
-    node_id = child;
+    node_id = image.Child(image.Position(std::ranges::upper_bound, key));
   }
 }
 
 Result<std::pair<uint64_t, uint64_t>> BPlusTree::Split(uint64_t node_id, NodeView& node) {
   const size_t mid = node.keys.size() / 2;
   const uint64_t separator = node.keys[mid];
-  NodeView right;
+  NodeView& right = sibling_;
   right.is_leaf = node.is_leaf;
   // A leaf keeps its middle key as the sibling's first; an inner node's moves up.
   right.keys.assign(node.keys.begin() + static_cast<ptrdiff_t>(mid + (node.is_leaf ? 0 : 1)),
@@ -217,12 +258,15 @@ Result<std::pair<uint64_t, uint64_t>> BPlusTree::Split(uint64_t node_id, NodeVie
   node.keys.resize(mid);
   if (node.is_leaf) {
     right.values.assign(node.values.begin() + static_cast<ptrdiff_t>(mid), node.values.end());
+    right.children.clear();
     node.values.resize(mid);
     right.next_leaf = node.next_leaf;
   } else {
+    right.values.clear();
     right.children.assign(node.children.begin() + static_cast<ptrdiff_t>(mid) + 1,
                           node.children.end());
     node.children.resize(mid + 1);
+    right.next_leaf = 0;
   }
   ASSIGN_OR_RETURN(const uint64_t right_id, AllocateNode(right));
   if (node.is_leaf) {
@@ -236,18 +280,18 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
   if (value.size() > kMaxValueLen) {
     return InvalidArgument("value exceeds kMaxValueLen");
   }
-  std::vector<std::pair<uint64_t, Image>> path;
-  ASSIGN_OR_RETURN(auto found, Descend(key, &path));
+  ASSIGN_OR_RETURN(const auto found, Descend(key, &path_));
   uint64_t node_id = found.first;
-  ASSIGN_OR_RETURN(NodeView node, found.second.Decode());
+  NodeView& node = edit_;
+  found.second.DecodeInto(node);
   auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
   const ptrdiff_t pos = it - node.keys.begin();
   const bool overwrite = it != node.keys.end() && *it == key;
   if (overwrite) {
-    node.values[static_cast<size_t>(pos)] = Bytes(value.begin(), value.end());
+    node.values[static_cast<size_t>(pos)] = value;
   } else {
     node.keys.insert(it, key);
-    node.values.insert(node.values.begin() + pos, Bytes(value.begin(), value.end()));
+    node.values.insert(node.values.begin() + pos, value);
   }
   // A leaf read off corrupt media can hold values longer than any Insert
   // writes. If the leaf, or a half of the split it is due, no longer fits
@@ -265,16 +309,20 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
   // separator and the new sibling, and splits in turn if it overflows.
   while (node.keys.size() > (node.is_leaf ? kMaxLeafEntries : kMaxInnerKeys)) {
     ASSIGN_OR_RETURN(const auto split, Split(node_id, node));
-    if (path.empty()) {  // the root split: a new root comes last
+    if (path_.empty()) {  // the root split: a new root comes last
       NodeView root{.is_leaf = false, .keys = {split.first}, .values = {},
                     .children = {root_, split.second}};
       ASSIGN_OR_RETURN(root_, AllocateNode(root));
       ++height_;
       return Status::Ok();
     }
-    node_id = path.back().first;
-    ASSIGN_OR_RETURN(node, path.back().second.Decode());
-    path.pop_back();
+    // The parent's image is still in the buffer of its depth, and Descend
+    // checked it there.
+    const size_t depth = path_.size() - 1;
+    node_id = path_.back();
+    path_.pop_back();
+    ASSIGN_OR_RETURN(const Image parent, Image::Parse(depth_buffers_[depth]));
+    parent.DecodeInto(node);
     const ptrdiff_t child = std::upper_bound(node.keys.begin(), node.keys.end(), key) -
                             node.keys.begin();
     node.keys.insert(node.keys.begin() + child, split.first);
@@ -284,11 +332,11 @@ Status BPlusTree::Insert(uint64_t key, ByteSpan value) {
 }
 
 Result<Bytes> BPlusTree::Get(uint64_t key) {
-  ASSIGN_OR_RETURN(auto found, Descend(key));
+  ASSIGN_OR_RETURN(const auto found, Descend(key));
   const Image& leaf = found.second;
   const uint32_t pos = leaf.Position(std::ranges::lower_bound, key);
   if (pos == leaf.count() || leaf.Key(pos) != key) {
-    return NotFound("key not in tree");
+    return KeyNotInTree();
   }
   const ByteSpan value = leaf.Value(pos);
   return Bytes(value.begin(), value.end());
@@ -296,15 +344,16 @@ Result<Bytes> BPlusTree::Get(uint64_t key) {
 
 Status BPlusTree::Delete(uint64_t key) {
   // Remembering the path is unnecessary: no rebalancing.
-  ASSIGN_OR_RETURN(auto found, Descend(key));
-  ASSIGN_OR_RETURN(NodeView node, found.second.Decode());
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key);
-  if (it == node.keys.end() || *it != key) {
-    return NotFound("key not in tree");
+  ASSIGN_OR_RETURN(const auto found, Descend(key));
+  const Image& leaf = found.second;
+  const uint32_t pos = leaf.Position(std::ranges::lower_bound, key);
+  if (pos == leaf.count() || leaf.Key(pos) != key) {
+    return KeyNotInTree();
   }
-  const size_t pos = static_cast<size_t>(it - node.keys.begin());
-  node.keys.erase(it);
-  node.values.erase(node.values.begin() + static_cast<ptrdiff_t>(pos));
+  NodeView& node = edit_;
+  leaf.DecodeInto(node);
+  node.keys.erase(node.keys.begin() + pos);
+  node.values.erase(node.values.begin() + pos);
   --entry_count_;
   return WriteNode(found.first, node);
 }
@@ -315,9 +364,10 @@ Result<std::vector<std::pair<uint64_t, Bytes>>> BPlusTree::Scan(uint64_t lo, uin
   }
   std::vector<std::pair<uint64_t, Bytes>> out;
   ASSIGN_OR_RETURN(auto found, Descend(lo));
-  Image leaf = std::move(found.second);
-  // Walk the leaf chain. Its links come off media too: an honest chain
-  // holds only leaves, and no more of them than the tree has nodes.
+  Image leaf = found.second;
+  // Walk the leaf chain, reading each next leaf into the leaf level's
+  // buffer. Its links come off media too: an honest chain holds only
+  // leaves, and no more of them than the tree has nodes.
   for (uint64_t leaves = 1;; ++leaves) {
     for (uint32_t i = 0; i < leaf.count(); ++i) {
       if (const uint64_t k = leaf.Key(i); k >= lo && k <= hi) {
@@ -331,7 +381,7 @@ Result<std::vector<std::pair<uint64_t, Bytes>>> BPlusTree::Scan(uint64_t lo, uin
     if (leaves == next_node_id_ - 1) {
       return DataLoss("B+ tree leaf chain longer than the tree");
     }
-    ASSIGN_OR_RETURN(leaf, ReadImage(leaf.NextLeaf()));
+    ASSIGN_OR_RETURN(leaf, ReadImage(leaf.NextLeaf(), height_ - 1));
     if (!leaf.is_leaf()) {
       return DataLoss("B+ tree leaf chain reaches an inner node");
     }

@@ -26,16 +26,19 @@ namespace hyperion::storage {
 // One node, decoded: what the tree serializes into a node segment when it
 // rewrites the node, and what *clients* that walk the tree remotely parse
 // (client-driven pointer chasing reads raw node segments over the network
-// and parses them locally — experiment E5's baseline).
+// and parses them locally — experiment E5's baseline). Values are views:
+// of the bytes the node was decoded from, or of a value being inserted.
 struct NodeView {
   bool is_leaf = true;
   std::vector<uint64_t> keys;
-  std::vector<Bytes> values;       // leaf only, parallel to keys
+  std::vector<ByteSpan> values;    // leaf only, parallel to keys
   std::vector<uint64_t> children;  // inner only, keys.size() + 1 node ids
   uint64_t next_leaf = 0;          // leaf chain for scans (0 = none)
 };
 
-// Parses a raw node segment into a NodeView.
+// Parses a raw node segment into a NodeView whose values view `raw`. The
+// reference decoder: the tree itself reads nodes in place and checks them
+// exactly as this does.
 Result<NodeView> ParseBPlusNode(ByteSpan raw);
 
 // Segment id of node `node_id` in tree `tree_id` (stable naming contract).
@@ -79,19 +82,22 @@ class BPlusTree {
 
   mem::SegmentId NodeSegment(uint64_t node_id) const;
   Result<uint64_t> AllocateNode(const NodeView& node);
-  // Every node read goes through ReadImage. Walks read nodes in place and
-  // decode only the nodes they rewrite.
-  Result<Image> ReadImage(uint64_t node_id);
+  // Every node read goes through ReadImage, which reads the node into the
+  // buffer of its depth (0 = root) and checks it in place. Walks decode
+  // only the nodes they rewrite.
+  Result<Image> ReadImage(uint64_t node_id, uint32_t depth);
+  // Serializes `node` into the reused write buffer and stores it.
   Status WriteNode(uint64_t node_id, const NodeView& node);
 
   // Child ids come off media, so one may name its own node or an
   // ancestor. Every descent therefore checks the tree's shape as it goes:
   // the node at depth Height() must be a leaf, or the walk answers DataLoss.
   //
-  // The leaf covering `key` and its node id. With `path`, also the inner
-  // nodes the walk read and their ids, root first.
-  Result<std::pair<uint64_t, Image>> Descend(
-      uint64_t key, std::vector<std::pair<uint64_t, Image>>* path = nullptr);
+  // The leaf covering `key` and its node id. With `path`, also the ids of
+  // the inner nodes the walk read, root first; the image of path[d] stays
+  // in depth d's buffer until the next walk.
+  Result<std::pair<uint64_t, Image>> Descend(uint64_t key,
+                                             std::vector<uint64_t>* path = nullptr);
   // Moves the upper half of overfull `node` to a new right sibling, which
   // is written before `node` is rewritten; returns the separator key for
   // the parent and the sibling's id.
@@ -105,6 +111,14 @@ class BPlusTree {
   uint32_t height_ = 1;
   uint64_t entry_count_ = 0;
   uint64_t node_reads_ = 0;
+  // Reused across operations so a warmed walk or edit allocates nothing:
+  // one node buffer per depth, Insert's path, the decoded node an edit
+  // rewrites and the sibling a split fills, and the serialized node.
+  std::vector<Bytes> depth_buffers_;
+  std::vector<uint64_t> path_;
+  NodeView edit_;
+  NodeView sibling_;
+  Bytes node_out_;
 };
 
 }  // namespace hyperion::storage

@@ -17,6 +17,13 @@ inline void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 constexpr uint8_t kEmptyHeaderBytes[HashIndex::kHeaderBytes] = {};
 constexpr ByteSpan kEmptyHeader(kEmptyHeaderBytes, HashIndex::kHeaderBytes);
 
+// Expected misses answer this one Status, built once and shared by
+// refcount, so a probe for an absent key allocates nothing.
+const Status& KeyNotInIndex() {
+  static const Status kMiss = NotFound("key not in index");
+  return kMiss;
+}
+
 }  // namespace
 
 Result<HashIndex> HashIndex::Create(mem::ObjectStore* store, uint64_t index_id, uint32_t buckets,
@@ -184,7 +191,7 @@ Result<Bytes> HashIndex::Get(ByteSpan key) {
   uint64_t bucket_id = RootBucket(key);
   ASSIGN_OR_RETURN(const Scan scan, Walk(bucket_id, key));
   if (!scan.found) {
-    return NotFound("key not in index");
+    return KeyNotInIndex();
   }
   return Bytes(scratch_.begin() + static_cast<ptrdiff_t>(scan.value_off),
                scratch_.begin() + static_cast<ptrdiff_t>(scan.value_off + scan.value_len));
@@ -194,7 +201,7 @@ Status HashIndex::Delete(ByteSpan key) {
   uint64_t bucket_id = RootBucket(key);
   ASSIGN_OR_RETURN(Scan scan, Walk(bucket_id, key));
   if (!scan.found) {
-    return NotFound("key not in index");
+    return KeyNotInIndex();
   }
   EraseRecord(scan, key.size());
   return RewriteBucket(bucket_id, scan);

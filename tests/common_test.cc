@@ -4,6 +4,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
@@ -286,6 +287,29 @@ TEST(BytesTest, FnvDiffersAcrossInputs) {
 }
 
 // -- Rng -------------------------------------------------------------------
+
+TEST(FastModTest, MatchesTheHardwareRemainder) {
+  Rng rng(30);
+  std::vector<uint64_t> divisors = {1, 2, 3, 7, 10, 16383, 65537, UINT64_MAX - 1, UINT64_MAX};
+  for (int k = 1; k < 64; ++k) {
+    divisors.push_back(uint64_t{1} << k);
+  }
+  for (int i = 0; i < 32; ++i) {
+    divisors.push_back((rng.Next() >> rng.Uniform(64)) | 1);  // every width
+  }
+  for (const uint64_t d : divisors) {
+    SCOPED_TRACE(d);
+    const FastMod mod(d);
+    for (const uint64_t x : {uint64_t{0}, uint64_t{1}, d - 1, d, d + 1, 2 * d, UINT64_MAX - 1,
+                             UINT64_MAX}) {
+      ASSERT_EQ(mod(x), x % d) << x;
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t x = rng.Next() >> rng.Uniform(64);
+      ASSERT_EQ(mod(x), x % d) << x;
+    }
+  }
+}
 
 TEST(RngTest, DeterministicForSeed) {
   Rng a(7);

@@ -200,6 +200,62 @@ TEST(RpcFrameFuzz, EverySplitParsesTheSameFrame) {
   }
 }
 
+// `frame` with the segment that holds byte `cut` split in two there. Both
+// halves are slices of that segment's block, so a single-block header or
+// trailer arrives cut mid-field.
+BufferChain SplitSegmentsAt(const BufferChain& frame, size_t cut) {
+  BufferChain out;
+  size_t at = 0;
+  for (size_t i = 0; i < frame.segment_count(); ++i) {
+    const Buffer& segment = frame.segment(i);
+    if (cut > at && cut < at + segment.size()) {
+      out.Append(segment.Slice(0, cut - at));
+      out.Append(segment.Slice(cut - at));
+    } else {
+      out.Append(segment);
+    }
+    at += segment.size();
+  }
+  return out;
+}
+
+TEST(RpcFrameFuzz, SingleBlockPartsCutAnywhereParseTheSameFrame) {
+  // The frames as the codec builds them: the header and each trailer are
+  // one block apiece, and the payload is the caller's Buffer. A payload
+  // that lies inside one segment still parses as a slice of it.
+  const RpcRequest request = FuzzRequest();
+  BufferChain request_frame = SerializeRequestFrame(request, /*trailers=*/2);
+  AppendDeadlineTrailer(request_frame, request.deadline);
+  AppendTraceTrailer(request_frame, request.trace);
+  ASSERT_EQ(request_frame.segment_count(), 4u);
+  ASSERT_EQ(request_frame.Flatten(), FuzzRequestBytes());
+  const size_t payload_at = 8;
+  for (size_t cut = 0; cut <= request_frame.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    auto parsed = ParseRequestFrame(SplitSegmentsAt(request_frame, cut));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->service, request.service);
+    EXPECT_EQ(parsed->opcode, request.opcode);
+    EXPECT_EQ(parsed->payload, request.payload);
+    EXPECT_EQ(parsed->deadline, request.deadline);
+    EXPECT_EQ(parsed->trace, request.trace);
+    if (cut <= payload_at || cut >= payload_at + request.payload.size()) {
+      EXPECT_EQ(parsed->payload.data(), request.payload.data());
+    }
+  }
+  const RpcResponse response = FuzzResponse();
+  const BufferChain response_frame = SerializeResponseFrame(response);
+  ASSERT_EQ(response_frame.segment_count(), 2u);
+  for (size_t cut = 0; cut <= response_frame.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    auto decoded = ParseResponseFrame(SplitSegmentsAt(response_frame, cut));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->status.code(), response.status.code());
+    EXPECT_EQ(decoded->status.message(), response.status.message());
+    EXPECT_EQ(decoded->payload, response.payload);
+  }
+}
+
 TEST(RpcFrameFuzz, TruncationIsAnErrorOrAShorterTrailerWalk) {
   const RpcRequest request = FuzzRequest();
   const Bytes request_bytes = FuzzRequestBytes();

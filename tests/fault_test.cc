@@ -182,11 +182,13 @@ TEST_F(NvmeFaultTest, QueuePairPathSurfacesRawStatus) {
   controller_.SetFaultInjector(&injector);
 
   const uint16_t qid = controller_.CreateQueuePair(8);
+  Bytes sink(nvme::kLbaSize);
   nvme::Command cmd;
   cmd.cid = 99;
   cmd.opcode = nvme::Opcode::kRead;
   cmd.nsid = nsid_;
   cmd.slba = 7;
+  cmd.dest = MutableByteSpan(sink);
   ASSERT_TRUE(controller_.Submit(qid, std::move(cmd)).ok());
   EXPECT_EQ(controller_.ProcessSubmissions(), 1u);
   auto cqe = controller_.Reap(qid);

@@ -580,6 +580,29 @@ TEST_F(ObjectStoreTest, WriteReadRoundTripAllTiers) {
   }
 }
 
+TEST_F(ObjectStoreTest, ZeroLengthReadsAnswerOkOnEveryTier) {
+  // Flash answers a zero-length read as DRAM and HBM do: OK and no bytes,
+  // at LBA-aligned and unaligned offsets and at the segment's end, and
+  // without an NVMe command. Read and ReadInto agree.
+  for (SegmentHints hints :
+       {SegmentHints{}, SegmentHints{.performance_critical = true}, SegmentHints{.durable = true}}) {
+    auto id = store_->Create(3 * nvme::kLbaSize, hints);
+    ASSERT_TRUE(id.ok());
+    for (const uint64_t offset : {0u, 100u, 4096u, 5000u, 8192u, 3u * nvme::kLbaSize}) {
+      SCOPED_TRACE(offset);
+      const sim::SimTime before = engine_.Now();
+      auto read = store_->Read(*id, offset, 0);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_TRUE(read->empty());
+      EXPECT_TRUE(store_->ReadInto(*id, offset, MutableByteSpan()).ok());
+      if (hints.durable) {
+        EXPECT_EQ(engine_.Now() - before, 2 * SegmentTable::kLookupCost);  // translations only
+      }
+    }
+  }
+  EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 0u);
+}
+
 TEST_F(ObjectStoreTest, BoundsEnforced) {
   Bytes data(50);
   Bytes out(8);

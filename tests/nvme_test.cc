@@ -12,6 +12,7 @@
 #include "src/nvme/queue.h"
 #include "src/nvme/zns.h"
 #include "src/sim/engine.h"
+#include "src/sim/fault.h"
 
 namespace hyperion::nvme {
 namespace {
@@ -31,15 +32,18 @@ Bytes Padded(const Bytes& prefix) {
   return block;
 }
 
-// Reads `lba` through ReadBlock into a buffer that already holds a 0xff
-// sentinel: the read must append exactly one LBA and leave the sentinel be.
+// Reads `lba` through ReadBlock into one LBA of a buffer that holds a 0xff
+// sentinel on each side: the read must fill exactly that LBA, zero tail
+// included, and leave the sentinels be.
 Bytes ReadBack(const FlashDevice& dev, uint64_t lba) {
   constexpr size_t kSentinel = 7;
-  Bytes out(kSentinel, 0xff);
-  EXPECT_TRUE(dev.ReadBlock(lba, &out).ok()) << "lba " << lba;
-  EXPECT_EQ(out.size(), kSentinel + kLbaSize);
-  EXPECT_TRUE(std::all_of(out.begin(), out.begin() + kSentinel, [](uint8_t b) { return b == 0xff; }));
-  return Bytes(out.begin() + kSentinel, out.end());
+  Bytes out(kSentinel + kLbaSize + kSentinel, 0xff);
+  EXPECT_TRUE(dev.ReadBlock(lba, MutableByteSpan(out).subspan(kSentinel, kLbaSize)).ok())
+      << "lba " << lba;
+  const auto sentinel = [](uint8_t b) { return b == 0xff; };
+  EXPECT_TRUE(std::all_of(out.begin(), out.begin() + kSentinel, sentinel));
+  EXPECT_TRUE(std::all_of(out.end() - kSentinel, out.end(), sentinel));
+  return Bytes(out.begin() + kSentinel, out.end() - kSentinel);
 }
 
 // -- FlashDevice -----------------------------------------------------------
@@ -108,9 +112,9 @@ TEST(FlashTest, AllZeroWriteReadsZeroAndCountsAsWritten) {
 TEST(FlashTest, OutOfRangeRejected) {
   FlashDevice dev(4);
   Bytes buf(kLbaSize);
-  Bytes out;
-  EXPECT_EQ(dev.ReadBlock(4, &out).code(), StatusCode::kOutOfRange);
-  EXPECT_TRUE(out.empty());
+  Bytes out(kLbaSize, 0xff);
+  EXPECT_EQ(dev.ReadBlock(4, MutableByteSpan(out)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(out, Bytes(kLbaSize, 0xff));  // untouched
   EXPECT_FALSE(dev.WriteBlock(100, ByteSpan(buf.data(), buf.size())).ok());
 }
 
@@ -118,6 +122,7 @@ TEST(FlashTest, WrongBufferSizeRejected) {
   FlashDevice dev(4);
   Bytes small(100);
   EXPECT_FALSE(dev.WriteBlock(0, ByteSpan(small.data(), small.size())).ok());
+  EXPECT_EQ(dev.ReadBlock(0, MutableByteSpan(small)).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FlashTest, ReadSlowerThanWrite) {
@@ -313,6 +318,52 @@ TEST_F(ControllerTest, MisalignedWriteRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(ControllerTest, ReadIntoFillsTheCallersBlocks) {
+  const uint32_t ns = ctrl_.AddNamespace(64);
+  const Bytes data = Pattern(2 * kLbaSize, 4);
+  ASSERT_TRUE(ctrl_.Write(ns, 6, ByteSpan(data.data(), data.size())).ok());
+  Bytes out(2 * kLbaSize, 0xff);
+  const auto before = engine_.Now();
+  ASSERT_TRUE(ctrl_.ReadInto(ns, 6, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, data);
+  const auto read_into_time = engine_.Now() - before;
+  EXPECT_GT(read_into_time, 0u);
+  EXPECT_EQ(*ctrl_.Read(ns, 6, 2), data);  // Read takes the same path
+  EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 2u);
+  EXPECT_EQ(ctrl_.counters().Get("nvme_read_bytes"), 4u * kLbaSize);
+}
+
+TEST_F(ControllerTest, ReadIntoRefusesPartialBlocksBeforeChargingTime) {
+  const uint32_t ns = ctrl_.AddNamespace(64);
+  const auto before = engine_.Now();
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{kLbaSize - 1}, size_t{kLbaSize + 1},
+                            size_t{2 * kLbaSize + 512}}) {
+    SCOPED_TRACE(size);
+    Bytes out(size, 0xff);
+    EXPECT_EQ(ctrl_.ReadInto(ns, 0, MutableByteSpan(out)).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out, Bytes(size, 0xff));
+  }
+  EXPECT_EQ(engine_.Now(), before);
+  EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 0u);
+}
+
+TEST_F(ControllerTest, ReadIntoWhoseRetriesRunOutLeavesTheDestinationUntouched) {
+  const uint32_t ns = ctrl_.AddNamespace(64);
+  const Bytes data = Pattern(kLbaSize, 8);
+  ASSERT_TRUE(ctrl_.Write(ns, 3, ByteSpan(data.data(), data.size())).ok());
+  sim::FaultPlan plan;
+  plan.Always(sim::FaultSite::kNvmeReadError, ctrl_.retry_limit() + 1);  // every attempt
+  sim::FaultInjector injector(&engine_, plan);
+  ctrl_.SetFaultInjector(&injector);
+  Bytes out(kLbaSize, 0xff);
+  EXPECT_EQ(ctrl_.ReadInto(ns, 3, MutableByteSpan(out)).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(out, Bytes(kLbaSize, 0xff));
+  EXPECT_EQ(ctrl_.counters().Get("nvme_retries_exhausted"), 1u);
+  // With the faults spent, the same read lands.
+  ASSERT_TRUE(ctrl_.ReadInto(ns, 3, MutableByteSpan(out)).ok());
+  EXPECT_EQ(out, data);
+}
+
 TEST_F(ControllerTest, QueuePairFlow) {
   const uint32_t ns = ctrl_.AddNamespace(64);
   const uint16_t qid = ctrl_.CreateQueuePair(16);
@@ -327,12 +378,14 @@ TEST_F(ControllerTest, QueuePairFlow) {
   write.data = data;
   ASSERT_TRUE(ctrl_.Submit(qid, std::move(write)).ok());
 
+  Bytes read_back(kLbaSize);
   Command read;
   read.cid = 2;
   read.opcode = Opcode::kRead;
   read.nsid = ns;
   read.slba = 4;
   read.nlb = 0;
+  read.dest = MutableByteSpan(read_back);
   ASSERT_TRUE(ctrl_.Submit(qid, std::move(read)).ok());
 
   EXPECT_EQ(ctrl_.ProcessSubmissions(), 2u);
@@ -344,7 +397,8 @@ TEST_F(ControllerTest, QueuePairFlow) {
   auto c2 = ctrl_.Reap(qid);
   ASSERT_TRUE(c2.has_value());
   EXPECT_EQ(c2->cid, 2);
-  EXPECT_EQ(c2->data, data);
+  EXPECT_EQ(c2->status, CmdStatus::kSuccess);
+  EXPECT_EQ(read_back, data);  // the blocks landed in the command's destination
   EXPECT_FALSE(ctrl_.Reap(qid).has_value());
 }
 
@@ -365,17 +419,19 @@ TEST_F(ControllerTest, IdentifyReportsNamespaces) {
   ctrl_.AddNamespace(100);
   ctrl_.AddNamespace(200);
   const uint16_t qid = ctrl_.CreateQueuePair(8);
+  Bytes info(kLbaSize);
   Command identify;
   identify.opcode = Opcode::kIdentify;
   identify.nsid = 1;
+  identify.dest = MutableByteSpan(info);
   ASSERT_TRUE(ctrl_.Submit(qid, std::move(identify)).ok());
   ctrl_.ProcessSubmissions();
   auto cqe = ctrl_.Reap(qid);
   ASSERT_TRUE(cqe.has_value());
-  ASSERT_GE(cqe->data.size(), 20u);
-  EXPECT_EQ(GetU32(cqe->data, 0), 2u);
-  EXPECT_EQ(GetU64(cqe->data, 4), 100u);
-  EXPECT_EQ(GetU64(cqe->data, 12), 200u);
+  EXPECT_EQ(cqe->status, CmdStatus::kSuccess);
+  EXPECT_EQ(GetU32(info, 0), 2u);
+  EXPECT_EQ(GetU64(info, 4), 100u);
+  EXPECT_EQ(GetU64(info, 12), 200u);
 }
 
 TEST_F(ControllerTest, CountersTrackIo) {
@@ -396,6 +452,7 @@ TEST_F(ControllerTest, FullCompletionQueueStallsInsteadOfLosingCompletions) {
   // the SQ, count the stall, and resume once the host reaps.
   const uint32_t ns = ctrl_.AddNamespace(64);
   const uint16_t qid = ctrl_.CreateQueuePair(4);  // SQ and CQ capacity 3
+  Bytes sink(kLbaSize);
   auto submit_read = [&](uint16_t cid) {
     Command read;
     read.cid = cid;
@@ -403,6 +460,7 @@ TEST_F(ControllerTest, FullCompletionQueueStallsInsteadOfLosingCompletions) {
     read.nsid = ns;
     read.slba = cid % 32;
     read.nlb = 0;
+    read.dest = MutableByteSpan(sink);
     ASSERT_TRUE(ctrl_.Submit(qid, std::move(read)).ok());
   };
   for (uint16_t cid = 0; cid < 3; ++cid) {
@@ -436,6 +494,7 @@ TEST_F(ControllerTest, DoorbellCoalescingStagesUntilBatchBound) {
   const uint16_t qid = ctrl_.CreateQueuePair(16);
   ctrl_.SetDoorbellCoalescing(4);
   ctrl_.SetDoorbellCost(500);
+  Bytes sink(kLbaSize);
   auto read_cmd = [&](uint16_t cid) {
     Command read;
     read.cid = cid;
@@ -443,6 +502,7 @@ TEST_F(ControllerTest, DoorbellCoalescingStagesUntilBatchBound) {
     read.nsid = ns;
     read.slba = cid;
     read.nlb = 0;
+    read.dest = MutableByteSpan(sink);
     return read;
   };
   const auto before = engine_.Now();
@@ -479,6 +539,7 @@ TEST_F(ControllerTest, CoalescedSubmitRespectsQueueCapacity) {
   ctrl_.AddNamespace(64);
   const uint16_t qid = ctrl_.CreateQueuePair(4);  // capacity 3
   ctrl_.SetDoorbellCoalescing(8);                 // bound > capacity
+  Bytes sink(kLbaSize);
   auto read_cmd = [&](uint16_t cid) {
     Command read;
     read.cid = cid;
@@ -486,6 +547,7 @@ TEST_F(ControllerTest, CoalescedSubmitRespectsQueueCapacity) {
     read.nsid = 1;
     read.slba = cid;
     read.nlb = 0;
+    read.dest = MutableByteSpan(sink);
     return read;
   };
   // Staging is bounded by SQ free slots: the third SQE fills the queue and

@@ -174,7 +174,8 @@ Result<Bytes> DecodedGet(mem::ObjectStore* store, const BPlusTree& tree, uint64_
       if (it == node.keys.end() || *it != key) {
         return NotFound("key not in tree");
       }
-      return node.values[static_cast<size_t>(it - node.keys.begin())];
+      const ByteSpan value = node.values[static_cast<size_t>(it - node.keys.begin())];
+      return Bytes(value.begin(), value.end());
     }
     if (depth == tree.Height()) {
       return DataLoss("B+ tree walk deeper than the tree's height");
