@@ -12,7 +12,8 @@
 //                       the event trace is bit-identical by construction,
 //                       so only wall_events_per_s moves.
 //   NetKvSpeedup        4 shards vs 1 shard in one iteration; the headline
-//                       speedup counters land in BENCH_PR3.json.
+//                       speedup counters (historical BENCH_PR3.json, kept
+//                       at commit 52aa3f5).
 //   GraphBsp            partitioned BSP rank propagation where each
 //                       superstep's cross-partition contributions travel
 //                       as one batched ParallelEngine::Post per edge-cut.

@@ -9,9 +9,10 @@
 //
 // Each runs twice: `legacy` is the replica, `wheel_pool` the shipped engine
 // (timing wheel and event pool, the only configuration). The row names keep
-// their PR 2 suffixes (batch or chain length, then the retired wheel and
-// pool knobs, both on) so they line up with BENCH_PR2.json and
-// BENCH_PR7.json.
+// their original suffixes (batch or chain length, then the retired wheel
+// and pool knobs, both on) so they line up with the historical
+// BENCH_PR2.json and BENCH_PR7.json (kept at commit 52aa3f5) and with
+// BENCH_WALL.json.
 //
 // Callbacks capture a 32-byte payload plus a pointer — beyond
 // std::function's small-object buffer (16 bytes on libstdc++) and the 32

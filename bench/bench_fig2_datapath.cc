@@ -86,16 +86,11 @@ void BM_Fig2Datapath(benchmark::State& state) {
   sim::Duration get_total = 0;
   uint64_t ops = 0;
   for (auto _ : state) {
-    Bytes put;
-    PutU64(put, key);
-    PutU32(put, static_cast<uint32_t>(value.size()));
-    PutBytes(put, ByteSpan(value.data(), value.size()));
+    Bytes put = dpu::EncodeKvPut(key, ByteSpan(value.data(), value.size()));
     const sim::SimTime t0 = setup.engine.Now();
     auto put_resp = setup.rpc->Call({dpu::ServiceId::kKv, dpu::KvOp::kPut, std::move(put)});
     const sim::SimTime t1 = setup.engine.Now();
-    Bytes get;
-    PutU64(get, key);
-    auto get_resp = setup.rpc->Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, std::move(get)});
+    auto get_resp = setup.rpc->Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, dpu::EncodeKvGet(key)});
     const sim::SimTime t2 = setup.engine.Now();
     if (!put_resp.ok() || !put_resp->status.ok() || !get_resp.ok() ||
         !get_resp->status.ok()) {
@@ -181,15 +176,10 @@ void BM_Fig2CriticalPath(benchmark::State& state) {
   sim::Duration total = 0;
   uint64_t ops = 0;
   for (auto _ : state) {
-    Bytes put;
-    PutU64(put, key);
-    PutU32(put, static_cast<uint32_t>(value.size()));
-    PutBytes(put, ByteSpan(value.data(), value.size()));
+    Bytes put = dpu::EncodeKvPut(key, ByteSpan(value.data(), value.size()));
     const sim::SimTime t0 = setup.engine.Now();
     auto put_resp = setup.rpc->Call({dpu::ServiceId::kKv, dpu::KvOp::kPut, std::move(put)});
-    Bytes get;
-    PutU64(get, key);
-    auto get_resp = setup.rpc->Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, std::move(get)});
+    auto get_resp = setup.rpc->Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, dpu::EncodeKvGet(key)});
     const sim::SimTime t1 = setup.engine.Now();
     if (!put_resp.ok() || !put_resp->status.ok() || !get_resp.ok() ||
         !get_resp->status.ok()) {

@@ -67,16 +67,13 @@ void BM_Ycsb(benchmark::State& state) {
   for (auto _ : state) {
     const uint64_t key = setup.rng.Zipf(kKeySpace, 0.99);
     if (setup.rng.Uniform(100) < write_pct) {
-      Bytes put;
-      PutU64(put, key);
-      PutU32(put, static_cast<uint32_t>(value.size()));
-      PutBytes(put, ByteSpan(value.data(), value.size()));
-      auto r = setup.clients[0]->Call({dpu::ServiceId::kKv, dpu::KvOp::kPut, std::move(put)});
+      auto r = setup.clients[0]->Call(
+          {dpu::ServiceId::kKv, dpu::KvOp::kPut,
+           dpu::EncodeKvPut(key, ByteSpan(value.data(), value.size()))});
       CHECK_OK(r.status());
     } else {
-      Bytes get;
-      PutU64(get, key);
-      auto r = setup.clients[0]->Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, std::move(get)});
+      auto r = setup.clients[0]->Call(
+          {dpu::ServiceId::kKv, dpu::KvOp::kGet, dpu::EncodeKvGet(key)});
       CHECK_OK(r.status());
     }
     ++ops;

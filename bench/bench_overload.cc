@@ -12,7 +12,7 @@
 //         miss_pct           requests completed past their deadline
 //       OFF: past the knee, queues grow without bound — p99 explodes and
 //       goodput collapses as every completion lands after its deadline.
-//       ON: doomed work is shed at the NIC for reject_cost, admitted p99
+//       ON: doomed work is shed at the NIC for kRejectCost, admitted p99
 //       stays bounded, and goodput holds the service-capacity plateau.
 //
 //   DoorbellBatch/<k>   the single-engine doorbell pipeline

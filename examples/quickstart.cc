@@ -80,20 +80,15 @@ int main() {
   auto transport = net::MakeTransport(net::TransportKind::kRdma, &fabric, &rng);
   dpu::RpcClient rpc(transport.get(), client, dpu.host_id(), &dpu.rpc());
 
-  Bytes put;
-  PutU64(put, 2026);
-  Bytes value = ToBytes("hello from a CPU-free device");
-  PutU32(put, static_cast<uint32_t>(value.size()));
-  PutBytes(put, ByteSpan(value.data(), value.size()));
+  const Bytes value = ToBytes("hello from a CPU-free device");
   const sim::SimTime t0 = engine.Now();
-  auto put_result = rpc.Call({dpu::ServiceId::kKv, dpu::KvOp::kPut, std::move(put)});
+  auto put_result = rpc.Call({dpu::ServiceId::kKv, dpu::KvOp::kPut,
+                              dpu::EncodeKvPut(2026, ByteSpan(value.data(), value.size()))});
   if (!put_result.ok() || !put_result->status.ok()) {
     std::fprintf(stderr, "put failed\n");
     return 1;
   }
-  Bytes get;
-  PutU64(get, 2026);
-  auto got = rpc.Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, get});
+  auto got = rpc.Call({dpu::ServiceId::kKv, dpu::KvOp::kGet, dpu::EncodeKvGet(2026)});
   std::printf("[kv] put+get over the wire in %.1f us: \"%s\"\n",
               sim::ToMicros(engine.Now() - t0),
               ToString(ByteSpan(got->payload.data(), got->payload.size())).c_str());

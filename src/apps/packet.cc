@@ -1,7 +1,5 @@
 #include "src/apps/packet.h"
 
-#include <sstream>
-
 namespace hyperion::apps {
 
 uint64_t FlowKey::Hash() const { return Fnv1a64(Serialize()); }
@@ -14,22 +12,6 @@ std::array<uint8_t, FlowKey::kSerializedBytes> FlowKey::Serialize() const {
   SetU16(out, 10, dst_port);
   out[12] = protocol;
   return out;
-}
-
-namespace {
-std::string IpToString(uint32_t ip) {
-  std::ostringstream os;
-  os << ((ip >> 24) & 0xff) << '.' << ((ip >> 16) & 0xff) << '.' << ((ip >> 8) & 0xff) << '.'
-     << (ip & 0xff);
-  return os.str();
-}
-}  // namespace
-
-std::string FlowKey::ToString() const {
-  std::ostringstream os;
-  os << IpToString(src_ip) << ':' << src_port << " -> " << IpToString(dst_ip) << ':' << dst_port
-     << '/' << static_cast<int>(protocol);
-  return os.str();
 }
 
 }  // namespace hyperion::apps

@@ -6,7 +6,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "src/common/bytes.h"
 
@@ -27,7 +26,6 @@ struct FlowKey {
   uint64_t Hash() const;
   // The spill-table key, built in place.
   std::array<uint8_t, kSerializedBytes> Serialize() const;
-  std::string ToString() const;       // "a.b.c.d:p -> a.b.c.d:p/proto"
 };
 
 // TCP flag bits used by the middleware.

@@ -29,26 +29,6 @@ std::string_view IntegrationName(IntegrationKind kind) {
   return "?";
 }
 
-std::string_view IntegrationLimitation(IntegrationKind kind) {
-  switch (kind) {
-    case IntegrationKind::kGpuWithNetwork:
-      return "does not have or consider any storage integration";
-    case IntegrationKind::kGpuWithStorage:
-      return "CPU-assisted storage translation, no or limited networking support";
-    case IntegrationKind::kFpgaWithNetwork:
-      return "does not have or consider storage integration";
-    case IntegrationKind::kStorageWithNetwork:
-      return "block-level protocols only, no support for file systems";
-    case IntegrationKind::kStorageWithAccel:
-      return "CPU does the file system/translations, no/limited network support";
-    case IntegrationKind::kCommercialDpu:
-      return "DPU designed around specialized CPU cores";
-    case IntegrationKind::kHyperion:
-      return "unified network+compute+storage, no CPU anywhere on the path";
-  }
-  return "?";
-}
-
 namespace {
 
 struct PathContext {
@@ -239,20 +219,6 @@ Result<PathReport> PriceNetToStorage(IntegrationKind kind, uint64_t bytes) {
     }
   }
   return InvalidArgument("unknown integration kind");
-}
-
-std::vector<PathReport> PriceAll(uint64_t bytes) {
-  std::vector<PathReport> rows;
-  for (IntegrationKind kind :
-       {IntegrationKind::kGpuWithNetwork, IntegrationKind::kGpuWithStorage,
-        IntegrationKind::kFpgaWithNetwork, IntegrationKind::kStorageWithNetwork,
-        IntegrationKind::kStorageWithAccel, IntegrationKind::kCommercialDpu,
-        IntegrationKind::kHyperion}) {
-    auto report = PriceNetToStorage(kind, bytes);
-    CHECK(report.ok());
-    rows.push_back(*report);
-  }
-  return rows;
 }
 
 }  // namespace hyperion::baseline

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/baseline/host.h"
 #include "src/common/result.h"
@@ -33,7 +32,6 @@ enum class IntegrationKind {
 };
 
 std::string_view IntegrationName(IntegrationKind kind);
-std::string_view IntegrationLimitation(IntegrationKind kind);  // Table 1's right column
 
 struct PathReport {
   IntegrationKind kind;
@@ -47,9 +45,6 @@ struct PathReport {
 // Prices moving `bytes` arriving from the network into durable storage
 // (with any required accelerator touch) under the given integration style.
 Result<PathReport> PriceNetToStorage(IntegrationKind kind, uint64_t bytes);
-
-// All rows of the table for one transfer size.
-std::vector<PathReport> PriceAll(uint64_t bytes);
 
 }  // namespace hyperion::baseline
 

@@ -5,49 +5,21 @@
 namespace hyperion {
 
 namespace {
-// Relaxed atomics: threads may copy buffers concurrently, and the totals
-// are monotonic tallies read only at quiescence — no ordering with respect
-// to other memory is needed.
+// A relaxed atomic: threads may copy buffers concurrently, and the total is
+// a monotonic tally read only at quiescence — no ordering with respect to
+// other memory is needed.
 std::atomic<uint64_t> g_copied_bytes{0};
-std::atomic<uint64_t> g_copy_ops{0};
 }  // namespace
 
 uint64_t BufferCopiedBytes() { return g_copied_bytes.load(std::memory_order_relaxed); }
-uint64_t BufferCopyOps() { return g_copy_ops.load(std::memory_order_relaxed); }
 
 void AccountBufferCopy(uint64_t bytes) {
   g_copied_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_copy_ops.fetch_add(1, std::memory_order_relaxed);
-}
-
-Buffer Buffer::CopyOf(ByteSpan data) {
-  AccountBufferCopy(data.size());
-  return Build(data.size(), [data](MutableByteSpan out) {
-    if (!data.empty()) {
-      std::memcpy(out.data(), data.data(), data.size());
-    }
-  });
 }
 
 Bytes Buffer::ToBytes() const {
   AccountBufferCopy(size_);
   return Bytes(data_, data_ + size_);
-}
-
-Bytes BufferChain::Flatten() const {
-  Bytes out(total_);
-  CopyTo(MutableByteSpan(out));
-  return out;
-}
-
-void BufferChain::CopyTo(MutableByteSpan out) const {
-  CHECK_EQ(out.size(), total_);
-  size_t at = 0;
-  for (const Buffer& seg : segments_) {
-    std::memcpy(out.data() + at, seg.data(), seg.size());
-    at += seg.size();
-  }
-  AccountBufferCopy(total_);
 }
 
 ByteSpan ChainReader::Next(size_t n, MutableByteSpan scratch) {

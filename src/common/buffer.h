@@ -7,16 +7,16 @@
 // can travel client → RPC frame → shell dispatch → storage and back with
 // reference bumps instead of memcpys. `BufferChain` is the scatter-gather
 // companion: a frame or DMA descriptor is a list of Buffer segments, and
-// flattening (the one real copy) happens only at boundaries that genuinely
-// need contiguous bytes.
+// bytes are assembled contiguously (the one real copy) only where a read
+// straddles two segments.
 //
-// Every byte physically copied *through this layer* (CopyOf, ToBytes,
-// Flatten, straddling ChainReader reads) is charged to a process-wide
-// counter so experiments can report copies-per-request (see
-// EXPERIMENTS.md, "copy-bytes accounting").
+// Every byte physically copied *through this layer* (ToBytes, straddling
+// ChainReader reads) is charged to a process-wide counter so experiments
+// can report copies-per-request (see EXPERIMENTS.md, "copy-bytes
+// accounting").
 //
 // Thread-safety (checked by BufferThreadTest):
-//   * The copy counters are relaxed atomics — accounting stays correct when
+//   * The copy counter is a relaxed atomic — accounting stays correct when
 //     threads copy concurrently.
 //   * The backing-block reference count is a std::shared_ptr control block,
 //     whose increments/decrements are atomic: distinct Buffer values (and
@@ -47,10 +47,9 @@ namespace hyperion {
 
 // -- Copy accounting ---------------------------------------------------------
 
-// Monotonic totals of bytes/operations memcpy'd through the buffer layer
-// since process start (relaxed atomics: exact under concurrent copies).
+// Monotonic total of bytes memcpy'd through the buffer layer since process
+// start (a relaxed atomic: exact under concurrent copies).
 uint64_t BufferCopiedBytes();
-uint64_t BufferCopyOps();
 // Internal: charge a copy. Exposed so chain helpers outside buffer.cc can
 // account honestly.
 void AccountBufferCopy(uint64_t bytes);
@@ -86,9 +85,6 @@ class Buffer {
     b.owner_ = std::move(block);
     return b;
   }
-
-  // Copies `data` into a fresh owned block (accounted).
-  static Buffer CopyOf(ByteSpan data);
 
   // Non-owning view of caller-managed memory. The caller guarantees the
   // span outlives every Buffer/slice derived from it — intended for
@@ -146,8 +142,8 @@ class Buffer {
 // -- BufferChain -------------------------------------------------------------
 
 // Scatter-gather list of Buffer segments: the in-memory shape of a network
-// frame or DMA descriptor. Appending shares segments; only Flatten/CopyTo
-// (and straddling ChainReader reads) copy bytes.
+// frame or DMA descriptor. Appending shares segments; only straddling
+// ChainReader reads copy bytes.
 class BufferChain {
  public:
   BufferChain() = default;
@@ -183,12 +179,6 @@ class BufferChain {
     DCHECK_LT(i, segments_.size());
     return segments_[i];
   }
-
-  // Contiguous copy of the whole chain (accounted).
-  Bytes Flatten() const;
-
-  // Copies the chain into `out` (out.size() must equal size(); accounted).
-  void CopyTo(MutableByteSpan out) const;
 
  private:
   std::vector<Buffer> segments_;

@@ -137,15 +137,4 @@ uint64_t Fnv1a64(ByteSpan data) {
   return h;
 }
 
-std::string ToHex(ByteSpan data) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (uint8_t byte : data) {
-    out.push_back(kDigits[byte >> 4]);
-    out.push_back(kDigits[byte & 0xf]);
-  }
-  return out;
-}
-
 }  // namespace hyperion

@@ -229,9 +229,6 @@ uint32_t Crc32cHardware(ByteSpan data);
 // FNV-1a 64-bit, for hash indexes where crypto strength is irrelevant.
 uint64_t Fnv1a64(ByteSpan data);
 
-// "deadbeef"-style lowercase hex of a buffer (for logs and tests).
-std::string ToHex(ByteSpan data);
-
 // Convenience converters between std::string payloads and Bytes.
 inline Bytes ToBytes(const std::string& s) { return Bytes(s.begin(), s.end()); }
 inline std::string ToString(ByteSpan b) {

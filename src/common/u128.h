@@ -3,8 +3,8 @@
 // The paper (§2.1) adopts 128-bit object identifiers for its single-level,
 // segmentation-based storage-memory addressing (inspired by Twizzler). We
 // implement the subset of arithmetic the system needs: comparison, addition
-// of 64-bit offsets, hashing, and parsing/printing — avoiding a dependency
-// on compiler-specific __int128 in public headers.
+// of 64-bit offsets and hashing — avoiding a dependency on compiler-specific
+// __int128 in public headers.
 
 #ifndef HYPERION_SRC_COMMON_U128_H_
 #define HYPERION_SRC_COMMON_U128_H_
@@ -12,7 +12,6 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace hyperion {
 
@@ -54,13 +53,6 @@ struct U128 {
   }
 
   constexpr bool IsZero() const { return hi == 0 && lo == 0; }
-
-  // 32 hex digits, zero padded: "0123456789abcdef0123456789abcdef".
-  std::string ToHex() const;
-
-  // Parses ToHex() output (also accepts shorter strings, right-aligned).
-  // Returns false on non-hex input or length > 32.
-  static bool FromHex(const std::string& hex, U128* out);
 };
 
 }  // namespace hyperion

@@ -27,20 +27,14 @@ void ShardedKvClient::CallOwnerAsync(uint64_t key, uint16_t opcode, Bytes payloa
 }
 
 void ShardedKvClient::PutAsync(uint64_t key, ByteSpan value, std::function<void(Status)> done) {
-  Bytes payload;
-  PutU64(payload, key);
-  PutU32(payload, static_cast<uint32_t>(value.size()));
-  PutBytes(payload, value);
-  CallOwnerAsync(key, KvOp::kPut, std::move(payload),
+  CallOwnerAsync(key, KvOp::kPut, EncodeKvPut(key, value),
                  [done = std::move(done)](RpcResponse response) {
                    done(std::move(response.status));
                  });
 }
 
 void ShardedKvClient::GetAsync(uint64_t key, std::function<void(Result<Buffer>)> done) {
-  Bytes payload;
-  PutU64(payload, key);
-  CallOwnerAsync(key, KvOp::kGet, std::move(payload),
+  CallOwnerAsync(key, KvOp::kGet, EncodeKvGet(key),
                  [done = std::move(done)](RpcResponse response) {
                    if (!response.status.ok()) {
                      done(std::move(response.status));

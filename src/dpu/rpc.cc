@@ -323,7 +323,7 @@ void ShardedRpcNode::ServeFrame(BufferChain frame, ShardedRpcNode* reply_to, Com
         response = RpcResponse::Fail(ResourceExhausted("server overloaded"));
         // NIC-level bounce: the reject costs event time only — the node
         // pipeline (and everything queued behind it) never sees the request.
-        finish = arrival + policy_.reject_cost;
+        finish = arrival + RpcOverloadPolicy::kRejectCost;
       } else {
         if (h_admitted_ == kUnresolved) [[unlikely]] {
           h_admitted_ = counters_.Intern("rpc_admitted");

@@ -213,14 +213,15 @@ class RpcClient {
 // Overload policy for a serving node (PR 5). With `enabled`, every arrival
 // passes deadline-aware bounded-queue admission *before* it is allowed to
 // occupy the node's pipeline: a shed request is answered kResourceExhausted
-// after only `reject_cost` of shell time — the node clock (and therefore
+// after only `kRejectCost` of shell time — the node clock (and therefore
 // the flash, fabric, and every queued request behind them) never sees it.
 struct RpcOverloadPolicy {
-  bool enabled = false;
-  sim::AdmissionParams admission;
   // NIC/shell-level cost of the fast-reject path, charged in event time on
   // the shard engine, not on the node pipeline.
-  sim::Duration reject_cost = 200;
+  static constexpr sim::Duration kRejectCost = 200;
+
+  bool enabled = false;
+  sim::AdmissionParams admission;
 };
 
 class ShardedRpcNode {

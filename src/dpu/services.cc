@@ -12,7 +12,42 @@ constexpr sim::Duration kShellCost = 1200;
 constexpr uint64_t kKvStoreId = 0x100;
 constexpr uint64_t kTreeId = 0x200;
 constexpr uint64_t kLogId = 0x300;
+
+constexpr size_t kKvPutHeaderBytes = 8 + 4;  // [key u64][len u32]
 }  // namespace
+
+Bytes EncodeKvPut(uint64_t key, ByteSpan value) {
+  Bytes payload;
+  payload.reserve(kKvPutHeaderBytes + value.size());
+  PutU64(payload, key);
+  PutU32(payload, static_cast<uint32_t>(value.size()));
+  PutBytes(payload, value);
+  return payload;
+}
+
+Bytes EncodeKvGet(uint64_t key) {
+  Bytes payload;
+  PutU64(payload, key);
+  return payload;
+}
+
+Result<KvPutView> DecodeKvPut(ByteSpan payload) {
+  if (payload.size() < kKvPutHeaderBytes) {
+    return InvalidArgument("malformed put");
+  }
+  const uint32_t len = GetU32(payload, 8);
+  if (payload.size() - kKvPutHeaderBytes < len) {
+    return InvalidArgument("malformed put");
+  }
+  return KvPutView{GetU64(payload, 0), payload.subspan(kKvPutHeaderBytes, len)};
+}
+
+Result<uint64_t> DecodeKvGet(ByteSpan payload) {
+  if (payload.size() < 8) {
+    return InvalidArgument("malformed get");
+  }
+  return GetU64(payload, 0);
+}
 
 Result<std::unique_ptr<HyperionServices>> HyperionServices::Install(
     Hyperion* dpu, storage::KvBackend kv_backend) {
@@ -63,23 +98,21 @@ RpcResponse HyperionServices::HandleKv(uint16_t opcode, const Buffer& payload) {
   ByteReader reader(payload);
   switch (opcode) {
     case KvOp::kPut: {
-      const uint64_t key = reader.ReadU64();
-      const uint32_t len = reader.ReadU32();
-      if (!reader.Ok() || reader.remaining() < len) {
-        return RpcResponse::Fail(InvalidArgument("malformed put"));
+      Result<KvPutView> put = DecodeKvPut(payload);
+      if (!put.ok()) {
+        return RpcResponse::Fail(put.status());
       }
       // The value is referenced straight out of the request payload; the
       // copy happens inside Put at the store boundary.
-      Buffer value = payload.Slice(reader.offset(), len);
-      Status st = kv_->Put(key, value);
+      Status st = kv_->Put(put->key, put->value);
       return st.ok() ? RpcResponse::Ok() : RpcResponse::Fail(st);
     }
     case KvOp::kGet: {
-      const uint64_t key = reader.ReadU64();
-      if (!reader.Ok()) {
-        return RpcResponse::Fail(InvalidArgument("malformed get"));
+      Result<uint64_t> key = DecodeKvGet(payload);
+      if (!key.ok()) {
+        return RpcResponse::Fail(key.status());
       }
-      Result<Buffer> value = kv_->GetBuffer(key);
+      Result<Buffer> value = kv_->GetBuffer(*key);
       if (!value.ok()) {
         return RpcResponse::Fail(value.status());
       }

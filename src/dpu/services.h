@@ -23,6 +23,23 @@ struct KvOp {
   static constexpr uint16_t kDelete = 3;  // [key u64]
   static constexpr uint16_t kScan = 4;    // [lo u64][hi u64] -> [n u32]{[key][len][value]}*
 };
+
+// The one codec of the kPut and kGet request payloads above, shared by every
+// client that sends them and by both servers that take them: the KV service
+// here and the LSM service of load::OverloadCluster.
+Bytes EncodeKvPut(uint64_t key, ByteSpan value);
+Bytes EncodeKvGet(uint64_t key);
+
+struct KvPutView {
+  uint64_t key = 0;
+  ByteSpan value;  // a view into the decoded payload
+};
+// A put shorter than its [key][len] header, or whose len overruns the
+// payload, is InvalidArgument. Bytes past the value are ignored.
+Result<KvPutView> DecodeKvPut(ByteSpan payload);
+// A get shorter than its key is InvalidArgument. Bytes past it are ignored.
+Result<uint64_t> DecodeKvGet(ByteSpan payload);
+
 struct TreeOp {
   static constexpr uint16_t kGet = 1;       // offloaded walk: [key u64] -> [value]
   static constexpr uint16_t kReadNode = 2;  // client-driven: [node_id u64] -> raw node bytes

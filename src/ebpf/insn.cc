@@ -4,30 +4,6 @@
 
 namespace hyperion::ebpf {
 
-Insn Mov64Imm(uint8_t dst, int32_t imm) {
-  return Insn{static_cast<uint8_t>(kClassAlu64 | kAluMov | kSrcK), dst, 0, 0, imm};
-}
-
-Insn Mov64Reg(uint8_t dst, uint8_t src) {
-  return Insn{static_cast<uint8_t>(kClassAlu64 | kAluMov | kSrcX), dst, src, 0, 0};
-}
-
-Insn Alu64Imm(uint8_t op, uint8_t dst, int32_t imm) {
-  return Insn{static_cast<uint8_t>(kClassAlu64 | op | kSrcK), dst, 0, 0, imm};
-}
-
-Insn Alu64Reg(uint8_t op, uint8_t dst, uint8_t src) {
-  return Insn{static_cast<uint8_t>(kClassAlu64 | op | kSrcX), dst, src, 0, 0};
-}
-
-Insn Alu32Imm(uint8_t op, uint8_t dst, int32_t imm) {
-  return Insn{static_cast<uint8_t>(kClassAlu | op | kSrcK), dst, 0, 0, imm};
-}
-
-Insn Alu32Reg(uint8_t op, uint8_t dst, uint8_t src) {
-  return Insn{static_cast<uint8_t>(kClassAlu | op | kSrcX), dst, src, 0, 0};
-}
-
 Insn LoadMem(uint8_t size, uint8_t dst, uint8_t src, int16_t off) {
   return Insn{static_cast<uint8_t>(kClassLdx | size | kModeMem), dst, src, off, 0};
 }
@@ -42,14 +18,6 @@ Insn StoreImm(uint8_t size, uint8_t dst, int16_t off, int32_t imm) {
 
 Insn JumpAlways(int16_t off) {
   return Insn{static_cast<uint8_t>(kClassJmp | kJmpJa), 0, 0, off, 0};
-}
-
-Insn JumpImm(uint8_t op, uint8_t dst, int32_t imm, int16_t off) {
-  return Insn{static_cast<uint8_t>(kClassJmp | op | kSrcK), dst, 0, off, imm};
-}
-
-Insn JumpReg(uint8_t op, uint8_t dst, uint8_t src, int16_t off) {
-  return Insn{static_cast<uint8_t>(kClassJmp | op | kSrcX), dst, src, off, 0};
 }
 
 Insn Call(HelperId helper) {

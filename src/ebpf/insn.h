@@ -125,12 +125,6 @@ struct Program {
 
 // -- Instruction factories (builder-style construction) ----------------------
 
-Insn Mov64Imm(uint8_t dst, int32_t imm);
-Insn Mov64Reg(uint8_t dst, uint8_t src);
-Insn Alu64Imm(uint8_t op, uint8_t dst, int32_t imm);
-Insn Alu64Reg(uint8_t op, uint8_t dst, uint8_t src);
-Insn Alu32Imm(uint8_t op, uint8_t dst, int32_t imm);
-Insn Alu32Reg(uint8_t op, uint8_t dst, uint8_t src);
 // LDX: dst = *(size*)(src + off)
 Insn LoadMem(uint8_t size, uint8_t dst, uint8_t src, int16_t off);
 // STX: *(size*)(dst + off) = src
@@ -138,8 +132,6 @@ Insn StoreReg(uint8_t size, uint8_t dst, int16_t off, uint8_t src);
 // ST: *(size*)(dst + off) = imm
 Insn StoreImm(uint8_t size, uint8_t dst, int16_t off, int32_t imm);
 Insn JumpAlways(int16_t off);
-Insn JumpImm(uint8_t op, uint8_t dst, int32_t imm, int16_t off);
-Insn JumpReg(uint8_t op, uint8_t dst, uint8_t src, int16_t off);
 Insn Call(HelperId helper);
 Insn Exit();
 // Emits the two-slot LD_IMM64; appends both slots to `out`.

@@ -10,6 +10,8 @@ namespace hyperion::ebpf {
 
 namespace {
 
+constexpr uint64_t kMaxStates = 1u << 20;  // exploration budget
+
 enum class RegType : uint8_t {
   kUninit,
   kScalar,
@@ -48,7 +50,7 @@ bool IsPointer(RegType t) {
 
 }  // namespace
 
-Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyOptions options) {
+Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps) {
   const auto& insns = prog.insns;
   if (insns.empty()) {
     return PermissionDenied("empty program");
@@ -105,7 +107,7 @@ Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps, VerifyO
     ++stats.paths_explored;
 
     while (true) {
-      if (++stats.states_visited > options.max_states) {
+      if (++stats.states_visited > kMaxStates) {
         return PermissionDenied("verifier state budget exhausted");
       }
       if (st.pc >= insns.size()) {

@@ -39,14 +39,9 @@ struct VerifyStats {
   uint32_t max_depth = 0;
 };
 
-struct VerifyOptions {
-  uint64_t max_states = 1u << 20;  // exploration budget
-};
-
 // Verifies `prog` against the maps it references. Returns kPermissionDenied
 // with a precise diagnostic on the first provable violation.
-Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps,
-                           VerifyOptions options = VerifyOptions());
+Result<VerifyStats> Verify(const Program& prog, const MapRegistry& maps);
 
 }  // namespace hyperion::ebpf
 

@@ -26,18 +26,6 @@ Result<Int64Aggregates> AggregateInt64(const RecordBatch& batch, const std::stri
   return agg;
 }
 
-Result<double> SumFloat64(const RecordBatch& batch, const std::string& column) {
-  ASSIGN_OR_RETURN(size_t idx, batch.ColumnIndex(column));
-  if (batch.schema()[idx].type != ColumnType::kFloat64) {
-    return InvalidArgument("not a float64 column");
-  }
-  double sum = 0;
-  for (double v : batch.Float64Column(idx)) {
-    sum += v;
-  }
-  return sum;
-}
-
 Result<RecordBatch> FilterInt64(const RecordBatch& batch, const std::string& column, int64_t lo,
                                 int64_t hi) {
   ASSIGN_OR_RETURN(size_t idx, batch.ColumnIndex(column));

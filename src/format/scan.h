@@ -34,9 +34,6 @@ struct Int64Aggregates {
 // modulo 2^64 — never UB, pinned by tests at INT64_MAX/INT64_MIN.
 Result<Int64Aggregates> AggregateInt64(const RecordBatch& batch, const std::string& column);
 
-// Sum of a float64 column.
-Result<double> SumFloat64(const RecordBatch& batch, const std::string& column);
-
 // Rows where `column` (int64) lies in [lo, hi].
 Result<RecordBatch> FilterInt64(const RecordBatch& batch, const std::string& column, int64_t lo,
                                 int64_t hi);

@@ -63,14 +63,6 @@ Status Fabric::Repair(RegionId region) {
   return Status::Ok();
 }
 
-Status Fabric::Clear(RegionId region) {
-  if (region >= regions_.size()) {
-    return InvalidArgument("no such region");
-  }
-  regions_[region].reset();
-  return Status::Ok();
-}
-
 bool Fabric::IsLoaded(RegionId region) const {
   return region < regions_.size() && regions_[region].has_value();
 }

@@ -59,9 +59,6 @@ class Fabric {
   // has. Any previously loaded design is evicted.
   Result<sim::Duration> Reconfigure(RegionId region, Bitstream bitstream);
 
-  // Clears a region (e.g. on tenant teardown).
-  Status Clear(RegionId region);
-
   bool IsLoaded(RegionId region) const;
   Result<Bitstream> LoadedBitstream(RegionId region) const;
 

@@ -206,10 +206,4 @@ Result<uint32_t> AnnotatedReader::ResolvePath(const std::string& path) {
   return inode_num;
 }
 
-Result<Bytes> AnnotatedReader::ReadPath(const std::string& path, uint64_t offset,
-                                        uint64_t length) {
-  ASSIGN_OR_RETURN(uint32_t inode_num, ResolvePath(path));
-  return ReadByInode(inode_num, offset, length);
-}
-
 }  // namespace hyperion::fs

@@ -77,8 +77,6 @@ class AnnotatedReader {
   // Reads file bytes via the annotated extent map.
   Result<Bytes> ReadByInode(uint32_t inode_num, uint64_t offset, uint64_t length);
 
-  Result<Bytes> ReadPath(const std::string& path, uint64_t offset, uint64_t length);
-
   uint64_t BlockReads() const { return block_reads_; }
 
  private:

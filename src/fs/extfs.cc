@@ -307,42 +307,6 @@ Status ExtFs::DirAddEntry(uint32_t dir_inode, const std::string& name, uint32_t 
   return WriteFile(dir_inode, dir.size, ByteSpan(entry.data(), entry.size()));
 }
 
-Status ExtFs::DirRemoveEntry(uint32_t dir_inode, const std::string& name) {
-  ASSIGN_OR_RETURN(Inode dir, ReadInode(dir_inode));
-  ASSIGN_OR_RETURN(Bytes content, ReadFile(dir_inode, 0, dir.size));
-  Bytes rebuilt;
-  ByteReader reader(ByteSpan(content.data(), content.size()));
-  bool found = false;
-  while (reader.remaining() >= 6) {
-    const uint32_t child = reader.ReadU32();
-    const uint16_t len = reader.ReadU16();
-    Bytes name_bytes = reader.ReadBytes(len);
-    if (!reader.Ok()) {
-      return DataLoss("corrupt directory");
-    }
-    if (!found && name_bytes.size() == name.size() &&
-        std::equal(name_bytes.begin(), name_bytes.end(), name.begin())) {
-      found = true;
-      continue;
-    }
-    PutU32(rebuilt, child);
-    PutU16(rebuilt, len);
-    PutBytes(rebuilt, ByteSpan(name_bytes.data(), name_bytes.size()));
-  }
-  if (!found) {
-    return NotFound("no such directory entry");
-  }
-  // Rewrite the directory: shrink size, then overwrite content.
-  ASSIGN_OR_RETURN(Inode updated, ReadInode(dir_inode));
-  updated.size = rebuilt.size();
-  RETURN_IF_ERROR(WriteInode(dir_inode, updated));
-  if (!rebuilt.empty()) {
-    RETURN_IF_ERROR(WriteFile(dir_inode, 0, ByteSpan(rebuilt.data(), rebuilt.size())));
-    // WriteFile may have re-grown size to rebuilt.size(); it is exact.
-  }
-  return Status::Ok();
-}
-
 Result<std::pair<uint32_t, std::string>> ExtFs::ResolveParent(const std::string& path) {
   std::vector<std::string> parts = SplitPath(path);
   if (parts.empty()) {
@@ -353,15 +317,6 @@ Result<std::pair<uint32_t, std::string>> ExtFs::ResolveParent(const std::string&
     ASSIGN_OR_RETURN(dir, DirLookup(dir, parts[i]));
   }
   return std::make_pair(dir, parts.back());
-}
-
-Result<uint32_t> ExtFs::LookupPath(const std::string& path) {
-  std::vector<std::string> parts = SplitPath(path);
-  uint32_t inode = kRootInode;
-  for (const std::string& part : parts) {
-    ASSIGN_OR_RETURN(inode, DirLookup(inode, part));
-  }
-  return inode;
 }
 
 Result<uint32_t> ExtFs::CreateFile(const std::string& path) {
@@ -485,45 +440,6 @@ Result<Bytes> ExtFs::ReadFile(uint32_t inode_num, uint64_t offset, uint64_t leng
     cursor += chunk;
   }
   return out;
-}
-
-Result<std::vector<std::pair<std::string, uint32_t>>> ExtFs::ListDir(const std::string& path) {
-  ASSIGN_OR_RETURN(uint32_t dir_inode, LookupPath(path));
-  ASSIGN_OR_RETURN(Inode dir, ReadInode(dir_inode));
-  if (dir.kind != InodeKind::kDirectory) {
-    return InvalidArgument("not a directory");
-  }
-  std::vector<std::pair<std::string, uint32_t>> out;
-  if (dir.size == 0) {
-    return out;
-  }
-  ASSIGN_OR_RETURN(Bytes content, ReadFile(dir_inode, 0, dir.size));
-  ByteReader reader(ByteSpan(content.data(), content.size()));
-  while (reader.remaining() >= 6) {
-    const uint32_t child = reader.ReadU32();
-    const uint16_t len = reader.ReadU16();
-    Bytes name = reader.ReadBytes(len);
-    if (!reader.Ok()) {
-      return DataLoss("corrupt directory");
-    }
-    out.emplace_back(std::string(name.begin(), name.end()), child);
-  }
-  return out;
-}
-
-Status ExtFs::Remove(const std::string& path) {
-  ASSIGN_OR_RETURN(auto parent, ResolveParent(path));
-  ASSIGN_OR_RETURN(uint32_t inode_num, DirLookup(parent.first, parent.second));
-  ASSIGN_OR_RETURN(Inode inode, ReadInode(inode_num));
-  if (inode.kind == InodeKind::kDirectory && inode.size != 0) {
-    return InvalidArgument("directory not empty");
-  }
-  for (const Extent& e : inode.extents) {
-    RETURN_IF_ERROR(FreeBlocks(e.start_block, e.block_count));
-  }
-  Inode freed;  // kind = kFree
-  RETURN_IF_ERROR(WriteInode(inode_num, freed));
-  return DirRemoveEntry(parent.first, parent.second);
 }
 
 }  // namespace hyperion::fs

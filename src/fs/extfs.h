@@ -69,13 +69,9 @@ class ExtFs {
 
   Result<uint32_t> CreateFile(const std::string& path);
   Result<uint32_t> Mkdir(const std::string& path);
-  Result<uint32_t> LookupPath(const std::string& path);  // -> inode number
 
   Status WriteFile(uint32_t inode_num, uint64_t offset, ByteSpan data);
   Result<Bytes> ReadFile(uint32_t inode_num, uint64_t offset, uint64_t length);
-
-  Result<std::vector<std::pair<std::string, uint32_t>>> ListDir(const std::string& path);
-  Status Remove(const std::string& path);  // files and empty directories
 
   Result<Inode> ReadInode(uint32_t inode_num);
   const SuperBlock& super() const { return super_; }
@@ -100,7 +96,6 @@ class ExtFs {
   Result<std::pair<uint32_t, std::string>> ResolveParent(const std::string& path);
   Result<uint32_t> DirLookup(uint32_t dir_inode, const std::string& name);
   Status DirAddEntry(uint32_t dir_inode, const std::string& name, uint32_t child);
-  Status DirRemoveEntry(uint32_t dir_inode, const std::string& name);
 
   nvme::Controller* nvme_;
   uint32_t nsid_;

@@ -17,16 +17,13 @@ constexpr uint32_t kScanFabricRegions = 2;  // analytics fabric size
 dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
                                                         const Buffer& payload) {
   clock.Advance(1200);  // shell datapath cost, same as the plain services
-  ByteReader reader(payload);
   switch (opcode) {
     case dpu::KvOp::kPut: {
-      const uint64_t key = reader.ReadU64();
-      const uint32_t len = reader.ReadU32();
-      if (!reader.Ok() || reader.remaining() < len) {
-        return dpu::RpcResponse::Fail(InvalidArgument("malformed LSM put"));
+      Result<dpu::KvPutView> put = dpu::DecodeKvPut(payload);
+      if (!put.ok()) {
+        return dpu::RpcResponse::Fail(put.status());
       }
-      const Bytes value = reader.ReadBytes(len);
-      auto seq = lsm->Put(key, ByteSpan(value.data(), value.size()));
+      auto seq = lsm->Put(put->key, put->value);
       if (!seq.ok()) {
         return dpu::RpcResponse::Fail(seq.status());
       }
@@ -39,11 +36,11 @@ dpu::RpcResponse OverloadCluster::ServerNode::HandleLsm(uint16_t opcode,
       return dpu::RpcResponse::Ok();
     }
     case dpu::KvOp::kGet: {
-      const uint64_t key = reader.ReadU64();
-      if (!reader.Ok()) {
-        return dpu::RpcResponse::Fail(InvalidArgument("malformed LSM get"));
+      Result<uint64_t> key = dpu::DecodeKvGet(payload);
+      if (!key.ok()) {
+        return dpu::RpcResponse::Fail(key.status());
       }
-      auto got = lsm->Get(key);
+      auto got = lsm->Get(*key);
       if (!got.ok()) {
         return dpu::RpcResponse::Fail(got.status());
       }
@@ -290,18 +287,14 @@ LoadGen::IssueFn OverloadCluster::KvRequests(ClientNode& client) {
       const uint64_t key = h % options_.kv_key_space;
       const bool write = (h >> 33) % 100 < options_.kv_write_pct;
       request.service = dpu::ServiceId::kLsmKv;
-      ByteWriter payload;
       if (write) {
         request.opcode = dpu::KvOp::kPut;
-        Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(h >> 56 | 1));
-        payload.PutU64(key);
-        payload.PutU32(static_cast<uint32_t>(value.size()));
-        payload.PutBytes(ByteSpan(value.data(), value.size()));
+        const Bytes value(options_.kv_value_bytes, static_cast<uint8_t>(h >> 56 | 1));
+        request.payload = Buffer(dpu::EncodeKvPut(key, ByteSpan(value.data(), value.size())));
       } else {
         request.opcode = dpu::KvOp::kGet;
-        payload.PutU64(key);
+        request.payload = Buffer(dpu::EncodeKvGet(key));
       }
-      request.payload = Buffer(payload.Take());
     } else {
       request.service = dpu::ServiceId::kBlock;
       request.opcode = dpu::BlockOp::kRead;

@@ -9,7 +9,7 @@
 //   OFF  arrivals queue on the server's node clock without bound; latency
 //        grows with offered load (the open-loop hockey stick).
 //   ON   the bounded pending queue + deadline shedding answer doomed
-//        requests with kResourceExhausted after reject_cost only, keeping
+//        requests with kResourceExhausted after kRejectCost only, keeping
 //        admitted-request latency bounded and goodput at the plateau.
 //
 // On dpu::Cluster it inherits KvCluster's layout invariance: nodes share no

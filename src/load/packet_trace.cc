@@ -9,6 +9,9 @@ namespace hyperion::load {
 
 namespace {
 
+// Aggregate attachment bandwidth: 2x100 GbE.
+constexpr double kLineGbps = 200.0;
+
 uint64_t Mix64(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -37,7 +40,7 @@ PacketTrace::PacketTrace(PacketTraceOptions options) : options_(options) {
   CHECK(attack_packets_ == 0 || attack_stride_ * attack_packets_ <= ramp_packets_)
       << "attack burst does not fit the ramp";
   wire_time_ = std::max<sim::Duration>(
-      1, sim::TransferTime(options_.frame_bytes, options_.line_gbps));
+      1, sim::TransferTime(options_.frame_bytes, kLineGbps));
   hot_mod_ = FastMod(options_.hot_flows);
   cold_mod_ = FastMod(std::max<uint64_t>(1, options_.benign_flows - options_.hot_flows));
 }

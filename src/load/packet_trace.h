@@ -54,8 +54,6 @@ struct PacketTraceOptions {
   uint32_t teardown_per_myriad = 0;
   // Simulated wire size per frame (sets the line-rate packet budget).
   uint32_t frame_bytes = 512;
-  // Aggregate attachment bandwidth: 2x100 GbE.
-  double line_gbps = 200.0;
   // Connection-setup pacing during ramp.
   sim::Duration ramp_interarrival = 1 * sim::kMicrosecond;
   uint64_t seed = 1;

@@ -15,6 +15,8 @@ namespace hyperion::load {
 namespace {
 
 constexpr uint64_t kFlowIndexId = 0x2A;
+// The flow table's buckets live on the HBM tier (fast, non-durable).
+constexpr mem::SegmentHints kFlowHints{.durable = false, .performance_critical = true};
 constexpr uint16_t kBackendPort = 7000;
 
 // Packet dispositions folded into the verdict hash (arrival order).
@@ -169,8 +171,8 @@ Result<std::unique_ptr<XdpPipeline>> XdpPipeline::Create(dpu::Hyperion* dpu, Xdp
   if (!dpu->booted()) {
     return Unavailable("boot the DPU first");
   }
-  if (options.rx_batch == 0 || options.rx_ring_batches == 0) {
-    return InvalidArgument("rx batch/ring must be positive");
+  if (options.rx_batch == 0) {
+    return InvalidArgument("rx batch must be positive");
   }
   if (options.backends == 0) {
     return InvalidArgument("need at least one backend");
@@ -222,16 +224,16 @@ Status XdpPipeline::BuildDataPath() {
       host_stages_.push_back(ebpf::Decode(*program));
     }
     host_vm_ = std::make_unique<ebpf::Vm>(&dpu_->maps());
-    host_ = std::make_unique<baseline::HostCpu>(dpu_->engine(), options_.host);
+    host_ = std::make_unique<baseline::HostCpu>(dpu_->engine());
   }
 
   ASSIGN_OR_RETURN(storage::HashIndex flows,
                    storage::HashIndex::Create(&dpu_->store(), kFlowIndexId, options_.flow_buckets,
-                                              options_.flow_hints));
+                                              kFlowHints));
   flows_ = std::make_unique<storage::HashIndex>(std::move(flows));
   ASSIGN_OR_RETURN(lb_, apps::LoadBalancer::Create(dpu_, backends_, options_.lb_resident,
                                                    options_.lb_spill_buckets));
-  ASSIGN_OR_RETURN(fail2ban_, apps::Fail2Ban::Create(dpu_, options_.fail2ban));
+  ASSIGN_OR_RETURN(fail2ban_, apps::Fail2Ban::Create(dpu_));
   return Status::Ok();
 }
 
@@ -246,9 +248,7 @@ Status XdpPipeline::SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arr
   if (clock->Now() < packet_arrival) {
     clock->AdvanceTo(packet_arrival);
   }
-  const sim::SimTime deadline =
-      options_.slow_deadline > 0 ? packet_arrival + options_.slow_deadline : sim::Engine::kNever;
-  if (admission_.Decide(packet_arrival, clock->Now(), deadline) !=
+  if (admission_.Decide(packet_arrival, clock->Now(), packet_arrival + kSlowDeadline) !=
       sim::AdmissionDecision::kAdmit) {
     ++tallies_.slow_shed;
     *disposition = kDispSlowShed;
@@ -430,10 +430,7 @@ Status XdpPipeline::ProcessBatch(uint64_t first, uint32_t count, sim::SimTime ar
         clock->AdvanceTo(packet_arrival);
         mark = clock->Now();
       }
-      const sim::SimTime deadline = options_.slow_deadline > 0
-                                        ? packet_arrival + options_.slow_deadline
-                                        : sim::Engine::kNever;
-      if (admission_.Decide(packet_arrival, clock->Now(), deadline) !=
+      if (admission_.Decide(packet_arrival, clock->Now(), packet_arrival + kSlowDeadline) !=
           sim::AdmissionDecision::kAdmit) {
         ++tallies_.auth_shed;
         disposition = kDispAuthShed;
@@ -580,11 +577,7 @@ void XdpCluster::SprayFlow(const apps::FlowKey& key, const apps::Backend& backen
   request.service = dpu::ServiceId::kKv;
   request.opcode = dpu::KvOp::kPut;
   const auto flow_bytes = key.Serialize();
-  ByteWriter payload(16 + flow_bytes.size());
-  payload.PutU64(key.Hash());
-  payload.PutU32(static_cast<uint32_t>(flow_bytes.size()));
-  payload.PutBytes(flow_bytes);
-  request.payload = Buffer(payload.Take());
+  request.payload = Buffer(dpu::EncodeKvPut(key.Hash(), flow_bytes));
   request.deadline = now + kSprayDeadline;
   ++spray_issued_;
   node(0).endpoint->CallAsync(&endpoint(id), request, [this](dpu::RpcResponse response) {

@@ -62,30 +62,21 @@ namespace hyperion::load {
 
 struct XdpOptions {
   PacketTraceOptions trace;
-  // NIC RX coalescing: frames per batch, and batches in flight before the
-  // ring sheds (the CreditGate capacity).
+  // NIC RX coalescing: frames per batch.
   uint32_t rx_batch = 64;
-  uint32_t rx_ring_batches = 64;
-  // Slow-path admission (the flow-table tier's overload bound).
-  sim::AdmissionParams slow_path{.max_pending = 8192, .max_backlog = 1 * sim::kMillisecond};
-  sim::Duration slow_deadline = 2 * sim::kMillisecond;  // relative, 0 = none
   // Fabric-resident map sizes. The front map is sized to the hot set so
   // the ramp (hot flows open first) pins exactly the heavy hitters.
   uint32_t front_entries = 0;  // 0 = trace.hot_flows
-  // Flow-table directory (storage::HashIndex roots) and placement; the
-  // default hints put buckets on the HBM tier (fast, non-durable).
+  // Flow-table directory (storage::HashIndex roots), on the HBM tier.
   uint32_t flow_buckets = 4096;
-  mem::SegmentHints flow_hints{.durable = false, .performance_critical = true};
   // Load balancer: DRAM-resident flow capacity and flash-spill directory.
   uint32_t lb_resident = 32768;
   uint32_t lb_spill_buckets = 4096;
   uint32_t backends = 4;
-  apps::Fail2BanConfig fail2ban;
   ebpf::CodegenOptions codegen;
   // false = baseline::HostCpu arm: same programs, same slow path, but every
   // packet pays the kernel network stack serially on one core.
   bool use_fpga = true;
-  baseline::HostCostParams host;
 };
 
 // Snapshot of one run; equality across shard layouts is the E16 oracle.
@@ -182,8 +173,17 @@ class XdpPipeline {
       : dpu_(dpu),
         options_(options),
         trace_(options.trace),
-        rx_credits_(options.rx_ring_batches),
-        admission_(options.slow_path) {}
+        rx_credits_(kRxRingBatches),
+        admission_(kSlowPathAdmission) {}
+
+  // RX batches in flight before the NIC ring sheds (the CreditGate
+  // capacity).
+  static constexpr uint32_t kRxRingBatches = 64;
+  // Slow-path admission: the flow-table tier's overload bound.
+  static constexpr sim::AdmissionParams kSlowPathAdmission{.max_pending = 8192,
+                                                           .max_backlog = 1 * sim::kMillisecond};
+  // Deadline of slow-path and auth work, relative to the packet's arrival.
+  static constexpr sim::Duration kSlowDeadline = 2 * sim::kMillisecond;
 
   Status BuildDataPath();
   Status SlowPath(const TraceFrameMeta& meta, sim::SimTime packet_arrival,

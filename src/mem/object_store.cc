@@ -7,6 +7,10 @@
 namespace hyperion::mem {
 
 namespace {
+// LBAs reserved at the start of the namespace for the segment-table
+// snapshot (the "pre-selected control/boot NVMe area").
+constexpr uint64_t kBootAreaLbas = 256;
+
 uint64_t LbasFor(uint64_t bytes) { return (bytes + nvme::kLbaSize - 1) / nvme::kLbaSize; }
 }  // namespace
 
@@ -21,9 +25,9 @@ ObjectStore::ObjectStore(sim::Engine* engine, nvme::Controller* nvme, ObjectStor
       nvme_alloc_(0) {
   auto capacity = nvme->NamespaceCapacity(config.nvme_nsid);
   CHECK(capacity.ok()) << "object store requires a valid NVMe namespace";
-  CHECK_GT(*capacity, config.boot_area_lbas);
+  CHECK_GT(*capacity, kBootAreaLbas);
   // LBA space after the boot area is the single-level store's flash tier.
-  nvme_alloc_ = RangeAllocator(*capacity - config.boot_area_lbas);
+  nvme_alloc_ = RangeAllocator(*capacity - kBootAreaLbas);
 }
 
 Result<Location> ObjectStore::PickLocation(uint64_t size, const SegmentHints& hints) {
@@ -58,7 +62,7 @@ Result<uint64_t> ObjectStore::AllocateIn(Location loc, uint64_t size) {
       return hbm_alloc_.Allocate(size);
     case Location::kNvme: {
       ASSIGN_OR_RETURN(uint64_t lba, nvme_alloc_.Allocate(LbasFor(size)));
-      return lba + config_.boot_area_lbas;  // absolute LBA
+      return lba + kBootAreaLbas;  // absolute LBA
     }
   }
   return Internal("bad location");
@@ -71,15 +75,9 @@ Status ObjectStore::FreeIn(Location loc, uint64_t base, uint64_t size) {
     case Location::kHbm:
       return hbm_alloc_.Free(base, size);
     case Location::kNvme:
-      return nvme_alloc_.Free(base - config_.boot_area_lbas, LbasFor(size));
+      return nvme_alloc_.Free(base - kBootAreaLbas, LbasFor(size));
   }
   return Internal("bad location");
-}
-
-Result<SegmentId> ObjectStore::Create(uint64_t size, SegmentHints hints) {
-  const SegmentId id(0xC0FFEEull, next_id_++);
-  RETURN_IF_ERROR(CreateWithId(id, size, hints));
-  return id;
 }
 
 Status ObjectStore::CreateWithId(SegmentId id, uint64_t size, SegmentHints hints) {
@@ -169,6 +167,9 @@ Status ObjectStore::ReadAt(const Segment& seg, uint64_t offset, MutableByteSpan 
 }
 
 Status ObjectStore::WriteNvme(const Segment& seg, uint64_t offset, ByteSpan data) {
+  if (data.empty()) {
+    return Status::Ok();  // as on DRAM: no bytes, no command
+  }
   const uint64_t first_lba = seg.base + offset / nvme::kLbaSize;
   const uint64_t head_skew = offset % nvme::kLbaSize;
   if (head_skew == 0 && data.size() % nvme::kLbaSize == 0) {
@@ -203,12 +204,12 @@ Status ObjectStore::ReadNvme(const Segment& seg, uint64_t offset, MutableByteSpa
 
 Status ObjectStore::Checkpoint() {
   counters_.Increment("checkpoints");
-  return table_.PersistTo(nvme_, config_.nvme_nsid, config_.boot_area_lbas);
+  return table_.PersistTo(nvme_, config_.nvme_nsid, kBootAreaLbas);
 }
 
 Result<uint64_t> ObjectStore::Recover() {
   ASSIGN_OR_RETURN(SegmentTable loaded,
-                   SegmentTable::LoadFrom(nvme_, config_.nvme_nsid, config_.boot_area_lbas));
+                   SegmentTable::LoadFrom(nvme_, config_.nvme_nsid, kBootAreaLbas));
   // Reset allocator state; DRAM/HBM contents did not survive the power
   // cycle, so only NVMe-resident segments are retained.
   dram_alloc_ = RangeAllocator(config_.dram_bytes);
@@ -216,20 +217,15 @@ Result<uint64_t> ObjectStore::Recover() {
   nvme_alloc_ = RangeAllocator(nvme_alloc_.capacity());
   table_ = SegmentTable();
   uint64_t recovered = 0;
-  uint64_t max_id = 0;
   for (const Segment& seg : loaded.Entries()) {
     if (seg.location != Location::kNvme) {
       continue;  // ephemeral segment: data is gone
     }
     RETURN_IF_ERROR(
-        nvme_alloc_.Reserve(seg.base - config_.boot_area_lbas, LbasFor(seg.size)));
+        nvme_alloc_.Reserve(seg.base - kBootAreaLbas, LbasFor(seg.size)));
     RETURN_IF_ERROR(table_.Insert(seg));
     ++recovered;
-    if (seg.id.hi == 0xC0FFEEull) {
-      max_id = std::max(max_id, seg.id.lo);
-    }
   }
-  next_id_ = max_id + 1;
   counters_.Increment("recoveries");
   return recovered;
 }

@@ -32,22 +32,21 @@ struct ObjectStoreConfig {
   uint64_t dram_bytes = 256ull << 20;
   uint64_t hbm_bytes = 64ull << 20;
   uint32_t nvme_nsid = 1;
-  // LBAs reserved at the start of the namespace for the segment-table
-  // snapshot (the "pre-selected control/boot NVMe area").
-  uint64_t boot_area_lbas = 256;
 };
 
 class ObjectStore {
  public:
   ObjectStore(sim::Engine* engine, nvme::Controller* nvme, ObjectStoreConfig config);
 
-  // Allocates a segment of `size` bytes placed per `hints`; returns its id.
-  Result<SegmentId> Create(uint64_t size, SegmentHints hints = SegmentHints());
-  // Same, but with a caller-chosen id (used by layers that derive ids).
+  // Allocates a segment of `size` bytes under the caller's id, placed per
+  // `hints`. Every layer derives its segment ids, so the store never picks
+  // one.
   Status CreateWithId(SegmentId id, uint64_t size, SegmentHints hints = SegmentHints());
 
   Status Delete(SegmentId id);
 
+  // A zero-length write answers OK on every tier, and on flash issues no
+  // NVMe command.
   Status Write(SegmentId id, uint64_t offset, ByteSpan data);
   Result<Bytes> Read(SegmentId id, uint64_t offset, uint64_t length);
   // Read into a caller-owned buffer (`out.size()` bytes at `offset`),
@@ -95,7 +94,6 @@ class ObjectStore {
   RangeAllocator nvme_alloc_;  // LBA-granular, excludes the boot area
 
   SegmentTable table_;
-  uint64_t next_id_ = 1;
   // The covering LBAs of a flash access that is not whole LBAs (a partial
   // read, or a write's read-modify-write), reused across accesses.
   Bytes staging_;

@@ -7,6 +7,12 @@ namespace hyperion::mem {
 namespace {
 constexpr int kLevelShift[4] = {12, 21, 30, 39};  // PT, PD, PDPT, PML4
 constexpr uint64_t kVaMask = (1ull << 48) - 1;
+
+// Translation costs, ns.
+constexpr sim::Duration kL1TlbHit = 1;
+constexpr sim::Duration kL2TlbHit = 6;
+constexpr sim::Duration kWalkStep = 70;    // DRAM reference per level
+constexpr sim::Duration kPwcHitStep = 3;   // page-walk-cache-served level
 }  // namespace
 
 PageTable::PageTable() : root_(std::make_unique<Node>()) {}
@@ -126,9 +132,8 @@ void Tlb::Insert(uint64_t vaddr, uint64_t page_paddr, PageSize page_size) {
   victim->lru = ++tick_;
 }
 
-VirtualMemory::VirtualMemory(VmCostParams params)
-    : params_(params),
-      l1_(64, 4),       // 64-entry, 4-way L1 DTLB
+VirtualMemory::VirtualMemory()
+    : l1_(64, 4),       // 64-entry, 4-way L1 DTLB
       l2_(1536, 12),    // 1536-entry, 12-way STLB
       pwc_(32, 4) {}    // page-walk cache over 1 GiB regions
 
@@ -137,13 +142,13 @@ Result<VirtualMemory::Translation> VirtualMemory::Translate(uint64_t vaddr) {
   Tlb::CachedTranslation cached;
   if (l1_.Lookup(vaddr, &cached)) {
     t.l1_hit = true;
-    t.cost = params_.l1_tlb_hit;
+    t.cost = kL1TlbHit;
     t.paddr = cached.paddr + (vaddr - cached.vpn_base);
     return t;
   }
   if (l2_.Lookup(vaddr, &cached)) {
     t.l2_hit = true;
-    t.cost = params_.l2_tlb_hit;
+    t.cost = kL2TlbHit;
     t.paddr = cached.paddr + (vaddr - cached.vpn_base);
     l1_.Insert(cached.vpn_base, cached.paddr, cached.page_size);
     return t;
@@ -154,16 +159,16 @@ Result<VirtualMemory::Translation> VirtualMemory::Translate(uint64_t vaddr) {
   ASSIGN_OR_RETURN(PageTable::Walk walk, table_.WalkTranslate(vaddr));
   Tlb::CachedTranslation pwc_hit;
   const uint64_t region = vaddr >> 30 << 30;  // 1 GiB granule
-  sim::Duration cost = params_.l2_tlb_hit;  // both TLB probes missed first
+  sim::Duration cost = kL2TlbHit;  // both TLB probes missed first
   int steps = walk.levels_touched;
   if (pwc_.Lookup(region, &pwc_hit)) {
     const int cached_levels = std::min(steps, 2);
-    cost += static_cast<sim::Duration>(cached_levels) * params_.pwc_hit_step;
+    cost += static_cast<sim::Duration>(cached_levels) * kPwcHitStep;
     steps -= cached_levels;
   } else {
     pwc_.Insert(region, 0, PageSize::k4K);
   }
-  cost += static_cast<sim::Duration>(steps) * params_.walk_step;
+  cost += static_cast<sim::Duration>(steps) * kWalkStep;
   t.cost = cost;
   t.paddr = walk.paddr;
   const uint64_t page = PageBytes(walk.page_size);

@@ -106,17 +106,10 @@ class Tlb {
   std::vector<Way> slots_;  // sets_ * ways_
 };
 
-struct VmCostParams {
-  sim::Duration l1_tlb_hit = 1;      // ns
-  sim::Duration l2_tlb_hit = 6;      // ns
-  sim::Duration walk_step = 70;      // DRAM reference per level
-  sim::Duration pwc_hit_step = 3;    // page-walk-cache-served level
-};
-
 // The assembled MMU: L1/L2 TLBs + page-walk cache + PageTable.
 class VirtualMemory {
  public:
-  explicit VirtualMemory(VmCostParams params = VmCostParams());
+  VirtualMemory();
 
   Status MapRange(uint64_t vaddr, uint64_t paddr, uint64_t length, PageSize page_size) {
     return table_.MapRange(vaddr, paddr, length, page_size);
@@ -135,7 +128,6 @@ class VirtualMemory {
   uint64_t walks() const { return walks_; }
 
  private:
-  VmCostParams params_;
   PageTable table_;
   Tlb l1_;
   Tlb l2_;

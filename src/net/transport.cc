@@ -22,6 +22,10 @@ std::string_view TransportKindName(TransportKind kind) {
 
 namespace {
 
+// Homa's unscheduled window: bytes a sender may push before its first
+// grant.
+constexpr uint64_t kHomaUnscheduledBytes = 64 * 1024;
+
 // Per-message wire overhead (headers) by transport kind, bytes.
 uint32_t HeaderBytes(TransportKind kind) {
   switch (kind) {
@@ -127,7 +131,7 @@ class HomaTransport : public Transport {
     ASSIGN_OR_RETURN(sim::Duration wire,
                      fabric_->Deliver(src, dst, bytes + HeaderBytes(kind())));
     sim::Duration grant_cost = 0;
-    if (bytes > params_.homa_unscheduled_bytes) {
+    if (bytes > kHomaUnscheduledBytes) {
       // Bytes beyond the unscheduled window wait one RTT for the first grant;
       // grants then pipeline with the data.
       ASSIGN_OR_RETURN(sim::Duration rtt, fabric_->Rtt(src, dst));
@@ -138,7 +142,7 @@ class HomaTransport : public Transport {
     sim::Duration queueing = 0;
     if (params_.homa_load > 0.0) {
       const double rho = std::min(params_.homa_load, 0.95);
-      const double size_rank = bytes <= params_.homa_unscheduled_bytes ? 0.1 : 1.0;
+      const double size_rank = bytes <= kHomaUnscheduledBytes ? 0.1 : 1.0;
       queueing = static_cast<sim::Duration>(rho / (1.0 - rho) * size_rank *
                                             static_cast<double>(5 * sim::kMicrosecond));
     }

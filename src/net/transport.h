@@ -44,9 +44,8 @@ struct TransportParams {
   sim::Duration sender_sw_overhead = 0;
   sim::Duration receiver_sw_overhead = 0;
   // Homa only: fabric load in [0, 1) driving queueing at the receiver's
-  // downlink, and the unscheduled window.
+  // downlink.
   double homa_load = 0.0;
-  uint64_t homa_unscheduled_bytes = 64 * 1024;
   // Optional deterministic fault source (see sim/fault.h), additional to
   // the probabilistic loss_probability model. kNetLoss drops a message on
   // the wire; kNetCorrupt delivers it but fails the receiver's checksum.

@@ -75,9 +75,11 @@ class Controller {
   size_t StagedCount(uint16_t qid) const;
 
   // -- Synchronous convenience facade ---------------------------------------
-  // Issues through an internal queue pair and advances virtual time by the
-  // full command latency. Used by the storage/fs layers, which care about
-  // the cost model, not doorbell mechanics.
+  // Builds each command and calls Execute on it directly (reissuing on a
+  // transient failure, as ExecuteWithRetry does), with no submission or
+  // completion queue, and advances virtual time by the full command
+  // latency. Used by the storage/fs layers, which care about the cost
+  // model, not doorbell mechanics.
 
   Result<Bytes> Read(uint32_t nsid, uint64_t slba, uint32_t block_count);
   // Reads whole blocks from `slba` straight into `out`, the command's

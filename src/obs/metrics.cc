@@ -1,7 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/check.h"
 
@@ -137,9 +136,6 @@ std::string MetricsRegistry::ToJson() const {
     out += ":{\"count\":" + std::to_string(h.count());
     out += ",\"min\":" + std::to_string(h.min());
     out += ",\"max\":" + std::to_string(h.max());
-    // llround keeps the mean integral so the document stays byte-stable
-    // across libc float-formatting differences.
-    out += ",\"mean\":" + std::to_string(h.count() == 0 ? 0 : std::llround(h.Mean()));
     out += ",\"p50\":" + std::to_string(h.P50());
     out += ",\"p99\":" + std::to_string(h.P99());
     out += '}';

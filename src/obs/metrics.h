@@ -94,7 +94,7 @@ class MetricsRegistry {
   //   {"counters": {"nvme/retries": 3, ...},
   //    "gauges":   {"fpga/slots_free": 2, ...},
   //    "histograms": {"rpc/latency_ns": {"count":..,"min":..,"max":..,
-  //                                      "mean":..,"p50":..,"p99":..}, ...}}
+  //                                      "p50":..,"p99":..}, ...}}
   // Keys are "<subsystem>/<name>", emitted in sorted order.
   std::string ToJson() const;
 

@@ -50,7 +50,6 @@ class DmaEngine {
   Result<sim::Duration> TransferPeerToPeer(NodeId src, NodeId dst, uint64_t bytes);
 
   const sim::Counters& counters() const { return counters_; }
-  void ResetCounters() { counters_.Reset(); }
 
  private:
   Result<sim::Duration> DoTransfer(NodeId src, NodeId dst, uint64_t bytes, const char* kind);

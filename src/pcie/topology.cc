@@ -25,18 +25,6 @@ NodeId Topology::AddRootComplex(std::string name) {
   return 0;
 }
 
-NodeId Topology::AddSwitch(std::string name, NodeId parent, LinkSpec uplink) {
-  CHECK_LT(parent, nodes_.size());
-  Node n;
-  n.id = static_cast<NodeId>(nodes_.size());
-  n.kind = NodeKind::kSwitch;
-  n.name = std::move(name);
-  n.parent = parent;
-  n.uplink = uplink;
-  nodes_.push_back(std::move(n));
-  return nodes_.back().id;
-}
-
 NodeId Topology::AddEndpoint(std::string name, NodeId parent, LinkSpec uplink) {
   CHECK_LT(parent, nodes_.size());
   Node n;

@@ -26,7 +26,6 @@ constexpr NodeId kInvalidNode = ~0u;
 
 enum class NodeKind : uint8_t {
   kRootComplex,  // owns the hierarchy; the CPU (host) or FPGA (Hyperion)
-  kSwitch,       // fan-out, adds a store-and-forward hop
   kEndpoint,     // NIC, NVMe device, GPU, FPGA-as-device, DRAM controller
 };
 
@@ -50,15 +49,13 @@ class Topology {
  public:
   // Creates the hierarchy root. Must be called exactly once, first.
   NodeId AddRootComplex(std::string name);
-  NodeId AddSwitch(std::string name, NodeId parent, LinkSpec uplink);
   NodeId AddEndpoint(std::string name, NodeId parent, LinkSpec uplink);
 
   const Node& node(NodeId id) const;
   size_t NodeCount() const { return nodes_.size(); }
 
   // Number of link traversals on the path a -> b (via their lowest common
-  // ancestor). Two endpoints under the same switch with P2P enabled cross
-  // 2 links; through the root complex it is the full up-and-down path.
+  // ancestor): two endpoints under the root complex cross 2 links.
   Result<uint32_t> PathHops(NodeId a, NodeId b) const;
 
   // The bottleneck (minimum-bandwidth) link on the path, GB/s.
@@ -68,7 +65,7 @@ class Topology {
   // plus serialization on the bottleneck link.
   Result<sim::Duration> TransferLatency(NodeId a, NodeId b, uint64_t bytes) const;
 
-  // Per-hop forwarding latency (switch/root-complex store-and-forward).
+  // Per-hop forwarding latency (root-complex store-and-forward).
   // ~150 ns per traversal is representative of Gen3/Gen4 parts.
   static constexpr sim::Duration kHopLatency = 150;
 

@@ -428,14 +428,6 @@ uint64_t Engine::Run() { return RunLoop(kNever); }
 
 uint64_t Engine::RunEvents(SimTime limit) { return RunLoop(limit); }
 
-uint64_t Engine::RunUntil(SimTime deadline) {
-  const uint64_t executed = RunLoop(deadline);
-  if (deadline > now_) {
-    now_ = deadline;
-  }
-  return executed;
-}
-
 void Engine::AdvanceTo(SimTime t) {
   if (t > now_) {
     now_ = t;

@@ -302,10 +302,6 @@ class Engine {
   // Drains the event queue completely. Returns the number of events run.
   uint64_t Run();
 
-  // Runs events with time <= deadline, then sets Now() to deadline (even if
-  // the queue drained earlier). Returns the number of events run.
-  uint64_t RunUntil(SimTime deadline);
-
   // Runs events with time <= limit but leaves Now() at the last executed
   // event (the clock does not jump to `limit`). The parallel layer's window
   // primitive: per-shard horizons may lie far past the last local event,
@@ -510,7 +506,7 @@ class Engine {
   // Pops the earliest entry with when <= limit; the returned pointer stays
   // valid until the next ExtractMin (callbacks scheduling new events never
   // touch the drain). Returns nullptr when nothing is due. The single
-  // ordering authority for Run/RunUntil/RunEvents.
+  // ordering authority for Run/RunEvents.
   Entry* ExtractMin(SimTime limit);
   // Earliest pending time (kNever when empty).
   SimTime PeekTime() const;

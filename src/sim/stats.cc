@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -41,7 +40,6 @@ void Histogram::Record(uint64_t value) {
   }
   ++buckets_[idx];
   ++count_;
-  sum_ += value;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }
@@ -54,21 +52,8 @@ void Histogram::Merge(const Histogram& other) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
-  sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-void Histogram::Reset() {
-  buckets_.clear();
-  count_ = 0;
-  sum_ = 0;
-  min_ = ~0ull;
-  max_ = 0;
-}
-
-double Histogram::Mean() const {
-  return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
 uint64_t Histogram::Percentile(double q) const {
@@ -95,15 +80,6 @@ uint64_t Histogram::Percentile(double q) const {
     }
   }
   return max_;
-}
-
-std::string Histogram::SummaryNs() const {
-  std::ostringstream os;
-  os << "n=" << count_ << " mean=" << Mean() / 1000.0 << "us"
-     << " p50=" << static_cast<double>(P50()) / 1000.0 << "us"
-     << " p99=" << static_cast<double>(P99()) / 1000.0 << "us"
-     << " max=" << static_cast<double>(max()) / 1000.0 << "us";
-  return os.str();
 }
 
 Counters::Handle Counters::Intern(const std::string& name) {
@@ -134,8 +110,6 @@ uint64_t Counters::Get(const std::string& name) const {
   }
   return 0;
 }
-
-void Counters::Reset() { entries_.clear(); }
 
 std::vector<std::pair<std::string, uint64_t>> Counters::Snapshot() const {
   auto copy = entries_;

@@ -19,12 +19,10 @@ class Histogram {
 
   void Record(uint64_t value);
   void Merge(const Histogram& other);
-  void Reset();
 
   uint64_t count() const { return count_; }
   uint64_t min() const { return count_ == 0 ? 0 : min_; }
   uint64_t max() const { return max_; }
-  double Mean() const;
 
   // Quantile in [0, 1]; returns an upper bound of the bucket containing it.
   uint64_t Percentile(double q) const;
@@ -33,9 +31,6 @@ class Histogram {
   uint64_t P99() const { return Percentile(0.99); }
   uint64_t P999() const { return Percentile(0.999); }
 
-  // One-line human-readable summary (values interpreted as nanoseconds).
-  std::string SummaryNs() const;
-
  private:
   static constexpr int kSubBucketBits = 5;  // 32 sub-buckets => ~3% error
   static size_t BucketIndex(uint64_t value);
@@ -43,7 +38,6 @@ class Histogram {
 
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
-  uint64_t sum_ = 0;
   uint64_t min_ = ~0ull;
   uint64_t max_ = 0;
 };
@@ -54,7 +48,7 @@ class Counters {
   // Interned counter slot: resolve the name once at setup, then bump by
   // index with no per-event string compares (the by-name Add below scans
   // the linear map on every call, which showed up in the per-request RPC
-  // and NVMe paths). Handles are invalidated by Reset().
+  // and NVMe paths).
   using Handle = uint32_t;
   Handle Intern(const std::string& name);
 
@@ -64,7 +58,6 @@ class Counters {
   void Add(const std::string& name, uint64_t delta);
   void Increment(const std::string& name) { Add(name, 1); }
   uint64_t Get(const std::string& name) const;
-  void Reset();
 
   // Stable (sorted) name/value listing for reports.
   std::vector<std::pair<std::string, uint64_t>> Snapshot() const;

@@ -92,11 +92,6 @@ Result<std::vector<uint32_t>> CsrGraph::Neighbors(uint32_t v) {
   return out;
 }
 
-Result<uint32_t> CsrGraph::OutDegree(uint32_t v) {
-  ASSIGN_OR_RETURN(auto range, EdgeRange(v));
-  return static_cast<uint32_t>(range.second - range.first);
-}
-
 Result<std::vector<uint32_t>> CsrGraph::Bfs(uint32_t source) {
   if (source >= node_count_) {
     return InvalidArgument("source out of range");

@@ -37,7 +37,6 @@ class CsrGraph {
 
   // Out-neighbors of `v`, read from the adjacency segment.
   Result<std::vector<uint32_t>> Neighbors(uint32_t v);
-  Result<uint32_t> OutDegree(uint32_t v);
 
   // BFS hop distances from `source` (kNoPath where unreachable).
   Result<std::vector<uint32_t>> Bfs(uint32_t source);

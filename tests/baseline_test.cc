@@ -99,13 +99,16 @@ TEST(IntegrationTest, EveryPriorClassTouchesTheCpu) {
 }
 
 TEST(IntegrationTest, HyperionHasLowestLatencyAndFewestHops) {
-  auto rows = PriceAll(64 * 1024);
-  ASSERT_EQ(rows.size(), 7u);
-  const PathReport& hyperion = rows.back();
-  EXPECT_EQ(hyperion.kind, IntegrationKind::kHyperion);
-  for (size_t i = 0; i + 1 < rows.size(); ++i) {
-    EXPECT_GT(rows[i].latency, hyperion.latency) << IntegrationName(rows[i].kind);
-    EXPECT_GT(rows[i].pcie_hops, hyperion.pcie_hops) << IntegrationName(rows[i].kind);
+  auto hyperion = PriceNetToStorage(IntegrationKind::kHyperion, 64 * 1024);
+  ASSERT_TRUE(hyperion.ok());
+  for (IntegrationKind kind :
+       {IntegrationKind::kGpuWithNetwork, IntegrationKind::kGpuWithStorage,
+        IntegrationKind::kFpgaWithNetwork, IntegrationKind::kStorageWithNetwork,
+        IntegrationKind::kStorageWithAccel, IntegrationKind::kCommercialDpu}) {
+    auto row = PriceNetToStorage(kind, 64 * 1024);
+    ASSERT_TRUE(row.ok()) << IntegrationName(kind);
+    EXPECT_GT(row->latency, hyperion->latency) << IntegrationName(kind);
+    EXPECT_GT(row->pcie_hops, hyperion->pcie_hops) << IntegrationName(kind);
   }
 }
 
@@ -117,13 +120,6 @@ TEST(IntegrationTest, UserspaceBounceClassesCostMoreThanKernelBridges) {
   ASSERT_TRUE(accel.ok());
   ASSERT_TRUE(nvmf.ok());
   EXPECT_GT(accel->cpu_busy, nvmf->cpu_busy);
-}
-
-TEST(IntegrationTest, LimitationStringsMatchTable1) {
-  EXPECT_NE(IntegrationLimitation(IntegrationKind::kStorageWithNetwork).find("block-level"),
-            std::string_view::npos);
-  EXPECT_NE(IntegrationLimitation(IntegrationKind::kCommercialDpu).find("CPU cores"),
-            std::string_view::npos);
 }
 
 }  // namespace

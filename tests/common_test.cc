@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -14,6 +15,61 @@
 
 namespace hyperion {
 namespace {
+
+// -- Hex text for test output ---------------------------------------------
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+// "deadbeef"-style lowercase hex of a buffer.
+std::string ToHex(ByteSpan data) {
+  std::string out;
+  out.reserve(data.size() * 2);
+  for (uint8_t byte : data) {
+    out.push_back(kHexDigits[byte >> 4]);
+    out.push_back(kHexDigits[byte & 0xf]);
+  }
+  return out;
+}
+
+// 32 hex digits, zero padded: "0123456789abcdef0123456789abcdef".
+std::string U128ToHex(const U128& v) {
+  std::string out(32, '0');
+  const uint64_t parts[2] = {v.hi, v.lo};
+  for (int p = 0; p < 2; ++p) {
+    uint64_t part = parts[p];
+    for (int i = 15; i >= 0; --i) {
+      out[p * 16 + i] = kHexDigits[part & 0xf];
+      part >>= 4;
+    }
+  }
+  return out;
+}
+
+// Parses U128ToHex() output (also shorter strings, right-aligned). Returns
+// false on non-hex input or more than 32 digits.
+bool U128FromHex(const std::string& hex, U128* out) {
+  if (hex.empty() || hex.size() > 32) {
+    return false;
+  }
+  U128 v;
+  for (char c : hex) {
+    int d = -1;
+    if (c >= '0' && c <= '9') {
+      d = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      d = c - 'a' + 10;
+    } else if (c >= 'A' && c <= 'F') {
+      d = c - 'A' + 10;
+    } else {
+      return false;
+    }
+    // v = v * 16 + d, 128-bit shift-left by 4.
+    v.hi = (v.hi << 4) | (v.lo >> 60);
+    v.lo = (v.lo << 4) | static_cast<uint64_t>(d);
+  }
+  *out = v;
+  return true;
+}
 
 // -- Status -------------------------------------------------------------
 
@@ -125,23 +181,23 @@ TEST(U128Test, SubtractionBorrows) {
 
 TEST(U128Test, HexRoundTrip) {
   U128 v(0x0123456789abcdefull, 0xfedcba9876543210ull);
-  EXPECT_EQ(v.ToHex(), "0123456789abcdeffedcba9876543210");
+  EXPECT_EQ(U128ToHex(v), "0123456789abcdeffedcba9876543210");
   U128 parsed;
-  ASSERT_TRUE(U128::FromHex(v.ToHex(), &parsed));
+  ASSERT_TRUE(U128FromHex(U128ToHex(v), &parsed));
   EXPECT_EQ(parsed, v);
 }
 
 TEST(U128Test, FromHexShortStringIsRightAligned) {
   U128 parsed;
-  ASSERT_TRUE(U128::FromHex("ff", &parsed));
+  ASSERT_TRUE(U128FromHex("ff", &parsed));
   EXPECT_EQ(parsed, U128(0, 0xff));
 }
 
 TEST(U128Test, FromHexRejectsGarbage) {
   U128 parsed;
-  EXPECT_FALSE(U128::FromHex("xyz", &parsed));
-  EXPECT_FALSE(U128::FromHex("", &parsed));
-  EXPECT_FALSE(U128::FromHex(std::string(33, 'a'), &parsed));
+  EXPECT_FALSE(U128FromHex("xyz", &parsed));
+  EXPECT_FALSE(U128FromHex("", &parsed));
+  EXPECT_FALSE(U128FromHex(std::string(33, 'a'), &parsed));
 }
 
 TEST(U128Test, HashSpreadsValues) {

@@ -10,6 +10,7 @@
 #include "src/dpu/rpc.h"
 #include "src/dpu/services.h"
 #include "src/ebpf/assembler.h"
+#include "tests/helpers.h"
 #include "tests/testutil.h"
 
 namespace hyperion::dpu {
@@ -108,7 +109,7 @@ TEST_F(DpuTest, RpcFrameMatchesContiguousWireFormat) {
   Bytes golden = {0x03, 0x00, 0x01, 0x00, 0x2c, 0x01, 0x00, 0x00};  // kLog, kAppend, 300
   golden.insert(golden.end(), 300, 0xab);
   BufferChain frame = SerializeRequestFrame(request);
-  EXPECT_EQ(frame.Flatten(), golden);
+  EXPECT_EQ(Flatten(frame), golden);
   ASSERT_EQ(frame.segment_count(), 2u);  // header + payload
   EXPECT_EQ(frame.segment(1).data(), request.payload.data());  // shared, not copied
 
@@ -124,7 +125,7 @@ TEST_F(DpuTest, RpcFrameMatchesContiguousWireFormat) {
   Bytes response_golden = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00};
   response_golden.insert(response_golden.end(), 128, 0x11);
   BufferChain response_frame = SerializeResponseFrame(response);
-  EXPECT_EQ(response_frame.Flatten(), response_golden);
+  EXPECT_EQ(Flatten(response_frame), response_golden);
   auto decoded = ParseResponseFrame(response_frame);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->status.ok());
@@ -151,12 +152,12 @@ Bytes FuzzRequestBytes() {
   BufferChain frame = SerializeRequestFrame(request);
   AppendDeadlineTrailer(frame, request.deadline);
   AppendTraceTrailer(frame, request.trace);
-  return frame.Flatten();
+  return Flatten(frame);
 }
 
 RpcResponse FuzzResponse() { return RpcResponse{NotFound("no such key: 42"), Bytes(16, 0x7e)}; }
 
-Bytes FuzzResponseBytes() { return SerializeResponseFrame(FuzzResponse()).Flatten(); }
+Bytes FuzzResponseBytes() { return Flatten(SerializeResponseFrame(FuzzResponse())); }
 
 // `bytes` as a chain of two segments cut at `cut` (an empty side is dropped).
 BufferChain SplitAt(const Bytes& bytes, size_t cut) {
@@ -228,7 +229,7 @@ TEST(RpcFrameFuzz, SingleBlockPartsCutAnywhereParseTheSameFrame) {
   AppendDeadlineTrailer(request_frame, request.deadline);
   AppendTraceTrailer(request_frame, request.trace);
   ASSERT_EQ(request_frame.segment_count(), 4u);
-  ASSERT_EQ(request_frame.Flatten(), FuzzRequestBytes());
+  ASSERT_EQ(Flatten(request_frame), FuzzRequestBytes());
   const size_t payload_at = 8;
   for (size_t cut = 0; cut <= request_frame.size(); ++cut) {
     SCOPED_TRACE(cut);
@@ -362,6 +363,49 @@ TEST_F(DpuTest, KvServiceOverRpc) {
 
   EXPECT_TRUE(Call(ServiceId::kKv, KvOp::kDelete, get).status.ok());
   EXPECT_EQ(Call(ServiceId::kKv, KvOp::kGet, get).status.code(), StatusCode::kNotFound);
+}
+
+// The shared KV request codec: a round trip, and the decoder's rejects.
+TEST(KvCodecTest, DecodesWhatItEncodesAndRejectsMalformedRequests) {
+  const Bytes value = ToBytes("value");
+  const Bytes put = EncodeKvPut(7, ByteSpan(value.data(), value.size()));
+  ASSERT_EQ(put.size(), 12 + value.size());
+  Result<KvPutView> decoded = DecodeKvPut(put);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->key, 7u);
+  EXPECT_EQ(Bytes(decoded->value.begin(), decoded->value.end()), value);
+  EXPECT_EQ(*DecodeKvGet(EncodeKvGet(9)), 9u);
+
+  // A put shorter than its [key u64][len u32] header.
+  EXPECT_EQ(DecodeKvPut(ByteSpan(put.data(), 11)).status().code(), StatusCode::kInvalidArgument);
+  // A put whose len overruns the payload, by one byte and by 2^32 - 1.
+  EXPECT_EQ(DecodeKvPut(ByteSpan(put.data(), put.size() - 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  Bytes huge = put;
+  OverwriteU32(huge, 8, UINT32_MAX);
+  EXPECT_EQ(DecodeKvPut(huge).status().code(), StatusCode::kInvalidArgument);
+  // An empty get.
+  EXPECT_EQ(DecodeKvGet(ByteSpan()).status().code(), StatusCode::kInvalidArgument);
+}
+
+// A malformed put and get reach the KV service and are answered
+// InvalidArgument; the service then serves well-formed ones.
+TEST_F(DpuTest, MalformedKvRequestsAreRejectedAndTheServiceServesOn) {
+  BootAndConnect();
+  const Bytes value = ToBytes("value");
+  Bytes overrun = EncodeKvPut(7, ByteSpan(value.data(), value.size()));
+  overrun.pop_back();  // len now names one byte more than the payload holds
+  EXPECT_EQ(Call(ServiceId::kKv, KvOp::kPut, overrun).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Call(ServiceId::kKv, KvOp::kGet, {}).status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Call(ServiceId::kKv, KvOp::kGet, EncodeKvGet(7)).status.code(),
+            StatusCode::kNotFound);  // the rejected put stored nothing
+
+  ASSERT_TRUE(Call(ServiceId::kKv, KvOp::kPut, EncodeKvPut(7, ByteSpan(value.data(), value.size())))
+                  .status.ok());
+  RpcResponse got = Call(ServiceId::kKv, KvOp::kGet, EncodeKvGet(7));
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(got.payload, value);
 }
 
 TEST_F(DpuTest, KvScanOverRpc) {
@@ -759,9 +803,9 @@ TEST(CompositionTest, DpuWithoutHbmBoots) {
   Bytes value(100, 7);
   ASSERT_TRUE((*services)->kv().Put(1, ByteSpan(value.data(), value.size())).ok());
   EXPECT_EQ(*(*services)->kv().Get(1), value);
-  auto hot = dpu.store().Create(4096, {.performance_critical = true});
-  ASSERT_TRUE(hot.ok());
-  EXPECT_EQ(dpu.store().Describe(*hot)->location, mem::Location::kDram);
+  const mem::SegmentId hot(0xC0FFEE, 1);
+  ASSERT_TRUE(dpu.store().CreateWithId(hot, 4096, {.performance_critical = true}).ok());
+  EXPECT_EQ(dpu.store().Describe(hot)->location, mem::Location::kDram);
 }
 
 TEST(CompositionTest, PacketProcessingChargesFabricEnergy) {

@@ -17,6 +17,7 @@
 #include "src/ebpf/maps.h"
 #include "src/ebpf/verifier.h"
 #include "src/ebpf/vm.h"
+#include "tests/helpers.h"
 
 namespace hyperion::ebpf {
 namespace {

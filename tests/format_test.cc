@@ -188,13 +188,6 @@ TEST(ScanTest, AggregateInt64) {
   EXPECT_EQ(agg->max, 99);
 }
 
-TEST(ScanTest, SumFloat64) {
-  RecordBatch batch = SampleBatch(4);  // prices 0, 1.5, 3, 4.5
-  auto sum = SumFloat64(batch, "price");
-  ASSERT_TRUE(sum.ok());
-  EXPECT_DOUBLE_EQ(*sum, 9.0);
-}
-
 TEST(ScanTest, FilterInt64) {
   RecordBatch batch = SampleBatch(100);
   auto filtered = FilterInt64(batch, "id", 10, 19);
@@ -217,7 +210,6 @@ TEST(ScanTest, GroupedSum) {
 TEST(ScanTest, TypeMismatchRejected) {
   RecordBatch batch = SampleBatch(5);
   EXPECT_FALSE(AggregateInt64(batch, "price").ok());
-  EXPECT_FALSE(SumFloat64(batch, "id").ok());
   EXPECT_FALSE(GroupedSum(batch, "id", "region").ok());
 }
 

@@ -63,14 +63,6 @@ TEST_F(FabricTest, ExecuteOnEmptyRegionFails) {
   EXPECT_FALSE(fabric_.Execute(2, 100).ok());
 }
 
-TEST_F(FabricTest, ClearEvicts) {
-  Bitstream bs;
-  bs.name = "x";
-  ASSERT_TRUE(fabric_.Reconfigure(0, bs).ok());
-  ASSERT_TRUE(fabric_.Clear(0).ok());
-  EXPECT_FALSE(fabric_.IsLoaded(0));
-}
-
 // -- AXI ----------------------------------------------------------------------
 
 TEST(AxiTest, TransactionTimeScalesWithSize) {

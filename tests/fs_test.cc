@@ -83,21 +83,14 @@ TEST_F(FsTest, NestedDirectories) {
   ASSERT_TRUE(fs->Mkdir("/a/b").ok());
   auto inode = fs->CreateFile("/a/b/deep.txt");
   ASSERT_TRUE(inode.ok());
-  auto found = fs->LookupPath("/a/b/deep.txt");
+  // A file under a missing directory is rejected.
+  EXPECT_FALSE(fs->CreateFile("/a/nope/f").ok());
+  // The annotation interpreter walks the same directories down to it.
+  AnnotatedReader reader(&ctrl_, nsid_, GenerateAnnotation(*fs));
+  auto found = reader.ResolvePath("/a/b/deep.txt");
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, *inode);
-  EXPECT_FALSE(fs->LookupPath("/a/nope").ok());
-}
-
-TEST_F(FsTest, ListDir) {
-  auto fs = ExtFs::Format(&ctrl_, nsid_);
-  ASSERT_TRUE(fs.ok());
-  ASSERT_TRUE(fs->CreateFile("/one").ok());
-  ASSERT_TRUE(fs->CreateFile("/two").ok());
-  ASSERT_TRUE(fs->Mkdir("/sub").ok());
-  auto entries = fs->ListDir("/");
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries->size(), 3u);
+  EXPECT_FALSE(reader.ResolvePath("/a/nope").ok());
 }
 
 TEST_F(FsTest, DuplicateNameRejected) {
@@ -105,31 +98,6 @@ TEST_F(FsTest, DuplicateNameRejected) {
   ASSERT_TRUE(fs.ok());
   ASSERT_TRUE(fs->CreateFile("/x").ok());
   EXPECT_EQ(fs->CreateFile("/x").status().code(), StatusCode::kAlreadyExists);
-}
-
-TEST_F(FsTest, RemoveFileFreesBlocks) {
-  auto fs = ExtFs::Format(&ctrl_, nsid_);
-  ASSERT_TRUE(fs.ok());
-  auto inode = fs->CreateFile("/big");
-  ASSERT_TRUE(inode.ok());
-  Bytes data = Pattern(64 * 1024, 1);
-  ASSERT_TRUE(fs->WriteFile(*inode, 0, ByteSpan(data.data(), data.size())).ok());
-  ASSERT_TRUE(fs->Remove("/big").ok());
-  EXPECT_FALSE(fs->LookupPath("/big").ok());
-  // The space is reusable.
-  auto inode2 = fs->CreateFile("/big2");
-  ASSERT_TRUE(inode2.ok());
-  ASSERT_TRUE(fs->WriteFile(*inode2, 0, ByteSpan(data.data(), data.size())).ok());
-}
-
-TEST_F(FsTest, RemoveNonEmptyDirRejected) {
-  auto fs = ExtFs::Format(&ctrl_, nsid_);
-  ASSERT_TRUE(fs.ok());
-  ASSERT_TRUE(fs->Mkdir("/d").ok());
-  ASSERT_TRUE(fs->CreateFile("/d/f").ok());
-  EXPECT_EQ(fs->Remove("/d").code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(fs->Remove("/d/f").ok());
-  EXPECT_TRUE(fs->Remove("/d").ok());
 }
 
 TEST_F(FsTest, SparseOffsetsWithinExtents) {
@@ -159,7 +127,10 @@ TEST_F(FsTest, PersistsAcrossRemount) {
   }
   auto fs2 = ExtFs::Mount(&ctrl_, nsid_);
   ASSERT_TRUE(fs2.ok());
-  auto inode = fs2->LookupPath("/persistent");
+  // The directory entry survived too: the remounted superblock's
+  // annotation resolves the path.
+  AnnotatedReader reader(&ctrl_, nsid_, GenerateAnnotation(*fs2));
+  auto inode = reader.ResolvePath("/persistent");
   ASSERT_TRUE(inode.ok());
   auto read = fs2->ReadFile(*inode, 0, 5000);
   ASSERT_TRUE(read.ok());
@@ -196,7 +167,7 @@ TEST_F(FsTest, AnnotatedReaderResolvesPathsWithoutFsCode) {
   auto resolved = reader.ResolvePath("/warehouse/table.parquet");
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(*resolved, *inode);
-  auto read = reader.ReadPath("/warehouse/table.parquet", 0, 20000);
+  auto read = reader.ReadByInode(*resolved, 0, 20000);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);  // byte-identical with what ExtFs wrote
   EXPECT_GT(reader.BlockReads(), 0u);

@@ -430,6 +430,36 @@ TEST(OverloadClusterTest, LsmKvOverRpcServesEveryRequest) {
   EXPECT_GT(result.latency_count, 0u);
 }
 
+// A malformed put and get reach the LSM service over the wire and are
+// answered InvalidArgument; the service then serves well-formed ones.
+TEST(OverloadClusterTest, LsmKvRejectsMalformedRequestsAndServesOn) {
+  OverloadCluster cluster(LsmKvOptions());
+  dpu::ShardedRpcNode& server = cluster.endpoint(0);
+  dpu::ShardedRpcNode& client = cluster.endpoint(1);
+  const auto call = [&](uint16_t opcode, Bytes payload) {
+    dpu::RpcResponse response = dpu::RpcResponse::Fail(Internal("no response"));
+    client.CallAsync(&server, {dpu::ServiceId::kLsmKv, opcode, std::move(payload)},
+                     [&response](dpu::RpcResponse r) { response = std::move(r); });
+    cluster.engine().Run();
+    return response;
+  };
+  const Bytes value = ToBytes("value");
+  Bytes overrun = dpu::EncodeKvPut(7, ByteSpan(value.data(), value.size()));
+  overrun.pop_back();  // len now names one byte more than the payload holds
+  EXPECT_EQ(call(dpu::KvOp::kPut, overrun).status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(call(dpu::KvOp::kGet, {}).status.code(), StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(call(dpu::KvOp::kPut, dpu::EncodeKvPut(7, ByteSpan(value.data(), value.size())))
+                  .status.ok());
+  const dpu::RpcResponse got = call(dpu::KvOp::kGet, dpu::EncodeKvGet(7));
+  ASSERT_TRUE(got.status.ok());
+  // [found u8][len u32][value]
+  ASSERT_EQ(got.payload.size(), 5 + value.size());
+  EXPECT_EQ(got.payload[0], 1);
+  EXPECT_EQ(GetU32(got.payload, 1), value.size());
+  EXPECT_EQ(got.payload.Slice(5), value);
+}
+
 TEST(OverloadClusterTest, LsmKvResultBitIdenticalAcrossShardLayouts) {
   testutil::ExpectLayoutInvariant<OverloadCluster>(LsmKvOptions());
 }

@@ -536,33 +536,41 @@ class ObjectStoreTest : public ::testing::Test {
     store_ = std::make_unique<ObjectStore>(&engine_, &ctrl_, config);
   }
 
+  // A segment under the next test-chosen id.
+  Result<SegmentId> Create(uint64_t size, SegmentHints hints) {
+    const SegmentId id(0xC0FFEE, next_id_++);
+    RETURN_IF_ERROR(store_->CreateWithId(id, size, hints));
+    return id;
+  }
+
   sim::Engine engine_;
   nvme::Controller ctrl_;
   uint32_t nsid_ = 0;
   std::unique_ptr<ObjectStore> store_;
+  uint64_t next_id_ = 1;
 };
 
 TEST_F(ObjectStoreTest, EphemeralLandsInDram) {
-  auto id = store_->Create(4096, {});
+  auto id = Create(4096, {});
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(store_->Describe(*id)->location, Location::kDram);
 }
 
 TEST_F(ObjectStoreTest, DurableLandsOnNvme) {
-  auto id = store_->Create(4096, {.durable = true});
+  auto id = Create(4096, {.durable = true});
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(store_->Describe(*id)->location, Location::kNvme);
 }
 
 TEST_F(ObjectStoreTest, PerformanceCriticalPrefersHbm) {
-  auto id = store_->Create(4096, {.performance_critical = true});
+  auto id = Create(4096, {.performance_critical = true});
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(store_->Describe(*id)->location, Location::kHbm);
 }
 
 TEST_F(ObjectStoreTest, SpillsToNvmeWhenDramFull) {
   // DRAM 1 MiB + HBM 256 KiB; a 2 MiB ephemeral segment must spill.
-  auto id = store_->Create(2 << 20, {});
+  auto id = Create(2 << 20, {});
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(store_->Describe(*id)->location, Location::kNvme);
 }
@@ -570,7 +578,7 @@ TEST_F(ObjectStoreTest, SpillsToNvmeWhenDramFull) {
 TEST_F(ObjectStoreTest, WriteReadRoundTripAllTiers) {
   for (SegmentHints hints :
        {SegmentHints{}, SegmentHints{.durable = true}, SegmentHints{.performance_critical = true}}) {
-    auto id = store_->Create(10000, hints);
+    auto id = Create(10000, hints);
     ASSERT_TRUE(id.ok());
     Bytes data = Pattern(5000, 42);
     ASSERT_TRUE(store_->Write(*id, 2500, ByteSpan(data.data(), data.size())).ok());
@@ -586,7 +594,7 @@ TEST_F(ObjectStoreTest, ZeroLengthReadsAnswerOkOnEveryTier) {
   // without an NVMe command. Read and ReadInto agree.
   for (SegmentHints hints :
        {SegmentHints{}, SegmentHints{.performance_critical = true}, SegmentHints{.durable = true}}) {
-    auto id = store_->Create(3 * nvme::kLbaSize, hints);
+    auto id = Create(3 * nvme::kLbaSize, hints);
     ASSERT_TRUE(id.ok());
     for (const uint64_t offset : {0u, 100u, 4096u, 5000u, 8192u, 3u * nvme::kLbaSize}) {
       SCOPED_TRACE(offset);
@@ -603,6 +611,29 @@ TEST_F(ObjectStoreTest, ZeroLengthReadsAnswerOkOnEveryTier) {
   EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 0u);
 }
 
+TEST_F(ObjectStoreTest, ZeroLengthWritesAnswerOkOnEveryTier) {
+  // Flash answers a zero-length write as DRAM and HBM do: OK, at
+  // LBA-aligned and unaligned offsets and at the segment's end, with no
+  // NVMe command (no read-modify-write of a covering LBA) and no time past
+  // the translation.
+  for (SegmentHints hints :
+       {SegmentHints{}, SegmentHints{.performance_critical = true}, SegmentHints{.durable = true}}) {
+    auto id = Create(3 * nvme::kLbaSize, hints);
+    ASSERT_TRUE(id.ok());
+    for (const uint64_t offset : {0u, 100u, 4096u, 5000u, 8192u, 3u * nvme::kLbaSize}) {
+      SCOPED_TRACE(offset);
+      const sim::SimTime before = engine_.Now();
+      const Status written = store_->Write(*id, offset, ByteSpan());
+      EXPECT_TRUE(written.ok()) << written.ToString();
+      if (hints.durable) {
+        EXPECT_EQ(engine_.Now() - before, SegmentTable::kLookupCost);  // the translation only
+      }
+    }
+  }
+  EXPECT_EQ(ctrl_.counters().Get("nvme_reads"), 0u);
+  EXPECT_EQ(ctrl_.counters().Get("nvme_writes"), 0u);
+}
+
 TEST_F(ObjectStoreTest, BoundsEnforced) {
   Bytes data(50);
   Bytes out(8);
@@ -610,7 +641,7 @@ TEST_F(ObjectStoreTest, BoundsEnforced) {
        {SegmentHints{}, SegmentHints{.performance_critical = true}, SegmentHints{.durable = true}}) {
     // The first segment of each tier sits at base 0, so a wrapped offset
     // that slipped past the check would land just before the tier.
-    auto id = store_->Create(100, hints);
+    auto id = Create(100, hints);
     ASSERT_TRUE(id.ok());
     EXPECT_FALSE(store_->Write(*id, 60, ByteSpan(data.data(), data.size())).ok());
     EXPECT_FALSE(store_->Read(*id, 90, 20).ok());
@@ -639,18 +670,18 @@ TEST_F(ObjectStoreTest, DeleteReleasesSpace) {
   nvme::Controller ctrl(&engine);
   tiny.nvme_nsid = ctrl.AddNamespace(1024);
   ObjectStore store(&engine, &ctrl, tiny);
-  auto a = store.Create(8192, {});
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(store.Describe(*a)->location, Location::kDram);
-  ASSERT_TRUE(store.Delete(*a).ok());
-  auto b = store.Create(8192, {});
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(store.Describe(*b)->location, Location::kDram);
+  const SegmentId a(1, 1);
+  ASSERT_TRUE(store.CreateWithId(a, 8192, {}).ok());
+  EXPECT_EQ(store.Describe(a)->location, Location::kDram);
+  ASSERT_TRUE(store.Delete(a).ok());
+  const SegmentId b(1, 2);
+  ASSERT_TRUE(store.CreateWithId(b, 8192, {}).ok());
+  EXPECT_EQ(store.Describe(b)->location, Location::kDram);
 }
 
 TEST_F(ObjectStoreTest, RecoveryKeepsDurableDropsEphemeral) {
-  auto durable = store_->Create(4096, {.durable = true});
-  auto ephemeral = store_->Create(4096, {});
+  auto durable = Create(4096, {.durable = true});
+  auto ephemeral = Create(4096, {});
   ASSERT_TRUE(durable.ok());
   ASSERT_TRUE(ephemeral.ok());
   Bytes data = Pattern(4096, 77);
@@ -663,11 +694,11 @@ TEST_F(ObjectStoreTest, RecoveryKeepsDurableDropsEphemeral) {
   EXPECT_EQ(*store_->Read(*durable, 0, 4096), data);
   EXPECT_EQ(store_->Read(*ephemeral, 0, 1).status().code(), StatusCode::kNotFound);
   // New creations keep working after recovery (allocators rebuilt).
-  EXPECT_TRUE(store_->Create(4096, {.durable = true}).ok());
+  EXPECT_TRUE(Create(4096, {.durable = true}).ok());
 }
 
 TEST_F(ObjectStoreTest, RecoverRejectsABootLengthThatWouldWrap) {
-  ASSERT_TRUE(store_->Create(4096, {.durable = true}).ok());
+  ASSERT_TRUE(Create(4096, {.durable = true}).ok());
   ASSERT_TRUE(store_->Checkpoint().ok());
   // A boot LBA whose length field wraps when the 8-byte prefix is added
   // (a remote BlockOp::kWrite to LBA 0 can put it there).
@@ -682,7 +713,7 @@ TEST_F(ObjectStoreTest, RecoverRejectsABootLengthThatWouldWrap) {
 }
 
 TEST_F(ObjectStoreTest, TranslationCostCharged) {
-  auto id = store_->Create(64, {});
+  auto id = Create(64, {});
   ASSERT_TRUE(id.ok());
   const auto before = engine_.Now();
   ASSERT_TRUE(store_->Read(*id, 0, 64).ok());
@@ -691,7 +722,7 @@ TEST_F(ObjectStoreTest, TranslationCostCharged) {
 }
 
 TEST_F(ObjectStoreTest, EveryAccessPaysOneTranslation) {
-  auto id = store_->Create(64, {});
+  auto id = Create(64, {});
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(store_->Read(*id, 0, 64).ok());
   EXPECT_EQ(store_->counters().Get("translations"), 1u);

@@ -37,16 +37,6 @@ TEST(TopologyTest, SiblingsCrossTwoLinks) {
   EXPECT_EQ(*topo.PathHops(a, b), 2u);
 }
 
-TEST(TopologyTest, DeepPathThroughSwitch) {
-  Topology topo;
-  NodeId rc = topo.AddRootComplex("rc");
-  NodeId sw = topo.AddSwitch("sw", rc, {3, 16});
-  NodeId a = topo.AddEndpoint("a", sw, {3, 4});
-  NodeId b = topo.AddEndpoint("b", rc, {3, 4});
-  // a -> sw -> rc -> b.
-  EXPECT_EQ(*topo.PathHops(a, b), 3u);
-}
-
 TEST(TopologyTest, BottleneckBandwidthIsMinLink) {
   Topology topo;
   NodeId rc = topo.AddRootComplex("rc");

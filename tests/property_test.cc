@@ -32,6 +32,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
 #include "src/storage/corfu.h"
+#include "tests/helpers.h"
 
 namespace hyperion {
 namespace {
@@ -574,7 +575,7 @@ TEST(FsPropertyTest, RandomOpsMatchReferenceModel) {
 
   for (int step = 0; step < 400; ++step) {
     const std::string& path = names[rng.Uniform(5)];
-    const uint64_t action = rng.Uniform(4);
+    const uint64_t action = rng.Uniform(3);
     if (action == 0) {
       // Create (idempotence checked via AlreadyExists).
       auto inode = fs->CreateFile(path);
@@ -613,10 +614,6 @@ TEST(FsPropertyTest, RandomOpsMatchReferenceModel) {
       EXPECT_TRUE(std::equal(got->begin(), got->end(),
                              ref.begin() + static_cast<ptrdiff_t>(offset)))
           << path << " @" << offset;
-    } else if (action == 3 && model.count(path) != 0 && rng.Bernoulli(0.2)) {
-      ASSERT_TRUE(fs->Remove(path).ok()) << path;
-      model.erase(path);
-      inodes.erase(path);
     }
   }
   // Final sweep: everything still present reads back in full.

@@ -1058,7 +1058,6 @@ TEST_F(GraphTest, NeighborsAndDegrees) {
   EXPECT_EQ(*graph->Neighbors(0), (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(*graph->Neighbors(1), (std::vector<uint32_t>{2}));
   EXPECT_TRUE(graph->Neighbors(3)->empty());
-  EXPECT_EQ(*graph->OutDegree(0), 2u);
   EXPECT_FALSE(graph->Neighbors(4).ok());
 }
 

@@ -67,36 +67,17 @@ inline size_t CountSpans(const obs::Tracer& tracer, std::string_view name) {
   return CountSpans(tracer.spans(), name);
 }
 
-// -- KV payload builders ---------------------------------------------------
+// -- KV requests -----------------------------------------------------------
 
-// Put payload: key, value length, value bytes (the KvOp::kPut wire shape).
-inline Bytes KvPutPayload(uint64_t key, ByteSpan value) {
-  Bytes payload;
-  PutU64(payload, key);
-  PutU32(payload, static_cast<uint32_t>(value.size()));
-  PutBytes(payload, value);
-  return payload;
-}
-
-// Put payload with a constant-fill value of `value_bytes` bytes.
-inline Bytes KvPutPayload(uint64_t key, uint32_t value_bytes, uint8_t fill = 0x5a) {
-  Bytes value(value_bytes, fill);
-  return KvPutPayload(key, ByteSpan(value.data(), value.size()));
-}
-
-// Get/Delete payload: just the key.
-inline Bytes KvKeyPayload(uint64_t key) {
-  Bytes payload;
-  PutU64(payload, key);
-  return payload;
-}
-
+// A put of a constant-fill value of `value_bytes` bytes.
 inline dpu::RpcRequest KvPutRequest(uint64_t key, uint32_t value_bytes, uint8_t fill = 0x5a) {
-  return {dpu::ServiceId::kKv, dpu::KvOp::kPut, KvPutPayload(key, value_bytes, fill)};
+  const Bytes value(value_bytes, fill);
+  return {dpu::ServiceId::kKv, dpu::KvOp::kPut,
+          dpu::EncodeKvPut(key, ByteSpan(value.data(), value.size()))};
 }
 
 inline dpu::RpcRequest KvGetRequest(uint64_t key) {
-  return {dpu::ServiceId::kKv, dpu::KvOp::kGet, KvKeyPayload(key)};
+  return {dpu::ServiceId::kKv, dpu::KvOp::kGet, dpu::EncodeKvGet(key)};
 }
 
 // -- DPU fixture -----------------------------------------------------------

@@ -2,7 +2,7 @@
 """Compare a fresh google-benchmark run against a committed baseline.
 
 Usage:
-    check_bench_regression.py --baseline BENCH_PR7.json \
+    check_bench_regression.py --baseline BENCH_WALL.json \
         --current bench_smoke.json [--tolerance 0.20]
     check_bench_regression.py --baseline BENCH_PR9.json \
         --current bench_repkv_gate.json --exact COUNTER,...
